@@ -4,7 +4,9 @@ A real +-1/sqrt(M) frame and a self-complementary (M, 2N) binary code are two
 views of the same object: column signs map to bits (+ -> 0, - -> 1), the
 second half of the code is the complement of the first, and distance-bound
 equality for the code is Welch-bound equality for the frame.  All arithmetic
-in this module is exact (bits and integers, no tolerances).
+in this module is exact (bits and integers, no tolerances): distances come
+from the +-1 sign Gram of the words, computed by frames.exact_matmul, and
+linearity from GF(2) elimination on words packed into Python integers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotSelfComplementary,
     TooFewWords,
 )
-from .frames import Frame, _numeric
+from .frames import Frame, _numeric, exact_matmul
 from .metrics import certify_etf
 
 
@@ -64,7 +66,12 @@ def parse_code(text: str) -> BinaryCode:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# etfkit-code"):
         raise CodeFormatError("missing '# etfkit-code' header line")
-    fields = dict(tok.split("=") for tok in lines[0].split()[2:])
+    fields = {}
+    for tok in lines[0].split()[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise CodeFormatError(f"bad header token {tok!r}: expected key=value")
+        fields[key] = value
     try:
         m, count, selfcomp = int(fields["m"]), int(fields["n"]), bool(int(fields["selfcomp"]))
     except (KeyError, ValueError) as e:
@@ -88,11 +95,9 @@ def frame_to_code(frame: Frame) -> BinaryCode:
     if not frame.is_sign_matrix:
         raise NotRealConstantAmplitude(
             "frame is not in exact sign form; only +-1/sqrt(M) frames convert to codes")
-    signs = frame.exact_ints
-    first = [tuple(0 if signs[i, col] == 1 else 1 for i in range(frame.m))
-             for col in range(frame.n)]
-    second = [tuple(1 - b for b in w) for w in first]
-    return BinaryCode(m=frame.m, words=tuple(first + second), self_complementary=True)
+    bits = (frame.exact_ints.T == -1).astype(np.int64)
+    words = np.concatenate([bits, 1 - bits]).tolist()
+    return BinaryCode(m=frame.m, words=tuple(map(tuple, words)), self_complementary=True)
 
 
 def code_to_frame(code: BinaryCode) -> Frame:
@@ -101,8 +106,8 @@ def code_to_frame(code: BinaryCode) -> Frame:
     if not code.self_complementary:
         raise NotSelfComplementary("only self-complementary codes map back to frames")
     half = code.count // 2
-    ints = np.array([[1 if code.words[col][i] == 0 else -1 for col in range(half)]
-                     for i in range(code.m)], dtype=np.int64)
+    bits = np.array(code.words[:half], dtype=np.int64).reshape(half, code.m)
+    ints = np.ascontiguousarray(1 - 2 * bits.T)
     frame = Frame(entries=_numeric(ints, code.m), exact_ints=ints, scale_sq=code.m,
                   provenance={"construction": "from-code", "m": code.m, "n": half})
     frame.check_unit_norm()
@@ -114,12 +119,19 @@ def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def distance(code: BinaryCode) -> int:
-    """Minimum pairwise Hamming distance over all codewords."""
+    """Minimum pairwise Hamming distance over all codewords.
+
+    With s_a = (-1)^(word a), the Hamming distance of words a and b is
+    (m - <s_a, s_b>) / 2, so the minimum is (m - max_{a != b} <s_a, s_b>) / 2
+    over the W x W sign Gram.  exact_matmul computes that Gram in float64,
+    exact because every partial sum is at most m < 2**53, in W^2 memory.
+    """
     if code.count < 2:
         raise TooFewWords("distance needs at least two codewords")
-    arr = np.array(code.words, dtype=np.int8)
-    diffs = (arr[:, None, :] != arr[None, :, :]).sum(axis=2)
-    return int(diffs[np.triu_indices(len(arr), k=1)].min())
+    signs = 1 - 2 * np.array(code.words, dtype=np.int8)
+    gram = exact_matmul(signs, signs.T)
+    np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
+    return (code.m - int(gram.max())) // 2
 
 
 @dataclass(frozen=True)
@@ -250,17 +262,42 @@ def _classify_linear_dimensions(m: int, count: int) -> str | None:
     return None
 
 
+def _gf2_rank_exceeds(words: list[int], limit: int) -> bool:
+    """Whether the GF(2) span of the packed words has rank above limit, by
+    XOR-basis elimination: O(len(words) * rank) integer XORs."""
+    basis: list[int] = []  # distinct leading bits, in decreasing order
+    for w in words:
+        for b in basis:
+            w = min(w, w ^ b)
+        if w:
+            basis.append(w)
+            basis.sort(reverse=True)
+            if len(basis) > limit:
+                return True
+    return False
+
+
 def is_linear(code: BinaryCode) -> LinearityReport:
-    """Exhaustive XOR closure scan; when closed, also report the allowed
-    dimension family for linear bound-equality codes (None if neither fits)."""
-    wordset = set(code.words)
-    zero = (0,) * code.m
-    if zero not in wordset:
+    """XOR closure of the word set; when closed, also report the allowed
+    dimension family for linear bound-equality codes (None if neither fits).
+
+    A set of W distinct words that contains zero is closed under XOR exactly
+    when it is a GF(2) subspace, that is when W == 2**rank.  Words are packed
+    into Python integers and the rank found by elimination, O(W * m) bit
+    work.  Only a set that is not closed gets the pairwise scan, in
+    lexicographic pair order, for its first witness pair (i, j).
+    """
+    bits = np.array(code.words, dtype=np.uint8).reshape(code.count, code.m)
+    packed = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(bits, axis=1)]
+    wordset = set(packed)
+    if 0 not in wordset:
         return LinearityReport(linear=False, witness=None, family=None)
-    words = list(code.words)
-    for i, j in combinations(range(len(words)), 2):
-        sxor = tuple(a ^ b for a, b in zip(words[i], words[j]))
-        if sxor not in wordset:
+    count = code.count
+    dim = count.bit_length() - 1
+    if count == 1 << dim and not _gf2_rank_exceeds(packed, dim):
+        return LinearityReport(linear=True, witness=None,
+                               family=_classify_linear_dimensions(code.m, count))
+    for i, j in combinations(range(count), 2):
+        if packed[i] ^ packed[j] not in wordset:
             return LinearityReport(linear=False, witness=(i, j), family=None)
-    return LinearityReport(linear=True, witness=None,
-                           family=_classify_linear_dimensions(code.m, code.count))
+    raise AssertionError("a non-subspace containing zero has a non-closed pair")  # unreachable

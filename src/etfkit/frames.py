@@ -5,11 +5,14 @@ complements, and the parameter calculator for real constant-amplitude builds.
 Frames whose entries are integer multiples of a common 1/sqrt(d) carry that
 integer matrix alongside the complex one, so Gram computations downstream can
 be exact; the +-1/sqrt(M) case is what the binary-code bridge consumes.
+exact_matmul is the one place that decides how such integer products are
+computed exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -23,11 +26,35 @@ from .errors import (
     GroupOrderMismatch,
     NotResolvable,
     NotTight,
+    NotUnitNorm,
     SimplexShapeMismatch,
 )
 from .flatmat import AbelianGroup, UnimodularMatrix, character_table, hadamard_order_reachable, simplex_from_characters
 
 UNIT_NORM_TOL = 1e-9
+_FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
+_INT64_EXACT = 2 ** 63
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer arrays, exactly.
+
+    With K the inner dimension, every partial sum is bounded by
+    max|a| * max|b| * K.  Below 2**53 those sums are integers a float64 holds
+    exactly, so the product runs on float64 BLAS; below 2**63 it runs in int64
+    (no BLAS); beyond that in Python integers (object dtype).  The result is
+    int64 on the first two paths.
+    """
+    bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
+    if bound < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < _INT64_EXACT:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 @dataclass(eq=False)
@@ -74,16 +101,17 @@ class Frame:
         """Integer Gram matrix G with true Gram = G / scale_sq (real exact frames)."""
         if self.exact_ints is None:
             raise ValueError("frame carries no exact integer form")
-        g = self.exact_ints.T @ self.exact_ints
-        return g, self.scale_sq
+        return exact_matmul(self.exact_ints.T, self.exact_ints), self.scale_sq
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
+        """Raise NotUnitNorm unless every column norm is within tol of 1; a
+        NaN norm fails.  Frames with no rows or no columns pass."""
         if self.m == 0 or self.n == 0:
             return
         norms = np.linalg.norm(self.entries, axis=0)
-        worst = np.abs(norms - 1.0).max()
-        if worst > tol:
-            raise AssertionError(f"column norms deviate from 1 by {worst:.3e}")
+        worst = float(np.abs(norms - 1.0).max())
+        if not worst <= tol:
+            raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
 
 
 def _numeric(ints: np.ndarray, scale_sq: int) -> np.ndarray:
@@ -135,11 +163,16 @@ def parse_frame(text: str) -> Frame:
                 raise FrameFormatError(f"entries shape {arr.shape} does not match ({m}, {n})")
             scale = doc.get("scale")
             if scale is not None:
-                arr = arr * float(scale)
+                scale = float(scale)
+                if not math.isfinite(scale):
+                    raise FrameFormatError(f"scale {scale} is not a finite number")
+                arr = arr * scale
+            if not np.isfinite(arr).all():
+                raise FrameFormatError("entries must be finite numbers")
             frame = Frame(entries=arr, provenance=provenance)
     except FrameFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FrameFormatError(f"malformed frame document: {e}") from e
     frame.check_unit_norm()
     return frame
@@ -147,20 +180,33 @@ def parse_frame(text: str) -> Frame:
 
 # -- Steiner and flat (Kirkman-transformed) ETFs ------------------------------
 
-def _resolution_lookup(design: SteinerSystem):
-    """pos[r][v] = (index of the class-r block containing v, its block id)."""
+def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
+    """R x V tables: pos[r, v] is the index within class r of the block
+    containing v, and block[r, v] is that block's id."""
     if design.resolution is None:
         raise NotResolvable("design carries no resolution")
-    lookup = []
-    for cls in design.resolution:
-        row = [None] * design.v
+    pos = np.full((len(design.resolution), design.v), -1, dtype=np.intp)
+    block = np.full_like(pos, -1)
+    for r, cls in enumerate(design.resolution):
         for s_pos, block_id in enumerate(cls):
-            for v in design.blocks[block_id]:
-                row[v] = (s_pos, block_id)
-        if any(x is None for x in row):
-            raise NotResolvable("a parallel class fails to cover every point")
-        lookup.append(row)
-    return lookup
+            points = list(design.blocks[block_id])
+            pos[r, points] = s_pos
+            block[r, points] = block_id
+    if (pos < 0).any():
+        raise NotResolvable("a parallel class fails to cover every point")
+    return pos, block
+
+
+def _scalar_cmul(a, b) -> np.ndarray:
+    """a * b for complex arrays, rounded the way numpy's complex scalar
+    product rounds it: four real products and two sums, no fused
+    multiply-add (the vectorised complex ufunc may fuse them).  This keeps
+    the gathers below bit-identical to an entry-by-entry construction."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _check_simplex(simplex: UnimodularMatrix, big_r: int) -> None:
@@ -180,26 +226,24 @@ def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
     Columns are ordered v-major (all u for v=0, then v=1, ...); rows are block
     indices.  M = B, N = V(R+1); every column has exactly R nonzero entries.
     """
-    lookup = _resolution_lookup(design)
-    big_r = len(lookup)
+    _, block = _resolution_lookup(design)
+    big_r = block.shape[0]
     _check_simplex(simplex, big_r)
     big_b, v_count = design.b, design.v
     n = v_count * (big_r + 1)
+    # R x N gathers over column (u, v) = v * (R+1) + u: the row of the
+    # class-r block containing v, and f_u(r)
+    rows, cols = np.repeat(block, big_r + 1, axis=1), np.arange(n)
 
     exact = simplex.signs is not None
-    ints = np.zeros((big_b, n), dtype=np.int64) if exact else None
-    entries = np.zeros((big_b, n), dtype=np.complex128)
-    scale = big_r ** -0.5
-    col_labels = []
-    for v in range(v_count):
-        for u in range(big_r + 1):
-            col = v * (big_r + 1) + u
-            col_labels.append((u, v))
-            for r in range(big_r):
-                _, block_id = lookup[r][v]
-                entries[block_id, col] = scale * simplex.entries[r, u]
-                if exact:
-                    ints[block_id, col] = simplex.signs[r, u]
+    if exact:
+        ints = np.zeros((big_b, n), dtype=np.int64)
+        ints[rows, cols] = np.tile(simplex.signs, (1, v_count))
+    else:
+        ints = None
+        entries = np.zeros((big_b, n), dtype=np.complex128)
+        entries[rows, cols] = _scalar_cmul(big_r ** -0.5, np.tile(simplex.entries, (1, v_count)))
+    col_labels = tuple((u, v) for v in range(v_count) for u in range(big_r + 1))
     row_labels = [None] * big_b
     for r, cls in enumerate(design.resolution):
         for s_pos, block_id in enumerate(cls):
@@ -209,7 +253,7 @@ def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
         entries=_numeric(ints, big_r) if exact else entries,
         exact_ints=ints,
         scale_sq=big_r if exact else None,
-        col_labels=tuple(col_labels),
+        col_labels=col_labels,
         row_labels=tuple(row_labels),
         provenance={"construction": "steiner", "v": v_count, "k": design.k,
                     "b": big_b, "r": big_r, "simplex": simplex.kind},
@@ -226,8 +270,8 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
 
     Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.
     """
-    lookup = _resolution_lookup(design)
-    big_r = len(lookup)
+    pos, _ = _resolution_lookup(design)
+    big_r = pos.shape[0]
     _check_simplex(simplex, big_r)
     s_count = design.s
     if basis.entries.shape != (s_count, s_count):
@@ -239,29 +283,30 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
 
     big_b, v_count = design.b, design.v
     n = v_count * (big_r + 1)
+    # gathers over column (u, v) = v * (R+1) + u, as an R x 1 x N table of
+    # f_u(r) and an R x S x N table of h_{s(r,v)}(s); their product, rows
+    # flattened r-major, is the frame
+    h_cols = np.repeat(pos, big_r + 1, axis=1)
+
+    def tables(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.tile(f, (1, v_count))[:, None, :], h[:, h_cols].transpose(1, 0, 2)
+
     exact = simplex.signs is not None and basis.signs is not None
-    ints = np.zeros((big_b, n), dtype=np.int64) if exact else None
-    entries = np.zeros((big_b, n), dtype=np.complex128)
-    scale = big_b ** -0.5
-    col_labels = []
-    for v in range(v_count):
-        for u in range(big_r + 1):
-            col = v * (big_r + 1) + u
-            col_labels.append((u, v))
-            for r in range(big_r):
-                s_of_v, _ = lookup[r][v]
-                for s in range(s_count):
-                    row = r * s_count + s
-                    entries[row, col] = scale * simplex.entries[r, u] * basis.entries[s, s_of_v]
-                    if exact:
-                        ints[row, col] = simplex.signs[r, u] * basis.signs[s, s_of_v]
+    if exact:
+        f, h = tables(simplex.signs, basis.signs)
+        ints = (f * h).reshape(big_r * s_count, n)
+    else:
+        ints = None
+        f, h = tables(simplex.entries, basis.entries)
+        entries = _scalar_cmul(_scalar_cmul(big_b ** -0.5, f), h).reshape(big_r * s_count, n)
+    col_labels = tuple((u, v) for v in range(v_count) for u in range(big_r + 1))
     row_labels = tuple((r, s) for r in range(big_r) for s in range(s_count))
 
     frame = Frame(
         entries=_numeric(ints, big_b) if exact else entries,
         exact_ints=ints,
         scale_sq=big_b if exact else None,
-        col_labels=tuple(col_labels),
+        col_labels=col_labels,
         row_labels=row_labels,
         provenance={"construction": "kirkman", "v": v_count, "k": design.k,
                     "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind},

@@ -4,8 +4,12 @@ constants.
 
 Subset searches are exhaustive by design; the constructions in this package
 are desk-scale and exactness is the point.  Frames carrying an exact integer
-form get rational arithmetic (Fraction results); everything else is certified
-in floating point against the stated tolerances.
+form are certified exactly: their integer Grams and frame operators come from
+frames.exact_matmul (float64 BLAS while every partial sum stays below 2**53),
+further integer reductions run in int64 while their bound stays below 2**63
+and in Python integers beyond it, and the results are Fractions with no
+tolerance involved.  Everything else is certified in floating point against
+the stated tolerances.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .frames import Frame
+from .frames import _INT64_EXACT, Frame, _abs_max, exact_matmul
 
 DEFAULT_TOL = 1e-9
 SPARK_COLUMN_GUARD = 64
@@ -33,11 +37,10 @@ RIP_SUBSET_GUARD = 10 ** 7
 _EIG_CHUNK = 65536
 
 
-def _require_unit_norm(frame: Frame, tol: float) -> None:
-    norms = np.linalg.norm(frame.entries, axis=0)
-    worst = float(np.abs(norms - 1.0).max())
-    if worst > tol:
-        raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
+def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
+    """arr in int64 when the caller's bound on every value its elementwise
+    arithmetic produces is below 2**63, else in Python integers (object)."""
+    return arr.astype(np.int64) if bound < _INT64_EXACT else arr.astype(object)
 
 
 def coherence(frame: Frame, tol: float = DEFAULT_TOL):
@@ -48,7 +51,9 @@ def coherence(frame: Frame, tol: float = DEFAULT_TOL):
     """
     if frame.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
-    _require_unit_norm(frame, tol)
+    if frame.m == 0:
+        raise NotUnitNorm("a frame with no rows has zero-norm columns")
+    frame.check_unit_norm(tol)
     if frame.exact_ints is not None:
         g, d = frame.gram_exact()
         off = np.abs(g[~np.eye(frame.n, dtype=bool)])
@@ -161,11 +166,12 @@ def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
         off = np.abs(g_int[mask])
         mu = Fraction(int(off.max()), d)
         mu_min = Fraction(int(off.min()), d)
-        op = frame.exact_ints @ frame.exact_ints.T
+        op = exact_matmul(frame.exact_ints, frame.exact_ints.T)
         op_off = int(np.abs(op[~np.eye(m, dtype=bool)]).max()) if m > 1 else 0
         diag_dev = max(abs(Fraction(int(x), d) - Fraction(n, m)) for x in np.diag(op))
         tight_res = max(Fraction(op_off, d), diag_dev)
-        pot = Fraction(int(np.sum(g_int.astype(object) ** 2)), d * d)
+        g = _exact_ints(g_int, _abs_max(g_int) ** 2 * n * n)
+        pot = Fraction(int(np.sum(g * g)), d * d)
         pot_res = abs(pot - Fraction(n * n, m))
         return EtfCertificate(
             m=m, n=n, coherence=float(mu), coherence_exact=str(mu),
@@ -221,7 +227,9 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
     if a.exact_ints is not None and b.exact_ints is not None:
         ga, da = a.gram_exact()
         gb, db = b.gram_exact()
-        diff = np.abs(ga.astype(object) * db - gb.astype(object) * da)
+        # max(., 1): the scale factors themselves must fit as well
+        bound = max(_abs_max(ga), 1) * abs(db) + max(_abs_max(gb), 1) * abs(da)
+        diff = np.abs(_exact_ints(ga, bound) * db - _exact_ints(gb, bound) * da)
         max_int = diff.max()
         if max_int == 0:
             return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=True, tol=tol)

@@ -209,6 +209,26 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_non_unit_norm_frame_is_input_error(capsys, monkeypatch):
+    # column norms sqrt(2) and 1
+    doc = json.dumps({"m": 2, "n": 2, "scale": None,
+                      "entries": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code = main(["verify", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("etfkit: column norms deviate from 1") and err.count("\n") == 1
+
+
+def test_nan_frame_is_input_error(capsys, monkeypatch):
+    doc = '{"m": 1, "n": 2, "scale": null, "entries": [[[1.0, 0.0], [NaN, 0.0]]]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code = main(["verify", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("etfkit: ") and err.count("\n") == 1
+
+
 def test_domain_error_is_input_error(capsys):
     code, _ = run_cli(capsys, "design", "round-robin", "--v", "7")
     assert code == 2

@@ -77,6 +77,11 @@ def test_code_file_rejects_garbage():
         parse_code("# etfkit-code m=3 n=2 selfcomp=0\n0011\n1100\n")
 
 
+def test_code_header_token_without_value_is_format_error():
+    with pytest.raises(CodeFormatError, match="bogus"):
+        parse_code("# etfkit-code m=3 bogus n=2 selfcomp=1\n000\n111\n")
+
+
 def test_code_to_frame_needs_self_complementary():
     code = BinaryCode(m=3, words=((0, 0, 0), (1, 1, 0)), self_complementary=False)
     with pytest.raises(NotSelfComplementary):

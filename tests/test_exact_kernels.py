@@ -1,0 +1,165 @@
+"""The exact integer kernels against independent references: exact_matmul
+against Python-integer matmul, code distance against a pairwise Hamming
+minimum, and GF(2)-rank linearity against the pairwise XOR closure scan."""
+
+from itertools import combinations, product
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from etfkit.codes import (
+    BinaryCode,
+    LinearityReport,
+    _classify_linear_dimensions,
+    certify_grbe,
+    distance,
+    frame_to_code,
+    hamming,
+    is_linear,
+    parse_code,
+)
+from etfkit.designs import affine_design
+from etfkit.flatmat import drop_row_simplex, hadamard
+from etfkit.frames import exact_matmul, kirkman_etf
+from etfkit.metrics import certify_etf
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def object_matmul(a: np.ndarray, b: np.ndarray) -> list:
+    return (a.astype(object) @ b.astype(object)).tolist()
+
+
+@st.composite
+def int_pairs(draw):
+    """Integer matrices a (m x k) and b (k x n) whose largest entry has a
+    drawn magnitude: small, near 2**26 (float64 path refused once k >= 2) or
+    near 2**32 (int64 refused too)."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    top = draw(st.sampled_from([1, 7, 2 ** 20, 2 ** 26 + 3, 2 ** 32 + 1]))
+    elems = st.integers(-top, top)
+    a = draw(hnp.arrays(np.int64, (m, k), elements=elems))
+    b = draw(hnp.arrays(np.int64, (k, n), elements=elems))
+    a[0, 0], b[0, 0] = draw(st.sampled_from([-top, top])), top
+    return a, b
+
+
+@PROPERTY
+@given(int_pairs())
+def test_exact_matmul_matches_python_integers(pair):
+    a, b = pair
+    assert exact_matmul(a, b).tolist() == object_matmul(a, b)
+
+
+def test_exact_matmul_refuses_float_beyond_2_53():
+    # the exact sum is odd and above 2**53, so float64 cannot hold it
+    x = 2 ** 26 + 1
+    a = np.array([[x, x, 1]], dtype=np.int64)
+    b = a.T.copy()
+    exact = 2 * x * x + 1
+    assert exact > 2 ** 53 and int((a.astype(float) @ b.astype(float))[0, 0]) != exact
+    out = exact_matmul(a, b)
+    assert out.dtype == np.int64 and int(out[0, 0]) == exact
+
+
+def test_exact_matmul_float_path_on_signs():
+    rng = np.random.default_rng(5)
+    a = rng.choice([-1, 1], size=(40, 70)).astype(np.int64)
+    out = exact_matmul(a.T, a)
+    assert out.dtype == np.int64
+    assert out.tolist() == object_matmul(a.T, a)
+
+
+def test_exact_matmul_beyond_int64_uses_python_integers():
+    a = np.array([[2 ** 40, 2 ** 40]], dtype=np.int64)
+    out = exact_matmul(a, a.T)
+    assert int(out[0, 0]) == 2 ** 81
+
+
+def test_exact_matmul_empty_inner_dimension():
+    out = exact_matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
+    assert out.shape == (2, 3) and not out.any()
+
+
+@st.composite
+def codes(draw, max_m=12, max_words=24):
+    m = draw(st.integers(1, max_m))
+    words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m),
+                          min_size=2, max_size=min(max_words, 2 ** m), unique=True))
+    return BinaryCode(m=m, words=tuple(words), self_complementary=False)
+
+
+def pairwise_distance(code: BinaryCode) -> int:
+    return min(hamming(a, b) for a, b in combinations(code.words, 2))
+
+
+@PROPERTY
+@given(codes())
+def test_distance_matches_pairwise_hamming(code):
+    assert distance(code) == pairwise_distance(code)
+
+
+def test_distance_on_a_self_complementary_flat_code():
+    code = frame_to_code(kirkman_etf(affine_design(2, 2), drop_row_simplex(hadamard(8), 0),
+                                     hadamard(4)))
+    assert distance(code) == pairwise_distance(code) == 12
+
+
+def pairwise_linearity(code: BinaryCode) -> LinearityReport:
+    """The XOR closure scan over every pair, in lexicographic order."""
+    wordset = set(code.words)
+    if (0,) * code.m not in wordset:
+        return LinearityReport(linear=False, witness=None, family=None)
+    for i, j in combinations(range(code.count), 2):
+        if tuple(a ^ b for a, b in zip(code.words[i], code.words[j])) not in wordset:
+            return LinearityReport(linear=False, witness=(i, j), family=None)
+    return LinearityReport(linear=True, witness=None,
+                           family=_classify_linear_dimensions(code.m, code.count))
+
+
+@PROPERTY
+@given(codes(max_m=6, max_words=40), st.booleans())
+def test_is_linear_matches_pairwise_scan(code, add_zero):
+    if add_zero and (0,) * code.m not in code.words:
+        code = BinaryCode(m=code.m, words=((0,) * code.m,) + code.words, self_complementary=False)
+    assert is_linear(code) == pairwise_linearity(code)
+
+
+@st.composite
+def subspaces(draw):
+    """A random GF(2) subspace in shuffled word order, sometimes with one
+    word dropped or one foreign word added."""
+    m = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m), max_size=5))
+    span = {(0,) * m}
+    for g in gens:
+        span |= {tuple(a ^ b for a, b in zip(w, g)) for w in span}
+    words = list(draw(st.permutations(sorted(span))))
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and len(words) > 2:
+        words.pop(draw(st.integers(0, len(words) - 1)))
+    elif change == "add" and len(words) < 2 ** m:
+        outside = sorted(set(product((0, 1), repeat=m)) - span)
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(outside)))
+    return BinaryCode(m=m, words=tuple(words), self_complementary=False)
+
+
+@PROPERTY
+@given(subspaces())
+def test_is_linear_matches_pairwise_scan_on_subspaces(code):
+    assert is_linear(code) == pairwise_linearity(code)
+
+
+def test_a24_certificate_bound_and_linearity():
+    """The 496 x 1024 flat frame of affine_design(2, 4): its exact
+    certificate, its 2048-word Grey-Rankin code and that code's linearity."""
+    frame = kirkman_etf(affine_design(2, 4), drop_row_simplex(hadamard(32), 0), hadamard(16))
+    assert (frame.m, frame.n) == (496, 1024)
+    cert = certify_etf(frame)
+    assert cert.passed and cert.exact and cert.coherence_exact == "1/31"
+    code = parse_code(frame_to_code(frame).to_text())
+    grbe = certify_grbe(code).as_dict()
+    assert grbe["bound_value"] == 2048 and grbe["delta"] == 240
+    assert grbe["passed"] and grbe["verdicts_agree"]
+    assert is_linear(code) == LinearityReport(linear=True, witness=None, family="bent-minus")

@@ -8,6 +8,7 @@ from etfkit.errors import (
     GroupOrderMismatch,
     NotResolvable,
     NotTight,
+    NotUnitNorm,
     SimplexShapeMismatch,
 )
 from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex, hadamard
@@ -241,6 +242,27 @@ def test_frame_json_rejects_garbage():
         parse_frame("{not json")
     with pytest.raises(FrameFormatError):
         parse_frame('{"m": 2, "n": 2, "signs": [[1, 1], [1, 2]], "scale_sq_inv": 2}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": 1, "n": 2, "scale": null, "entries": [[[1.0, 0.0], [NaN, 0.0]]]}',
+    '{"m": 1, "n": 2, "scale": null, "entries": [[[1.0, 0.0], [1.0, -Infinity]]]}',
+    '{"m": 1, "n": 2, "scale": null, "entries": [[[1.0, 0.0], [1e400, 0.0]]]}',
+    '{"m": 1, "n": 2, "scale": NaN, "entries": [[[1.0, 0.0], [1.0, 0.0]]]}',
+    '{"m": 1, "n": 2, "scale": Infinity, "entries": [[[1.0, 0.0], [1.0, 0.0]]]}',
+    '{"m": 1, "n": 1, "signs": [[1]], "scale_sq_inv": Infinity}',
+])
+def test_frame_json_rejects_non_finite_numbers(text):
+    with pytest.raises(FrameFormatError):
+        parse_frame(text)
+
+
+def test_check_unit_norm_raises_not_unit_norm():
+    with pytest.raises(NotUnitNorm):
+        Frame(entries=np.array([[1.0, 1.0], [1.0, 0.0]], dtype=np.complex128)).check_unit_norm()
+    with pytest.raises(NotUnitNorm):
+        Frame(entries=np.array([[1.0, np.nan]], dtype=np.complex128)).check_unit_norm()
+    Frame(entries=np.eye(2, dtype=np.complex128)).check_unit_norm()
 
 
 def test_real_kirkman_params_k2_w1():
