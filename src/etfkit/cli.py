@@ -174,8 +174,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.analyze_cmd == "spark":
-        report = metrics_mod.spark(_load_frame(args.frame), max_subset=args.max,
-                                   allow_large=args.allow_large)
+        report = metrics_mod.spark(_load_frame(args.frame), max_subset=args.max)
         doc = report.as_dict()
         doc["passed"] = None  # informational: absence of a small spark is not a failure
         return _emit_report(doc, args)
@@ -284,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     asub = p_analyze.add_subparsers(dest="analyze_cmd", required=True)
     p = asub.add_parser("spark", parents=[common])
     p.add_argument("frame")
-    p.add_argument("--max", type=int, default=None)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--max", type=int, default=None,
+                   help="largest subset size to search (default: M+1, or R+1 for a design frame)")
     p = asub.add_parser("rip", parents=[common])
     p.add_argument("frame")
     p.add_argument("--L", type=int, required=True)

@@ -103,10 +103,6 @@ class ShapeMismatch(EtfkitError):
     pass
 
 
-class SearchBudgetExceeded(EtfkitError):
-    pass
-
-
 class EnumerationBudgetExceeded(EtfkitError):
     pass
 

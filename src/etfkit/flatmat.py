@@ -44,9 +44,6 @@ class UnimodularMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.entries[:, i]
-
     def check(self) -> None:
         a = self.entries
         if np.abs(np.abs(a) - 1.0).max() > ENTRY_TOL:
@@ -220,11 +217,6 @@ class AbelianGroup:
         phase = sum(ui * ri / f for ui, ri, f in zip(du, dr, self.factors))
         return complex(np.exp(2j * np.pi * phase))
 
-    def character_sign(self, u: int, r: int) -> int:
-        """Exact +-1 character value; only valid for exponent-2 groups."""
-        du, dr = self.digits(u), self.digits(r)
-        return -1 if sum(ui * ri for ui, ri in zip(du, dr)) % 2 else 1
-
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
         """Parse '2x2x4' style factor lists."""
@@ -240,9 +232,8 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     the factors' DFT matrices under the lexicographic element order."""
     table = reduce(np.kron, (dft(f).entries for f in g.factors))
     signs = None
-    if g.exponent_two:
-        n = g.order
-        signs = np.array([[g.character_sign(u, r) for r in range(n)] for u in range(n)], dtype=np.int64)
+    if g.exponent_two:  # every character is +-1: the rounded real parts are the signs
+        signs = np.rint(table.real).astype(np.int64)
         table = signs.astype(np.complex128)
     m = UnimodularMatrix(entries=table, kind="character-table", signs=signs)
     m.check()

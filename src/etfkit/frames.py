@@ -82,10 +82,6 @@ class Frame:
         return self.entries.shape[1]
 
     @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.entries.imag == 0))
-
-    @property
     def is_sign_matrix(self) -> bool:
         """True when entries are exactly +-1/sqrt(M): the code-bridge form."""
         return (
@@ -188,11 +184,13 @@ def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
     pos = np.full((len(design.resolution), design.v), -1, dtype=np.intp)
     block = np.full_like(pos, -1)
     for r, cls in enumerate(design.resolution):
+        if sum(len(design.blocks[block_id]) for block_id in cls) != design.v:
+            raise NotResolvable(f"parallel class {r} does not partition the {design.v} points")
         for s_pos, block_id in enumerate(cls):
             points = list(design.blocks[block_id])
             pos[r, points] = s_pos
             block[r, points] = block_id
-    if (pos < 0).any():
+    if (pos < 0).any():  # with the sizes summing to V, a full cover is a partition
         raise NotResolvable("a parallel class fails to cover every point")
     return pos, block
 

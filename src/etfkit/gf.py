@@ -229,10 +229,6 @@ class FiniteField:
         """All field elements in canonical index order."""
         return (self.element(i) for i in range(self.order))
 
-    def from_int(self, value: int) -> FieldElement:
-        """The prime-field constant value mod p, embedded as a constant polynomial."""
-        return self.element(value % self.p)
-
     def element_order(self, x: FieldElement) -> int:
         if x.is_zero():
             raise ValueError("zero is not in the multiplicative group")
@@ -293,16 +289,7 @@ def trace(x: FieldElement, sub_degree: int = 1) -> FieldElement:
     automorphisms fixing the subfield.  The result is a field element lying in
     the subfield (it is fixed by the q-power Frobenius).
     """
-    f = x.field
-    if f.k % sub_degree:
-        raise NotADivisor(f"sub_degree {sub_degree} does not divide {f.k}")
-    q = f.p ** sub_degree
-    acc = x
-    y = x
-    for _ in range(f.k // sub_degree - 1):
-        y = y ** q
-        acc = acc + y
-    return acc
+    return relative_trace(x, x.field.k, sub_degree)
 
 
 def relative_trace(x: FieldElement, upper_degree: int, lower_degree: int) -> FieldElement:
@@ -313,7 +300,8 @@ def relative_trace(x: FieldElement, upper_degree: int, lower_degree: int) -> Fie
     """
     f = x.field
     if upper_degree % lower_degree or f.k % upper_degree:
-        raise NotADivisor("subfield degrees must form a divisor chain")
+        raise NotADivisor(
+            f"subfield degrees {lower_degree} | {upper_degree} | {f.k} do not form a divisor chain")
     q = f.p ** lower_degree
     acc = x
     y = x

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, isqrt
 
 import numpy as np
@@ -25,15 +25,13 @@ from .errors import (
     BadDimensions,
     EnumerationBudgetExceeded,
     NotUnitNorm,
-    SearchBudgetExceeded,
     ShapeMismatch,
     TooFewColumns,
 )
 from .frames import _INT64_EXACT, Frame, _abs_max, exact_matmul
 
 DEFAULT_TOL = 1e-9
-SPARK_COLUMN_GUARD = 64
-RIP_SUBSET_GUARD = 10 ** 7
+SUBSET_BUDGET = 10 ** 7
 _EIG_CHUNK = 65536
 
 
@@ -248,21 +246,29 @@ def _rank_threshold(n: int) -> float:
     return 1e-8 * np.sqrt(n)
 
 
-def _min_eigs(gram: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each subset's Gram submatrix (batched)."""
-    sub = gram[subsets[:, :, None], subsets[:, None, :]]
-    return np.linalg.eigvalsh(sub)[:, 0]
+def _check_budget(total: int, what: str) -> None:
+    """Refuse, before enumerating, a search over more than SUBSET_BUDGET subsets."""
+    if total > SUBSET_BUDGET:
+        raise EnumerationBudgetExceeded(f"{what} = {total} subsets exceeds the budget {SUBSET_BUDGET}")
 
 
-def _subset_batches(n: int, size: int):
-    batch = []
-    for c in combinations(range(n), size):
-        batch.append(c)
-        if len(batch) == _EIG_CHUNK:
-            yield np.array(batch, dtype=np.intp)
-            batch = []
-    if batch:
-        yield np.array(batch, dtype=np.intp)
+def _subset_spectra(gram: np.ndarray, size: int):
+    """Every size-subset of the columns in lexicographic order, in batches:
+    yields (subsets, eigenvalues), the ascending eigenvalues of each subset's
+    Gram submatrix.  The one place that enumerates subsets."""
+    flat = chain.from_iterable(combinations(range(gram.shape[0]), size))
+    while (subsets := np.fromiter(islice(flat, _EIG_CHUNK * size), dtype=np.intp)).size:
+        subsets = subsets.reshape(-1, size)
+        yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
+
+
+def _design_r(frame: Frame) -> int | None:
+    """R, the replication number, of a frame built from a resolvable design,
+    as its provenance states it; None for any other frame."""
+    big_r = frame.provenance.get("r")
+    if frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman"):
+        return None
+    return big_r if type(big_r) is int and 0 < big_r < frame.n else None
 
 
 @dataclass(frozen=True)
@@ -291,39 +297,39 @@ class SparkReport:
         }
 
 
-def spark(frame: Frame, max_subset: int | None = None, allow_large: bool = False) -> SparkReport:
+def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     """Exact spark by increasing-size subset search.
 
     A subset is dependent when the smallest singular value of its column
     submatrix falls below 1e-8 sqrt(N) (equivalently its Gram's smallest
     eigenvalue below the square).  Frames from resolvable constructions also
     get the structural witness: the R+1 columns sharing one design point are
-    supported on only R rows.
+    supported on only R rows.  The search stops at R+1 only when that witness
+    checks as dependent, so a provenance R is never taken on trust.  Sizes up
+    to the cap must fit SUBSET_BUDGET in total; max_subset lowers the cap.
     """
     n = frame.n
-    if n > SPARK_COLUMN_GUARD and not allow_large:
-        raise SearchBudgetExceeded(
-            f"{n} columns exceeds the guard ({SPARK_COLUMN_GUARD}); pass allow_large to override")
     limit = n if max_subset is None else min(max_subset, n)
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend
 
     structural = None
     structural_rank = None
-    big_r = frame.provenance.get("r")
-    if frame.provenance.get("construction") in ("steiner", "kirkman", "mcfarland-kirkman") and big_r:
+    big_r = _design_r(frame)
+    if big_r is not None:
         structural = tuple(range(big_r + 1))
-        sub = frame.entries[:, list(structural)]
-        svals = np.linalg.svd(sub, compute_uv=False)
+        svals = np.linalg.svd(frame.entries[:, list(structural)], compute_uv=False)
         structural_rank = int(np.sum(svals > _rank_threshold(n)))
-        limit = min(limit, big_r + 1)
+        if structural_rank < big_r + 1:
+            limit = min(limit, big_r + 1)
+    _check_budget(sum(comb(n, size) for size in range(1, limit + 1)),
+                  f"sum of C({n},k) for k <= {limit}")
 
     gram = frame.gram()
     thr_sq = _rank_threshold(n) ** 2
     for size in range(1, limit + 1):
-        for subsets in _subset_batches(n, size):
-            eigs = _min_eigs(gram, subsets)
-            hits = np.nonzero(eigs < thr_sq)[0]
+        for subsets, eigs in _subset_spectra(gram, size):
+            hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:
                 witness = tuple(int(x) for x in subsets[hits[0]])
                 return SparkReport(n=n, spark=size, lower_bound=size, witness=witness,
@@ -364,25 +370,26 @@ class RipReport:
         }
 
 
+def _rip_spectrum(gram: np.ndarray, size: int) -> tuple[float, float, float]:
+    """(delta, smallest, largest) eigenvalue over every size-subset Gram."""
+    lo, hi = np.inf, -np.inf
+    for _, eigs in _subset_spectra(gram, size):
+        lo = min(lo, float(eigs[:, 0].min()))
+        hi = max(hi, float(eigs[:, -1].max()))
+    return max(abs(1.0 - lo), abs(hi - 1.0)), lo, hi
+
+
 def rip_delta(frame: Frame, size: int) -> RipReport:
     """delta_L = max over L-subsets of the spectral deviation of the subset
-    Gram from the identity, by exhaustive enumeration."""
+    Gram from the identity, by exhaustive enumeration within SUBSET_BUDGET."""
     n = frame.n
     if not 1 <= size <= n:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
     total = comb(n, size)
-    if total > RIP_SUBSET_GUARD:
-        raise EnumerationBudgetExceeded(f"C({n},{size}) = {total} exceeds the guard {RIP_SUBSET_GUARD}")
-    gram = frame.gram()
-    lo, hi = np.inf, -np.inf
-    for subsets in _subset_batches(n, size):
-        sub = gram[subsets[:, :, None], subsets[:, None, :]]
-        eigs = np.linalg.eigvalsh(sub)
-        lo = min(lo, float(eigs[:, 0].min()))
-        hi = max(hi, float(eigs[:, -1].max()))
-    delta = max(abs(1.0 - lo), abs(hi - 1.0))
+    _check_budget(total, f"C({n},{size})")
+    delta, lo, hi = _rip_spectrum(frame.gram(), size)
     mu = coherence(frame)
-    return RipReport(n=n, size=size, delta=float(delta), min_eig=lo, max_eig=hi,
+    return RipReport(n=n, size=size, delta=delta, min_eig=lo, max_eig=hi,
                      gershgorin=float((size - 1) * mu), subsets=total)
 
 
@@ -415,18 +422,20 @@ class SteinerRipReport:
 
 def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
     """Check that delta_L < 1 exactly when L <= R, for every L up to R+1 that
-    fits the enumeration budget; R comes from the frame's provenance and the
-    cutoff formula sqrt((rho M - 1)/(rho - 1)) from its dimensions."""
-    big_r = frame.provenance.get("r")
-    if frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman") or not big_r:
+    fits SUBSET_BUDGET; R comes from the frame's provenance and the cutoff
+    formula sqrt((rho M - 1)/(rho - 1)) from its dimensions."""
+    big_r = _design_r(frame)
+    if big_r is None:
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
     rho = frame.n / frame.m
     cutoff = ((rho * frame.m - 1) / (rho - 1)) ** 0.5
     top = min(big_r + 1, max_size if max_size is not None else big_r + 1)
+    frame.check_unit_norm()
+    gram = frame.gram()
     per_l = []
     for size in range(2, top + 1):
-        if comb(frame.n, size) > RIP_SUBSET_GUARD:
+        if comb(frame.n, size) > SUBSET_BUDGET:
             break
-        per_l.append((size, rip_delta(frame, size).delta))
+        per_l.append((size, _rip_spectrum(gram, size)[0]))
     return SteinerRipReport(applicable=True, big_r=big_r, cutoff_formula=cutoff,
                             per_l=tuple(per_l))

@@ -243,6 +243,28 @@ def test_frame_from_unresolvable_design_is_input_error(capsys, monkeypatch):
     assert code == 2
 
 
+def _assert_one_line_input_error(capsys, code):
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("etfkit: ") and err.count("\n") == 1
+
+
+def test_frame_kirkman_on_a_non_partitioning_class_is_input_error(capsys, monkeypatch):
+    doc = json.loads(etfkit.round_robin_design(4).to_json())
+    doc["resolution"][0].append(doc["resolution"][1][0])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main(["frame", "kirkman", "-", "--simplex", "hadamard", "--basis", "hadamard"])
+    _assert_one_line_input_error(capsys, code)
+
+
+def test_spark_over_the_subset_budget_is_input_error(capsys, monkeypatch):
+    frame = etfkit.steiner_etf(etfkit.round_robin_design(8),
+                               etfkit.drop_row_simplex(etfkit.hadamard(8), 0))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(etfkit.frame_to_json(frame)))
+    code = main(["analyze", "spark", "-"])
+    _assert_one_line_input_error(capsys, code)
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["design", "affine", "--q", "2"])  # missing --j

@@ -100,6 +100,24 @@ def test_steiner_requires_resolution():
         steiner_etf(bare, drop_row_simplex(hadamard(4), 0))
 
 
+def _round_robin_4_with_resolution(resolution):
+    design = round_robin_design(4)
+    return SteinerSystem(v=4, k=2, blocks=design.blocks, resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [
+    ((0, 1, 2), (2, 3), (4, 5)),  # a class-1 block appended to class 0
+    ((0, 0), (2, 3), (4, 5)),  # right size, but point 2 is never covered
+], ids=["extra-block", "repeated-block"])
+@pytest.mark.parametrize("build", [
+    lambda d: steiner_etf(d, drop_row_simplex(hadamard(4), 0)),
+    lambda d: kirkman_etf(d, drop_row_simplex(hadamard(4), 0), hadamard(2)),
+], ids=["steiner", "kirkman"])
+def test_class_that_does_not_partition_the_points_is_not_resolvable(resolution, build):
+    with pytest.raises(NotResolvable):
+        build(_round_robin_4_with_resolution(resolution))
+
+
 def test_steiner_simplex_shape_checked():
     with pytest.raises(SimplexShapeMismatch):
         steiner_etf(round_robin_design(4), drop_row_simplex(hadamard(8), 0))

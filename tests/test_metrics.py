@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,11 @@ from etfkit.errors import (
     BadDimensions,
     EnumerationBudgetExceeded,
     NotUnitNorm,
-    SearchBudgetExceeded,
     ShapeMismatch,
     TooFewColumns,
 )
 from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex, hadamard
+from etfkit import metrics
 from etfkit.frames import Frame, harmonic_etf, kirkman_etf, mcfarland_set, steiner_etf
 from etfkit.metrics import (
     certify_etf,
@@ -173,12 +174,41 @@ def test_spark_of_simplex_frame():
     assert report.spark == 3  # every pair independent, all three dependent
 
 
-def test_spark_respects_column_guard():
+def test_spark_respects_subset_budget():
     f = Frame(entries=np.eye(65, dtype=np.complex128))
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(EnumerationBudgetExceeded):
         spark(f)
-    report = spark(f, max_subset=2, allow_large=True)
+    report = spark(f, max_subset=2)
     assert report.spark is None and report.lower_bound == 3
+
+
+def test_spark_refuses_round_robin_8_before_enumerating(monkeypatch):
+    # R = 7 caps the search at 8 columns, but sum C(64, k) for k <= 8 is ~5e9
+    frame = steiner_etf(round_robin_design(8), drop_row_simplex(hadamard(8), 0))
+    assert (frame.m, frame.n) == (28, 64)
+
+    def enumerate_nothing(gram, size):
+        raise AssertionError("spark enumerated subsets past the budget")
+    monkeypatch.setattr(metrics, "_subset_spectra", enumerate_nothing)
+    with pytest.raises(EnumerationBudgetExceeded):
+        spark(frame)
+
+
+def test_spark_does_not_trust_a_forged_r(fig2):
+    forged = replace(fig2, provenance={**fig2.provenance, "r": 1})
+    report = spark(forged)
+    assert report.spark == 4 and report.witness == (0, 1, 2, 3)
+    assert report.structural_witness == (0, 1)
+    assert report.structural_rank == 2
+    assert report.exact
+
+
+@pytest.mark.parametrize("forged_r", [16, 99, "3", 0])
+def test_an_impossible_provenance_r_is_ignored(fig2, forged_r):
+    forged = replace(fig2, provenance={**fig2.provenance, "r": forged_r})
+    report = spark(forged)
+    assert report.spark == 4 and report.structural_witness is None
+    assert not steiner_rip_verdict(forged).applicable
 
 
 def test_rip_fig1_l2_equals_coherence(fig1):
@@ -226,3 +256,17 @@ def test_steiner_rip_verdict_fig1(fig1):
 def test_steiner_rip_not_applicable_for_plain_frames():
     report = steiner_rip_verdict(orthonormal(4))
     assert not report.applicable
+
+
+@pytest.fixture(scope="module")
+def affine31_dft():
+    return steiner_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "affine31_dft"])
+def test_steiner_rip_verdict_deltas_equal_rip_delta(request, name):
+    frame = request.getfixturevalue(name)
+    report = steiner_rip_verdict(frame)
+    assert [size for size, _ in report.per_l] == list(range(2, report.big_r + 2))
+    for size, delta in report.per_l:
+        assert delta == rip_delta(frame, size).delta
