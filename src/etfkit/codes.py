@@ -114,10 +114,6 @@ def code_to_frame(code: BinaryCode) -> Frame:
     return frame
 
 
-def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(x != y for x, y in zip(a, b))
-
-
 def distance(code: BinaryCode) -> int:
     """Minimum pairwise Hamming distance over all codewords.
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import gf
-from .errors import DesignFormatError, FieldConstructionError, NotResolvableParameters, OddPointCount
+from .errors import (
+    DesignFormatError,
+    FieldConstructionError,
+    InvariantViolation,
+    NotResolvableParameters,
+    OddPointCount,
+)
 
 
 @dataclass(frozen=True)
@@ -353,7 +359,8 @@ def harmonic_feasibility(k: int, v: int) -> FeasibilityReport:
     lam = lam_times // (n - 1)
     degree = m - lam
     root = w * (k - 1) + 1
-    assert lam == w * root, "closed form disagrees with the quotient"
+    if lam != w * root:
+        raise InvariantViolation(f"Lambda = {lam} disagrees with its closed form W[W(K-1)+1] = {w * root}")
     return FeasibilityReport(
         v=v, k=k, w=w, m=m, n=n, lam=lam, degree=degree,
         lam_integral=lam_integral, degree_square=degree == root * root,

@@ -5,6 +5,10 @@ class EtfkitError(Exception):
     """Base class for all etfkit errors."""
 
 
+class InvariantViolation(EtfkitError):
+    """A fact that mathematics guarantees failed to hold: a library bug, not bad input."""
+
+
 # -- finite fields ----------------------------------------------------------
 
 class FieldConstructionError(EtfkitError):

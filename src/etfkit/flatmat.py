@@ -211,12 +211,6 @@ class AbelianGroup:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def character(self, u: int, r: int) -> complex:
-        """chi_u(g_r) = prod_i exp(2*pi*i * u_i * r_i / n_i)."""
-        du, dr = self.digits(u), self.digits(r)
-        phase = sum(ui * ri / f for ui, ri, f in zip(du, dr, self.factors))
-        return complex(np.exp(2j * np.pi * phase))
-
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
         """Parse '2x2x4' style factor lists."""

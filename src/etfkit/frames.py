@@ -144,7 +144,9 @@ def parse_frame(text: str) -> Frame:
         raise FrameFormatError(f"invalid JSON: {e}") from e
     try:
         m, n = int(doc["m"]), int(doc["n"])
-        provenance = doc.get("provenance") or {}
+        provenance = {} if doc.get("provenance") is None else doc["provenance"]
+        if not isinstance(provenance, dict):
+            raise FrameFormatError(f"provenance must be a JSON object, got {type(provenance).__name__}")
         if "signs" in doc:
             ints = np.array(doc["signs"], dtype=np.int64)
             scale_sq = int(doc["scale_sq_inv"])

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonPrimeCharacteristic, NotADivisor, NotASubfield, SizeLimitExceeded
+from .errors import (
+    InvariantViolation,
+    NonPrimeCharacteristic,
+    NotADivisor,
+    NotASubfield,
+    SizeLimitExceeded,
+)
 
 SIZE_LIMIT = 2 ** 20  # fields above this are out of scope (keeps exhaustive checks cheap)
 
@@ -229,16 +235,6 @@ class FiniteField:
         """All field elements in canonical index order."""
         return (self.element(i) for i in range(self.order))
 
-    def element_order(self, x: FieldElement) -> int:
-        if x.is_zero():
-            raise ValueError("zero is not in the multiplicative group")
-        n = 1
-        y = x
-        while y != self.one:
-            y = y * x
-            n += 1
-        return n
-
     def subfield_elements(self, sub_degree: int) -> list[FieldElement]:
         """Elements of the subfield GF(p^sub_degree): fixed points of x -> x^(p^d)."""
         if self.k % sub_degree:
@@ -267,7 +263,8 @@ def make_field(p: int, k: int) -> FiniteField:
         if _is_irreducible(cand, p):
             modulus = cand
             break
-    assert modulus is not None  # an irreducible polynomial of every degree exists
+    if modulus is None:  # an irreducible polynomial of every degree exists
+        raise InvariantViolation(f"no monic irreducible polynomial of degree {k} over GF({p})")
 
     field = FiniteField(p=p, k=k, modulus=modulus, primitive_index=1)
     group_order = p ** k - 1
@@ -278,7 +275,8 @@ def make_field(p: int, k: int) -> FiniteField:
         if all((x ** (group_order // f)) != field.one for f in factors):
             prim = i
             break
-    assert prim is not None
+    if prim is None:  # the multiplicative group of a finite field is cyclic
+        raise InvariantViolation(f"no primitive element in GF({p}^{k})")
     return FiniteField(p=p, k=k, modulus=modulus, primitive_index=prim)
 
 

@@ -255,11 +255,15 @@ def _check_budget(total: int, what: str) -> None:
 def _subset_spectra(gram: np.ndarray, size: int):
     """Every size-subset of the columns in lexicographic order, in batches:
     yields (subsets, eigenvalues), the ascending eigenvalues of each subset's
-    Gram submatrix.  The one place that enumerates subsets."""
+    Gram submatrix.  The one place that enumerates subsets.  Batches grow
+    from 64 to _EIG_CHUNK subsets, so a search that stops at its first
+    subsets does not pay for a full batch."""
     flat = chain.from_iterable(combinations(range(gram.shape[0]), size))
-    while (subsets := np.fromiter(islice(flat, _EIG_CHUNK * size), dtype=np.intp)).size:
+    batch = 64
+    while (subsets := np.fromiter(islice(flat, batch * size), dtype=np.intp)).size:
         subsets = subsets.reshape(-1, size)
         yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
+        batch = min(2 * batch, _EIG_CHUNK)
 
 
 def _design_r(frame: Frame) -> int | None:
@@ -307,6 +311,12 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     supported on only R rows.  The search stops at R+1 only when that witness
     checks as dependent, so a provenance R is never taken on trust.  Sizes up
     to the cap must fit SUBSET_BUDGET in total; max_subset lowers the cap.
+
+    Sizes k that the coherence bound spark >= 1 + 1/mu already certifies are
+    not enumerated: with mu the largest off-diagonal Gram modulus and d the
+    smallest squared column norm, k is skipped when d - (k-1) mu exceeds the
+    threshold square by DEFAULT_TOL.  A Steiner ETF (mu = 1/R) thus only
+    enumerates size R+1, whose first subset is the structural witness.
     """
     n = frame.n
     limit = n if max_subset is None else min(max_subset, n)
@@ -327,7 +337,14 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
 
     gram = frame.gram()
     thr_sq = _rank_threshold(n) ** 2
+    mu = np.abs(gram[~np.eye(n, dtype=bool)]).max(initial=0.0)
+    least_norm_sq = float(np.diag(gram).real.min(initial=np.inf))
     for size in range(1, limit + 1):
+        # Gershgorin: every size-subset Gram has smallest eigenvalue at least
+        # least_norm_sq - (size-1) mu; the DEFAULT_TOL margin dwarfs eigvalsh's
+        # backward error, so no subset of a skipped size could test dependent.
+        if least_norm_sq - (size - 1) * mu > thr_sq + DEFAULT_TOL:
+            continue
         for subsets, eigs in _subset_spectra(gram, size):
             hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:

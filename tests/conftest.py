@@ -44,6 +44,10 @@ def grid_to_ints(grid: str) -> np.ndarray:
                     dtype=np.int64)
 
 
+def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x != y for x, y in zip(a, b))
+
+
 def fig3_words() -> tuple[tuple[int, ...], ...]:
     rows = FIG3_GRID.splitlines()
     return tuple(tuple(int(row[n]) for row in rows) for n in range(len(rows[0])))

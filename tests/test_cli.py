@@ -229,6 +229,25 @@ def test_nan_frame_is_input_error(capsys, monkeypatch):
     assert err.startswith("etfkit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("provenance", [[1], "x", 3, False, []])
+def test_non_object_provenance_is_input_error(capsys, monkeypatch, provenance):
+    doc = json.loads(etfkit.frame_to_json(etfkit.fixtures.fig2()))
+    doc["provenance"] = provenance
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main(["analyze", "spark", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("etfkit: provenance must be a JSON object") and err.count("\n") == 1
+
+
+def test_null_provenance_reads_as_empty(capsys, monkeypatch):
+    doc = json.loads(etfkit.frame_to_json(etfkit.fixtures.fig2()))
+    doc["provenance"] = None
+    code, out = run_on_stdin(capsys, monkeypatch, json.dumps(doc), "analyze", "spark", "-")
+    report = json.loads(out)
+    assert code == 0 and report["spark"] == 4 and report["structural_witness"] is None
+
+
 def test_domain_error_is_input_error(capsys):
     code, _ = run_cli(capsys, "design", "round-robin", "--v", "7")
     assert code == 2

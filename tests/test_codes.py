@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fig3_words
+from conftest import fig3_words, hamming
 from etfkit.codes import (
     BinaryCode,
     certify_grbe,
@@ -9,7 +9,6 @@ from etfkit.codes import (
     distance,
     frame_to_code,
     grey_rankin_bound,
-    hamming,
     is_linear,
     parse_code,
 )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from etfkit.designs import (
     steiner_params,
     validate,
 )
-from etfkit.errors import NotResolvableParameters, OddPointCount
+from etfkit import designs
+from etfkit.errors import InvariantViolation, NotResolvableParameters, OddPointCount
 
 
 def incidence(design: SteinerSystem) -> np.ndarray:
@@ -186,6 +189,14 @@ def test_feasibility_2_20():
 def test_feasibility_rejects_non_resolvable():
     with pytest.raises(NotResolvableParameters):
         harmonic_feasibility(3, 7)
+
+
+def test_feasibility_closed_form_mismatch_raises_an_etfkit_error(monkeypatch):
+    # a raise, not an assert, so the guard survives python -O
+    params = steiner_params(2, 4)
+    monkeypatch.setattr(designs, "steiner_params", lambda k, v: replace(params, w=params.w + 1))
+    with pytest.raises(InvariantViolation):
+        harmonic_feasibility(2, 4)
 
 
 def test_feasibility_degree_always_square():

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import hamming
 from etfkit.codes import (
     BinaryCode,
     LinearityReport,
@@ -15,7 +16,6 @@ from etfkit.codes import (
     certify_grbe,
     distance,
     frame_to_code,
-    hamming,
     is_linear,
     parse_code,
 )

@@ -102,15 +102,21 @@ def test_character_table_z4_orthogonal():
     assert np.abs(g - 4 * np.eye(4)).max() < 1e-12
 
 
+def character(g: AbelianGroup, u: int, r: int) -> complex:
+    """chi_u(g_r) = prod_i exp(2*pi*i * u_i * r_i / n_i)."""
+    phase = sum(ui * ri / f for ui, ri, f in zip(g.digits(u), g.digits(r), g.factors))
+    return complex(np.exp(2j * np.pi * phase))
+
+
 @pytest.mark.parametrize("factors", [(8,), (2, 4), (3, 4), (2, 2, 2)])
 def test_characters_multiplicative(factors):
     g = AbelianGroup(factors)
+    table = character_table(g).entries
     for u in range(g.order):
         for a in range(g.order):
+            assert abs(table[u, a] - character(g, u, a)) < 1e-12
             for b in range(g.order):
-                lhs = g.character(u, g.add(a, b))
-                rhs = g.character(u, a) * g.character(u, b)
-                assert abs(lhs - rhs) < 1e-12
+                assert abs(table[u, g.add(a, b)] - table[u, a] * table[u, b]) < 1e-12
 
 
 def test_simplex_from_characters_z2xz2():

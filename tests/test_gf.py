@@ -1,6 +1,13 @@
 import pytest
 
-from etfkit.errors import NonPrimeCharacteristic, NotADivisor, NotASubfield, SizeLimitExceeded
+from etfkit import gf
+from etfkit.errors import (
+    InvariantViolation,
+    NonPrimeCharacteristic,
+    NotADivisor,
+    NotASubfield,
+    SizeLimitExceeded,
+)
 from etfkit.gf import (
     hyperplane_kernel,
     make_field,
@@ -26,10 +33,18 @@ def test_gf4_modulus_and_primitive():
     assert (omega * omega) == omega + f.one
 
 
+def element_order(x) -> int:
+    """Multiplicative order of a nonzero field element, by repeated products."""
+    n, y = 1, x
+    while y != x.field.one:
+        y, n = y * x, n + 1
+    return n
+
+
 def test_gf9_primitive_order():
     f = make_field(3, 2)
     assert f.order == 9
-    assert f.element_order(f.primitive) == 8
+    assert element_order(f.primitive) == 8
 
 
 def test_make_field_errors():
@@ -41,6 +56,15 @@ def test_make_field_errors():
         make_field(2, 21)
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 0)
+
+
+@pytest.mark.parametrize("patch", [("_is_irreducible", lambda poly, p: False),
+                                   ("_prime_factors", lambda n: [1])])
+def test_make_field_invariants_raise_an_etfkit_error(monkeypatch, patch):
+    # a raise, not an assert, so the guard survives python -O
+    monkeypatch.setattr(gf, *patch)
+    with pytest.raises(InvariantViolation):
+        make_field.__wrapped__(2, 3)
 
 
 def test_make_field_deterministic():
