@@ -20,7 +20,7 @@ from . import designs as designs_mod
 from . import fixtures as fixtures_mod
 from . import frames as frames_mod
 from . import metrics as metrics_mod
-from .errors import EtfkitError, NotResolvable
+from .errors import EtfkitError, GroupOrderMismatch, NotResolvable
 from .flatmat import AbelianGroup, dft, drop_row_simplex, hadamard, simplex_from_characters
 
 
@@ -118,6 +118,8 @@ def _build_simplex(args, big_r: int):
     if args.simplex == "hadamard":
         return drop_row_simplex(hadamard(big_r + 1), args.drop_row)
     group = AbelianGroup.parse(args.group) if args.group else AbelianGroup((big_r + 1,))
+    if group.order != big_r + 1:  # before the |G| x |G| table is built and checked
+        raise GroupOrderMismatch(f"group order {group.order} != R+1 = {big_r + 1}")
     return simplex_from_characters(group, group.order - 1)
 
 

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from . import gf
 from .errors import (
     DesignFormatError,
@@ -150,21 +152,21 @@ def affine_design(q: int, j: int) -> SteinerSystem:
     return SteinerSystem(v=design.v, k=design.k, blocks=blocks, resolution=resolution)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineStructure:
     """The field data behind an affine design, kept in (r, s) order.
 
-    hyperplane lists the trace-zero elements in canonical order; class r of
-    the design has its blocks indexed by hyperplane position, which is the
+    hyperplane holds the indices of the trace-zero elements in canonical
+    order, and delta the index of the trace-one element; class r of the
+    design has its blocks indexed by hyperplane position, which is the
     alignment the harmonic/flat-frame comparison needs.
     """
 
     q: int
     j: int
     field: gf.FiniteField
-    hyperplane: tuple
-    gamma: gf.FieldElement
-    delta: gf.FieldElement
+    hyperplane: np.ndarray
+    delta: int
 
 
 def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
@@ -176,30 +178,23 @@ def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     fld = gf.make_field(p, d * (j + 1))
-    hyper = gf.hyperplane_kernel(fld, q)
-    gamma = fld.primitive
-    delta = gf.trace_one_element(fld, q)
-    subfield = fld.subfield_elements(d)
+    hyper = gf.hyperplane_indices(fld, q)
+    delta = gf.trace_one_element(fld, q).index
     big_r = (q ** (j + 1) - 1) // (q - 1)
 
-    gamma_inv = gamma.inverse()
-    delta_inv = delta.inverse()
-    blocks = []
-    resolution = []
-    g_pow = fld.one  # gamma^-r, advanced per class
-    for _ in range(big_r):
-        cls = []
-        base = g_pow * delta_inv
-        for s_elt in hyper:
-            start = s_elt * base
-            blk = tuple(sorted((start + t * g_pow).index for t in subfield))
-            cls.append(len(blocks))
-            blocks.append(blk)
-        resolution.append(tuple(cls))
-        g_pow = g_pow * gamma_inv
+    # class r, offset s: the line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}
+    n1 = fld.order - 1
+    g_neg = fld.antilog[-np.arange(big_r) % n1][:, None]  # g^-r, an R x 1 column
+    start = fld.mul_indices(fld.mul_indices(hyper, g_neg), fld.pow_indices(delta, n1 - 1))
+    steps = fld.mul_indices(fld.subfield_indices(d), g_neg)
+    lines = np.sort(fld.add_indices(start[:, :, None], steps[:, None, :]), axis=-1)
+    blocks = tuple(map(tuple, lines.reshape(-1, q).tolist()))
+    s_count = len(hyper)
+    resolution = tuple(tuple(range(r * s_count, (r + 1) * s_count)) for r in range(big_r))
 
-    design = SteinerSystem(v=fld.order, k=q, blocks=tuple(blocks), resolution=tuple(resolution))
-    structure = AffineStructure(q=q, j=j, field=fld, hyperplane=tuple(hyper), gamma=gamma, delta=delta)
+    design = SteinerSystem(v=fld.order, k=q, blocks=blocks, resolution=resolution)
+    hyper.flags.writeable = False
+    structure = AffineStructure(q=q, j=j, field=fld, hyperplane=hyper, delta=delta)
     return structure, design
 
 

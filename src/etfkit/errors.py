@@ -81,6 +81,10 @@ class GroupMismatch(EtfkitError):
     pass
 
 
+class NotADifferenceSet(EtfkitError, ValueError):
+    """A subset whose nonzero differences are not all hit equally often."""
+
+
 class NotTight(EtfkitError):
     pass
 

@@ -10,8 +10,9 @@ so downstream code arithmetic can stay exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class UnimodularMatrix:
             if np.abs(off - 1.0).max() > ORTHO_TOL:
                 raise AssertionError("simplex columns must meet at inner-product modulus 1")
         else:
-            if np.abs(g - n * np.eye(self.cols)).max() > ORTHO_TOL:
+            g[np.diag_indices(self.cols)] -= n  # g - n I, without an N x N identity
+            if np.abs(g).max() > ORTHO_TOL:
                 raise AssertionError(f"{self.kind} columns are not orthogonal with norm^2 = rows")
         if self.signs is not None and np.abs(a - self.signs).max() > 0:
             raise AssertionError("sign view disagrees with entries")
@@ -80,26 +82,19 @@ def dft(n: int) -> UnimodularMatrix:
     return m
 
 
-def _quadratic_character_row(q: int) -> np.ndarray:
-    """chi over GF(q) in canonical element order: +1 on nonzero squares, -1
-    on non-squares, 0 at zero."""
-    p, d = gf.prime_power(q)
-    fld = gf.make_field(p, d)
-    squares = {(x * x).index for x in fld.elements() if not x.is_zero()}
-    return np.array([0] + [1 if i in squares else -1 for i in range(1, q)], dtype=np.int64)
-
-
 def _paley_signs(n: int) -> np.ndarray:
     """Paley-I Hadamard matrix of order n = q + 1, q a prime power = 3 mod 4."""
     q = n - 1
     p, d = gf.prime_power(q)
     fld = gf.make_field(p, d)
-    chi = _quadratic_character_row(q)
-    elts = list(fld.elements())
-    jac = np.empty((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            jac[i, j] = chi[(elts[i] - elts[j]).index]
+    # the quadratic character chi in canonical element order: +1 on nonzero
+    # squares, -1 on non-squares, 0 at zero
+    nonzero = np.arange(1, q)
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[fld.mul_indices(nonzero, nonzero)] = 1
+    elts = np.arange(q)
+    jac = chi[fld.sub_indices(elts[:, None], elts[None, :])]
     h = np.empty((n, n), dtype=np.int64)
     h[0, :] = 1
     h[1:, 0] = -1
@@ -171,14 +166,21 @@ class AbelianGroup:
 
     Elements are enumerated lexicographically by digit vectors (first factor
     most significant), matching itertools.product order; element 0 is the
-    identity.
+    identity.  The *_array methods work on integer arrays of element indices
+    (digit vectors along a trailing axis) with numpy broadcasting; the scalar
+    methods are views of them.
     """
 
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.factors or any(f < 1 for f in self.factors):
+        try:
+            factors = tuple(operator.index(f) for f in self.factors)
+        except TypeError:
+            factors = ()
+        if not factors or any(f < 1 for f in factors):
             raise ValueError("factors must be a nonempty list of positive cyclic orders")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -188,28 +190,47 @@ class AbelianGroup:
     def exponent_two(self) -> bool:
         return all(f in (1, 2) for f in self.factors)
 
+    @cached_property
+    def _radix(self) -> np.ndarray:
+        return np.array(self.factors, dtype=np.int64)
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        """Mixed-radix place value of each digit: the product of the factors after it."""
+        return np.cumprod((self.factors[1:] + (1,))[::-1])[::-1].astype(np.int64)
+
+    def digit_array(self, indices) -> np.ndarray:
+        """Digit vectors of element indices, on a new trailing axis."""
+        return np.asarray(indices, dtype=np.int64)[..., None] // self._place % self._radix
+
+    def index_array(self, digits) -> np.ndarray:
+        """Element indices of digit vectors along the last axis, each digit
+        reduced modulo its factor."""
+        return np.asarray(digits, dtype=np.int64) % self._radix @ self._place
+
+    def add_array(self, a, b) -> np.ndarray:
+        return self.index_array(self.digit_array(a) + self.digit_array(b))
+
+    def sub_array(self, a, b) -> np.ndarray:
+        return self.index_array(self.digit_array(a) - self.digit_array(b))
+
+    def neg_array(self, a) -> np.ndarray:
+        return self.index_array(-self.digit_array(a))
+
     def digits(self, index: int) -> tuple[int, ...]:
-        out = []
-        for f in reversed(self.factors):
-            out.append(index % f)
-            index //= f
-        return tuple(reversed(out))
+        return tuple(self.digit_array(index).tolist())
 
     def index(self, digits) -> int:
-        idx = 0
-        for f, d in zip(self.factors, digits):
-            idx = idx * f + (d % f)
-        return idx
+        return int(self.index_array(digits))
 
     def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.index(tuple((x + y) % f for x, y, f in zip(da, db, self.factors)))
+        return int(self.add_array(a, b))
 
     def neg(self, a: int) -> int:
-        return self.index(tuple((-x) % f for x, f in zip(self.digits(a), self.factors)))
+        return int(self.neg_array(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.sub_array(a, b))
 
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
@@ -221,14 +242,21 @@ class AbelianGroup:
         return AbelianGroup(factors)
 
 
+@lru_cache(maxsize=2)
 def character_table(g: AbelianGroup) -> UnimodularMatrix:
     """|G| x |G| table with entry (u, r) = chi_u(g_r); the Kronecker product of
-    the factors' DFT matrices under the lexicographic element order."""
+    the factors' DFT matrices under the lexicographic element order.
+
+    Each table is checked in full when it is built.  The two most recently
+    requested tables are kept and handed out again, so their entries and
+    signs arrays are read-only."""
     table = reduce(np.kron, (dft(f).entries for f in g.factors))
     signs = None
     if g.exponent_two:  # every character is +-1: the rounded real parts are the signs
         signs = np.rint(table.real).astype(np.int64)
+        signs.flags.writeable = False
         table = signs.astype(np.complex128)
+    table.flags.writeable = False
     m = UnimodularMatrix(entries=table, kind="character-table", signs=signs)
     m.check()
     return m

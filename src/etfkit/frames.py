@@ -17,13 +17,14 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import gf
 from .designs import AffineStructure, SteinerSystem, affine_structure
 from .errors import (
     BasisShapeMismatch,
     FrameFormatError,
     GroupMismatch,
     GroupOrderMismatch,
+    IndexOutOfRange,
+    NotADifferenceSet,
     NotResolvable,
     NotTight,
     NotUnitNorm,
@@ -34,6 +35,7 @@ from .flatmat import AbelianGroup, UnimodularMatrix, character_table, hadamard_o
 UNIT_NORM_TOL = 1e-9
 _FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
 _INT64_EXACT = 2 ** 63
+_DIFFERENCE_BATCH = 2 ** 18  # pairs per bincount: bounds memory to a few MB per group digit
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -328,20 +330,37 @@ class DifferenceSet:
 
     @staticmethod
     def verified(group: AbelianGroup, elements) -> "DifferenceSet":
+        """Count all |D|^2 differences d1 - d2 with np.bincount, in batches
+        of whole rows of at most _DIFFERENCE_BATCH pairs, and require the
+        same count on every nonzero element."""
         elements = tuple(sorted(set(int(e) for e in elements)))
         order = group.order
-        counts = [0] * order
-        for d1 in elements:
-            for d2 in elements:
-                counts[group.sub(d1, d2)] += 1
+        if elements and not (0 <= elements[0] and elements[-1] < order):
+            raise IndexOutOfRange(f"difference set element out of range for a group of order {order}")
+        d = np.array(elements, dtype=np.int64)
+        counts = np.zeros(order, dtype=np.int64)
+        rows = max(1, _DIFFERENCE_BATCH // max(len(d), 1))
+        for lo in range(0, len(d), rows):
+            counts += np.bincount(group.sub_array(d[lo:lo + rows, None], d).ravel(), minlength=order)
         nonzero = counts[1:]
-        if not nonzero or min(nonzero) != max(nonzero):
-            raise ValueError("not a difference set: difference counts are not constant")
-        return DifferenceSet(group=group, elements=elements, lam=nonzero[0])
+        if not nonzero.size or nonzero.min() != nonzero.max():
+            raise NotADifferenceSet("not a difference set: difference counts are not constant")
+        return DifferenceSet(group=group, elements=elements, lam=int(nonzero[0]))
 
     def complement(self) -> "DifferenceSet":
-        rest = [i for i in range(self.group.order) if i not in set(self.elements)]
-        return DifferenceSet.verified(self.group, rest)
+        rest = np.ones(self.group.order, dtype=bool)
+        rest[list(self.elements)] = False
+        return DifferenceSet.verified(self.group, np.flatnonzero(rest))
+
+
+def _mcfarland_elements(structure: AffineStructure) -> np.ndarray:
+    """R x S product-group indices of (g_r, g^r s), s running over the
+    hyperplane.  V's digits fill the last k places of G x V, highest
+    coefficient first, so the index of (g_r, v) is r * |V| + the canonical
+    field index of v."""
+    fld = structure.field
+    r = np.arange((fld.order - 1) // (structure.q - 1))[:, None]
+    return r * fld.order + fld.mul_indices(fld.antilog[r], structure.hyperplane)
 
 
 def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
@@ -356,22 +375,8 @@ def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     big_r = (q ** (j + 1) - 1) // (q - 1)
     if group_g.order != big_r + 1:
         raise GroupOrderMismatch(f"group order {group_g.order} != R+1 = {big_r + 1}")
-    product = AbelianGroup(tuple(group_g.factors) + (fld.p,) * fld.k)
-    elements = []
-    g_pow = fld.one
-    for r in range(big_r):
-        for s_elt in structure.hyperplane:
-            v = g_pow * s_elt
-            digits = tuple(group_g.digits(r)) + _field_group_digits(v)
-            elements.append(product.index(digits))
-        g_pow = g_pow * structure.gamma
-    return DifferenceSet.verified(product, elements)
-
-
-def _field_group_digits(x: gf.FieldElement) -> tuple[int, ...]:
-    """Digit vector of a field element inside the Z_p^k product factor; chosen
-    so the product-group index restricted to V equals the canonical field index."""
-    return tuple(reversed(x.coeffs))
+    product = AbelianGroup(group_g.factors + (fld.p,) * fld.k)
+    return DifferenceSet.verified(product, _mcfarland_elements(structure).ravel())
 
 
 def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
@@ -406,12 +411,8 @@ def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
     fld = structure.field
     p = fld.p
     hyper = structure.hyperplane
-    dinv = structure.delta.inverse()
-    size = len(hyper)
-    tr_vals = np.empty((size, size), dtype=np.int64)
-    for a, s_row in enumerate(hyper):
-        for b, s_col in enumerate(hyper):
-            tr_vals[a, b] = gf.trace(s_col * s_row * dinv, 1).coeffs[0]
+    dinv = fld.pow_indices(structure.delta, fld.order - 2)
+    tr_vals = fld.trace_table[fld.mul_indices(fld.mul_indices(hyper[:, None], hyper[None, :]), dinv)]
     if p == 2:
         signs = np.where(tr_vals % 2 == 0, 1, -1).astype(np.int64)
         m = UnimodularMatrix(entries=signs.astype(np.complex128), kind="character-table", signs=signs)
@@ -471,35 +472,21 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     kirk = kirkman_etf(design, simplex, basis)
     kirk.provenance["construction"] = "mcfarland-kirkman"
 
-    product = dset.group
-    s_count = len(structure.hyperplane)
-    row_pos = {e: i for i, e in enumerate(dset.elements)}
-
     # row (r, s) of the design-based frame <-> difference-set element (g_r, g^r s)
-    row_perm = np.empty(kirk.m, dtype=np.int64)
-    g_pow = fld.one
-    for r in range(big_r):
-        for s_pos, s_elt in enumerate(structure.hyperplane):
-            digits = tuple(group_g.digits(r)) + _field_group_digits(g_pow * s_elt)
-            row_perm[r * s_count + s_pos] = row_pos[product.index(digits)]
-        g_pow = g_pow * structure.gamma
+    row_perm = np.searchsorted(dset.elements, _mcfarland_elements(structure).ravel())
 
-    # column (u, v) <-> character (u, w) with w(l) = tr(v * b_l) over the
-    # digit-basis elements b_l of V
-    k = fld.k
-    basis_elts = [fld.element(fld.p ** (k - 1 - l)) for l in range(k)]
-    col_perm = np.empty(kirk.n, dtype=np.int64)
-    for v_idx in range(fld.order):
-        v = fld.element(v_idx)
-        w_digits = tuple(gf.trace(v * b, 1).coeffs[0] for b in basis_elts)
-        for u in range(big_r + 1):
-            digits = tuple(group_g.digits(u)) + w_digits
-            col_perm[v_idx * (big_r + 1) + u] = product.index(digits)
+    # column (u, v) <-> character (u, w) with w(l) = tr(v * x^l) over the
+    # power basis x^l of V, at the place of V's coefficient l: index
+    # u * |V| + sum_l w(l) p^l, laid out v-major
+    place = fld.p ** np.arange(fld.k)
+    w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
+    col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
 
     aligned = harm.entries[np.ix_(row_perm, col_perm)]
     max_entry_dev = float(np.abs(aligned - kirk.entries).max())
-    g_h = harm.gram()[np.ix_(col_perm, col_perm)]
-    max_gram_dev = float(np.abs(g_h - kirk.gram()).max())
+    gram_dev = harm.gram()[np.ix_(col_perm, col_perm)]
+    gram_dev -= kirk.gram()  # in place: one N x N temporary fewer
+    max_gram_dev = float(np.abs(gram_dev).max())
     report = McFarlandMatchReport(q=q, j=j, group=tuple(group_g.factors),
                                   max_entry_dev=max_entry_dev,
                                   max_gram_dev=max_gram_dev, tol=tol)

@@ -10,12 +10,21 @@ The modulus is the first monic irreducible polynomial of degree k in canonical
 order, and the primitive element is the first field element that generates the
 multiplicative group, so construction is fully deterministic: repeated calls
 to make_field agree, across runs and machines.
+
+Arithmetic on many elements at once runs on integer index arrays through
+per-field lookup tables (coefficient digits, log and antilog over the
+primitive element, trace to the prime field).  A field builds its tables on
+first use and keeps them, and make_field is memoised, so each field pays for
+them once.  FieldElement is the scalar view: its product and powers are one
+lookup each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import (
     InvariantViolation,
@@ -105,6 +114,30 @@ def _poly_mul(a, b, p):
     return tuple(out)
 
 
+def _poly_mulmod(a, b, modulus, p):
+    return _poly_mod(_poly_mul(a, b, p), modulus, p)
+
+
+def _poly_pow(a, e: int, modulus, p: int):
+    """a^e modulo modulus over Z_p, by square and multiply."""
+    acc, base = (1,), a
+    while e:
+        if e & 1:
+            acc = _poly_mulmod(acc, base, modulus, p)
+        base = _poly_mulmod(base, base, modulus, p)
+        e >>= 1
+    return acc
+
+
+def _index_digits(index: int, p: int, k: int) -> tuple[int, ...]:
+    """Base-p digits of a canonical index, least significant first."""
+    coeffs = []
+    for _ in range(k):
+        coeffs.append(index % p)
+        index //= p
+    return tuple(coeffs)
+
+
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree, in canonical index order."""
     for idx in range(p ** degree):
@@ -159,22 +192,12 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        f = self.field
-        prod = _poly_mul(self.coeffs, other.coeffs, f.p)
-        red = _poly_mod(prod, f.modulus, f.p)
-        return FieldElement(red + (0,) * (f.k - len(red)), f)
+        return self.field.element(int(self.field.mul_indices(self.index, other.index)))
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return self.field.element(int(self.field.pow_indices(self.index, e)))
 
     def inverse(self) -> "FieldElement":
         if self == self.field.zero:
@@ -225,22 +248,100 @@ class FiniteField:
     def element(self, index: int) -> FieldElement:
         if not 0 <= index < self.order:
             raise IndexError(f"element index {index} out of range for GF({self.order})")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return FieldElement(tuple(coeffs), self)
+        return FieldElement(_index_digits(index, self.p, self.k), self)
 
     def elements(self):
         """All field elements in canonical index order."""
         return (self.element(i) for i in range(self.order))
 
-    def subfield_elements(self, sub_degree: int) -> list[FieldElement]:
-        """Elements of the subfield GF(p^sub_degree): fixed points of x -> x^(p^d)."""
+    def subfield_indices(self, sub_degree: int) -> np.ndarray:
+        """Indices of the subfield GF(p^sub_degree): fixed points of x -> x^(p^d)."""
         if self.k % sub_degree:
             raise NotADivisor(f"sub_degree {sub_degree} does not divide {self.k}")
-        q = self.p ** sub_degree
-        return [x for x in self.elements() if x ** q == x]
+        every = np.arange(self.order)
+        return np.flatnonzero(self.pow_indices(every, self.p ** sub_degree) == every)
+
+    def subfield_elements(self, sub_degree: int) -> list[FieldElement]:
+        return [self.element(int(i)) for i in self.subfield_indices(sub_degree)]
+
+    # -- lookup tables, built on first use --------------------------------
+
+    @cached_property
+    def _place(self) -> np.ndarray:
+        return self.p ** np.arange(self.k, dtype=np.int64)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """order x k table: row i holds the coefficients of element i, low to
+        high.  One byte per digit where p allows: GF(2^20), the largest field
+        in scope, then takes 20 MB."""
+        dtype = np.uint8 if self.p <= 256 else np.int32
+        table = (np.arange(self.order, dtype=np.int64)[:, None] // self._place % self.p).astype(dtype)
+        return _read_only(table)
+
+    @cached_property
+    def antilog(self) -> np.ndarray:
+        """antilog[e] is the index of g^e, e = 0 .. order-2, for the primitive g.
+
+        Built by doubling: with the digit rows of g^0 .. g^(m-1) in hand, the
+        next m rows are those times g^m, one Z_p-linear map (the k x k matrix
+        of multiplication by g^m) applied to all rows at once."""
+        p, k, n1 = self.p, self.k, self.order - 1
+        x_powers = [(0,) * l + (1,) for l in range(k)]
+
+        def mul_matrix(coeffs) -> np.ndarray:
+            cols = [_poly_mulmod(coeffs, xl, self.modulus, p) for xl in x_powers]
+            return np.array(cols, dtype=np.int64).T
+
+        rows = np.eye(1, k, dtype=np.int64)
+        step = mul_matrix(_index_digits(self.primitive_index, p, k))
+        while len(rows) < n1:
+            rows = np.concatenate([rows, rows @ step.T % p])
+            step = step @ step % p
+        return _read_only(rows[:n1] @ self._place)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """log[i] = e with g^e = element i; log[0] = -1 (zero has no logarithm)."""
+        n1 = self.order - 1
+        table = np.full(self.order, -1, dtype=np.int64)
+        table[self.antilog] = np.arange(n1)
+        if table[0] != -1 or (table[1:] < 0).any():  # g generates the nonzero elements
+            raise InvariantViolation(f"primitive element of GF({self.order}) repeats a power")
+        return _read_only(table)
+
+    @cached_property
+    def trace_table(self) -> np.ndarray:
+        """Trace of every element to the prime field, as an integer in 0 .. p-1."""
+        return _read_only(relative_trace_indices(self, np.arange(self.order), self.k, 1))
+
+    # -- arithmetic on index arrays (numpy broadcasting) -------------------
+
+    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
+        return digits % self.p @ self._place
+
+    def add_indices(self, a, b) -> np.ndarray:
+        # widened first: the stored digits are bytes, and unsigned for p <= 256
+        return self._from_digits(self.digits[a].astype(np.int64) + self.digits[b])
+
+    def sub_indices(self, a, b) -> np.ndarray:
+        return self._from_digits(self.digits[a].astype(np.int64) - self.digits[b])
+
+    def mul_indices(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.antilog[(self.log[a] + self.log[b]) % (self.order - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def pow_indices(self, a, e: int) -> np.ndarray:
+        """a^e elementwise for one integer exponent e >= 0 (0^0 = 1)."""
+        a = np.asarray(a)
+        n1 = self.order - 1
+        return np.where(a == 0, int(e == 0), self.antilog[self.log[a] * (e % n1) % n1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -266,13 +367,12 @@ def make_field(p: int, k: int) -> FiniteField:
     if modulus is None:  # an irreducible polynomial of every degree exists
         raise InvariantViolation(f"no monic irreducible polynomial of degree {k} over GF({p})")
 
-    field = FiniteField(p=p, k=k, modulus=modulus, primitive_index=1)
     group_order = p ** k - 1
     factors = _prime_factors(group_order) if group_order > 1 else []
     prim = None
     for i in range(1, p ** k):
-        x = field.element(i)
-        if all((x ** (group_order // f)) != field.one for f in factors):
+        x = _index_digits(i, p, k)
+        if all(_poly_trim(_poly_pow(x, group_order // f, modulus, p)) != (1,) for f in factors):
             prim = i
             break
     if prim is None:  # the multiplicative group of a finite field is cyclic
@@ -296,16 +396,21 @@ def relative_trace(x: FieldElement, upper_degree: int, lower_degree: int) -> Fie
     Only meaningful when x actually lies in the degree-upper subfield; the
     caller is responsible for that (the composition law tests rely on it).
     """
-    f = x.field
-    if upper_degree % lower_degree or f.k % upper_degree:
+    return x.field.element(int(relative_trace_indices(x.field, x.index, upper_degree, lower_degree)))
+
+
+def relative_trace_indices(field: FiniteField, indices, upper_degree: int,
+                           lower_degree: int) -> np.ndarray:
+    """relative_trace on an array of element indices: the sum of x^(q^i),
+    i = 0 .. upper/lower - 1, with q = p^lower."""
+    if upper_degree % lower_degree or field.k % upper_degree:
         raise NotADivisor(
-            f"subfield degrees {lower_degree} | {upper_degree} | {f.k} do not form a divisor chain")
-    q = f.p ** lower_degree
-    acc = x
-    y = x
+            f"subfield degrees {lower_degree} | {upper_degree} | {field.k} do not form a divisor chain")
+    q = field.p ** lower_degree
+    acc = y = np.asarray(indices)
     for _ in range(upper_degree // lower_degree - 1):
-        y = y ** q
-        acc = acc + y
+        y = field.pow_indices(y, q)
+        acc = field.add_indices(acc, y)
     return acc
 
 
@@ -319,26 +424,31 @@ def _subfield_degree(field: FiniteField, q: int) -> int:
     return d
 
 
-def hyperplane_kernel(field: FiniteField, q: int) -> list[FieldElement]:
-    """The trace-zero hyperplane {v : tr(v) = 0} of GF(q^(j+1)) over GF(q).
-
-    Returns exactly q^j elements in canonical order; the set is closed under
-    addition and under multiplication by GF(q) scalars.
-    """
+def _traces_onto(field: FiniteField, q: int) -> np.ndarray:
+    """Trace onto GF(q) of every element, indexed by canonical element index."""
     d = _subfield_degree(field, q)
-    zero = field.zero
-    return [x for x in field.elements() if trace(x, d) == zero]
+    if d == 1:
+        return field.trace_table
+    return relative_trace_indices(field, np.arange(field.order), field.k, d)
+
+
+def hyperplane_indices(field: FiniteField, q: int) -> np.ndarray:
+    """Indices of the trace-zero hyperplane {v : tr(v) = 0} of GF(q^(j+1))
+    over GF(q), in canonical order: exactly q^j of them, closed under
+    addition and under multiplication by GF(q) scalars."""
+    return np.flatnonzero(_traces_onto(field, q) == 0)
+
+
+def hyperplane_kernel(field: FiniteField, q: int) -> list[FieldElement]:
+    """The elements of hyperplane_indices(field, q)."""
+    return [field.element(int(i)) for i in hyperplane_indices(field, q)]
 
 
 def trace_one_element(field: FiniteField, q: int) -> FieldElement:
     """First element delta in canonical order with tr(delta) = 1 over GF(q).
 
     Every field element then decomposes uniquely as s + t*delta with s in the
-    trace-zero hyperplane and t in GF(q).
+    trace-zero hyperplane and t in GF(q).  A nonzero linear functional attains
+    1, so the search always succeeds.
     """
-    d = _subfield_degree(field, q)
-    one = field.one
-    for x in field.elements():
-        if trace(x, d) == one:
-            return x
-    raise AssertionError("nontrivial linear functional attains 1")  # unreachable
+    return field.element(int(np.flatnonzero(_traces_onto(field, q) == 1)[0]))

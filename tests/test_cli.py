@@ -301,3 +301,15 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(frame_doc))
     _, out = run_cli(capsys, "verify", "-")
     assert json.loads(out)["tol"] == 0.5
+
+
+def test_characters_simplex_group_order_checked_before_any_table(capsys, monkeypatch):
+    from etfkit import flatmat
+
+    def no_table(g):
+        raise AssertionError("character_table must not be built for a wrong-order group")
+
+    monkeypatch.setattr(flatmat, "character_table", no_table)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(etfkit.round_robin_design(4).to_json()))
+    code = main(["frame", "steiner", "-", "--simplex", "characters", "--group", "8"])
+    _assert_one_line_input_error(capsys, code)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etfkit.errors import IndexOutOfRange, RowOutOfRange, UnsupportedHadamardOrder
 from etfkit.flatmat import (
@@ -154,3 +155,88 @@ def test_group_parse_and_arithmetic():
     assert g.add(5, 4) == 0  # (1,2) + (1,1) wraps to the identity
     assert g.add(5, 1) == g.index((1, 0))
     assert g.add(1, g.neg(1)) == 0
+
+
+# -- array forms of the group arithmetic ----------------------------------------
+
+def _ref_digits(factors, index):
+    out = []
+    for f in reversed(factors):
+        out.append(index % f)
+        index //= f
+    return tuple(reversed(out))
+
+
+def _ref_index(factors, digits):
+    idx = 0
+    for f, d in zip(factors, digits):
+        idx = idx * f + (d % f)
+    return idx
+
+
+@st.composite
+def group_and_elements(draw):
+    factors = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    order = int(np.prod(factors))
+    elems = st.integers(0, order - 1)
+    return factors, draw(st.lists(elems, min_size=1, max_size=12)), draw(st.lists(elems, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_and_elements())
+def test_group_array_forms_match_scalar_arithmetic(case):
+    factors, a, b = case
+    g = AbelianGroup(factors)
+    a_arr, b_arr = np.array(a), np.array(b)
+    digits = [_ref_digits(factors, x) for x in a]
+    assert [tuple(row) for row in g.digit_array(a_arr).tolist()] == digits
+    assert g.index_array(g.digit_array(a_arr)).tolist() == a
+    add = [[_ref_index(factors, [x + y for x, y in zip(_ref_digits(factors, u), _ref_digits(factors, v))])
+            for v in b] for u in a]
+    sub = [[_ref_index(factors, [x - y for x, y in zip(_ref_digits(factors, u), _ref_digits(factors, v))])
+            for v in b] for u in a]
+    neg = [_ref_index(factors, [-x for x in d]) for d in digits]
+    assert g.add_array(a_arr[:, None], b_arr[None, :]).tolist() == add
+    assert g.sub_array(a_arr[:, None], b_arr[None, :]).tolist() == sub
+    assert g.neg_array(a_arr).tolist() == neg
+    # the scalar methods are views of the same arithmetic
+    assert [g.digits(x) for x in a] == digits
+    assert [g.index(d) for d in digits] == a
+    assert [[g.add(u, v) for v in b] for u in a] == add
+    assert [[g.sub(u, v) for v in b] for u in a] == sub
+    assert [g.neg(u) for u in a] == neg
+
+
+def test_group_factors_normalise_to_a_tuple_of_ints():
+    g = AbelianGroup([2, np.int64(2)])
+    assert g.factors == (2, 2) and type(g.factors[1]) is int
+    assert g == AbelianGroup((2, 2)) and hash(g) == hash(AbelianGroup((2, 2)))
+    for bad in ([], [2, 0], [2.5], 4):
+        with pytest.raises(ValueError):
+            AbelianGroup(bad)
+
+
+def test_character_table_is_read_only_and_memoised():
+    t = character_table(AbelianGroup((2, 3)))
+    assert character_table(AbelianGroup([2, 3])) is t
+    with pytest.raises(ValueError):
+        t.entries[0, 0] = 2
+    real = character_table(AbelianGroup((2, 2)))
+    with pytest.raises(ValueError):
+        real.signs[0, 0] = -1
+    with pytest.raises(ValueError):
+        real.entries[0, 0] = -1
+    assert character_table.cache_info().maxsize == 2
+
+
+def test_character_table_checks_every_build(monkeypatch):
+    from etfkit import flatmat
+
+    checked = []
+    monkeypatch.setattr(flatmat.UnimodularMatrix, "check", lambda self: checked.append(self.kind))
+    character_table.cache_clear()
+    for factors in ((5,), (7,), (5,), (3, 3)):
+        character_table(AbelianGroup(factors))
+    # (5,) is served again from the cache; the other three builds each ran check()
+    assert checked.count("character-table") == 3
+    character_table.cache_clear()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etfkit.designs import SteinerSystem, affine_design, kirkman15, round_robin_design
 from etfkit.errors import (
     BasisShapeMismatch,
     FrameFormatError,
     GroupOrderMismatch,
+    IndexOutOfRange,
+    NotADifferenceSet,
     NotResolvable,
     NotTight,
     NotUnitNorm,
@@ -309,3 +312,93 @@ def test_real_kirkman_params_k6_no_generator():
     rep = real_kirkman_params(6, 3)
     assert rep.k_congruent and rep.w_congruent
     assert not rep.design_available
+
+
+# -- the bincount difference-set check against the pairwise count ---------------
+
+def _ref_sub(factors, a, b):
+    """a - b in Z_n1 x ... x Z_nt by digit loops, first factor most significant."""
+    out, place = 0, 1
+    for f in reversed(factors):
+        out += ((a % f - b % f) % f) * place
+        a, b, place = a // f, b // f, place * f
+    return out
+
+
+def _ref_verified(group, elements):
+    """The pairwise count: (sorted elements, lam), or None when the nonzero
+    difference counts are not constant."""
+    elements = tuple(sorted(set(elements)))
+    counts = [0] * group.order
+    for d1 in elements:
+        for d2 in elements:
+            counts[_ref_sub(group.factors, d1, d2)] += 1
+    nonzero = counts[1:]
+    if not nonzero or min(nonzero) != max(nonzero):
+        return None
+    return elements, nonzero[0]
+
+
+def _check_against_reference(group, elements):
+    want = _ref_verified(group, elements)
+    if want is None:
+        with pytest.raises(NotADifferenceSet):
+            DifferenceSet.verified(group, elements)
+    else:
+        got = DifferenceSet.verified(group, elements)
+        assert (got.elements, got.lam, got.group) == (*want, group)
+
+
+MCFARLAND_SMALL = [(2, 1, (2, 2)), (2, 1, (4,)), (3, 1, (5,)), (2, 2, (8,)), (2, 2, (2, 4)), (4, 1, (2, 3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MCFARLAND_SMALL), st.sampled_from(["set", "complement", "flip"]), st.data())
+def test_verified_matches_pairwise_count_on_mcfarland_sets(params, variant, data):
+    q, j, factors = params
+    ds = mcfarland_set(q, j, AbelianGroup(factors))
+    elements = list(ds.elements)
+    if variant == "complement":
+        elements = list(ds.complement().elements)
+    elif variant == "flip":  # toggle one element: no longer a difference set
+        x = data.draw(st.integers(0, ds.group.order - 1))
+        elements = sorted(set(elements) ^ {x})
+    _check_against_reference(ds.group, elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
+def test_verified_matches_pairwise_count_on_random_subsets(factors, data):
+    group = AbelianGroup(factors)
+    elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=group.order))
+    _check_against_reference(group, elements)
+
+
+def test_verified_in_several_batches(monkeypatch):
+    from etfkit import frames
+
+    ds = mcfarland_set(2, 2, AbelianGroup((2, 4)))
+    monkeypatch.setattr(frames, "_DIFFERENCE_BATCH", 7 * len(ds.elements))  # 7 rows a batch
+    assert DifferenceSet.verified(ds.group, ds.elements) == ds
+    assert DifferenceSet.verified(ds.group, ds.complement().elements) == ds.complement()
+    with pytest.raises(NotADifferenceSet):
+        DifferenceSet.verified(ds.group, ds.elements[1:])
+
+
+def test_difference_set_range_checked():
+    for bad in ((8, 9, 11), (-1, 0, 2)):
+        with pytest.raises(IndexOutOfRange):
+            DifferenceSet.verified(AbelianGroup((7,)), bad)
+    assert DifferenceSet.verified(AbelianGroup((7,)), (1, 2, 4)).lam == 1
+
+
+def test_not_a_difference_set_is_a_value_error():
+    with pytest.raises(NotADifferenceSet):
+        DifferenceSet.verified(AbelianGroup((7,)), (0, 1, 2))
+    assert issubclass(NotADifferenceSet, ValueError)
+
+
+def test_harmonic_accepts_a_list_form_group():
+    ds = mcfarland_set(2, 1, AbelianGroup([2, 2]))
+    f = harmonic_etf(AbelianGroup([2, 2, 2, 2]), ds)
+    assert (f.m, f.n) == (6, 16)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from etfkit import gf
@@ -238,3 +239,89 @@ def test_modulus_irreducible_by_brute_force_products(p, k):
             for ib in range(p ** e):
                 b = tuple((ib // p ** t) % p for t in range(e)) + (1,)
                 assert _poly_mul_mod_p(a, b, p) != modulus
+
+
+# -- lookup tables against independent polynomial arithmetic ------------------
+
+def _ref_mul(a, b, modulus, p):
+    """Schoolbook product of coefficient tuples, reduced by the monic modulus."""
+    prod = list(_poly_mul_mod_p(a, b, p))
+    k = len(modulus) - 1
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        for t in range(k + 1):
+            prod[i - k + t] = (prod[i - k + t] - c * modulus[t]) % p
+    return tuple(prod[:k]) + (0,) * (k - len(prod[:k]))
+
+
+def _ref_pow(a, e, modulus, p):
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    for _ in range(e):
+        acc = _ref_mul(acc, a, modulus, p)
+    return acc
+
+
+def _small_fields():
+    return [(p, k) for p in range(2, 257) if gf.is_prime(p)
+            for k in range(1, 9) if p ** k <= 256]
+
+
+@pytest.mark.parametrize("p,k", _small_fields())
+def test_field_tables_match_element_arithmetic(p, k):
+    f = make_field(p, k)
+    every = np.arange(f.order)
+    elts = [f.element(i) for i in range(f.order)]
+    coeffs = [x.coeffs for x in elts]
+    assert [tuple(row) for row in f.digits.tolist()] == coeffs
+
+    def index(c):
+        return sum(ci * p ** i for i, ci in enumerate(c))
+
+    # antilog walks the powers of the primitive element; log inverts it
+    g = f.primitive.coeffs
+    walk = [index(_ref_pow(g, e, f.modulus, p)) for e in range(min(f.order - 1, 8))]
+    assert f.antilog[:len(walk)].tolist() == walk
+    nxt = [index(_ref_mul(coeffs[a], g, f.modulus, p)) for a in f.antilog.tolist()]
+    assert nxt == np.roll(f.antilog, -1).tolist()
+    assert f.log[0] == -1 and (f.log[f.antilog] == np.arange(f.order - 1)).all()
+
+    # products and sums against a few fixed factors, through both views
+    for y in sorted({1, f.order - 1, f.order // 2, f.primitive_index}):
+        want = [index(_ref_mul(c, coeffs[y], f.modulus, p)) for c in coeffs]
+        assert f.mul_indices(every, y).tolist() == want
+        assert [(x * elts[y]).index for x in elts] == want
+        assert f.add_indices(every, y).tolist() == [(x + elts[y]).index for x in elts]
+        assert f.sub_indices(every, y).tolist() == [(x - elts[y]).index for x in elts]
+
+    # Frobenius and the trace to the prime field
+    frob = [_ref_pow(c, p, f.modulus, p) for c in coeffs]
+    assert f.pow_indices(every, p).tolist() == [index(c) for c in frob]
+    tr = []
+    for c in coeffs:
+        acc, y = list(c), c
+        for _ in range(k - 1):
+            y = _ref_pow(y, p, f.modulus, p)
+            acc = [(s + t) % p for s, t in zip(acc, y)]
+        assert all(t == 0 for t in acc[1:])  # the trace lies in the prime field
+        tr.append(acc[0])
+    assert f.trace_table.tolist() == tr
+    assert [trace(x).index for x in elts] == tr
+
+
+def test_field_tables_are_read_only_and_lazy():
+    f = make_field.__wrapped__(2, 5)  # a fresh field, outside the cache
+    assert not set(vars(f)) & {"digits", "antilog", "log", "trace_table"}
+    for name in ("digits", "antilog", "log", "trace_table"):
+        table = getattr(f, name)
+        assert getattr(f, name) is table  # built once, kept with the field
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_zero_powers():
+    f = make_field(3, 2)
+    assert f.pow_indices(0, 0) == 1
+    assert f.pow_indices(0, 5) == 0
+    assert f.zero ** 0 == f.one
+    with pytest.raises(ZeroDivisionError):
+        f.zero ** -1
