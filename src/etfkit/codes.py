@@ -3,10 +3,14 @@
 A real +-1/sqrt(M) frame and a self-complementary (M, 2N) binary code are two
 views of the same object: column signs map to bits (+ -> 0, - -> 1), the
 second half of the code is the complement of the first, and distance-bound
-equality for the code is Welch-bound equality for the frame.  All arithmetic
-in this module is exact (bits and integers, no tolerances): distances come
-from the +-1 sign Gram of the words, computed by frames.exact_matmul, and
-linearity from GF(2) elimination on words packed into Python integers.
+equality for the code is Welch-bound equality for the frame.
+
+A BinaryCode is one read-only W x m uint8 bit array; validation, text I/O and
+the frame conversions are array operations on it.  All arithmetic in this
+module is exact (bits and integers, no tolerances): distances come from a +-1
+sign Gram computed by frames.exact_matmul, only the N x N Gram of the first
+half for a self-complementary code, and linearity from GF(2) elimination on
+words packed into Python integers.
 """
 
 from __future__ import annotations
@@ -26,40 +30,101 @@ from .errors import (
 from .frames import Frame, _numeric, exact_matmul
 from .metrics import certify_etf
 
+_NOT_BITS = "every codeword must be a 0/1 vector of the stated length"
 
-@dataclass(frozen=True)
+
+def _bit_array(m: int, words) -> np.ndarray:
+    """words (an array or a sequence of sequences) as a W x m uint8 array,
+    checked for shape and for 0/1 entries."""
+    if isinstance(words, np.ndarray):
+        arr = words
+    else:
+        words = tuple(words)
+        if any(not hasattr(w, "__len__") or len(w) != m for w in words):
+            raise CodeFormatError(_NOT_BITS)
+        try:
+            arr = np.array(words) if words else np.zeros((0, m), dtype=np.uint8)
+        except (TypeError, ValueError) as e:
+            raise CodeFormatError(_NOT_BITS) from e
+    if arr.ndim != 2 or arr.shape[1] != m or not ((arr == 0) | (arr == 1)).all():
+        raise CodeFormatError(_NOT_BITS)
+    bits = np.array(arr, dtype=np.uint8, order="C")  # always a private copy
+    bits.flags.writeable = False
+    return bits
+
+
+def _has_equal_rows(bits: np.ndarray) -> bool:
+    """Whether two rows of a bit array are equal: the packed rows, sorted as
+    opaque byte strings, have two equal neighbours.  (np.unique(axis=0) says
+    the same, but its first call imports numpy.ma: about 6 ms and 1 MB in
+    every CLI process.)"""
+    if len(bits) < 2 or bits.shape[1] == 0:
+        return len(bits) >= 2  # zero-length words are all equal
+    packed = np.packbits(bits, axis=1)
+    rows = np.sort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    return bool((rows[1:] == rows[:-1]).any())
+
+
 class BinaryCode:
-    """Distinct length-m bit vectors; when self_complementary, word n+N is
-    the complement of word n for the first half n = 0..N-1."""
+    """Distinct length-m bit vectors, held as the read-only W x m uint8 array
+    `bits` (row w is word w); when self_complementary, word n+N is the
+    complement of word n for the first half n = 0..N-1."""
 
-    m: int
-    words: tuple[tuple[int, ...], ...]
-    self_complementary: bool
+    __slots__ = ("m", "bits", "self_complementary")
 
-    def __post_init__(self):
-        if any(len(w) != self.m or any(b not in (0, 1) for b in w) for w in self.words):
-            raise CodeFormatError("every codeword must be a 0/1 vector of the stated length")
-        if len(set(self.words)) != len(self.words):
+    def __init__(self, m: int, words, self_complementary: bool):
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise CodeFormatError(f"code length must be a non-negative integer, got {m!r}")
+        m = int(m)
+        bits = _bit_array(m, words)
+        count = bits.shape[0]
+        if _has_equal_rows(bits):
             raise CodeFormatError("codewords must be distinct")
-        if self.self_complementary:
-            count = len(self.words)
+        if self_complementary:
             if count % 2:
                 raise NotSelfComplementary("self-complementary codes have an even word count")
             half = count // 2
-            for i in range(half):
-                comp = tuple(1 - b for b in self.words[i])
-                if self.words[i + half] != comp:
-                    raise NotSelfComplementary(
-                        f"word {i + half} is not the complement of word {i}")
+            broken = np.flatnonzero(((bits[:half] ^ bits[half:]) == 0).any(axis=1))
+            if broken.size:
+                i = int(broken[0])
+                raise NotSelfComplementary(f"word {i + half} is not the complement of word {i}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "self_complementary", bool(self_complementary))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinaryCode is immutable")
+
+    def _key(self) -> tuple:
+        return (self.m, self.self_complementary, self.bits.shape, self.bits.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryCode):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"BinaryCode(m={self.m}, count={self.count}, "
+                f"self_complementary={self.self_complementary})")
 
     @property
     def count(self) -> int:
-        return len(self.words)
+        return self.bits.shape[0]
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The words as a tuple of 0/1 tuples, derived from `bits`."""
+        return tuple(map(tuple, self.bits.tolist()))
 
     def to_text(self) -> str:
         header = f"# etfkit-code m={self.m} n={self.count} selfcomp={int(self.self_complementary)}"
-        lines = ["".join(str(b) for b in w) for w in self.words]
-        return "\n".join([header] + lines) + "\n"
+        body = np.empty((self.count, self.m + 1), dtype=np.uint8)
+        np.add(self.bits, ord("0"), out=body[:, :-1])
+        body[:, -1] = ord("\n")
+        return header + "\n" + body.tobytes().decode("ascii")
 
 
 def parse_code(text: str) -> BinaryCode:
@@ -73,17 +138,28 @@ def parse_code(text: str) -> BinaryCode:
             raise CodeFormatError(f"bad header token {tok!r}: expected key=value")
         fields[key] = value
     try:
-        m, count, selfcomp = int(fields["m"]), int(fields["n"]), bool(int(fields["selfcomp"]))
+        m, count, selfcomp = int(fields["m"]), int(fields["n"]), int(fields["selfcomp"])
     except (KeyError, ValueError) as e:
         raise CodeFormatError(f"bad header: {e}") from e
-    words = []
-    for ln in lines[1:]:
-        if len(ln) != m or any(c not in "01" for c in ln):
-            raise CodeFormatError(f"bad codeword line {ln!r}")
-        words.append(tuple(int(c) for c in ln))
-    if len(words) != count:
-        raise CodeFormatError(f"header says {count} words, file has {len(words)}")
-    return BinaryCode(m=m, words=tuple(words), self_complementary=selfcomp)
+    if m < 0 or count < 0:
+        raise CodeFormatError(f"bad header: m and n must be non-negative, got m={m}, n={count}")
+    if selfcomp not in (0, 1):
+        raise CodeFormatError(f"bad header: selfcomp must be 0 or 1, got {fields['selfcomp']!r}")
+    body = lines[1:]
+    bits = None
+    if all(len(ln) == m for ln in body):
+        # one char per byte: anything outside ASCII becomes '?' and fails below
+        raw = np.frombuffer("".join(body).encode("ascii", "replace"), dtype=np.uint8)
+        bits = raw - np.uint8(ord("0"))  # '0' -> 0, '1' -> 1, anything else > 1
+        if bits.max(initial=0) > 1:
+            bits = None
+    if bits is None:
+        for ln in body:  # only to quote the first bad line
+            if len(ln) != m or any(c not in "01" for c in ln):
+                raise CodeFormatError(f"bad codeword line {ln!r}")
+    if len(body) != count:
+        raise CodeFormatError(f"header says {count} words, file has {len(body)}")
+    return BinaryCode(m=m, words=bits.reshape(count, m), self_complementary=bool(selfcomp))
 
 
 def frame_to_code(frame: Frame) -> BinaryCode:
@@ -95,9 +171,8 @@ def frame_to_code(frame: Frame) -> BinaryCode:
     if not frame.is_sign_matrix:
         raise NotRealConstantAmplitude(
             "frame is not in exact sign form; only +-1/sqrt(M) frames convert to codes")
-    bits = (frame.exact_ints.T == -1).astype(np.int64)
-    words = np.concatenate([bits, 1 - bits]).tolist()
-    return BinaryCode(m=frame.m, words=tuple(map(tuple, words)), self_complementary=True)
+    bits = frame.exact_ints.T == -1
+    return BinaryCode(m=frame.m, words=np.concatenate([bits, ~bits]), self_complementary=True)
 
 
 def code_to_frame(code: BinaryCode) -> Frame:
@@ -106,8 +181,7 @@ def code_to_frame(code: BinaryCode) -> Frame:
     if not code.self_complementary:
         raise NotSelfComplementary("only self-complementary codes map back to frames")
     half = code.count // 2
-    bits = np.array(code.words[:half], dtype=np.int64).reshape(half, code.m)
-    ints = np.ascontiguousarray(1 - 2 * bits.T)
+    ints = 1 - 2 * code.bits[:half].T.astype(np.int64, order="C")
     frame = Frame(entries=_numeric(ints, code.m), exact_ints=ints, scale_sq=code.m,
                   provenance={"construction": "from-code", "m": code.m, "n": half})
     frame.check_unit_norm()
@@ -119,14 +193,34 @@ def distance(code: BinaryCode) -> int:
 
     With s_a = (-1)^(word a), the Hamming distance of words a and b is
     (m - <s_a, s_b>) / 2, so the minimum is (m - max_{a != b} <s_a, s_b>) / 2
-    over the W x W sign Gram.  exact_matmul computes that Gram in float64,
-    exact because every partial sum is at most m < 2**53, in W^2 memory.
+    over the W x W sign Gram.
+
+    A self-complementary code needs only the N x N Gram G of its first half
+    (N = W/2).  The complement of w_b has signs -s_b, so for a != b in the
+    first half
+        d(w_a, w_b)  = d(~w_a, ~w_b) = (m - G_ab) / 2,
+        d(w_a, ~w_b) = d(~w_a, w_b)  = (m + G_ab) / 2,
+        d(w_a, ~w_a) = m,
+    and the smaller of the first two is (m - |G_ab|) / 2 <= m / 2 <= m.  Hence
+    the minimum is (m - max_{a != b} |G_ab|) / 2 for N >= 2 and m for N = 1,
+    from a quarter of the multiply-adds of the full Gram.
+
+    exact_matmul computes the Gram in float64, exact because every partial
+    sum is at most m < 2**53, in W^2 (or N^2) memory.
     """
     if code.count < 2:
         raise TooFewWords("distance needs at least two codewords")
-    signs = 1 - 2 * np.array(code.words, dtype=np.int8)
-    gram = exact_matmul(signs, signs.T)
-    np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
+    if code.self_complementary:
+        half = code.count // 2
+        if half == 1:
+            return code.m
+        signs = 1 - 2 * code.bits[:half].astype(np.int8)
+        gram = np.abs(exact_matmul(signs, signs.T))
+        np.fill_diagonal(gram, 0)  # |G_aa| = m is no pair; 0 never exceeds the max
+    else:
+        signs = 1 - 2 * code.bits.astype(np.int8)
+        gram = exact_matmul(signs, signs.T)
+        np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
     return (code.m - int(gram.max())) // 2
 
 
@@ -209,12 +303,14 @@ def certify_grbe(code: BinaryCode) -> GrbeCertificate:
     delta = distance(code)
     bound = grey_rankin_bound(code.m, delta)
     equality = bound.applicable and bound.value == code.count
-    if code.count >= 4:
+    if code.count // 2 >= max(code.m, 2):
         # exact path: the frame from a code always carries integer form, so
         # the certificate tolerance plays no role in the verdict comparison
         etf_passed = certify_etf(code_to_frame(code)).passed
     else:
-        etf_passed = False  # a lone vector and its complement span no ETF
+        # a lone vector and its complement span no ETF, and fewer than m
+        # vectors cannot span R^m at all, let alone tightly
+        etf_passed = False
     return GrbeCertificate(
         m=code.m, count=code.count, delta=delta,
         bound_applicable=bound.applicable, bound_value=bound.value,
@@ -283,8 +379,7 @@ def is_linear(code: BinaryCode) -> LinearityReport:
     work.  Only a set that is not closed gets the pairwise scan, in
     lexicographic pair order, for its first witness pair (i, j).
     """
-    bits = np.array(code.words, dtype=np.uint8).reshape(code.count, code.m)
-    packed = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(bits, axis=1)]
+    packed = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(code.bits, axis=1)]
     wordset = set(packed)
     if 0 not in wordset:
         return LinearityReport(linear=False, witness=None, family=None)

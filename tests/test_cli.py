@@ -180,6 +180,25 @@ def test_code_check_report(capsys, monkeypatch, schema):
     assert doc["grbe"]["verdicts_agree"] is True
 
 
+def test_code_with_fewer_half_words_than_m_is_a_verdict(capsys, monkeypatch, schema):
+    text = "# etfkit-code m=3 n=4 selfcomp=1\n000\n011\n111\n100\n"
+    ret, out = run_on_stdin(capsys, monkeypatch, text, "code", "check", "-")
+    assert ret == 1
+    grbe = check_report(schema, out)["grbe"]
+    assert grbe["etf_passed"] is False and grbe["bound_equality"] is False
+    assert grbe["verdicts_agree"] is (grbe["bound_equality"] == grbe["etf_passed"])
+
+
+@pytest.mark.parametrize("header", ["# etfkit-code m=-1 n=0 selfcomp=1",
+                                    "# etfkit-code m=2 n=2 selfcomp=7"])
+def test_strict_code_header_is_input_error(capsys, monkeypatch, header):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(header + "\n01\n10\n"))
+    code = main(["code", "check", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("etfkit: bad header") and err.count("\n") == 1
+
+
 def test_fig3_fixture_matches_reference_grid(capsys):
     _, out = run_cli(capsys, "fixtures", "emit", "--which", "fig3")
     lines = out.splitlines()
