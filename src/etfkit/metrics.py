@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
 from math import comb, isqrt
 
 import numpy as np
@@ -252,18 +251,118 @@ def _check_budget(total: int, what: str) -> None:
         raise EnumerationBudgetExceeded(f"{what} = {total} subsets exceeds the budget {SUBSET_BUDGET}")
 
 
-def _subset_spectra(gram: np.ndarray, size: int):
-    """Every size-subset of the columns in lexicographic order, in batches:
-    yields (subsets, eigenvalues), the ascending eigenvalues of each subset's
-    Gram submatrix.  The one place that enumerates subsets.  Batches grow
-    from 64 to _EIG_CHUNK subsets, so a search that stops at its first
-    subsets does not pay for a full batch."""
-    flat = chain.from_iterable(combinations(range(gram.shape[0]), size))
-    batch = 64
-    while (subsets := np.fromiter(islice(flat, batch * size), dtype=np.intp)).size:
-        subsets = subsets.reshape(-1, size)
+def _lex_batches(n: int, size: int):
+    """Every size-subset of range(n) in lexicographic order, as index arrays
+    of 64, 128, ... up to _EIG_CHUNK rows, so a search that stops at its
+    first subsets does not pay for a full batch: the one place that
+    enumerates subsets.  Each batch is unranked in the combinatorial number
+    system: the lexicographic rank r of c is C(n, size) - 1 minus the
+    colexicographic rank R of n - 1 - c (reversed), and the largest element
+    of the subset with colex rank R is the largest x with C(x, j) <= R.
+    The tables of C(x, j) saturate at C(n, size), above every rank, so they
+    stay exact where they are read and never overflow int64."""
+    total = comb(n, size)
+    tables = []
+    binom = np.ones(n, dtype=np.int64)  # C(x, 0) for x < n
+    for _ in range(size):
+        # C(x, j) = sum over y < x of C(y, j-1)
+        binom = np.minimum(np.concatenate(([0], np.cumsum(binom)[:-1])), total)
+        tables.append(binom)
+    start, batch = 0, 64
+    while start < total:
+        stop = min(start + batch, total)
+        rank = total - 1 - np.arange(start, stop, dtype=np.int64)
+        subsets = np.empty((stop - start, size), dtype=np.intp)
+        for j in range(size, 0, -1):
+            x = np.searchsorted(tables[j - 1], rank, side="right") - 1
+            rank -= tables[j - 1][x]
+            subsets[:, size - j] = n - 1 - x
+        yield subsets
+        start, batch = stop, min(2 * batch, _EIG_CHUNK)
+
+
+def _smallest_eig_bound(flat: np.ndarray, n: int, subsets: np.ndarray):
+    """(bound, trace) for each subset's Gram, read from the lower triangle of
+    the n x n Gram flattened to flat: trace is its trace t and bound is
+    det ((k-1)/t)^(k-1), from the pivots of an LDL^H factorization without
+    pivoting, run on all subsets at once; 0 or NaN once a pivot is not
+    positive."""
+    k = subsets.shape[1]
+    cols = np.ascontiguousarray(subsets.T)
+    rows = cols * n
+    a = [[flat.take(rows[i] + cols[j]) for j in range(i + 1)] for i in range(k)]
+    trace = sum(a[j][j].real for j in range(k))
+    bound = np.ones(len(subsets))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = (k - 1) / trace
+        for j in range(k):
+            pivot = np.maximum(a[j][j].real, 0.0)
+            bound *= pivot * scale if j else pivot
+            ratios = [a[i][j].conj() / pivot for i in range(j + 1, k)]
+            for i in range(j + 1, k):
+                for col in range(j + 1, i + 1):
+                    a[i][col] -= a[i][j] * ratios[col - j - 1]
+    return bound, trace
+
+
+def _subset_spectra(gram: np.ndarray, size: int, floor: float | None = None):
+    """Every size-subset of the columns in lexicographic order, in the
+    batches of _lex_batches: yields (subsets, eigenvalues), the ascending
+    eigenvalues of each subset's Gram submatrix.
+
+    With a floor, a subset is certified, and neither eigensolved nor
+    yielded, when a lower bound on the smallest eigenvalue of its Gram
+    clears the floor; each batch yields its uncertified subsets, still in
+    lexicographic order, and a batch with none left yields nothing.  A
+    certified subset's smallest eigenvalue, as eigvalsh computes it, is
+    above the floor, so no subset that eigvalsh would put below the floor
+    goes missing.
+
+    The bound.  A positive definite k x k matrix with eigenvalues
+    l1 <= ... <= lk and trace t has l2 ... lk <= ((t - l1)/(k-1))^(k-1)
+    <= (t/(k-1))^(k-1) by AM-GM on the other k-1 eigenvalues, so
+    l1 >= det ((k-1)/t)^(k-1); for k = 1 it is the diagonal entry itself.
+    det is the product of the pivots of an LDL^H factorization without
+    pivoting (_smallest_eig_bound), and the matrix is positive definite
+    exactly when every pivot is positive.  A subset is certified when every
+    pivot is positive and bound > floor + kappa_k (floor + t), with
+    kappa_k = 16 k^4 u and u = 2^-53.  A zero column gives a zero pivot,
+    hence bound 0; a zero trace gives bound NaN; neither is certified.
+    When the Gram's imaginary part is all zero the bound reads its real
+    part, the same matrix.
+
+    Why kappa_k (floor + t) covers the rounding.  Let H be the Hermitian
+    matrix whose lower triangle both the factorization and eigvalsh read.
+    To first order in u:
+      - the computed factors are exact for H + E with E Hermitian and
+        |E| <= gamma_4k |L| D |L|^H (no growth factor: nothing is pivoted,
+        and D > 0 was checked), so ||E|| <= 4 k^2 u t; the product of the
+        pivots is exactly det(H + E), and AM-GM applies to the positive
+        definite H + E, whose trace is within k ||E|| of t;
+      - the computed t stands in for the trace of H + E, and the sum, the
+        products and the scale are rounded: together at most a factor
+        1 + 8 k^4 u on the bound, which is then at most (1 + 8 k^4 u)
+        times the smallest eigenvalue of H + E, itself at most ||E|| above
+        that of H;
+      - eigvalsh is backward stable: its smallest eigenvalue is within
+        4 k^3 u t of H's (LAPACK bounds it by a modest multiple of
+        u ||H||, and ||H|| <= t + ||E|| here).
+    So a certified subset has an eigvalsh smallest eigenvalue above
+    (floor + kappa_k (floor + t))(1 - 8 k^4 u) - 8 k^3 u t > floor.  The
+    argument does not need H to be close to a positive semidefinite
+    matrix, nor any bound on the column length or scale.
+    """
+    n = gram.shape[0]
+    if floor is not None:
+        flat = (np.ascontiguousarray(gram.real) if not gram.imag.any() else gram).ravel()
+        kappa = 16 * size ** 4 * 2.0 ** -53
+    for subsets in _lex_batches(n, size):
+        if floor is not None:
+            bound, trace = _smallest_eig_bound(flat, n, subsets)
+            subsets = subsets[~(bound > floor + kappa * (floor + trace))]
+            if not len(subsets):
+                continue
         yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
-        batch = min(2 * batch, _EIG_CHUNK)
 
 
 def _design_r(frame: Frame) -> int | None:
@@ -317,8 +416,24 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     smallest squared column norm, k is skipped when d - (k-1) mu exceeds the
     threshold square by DEFAULT_TOL.  A Steiner ETF (mu = 1/R) thus only
     enumerates size R+1, whose first subset is the structural witness.
+    Within a size that is enumerated, _subset_spectra eigensolves only the
+    subsets whose determinant bound det ((k-1)/tr)^(k-1) on the smallest
+    Gram eigenvalue does not clear the floor thr^2 + DEFAULT_TOL, its
+    rounding allowance included.  A certified subset's eigvalsh smallest
+    eigenvalue is above that floor, so it cannot test dependent: the first
+    dependent subset, and the report, are those of the full search.
+
+    exact: true means the report gives a value, not a lower bound: spark is
+    the size of the witness, the first dependent subset in lexicographic
+    order of the smallest size that has one.  Dependence itself is decided
+    in floating point, by the threshold 1e-8 sqrt(N) above, not by exact
+    rank.  exact: false means no subset up to the cap tested dependent, and
+    lower_bound is only a bound.  A negative max_subset raises BadDimensions;
+    max_subset=0 searches nothing and reports lower_bound 1.
     """
     n = frame.n
+    if max_subset is not None and max_subset < 0:
+        raise BadDimensions(f"spark subset cap must be at least 0, got {max_subset}")
     limit = n if max_subset is None else min(max_subset, n)
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend
@@ -345,7 +460,7 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
         # backward error, so no subset of a skipped size could test dependent.
         if least_norm_sq - (size - 1) * mu > thr_sq + DEFAULT_TOL:
             continue
-        for subsets, eigs in _subset_spectra(gram, size):
+        for subsets, eigs in _subset_spectra(gram, size, thr_sq + DEFAULT_TOL):
             hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:
                 witness = tuple(int(x) for x in subsets[hits[0]])
@@ -404,8 +519,8 @@ def rip_delta(frame: Frame, size: int) -> RipReport:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
     total = comb(n, size)
     _check_budget(total, f"C({n},{size})")
+    mu = coherence(frame)  # checks unit norm before the search, not after it
     delta, lo, hi = _rip_spectrum(frame.gram(), size)
-    mu = coherence(frame)
     return RipReport(n=n, size=size, delta=delta, min_eig=lo, max_eig=hi,
                      gershgorin=float((size - 1) * mu), subsets=total)
 

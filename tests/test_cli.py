@@ -303,6 +303,21 @@ def test_spark_over_the_subset_budget_is_input_error(capsys, monkeypatch):
     _assert_one_line_input_error(capsys, code)
 
 
+def test_spark_with_a_negative_cap_is_input_error(capsys, monkeypatch):
+    _, frame_doc = run_cli(capsys, "fixtures", "emit", "--which", "fig2")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(frame_doc))
+    code = main(["analyze", "spark", "-", "--max", "-2"])
+    _assert_one_line_input_error(capsys, code)
+
+
+def test_spark_with_cap_zero_reports_lower_bound_1(capsys, monkeypatch, schema):
+    _, frame_doc = run_cli(capsys, "fixtures", "emit", "--which", "fig2")
+    code, out = run_on_stdin(capsys, monkeypatch, frame_doc, "analyze", "spark", "-", "--max", "0")
+    assert code == 0
+    doc = check_report(schema, out)
+    assert doc["spark"] is None and doc["lower_bound"] == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["design", "affine", "--q", "2"])  # missing --j

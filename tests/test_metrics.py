@@ -182,6 +182,17 @@ def test_spark_respects_subset_budget():
     assert report.spark is None and report.lower_bound == 3
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_spark_rejects_a_negative_cap(fig1, cap):
+    with pytest.raises(BadDimensions):
+        spark(fig1, max_subset=cap)
+
+
+def test_spark_with_cap_zero_searches_nothing(fig1):
+    report = spark(fig1, max_subset=0)
+    assert report.spark is None and report.lower_bound == 1 and not report.exact
+
+
 def test_spark_refuses_round_robin_8_before_enumerating(monkeypatch):
     # R = 7 caps the search at 8 columns, but sum C(64, k) for k <= 8 is ~5e9
     frame = steiner_etf(round_robin_design(8), drop_row_simplex(hadamard(8), 0))
@@ -241,6 +252,17 @@ def test_rip_budget_guard():
     f = Frame(entries=np.eye(50, dtype=np.complex128))
     with pytest.raises(EnumerationBudgetExceeded):
         rip_delta(f, 25)
+
+
+def test_rip_checks_unit_norm_before_searching(monkeypatch):
+    a = np.random.default_rng(7).standard_normal((4, 40))
+    frame = Frame(entries=2 * a / np.linalg.norm(a, axis=0))
+
+    def search_nothing(gram, size, floor=None):
+        raise AssertionError("rip_delta searched a frame that is not unit-norm")
+    monkeypatch.setattr(metrics, "_subset_spectra", search_nothing)
+    with pytest.raises(NotUnitNorm, match="column norms deviate from 1 by 1.000e[+]00"):
+        rip_delta(frame, 5)
 
 
 def test_steiner_rip_verdict_fig1(fig1):

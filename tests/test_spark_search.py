@@ -1,7 +1,8 @@
-"""spark's coherence certificate and the growing batches of the subset
-engine, against a reference search that enumerates every subset of every
-size from 1 in fixed batches of _EIG_CHUNK, as spark did before sizes that
-spark >= 1 + 1/mu certifies were skipped."""
+"""spark's coherence certificate, the subset engine's determinant filter and
+its growing batches, against a reference search that enumerates every subset
+of every size from 1 in fixed batches of _EIG_CHUNK and eigensolves each one,
+as spark did before sizes that spark >= 1 + 1/mu certifies were skipped and
+subsets the determinant bound certifies were filtered out."""
 
 from itertools import chain, combinations, islice
 from math import comb
@@ -85,6 +86,29 @@ def small_frames(draw) -> Frame:
     return Frame(entries=a)
 
 
+@st.composite
+def generic_frames(draw) -> Frame:
+    """Unit-norm Gaussian frames, real or complex, with m <= 5 rows and
+    m < n <= 12 columns; in some, one column is a combination of m-1 others plus
+    eps noise, eps in {1e-6, 1e-7, 1e-8}, so the smallest eigenvalue of
+    that m-subset falls on either side of the threshold and below the
+    filter's margin."""
+    eps = draw(st.sampled_from([None, 1e-6, 1e-7, 1e-8]))
+    m = draw(st.integers(1 if eps is None else 2, 5))
+    n = draw(st.integers(m + 1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_entries = draw(st.booleans())
+
+    def gaussian(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if complex_entries else g
+    a = gaussian(m, n)
+    if eps is not None:
+        dst, *src = rng.permutation(n)[:m]
+        a[:, dst] = a[:, src] @ gaussian(m - 1) + eps * gaussian(m)
+    return Frame(entries=a / np.linalg.norm(a, axis=0))
+
+
 def _design_frames() -> list[Frame]:
     """Steiner and Kirkman ETFs (coherence 1/R) from affine_design(2, 1..2)
     and round_robin_design(4 | 6), with DFT and, where one exists, Hadamard
@@ -106,11 +130,12 @@ DESIGN_FRAMES = _design_frames()
 
 @st.composite
 def frames_and_caps(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["design", "small", "generic"]))
+    if kind == "design":
         frame = draw(st.sampled_from(DESIGN_FRAMES))
         cap = draw(st.sampled_from([None, 1, 2, 3, metrics._design_r(frame) + 1]))
     else:
-        frame = draw(small_frames())
+        frame = draw(small_frames() if kind == "small" else generic_frames())
         cap = draw(st.none() | st.integers(1, frame.n + 1))
     return frame, cap
 
@@ -128,21 +153,97 @@ def test_design_frames_cover_steiner_and_kirkman():
                      for m, n in ((6, 16), (28, 64), (15, 36))}
 
 
+@st.composite
+def indefinite_hermitian(draw) -> np.ndarray:
+    """Hermitian n x n matrices, n <= 8, real or complex, with eigenvalues
+    drawn from [-1, 2]: no Gram, so negative pivots occur."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    return (q * rng.uniform(-1, 2, n)) @ q.conj().T
+
+
+@PROPERTY
+@given(st.one_of(generic_frames().map(Frame.gram), small_frames().map(Frame.gram),
+                 indefinite_hermitian()),
+       st.sampled_from([None, 1e-6, 1e-3, 1e-2, 0.1, 0.5]))
+def test_every_subset_below_the_floor_is_left_uncertified(gram, floor):
+    """Soundness of the determinant bound: with the floor spark uses (None
+    here) or any other, every subset whose eigvalsh smallest eigenvalue is
+    below the floor is eigensolved and yielded, with the same eigenvalues."""
+    n = gram.shape[0]
+    if floor is None:
+        floor = metrics._rank_threshold(n) ** 2 + metrics.DEFAULT_TOL
+    for size in range(1, min(n, 6) + 1):
+        every = np.array(list(combinations(range(n), size)), dtype=np.intp)
+        eigs = np.linalg.eigvalsh(gram[every[:, :, None], every[:, None, :]])
+        yielded = {tuple(subset): row for subsets, batch in metrics._subset_spectra(gram, size, floor)
+                   for subset, row in zip(subsets.tolist(), batch)}
+        for subset, row in zip(every.tolist(), eigs):
+            if row[0] < floor:
+                assert np.array_equal(yielded[tuple(subset)], row), (size, subset)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+def test_the_bound_is_det_times_the_trace_factor(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size + 2, 10)) + 1j * rng.standard_normal((size + 2, 10))
+    gram = a.conj().T @ a
+    subsets = np.array(list(combinations(range(10), size)), dtype=np.intp)
+    bound, trace = metrics._smallest_eig_bound(gram.ravel(), 10, subsets)
+    sub = gram[subsets[:, :, None], subsets[:, None, :]]
+    assert np.allclose(trace, np.trace(sub, axis1=1, axis2=2).real, rtol=1e-14, atol=0)
+    expected = np.linalg.det(sub).real * ((size - 1) / trace) ** (size - 1)
+    assert np.allclose(bound, expected, rtol=1e-9, atol=0)
+    assert np.all(bound <= np.linalg.eigvalsh(sub)[:, 0] * (1 + 1e-12))
+
+
+def _recording_enumerator(monkeypatch) -> list[tuple[int, int]]:
+    """(size, subsets) for every batch the engine enumerates."""
+    batches = []
+    enumerate_batches = metrics._lex_batches
+
+    def recording(n, size):
+        for subsets in enumerate_batches(n, size):
+            batches.append((size, len(subsets)))
+            yield subsets
+    monkeypatch.setattr(metrics, "_lex_batches", recording)
+    return batches
+
+
 @pytest.mark.parametrize("design,order", [(affine_design(3, 1), 5), (round_robin_design(6), 6)])
 def test_steiner_spark_enumerates_one_batch_of_size_r_plus_1(monkeypatch, design, order):
     frame = steiner_etf(design, drop_row_simplex(dft(order), 0))
     big_r = order - 1
-    batches = []
-    engine = metrics._subset_spectra
-
-    def recording(gram, size):
-        for batch in engine(gram, size):
-            batches.append((size, len(batch[0])))
-            yield batch
-    monkeypatch.setattr(metrics, "_subset_spectra", recording)
+    batches = _recording_enumerator(monkeypatch)
     report = spark(frame)
     assert report.spark == big_r + 1 and report.witness == tuple(range(big_r + 1))
     assert batches == [(big_r + 1, 64)]
+
+
+def test_spark_eigensolves_under_one_percent_of_a_random_frame(monkeypatch):
+    a = np.random.default_rng(2013).standard_normal((5, 24))
+    frame = Frame(entries=a / np.linalg.norm(a, axis=0))
+    enumerated = _recording_enumerator(monkeypatch)
+    eigensolved = []
+    engine = metrics._subset_spectra
+
+    def counting(gram, size, floor=None):
+        for subsets, eigs in engine(gram, size, floor):
+            eigensolved.append(len(subsets))
+            yield subsets, eigs
+    monkeypatch.setattr(metrics, "_subset_spectra", counting)
+    report = spark(frame)
+    assert report.as_dict() == reference_spark(frame).as_dict()
+    assert report.spark == 6
+    # sizes 1-2 are left to the coherence bound, 3-5 enumerated in full, and
+    # size 6 stops at its first subset, in the first batch
+    total = sum(count for _, count in enumerated)
+    assert total == sum(comb(24, k) for k in (3, 4, 5)) + 64
+    assert sum(eigensolved) < total / 100
 
 
 @pytest.mark.parametrize("n,size,chunk", [(20, 3, metrics._EIG_CHUNK), (12, 4, 128), (5, 5, 64), (9, 1, 64)])
@@ -158,3 +259,10 @@ def test_subset_batches_are_the_lexicographic_combinations(monkeypatch, n, size,
     assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(n), size))
     eigs = np.concatenate([e for _, e in batches])
     assert np.array_equal(eigs, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]]))
+
+
+@pytest.mark.parametrize("n,size", [(100, 97), (120, 118)])
+def test_lexicographic_batches_where_middle_binomials_pass_int64(n, size):
+    # C(99, 49) and C(119, 59) exceed 2**63; the rank tables must not wrap
+    subsets = np.concatenate(list(metrics._lex_batches(n, size)))
+    assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(n), size))
