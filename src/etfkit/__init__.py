@@ -49,7 +49,7 @@ from .frames import (
     real_kirkman_params,
     steiner_etf,
 )
-from .gf import FieldElement, FiniteField, hyperplane_kernel, make_field, trace, trace_one_element
+from .gf import FiniteField, hyperplane_kernel, make_field, trace_one_element
 from .metrics import (
     certify_etf,
     coherence,
@@ -63,7 +63,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "BinaryCode", "DifferenceSet", "FieldElement", "FiniteField",
+    "AbelianGroup", "BinaryCode", "DifferenceSet", "FiniteField",
     "Frame", "SteinerSystem", "UnimodularMatrix",
     "affine_design", "certify_etf", "certify_grbe", "character_table",
     "code_to_frame", "coherence", "dft", "distance", "drop_row_simplex",
@@ -73,6 +73,6 @@ __all__ = [
     "mcfarland_as_kirkman", "mcfarland_set", "naimark_complement",
     "parse_code", "parse_design", "parse_frame", "real_kirkman_params",
     "rip_delta", "round_robin_design", "simplex_from_characters", "spark",
-    "steiner_etf", "steiner_params", "steiner_rip_verdict", "trace",
+    "steiner_etf", "steiner_params", "steiner_rip_verdict",
     "trace_one_element", "validate", "welch_bound",
 ]

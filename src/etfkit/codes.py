@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CodeFormatError,
+    InvariantViolation,
     NotRealConstantAmplitude,
     NotSelfComplementary,
     TooFewWords,
@@ -391,4 +392,4 @@ def is_linear(code: BinaryCode) -> LinearityReport:
     for i, j in combinations(range(count), 2):
         if packed[i] ^ packed[j] not in wordset:
             return LinearityReport(linear=False, witness=(i, j), family=None)
-    raise AssertionError("a non-subspace containing zero has a non-closed pair")  # unreachable
+    raise InvariantViolation("a non-subspace containing zero has a non-closed pair")  # unreachable

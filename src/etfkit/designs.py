@@ -178,8 +178,8 @@ def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     fld = gf.make_field(p, d * (j + 1))
-    hyper = gf.hyperplane_indices(fld, q)
-    delta = gf.trace_one_element(fld, q).index
+    hyper = gf.hyperplane_kernel(fld, q)
+    delta = gf.trace_one_element(fld, q)
     big_r = (q ** (j + 1) - 1) // (q - 1)
 
     # class r, offset s: the line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}

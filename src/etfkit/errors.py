@@ -59,6 +59,10 @@ class IndexOutOfRange(EtfkitError):
     pass
 
 
+class NotUnimodular(EtfkitError):
+    """A matrix whose entries break the invariants of its unimodular kind."""
+
+
 # -- frames -----------------------------------------------------------------
 
 class NotResolvable(EtfkitError):

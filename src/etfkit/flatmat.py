@@ -3,21 +3,22 @@ tables of finite abelian groups.
 
 Hadamard construction is deliberately limited to Sylvester doubling and the
 quadratic-character (Paley I) construction composed via Kronecker products;
-orders outside that closure raise UnsupportedHadamardOrder.  Matrices whose
-entries are exactly +-1 carry an integer sign view alongside the complex one
-so downstream code arithmetic can stay exact.
+orders outside that closure raise UnsupportedHadamardOrder.  A
+UnimodularMatrix stores one array, its read-only entries, and is checked once,
+when it is built; its integer sign view, which keeps downstream arithmetic
+exact, is derived from entries whenever every entry is exactly real +-1.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import gf
-from .errors import IndexOutOfRange, RowOutOfRange, UnsupportedHadamardOrder
+from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOfRange, UnsupportedHadamardOrder
 
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
@@ -29,13 +30,26 @@ class UnimodularMatrix:
 
     Orthogonal kinds (dft, hadamard, character-table) have pairwise-orthogonal
     columns of squared norm rows; the simplex kind is (n-1) x n with distinct
-    columns at inner-product modulus exactly 1.  signs is the exact +-1 view,
-    present whenever every entry is exactly real +-1.
+    columns at inner-product modulus exactly 1.  entries becomes a read-only
+    view of the array passed in (no copy) and is checked at construction.
+    signs is the exact +-1 integer view, derived from entries: present
+    exactly when every entry is real +-1.
     """
 
     entries: np.ndarray
     kind: str
-    signs: np.ndarray | None = None
+    signs: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries).view()
+        entries.flags.writeable = False
+        signs = None
+        if np.all((entries == 1) | (entries == -1)):
+            signs = entries.real.astype(np.int64)
+            signs.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "signs", signs)
+        self.check()
 
     @property
     def rows(self) -> int:
@@ -46,30 +60,29 @@ class UnimodularMatrix:
         return self.entries.shape[1]
 
     def check(self) -> None:
+        """Raise NotUnimodular unless the entries meet the kind's invariants;
+        NaN entries fail."""
         a = self.entries
-        if np.abs(np.abs(a) - 1.0).max() > ENTRY_TOL:
-            raise AssertionError(f"{self.kind} matrix has a non-unimodular entry")
+        if a.ndim != 2 or not np.issubdtype(a.dtype, np.number):
+            raise NotUnimodular(f"{self.kind} matrix must be a 2-d numeric array, got {a.dtype} {a.shape}")
+        if not _deviation(np.abs(a) - 1.0) <= ENTRY_TOL:
+            raise NotUnimodular(f"{self.kind} matrix has a non-unimodular entry")
         g = a.conj().T @ a
-        n = self.rows
         if self.kind == "simplex":
             if self.cols != self.rows + 1:
-                raise AssertionError("simplex must be (n-1) x n")
+                raise NotUnimodular(f"simplex must be (n-1) x n, got {a.shape}")
             off = np.abs(g[~np.eye(self.cols, dtype=bool)])
-            if np.abs(off - 1.0).max() > ORTHO_TOL:
-                raise AssertionError("simplex columns must meet at inner-product modulus 1")
+            if not _deviation(off - 1.0) <= ORTHO_TOL:
+                raise NotUnimodular("simplex columns must meet at inner-product modulus 1")
         else:
-            g[np.diag_indices(self.cols)] -= n  # g - n I, without an N x N identity
-            if np.abs(g).max() > ORTHO_TOL:
-                raise AssertionError(f"{self.kind} columns are not orthogonal with norm^2 = rows")
-        if self.signs is not None and np.abs(a - self.signs).max() > 0:
-            raise AssertionError("sign view disagrees with entries")
+            g[np.diag_indices(self.cols)] -= self.rows  # g - n I, without an N x N identity
+            if not _deviation(g) <= ORTHO_TOL:
+                raise NotUnimodular(f"{self.kind} columns are not orthogonal with norm^2 = rows")
 
 
-def _with_signs(entries_int: np.ndarray, kind: str) -> UnimodularMatrix:
-    m = UnimodularMatrix(entries=entries_int.astype(np.complex128), kind=kind,
-                         signs=entries_int.astype(np.int64))
-    m.check()
-    return m
+def _deviation(a: np.ndarray) -> float:
+    """Largest modulus in a, 0 for an empty array and NaN if any entry is."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def dft(n: int) -> UnimodularMatrix:
@@ -77,9 +90,7 @@ def dft(n: int) -> UnimodularMatrix:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = np.arange(n)
-    m = UnimodularMatrix(entries=np.exp(2j * np.pi * np.outer(a, a) / n), kind="dft")
-    m.check()
-    return m
+    return UnimodularMatrix(entries=np.exp(2j * np.pi * np.outer(a, a) / n), kind="dft")
 
 
 def _paley_signs(n: int) -> np.ndarray:
@@ -141,8 +152,8 @@ def hadamard(n: int) -> UnimodularMatrix:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
     arr = np.array(signs, dtype=np.int64)
     if not np.array_equal(arr.T @ arr, n * np.eye(n, dtype=np.int64)):
-        raise AssertionError("constructed matrix fails the exact Hadamard identity")
-    return _with_signs(arr, "hadamard")
+        raise InvariantViolation(f"constructed matrix of order {n} fails the exact Hadamard identity")
+    return UnimodularMatrix(entries=arr.astype(np.complex128), kind="hadamard")
 
 
 def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
@@ -150,14 +161,10 @@ def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     (n-1) x n unimodular regular simplex."""
     if basis.rows != basis.cols:
         raise ValueError("simplex construction needs a square orthogonal basis")
-    basis.check()
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
     keep = [i for i in range(basis.rows) if i != row]
-    signs = None if basis.signs is None else basis.signs[keep, :]
-    m = UnimodularMatrix(entries=basis.entries[keep, :], kind="simplex", signs=signs)
-    m.check()
-    return m
+    return UnimodularMatrix(entries=basis.entries[keep, :], kind="simplex")
 
 
 @dataclass(frozen=True)
@@ -166,9 +173,9 @@ class AbelianGroup:
 
     Elements are enumerated lexicographically by digit vectors (first factor
     most significant), matching itertools.product order; element 0 is the
-    identity.  The *_array methods work on integer arrays of element indices
-    (digit vectors along a trailing axis) with numpy broadcasting; the scalar
-    methods are views of them.
+    identity.  An element is its index; the *_array methods work on integer
+    arrays of element indices (digit vectors along a trailing axis) with
+    numpy broadcasting.
     """
 
     factors: tuple[int, ...]
@@ -217,21 +224,6 @@ class AbelianGroup:
     def neg_array(self, a) -> np.ndarray:
         return self.index_array(-self.digit_array(a))
 
-    def digits(self, index: int) -> tuple[int, ...]:
-        return tuple(self.digit_array(index).tolist())
-
-    def index(self, digits) -> int:
-        return int(self.index_array(digits))
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_array(a, b))
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_array(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.sub_array(a, b))
-
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
         """Parse '2x2x4' style factor lists."""
@@ -248,18 +240,12 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     the factors' DFT matrices under the lexicographic element order.
 
     Each table is checked in full when it is built.  The two most recently
-    requested tables are kept and handed out again, so their entries and
-    signs arrays are read-only."""
+    requested tables are kept and handed out again; like every
+    UnimodularMatrix, their arrays are read-only."""
     table = reduce(np.kron, (dft(f).entries for f in g.factors))
-    signs = None
-    if g.exponent_two:  # every character is +-1: the rounded real parts are the signs
-        signs = np.rint(table.real).astype(np.int64)
-        signs.flags.writeable = False
-        table = signs.astype(np.complex128)
-    table.flags.writeable = False
-    m = UnimodularMatrix(entries=table, kind="character-table", signs=signs)
-    m.check()
-    return m
+    if g.exponent_two:  # every character is +-1: round off the DFT's phase error
+        table = np.rint(table.real).astype(np.complex128)
+    return UnimodularMatrix(entries=table, kind="character-table")
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
@@ -271,8 +257,4 @@ def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")
     table = character_table(g)
     keep = [r for r in range(n) if r != dropped]
-    entries = table.entries[:, keep].T.copy()
-    signs = None if table.signs is None else table.signs[:, keep].T.copy()
-    m = UnimodularMatrix(entries=entries, kind="simplex", signs=signs)
-    m.check()
-    return m
+    return UnimodularMatrix(entries=table.entries[:, keep].T.copy(), kind="simplex")

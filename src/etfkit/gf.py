@@ -1,9 +1,9 @@
 """Finite fields GF(p^k) in polynomial-basis representation.
 
-Elements are coefficient vectors over Z_p (index i holds the coefficient of
-x^i) reduced modulo a monic irreducible polynomial of degree k.  Every element
-carries a canonical integer index, sum(coeffs[i] * p^i), and enumerating
-indices 0 .. p^k-1 is the canonical element order used throughout the package
+An element is its canonical integer index, sum(coeffs[i] * p^i) of its
+coefficient vector over Z_p (coeffs[i] is the coefficient of x^i, reduced
+modulo a monic irreducible polynomial of degree k).  Enumerating indices
+0 .. p^k-1 is the canonical element order used throughout the package
 wherever designs or frames need a stable point ordering.
 
 The modulus is the first monic irreducible polynomial of degree k in canonical
@@ -11,12 +11,10 @@ order, and the primitive element is the first field element that generates the
 multiplicative group, so construction is fully deterministic: repeated calls
 to make_field agree, across runs and machines.
 
-Arithmetic on many elements at once runs on integer index arrays through
-per-field lookup tables (coefficient digits, log and antilog over the
-primitive element, trace to the prime field).  A field builds its tables on
-first use and keeps them, and make_field is memoised, so each field pays for
-them once.  FieldElement is the scalar view: its product and powers are one
-lookup each.
+All arithmetic runs on integer index arrays through per-field lookup tables
+(coefficient digits, log and antilog over the primitive element, trace to the
+prime field).  A field builds its tables on first use and keeps them, and
+make_field is memoised, so each field pays for them once.
 """
 
 from __future__ import annotations
@@ -162,60 +160,6 @@ def _is_irreducible(poly, p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p^k): coefficient vector plus owning field."""
-
-    coeffs: tuple[int, ...]
-    field: "FiniteField"
-
-    @property
-    def index(self) -> int:
-        """Canonical integer index: base-p encoding of the coefficient vector."""
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.field.p + c
-        return idx
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(tuple((-a) % p for a in self.coeffs), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self.field.element(int(self.field.mul_indices(self.index, other.index)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return self.field.element(int(self.field.pow_indices(self.index, e)))
-
-    def inverse(self) -> "FieldElement":
-        if self == self.field.zero:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self ** (self.field.order - 2)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field:
-            raise ValueError("elements belong to different fields")
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.order}).element({self.index})"
-
-
-@dataclass(frozen=True)
 class FiniteField:
     """GF(p^k) with a deterministic modulus and primitive element.
 
@@ -233,36 +177,12 @@ class FiniteField:
     def order(self) -> int:
         return self.p ** self.k
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement((0,) * self.k, self)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
-
-    @property
-    def primitive(self) -> FieldElement:
-        return self.element(self.primitive_index)
-
-    def element(self, index: int) -> FieldElement:
-        if not 0 <= index < self.order:
-            raise IndexError(f"element index {index} out of range for GF({self.order})")
-        return FieldElement(_index_digits(index, self.p, self.k), self)
-
-    def elements(self):
-        """All field elements in canonical index order."""
-        return (self.element(i) for i in range(self.order))
-
     def subfield_indices(self, sub_degree: int) -> np.ndarray:
         """Indices of the subfield GF(p^sub_degree): fixed points of x -> x^(p^d)."""
         if self.k % sub_degree:
             raise NotADivisor(f"sub_degree {sub_degree} does not divide {self.k}")
         every = np.arange(self.order)
         return np.flatnonzero(self.pow_indices(every, self.p ** sub_degree) == every)
-
-    def subfield_elements(self, sub_degree: int) -> list[FieldElement]:
-        return [self.element(int(i)) for i in self.subfield_indices(sub_degree)]
 
     # -- lookup tables, built on first use --------------------------------
 
@@ -380,29 +300,12 @@ def make_field(p: int, k: int) -> FiniteField:
     return FiniteField(p=p, k=k, modulus=modulus, primitive_index=prim)
 
 
-def trace(x: FieldElement, sub_degree: int = 1) -> FieldElement:
-    """Field trace of x from GF(p^k) onto GF(p^sub_degree).
-
-    tr(x) = sum of x^(q^i) for i = 0 .. k/d - 1 with q = p^d: the sum of the
-    automorphisms fixing the subfield.  The result is a field element lying in
-    the subfield (it is fixed by the q-power Frobenius).
-    """
-    return relative_trace(x, x.field.k, sub_degree)
-
-
-def relative_trace(x: FieldElement, upper_degree: int, lower_degree: int) -> FieldElement:
-    """Trace from the degree-upper subfield onto the degree-lower subfield.
-
-    Only meaningful when x actually lies in the degree-upper subfield; the
-    caller is responsible for that (the composition law tests rely on it).
-    """
-    return x.field.element(int(relative_trace_indices(x.field, x.index, upper_degree, lower_degree)))
-
-
 def relative_trace_indices(field: FiniteField, indices, upper_degree: int,
                            lower_degree: int) -> np.ndarray:
-    """relative_trace on an array of element indices: the sum of x^(q^i),
-    i = 0 .. upper/lower - 1, with q = p^lower."""
+    """Trace from the degree-upper subfield onto the degree-lower subfield of
+    every index: the sum of x^(q^i), i = 0 .. upper/lower - 1, with
+    q = p^lower.  Only meaningful for elements of the degree-upper subfield;
+    the caller is responsible for that."""
     if upper_degree % lower_degree or field.k % upper_degree:
         raise NotADivisor(
             f"subfield degrees {lower_degree} | {upper_degree} | {field.k} do not form a divisor chain")
@@ -432,23 +335,19 @@ def _traces_onto(field: FiniteField, q: int) -> np.ndarray:
     return relative_trace_indices(field, np.arange(field.order), field.k, d)
 
 
-def hyperplane_indices(field: FiniteField, q: int) -> np.ndarray:
+def hyperplane_kernel(field: FiniteField, q: int) -> np.ndarray:
     """Indices of the trace-zero hyperplane {v : tr(v) = 0} of GF(q^(j+1))
     over GF(q), in canonical order: exactly q^j of them, closed under
     addition and under multiplication by GF(q) scalars."""
     return np.flatnonzero(_traces_onto(field, q) == 0)
 
 
-def hyperplane_kernel(field: FiniteField, q: int) -> list[FieldElement]:
-    """The elements of hyperplane_indices(field, q)."""
-    return [field.element(int(i)) for i in hyperplane_indices(field, q)]
-
-
-def trace_one_element(field: FiniteField, q: int) -> FieldElement:
-    """First element delta in canonical order with tr(delta) = 1 over GF(q).
+def trace_one_element(field: FiniteField, q: int) -> int:
+    """Index of the first element delta in canonical order with tr(delta) = 1
+    over GF(q).
 
     Every field element then decomposes uniquely as s + t*delta with s in the
     trace-zero hyperplane and t in GF(q).  A nonzero linear functional attains
     1, so the search always succeeds.
     """
-    return field.element(int(np.flatnonzero(_traces_onto(field, q) == 1)[0]))
+    return int(np.flatnonzero(_traces_onto(field, q) == 1)[0])

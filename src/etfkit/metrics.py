@@ -48,9 +48,7 @@ def coherence(frame: Frame, tol: float = DEFAULT_TOL):
     """
     if frame.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
-    if frame.m == 0:
-        raise NotUnitNorm("a frame with no rows has zero-norm columns")
-    frame.check_unit_norm(tol)
+    _check_columns(frame, tol)
     if frame.exact_ints is not None:
         g, d = frame.gram_exact()
         off = np.abs(g[~np.eye(frame.n, dtype=bool)])
@@ -58,6 +56,12 @@ def coherence(frame: Frame, tol: float = DEFAULT_TOL):
     g = frame.gram()
     off = np.abs(g[~np.eye(frame.n, dtype=bool)])
     return float(off.max())
+
+
+def _check_columns(frame: Frame, tol: float = DEFAULT_TOL) -> None:
+    if frame.m == 0:
+        raise NotUnitNorm("a frame with no rows has zero-norm columns")
+    frame.check_unit_norm(tol)
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -519,10 +523,16 @@ def rip_delta(frame: Frame, size: int) -> RipReport:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
     total = comb(n, size)
     _check_budget(total, f"C({n},{size})")
-    mu = coherence(frame)  # checks unit norm before the search, not after it
+    # both branches check unit norm before the search, not after it; one
+    # column has no pairs, so its Gershgorin term (L-1)*mu is 0
+    if size == 1:
+        _check_columns(frame)
+        gershgorin = 0.0
+    else:
+        gershgorin = float((size - 1) * coherence(frame))
     delta, lo, hi = _rip_spectrum(frame.gram(), size)
     return RipReport(n=n, size=size, delta=delta, min_eig=lo, max_eig=hi,
-                     gershgorin=float((size - 1) * mu), subsets=total)
+                     gershgorin=gershgorin, subsets=total)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etfkit.errors import IndexOutOfRange, RowOutOfRange, UnsupportedHadamardOrder
+from etfkit.errors import (
+    EtfkitError,
+    IndexOutOfRange,
+    NotUnimodular,
+    RowOutOfRange,
+    UnsupportedHadamardOrder,
+)
 from etfkit.flatmat import (
     AbelianGroup,
+    UnimodularMatrix,
     character_table,
     dft,
     drop_row_simplex,
@@ -16,6 +23,13 @@ from etfkit.flatmat import (
 
 def test_dft_1():
     assert np.allclose(dft(1).entries, [[1.0]])
+
+
+def test_dft_1_has_the_sign_view_of_hadamard_1():
+    # the one +-1 DFT: its sign view is derived like every other matrix's
+    assert np.array_equal(dft(1).signs, [[1]])
+    assert np.array_equal(dft(1).signs, hadamard(1).signs)
+    assert dft(2).signs is None  # exp(i pi) is -1 only up to rounding
 
 
 def test_dft_2():
@@ -105,7 +119,8 @@ def test_character_table_z4_orthogonal():
 
 def character(g: AbelianGroup, u: int, r: int) -> complex:
     """chi_u(g_r) = prod_i exp(2*pi*i * u_i * r_i / n_i)."""
-    phase = sum(ui * ri / f for ui, ri, f in zip(g.digits(u), g.digits(r), g.factors))
+    digits = g.digit_array([u, r]).tolist()
+    phase = sum(ui * ri / f for ui, ri, f in zip(*digits, g.factors))
     return complex(np.exp(2j * np.pi * phase))
 
 
@@ -116,8 +131,8 @@ def test_characters_multiplicative(factors):
     for u in range(g.order):
         for a in range(g.order):
             assert abs(table[u, a] - character(g, u, a)) < 1e-12
-            for b in range(g.order):
-                assert abs(table[u, g.add(a, b)] - table[u, a] * table[u, b]) < 1e-12
+            sums = g.add_array(a, np.arange(g.order))
+            assert np.abs(table[u, sums] - table[u, a] * table[u]).max() < 1e-12
 
 
 def test_simplex_from_characters_z2xz2():
@@ -150,11 +165,11 @@ def test_simplex_from_characters_bad_index():
 def test_group_parse_and_arithmetic():
     g = AbelianGroup.parse("2x3")
     assert g.order == 6
-    assert g.digits(5) == (1, 2)
-    assert g.index((1, 2)) == 5
-    assert g.add(5, 4) == 0  # (1,2) + (1,1) wraps to the identity
-    assert g.add(5, 1) == g.index((1, 0))
-    assert g.add(1, g.neg(1)) == 0
+    assert g.digit_array(5).tolist() == [1, 2]
+    assert g.index_array((1, 2)) == 5
+    assert g.add_array(5, 4) == 0  # (1,2) + (1,1) wraps to the identity
+    assert g.add_array(5, 1) == g.index_array((1, 0))
+    assert g.add_array(1, g.neg_array(1)) == 0
 
 
 # -- array forms of the group arithmetic ----------------------------------------
@@ -199,12 +214,12 @@ def test_group_array_forms_match_scalar_arithmetic(case):
     assert g.add_array(a_arr[:, None], b_arr[None, :]).tolist() == add
     assert g.sub_array(a_arr[:, None], b_arr[None, :]).tolist() == sub
     assert g.neg_array(a_arr).tolist() == neg
-    # the scalar methods are views of the same arithmetic
-    assert [g.digits(x) for x in a] == digits
-    assert [g.index(d) for d in digits] == a
-    assert [[g.add(u, v) for v in b] for u in a] == add
-    assert [[g.sub(u, v) for v in b] for u in a] == sub
-    assert [g.neg(u) for u in a] == neg
+    # one element at a time, as 0-d arrays
+    assert [g.digit_array(x).tolist() for x in a] == [list(d) for d in digits]
+    assert [int(g.index_array(d)) for d in digits] == a
+    assert [[int(g.add_array(u, v)) for v in b] for u in a] == add
+    assert [[int(g.sub_array(u, v)) for v in b] for u in a] == sub
+    assert [int(g.neg_array(u)) for u in a] == neg
 
 
 def test_group_factors_normalise_to_a_tuple_of_ints():
@@ -240,3 +255,40 @@ def test_character_table_checks_every_build(monkeypatch):
     # (5,) is served again from the cache; the other three builds each ran check()
     assert checked.count("character-table") == 3
     character_table.cache_clear()
+
+
+# -- one stored form, checked at construction -----------------------------------
+
+@pytest.mark.parametrize("entries,kind", [
+    (np.array([[1, 1], [1, 0.5]]), "hadamard"),             # a non-unimodular entry
+    (np.array([[1, 1j], [1, np.nan]]), "dft"),              # NaN fails closed
+    (np.ones((2, 2)), "hadamard"),                           # unimodular, not orthogonal
+    (np.ones((3, 3), dtype=complex), "character-table"),
+    (hadamard(4).entries, "simplex"),                        # a simplex is (n-1) x n
+    (np.ones((2, 3)), "simplex"),                            # right shape, equal columns
+    (np.ones(4), "hadamard"),                                # not a matrix
+    (np.array([["1", "1"], ["1", "-1"]]), "hadamard"),       # not numbers
+])
+def test_malformed_unimodular_matrix_raises_at_construction(entries, kind):
+    with pytest.raises(NotUnimodular) as info:
+        UnimodularMatrix(entries=entries, kind=kind)
+    assert isinstance(info.value, EtfkitError) and not isinstance(info.value, AssertionError)
+
+
+def test_drop_row_simplex_of_a_malformed_basis_is_an_etfkit_error():
+    with pytest.raises(NotUnimodular):
+        drop_row_simplex(UnimodularMatrix(entries=np.ones((2, 2)), kind="hadamard"))
+
+
+def test_entries_are_a_read_only_view_and_signs_are_derived():
+    arr = hadamard(4).entries.copy()
+    m = UnimodularMatrix(entries=arr, kind="hadamard")
+    assert np.shares_memory(m.entries, arr)  # no copy
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = -1
+    assert m.signs.dtype == np.int64 and np.array_equal(m.signs, arr.real)
+    with pytest.raises(ValueError):
+        m.signs[0, 0] = -1
+    assert UnimodularMatrix(entries=dft(4).entries, kind="dft").signs is None
+    with pytest.raises(TypeError):
+        UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument

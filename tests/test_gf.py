@@ -12,10 +12,41 @@ from etfkit.errors import (
 from etfkit.gf import (
     hyperplane_kernel,
     make_field,
-    relative_trace,
-    trace,
+    relative_trace_indices,
     trace_one_element,
 )
+
+# Every law below is checked on index arrays through the field's tables and
+# against the coefficient-tuple reference arithmetic (_coeffs, _ref_add,
+# _ref_mul, _ref_pow, _ref_trace), which shares no code with etfkit.gf.
+
+
+def _coeffs(index: int, p: int, k: int) -> tuple:
+    """Base-p digits of an index, low to high: the element's coefficients."""
+    return tuple(index // p ** t % p for t in range(k))
+
+
+def _index(c, p: int) -> int:
+    return sum(ci * p ** i for i, ci in enumerate(c))
+
+
+def _ref_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def _ref_trace(c, f, sub_degree: int):
+    """sum of c^(q^i), i = 0 .. k/d - 1, q = p^d, in tuple arithmetic."""
+    q = f.p ** sub_degree
+    acc = y = c
+    for _ in range(f.k // sub_degree - 1):
+        y = _ref_pow(y, q, f.modulus, f.p)
+        acc = _ref_add(acc, y, f.p)
+    return acc
+
+
+def _ref_field(p, k):
+    f = make_field(p, k)
+    return f, np.arange(f.order), [_coeffs(i, p, k) for i in range(f.order)]
 
 
 def test_prime_field_construction():
@@ -28,24 +59,24 @@ def test_gf4_modulus_and_primitive():
     # the only monic irreducible quadratic over GF(2) is x^2 + x + 1
     f = make_field(2, 2)
     assert f.modulus == (1, 1, 1)
-    omega = f.primitive
-    assert omega.index == 2
-    # omega^2 = omega + 1
-    assert (omega * omega) == omega + f.one
-
-
-def element_order(x) -> int:
-    """Multiplicative order of a nonzero field element, by repeated products."""
-    n, y = 1, x
-    while y != x.field.one:
-        y, n = y * x, n + 1
-    return n
+    omega = f.primitive_index
+    assert omega == 2
+    # omega^2 = omega + 1 = x + 1, index 3
+    assert f.mul_indices(omega, omega) == f.add_indices(omega, 1) == 3
+    assert _index(_ref_mul((0, 1), (0, 1), f.modulus, 2), 2) == 3
 
 
 def test_gf9_primitive_order():
     f = make_field(3, 2)
     assert f.order == 9
-    assert element_order(f.primitive) == 8
+    g = f.primitive_index
+    # the reference walk over coefficient tuples first returns to 1 at step 8
+    one, x, steps = _coeffs(1, 3, 2), _coeffs(g, 3, 2), 1
+    y = x
+    while y != one:
+        y, steps = _ref_mul(y, x, f.modulus, 3), steps + 1
+    assert steps == 8
+    assert [int(f.pow_indices(g, e)) == 1 for e in range(1, 9)] == [False] * 7 + [True]
 
 
 def test_make_field_errors():
@@ -76,69 +107,84 @@ def test_make_field_deterministic():
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 1)])
 def test_inverse_all_nonzero(p, k):
-    f = make_field(p, k)
-    for x in f.elements():
-        if x.is_zero():
-            continue
-        assert x * x.inverse() == f.one
+    # x^(q-2) is the inverse of every nonzero x
+    f, every, coeffs = _ref_field(p, k)
+    nonzero = every[1:]
+    inv = f.pow_indices(nonzero, f.order - 2)
+    assert (f.mul_indices(nonzero, inv) == 1).all()
+    for x, y in zip(nonzero.tolist(), inv.tolist()):
+        assert _ref_mul(coeffs[x], coeffs[y], f.modulus, p) == coeffs[1]
 
 
 def test_gf4_trace_table():
     # tr(x) = x + x^2 evaluated on all four elements: 0, 0, 1, 1
-    f = make_field(2, 2)
-    got = [trace(f.element(i)).index for i in range(4)]
-    assert got == [0, 0, 1, 1]
+    f, every, coeffs = _ref_field(2, 2)
+    assert f.trace_table.tolist() == [0, 0, 1, 1]
+    assert relative_trace_indices(f, every, 2, 1).tolist() == [0, 0, 1, 1]
+    assert [_index(_ref_trace(c, f, 1), 2) for c in coeffs] == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (2, 4)])
 def test_trace_of_zero(p, k):
     f = make_field(p, k)
-    assert trace(f.zero).is_zero()
+    assert f.trace_table[0] == 0
+    for d in range(1, k + 1):
+        if k % d == 0:
+            assert relative_trace_indices(f, 0, k, d) == 0
 
 
 def test_trace_composition_gf16():
     # tr to the prime field factors through the middle subfield of GF(16)
-    f = make_field(2, 4)
-    for x in f.elements():
-        mid = trace(x, 2)
-        assert relative_trace(mid, 2, 1) == trace(x, 1)
+    f, every, coeffs = _ref_field(2, 4)
+    mid = relative_trace_indices(f, every, 4, 2)
+    assert mid.tolist() == [_index(_ref_trace(c, f, 2), 2) for c in coeffs]
+    assert relative_trace_indices(f, mid, 2, 1).tolist() == f.trace_table.tolist()
+    assert f.trace_table.tolist() == [_index(_ref_trace(c, f, 1), 2) for c in coeffs]
 
 
 def test_trace_lands_in_subfield():
     for p, k, d in [(2, 4, 2), (2, 6, 3), (3, 2, 1), (2, 6, 2)]:
-        f = make_field(p, k)
+        f, every, coeffs = _ref_field(p, k)
         q = p ** d
-        for x in f.elements():
-            t = trace(x, d)
-            assert t ** q == t
+        t = relative_trace_indices(f, every, k, d)
+        assert (f.pow_indices(t, q) == t).all()
+        assert np.isin(t, f.subfield_indices(d)).all()
+        for ti in set(t.tolist()):  # fixed by the q-power Frobenius
+            assert _ref_pow(coeffs[ti], q, f.modulus, p) == coeffs[ti]
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_trace_additive(p, k):
-    f = make_field(p, k)
-    for a in f.elements():
-        for b in f.elements():
-            assert trace(a + b) == trace(a) + trace(b)
+    f, every, coeffs = _ref_field(p, k)
+    sums = f.add_indices(every[:, None], every[None, :])
+    assert sums.tolist() == [[_index(_ref_add(a, b, p), p) for b in coeffs] for a in coeffs]
+    tr = f.trace_table
+    # traces lie in the prime field, whose index is the residue mod p
+    assert (tr[sums] == (tr[:, None] + tr[None, :]) % p).all()
 
 
 def test_trace_subfield_linear():
     # GF(q)-linearity of the trace onto GF(q), q = 4 inside GF(16)
-    f = make_field(2, 4)
-    subfield = f.subfield_elements(2)
-    for c in subfield:
-        for a in f.elements():
-            assert trace(c * a, 2) == c * trace(a, 2)
+    f, every, coeffs = _ref_field(2, 4)
+    tr = relative_trace_indices(f, every, 4, 2)
+    subfield = f.subfield_indices(2)
+    assert subfield.tolist() == [i for i, c in enumerate(coeffs) if _ref_pow(c, 4, f.modulus, 2) == c]
+    for c in subfield.tolist():
+        want = [_index(_ref_mul(coeffs[c], coeffs[t], f.modulus, 2), 2) for t in tr.tolist()]
+        assert tr[f.mul_indices(c, every)].tolist() == want
 
 
 def test_trace_bad_divisor():
     f = make_field(2, 4)
     with pytest.raises(NotADivisor):
-        trace(f.one, 3)
+        relative_trace_indices(f, 1, 4, 3)
+    with pytest.raises(NotADivisor):
+        relative_trace_indices(f, 1, 3, 1)
 
 
 def test_hyperplane_gf4():
     f = make_field(2, 2)
-    assert [x.index for x in hyperplane_kernel(f, 2)] == [0, 1]
+    assert hyperplane_kernel(f, 2).tolist() == [0, 1]
 
 
 def test_hyperplane_gf9():
@@ -147,28 +193,33 @@ def test_hyperplane_gf9():
 
 
 def test_hyperplane_gf8_closed_under_addition():
-    f = make_field(2, 3)
+    f, _, coeffs = _ref_field(2, 3)
     kern = hyperplane_kernel(f, 2)
     assert len(kern) == 4
-    kern_set = {x.index for x in kern}
-    for a in kern:
-        for b in kern:
-            assert (a + b).index in kern_set
+    assert np.isin(f.add_indices(kern[:, None], kern[None, :]), kern).all()
+    kern_set = set(kern.tolist())
+    for a in kern.tolist():
+        for b in kern.tolist():
+            assert _index(_ref_add(coeffs[a], coeffs[b], 2), 2) in kern_set
 
 
 @pytest.mark.parametrize("p,k,q", [(2, 2, 2), (2, 4, 4), (2, 4, 2), (3, 2, 3), (2, 6, 4)])
 def test_hyperplane_size(p, k, q):
-    f = make_field(p, k)
-    assert len(hyperplane_kernel(f, q)) * q == f.order
+    f, _, coeffs = _ref_field(p, k)
+    kern = hyperplane_kernel(f, q)
+    assert len(kern) * q == f.order
+    d = next(d for d in range(1, k + 1) if p ** d == q)
+    assert all(not any(_ref_trace(coeffs[s], f, d)) for s in kern.tolist())
 
 
 def test_hyperplane_scalar_closed():
-    f = make_field(2, 4)
+    f, _, coeffs = _ref_field(2, 4)
     kern = hyperplane_kernel(f, 4)
-    kern_set = {x.index for x in kern}
-    for c in f.subfield_elements(2):
-        for s in kern:
-            assert (c * s).index in kern_set
+    kern_set = set(kern.tolist())
+    for c in f.subfield_indices(2).tolist():
+        assert np.isin(f.mul_indices(c, kern), kern).all()
+        for s in kern.tolist():
+            assert _index(_ref_mul(coeffs[c], coeffs[s], f.modulus, 2), 2) in kern_set
 
 
 def test_hyperplane_not_a_subfield():
@@ -181,42 +232,48 @@ def test_hyperplane_not_a_subfield():
 
 def test_trace_one_element_gf4():
     f = make_field(2, 2)
-    assert trace_one_element(f, 2).index == 2  # omega is the first with tr = 1
+    assert trace_one_element(f, 2) == 2  # omega is the first with tr = 1
 
 
 def test_trace_one_decomposition_gf4():
-    # every v splits uniquely as s + t*delta with s in the kernel, t in GF(2)
-    f = make_field(2, 2)
-    delta = trace_one_element(f, 2)
-    kern = hyperplane_kernel(f, 2)
-    sub = f.subfield_elements(1)
-    for v in f.elements():
-        hits = [(s, t) for s in kern for t in sub if s + t * delta == v]
-        assert len(hits) == 1
+    # every v splits uniquely as s + t*delta with s in the kernel, t in GF(q)
+    for p, k, q, d in [(2, 2, 2, 1), (2, 4, 4, 2), (3, 2, 3, 1)]:
+        f, _, coeffs = _ref_field(p, k)
+        delta = trace_one_element(f, q)
+        kern, sub = hyperplane_kernel(f, q), f.subfield_indices(d)
+        split = f.add_indices(kern[:, None], f.mul_indices(sub, delta)[None, :])
+        assert sorted(split.ravel().tolist()) == list(range(f.order))
+        ref = [_index(_ref_add(coeffs[s], _ref_mul(coeffs[t], coeffs[delta], f.modulus, p), p), p)
+               for s in kern.tolist() for t in sub.tolist()]
+        assert ref == split.ravel().tolist()
 
 
 def test_trace_one_element_gf9():
-    f = make_field(3, 2)
+    f, _, coeffs = _ref_field(3, 2)
     delta = trace_one_element(f, 3)
-    assert trace(delta, 1) == f.one
+    assert isinstance(delta, int)
+    assert f.trace_table[delta] == 1
+    assert _ref_trace(coeffs[delta], f, 1) == coeffs[1]
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (11, 2)])
 def test_primitive_powers_enumerate_nonzero(p, k):
-    f = make_field(p, k)
-    gamma = f.primitive
-    seen = set()
-    x = f.one
+    f, _, coeffs = _ref_field(p, k)
+    gamma = coeffs[f.primitive_index]
+    walk, x = [], coeffs[1]
     for _ in range(f.order - 1):
-        seen.add(x.index)
-        x = x * gamma
-    assert seen == set(range(1, f.order))
+        walk.append(_index(x, p))
+        x = _ref_mul(x, gamma, f.modulus, p)
+    assert sorted(walk) == list(range(1, f.order))
+    assert f.antilog.tolist() == walk
+    assert [int(f.pow_indices(f.primitive_index, e)) for e in range(f.order - 1)] == walk
 
 
 def test_canonical_index_round_trip():
-    f = make_field(3, 3)
-    for i in range(f.order):
-        assert f.element(i).index == i
+    f, every, coeffs = _ref_field(3, 3)
+    assert [tuple(row) for row in f.digits.tolist()] == coeffs
+    assert f.add_indices(every, 0).tolist() == every.tolist()
+    assert [_index(c, 3) for c in coeffs] == every.tolist()
 
 
 def _poly_mul_mod_p(a, b, p):
@@ -268,30 +325,27 @@ def _small_fields():
 
 @pytest.mark.parametrize("p,k", _small_fields())
 def test_field_tables_match_element_arithmetic(p, k):
-    f = make_field(p, k)
-    every = np.arange(f.order)
-    elts = [f.element(i) for i in range(f.order)]
-    coeffs = [x.coeffs for x in elts]
+    f, every, coeffs = _ref_field(p, k)
     assert [tuple(row) for row in f.digits.tolist()] == coeffs
 
     def index(c):
-        return sum(ci * p ** i for i, ci in enumerate(c))
+        return _index(c, p)
 
     # antilog walks the powers of the primitive element; log inverts it
-    g = f.primitive.coeffs
+    g = coeffs[f.primitive_index]
     walk = [index(_ref_pow(g, e, f.modulus, p)) for e in range(min(f.order - 1, 8))]
     assert f.antilog[:len(walk)].tolist() == walk
     nxt = [index(_ref_mul(coeffs[a], g, f.modulus, p)) for a in f.antilog.tolist()]
     assert nxt == np.roll(f.antilog, -1).tolist()
     assert f.log[0] == -1 and (f.log[f.antilog] == np.arange(f.order - 1)).all()
 
-    # products and sums against a few fixed factors, through both views
+    # products and sums against a few fixed factors
     for y in sorted({1, f.order - 1, f.order // 2, f.primitive_index}):
         want = [index(_ref_mul(c, coeffs[y], f.modulus, p)) for c in coeffs]
         assert f.mul_indices(every, y).tolist() == want
-        assert [(x * elts[y]).index for x in elts] == want
-        assert f.add_indices(every, y).tolist() == [(x + elts[y]).index for x in elts]
-        assert f.sub_indices(every, y).tolist() == [(x - elts[y]).index for x in elts]
+        assert f.add_indices(every, y).tolist() == [index(_ref_add(c, coeffs[y], p)) for c in coeffs]
+        neg_y = tuple(-t % p for t in coeffs[y])
+        assert f.sub_indices(every, y).tolist() == [index(_ref_add(c, neg_y, p)) for c in coeffs]
 
     # Frobenius and the trace to the prime field
     frob = [_ref_pow(c, p, f.modulus, p) for c in coeffs]
@@ -305,7 +359,7 @@ def test_field_tables_match_element_arithmetic(p, k):
         assert all(t == 0 for t in acc[1:])  # the trace lies in the prime field
         tr.append(acc[0])
     assert f.trace_table.tolist() == tr
-    assert [trace(x).index for x in elts] == tr
+    assert relative_trace_indices(f, every, k, 1).tolist() == tr
 
 
 def test_field_tables_are_read_only_and_lazy():
@@ -322,6 +376,7 @@ def test_zero_powers():
     f = make_field(3, 2)
     assert f.pow_indices(0, 0) == 1
     assert f.pow_indices(0, 5) == 0
-    assert f.zero ** 0 == f.one
-    with pytest.raises(ZeroDivisionError):
-        f.zero ** -1
+    every = np.arange(f.order)
+    assert f.pow_indices(every, 0).tolist() == [1] * f.order  # 0^0 = 1 with the rest
+    assert f.mul_indices(0, every).tolist() == [0] * f.order
+    assert f.log[0] == -1  # zero has no logarithm, so no inverse

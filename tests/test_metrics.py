@@ -265,6 +265,28 @@ def test_rip_checks_unit_norm_before_searching(monkeypatch):
         rip_delta(frame, 5)
 
 
+def test_rip_delta_of_size_one(fig1):
+    # delta_1 is defined on one column: no pairs, so the Gershgorin term is 0
+    report = rip_delta(Frame(entries=np.ones((1, 1), dtype=np.complex128)), 1)
+    assert (report.delta, report.min_eig, report.max_eig) == (0.0, 1.0, 1.0)
+    assert report.gershgorin == 0.0 and report.subsets == 1
+    assert report.as_dict()["gershgorin_bound"] == 0.0
+    report = rip_delta(fig1, 1)
+    assert report.gershgorin == 0.0 and report.subsets == fig1.n
+    assert report.delta == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rip_delta_of_size_one_checks_columns_before_searching(monkeypatch):
+    def search_nothing(gram, size, floor=None):
+        raise AssertionError("rip_delta searched a frame with bad columns")
+    monkeypatch.setattr(metrics, "_subset_spectra", search_nothing)
+    with pytest.raises(NotUnitNorm, match="column norms deviate from 1 by 1.000e[+]00"):
+        rip_delta(Frame(entries=2 * np.ones((1, 1), dtype=np.complex128)), 1)
+    with pytest.raises(NotUnitNorm, match="no rows"):
+        rip_delta(Frame(entries=np.zeros((0, 1), dtype=np.complex128)), 1)
+
+
+
 def test_steiner_rip_verdict_fig1(fig1):
     report = steiner_rip_verdict(fig1)
     assert report.applicable
