@@ -7,6 +7,8 @@ orders outside that closure raise UnsupportedHadamardOrder.  A
 UnimodularMatrix stores one array, its read-only entries, and is checked once,
 when it is built; its integer sign view, which keeps downstream arithmetic
 exact, is derived from entries whenever every entry is exactly real +-1.
+A character table is checked through the DFT factors of its Kronecker
+product rather than through its own N x N Gram.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from math import prod
 
 import numpy as np
 
@@ -22,9 +25,11 @@ from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOf
 
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_KRON_BLOCK = 1 << 18  # entries per column block of the Kronecker-factor check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnimodularMatrix:
     """Matrix of unit-modulus entries; kind tags the invariant family.
 
@@ -34,11 +39,18 @@ class UnimodularMatrix:
     view of the array passed in (no copy) and is checked at construction.
     signs is the exact +-1 integer view, derived from entries: present
     exactly when every entry is real +-1.
+
+    kron_factors, when given, are square orthogonal UnimodularMatrix objects
+    F_1, ..., F_t whose Kronecker product the entries claim to be; the check
+    then requires entries to match that product as well as to be orthogonal
+    (see character_table).  Equality and hashing are over kind, shape, dtype
+    and entry bytes.
     """
 
     entries: np.ndarray
     kind: str
-    signs: np.ndarray | None = field(init=False, repr=False, compare=False)
+    kron_factors: tuple[UnimodularMatrix, ...] = field(default=(), repr=False)
+    signs: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries).view()
@@ -47,9 +59,25 @@ class UnimodularMatrix:
         if np.all((entries == 1) | (entries == -1)):
             signs = entries.real.astype(np.int64)
             signs.flags.writeable = False
+        try:
+            factors = tuple(self.kron_factors)
+        except TypeError:
+            raise NotUnimodular(f"{self.kind} Kronecker factors must be a sequence of matrices") from None
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "kron_factors", factors)
         object.__setattr__(self, "signs", signs)
         self.check()
+
+    def _key(self) -> tuple:
+        return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, UnimodularMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rows(self) -> int:
@@ -67,6 +95,14 @@ class UnimodularMatrix:
             raise NotUnimodular(f"{self.kind} matrix must be a 2-d numeric array, got {a.dtype} {a.shape}")
         if not _deviation(np.abs(a) - 1.0) <= ENTRY_TOL:
             raise NotUnimodular(f"{self.kind} matrix has a non-unimodular entry")
+        if self.kron_factors:
+            residual = _kron_residual(self)
+            if not residual <= ORTHO_TOL:
+                raise NotUnimodular(f"{self.kind} matrix is not the Kronecker product of its factors")
+            if _kron_gram_bound(self, residual) <= ORTHO_TOL:
+                return
+            # the rounding allowance of a large factor is too wide to certify
+            # orthogonality from the residual: the dense Gram decides
         g = a.conj().T @ a
         if self.kind == "simplex":
             if self.cols != self.rows + 1:
@@ -83,6 +119,58 @@ class UnimodularMatrix:
 def _deviation(a: np.ndarray) -> float:
     """Largest modulus in a, 0 for an empty array and NaN if any entry is."""
     return float(np.abs(a).max(initial=0.0))
+
+
+def _inner_product_error(n: int) -> float:
+    """Relative rounding bound of a complex inner product of length n:
+    twice gamma_{n+2} = (n+2)u / (1 - (n+2)u), u the unit roundoff."""
+    return 2 * (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
+
+
+def _kron_residual(m: UnimodularMatrix) -> float:
+    """max |(F_1 x ... x F_t)^H T - N I| for T = m.entries, computed a block of
+    columns at a time: each F_k^H is applied along its own axis of the
+    reshaped block by one batched matmul, O(N^2 sum f_k) work in all.
+    Raises NotUnimodular unless T is N x N and the factors are square,
+    orthogonal and of orders multiplying to N."""
+    a, factors = m.entries, m.kron_factors
+    n = a.shape[0]
+    if not all(isinstance(f, UnimodularMatrix) and f.kind != "simplex" and f.rows == f.cols
+               for f in factors):
+        raise NotUnimodular(f"{m.kind} Kronecker factors must be square orthogonal unimodular matrices")
+    orders = [f.rows for f in factors]
+    if a.shape != (n, n) or prod(orders) != n:
+        raise NotUnimodular(f"{m.kind} matrix of shape {a.shape} is not a product "
+                            f"of factors of orders {orders}")
+    adjoints = [np.ascontiguousarray(f.entries.conj().T) for f in factors]
+    step = max(1, _KRON_BLOCK // n)
+    devs = []
+    for lo in range(0, n, step):
+        width = min(step, n - lo)
+        y = np.ascontiguousarray(a[:, lo:lo + width])
+        for k, adj in enumerate(adjoints):
+            y = np.matmul(adj, y.reshape(prod(orders[:k]), orders[k], -1))
+        y = y.reshape(n, width)
+        y[lo + np.arange(width), np.arange(width)] -= n
+        devs.append(_deviation(y))
+    return _deviation(np.array(devs))
+
+
+def _kron_gram_bound(m: UnimodularMatrix, residual: float) -> float:
+    """Bound on max |T^H T - N I| in exact arithmetic from the computed
+    residual of _kron_residual; derived in character_table's docstring."""
+    n = m.rows
+    eps = residual + 1.01 * n * sum(_inner_product_error(f.rows) for f in m.kron_factors)
+    sigma = 1.0
+    for f in m.kron_factors:
+        g = f.entries.conj().T @ f.entries
+        g[np.diag_indices(f.rows)] -= f.rows
+        r = _deviation(g) + 1.01 * f.rows * _inner_product_error(f.rows)
+        if not r < 1:
+            return np.inf
+        sigma *= 1 + r / f.rows / (1 - r)
+    sigma -= 1
+    return 2 * eps + eps ** 2 + n * (1 + eps) ** 2 * sigma
 
 
 def dft(n: int) -> UnimodularMatrix:
@@ -215,14 +303,8 @@ class AbelianGroup:
         reduced modulo its factor."""
         return np.asarray(digits, dtype=np.int64) % self._radix @ self._place
 
-    def add_array(self, a, b) -> np.ndarray:
-        return self.index_array(self.digit_array(a) + self.digit_array(b))
-
     def sub_array(self, a, b) -> np.ndarray:
         return self.index_array(self.digit_array(a) - self.digit_array(b))
-
-    def neg_array(self, a) -> np.ndarray:
-        return self.index_array(-self.digit_array(a))
 
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
@@ -239,13 +321,51 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     """|G| x |G| table with entry (u, r) = chi_u(g_r); the Kronecker product of
     the factors' DFT matrices under the lexicographic element order.
 
-    Each table is checked in full when it is built.  The two most recently
-    requested tables are kept and handed out again; like every
-    UnimodularMatrix, their arrays are read-only."""
-    table = reduce(np.kron, (dft(f).entries for f in g.factors))
+    Each table of a group with two or more cyclic factors is checked when it
+    is built, through its checked DFT factors F_k of orders f_k: with
+    K = F_1 x ... x F_t and N = |G|, the check computes the residual
+    max |K^H T - N I| in O(N^2 sum f_k) work, instead of the O(N^3) Gram
+    T^H T.  Since K / sqrt(N) is unitary up to rounding,
+    a small residual holds only when T is K entry for entry, so a table with
+    two columns swapped fails although its Gram is N I.
+
+    The rounding allowance.  Let u be the unit roundoff and c_f = 2 gamma_{f+2}
+    the relative error bound of a complex inner product of length f.
+      - Each stage applies one F_k^H to entries bounded by the product of the
+        earlier orders (all entries have modulus 1 + ENTRY_TOL at most), and
+        later stages multiply an error by at most their orders, so the
+        computed residual is within eta = 1.01 N sum_k c_{f_k} of the exact
+        max |E|, E = K^H T - N I.  Let eps = residual + eta.
+      - Each factor's Gram is F_k^H F_k = f_k (I + D_k) with max |D_k| at most
+        s_k = r_k / f_k, r_k its computed max |F_k^H F_k - f_k I| plus
+        1.01 f_k c_{f_k}; the operator norm of D_k is at most r_k < 1, so
+        max |(I + D_k)^-1 - I| <= s_k / (1 - r_k) =: s'_k, and every entry of
+        N (K^H K)^-1 - I, a Kronecker product of the (I + D_k)^-1, is within
+        sigma = prod_k (1 + s'_k) - 1 of I.
+      - K is then invertible and T = K^-H (N I + E), so
+        T^H T = (N I + E)^H (K^H K)^-1 (N I + E).  With W = N (K^H K)^-1 - I,
+        T^H T - N I = E + E^H + E^H E / N + (N I + E)^H W (N I + E) / N,
+        and entry by entry |E_ij| + |E_ji| <= 2 eps, |(E^H E)_ij| <= N eps^2,
+        and the last term is at most sigma ||(N I + E) e_i||_1
+        ||(N I + E) e_j||_1 / N <= N (1 + eps)^2 sigma.
+    So max |T^H T - N I| <= 2 eps + eps^2 + N (1 + eps)^2 sigma in exact
+    arithmetic; when this bound is within ORTHO_TOL, the table meets the
+    invariant the dense Gram test checks, to the same tolerance.  The check
+    rejects a residual above ORTHO_TOL; a residual under it whose bound
+    exceeds ORTHO_TOL (only a factor of order in the thousands has so wide
+    an allowance) is settled by the dense Gram test, as is the table of a
+    cyclic group, which is its one DFT.
+
+    The two most recently requested tables are kept and handed out again;
+    like every UnimodularMatrix, their arrays are read-only."""
+    factors = tuple(dft(f) for f in g.factors)
+    table = reduce(np.kron, (f.entries for f in factors))
     if g.exponent_two:  # every character is +-1: round off the DFT's phase error
         table = np.rint(table.real).astype(np.complex128)
-    return UnimodularMatrix(entries=table, kind="character-table")
+    # one factor: the table is its DFT, and the factored check would be the
+    # same O(N^3) product as the dense Gram test
+    return UnimodularMatrix(entries=table, kind="character-table",
+                            kron_factors=factors if len(factors) > 1 else ())
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:

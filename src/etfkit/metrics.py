@@ -431,8 +431,10 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     the size of the witness, the first dependent subset in lexicographic
     order of the smallest size that has one.  Dependence itself is decided
     in floating point, by the threshold 1e-8 sqrt(N) above, not by exact
-    rank.  exact: false means no subset up to the cap tested dependent, and
-    lower_bound is only a bound.  A negative max_subset raises BadDimensions;
+    rank, except at size m+1 of an m x N frame with N > m: there every
+    subset depends by dimension count, so the witness is (0, ..., m), with
+    no eigensolve.  exact: false means no subset up to the cap tested
+    dependent, and lower_bound is only a bound.  A negative max_subset raises BadDimensions;
     max_subset=0 searches nothing and reports lower_bound 1.
     """
     n = frame.n
@@ -458,7 +460,15 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     thr_sq = _rank_threshold(n) ** 2
     mu = np.abs(gram[~np.eye(n, dtype=bool)]).max(initial=0.0)
     least_norm_sq = float(np.diag(gram).real.min(initial=np.inf))
+
+    def found(witness: tuple[int, ...]) -> SparkReport:
+        return SparkReport(n=n, spark=len(witness), lower_bound=len(witness), witness=witness,
+                           structural_witness=structural, structural_rank=structural_rank,
+                           exact=True)
+
     for size in range(1, limit + 1):
+        if size > frame.m:  # every subset of m+1 columns depends: the first is the witness
+            return found(tuple(range(size)))
         # Gershgorin: every size-subset Gram has smallest eigenvalue at least
         # least_norm_sq - (size-1) mu; the DEFAULT_TOL margin dwarfs eigvalsh's
         # backward error, so no subset of a skipped size could test dependent.
@@ -467,10 +477,7 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
         for subsets, eigs in _subset_spectra(gram, size, thr_sq + DEFAULT_TOL):
             hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:
-                witness = tuple(int(x) for x in subsets[hits[0]])
-                return SparkReport(n=n, spark=size, lower_bound=size, witness=witness,
-                                   structural_witness=structural,
-                                   structural_rank=structural_rank, exact=True)
+                return found(tuple(int(x) for x in subsets[hits[0]]))
     return SparkReport(n=n, spark=None, lower_bound=limit + 1, witness=None,
                        structural_witness=structural, structural_rank=structural_rank,
                        exact=False)

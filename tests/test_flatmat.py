@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,11 @@ def test_character_table_z4_orthogonal():
     assert np.abs(g - 4 * np.eye(4)).max() < 1e-12
 
 
+def _add(g: AbelianGroup, a, b) -> np.ndarray:
+    """Group sum of element indices through the digit forms."""
+    return g.index_array(g.digit_array(a) + g.digit_array(b))
+
+
 def character(g: AbelianGroup, u: int, r: int) -> complex:
     """chi_u(g_r) = prod_i exp(2*pi*i * u_i * r_i / n_i)."""
     digits = g.digit_array([u, r]).tolist()
@@ -131,7 +138,7 @@ def test_characters_multiplicative(factors):
     for u in range(g.order):
         for a in range(g.order):
             assert abs(table[u, a] - character(g, u, a)) < 1e-12
-            sums = g.add_array(a, np.arange(g.order))
+            sums = _add(g, a, np.arange(g.order))
             assert np.abs(table[u, sums] - table[u, a] * table[u]).max() < 1e-12
 
 
@@ -167,9 +174,9 @@ def test_group_parse_and_arithmetic():
     assert g.order == 6
     assert g.digit_array(5).tolist() == [1, 2]
     assert g.index_array((1, 2)) == 5
-    assert g.add_array(5, 4) == 0  # (1,2) + (1,1) wraps to the identity
-    assert g.add_array(5, 1) == g.index_array((1, 0))
-    assert g.add_array(1, g.neg_array(1)) == 0
+    assert _add(g, 5, 4) == 0  # (1,2) + (1,1) wraps to the identity
+    assert _add(g, 5, 1) == g.index_array((1, 0))
+    assert _add(g, 1, g.sub_array(0, 1)) == 0
 
 
 # -- array forms of the group arithmetic ----------------------------------------
@@ -211,15 +218,15 @@ def test_group_array_forms_match_scalar_arithmetic(case):
     sub = [[_ref_index(factors, [x - y for x, y in zip(_ref_digits(factors, u), _ref_digits(factors, v))])
             for v in b] for u in a]
     neg = [_ref_index(factors, [-x for x in d]) for d in digits]
-    assert g.add_array(a_arr[:, None], b_arr[None, :]).tolist() == add
+    assert _add(g, a_arr[:, None], b_arr[None, :]).tolist() == add
     assert g.sub_array(a_arr[:, None], b_arr[None, :]).tolist() == sub
-    assert g.neg_array(a_arr).tolist() == neg
+    assert g.sub_array(0, a_arr).tolist() == neg
     # one element at a time, as 0-d arrays
     assert [g.digit_array(x).tolist() for x in a] == [list(d) for d in digits]
     assert [int(g.index_array(d)) for d in digits] == a
-    assert [[int(g.add_array(u, v)) for v in b] for u in a] == add
+    assert [[int(_add(g, u, v)) for v in b] for u in a] == add
     assert [[int(g.sub_array(u, v)) for v in b] for u in a] == sub
-    assert [int(g.neg_array(u)) for u in a] == neg
+    assert [int(g.sub_array(0, u)) for u in a] == neg
 
 
 def test_group_factors_normalise_to_a_tuple_of_ints():
@@ -292,3 +299,121 @@ def test_entries_are_a_read_only_view_and_signs_are_derived():
     assert UnimodularMatrix(entries=dft(4).entries, kind="dft").signs is None
     with pytest.raises(TypeError):
         UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument
+
+
+# -- character tables checked through their Kronecker factors -------------------
+
+# the product groups G x V of the harmonic_fields benchmark ladder: G of
+# order R + 1 and V the additive group of GF(p^k)
+LADDER_GROUPS = [g + (p,) * k for gs, p, k in (
+    (((2, 2), (4,)), 2, 2), (((5,),), 3, 2), (((2, 2, 2), (8,), (2, 4)), 2, 3),
+    (((6,), (2, 3)), 2, 4), (((7,),), 5, 2), (((9,), (3, 3)), 7, 2),
+    (((10,), (2, 5)), 2, 6), (((11,),), 3, 4), (((14,), (2, 7)), 3, 3),
+    (((2, 2, 2, 2), (16,), (4, 4), (2, 8), (2, 2, 4)), 2, 4),
+    (((22,), (2, 11)), 2, 6)) for g in gs]
+
+
+def _dense_residual(a: np.ndarray) -> float:
+    g = a.conj().T @ a
+    g[np.diag_indices(len(a))] -= len(a)
+    return float(np.abs(g).max())
+
+
+@pytest.mark.parametrize("factors", LADDER_GROUPS, ids=lambda f: "x".join(map(str, f)))
+def test_ladder_tables_keep_their_bytes_and_both_checks_agree(factors):
+    from etfkit import flatmat
+
+    g = AbelianGroup(factors)
+    table = character_table(g)
+    want = reduce(np.kron, (dft(f).entries for f in factors))
+    if g.exponent_two:
+        want = np.rint(want.real).astype(np.complex128)
+    assert table.entries.tobytes() == want.tobytes()
+    assert [f.rows for f in table.kron_factors] == list(factors)
+    residual = flatmat._kron_residual(table)
+    bound = flatmat._kron_gram_bound(table, residual)
+    dense = _dense_residual(want)
+    # both accept, and the bound the factored check certifies covers the dense residual
+    assert residual <= flatmat.ORTHO_TOL and bound <= flatmat.ORTHO_TOL
+    assert dense <= bound
+
+
+def _mutated(kind: str) -> tuple[np.ndarray, tuple]:
+    """The Z_3 x Z_4 x Z_2 table and its DFT factors, with one defect of the
+    named kind ("intact" for none)."""
+    factors = (dft(3), dft(4), dft(2))
+    a = reduce(np.kron, (f.entries for f in factors)).copy()
+    if kind == "phase":
+        a[5, 7] *= np.exp(1e-6j)
+    elif kind == "swap":
+        a[:, [3, 10]] = a[:, [10, 3]]
+    elif kind == "nan":
+        a[2, 2] = np.nan
+    elif kind == "orders":
+        factors = (dft(3), dft(4), dft(5))  # 60 != 24
+    return a, factors
+
+
+@pytest.mark.parametrize("kind", ["phase", "swap", "nan", "orders"])
+def test_factored_check_rejects_a_mutated_table(kind):
+    a, factors = _mutated(kind)
+    with pytest.raises(NotUnimodular):
+        UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
+
+
+def test_swapped_columns_pass_the_dense_test_but_not_the_factored_one():
+    a, factors = _mutated("swap")
+    UnimodularMatrix(entries=a, kind="character-table")  # still orthogonal
+    with pytest.raises(NotUnimodular):
+        UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
+
+
+def test_kron_factors_must_be_a_sequence():
+    with pytest.raises(NotUnimodular):
+        UnimodularMatrix(entries=dft(4).entries, kind="character-table", kron_factors=4)
+
+
+@pytest.mark.parametrize("first", [
+    "dft",                                                                 # not a matrix
+    drop_row_simplex(dft(4)),                                              # 3 x 4 simplex
+    UnimodularMatrix(entries=hadamard(4).entries[:, :3], kind="hadamard"),  # 4 x 3
+], ids=["not-a-matrix", "simplex", "not-square"])
+def test_kron_factors_must_be_square_orthogonal_unimodular_matrices(first):
+    # row counts multiply to N = 12, so only the factor's own form can fail
+    factors = (first, dft(4) if getattr(first, "rows", 4) == 3 else dft(3))
+    table = np.kron(dft(3).entries, dft(4).entries)
+    with pytest.raises(NotUnimodular):
+        UnimodularMatrix(entries=table, kind="character-table", kron_factors=factors)
+
+
+def test_a_bound_too_wide_to_certify_leaves_the_decision_to_the_dense_test(monkeypatch):
+    from etfkit import flatmat
+
+    monkeypatch.setattr(flatmat, "_kron_gram_bound", lambda m, residual: np.inf)
+    a, factors = _mutated("intact")
+    UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
+    swapped, _ = _mutated("swap")
+    with pytest.raises(NotUnimodular):  # the residual still rejects it
+        UnimodularMatrix(entries=swapped, kind="character-table", kron_factors=factors)
+
+
+def test_cyclic_group_tables_are_checked_by_the_dense_test():
+    assert character_table(AbelianGroup((12,))).kron_factors == ()
+
+
+@pytest.mark.parametrize("kind", ["dft", "hadamard", "character-table"])
+def test_every_orthogonal_kind_without_factors_rejects_a_non_orthogonal_input(kind):
+    a = dft(4).entries.copy()
+    a[:, 1] = a[:, 0] * 1j  # unimodular, but columns 0 and 1 are parallel
+    with pytest.raises(NotUnimodular):
+        UnimodularMatrix(entries=a, kind=kind)
+
+
+def test_unimodular_matrices_compare_and_hash_by_kind_and_entry_bytes():
+    assert hadamard(4) == hadamard(4) and hash(hadamard(4)) == hash(hadamard(4))
+    assert hadamard(4) != dft(4)
+    assert UnimodularMatrix(entries=hadamard(4).entries, kind="character-table") != hadamard(4)
+    assert character_table(AbelianGroup((2, 2))) == UnimodularMatrix(
+        entries=hadamard(4).entries, kind="character-table")  # factors are not part of the key
+    assert len({hadamard(4), hadamard(4), dft(4), dft(4)}) == 2
+    assert hadamard(4) != "hadamard"

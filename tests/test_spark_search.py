@@ -2,7 +2,9 @@
 its growing batches, against a reference search that enumerates every subset
 of every size from 1 in fixed batches of _EIG_CHUNK and eigensolves each one,
 as spark did before sizes that spark >= 1 + 1/mu certifies were skipped and
-subsets the determinant bound certifies were filtered out."""
+subsets the determinant bound certifies were filtered out.  At size m+1 of an
+m x N frame every subset depends by dimension count, and the reference takes
+the first, as spark does."""
 
 from itertools import chain, combinations, islice
 from math import comb
@@ -11,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etfkit import metrics
+from etfkit import fixtures, metrics
 from etfkit.designs import affine_design, round_robin_design
 from etfkit.errors import EnumerationBudgetExceeded
 from etfkit.flatmat import dft, drop_row_simplex, hadamard
-from etfkit.frames import Frame, kirkman_etf, steiner_etf
+from etfkit.frames import Frame, frame_to_json, kirkman_etf, naimark_complement, parse_frame, steiner_etf
 from etfkit.metrics import SparkReport, spark
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -43,7 +45,8 @@ def reference_spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
         while (subsets := np.fromiter(islice(flat, metrics._EIG_CHUNK * size), dtype=np.intp)).size:
             subsets = subsets.reshape(-1, size)
             eigs = np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
-            hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
+            # m+1 columns in m dimensions depend whatever eigvalsh rounds to
+            hits = np.arange(len(subsets)) if size > frame.m else np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:
                 return SparkReport(n=n, spark=size, lower_bound=size,
                                    witness=tuple(int(x) for x in subsets[hits[0]]),
@@ -224,26 +227,72 @@ def test_steiner_spark_enumerates_one_batch_of_size_r_plus_1(monkeypatch, design
     assert batches == [(big_r + 1, 64)]
 
 
-def test_spark_eigensolves_under_one_percent_of_a_random_frame(monkeypatch):
-    a = np.random.default_rng(2013).standard_normal((5, 24))
-    frame = Frame(entries=a / np.linalg.norm(a, axis=0))
-    enumerated = _recording_enumerator(monkeypatch)
+def _counting_engine(monkeypatch) -> list[tuple[int, int]]:
+    """(size, subsets) for every batch the engine eigensolves."""
     eigensolved = []
     engine = metrics._subset_spectra
 
     def counting(gram, size, floor=None):
         for subsets, eigs in engine(gram, size, floor):
-            eigensolved.append(len(subsets))
+            eigensolved.append((size, len(subsets)))
             yield subsets, eigs
     monkeypatch.setattr(metrics, "_subset_spectra", counting)
+    return eigensolved
+
+
+def test_spark_eigensolves_under_one_percent_of_a_random_frame(monkeypatch):
+    a = np.random.default_rng(2013).standard_normal((5, 24))
+    frame = Frame(entries=a / np.linalg.norm(a, axis=0))
+    enumerated = _recording_enumerator(monkeypatch)
+    eigensolved = _counting_engine(monkeypatch)
     report = spark(frame)
     assert report.as_dict() == reference_spark(frame).as_dict()
     assert report.spark == 6
     # sizes 1-2 are left to the coherence bound, 3-5 enumerated in full, and
-    # size 6 stops at its first subset, in the first batch
+    # size 6 = m+1 is decided by dimension count, with nothing enumerated
     total = sum(count for _, count in enumerated)
-    assert total == sum(comb(24, k) for k in (3, 4, 5)) + 64
-    assert sum(eigensolved) < total / 100
+    assert total == sum(comb(24, k) for k in (3, 4, 5))
+    assert sum(count for _, count in eigensolved) < total / 100
+
+
+def _subset_search_frames() -> dict[str, Frame]:
+    """The frames of the benchmark's subset_search workload: design frames,
+    the Naimark complements of fig1 and fig2, and the random pools, each
+    through its JSON document as the workload parses it."""
+    def dft_steiner(design, order):
+        return steiner_etf(design, drop_row_simplex(dft(order), 0))
+
+    def random_frame(m, n, seed):
+        a = np.random.default_rng(seed).standard_normal((m, n))
+        a /= np.linalg.norm(a, axis=0)
+        return Frame(entries=a.astype(complex), provenance={"construction": "random", "seed": seed})
+
+    frames = {"fig1": fixtures.fig1(), "fig2": fixtures.fig2(),
+              "aff31-dft": dft_steiner(affine_design(3, 1), 5),
+              "rr6-dft": dft_steiner(round_robin_design(6), 6)}
+    for m, n, base in ((5, 24, 100), (4, 30, 200)):
+        for i in range(4):
+            frames[f"rand{m}x{n}-{i}"] = random_frame(m, n, base + i)
+    frames = {name: parse_frame(frame_to_json(f)) for name, f in frames.items()}
+    frames.update({f"{name}/naimark": naimark_complement(frames[name]) for name in ("fig1", "fig2")})
+    return frames
+
+
+SUBSET_SEARCH_FRAMES = _subset_search_frames()
+
+
+@pytest.mark.parametrize("frame", SUBSET_SEARCH_FRAMES.values(), ids=SUBSET_SEARCH_FRAMES.keys())
+def test_spark_size_m_plus_1_is_decided_without_an_eigensolve(monkeypatch, frame):
+    want = reference_spark(frame).as_dict()
+    eigensolved = _counting_engine(monkeypatch)
+    assert spark(frame).as_dict() == want
+    assert all(size <= frame.m for size, _ in eigensolved)
+    if want["spark"] == frame.m + 1:
+        # the float test that used to decide this size finds the same witness
+        first = np.arange(frame.m + 1)
+        smallest = np.linalg.eigvalsh(frame.gram()[np.ix_(first, first)])[0]
+        assert smallest < metrics._rank_threshold(frame.n) ** 2
+        assert want["witness"] == first.tolist()
 
 
 @pytest.mark.parametrize("n,size,chunk", [(20, 3, metrics._EIG_CHUNK), (12, 4, 128), (5, 5, 64), (9, 1, 64)])
