@@ -115,25 +115,31 @@ def _numeric(ints: np.ndarray, scale_sq: int) -> np.ndarray:
 
 # -- serialization ------------------------------------------------------------
 
+def _sign_rows(ints: np.ndarray) -> str:
+    """json.dumps(ints.tolist()) of a +-1 matrix, written from the array: one
+    NUL-padded cell "1, " or "-1, " per entry, the last of each row ending
+    "], [" instead, and the NULs dropped."""
+    if not ints.size:
+        return json.dumps(ints.tolist())
+    cells = np.empty(ints.shape + (6,), dtype=np.uint8)
+    cells[...] = np.frombuffer(b"\x001, \x00\x00", dtype=np.uint8)
+    cells[..., 0] = (ints < 0) * ord("-")
+    cells[:, -1, 2:] = np.frombuffer(b"], [", dtype=np.uint8)
+    text = cells.ravel()
+    return "[[" + text[text != 0].tobytes().decode()[:-4] + "]]"
+
+
 def frame_to_json(frame: Frame) -> str:
-    """Sign form for exact +-1/sqrt(M) frames, literal complex entries otherwise."""
+    """Sign form for exact +-1/sqrt(M) frames, literal complex entries otherwise:
+    json.dumps(doc, sort_keys=True) either way.  "signs" sorts after every
+    other key of the sign form, so its text is spliced in last."""
     if frame.is_sign_matrix:
-        doc = {
-            "m": frame.m,
-            "n": frame.n,
-            "signs": frame.exact_ints.tolist(),
-            "scale_sq_inv": frame.scale_sq,
-            "provenance": frame.provenance,
-        }
-    else:
-        doc = {
-            "m": frame.m,
-            "n": frame.n,
-            "scale": None,
-            "entries": [[[z.real, z.imag] for z in row] for row in frame.entries],
-            "provenance": frame.provenance,
-        }
-    return json.dumps(doc, sort_keys=True)
+        head = json.dumps({"m": frame.m, "n": frame.n, "scale_sq_inv": frame.scale_sq,
+                           "provenance": frame.provenance}, sort_keys=True)
+        return f'{head[:-1]}, "signs": {_sign_rows(frame.exact_ints)}}}'
+    return json.dumps({"m": frame.m, "n": frame.n, "scale": None, "provenance": frame.provenance,
+                       "entries": [[[z.real, z.imag] for z in row] for row in frame.entries]},
+                      sort_keys=True)
 
 
 def parse_frame(text: str) -> Frame:

@@ -285,85 +285,77 @@ def _lex_batches(n: int, size: int):
         start, batch = stop, min(2 * batch, _EIG_CHUNK)
 
 
-def _smallest_eig_bound(flat: np.ndarray, n: int, subsets: np.ndarray):
-    """(bound, trace) for each subset's Gram, read from the lower triangle of
-    the n x n Gram flattened to flat: trace is its trace t and bound is
-    det ((k-1)/t)^(k-1), from the pivots of an LDL^H factorization without
-    pivoting, run on all subsets at once; 0 or NaN once a pivot is not
-    positive."""
+def _certified_inside(flat: np.ndarray, n: int, subsets: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the subsets whose Gram eigenvalues, as eigvalsh computes them,
+    are certified strictly inside (lo, hi) (see _subset_spectra): lower
+    triangles read once from the n x n Gram flattened to flat, all subsets
+    factored at once.  lo = -inf or hi = inf certifies that side for every
+    subset; lo = inf or hi = -inf for none."""
     k = subsets.shape[1]
     cols = np.ascontiguousarray(subsets.T)
     rows = cols * n
-    a = [[flat.take(rows[i] + cols[j]) for j in range(i + 1)] for i in range(k)]
-    trace = sum(a[j][j].real for j in range(k))
-    bound = np.ones(len(subsets))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = (k - 1) / trace
-        for j in range(k):
-            pivot = np.maximum(a[j][j].real, 0.0)
-            bound *= pivot * scale if j else pivot
-            ratios = [a[i][j].conj() / pivot for i in range(j + 1, k)]
-            for i in range(j + 1, k):
-                for col in range(j + 1, i + 1):
-                    a[i][col] -= a[i][j] * ratios[col - j - 1]
-    return bound, trace
+    h = [[flat.take(rows[i] + cols[j]) for j in range(i + 1)] for i in range(k)]
+    trace = np.abs(sum(h[j][j].real for j in range(k)))
+    ok = np.ones(len(subsets), dtype=bool)
+    for shift, sign in ((lo, 1.0), (hi, -1.0)):
+        if np.isinf(shift) or not ok.any():
+            ok &= sign * shift < 0
+            continue
+        # LDL^H of G_S - s' I without pivoting; sign (G_S - s' I) has sign times its pivots
+        inward = shift + sign * 16 * k ** 4 * 2.0 ** -53 * (abs(shift) + trace)
+        a = [row[:-1] + [row[-1].real - inward] for row in h]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(k):
+                ok &= sign * a[j][j] > 0
+                inv = 1.0 / a[j][j]
+                ratios = [a[i][j].conj() * inv for i in range(j + 1, k)]
+                for i in range(j + 1, k):
+                    for col in range(j + 1, i):
+                        a[i][col] = a[i][col] - a[i][j] * ratios[col - j - 1]
+                    a[i][i] = a[i][i] - (a[i][j] * ratios[i - j - 1]).real
+    return ok
 
 
-def _subset_spectra(gram: np.ndarray, size: int, floor: float | None = None):
+def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list | None = None):
     """Every size-subset of the columns in lexicographic order, in the
     batches of _lex_batches: yields (subsets, eigenvalues), the ascending
     eigenvalues of each subset's Gram submatrix.
 
-    With a floor, a subset is certified, and neither eigensolved nor
-    yielded, when a lower bound on the smallest eigenvalue of its Gram
-    clears the floor; each batch yields its uncertified subsets, still in
-    lexicographic order, and a batch with none left yields nothing.  A
-    certified subset's smallest eigenvalue, as eigvalsh computes it, is
-    above the floor, so no subset that eigvalsh would put below the floor
-    goes missing.
+    With a window (lo, hi), read before each batch so a caller may move it
+    between batches, a subset whose eigvalsh eigenvalues are certified
+    strictly inside (lo, hi) (_certified_inside) is neither eigensolved nor
+    yielded; a batch yields its other subsets, in order, or nothing, so no
+    subset with an eigvalsh extreme at or beyond lo or hi goes missing.
 
-    The bound.  A positive definite k x k matrix with eigenvalues
-    l1 <= ... <= lk and trace t has l2 ... lk <= ((t - l1)/(k-1))^(k-1)
-    <= (t/(k-1))^(k-1) by AM-GM on the other k-1 eigenvalues, so
-    l1 >= det ((k-1)/t)^(k-1); for k = 1 it is the diagonal entry itself.
-    det is the product of the pivots of an LDL^H factorization without
-    pivoting (_smallest_eig_bound), and the matrix is positive definite
-    exactly when every pivot is positive.  A subset is certified when every
-    pivot is positive and bound > floor + kappa_k (floor + t), with
-    kappa_k = 16 k^4 u and u = 2^-53.  A zero column gives a zero pivot,
-    hence bound 0; a zero trace gives bound NaN; neither is certified.
-    When the Gram's imaginary part is all zero the bound reads its real
-    part, the same matrix.
-
-    Why kappa_k (floor + t) covers the rounding.  Let H be the Hermitian
-    matrix whose lower triangle both the factorization and eigvalsh read.
-    To first order in u:
-      - the computed factors are exact for H + E with E Hermitian and
-        |E| <= gamma_4k |L| D |L|^H (no growth factor: nothing is pivoted,
-        and D > 0 was checked), so ||E|| <= 4 k^2 u t; the product of the
-        pivots is exactly det(H + E), and AM-GM applies to the positive
-        definite H + E, whose trace is within k ||E|| of t;
-      - the computed t stands in for the trace of H + E, and the sum, the
-        products and the scale are rounded: together at most a factor
-        1 + 8 k^4 u on the bound, which is then at most (1 + 8 k^4 u)
-        times the smallest eigenvalue of H + E, itself at most ||E|| above
-        that of H;
-      - eigvalsh is backward stable: its smallest eigenvalue is within
-        4 k^3 u t of H's (LAPACK bounds it by a modest multiple of
-        u ||H||, and ||H|| <= t + ||E|| here).
-    So a certified subset has an eigvalsh smallest eigenvalue above
-    (floor + kappa_k (floor + t))(1 - 8 k^4 u) - 8 k^3 u t > floor.  The
-    argument does not need H to be close to a positive semidefinite
-    matrix, nor any bound on the column length or scale.
+    The certificate.  Let H be the k x k Hermitian matrix whose lower
+    triangle, diagonal real part, both the factorization and eigvalsh read,
+    t its computed trace, u = 2^-53 and kappa_k = 16 k^4 u.  The side
+    s = lo (sigma = 1), or s = hi (sigma = -1), is certified when the LDL^H
+    factorization without pivoting of A = sigma (H - s' I), formed in
+    floating point with s' = s + sigma kappa_k (|s| + |t|), has only positive
+    pivots.  Why kappa_k (|s| + |t|) covers the rounding, to first order in u:
+      - forming A rounds its diagonal, an error F with ||F|| <= u (max |h_ii| + |s'|);
+      - the factors are exact for A + F + E with |E| <= gamma_(k+2) |L| D |L|^H
+        (no growth factor: nothing is pivoted and D > 0; the reciprocal pivot
+        adds one rounding).  |L| D |L|^H is positive semidefinite with the
+        trace of L D L^H, so ||E|| <= 2 (k+2) u tr A <= 2 (k+2) u (|t| + k |s'|);
+      - A + F + E = L D L^H is positive definite, so every eigenvalue l of H
+        has sigma (l - s') > -||E + F||, and as the eigenvalues sum to t,
+        ||H|| <= |t| + k |s'|, which also bounds max |h_ii|;
+      - eigvalsh is backward stable: each eigenvalue it returns is within a
+        modest multiple of u ||H|| of H's, taken as 4 k^3 u ||H||.
+    The errors add to at most 12 k^4 u (|t| + |s'|) <= 12 k^4 u (1 + kappa_k)
+    (|s| + |t|), so with the rounding of s' itself the eigvalsh extreme on
+    that side has sigma (l - s) > (16 - 15) k^4 u (|s| + |t|) >= 0 (and
+    |s| + |t| = 0 admits no positive pivot).  Neither H positive
+    semidefinite nor any column scale is assumed; a Gram has t >= 0.
     """
     n = gram.shape[0]
-    if floor is not None:
+    if window is not None:
         flat = (np.ascontiguousarray(gram.real) if not gram.imag.any() else gram).ravel()
-        kappa = 16 * size ** 4 * 2.0 ** -53
     for subsets in _lex_batches(n, size):
-        if floor is not None:
-            bound, trace = _smallest_eig_bound(flat, n, subsets)
-            subsets = subsets[~(bound > floor + kappa * (floor + trace))]
+        if window is not None:
+            subsets = subsets[~_certified_inside(flat, n, subsets, *window)]
             if not len(subsets):
                 continue
         yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
@@ -421,10 +413,9 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     threshold square by DEFAULT_TOL.  A Steiner ETF (mu = 1/R) thus only
     enumerates size R+1, whose first subset is the structural witness.
     Within a size that is enumerated, _subset_spectra eigensolves only the
-    subsets whose determinant bound det ((k-1)/tr)^(k-1) on the smallest
-    Gram eigenvalue does not clear the floor thr^2 + DEFAULT_TOL, its
-    rounding allowance included.  A certified subset's eigvalsh smallest
-    eigenvalue is above that floor, so it cannot test dependent: the first
+    subsets whose G_S - f I, f = thr^2 + DEFAULT_TOL, it cannot certify
+    positive definite (the window (f, inf)).  A certified subset's eigvalsh
+    smallest eigenvalue is above f, so it cannot test dependent: the first
     dependent subset, and the report, are those of the full search.
 
     exact: true means the report gives a value, not a lower bound: spark is
@@ -434,8 +425,8 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     rank, except at size m+1 of an m x N frame with N > m: there every
     subset depends by dimension count, so the witness is (0, ..., m), with
     no eigensolve.  exact: false means no subset up to the cap tested
-    dependent, and lower_bound is only a bound.  A negative max_subset raises BadDimensions;
-    max_subset=0 searches nothing and reports lower_bound 1.
+    dependent, and lower_bound is only a bound.  A negative max_subset
+    raises BadDimensions; max_subset=0 searches nothing (lower_bound 1).
     """
     n = frame.n
     if max_subset is not None and max_subset < 0:
@@ -474,7 +465,7 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
         # backward error, so no subset of a skipped size could test dependent.
         if least_norm_sq - (size - 1) * mu > thr_sq + DEFAULT_TOL:
             continue
-        for subsets, eigs in _subset_spectra(gram, size, thr_sq + DEFAULT_TOL):
+        for subsets, eigs in _subset_spectra(gram, size, (thr_sq + DEFAULT_TOL, np.inf)):
             hits = np.nonzero(eigs[:, 0] < thr_sq)[0]
             if hits.size:
                 return found(tuple(int(x) for x in subsets[hits[0]]))
@@ -514,17 +505,19 @@ class RipReport:
 
 
 def _rip_spectrum(gram: np.ndarray, size: int) -> tuple[float, float, float]:
-    """(delta, smallest, largest) eigenvalue over every size-subset Gram."""
-    lo, hi = np.inf, -np.inf
-    for _, eigs in _subset_spectra(gram, size):
-        lo = min(lo, float(eigs[:, 0].min()))
-        hi = max(hi, float(eigs[:, -1].max()))
+    """(delta, smallest, largest) eigenvalue over every size-subset Gram; the
+    running extremes are the engine's window, (inf, -inf) at the first batch."""
+    extremes = [np.inf, -np.inf]
+    for _, eigs in _subset_spectra(gram, size, extremes):
+        extremes[:] = min(extremes[0], float(eigs[:, 0].min())), max(extremes[1], float(eigs[:, -1].max()))
+    lo, hi = extremes
     return max(abs(1.0 - lo), abs(hi - 1.0)), lo, hi
 
 
 def rip_delta(frame: Frame, size: int) -> RipReport:
     """delta_L = max over L-subsets of the spectral deviation of the subset
-    Gram from the identity, by exhaustive enumeration within SUBSET_BUDGET."""
+    Gram from the identity, by exhaustive enumeration within SUBSET_BUDGET:
+    only subsets that could move an extreme are eigensolved (_rip_spectrum)."""
     n = frame.n
     if not 1 <= size <= n:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
@@ -572,7 +565,8 @@ class SteinerRipReport:
 def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
     """Check that delta_L < 1 exactly when L <= R, for every L up to R+1 that
     fits SUBSET_BUDGET; R comes from the frame's provenance and the cutoff
-    formula sqrt((rho M - 1)/(rho - 1)) from its dimensions."""
+    formula sqrt((rho M - 1)/(rho - 1)) from its dimensions.  Each delta_L
+    comes from rip_delta's search on one shared Gram, the same bits."""
     big_r = _design_r(frame)
     if big_r is None:
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,28 @@ def test_frame_json_sign_round_trip():
     assert np.array_equal(back.exact_ints, f.exact_ints)
     assert back.scale_sq == f.scale_sq
     assert np.array_equal(back.entries, f.entries)
+
+
+PROVENANCE = {"construction": "kirkman", "zeta": [1.5, -0.0, 1e-300, {"nested": None}],
+              "name": "Kirkman ✓ ζ\u00e9", "r": 3, "A": {"b": [True, "x\"y"]}}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (5, 9), (0, 3), (3, 0)])
+def test_sign_form_is_json_dumps_of_the_document(shape):
+    ints = np.random.default_rng(sum(shape)).choice([-1, 1], shape)
+    frame = Frame(entries=ints / np.sqrt(max(shape[0], 1)), exact_ints=ints, scale_sq=shape[0],
+                  provenance=PROVENANCE)
+    assert frame.is_sign_matrix
+    doc = {"m": shape[0], "n": shape[1], "signs": ints.tolist(), "scale_sq_inv": shape[0],
+           "provenance": PROVENANCE}
+    assert frame_to_json(frame) == json.dumps(doc, sort_keys=True)
+
+
+def test_sign_form_of_a_constructed_frame_is_json_dumps_of_the_document():
+    frame = kirkman_etf(round_robin_design(16), drop_row_simplex(hadamard(16), 3), hadamard(8))
+    doc = {"m": frame.m, "n": frame.n, "signs": frame.exact_ints.tolist(),
+           "scale_sq_inv": frame.scale_sq, "provenance": frame.provenance}
+    assert frame_to_json(frame) == json.dumps(doc, sort_keys=True)
 
 
 def test_frame_json_entries_round_trip():

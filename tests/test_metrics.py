@@ -198,7 +198,7 @@ def test_spark_refuses_round_robin_8_before_enumerating(monkeypatch):
     frame = steiner_etf(round_robin_design(8), drop_row_simplex(hadamard(8), 0))
     assert (frame.m, frame.n) == (28, 64)
 
-    def enumerate_nothing(gram, size):
+    def enumerate_nothing(gram, size, window=None):
         raise AssertionError("spark enumerated subsets past the budget")
     monkeypatch.setattr(metrics, "_subset_spectra", enumerate_nothing)
     with pytest.raises(EnumerationBudgetExceeded):
@@ -258,7 +258,7 @@ def test_rip_checks_unit_norm_before_searching(monkeypatch):
     a = np.random.default_rng(7).standard_normal((4, 40))
     frame = Frame(entries=2 * a / np.linalg.norm(a, axis=0))
 
-    def search_nothing(gram, size, floor=None):
+    def search_nothing(gram, size, window=None):
         raise AssertionError("rip_delta searched a frame that is not unit-norm")
     monkeypatch.setattr(metrics, "_subset_spectra", search_nothing)
     with pytest.raises(NotUnitNorm, match="column norms deviate from 1 by 1.000e[+]00"):
@@ -277,7 +277,7 @@ def test_rip_delta_of_size_one(fig1):
 
 
 def test_rip_delta_of_size_one_checks_columns_before_searching(monkeypatch):
-    def search_nothing(gram, size, floor=None):
+    def search_nothing(gram, size, window=None):
         raise AssertionError("rip_delta searched a frame with bad columns")
     monkeypatch.setattr(metrics, "_subset_spectra", search_nothing)
     with pytest.raises(NotUnitNorm, match="column norms deviate from 1 by 1.000e[+]00"):

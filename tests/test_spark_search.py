@@ -1,10 +1,13 @@
-"""spark's coherence certificate, the subset engine's determinant filter and
-its growing batches, against a reference search that enumerates every subset
-of every size from 1 in fixed batches of _EIG_CHUNK and eigensolves each one,
-as spark did before sizes that spark >= 1 + 1/mu certifies were skipped and
-subsets the determinant bound certifies were filtered out.  At size m+1 of an
-m x N frame every subset depends by dimension count, and the reference takes
-the first, as spark does."""
+"""spark's coherence certificate, the subset engine's shifted-LDL^H
+certificate and its growing batches, against reference searches that
+eigensolve every subset.  reference_spark enumerates every subset of every
+size from 1 in fixed batches of _EIG_CHUNK, as spark did before sizes that
+spark >= 1 + 1/mu certifies were skipped and certified subsets filtered out;
+at size m+1 of an m x N frame every subset depends by dimension count, and
+the reference takes the first, as spark does.  reference_rip and
+reference_steiner_rip take the extreme eigenvalues over every subset, as
+rip_delta and steiner_rip_verdict did before the engine skipped the subsets
+certified strictly inside the running extremes."""
 
 from itertools import chain, combinations, islice
 from math import comb
@@ -18,7 +21,7 @@ from etfkit.designs import affine_design, round_robin_design
 from etfkit.errors import EnumerationBudgetExceeded
 from etfkit.flatmat import dft, drop_row_simplex, hadamard
 from etfkit.frames import Frame, frame_to_json, kirkman_etf, naimark_complement, parse_frame, steiner_etf
-from etfkit.metrics import SparkReport, spark
+from etfkit.metrics import RipReport, SparkReport, SteinerRipReport, rip_delta, spark, steiner_rip_verdict
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -55,6 +58,38 @@ def reference_spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     return SparkReport(n=n, spark=None, lower_bound=limit + 1, witness=None,
                        structural_witness=structural, structural_rank=structural_rank,
                        exact=False)
+
+
+def reference_spectrum(gram: np.ndarray, size: int) -> tuple[float, float, float]:
+    """(delta, smallest, largest) eigenvalue over every size-subset Gram, each eigensolved."""
+    lo, hi = np.inf, -np.inf
+    flat = chain.from_iterable(combinations(range(gram.shape[0]), size))
+    while (subsets := np.fromiter(islice(flat, metrics._EIG_CHUNK * size), dtype=np.intp)).size:
+        subsets = subsets.reshape(-1, size)
+        eigs = np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
+        lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
+    return max(abs(1.0 - lo), abs(hi - 1.0)), lo, hi
+
+
+def reference_rip(frame: Frame, size: int) -> RipReport:
+    delta, lo, hi = reference_spectrum(frame.gram(), size)
+    gershgorin = float((size - 1) * metrics.coherence(frame)) if size > 1 else 0.0
+    return RipReport(n=frame.n, size=size, delta=delta, min_eig=lo, max_eig=hi,
+                     gershgorin=gershgorin, subsets=comb(frame.n, size))
+
+
+def reference_steiner_rip(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
+    big_r = metrics._design_r(frame)
+    if big_r is None:
+        return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
+    rho = frame.n / frame.m
+    per_l = []
+    for size in range(2, min(big_r + 1, max_size or big_r + 1) + 1):
+        if comb(frame.n, size) > metrics.SUBSET_BUDGET:
+            break
+        per_l.append((size, reference_spectrum(frame.gram(), size)[0]))
+    return SteinerRipReport(applicable=True, big_r=big_r, cutoff_formula=((rho * frame.m - 1) / (rho - 1)) ** 0.5,
+                            per_l=tuple(per_l))
 
 
 def outcome(search, frame: Frame, max_subset: int | None):
@@ -172,36 +207,63 @@ def indefinite_hermitian(draw) -> np.ndarray:
 @PROPERTY
 @given(st.one_of(generic_frames().map(Frame.gram), small_frames().map(Frame.gram),
                  indefinite_hermitian()),
-       st.sampled_from([None, 1e-6, 1e-3, 1e-2, 0.1, 0.5]))
-def test_every_subset_below_the_floor_is_left_uncertified(gram, floor):
-    """Soundness of the determinant bound: with the floor spark uses (None
-    here) or any other, every subset whose eigvalsh smallest eigenvalue is
-    below the floor is eigensolved and yielded, with the same eigenvalues."""
+       st.sampled_from([None, -np.inf, 1e-6, 1e-3, 1e-2, 0.1, 0.5]),
+       st.sampled_from([np.inf, 1.5, 2.0, 3.0]))
+def test_every_subset_below_the_floor_is_left_uncertified(gram, lo, hi):
+    """Soundness of the certificate: with the floor spark uses (None here)
+    or any other lo, and any hi, every subset whose eigvalsh smallest
+    eigenvalue is at or below lo, or largest at or above hi, is eigensolved
+    and yielded, with the same eigenvalues."""
     n = gram.shape[0]
-    if floor is None:
-        floor = metrics._rank_threshold(n) ** 2 + metrics.DEFAULT_TOL
+    if lo is None:
+        lo = metrics._rank_threshold(n) ** 2 + metrics.DEFAULT_TOL
     for size in range(1, min(n, 6) + 1):
         every = np.array(list(combinations(range(n), size)), dtype=np.intp)
         eigs = np.linalg.eigvalsh(gram[every[:, :, None], every[:, None, :]])
-        yielded = {tuple(subset): row for subsets, batch in metrics._subset_spectra(gram, size, floor)
+        yielded = {tuple(subset): row for subsets, batch in metrics._subset_spectra(gram, size, (lo, hi))
                    for subset, row in zip(subsets.tolist(), batch)}
         for subset, row in zip(every.tolist(), eigs):
-            if row[0] < floor:
+            if row[0] <= lo or row[-1] >= hi:
                 assert np.array_equal(yielded[tuple(subset)], row), (size, subset)
 
 
+def _hermitian_batch(rng, size: int, count: int, ends: tuple[float, float], scale: float):
+    """The flattened block-diagonal Gram of count complex Hermitian size x size
+    blocks with eigenvalues scale * ends[0] and scale * ends[1], and others
+    between (one block entry, scale * ends[0], when size is 1), and the
+    subsets that pick each block."""
+    blocks = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        eigs = np.concatenate((ends, rng.uniform(*ends, max(size - 2, 0))))[:size]
+        blocks.append((q * (scale * eigs)) @ q.conj().T)
+    n = size * count
+    gram = np.zeros((n, n), dtype=complex)
+    for b, block in enumerate(blocks):
+        gram[b * size:(b + 1) * size, b * size:(b + 1) * size] = block
+    return gram, np.arange(n, dtype=np.intp).reshape(count, size)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-def test_the_bound_is_det_times_the_trace_factor(size):
+def test_the_shifted_ldl_certificate_is_strict(size, scale):
+    """Shifts at, just below and just above the exact extreme eigenvalues: a
+    subset certified inside (lo, hi) has an eigvalsh spectrum strictly
+    inside, and shifts 1e-9 outside (relative) certify every subset."""
     rng = np.random.default_rng(size)
-    a = rng.standard_normal((size + 2, 10)) + 1j * rng.standard_normal((size + 2, 10))
-    gram = a.conj().T @ a
-    subsets = np.array(list(combinations(range(10), size)), dtype=np.intp)
-    bound, trace = metrics._smallest_eig_bound(gram.ravel(), 10, subsets)
-    sub = gram[subsets[:, :, None], subsets[:, None, :]]
-    assert np.allclose(trace, np.trace(sub, axis1=1, axis2=2).real, rtol=1e-14, atol=0)
-    expected = np.linalg.det(sub).real * ((size - 1) / trace) ** (size - 1)
-    assert np.allclose(bound, expected, rtol=1e-9, atol=0)
-    assert np.all(bound <= np.linalg.eigvalsh(sub)[:, 0] * (1 + 1e-12))
+    ends = (0.3, 1.7) if size > 1 else (0.3, 0.3)
+    gram, subsets = _hermitian_batch(rng, size, 100, ends, scale)
+    eigs = np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
+    flat = gram.ravel()
+    low, high = scale * ends[0], scale * ends[1]
+    nudges = [0.0, -1e-15, 1e-15, -1e-12, 1e-12, -1e-9, 1e-9]
+    for lo in [low * (1 + d) for d in nudges] + [np.nextafter(low, 0), np.nextafter(low, np.inf), -np.inf]:
+        for hi in [high * (1 + d) for d in nudges] + [np.nextafter(high, 0), np.nextafter(high, np.inf), np.inf]:
+            certified = metrics._certified_inside(flat, gram.shape[0], subsets, lo, hi)
+            assert np.all(eigs[certified, 0] > lo) and np.all(eigs[certified, -1] < hi), (lo, hi)
+    assert metrics._certified_inside(flat, gram.shape[0], subsets, low * (1 - 1e-9), high * (1 + 1e-9)).all()
+    assert metrics._certified_inside(flat, gram.shape[0], subsets, -np.inf, np.inf).all()
+    assert not metrics._certified_inside(flat, gram.shape[0], subsets, np.inf, -np.inf).any()
 
 
 def _recording_enumerator(monkeypatch) -> list[tuple[int, int]]:
@@ -228,12 +290,13 @@ def test_steiner_spark_enumerates_one_batch_of_size_r_plus_1(monkeypatch, design
 
 
 def _counting_engine(monkeypatch) -> list[tuple[int, int]]:
-    """(size, subsets) for every batch the engine eigensolves."""
+    """(size, subsets) for every batch the engine eigensolves, for spark and
+    for the RIP searches alike."""
     eigensolved = []
     engine = metrics._subset_spectra
 
-    def counting(gram, size, floor=None):
-        for subsets, eigs in engine(gram, size, floor):
+    def counting(gram, size, window=None):
+        for subsets, eigs in engine(gram, size, window):
             eigensolved.append((size, len(subsets)))
             yield subsets, eigs
     monkeypatch.setattr(metrics, "_subset_spectra", counting)
@@ -315,3 +378,47 @@ def test_lexicographic_batches_where_middle_binomials_pass_int64(n, size):
     # C(99, 49) and C(119, 59) exceed 2**63; the rank tables must not wrap
     subsets = np.concatenate(list(metrics._lex_batches(n, size)))
     assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(n), size))
+
+
+# L = 1..4 on every frame, and L = N on fig1, where the one subset is every column
+RIP_CASES = [(name, size) for name in SUBSET_SEARCH_FRAMES for size in range(1, 5)] + [("fig1", 16)]
+
+
+@pytest.mark.parametrize("name,size", RIP_CASES, ids=[f"{name}-L{size}" for name, size in RIP_CASES])
+def test_rip_delta_matches_the_reference(name, size):
+    frame = SUBSET_SEARCH_FRAMES[name]
+    assert rip_delta(frame, size).as_dict() == reference_rip(frame, size).as_dict()
+
+
+@pytest.mark.parametrize("frame", SUBSET_SEARCH_FRAMES.values(), ids=SUBSET_SEARCH_FRAMES.keys())
+def test_steiner_rip_verdict_matches_the_reference(frame):
+    assert steiner_rip_verdict(frame, 4).as_dict() == reference_steiner_rip(frame, 4).as_dict()
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_rip_on_an_exact_sign_frame_matches_the_reference(size):
+    frame = kirkman_etf(round_robin_design(8), drop_row_simplex(hadamard(8), 0), hadamard(4))
+    assert frame.is_sign_matrix and not np.iscomplexobj(frame.exact_ints)
+    assert rip_delta(frame, size).as_dict() == reference_rip(frame, size).as_dict()
+    assert steiner_rip_verdict(frame, size).as_dict() == reference_steiner_rip(frame, size).as_dict()
+
+
+def test_rip_eigensolves_every_pair_where_pairs_tie(monkeypatch):
+    """Every pair of a Steiner ETF has eigenvalues 1 -+ 1/R, up to rounding,
+    so no pair is certified strictly inside the running extremes."""
+    frame = SUBSET_SEARCH_FRAMES["rr6-dft"]
+    want = reference_rip(frame, 2).as_dict()
+    eigensolved = _counting_engine(monkeypatch)
+    report = rip_delta(frame, 2)
+    assert report.as_dict() == want
+    assert report.min_eig == pytest.approx(1 - 1 / 5) and report.max_eig == pytest.approx(1 + 1 / 5)
+    assert sum(count for _, count in eigensolved) == comb(frame.n, 2)
+
+
+def test_rip_eigensolves_under_five_percent_of_aff31_dft_at_l4(monkeypatch):
+    frame = SUBSET_SEARCH_FRAMES["aff31-dft"]
+    eigensolved = _counting_engine(monkeypatch)
+    report = rip_delta(frame, 4)
+    assert report.as_dict() == reference_rip(frame, 4).as_dict()
+    assert {size for size, _ in eigensolved} == {4}
+    assert sum(count for _, count in eigensolved) < 0.05 * comb(45, 4)
