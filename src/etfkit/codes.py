@@ -28,8 +28,8 @@ from .errors import (
     NotSelfComplementary,
     TooFewWords,
 )
-from .frames import Frame, _numeric, exact_matmul
-from .metrics import certify_etf
+from .frames import Frame, exact_matmul
+from .metrics import DEFAULT_TOL, _exact_certificate
 
 _NOT_BITS = "every codeword must be a 0/1 vector of the stated length"
 
@@ -183,10 +183,35 @@ def code_to_frame(code: BinaryCode) -> Frame:
         raise NotSelfComplementary("only self-complementary codes map back to frames")
     half = code.count // 2
     ints = 1 - 2 * code.bits[:half].T.astype(np.int64, order="C")
-    frame = Frame(entries=_numeric(ints, code.m), exact_ints=ints, scale_sq=code.m,
+    frame = Frame(exact_ints=ints, scale_sq=code.m,
                   provenance={"construction": "from-code", "m": code.m, "n": half})
     frame.check_unit_norm()
     return frame
+
+
+def _half_sign_gram(code: BinaryCode) -> tuple[np.ndarray, np.ndarray]:
+    """(S, G): the N x m signs S = (-1)^bit of the first N = W/2 words and
+    their N x N Gram G = S S^T, exact (see distance)."""
+    signs = 1 - 2 * code.bits[:code.count // 2].astype(np.int8)
+    return signs, exact_matmul(signs, signs.T)
+
+
+def _distance(code: BinaryCode, half_gram: np.ndarray | None) -> int:
+    """distance(code), reading the first half's sign Gram of a
+    self-complementary code (half_gram) or, for any other code (None), the
+    full W x W sign Gram."""
+    if code.count < 2:
+        raise TooFewWords("distance needs at least two codewords")
+    if half_gram is not None:
+        if len(half_gram) == 1:
+            return code.m
+        gram = np.abs(half_gram)
+        np.fill_diagonal(gram, 0)  # |G_aa| = m is no pair; 0 never exceeds the max
+    else:
+        signs = 1 - 2 * code.bits.astype(np.int8)
+        gram = exact_matmul(signs, signs.T)
+        np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
+    return (code.m - int(gram.max())) // 2
 
 
 def distance(code: BinaryCode) -> int:
@@ -209,20 +234,7 @@ def distance(code: BinaryCode) -> int:
     exact_matmul computes the Gram in float64, exact because every partial
     sum is at most m < 2**53, in W^2 (or N^2) memory.
     """
-    if code.count < 2:
-        raise TooFewWords("distance needs at least two codewords")
-    if code.self_complementary:
-        half = code.count // 2
-        if half == 1:
-            return code.m
-        signs = 1 - 2 * code.bits[:half].astype(np.int8)
-        gram = np.abs(exact_matmul(signs, signs.T))
-        np.fill_diagonal(gram, 0)  # |G_aa| = m is no pair; 0 never exceeds the max
-    else:
-        signs = 1 - 2 * code.bits.astype(np.int8)
-        gram = exact_matmul(signs, signs.T)
-        np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
-    return (code.m - int(gram.max())) // 2
+    return _distance(code, _half_sign_gram(code)[1] if code.self_complementary else None)
 
 
 @dataclass(frozen=True)
@@ -298,16 +310,19 @@ class GrbeCertificate:
 
 def certify_grbe(code: BinaryCode) -> GrbeCertificate:
     """Certify Grey-Rankin equality and cross-check it against the exact ETF
-    certificate of the corresponding sign frame."""
+    certificate of the corresponding sign frame, both read from one half
+    sign Gram."""
     if not code.self_complementary:
         raise NotSelfComplementary("Grey-Rankin certification applies to self-complementary codes")
-    delta = distance(code)
+    signs, gram = _half_sign_gram(code)
+    delta = _distance(code, gram)
     bound = grey_rankin_bound(code.m, delta)
     equality = bound.applicable and bound.value == code.count
     if code.count // 2 >= max(code.m, 2):
-        # exact path: the frame from a code always carries integer form, so
-        # the certificate tolerance plays no role in the verdict comparison
-        etf_passed = certify_etf(code_to_frame(code)).passed
+        # exact path: the first half's signs S are code_to_frame's integer
+        # form S^T over sqrt(m), and the Gram the distance read is its Gram,
+        # so the certificate tolerance plays no role in the verdict comparison
+        etf_passed = _exact_certificate(signs.T, code.m, gram, DEFAULT_TOL).passed
     else:
         # a lone vector and its complement span no ETF, and fewer than m
         # vectors cannot span R^m at all, let alone tightly

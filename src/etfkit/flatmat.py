@@ -103,17 +103,23 @@ class UnimodularMatrix:
                 return
             # the rounding allowance of a large factor is too wide to certify
             # orthogonality from the residual: the dense Gram decides
-        g = a.conj().T @ a
-        if self.kind == "simplex":
-            if self.cols != self.rows + 1:
-                raise NotUnimodular(f"simplex must be (n-1) x n, got {a.shape}")
-            off = np.abs(g[~np.eye(self.cols, dtype=bool)])
-            if not _deviation(off - 1.0) <= ORTHO_TOL:
-                raise NotUnimodular("simplex columns must meet at inner-product modulus 1")
-        else:
-            g[np.diag_indices(self.cols)] -= self.rows  # g - n I, without an N x N identity
-            if not _deviation(g) <= ORTHO_TOL:
-                raise NotUnimodular(f"{self.kind} columns are not orthogonal with norm^2 = rows")
+        _check_gram(self)
+
+
+def _check_gram(m: UnimodularMatrix) -> None:
+    """The dense O(N^3) test of m's kind invariant on its Gram m^H m."""
+    a = m.entries
+    g = a.conj().T @ a
+    if m.kind == "simplex":
+        if m.cols != m.rows + 1:
+            raise NotUnimodular(f"simplex must be (n-1) x n, got {a.shape}")
+        off = np.abs(g[~np.eye(m.cols, dtype=bool)])
+        if not _deviation(off - 1.0) <= ORTHO_TOL:
+            raise NotUnimodular("simplex columns must meet at inner-product modulus 1")
+    else:
+        g[np.diag_indices(m.cols)] -= m.rows  # g - n I, without an N x N identity
+        if not _deviation(g) <= ORTHO_TOL:
+            raise NotUnimodular(f"{m.kind} columns are not orthogonal with norm^2 = rows")
 
 
 def _deviation(a: np.ndarray) -> float:
@@ -175,10 +181,14 @@ def _kron_gram_bound(m: UnimodularMatrix, residual: float) -> float:
 
 def dft(n: int) -> UnimodularMatrix:
     """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n)."""
+    return UnimodularMatrix(entries=_dft_entries(n), kind="dft")
+
+
+def _dft_entries(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = np.arange(n)
-    return UnimodularMatrix(entries=np.exp(2j * np.pi * np.outer(a, a) / n), kind="dft")
+    return np.exp(2j * np.pi * np.outer(a, a) / n)
 
 
 def _paley_signs(n: int) -> np.ndarray:
@@ -354,18 +364,21 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     rejects a residual above ORTHO_TOL; a residual under it whose bound
     exceeds ORTHO_TOL (only a factor of order in the thousands has so wide
     an allowance) is settled by the dense Gram test, as is the table of a
-    cyclic group, which is its one DFT.
+    cyclic group, which is its one DFT and is checked once, with no factor.
 
     The two most recently requested tables are kept and handed out again;
     like every UnimodularMatrix, their arrays are read-only."""
-    factors = tuple(dft(f) for f in g.factors)
-    table = reduce(np.kron, (f.entries for f in factors))
+    if len(g.factors) == 1:
+        # the table is the group's one DFT, built here and checked once by
+        # the dense Gram test: a checked dft() factor would be the same O(N^3)
+        # product over the same bytes
+        factors, table = (), _dft_entries(g.order)
+    else:
+        factors = tuple(dft(f) for f in g.factors)
+        table = reduce(np.kron, (f.entries for f in factors))
     if g.exponent_two:  # every character is +-1: round off the DFT's phase error
         table = np.rint(table.real).astype(np.complex128)
-    # one factor: the table is its DFT, and the factored check would be the
-    # same O(N^3) product as the dense Gram test
-    return UnimodularMatrix(entries=table, kind="character-table",
-                            kron_factors=factors if len(factors) > 1 else ())
+    return UnimodularMatrix(entries=table, kind="character-table", kron_factors=factors)
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:

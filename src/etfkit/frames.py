@@ -2,18 +2,19 @@
 constant-amplitude counterparts, difference-set (harmonic) ETFs, Naimark
 complements, and the parameter calculator for real constant-amplitude builds.
 
-Frames whose entries are integer multiples of a common 1/sqrt(d) carry that
-integer matrix alongside the complex one, so Gram computations downstream can
-be exact; the +-1/sqrt(M) case is what the binary-code bridge consumes.
-exact_matmul is the one place that decides how such integer products are
-computed exactly.
+A frame whose entries are integer multiples of a common 1/sqrt(d) stores
+only that integer matrix and d, so Gram computations downstream are exact and
+the +-1/sqrt(M) case is what the binary-code bridge consumes; its complex
+entries are derived from the integers when first read.  exact_matmul is the
+one place that decides how such integer products are computed exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +37,7 @@ UNIT_NORM_TOL = 1e-9
 _FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
 _INT64_EXACT = 2 ** 63
 _DIFFERENCE_BATCH = 2 ** 18  # pairs per bincount: bounds memory to a few MB per group digit
+_GRAM_BLOCK = 2 ** 18  # entries per block of _deviations' Hermitian part: 4 MB complex
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -59,26 +61,63 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
-@dataclass(eq=False)
+def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
+    """arr in int64 when the caller's bound on every value its elementwise
+    arithmetic produces is below 2**63, else in Python integers (object)."""
+    return arr.astype(np.int64) if bound < _INT64_EXACT else arr.astype(object)
+
+
+@dataclass(eq=False, init=False)
 class Frame:
     """M x N synthesis matrix; columns are the frame vectors.
 
-    exact_ints/scale_sq, when set, satisfy entries == exact_ints / sqrt(scale_sq)
-    exactly.
+    A frame stores one form.  A float frame stores its complex entries.  An
+    integer frame stores exact_ints and scale_sq, the frame being
+    exact_ints / sqrt(scale_sq); its entries are derived from them on first
+    read, by _numeric, and kept read-only, and every exact check reads the
+    integers alone.  Entries passed alongside an integer form must equal the
+    derived ones, else FrameFormatError.
     """
 
     entries: np.ndarray
-    exact_ints: np.ndarray | None = None
-    scale_sq: int | None = None
-    provenance: dict = dataclass_field(default_factory=dict)
+    exact_ints: np.ndarray | None
+    scale_sq: int | None
+    provenance: dict
+
+    def __init__(self, entries: np.ndarray | None = None, exact_ints: np.ndarray | None = None,
+                 scale_sq: int | None = None, provenance: dict | None = None):
+        if (exact_ints is None) != (scale_sq is None):
+            raise FrameFormatError("an integer form needs both exact_ints and scale_sq")
+        if exact_ints is None and entries is None:
+            raise FrameFormatError("a frame needs entries or an integer form")
+        if exact_ints is not None:
+            exact_ints = np.asarray(exact_ints).view()
+            exact_ints.flags.writeable = False
+        self.exact_ints, self.scale_sq = exact_ints, scale_sq
+        self.provenance = {} if provenance is None else provenance
+        self._entries = entries if exact_ints is None else None
+        if exact_ints is not None and entries is not None and not np.array_equal(entries, self.entries):
+            raise FrameFormatError("entries differ from exact_ints / sqrt(scale_sq)")
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            entries = _numeric(self.exact_ints, self.scale_sq)
+            entries.flags.writeable = False
+            self._entries = entries
+        return self._entries
+
+    @property
+    def _stored(self) -> np.ndarray:
+        return self._entries if self.exact_ints is None else self.exact_ints
 
     @property
     def m(self) -> int:
-        return self.entries.shape[0]
+        return self._stored.shape[0]
 
     @property
     def n(self) -> int:
-        return self.entries.shape[1]
+        return self._stored.shape[1]
 
     @property
     def is_sign_matrix(self) -> bool:
@@ -100,16 +139,24 @@ class Frame:
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
         """Raise NotUnitNorm unless every column norm is within tol of 1; a
-        NaN norm fails.  Frames with no rows or no columns pass."""
+        NaN norm fails.  Frames with no rows or no columns pass.  An integer
+        frame's norms are sqrt(c / scale_sq), c its integer column sums of
+        squares."""
         if self.m == 0 or self.n == 0:
             return
-        norms = np.linalg.norm(self.entries, axis=0)
+        if self.exact_ints is None:
+            norms = np.linalg.norm(self.entries, axis=0)
+        else:
+            ints = _exact_ints(self.exact_ints, _abs_max(self.exact_ints) ** 2 * self.m)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                norms = np.sqrt(np.sum(ints * ints, axis=0).astype(np.float64) / self.scale_sq)
         worst = float(np.abs(norms - 1.0).max())
         if not worst <= tol:
             raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
 
 
 def _numeric(ints: np.ndarray, scale_sq: int) -> np.ndarray:
+    """The complex entries of the integer form: Frame.entries derives them here."""
     return ints.astype(np.complex128) / np.sqrt(scale_sq)
 
 
@@ -157,8 +204,7 @@ def parse_frame(text: str) -> Frame:
             scale_sq = int(doc["scale_sq_inv"])
             if ints.shape != (m, n) or not np.all(np.abs(ints) == 1):
                 raise FrameFormatError("sign form must be an m x n matrix of +-1")
-            frame = Frame(entries=_numeric(ints, scale_sq), exact_ints=ints,
-                          scale_sq=scale_sq, provenance=provenance)
+            frame = Frame(exact_ints=ints, scale_sq=scale_sq, provenance=provenance)
         else:
             raw = doc["entries"]
             arr = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=np.complex128)
@@ -173,30 +219,42 @@ def parse_frame(text: str) -> Frame:
             if not np.isfinite(arr).all():
                 raise FrameFormatError("entries must be finite numbers")
             frame = Frame(entries=arr, provenance=provenance)
+        frame.check_unit_norm()  # inside: a scale past float64 is malformed
     except FrameFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FrameFormatError(f"malformed frame document: {e}") from e
-    frame.check_unit_norm()
     return frame
 
 
 # -- Steiner and flat (Kirkman-transformed) ETFs ------------------------------
+
+def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The integer sequences concatenated, and for each value the index of
+    the sequence it came from."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    values = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
+    return values, np.repeat(np.arange(len(seqs)), lengths)
+
 
 def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
     """R x V tables: pos[r, v] is the index within class r of the block
     containing v, and block[r, v] is that block's id."""
     if design.resolution is None:
         raise NotResolvable("design carries no resolution")
-    pos = np.full((len(design.resolution), design.v), -1, dtype=np.intp)
+    big_r = len(design.resolution)
+    # every listing of a block in a class, class-major, and every point of those blocks
+    listed, cls = _flatten(design.resolution)
+    within = np.arange(len(listed)) - np.searchsorted(cls, cls)
+    points, listing = _flatten([design.blocks[i] for i in listed.tolist()])
+    rows = cls[listing]
+    wrong = np.flatnonzero(np.bincount(rows, minlength=big_r) != design.v)
+    if wrong.size:
+        raise NotResolvable(f"parallel class {wrong[0]} does not partition the {design.v} points")
+    pos = np.full((big_r, design.v), -1, dtype=np.intp)
     block = np.full_like(pos, -1)
-    for r, cls in enumerate(design.resolution):
-        if sum(len(design.blocks[block_id]) for block_id in cls) != design.v:
-            raise NotResolvable(f"parallel class {r} does not partition the {design.v} points")
-        for s_pos, block_id in enumerate(cls):
-            points = list(design.blocks[block_id])
-            pos[r, points] = s_pos
-            block[r, points] = block_id
+    pos[rows, points] = within[listing]
+    block[rows, points] = listed[listing]
     if (pos < 0).any():  # with the sizes summing to V, a full cover is a partition
         raise NotResolvable("a parallel class fails to cover every point")
     return pos, block
@@ -236,22 +294,16 @@ def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
     # class-r block containing v, and f_u(r)
     rows, cols = np.repeat(block, big_r + 1, axis=1), np.arange(n)
 
-    exact = simplex.signs is not None
-    if exact:
+    prov = {"construction": "steiner", "v": v_count, "k": design.k,
+            "b": big_b, "r": big_r, "simplex": simplex.kind}
+    if simplex.signs is not None:
         ints = np.zeros((big_b, n), dtype=np.int64)
         ints[rows, cols] = np.tile(simplex.signs, (1, v_count))
+        frame = Frame(exact_ints=ints, scale_sq=big_r, provenance=prov)
     else:
-        ints = None
         entries = np.zeros((big_b, n), dtype=np.complex128)
         entries[rows, cols] = _scalar_cmul(big_r ** -0.5, np.tile(simplex.entries, (1, v_count)))
-
-    frame = Frame(
-        entries=_numeric(ints, big_r) if exact else entries,
-        exact_ints=ints,
-        scale_sq=big_r if exact else None,
-        provenance={"construction": "steiner", "v": v_count, "k": design.k,
-                    "b": big_b, "r": big_r, "simplex": simplex.kind},
-    )
+        frame = Frame(entries=entries, provenance=prov)
     frame.check_unit_norm()
     return frame
 
@@ -281,22 +333,16 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     def tables(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.tile(f, (1, v_count))[:, None, :], h[:, h_cols].transpose(1, 0, 2)
 
-    exact = simplex.signs is not None and basis.signs is not None
-    if exact:
+    prov = {"construction": "kirkman", "v": v_count, "k": design.k,
+            "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind}
+    if simplex.signs is not None and basis.signs is not None:
         f, h = tables(simplex.signs, basis.signs)
-        ints = (f * h).reshape(big_r * s_count, n)
+        frame = Frame(exact_ints=(f * h).reshape(big_r * s_count, n), scale_sq=big_b,
+                      provenance=prov)
     else:
-        ints = None
         f, h = tables(simplex.entries, basis.entries)
         entries = _scalar_cmul(_scalar_cmul(big_b ** -0.5, f), h).reshape(big_r * s_count, n)
-
-    frame = Frame(
-        entries=_numeric(ints, big_b) if exact else entries,
-        exact_ints=ints,
-        scale_sq=big_b if exact else None,
-        provenance={"construction": "kirkman", "v": v_count, "k": design.k,
-                    "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind},
-    )
+        frame = Frame(entries=entries, provenance=prov)
     frame.check_unit_norm()
     return frame
 
@@ -371,17 +417,12 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
     table = character_table(group)
     rows = list(dset.elements)
     m, n = len(rows), group.order
-    exact = table.signs is not None
-    if exact:
-        ints = table.signs[:, rows].T.copy()
-        entries = _numeric(ints, m)
-    else:
-        ints = None
-        entries = table.entries[:, rows].T.copy() / np.sqrt(m)
     prov = {"construction": "harmonic", "group": list(group.factors),
             "d": m, "lambda": dset.lam}
-    frame = Frame(entries=entries, exact_ints=ints, scale_sq=m if exact else None,
-                  provenance=prov)
+    if table.signs is not None:
+        frame = Frame(exact_ints=table.signs[:, rows].T.copy(), scale_sq=m, provenance=prov)
+    else:
+        frame = Frame(entries=table.entries[:, rows].T.copy() / np.sqrt(m), provenance=prov)
     frame.check_unit_norm()
     return frame
 
@@ -433,6 +474,20 @@ class McFarlandMatchReport:
         }
 
 
+def _deviations(a: np.ndarray, k: np.ndarray) -> tuple[float, float]:
+    """(max |A - K|, max |A^H A - K^H K|) for M x N matrices A and K, with
+    one N x N array live: A^H A - K^H K = (X + X^H) / 2 for X = S^H E,
+    S = A + K and E = A - K, read a block of rows of X + X^H at a time."""
+    diff = a - k
+    summed = a + k
+    x = np.conjugate(summed, out=summed).T @ diff
+    n = x.shape[0]
+    step = max(1, _GRAM_BLOCK // n)
+    gram_dev = max(float(np.abs(x[lo:lo + step] + x[:, lo:lo + step].conj().T).max())
+                   for lo in range(0, n, step))
+    return float(np.abs(diff).max()), gram_dev / 2
+
+
 def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
                          tol: float = 1e-9) -> tuple[Frame, Frame, McFarlandMatchReport]:
     """Build the same ETF twice: as restricted characters over the
@@ -464,11 +519,7 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
     col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
 
-    aligned = harm.entries[np.ix_(row_perm, col_perm)]
-    max_entry_dev = float(np.abs(aligned - kirk.entries).max())
-    gram_dev = harm.gram()[np.ix_(col_perm, col_perm)]
-    gram_dev -= kirk.gram()  # in place: one N x N temporary fewer
-    max_gram_dev = float(np.abs(gram_dev).max())
+    max_entry_dev, max_gram_dev = _deviations(harm.entries[np.ix_(row_perm, col_perm)], kirk.entries)
     report = McFarlandMatchReport(q=q, j=j, group=tuple(group_g.factors),
                                   max_entry_dev=max_entry_dev,
                                   max_gram_dev=max_gram_dev, tol=tol)

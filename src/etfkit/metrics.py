@@ -27,17 +27,11 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .frames import _INT64_EXACT, Frame, _abs_max, exact_matmul
+from .frames import Frame, _abs_max, _exact_ints, exact_matmul
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
 _EIG_CHUNK = 65536
-
-
-def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
-    """arr in int64 when the caller's bound on every value its elementwise
-    arithmetic produces is below 2**63, else in Python integers (object)."""
-    return arr.astype(np.int64) if bound < _INT64_EXACT else arr.astype(object)
 
 
 def coherence(frame: Frame, tol: float = DEFAULT_TOL):
@@ -156,30 +150,50 @@ class EtfCertificate:
         }
 
 
+def _tightness_residual(ints: np.ndarray, d: int) -> Fraction:
+    """max |op - (N/M) I| for the frame operator op = ints ints^T / d of an
+    M x N integer form, exactly.  Off the diagonal it is max |op_ij| / d; on
+    it, max |op_ii m - n d| / (d m), one Fraction from one array reduction,
+    in int64 while |op_ii| m + n |d| stays below 2**63 and in Python integers
+    beyond."""
+    m, n = ints.shape
+    op = exact_matmul(ints, ints.T)
+    op_off = int(np.abs(op[~np.eye(m, dtype=bool)]).max()) if m > 1 else 0
+    diag = np.diagonal(op)
+    diag = _exact_ints(diag, _abs_max(diag) * m + n * abs(d))
+    diag_dev = Fraction(int(np.abs(diag * m - n * d).max()), abs(d) * m)
+    return max(Fraction(op_off, d), diag_dev)
+
+
+def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) -> EtfCertificate:
+    """Certificate of the frame ints / sqrt(d), given its integer Gram
+    g_int = ints^T ints, in exact rational arithmetic: certify_etf's exact
+    path, and codes.certify_grbe's on the Gram it already holds."""
+    m, n = ints.shape
+    welch = welch_bound(m, n)
+    mask = ~np.eye(n, dtype=bool)
+    off = np.abs(g_int[mask])
+    mu = Fraction(int(off.max()), d)
+    mu_min = Fraction(int(off.min()), d)
+    tight_res = _tightness_residual(ints, d)
+    g = _exact_ints(g_int, _abs_max(g_int) ** 2 * n * n)
+    pot = Fraction(int(np.sum(g * g)), d * d)
+    pot_res = abs(pot - Fraction(n * n, m))
+    return EtfCertificate(
+        m=m, n=n, coherence=float(mu), coherence_exact=str(mu),
+        welch=welch, tightness_residual=float(tight_res),
+        offdiag_max=float(mu), offdiag_min=float(mu_min),
+        potential_residual=float(pot_res), exact=True, tol=tol,
+    )
+
+
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate; exact rational arithmetic when the frame carries an
-    integer form, floating point otherwise."""
+    integer form (_exact_certificate), floating point otherwise."""
+    if frame.exact_ints is not None:
+        return _exact_certificate(frame.exact_ints, frame.scale_sq, frame.gram_exact()[0], tol)
     m, n = frame.m, frame.n
     welch = welch_bound(m, n)
-    if frame.exact_ints is not None:
-        g_int, d = frame.gram_exact()
-        mask = ~np.eye(n, dtype=bool)
-        off = np.abs(g_int[mask])
-        mu = Fraction(int(off.max()), d)
-        mu_min = Fraction(int(off.min()), d)
-        op = exact_matmul(frame.exact_ints, frame.exact_ints.T)
-        op_off = int(np.abs(op[~np.eye(m, dtype=bool)]).max()) if m > 1 else 0
-        diag_dev = max(abs(Fraction(int(x), d) - Fraction(n, m)) for x in np.diag(op))
-        tight_res = max(Fraction(op_off, d), diag_dev)
-        g = _exact_ints(g_int, _abs_max(g_int) ** 2 * n * n)
-        pot = Fraction(int(np.sum(g * g)), d * d)
-        pot_res = abs(pot - Fraction(n * n, m))
-        return EtfCertificate(
-            m=m, n=n, coherence=float(mu), coherence_exact=str(mu),
-            welch=welch, tightness_residual=float(tight_res),
-            offdiag_max=float(mu), offdiag_min=float(mu_min),
-            potential_residual=float(pot_res), exact=True, tol=tol,
-        )
     g = frame.gram()
     mask = ~np.eye(n, dtype=bool)
     off = np.abs(g[mask])

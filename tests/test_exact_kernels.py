@@ -2,9 +2,11 @@
 against Python-integer matmul, code distance against a pairwise Hamming
 minimum, and GF(2)-rank linearity against the pairwise XOR closure scan."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,7 +24,7 @@ from etfkit.codes import (
 from etfkit.designs import affine_design
 from etfkit.flatmat import drop_row_simplex, hadamard
 from etfkit.frames import exact_matmul, kirkman_etf
-from etfkit.metrics import certify_etf
+from etfkit.metrics import _tightness_residual, certify_etf
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -163,3 +165,94 @@ def test_a24_certificate_bound_and_linearity():
     assert grbe["bound_value"] == 2048 and grbe["delta"] == 240
     assert grbe["passed"] and grbe["verdicts_agree"]
     assert is_linear(code) == LinearityReport(linear=True, witness=None, family="bent-minus")
+
+
+# -- the exact ETF certificate on the integer form alone ------------------------
+
+def fraction_loop_tightness(ints: np.ndarray, d: int) -> Fraction:
+    """max |op - (N/M) I| of the frame operator ints ints^T / d, one Fraction
+    per diagonal entry."""
+    m, n = ints.shape
+    op = ints.astype(object) @ ints.T.astype(object)
+    off = max((abs(op[i, j]) for i in range(m) for j in range(m) if i != j), default=0)
+    diag = max(abs(Fraction(int(op[i, i]), d) - Fraction(n, m)) for i in range(m))
+    return max(Fraction(int(off), d), diag)
+
+
+def _certified_corpus():
+    from etfkit.designs import round_robin_design
+    from etfkit.flatmat import AbelianGroup
+    from etfkit.frames import harmonic_etf, mcfarland_set, steiner_etf
+
+    ds = mcfarland_set(2, 2, AbelianGroup((2, 2, 2)))
+    frames = {"harmonic-q2j2": harmonic_etf(ds.group, ds)}
+    for name, design in (("rr4", round_robin_design(4)), ("rr8", round_robin_design(8)),
+                         ("aff22", affine_design(2, 2))):
+        big_r = len(design.resolution)
+        simplex = drop_row_simplex(hadamard(big_r + 1), big_r // 2)
+        frames[f"{name}-steiner"] = steiner_etf(design, simplex)
+        frames[f"{name}-kirkman"] = kirkman_etf(design, simplex, hadamard(design.s))
+    return frames
+
+
+@pytest.mark.parametrize("name", ["harmonic-q2j2", "rr4-steiner", "rr4-kirkman", "rr8-steiner",
+                                  "rr8-kirkman", "aff22-steiner", "aff22-kirkman"])
+def test_tightness_residual_equals_the_fraction_loop(name):
+    frame = _certified_corpus()[name]
+    assert _tightness_residual(frame.exact_ints, frame.scale_sq) == \
+        fraction_loop_tightness(frame.exact_ints, frame.scale_sq)
+    # a frame that is not tight: one sign flipped, and a wrong scale
+    ints = frame.exact_ints.copy()
+    ints[0, 0] *= -1
+    for d in (frame.scale_sq, frame.scale_sq + 1):
+        got = _tightness_residual(ints, d)
+        assert got == fraction_loop_tightness(ints, d) and got > 0
+
+
+def test_tightness_residual_past_the_int64_bound():
+    rng = np.random.default_rng(3)
+    ints = rng.integers(2 ** 31, 2 ** 32, size=(3, 5)) * rng.choice([-1, 1], size=(3, 5))
+    d = 2 ** 63 + 7
+    assert int(np.abs(ints).max()) ** 2 * 5 * 3 >= 2 ** 63  # op_ii m alone is past int64
+    assert _tightness_residual(ints, d) == fraction_loop_tightness(ints, d)
+    assert _tightness_residual(ints.astype(object), d) == fraction_loop_tightness(ints, d)
+
+
+def test_the_exact_pipeline_never_builds_complex_entries(monkeypatch):
+    from etfkit import frames
+    from etfkit.codes import code_to_frame
+    from etfkit.frames import frame_to_json, parse_frame, steiner_etf
+    from etfkit.metrics import gram_equal
+
+    calls = []
+    real = frames._numeric
+    monkeypatch.setattr(frames, "_numeric", lambda *args: calls.append(args) or real(*args))
+    design, simplex = affine_design(2, 2), drop_row_simplex(hadamard(8), 1)
+    flat = kirkman_etf(design, simplex, hadamard(design.s))
+    assert certify_etf(flat).passed
+    assert gram_equal(flat, steiner_etf(design, simplex)).max_dev == 0.0
+    text = frame_to_json(flat)
+    assert np.array_equal(parse_frame(text).exact_ints, flat.exact_ints)
+    code = parse_code(frame_to_code(flat).to_text())
+    assert np.array_equal(code_to_frame(code).exact_ints, flat.exact_ints)
+    assert certify_grbe(code).as_dict()["passed"]
+    assert calls == []
+    assert flat.entries is flat.entries and len(calls) == 1  # derived on first read, once
+
+
+def test_certify_grbe_forms_the_half_sign_gram_once(monkeypatch):
+    """The distance and the exact ETF side read one N x N Gram; the only
+    other product is the M x M frame operator."""
+    from etfkit import codes, frames, metrics
+
+    shapes = []
+
+    def counting(a, b):
+        shapes.append((a.shape[0], b.shape[1]))
+        return exact_matmul(a, b)
+
+    for module in (codes, frames, metrics):
+        monkeypatch.setattr(module, "exact_matmul", counting)
+    code = frame_to_code(kirkman_etf(affine_design(2, 2), drop_row_simplex(hadamard(8), 0), hadamard(4)))
+    assert certify_grbe(code).as_dict()["passed"]
+    assert sorted(shapes) == [(28, 28), (64, 64)]

@@ -264,6 +264,26 @@ def test_character_table_checks_every_build(monkeypatch):
     character_table.cache_clear()
 
 
+@pytest.mark.parametrize("factors,dense", [
+    ((1,), ["character-table"]), ((2,), ["character-table"]), ((12,), ["character-table"]),
+    ((2, 3), ["dft", "dft"]), ((2, 2), ["dft", "dft"]),
+])
+def test_each_table_runs_the_dense_gram_check_once_per_distinct_matrix(factors, dense, monkeypatch):
+    """A cyclic group's table is its one DFT: one dense check, of the table,
+    and not a second one of a dft() factor with the same bytes.  A product's
+    table is checked through its factors, each checked densely."""
+    from etfkit import flatmat
+
+    checked, real = [], flatmat._check_gram
+    monkeypatch.setattr(flatmat, "_check_gram", lambda m: checked.append(m.kind) or real(m))
+    character_table.cache_clear()
+    table = character_table(AbelianGroup(factors))
+    character_table.cache_clear()
+    assert checked == dense
+    if len(factors) == 1:
+        assert table.entries.tobytes() == (hadamard(2) if factors == (2,) else dft(factors[0])).entries.tobytes()
+
+
 # -- one stored form, checked at construction -----------------------------------
 
 @pytest.mark.parametrize("entries,kind", [

@@ -29,6 +29,7 @@ from etfkit.frames import (
     parse_frame,
     real_kirkman_params,
     steiner_etf,
+    _numeric,
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
 
@@ -428,3 +429,120 @@ def test_harmonic_accepts_a_list_form_group():
     ds = mcfarland_set(2, 1, AbelianGroup([2, 2]))
     f = harmonic_etf(AbelianGroup([2, 2, 2, 2]), ds)
     assert (f.m, f.n) == (6, 16)
+
+
+# -- one stored form: integer frames derive their complex entries --------------
+
+def _integer_frames():
+    from etfkit.codes import code_to_frame, frame_to_code
+    ds = mcfarland_set(2, 1, AbelianGroup((2, 2)))
+    return {
+        "steiner": fig1_frame(),
+        "kirkman": fig2_frame(),
+        "harmonic": harmonic_etf(ds.group, ds),
+        "parse_frame": parse_frame(frame_to_json(fig2_frame())),
+        "code_to_frame": code_to_frame(frame_to_code(fig2_frame())),
+    }
+
+
+@pytest.mark.parametrize("name", ["steiner", "kirkman", "harmonic", "parse_frame", "code_to_frame"])
+def test_derived_entries_are_the_numeric_form_and_read_only(name):
+    frame = _integer_frames()[name]
+    want = _numeric(frame.exact_ints, frame.scale_sq)
+    assert frame.entries.dtype == want.dtype and frame.entries.tobytes() == want.tobytes()
+    assert frame.entries is frame.entries  # derived once, then kept
+    with pytest.raises(ValueError):
+        frame.entries[0, 0] = 0
+    with pytest.raises(ValueError):
+        frame.exact_ints[0, 0] = 0
+    with pytest.raises(AttributeError):
+        frame.entries = want
+
+
+def test_a_float_frame_keeps_the_array_it_was_given():
+    a = np.eye(3, dtype=np.complex128)
+    frame = Frame(entries=a)
+    assert frame.entries is a and frame.exact_ints is None and (frame.m, frame.n) == (3, 3)
+
+
+def test_entries_given_alongside_the_integer_form_must_equal_the_derived_ones():
+    ints = fig2_frame().exact_ints
+    same = Frame(entries=ints / np.sqrt(6), exact_ints=ints, scale_sq=6)
+    assert same.entries.tobytes() == _numeric(ints, 6).tobytes()
+    flipped = _numeric(ints, 6).copy()
+    flipped[0, 0] *= -1
+    nudged = _numeric(ints, 6).copy()
+    nudged[2, 3] = np.nextafter(nudged[2, 3].real, 2.0)
+    for entries, scale_sq in ((flipped, 6), (nudged, 6), (_numeric(ints, 6), 5), (_numeric(ints, 6)[:, :3], 6)):
+        with pytest.raises(FrameFormatError):
+            Frame(entries=entries, exact_ints=ints, scale_sq=scale_sq)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"exact_ints": np.ones((1, 2), dtype=np.int64)},
+                                    {"entries": np.ones((1, 2)), "scale_sq": 1}])
+def test_a_frame_needs_one_whole_form(kwargs):
+    with pytest.raises(FrameFormatError):
+        Frame(**kwargs)
+
+
+@pytest.mark.parametrize("ints,scale_sq", [
+    ([[1, 1], [1, 0]], 2), ([[2, 0], [0, 1]], 1), ([[1, -1], [1, 1]], 3), ([[3, 4]], 26), ([[1], [1]], 1),
+])
+def test_unit_norm_of_the_integer_form_matches_the_float_check(ints, scale_sq):
+    ints = np.array(ints, dtype=np.int64)
+    with pytest.raises(NotUnitNorm) as exact:
+        Frame(exact_ints=ints, scale_sq=scale_sq).check_unit_norm()
+    with pytest.raises(NotUnitNorm) as floating:
+        Frame(entries=_numeric(ints, scale_sq)).check_unit_norm()
+    assert str(exact.value) == str(floating.value)
+    Frame(exact_ints=np.array([[3, 4], [4, -3]]), scale_sq=25).check_unit_norm()
+
+
+@pytest.mark.parametrize("resolution,message", [
+    (((0, 1, 2), (2, 3), (4, 5)), "parallel class 0 does not partition the 4 points"),
+    (((0, 1), (2, 3, 0), (4, 5)), "parallel class 1 does not partition the 4 points"),
+    (((0, 1), (2,), (4, 5)), "parallel class 1 does not partition the 4 points"),
+    (((0, 0), (2, 3), (4, 5)), "a parallel class fails to cover every point"),
+    (((0, 1), (2, 3), (4, 0)), "a parallel class fails to cover every point"),
+])
+def test_resolution_faults_keep_their_messages(resolution, message):
+    with pytest.raises(NotResolvable, match=f"^{message}$"):
+        steiner_etf(_round_robin_4_with_resolution(resolution), drop_row_simplex(hadamard(4), 0))
+
+
+# -- McFarland: the Gram deviation from one product ----------------------------
+
+def _two_gram_deviation(a: np.ndarray, k: np.ndarray) -> float:
+    return float(np.abs(a.conj().T @ a - k.conj().T @ k).max())
+
+
+@pytest.mark.parametrize("block", [None, 100], ids=["one-block", "two-row-blocks"])
+@pytest.mark.parametrize("perturb", [0.0, 1e-6], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("q,j,factors", [(3, 1, (5,)), (4, 1, (6,)), (2, 2, (8,))])
+def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, perturb, block, monkeypatch):
+    from etfkit import frames
+
+    real_kirkman, real_deviations, seen = frames.kirkman_etf, frames._deviations, []
+
+    def kirkman_etf(*args):
+        frame = real_kirkman(*args)
+        entries = np.array(frame.entries)
+        rng = np.random.default_rng(sum(factors))
+        rows, cols = rng.integers(frame.m, size=3), rng.integers(frame.n, size=3)
+        entries[rows, cols] += perturb * np.exp(2j * np.pi * rng.random(3))
+        return Frame(entries=entries, provenance=frame.provenance)
+
+    if block is not None:  # rows of X + X^H in blocks of 100 // N = 2 (or 1) rows
+        monkeypatch.setattr(frames, "_GRAM_BLOCK", block)
+
+    def deviations(a, k):
+        seen.append((a, k))
+        return real_deviations(a, k)
+
+    monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
+    monkeypatch.setattr(frames, "_deviations", deviations)
+    _, _, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    (a, k), = seen
+    assert report.max_entry_dev == float(np.abs(a - k).max())
+    assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
+    assert (report.max_gram_dev > 1e-8) == (perturb > 0)

@@ -29,3 +29,32 @@ def test_no_assert_and_no_assertion_error(path):
            if isinstance(node, ast.Assert)
            or (isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node))]
     assert not bad, f"assert or raise AssertionError in the package source: {bad}"
+
+
+def _numeric_call_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing 'Class.function' or 'function', line) of every _numeric(...) call."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_numeric":
+                    sites.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_complex_entries_of_an_integer_frame_are_derived_in_one_place():
+    """An integer frame stores exact_ints and scale_sq only; Frame.entries
+    derives the complex entries, so no other code may call _numeric."""
+    sites = {path.name: _numeric_call_sites(ast.parse(path.read_text(), filename=str(path)))
+             for path in SOURCES}
+    assert [scope for scope, _ in sites.pop("frames.py")] == ["Frame.entries"]
+    assert not any(sites.values()), f"_numeric called outside Frame.entries: {sites}"
