@@ -51,14 +51,23 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     max|a| * max|b| * K.  Below 2**53 those sums are integers a float64 holds
     exactly, so the product runs on float64 BLAS; below 2**63 it runs in int64
     (no BLAS); beyond that in Python integers (object dtype).  The result is
-    int64 on the first two paths.
+    int64 on the first two paths.  When b is a.T (the same memory, transposed)
+    a is converted once and the product is f @ f.T, numpy's symmetric kernel.
     """
     bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
     if bound < _FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        f = a.astype(np.float64)
+        return (f @ (f.T if _is_transpose(a, b) else b.astype(np.float64))).astype(np.int64)
     if bound < _INT64_EXACT:
         return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b.astype(object)
+
+
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when b views the memory of a, transposed: b is a.T."""
+    return (a.ndim == b.ndim == 2 and b.dtype == a.dtype and b.shape == a.shape[::-1]
+            and b.strides == a.strides[::-1]
+            and b.__array_interface__["data"][0] == a.__array_interface__["data"][0])
 
 
 def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
@@ -474,12 +483,23 @@ class McFarlandMatchReport:
         }
 
 
-def _deviations(a: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-    """(max |A - K|, max |A^H A - K^H K|) for M x N matrices A and K, with
-    one N x N array live: A^H A - K^H K = (X + X^H) / 2 for X = S^H E,
-    S = A + K and E = A - K, read a block of rows of X + X^H at a time."""
+def _deviations(a: np.ndarray, k: np.ndarray, group: AbelianGroup) -> tuple[float, float]:
+    """(max |A - K|, max |A^H A - K^H K|) for M x N matrices A and K, rows
+    matched, whose columns are labelled by the abelian group G of order N.
+
+    A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and E = A - K.
+    When metrics._has_character_rows verifies both A and K as character
+    frames of G, both Grams are circulants up to its allowance (see
+    mcfarland_as_kirkman), and the deviation is max_c |g_A(c) - g_K(c)|
+    from row 0 of X + X^H, S[:, 0]^H E + E[:, 0]^H S.  Otherwise X is formed
+    and X + X^H read a block of rows at a time, with one N x N array live."""
+    from .metrics import _has_character_rows  # metrics imports this module
+
     diff = a - k
     summed = a + k
+    if _has_character_rows(a, group) and _has_character_rows(k, group):
+        row = np.conjugate(summed[:, 0]) @ diff + np.conjugate(diff[:, 0]) @ summed
+        return float(np.abs(diff).max()), float(np.abs(row).max()) / 2
     x = np.conjugate(summed, out=summed).T @ diff
     n = x.shape[0]
     step = max(1, _GRAM_BLOCK // n)
@@ -497,6 +517,15 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     Returns (harmonic frame, design-based frame, match report); the report
     compares entries under the canonical identification of row (r, s) with
     group element (g_r, g^r s) and of column (u, v) with the character pair.
+
+    The Gram deviation is taken with both frames' columns in the harmonic
+    labelling by G x V (the design-based frame's relabelled by that
+    identification).  When the rows of each check as characters of G x V
+    within the allowance derived in metrics.certify_etf, both Grams are
+    group circulants up to eta = 2 sqrt(M) eps + M eps^2 per entry, so
+    max_gram_dev is max_c |g_A(c) - g_K(c)|, read from one row of the Gram
+    difference, within 2 eta per side of the two-Gram value; otherwise
+    (_deviations) the two Grams' difference is read in full.
     """
     structure, design = affine_structure(q, j)
     fld = structure.field
@@ -519,7 +548,8 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
     col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
 
-    max_entry_dev, max_gram_dev = _deviations(harm.entries[np.ix_(row_perm, col_perm)], kirk.entries)
+    max_entry_dev, max_gram_dev = _deviations(harm.entries[row_perm], kirk.entries[:, np.argsort(col_perm)],
+                                              dset.group)
     report = McFarlandMatchReport(q=q, j=j, group=tuple(group_g.factors),
                                   max_entry_dev=max_entry_dev,
                                   max_gram_dev=max_gram_dev, tol=tol)

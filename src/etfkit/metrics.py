@@ -9,14 +9,15 @@ frames.exact_matmul (float64 BLAS while every partial sum stays below 2**53),
 further integer reductions run in int64 while their bound stays below 2**63
 and in Python integers beyond it, and the results are Fractions with no
 tolerance involved.  Everything else is certified in floating point against
-the stated tolerances.
+the stated tolerances; a float frame whose rows check as characters of an
+abelian group labelling its columns is certified from one Gram row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
+from .flatmat import _UNIT_ROUNDOFF, AbelianGroup
 from .frames import Frame, _abs_max, _exact_ints, exact_matmul
 
 DEFAULT_TOL = 1e-9
@@ -187,23 +189,103 @@ def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) 
     )
 
 
+def _group_hint(frame: Frame) -> AbelianGroup | None:
+    """The abelian group Z_f1 x ... x Z_ft that the provenance field "group"
+    names as the labelling of the columns, when it is a nonempty list of
+    positive ints; None otherwise.  Only a hint: _has_character_rows checks
+    its order and verifies it on the entries before anything rests on it."""
+    factors = frame.provenance.get("group")
+    if type(factors) is not list or not factors or not all(type(f) is int and f > 0 for f in factors):
+        return None
+    return AbelianGroup(tuple(factors))
+
+
+def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
+    """True when |G| is N and every row of the M x N entries F checks as
+    1/sqrt(M) times a character of G = Z_f1 x ... x Z_ft, with column u the
+    element u of G (digits first factor most significant).
+
+    The check, O(MN) array operations on the entries alone: each row's values
+    at the generators e_k are read as the nearest f_k-th roots of unity,
+    exponents r_k, and the row must match, within the allowance derived in
+    certify_etf, the character u -> prod_k exp(2 pi i r_k u_k / f_k), formed
+    as an integer phase sum_k r_k u_k L / f_k mod L, L the exponent of G, that
+    indexes a table of the L-th roots of unity."""
+    m, n = entries.shape
+    if m == 0 or group.order != n:
+        return False
+    factors, orders = group.factors, group._radix
+    big_l = lcm(*factors)
+    # the column of e_k is its place value; a factor of 1 at the front has
+    # place N, and its generator is the identity, column 0
+    with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
+        r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
+    # each term r_k u_k L / f_k is below L f_k, so the sum is exact in float64
+    phase = ((r * (big_l // orders)).astype(np.float64)
+             @ group.digit_array(np.arange(n)).T.astype(np.float64)).astype(np.intp) % big_l
+    roots = np.exp(2j * np.pi * np.arange(big_l) / big_l) / np.sqrt(m)
+    residual = np.abs(entries - roots.take(phase)).max()
+    return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
+
+
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate; exact rational arithmetic when the frame carries an
-    integer form (_exact_certificate), floating point otherwise."""
+    integer form (_exact_certificate), floating point otherwise.
+
+    A float frame whose provenance names a group of order N (a harmonic
+    frame's "group") is certified from one Gram row when
+    _has_character_rows verifies that group on the entries: every row is,
+    within an allowance, 1/sqrt(M) times a character chi_r of G labelling
+    the columns.  For exact characters the Gram is a group circulant,
+    G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), so row 0 decides
+    it: coherence and offdiag_max are max_{c != 0} |g(c)|, offdiag_min is
+    min_{c != 0} |g(c)|, and the potential is N sum_c |g(c)|^2.  The
+    tightness residual comes from the M x M frame operator either way.  A
+    frame with no hint, or whose entries fail the check, gets the dense
+    N x N Gram.
+
+    The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A character
+    entry formed as a product of t factor values exp(2 pi i a b / f_k),
+    a b < f_k^2, then scaled by 1/sqrt(M), is off the exact value by at most
+    sum_k (6 pi f_k + 5) u + 2 u relative to 1/sqrt(M): a phase argument
+    below 2 pi f_k with three roundings, the exponential and one complex
+    product per factor, and the scale.  The check accepts a computed
+    residual rho = max |F - P| up to tau = 32 s u / sqrt(M), above that
+    sum.  Each tabulated root in P, a phase below 2 pi with three roundings,
+    the exponential and the scale, is off the exact one by at most
+    24 u / sqrt(M), so eps = max |F - F*| <= 32 (s + 1) u / sqrt(M) for the
+    exact characters F*.  With F = F* + E, the difference
+    F^H F - F*^H F* = E^H F* + F*^H E + E^H E has entries at most
+    eta = 2 sqrt(M) eps + M eps^2, about 64 (s + 1) u: every exact Gram
+    entry G[a, b] is within eta of the circulant value g*(b - a), so within
+    2 eta of G[0, b - a].  The computed row is within the dense product's
+    rounding bound of G[0, c], so each off-diagonal value read from it
+    stands for every Gram entry with that difference to within 2 eta, at
+    most 1.5e-14 (s + 1), more than the dense Gram's own rounding: under
+    1e-10 while the orders sum below 6000, far inside DEFAULT_TOL.
+    """
     if frame.exact_ints is not None:
         return _exact_certificate(frame.exact_ints, frame.scale_sq, frame.gram_exact()[0], tol)
     m, n = frame.m, frame.n
     welch = welch_bound(m, n)
-    g = frame.gram()
-    mask = ~np.eye(n, dtype=bool)
-    off = np.abs(g[mask])
+    group = _group_hint(frame)
+    if group is not None and _has_character_rows(frame.entries, group):
+        a = np.abs(frame.entries[:, 0].conj() @ frame.entries)
+        pot = n * float(np.sum(a ** 2))
+        off_max, off_min = float(a[1:].max()), float(a[1:].min())
+    else:
+        a = np.abs(frame.gram())
+        pot = float(np.sum(a ** 2))
+        np.fill_diagonal(a, 0.0)
+        off_max = float(a.max())
+        np.fill_diagonal(a, np.inf)
+        off_min = float(a.min())
     op = frame.entries @ frame.entries.conj().T
     tight_res = float(np.abs(op - (n / m) * np.eye(m)).max())
-    pot = float(np.sum(np.abs(g) ** 2))
     return EtfCertificate(
-        m=m, n=n, coherence=float(off.max()), coherence_exact=None,
+        m=m, n=n, coherence=off_max, coherence_exact=None,
         welch=welch, tightness_residual=tight_res,
-        offdiag_max=float(off.max()), offdiag_min=float(off.min()),
+        offdiag_max=off_max, offdiag_min=off_min,
         potential_residual=abs(pot - n * n / m), exact=False, tol=tol,
     )
 
@@ -419,7 +501,8 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     get the structural witness: the R+1 columns sharing one design point are
     supported on only R rows.  The search stops at R+1 only when that witness
     checks as dependent, so a provenance R is never taken on trust.  Sizes up
-    to the cap must fit SUBSET_BUDGET in total; max_subset lowers the cap.
+    to the cap, but not size m+1, must fit SUBSET_BUDGET in total;
+    max_subset lowers the cap.
 
     Sizes k that the coherence bound spark >= 1 + 1/mu already certifies are
     not enumerated: with mu the largest off-diagonal Gram modulus and d the
@@ -458,8 +541,9 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
         structural_rank = int(np.sum(svals > _rank_threshold(n)))
         if structural_rank < big_r + 1:
             limit = min(limit, big_r + 1)
-    _check_budget(sum(comb(n, size) for size in range(1, limit + 1)),
-                  f"sum of C({n},k) for k <= {limit}")
+    searched = min(limit, frame.m)  # size m+1 is decided by dimension count, with nothing enumerated
+    _check_budget(sum(comb(n, size) for size in range(1, searched + 1)),
+                  f"sum of C({n},k) for k <= {searched}")
 
     gram = frame.gram()
     thr_sq = _rank_threshold(n) ** 2

@@ -163,6 +163,17 @@ def test_frame_mcfarland_vs_kirkman(capsys, schema):
     assert doc["group"] == [5]
 
 
+def test_a_group_with_a_factor_of_order_1_is_matched_and_verified(capsys, monkeypatch, schema):
+    code, out = run_cli(capsys, "frame", "mcfarland-vs-kirkman", "--q", "3", "--j", "1", "--group", "1x5")
+    assert code == 0
+    doc = check_report(schema, out)
+    assert doc["passed"] is True and doc["group"] == [1, 5]
+    _, frame_doc = run_cli(capsys, "frame", "harmonic", "--q", "3", "--j", "1", "--group", "1x5")
+    assert json.loads(frame_doc)["provenance"]["group"] == [1, 5, 3, 3]
+    code, out = run_on_stdin(capsys, monkeypatch, frame_doc, "verify", "-")
+    assert code == 0 and check_report(schema, out)["passed"] is True
+
+
 def test_frame_naimark(capsys, monkeypatch):
     _, frame_doc = run_cli(capsys, "fixtures", "emit", "--which", "fig2")
     code, out = run_on_stdin(capsys, monkeypatch, frame_doc, "frame", "naimark", "-")

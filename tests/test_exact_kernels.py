@@ -23,7 +23,7 @@ from etfkit.codes import (
 )
 from etfkit.designs import affine_design
 from etfkit.flatmat import drop_row_simplex, hadamard
-from etfkit.frames import exact_matmul, kirkman_etf
+from etfkit.frames import _is_transpose, exact_matmul, kirkman_etf
 from etfkit.metrics import _tightness_residual, certify_etf
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -52,6 +52,16 @@ def int_pairs(draw):
 def test_exact_matmul_matches_python_integers(pair):
     a, b = pair
     assert exact_matmul(a, b).tolist() == object_matmul(a, b)
+
+
+@PROPERTY
+@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                  elements=st.integers(-2 ** 20, 2 ** 20)))
+def test_exact_matmul_of_a_matrix_and_its_transpose(a):
+    assert exact_matmul(a, a.T).tolist() == object_matmul(a, a.T)
+    assert exact_matmul(a.T, a).tolist() == object_matmul(a.T, a)
+    assert _is_transpose(a, a.T) and _is_transpose(a.T, a)
+    assert not _is_transpose(a, a.T.copy())
 
 
 def test_exact_matmul_refuses_float_beyond_2_53():

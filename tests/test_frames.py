@@ -535,9 +535,9 @@ def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, pert
     if block is not None:  # rows of X + X^H in blocks of 100 // N = 2 (or 1) rows
         monkeypatch.setattr(frames, "_GRAM_BLOCK", block)
 
-    def deviations(a, k):
+    def deviations(a, k, group):
         seen.append((a, k))
-        return real_deviations(a, k)
+        return real_deviations(a, k, group)
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
     monkeypatch.setattr(frames, "_deviations", deviations)

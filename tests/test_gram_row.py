@@ -1,0 +1,264 @@
+"""Harmonic and McFarland frames certified from one verified Gram row.
+
+A float frame whose provenance names its group, and whose rows check as
+characters of that group, gets its certificate from Gram row 0; every other
+float frame, and every frame whose check fails, gets the dense N x N Gram.
+The one-row reports are compared here with the dense ones on the same
+entries, and the dense float certificate with the formula it replaced.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from etfkit import frames, metrics
+from etfkit.flatmat import AbelianGroup
+from etfkit.frames import DifferenceSet, Frame, harmonic_etf, mcfarland_as_kirkman, mcfarland_set, naimark_complement
+from etfkit.metrics import DEFAULT_TOL, EtfCertificate, certify_etf, welch_bound
+
+from test_acceptance import _corpus_frames
+
+# (q, j, G) for every complex float case of the benchmark's harmonic ladder
+# with N <= 891, and its 336 x 1408 top
+FLOAT_LADDER = [
+    (2, 1, (4,)), (3, 1, (5,)), (2, 2, (8,)), (2, 2, (2, 4)), (4, 1, (6,)), (4, 1, (2, 3)),
+    (5, 1, (7,)), (7, 1, (9,)), (7, 1, (3, 3)), (8, 1, (10,)), (8, 1, (2, 5)), (9, 1, (11,)),
+    (3, 2, (14,)), (3, 2, (2, 7)), (2, 3, (16,)), (2, 3, (4, 4)), (2, 3, (2, 8)), (2, 3, (2, 2, 4)),
+]
+TOP = (4, 2, (22,))
+# groups with a cyclic factor of order 1, at the front (generator column N),
+# inside and at the back; the McFarland group appends (Z_q)^(j+1)
+UNIT_FACTOR = [(3, 1, (1, 5)), (3, 1, (5, 1)), (2, 1, (1, 1, 4)), (3, 1, (1, 5, 1))]
+FLOAT_FIELDS = ("coherence", "welch_bound", "welch_gap", "tightness_residual", "offdiag_max",
+                "offdiag_min")
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Counts Frame.gram calls: the dense certificate's N x N product."""
+    calls = []
+    real = Frame.gram
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(Frame, "gram", counted)
+    return calls
+
+
+@pytest.fixture
+def row_checks(monkeypatch):
+    """The verdicts of metrics._has_character_rows, one per call, in order."""
+    checks, real = [], metrics._has_character_rows
+
+    def counted(entries, group):
+        checks.append(real(entries, group))
+        return checks[-1]
+
+    monkeypatch.setattr(metrics, "_has_character_rows", counted)
+    return checks
+
+
+def _dense(frame: Frame) -> dict:
+    """The certificate of the same entries with no provenance: the dense path."""
+    return certify_etf(Frame(entries=np.array(frame.entries))).as_dict()
+
+
+def _harmonic_sets(q, j, factors):
+    dset = mcfarland_set(q, j, AbelianGroup(factors))
+    group = dset.group
+    return [(name, harmonic_etf(group, s)) for name, s in (
+        ("mcfarland", dset), ("complement", dset.complement()),
+        ("full-group", DifferenceSet.verified(group, range(group.order))))]
+
+
+def _label(case):
+    q, j, factors = case
+    return f"q{q}j{j}-{'x'.join(map(str, factors))}"
+
+
+@pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
+def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks):
+    for name, frame in _harmonic_sets(*case):
+        assert frame.exact_ints is None
+        del gram_calls[:], row_checks[:]
+        got = certify_etf(frame).as_dict()
+        assert gram_calls == [] and row_checks == [True], f"{name}: the one-row path was not taken"
+        want = _dense(frame)
+        assert gram_calls == [frame.n]
+        assert got["passed"] == want["passed"] and got["criteria"] == want["criteria"], name
+        assert got["passed"] == (name != "full-group")
+        for key in FLOAT_FIELDS:
+            assert abs(got[key] - want[key]) <= 1e-12, (name, key)
+        # the potential N^2/M reaches 8821 on this ladder, where one ulp is 1.8e-12
+        scale = max(1.0, frame.n ** 2 / frame.m)
+        assert abs(got["potential_residual"] - want["potential_residual"]) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
+def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, row_checks, monkeypatch):
+    _, _, got = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
+    assert gram_calls == [] and row_checks == [True, True]  # the harmonic side, then the Kirkman side
+    monkeypatch.setattr(metrics, "_has_character_rows", lambda entries, group: False)
+    _, _, want = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
+    assert got.max_entry_dev == want.max_entry_dev
+    assert abs(got.max_gram_dev - want.max_gram_dev) <= 1e-15
+    assert got.as_dict()["passed"] and want.as_dict()["passed"]
+
+
+@pytest.mark.parametrize("order,elements", [(7, (1, 2, 4)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14))])
+def test_singer_sets_in_cyclic_groups_take_the_one_row_path(order, elements, gram_calls, row_checks):
+    group = AbelianGroup((order,))
+    frame = harmonic_etf(group, DifferenceSet.verified(group, elements))
+    got = certify_etf(frame).as_dict()
+    assert gram_calls == [] and row_checks == [True]
+    want = _dense(frame)
+    assert got["passed"] and want["passed"] and got["criteria"] == want["criteria"]
+    for key in FLOAT_FIELDS + ("potential_residual",):
+        assert abs(got[key] - want[key]) <= 1e-12, key
+
+
+def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks):
+    cases = FLOAT_LADDER + [TOP]
+    for q, j, factors in cases:
+        dset = mcfarland_set(q, j, AbelianGroup(factors))
+        assert certify_etf(harmonic_etf(dset.group, dset)).passed
+        _, _, match = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+        assert match.entrywise_match and match.gram_match
+    assert gram_calls == []
+    # per case: the certificate's check, then the harmonic and Kirkman sides of the match
+    assert row_checks == [True] * 3 * len(cases)
+
+
+def _mutants(frame: Frame):
+    """Frames that must not take the one-row path, labelled."""
+    entries = np.array(frame.entries)
+    perturbed = entries.copy()
+    perturbed[3, 7] += 1e-6
+    swapped = entries.copy()
+    swapped[:, [1, 2]] = swapped[:, [2, 1]]
+    prov = frame.provenance
+    yield "perturbed", Frame(entries=perturbed, provenance=prov)
+    yield "columns-swapped", Frame(entries=swapped, provenance=prov)
+    hints = {
+        "reordered": prov["group"][::-1], "other-group": [frame.n], "short": prov["group"][:-1],
+        "string": "x".join(map(str, prov["group"])), "float": [float(f) for f in prov["group"]],
+        "bool": [True] * frame.n.bit_length(), "negative": [-f for f in prov["group"]],
+        "zero": prov["group"] + [0], "nested": [prov["group"]], "empty": [],
+    }
+    for name, hint in hints.items():
+        yield f"group-{name}", Frame(entries=entries, provenance={**prov, "group": hint})
+    yield "group-removed", Frame(entries=entries, provenance={k: v for k, v in prov.items() if k != "group"})
+
+
+@pytest.mark.parametrize("case", [(3, 1, (5,)), (4, 1, (2, 3)), (8, 1, (10,))], ids=_label)
+def test_mutations_go_dense_with_the_dense_verdict(case, gram_calls):
+    _, frame = _harmonic_sets(*case)[0]
+    for name, mutant in _mutants(frame):
+        del gram_calls[:]
+        got = json.dumps(certify_etf(mutant).as_dict())
+        assert gram_calls == [frame.n], name
+        assert got == json.dumps(_dense(mutant)), name
+        assert json.loads(got)["passed"] == (name != "perturbed"), name
+
+
+@pytest.mark.parametrize("case", [(3, 1, (5,)), (7, 1, (3, 3))], ids=_label)
+def test_a_conjugated_row_is_still_a_character_and_keeps_the_one_row_path(case, gram_calls):
+    # conj(chi_r) = chi_{-r}: the rows still check, so the Gram is still a
+    # circulant, but the set of row characters is no longer a difference set
+    _, frame = _harmonic_sets(*case)[0]
+    entries = np.array(frame.entries)
+    entries[1] = entries[1].conj()
+    mutant = Frame(entries=entries, provenance=frame.provenance)
+    got = certify_etf(mutant).as_dict()
+    assert gram_calls == []
+    want = _dense(mutant)
+    assert not got["passed"] and got["criteria"] == want["criteria"]
+    for key in FLOAT_FIELDS:
+        assert abs(got[key] - want[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("hint", [[5, 3, 3], [1, 45], [45, 1], [1, 5, 1, 3, 3]], ids=str)
+def test_a_forged_harmonic_provenance_on_a_random_frame_changes_nothing(hint, gram_calls, row_checks):
+    rng = np.random.default_rng(13)
+    entries = rng.standard_normal((12, 45)) + 1j * rng.standard_normal((12, 45))
+    entries /= np.linalg.norm(entries, axis=0)
+    forged = Frame(entries=entries, provenance={"construction": "harmonic", "group": hint,
+                                               "d": 12, "lambda": 3})
+    got = json.dumps(certify_etf(forged).as_dict())
+    assert gram_calls == [45] and row_checks == [False]
+    assert got == json.dumps(_dense(forged))
+
+
+def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
+    real_kirkman = frames.kirkman_etf
+
+    def kirkman_etf(*args):
+        frame = real_kirkman(*args)
+        entries = np.array(frame.entries)
+        entries[2, 5] += 1e-6
+        return Frame(entries=entries, provenance=frame.provenance)
+
+    monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
+    _, _, report = mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
+    assert row_checks == [True, False]  # the harmonic side checks, the Kirkman side does not
+    assert report.max_gram_dev > 1e-8 and not report.gram_match
+
+
+def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, row_checks):
+    # Z_1 x G enumerates G in the same order, so the hint still verifies
+    _, frame = _harmonic_sets(4, 1, (2, 3))[0]
+    want = certify_etf(frame).as_dict()
+    for hint in ([1] + frame.provenance["group"], frame.provenance["group"] + [1]):
+        got = certify_etf(Frame(entries=frame.entries, provenance={**frame.provenance, "group": hint}))
+        assert got.as_dict() == want, hint
+    assert gram_calls == [] and row_checks == [True] * 3
+
+
+# -- the dense float certificate, against the formula it replaced -------------
+
+def _masked_certificate(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
+    """The dense float certificate as it was computed before: the
+    off-diagonal moduli gathered through an N x N mask."""
+    m, n = frame.m, frame.n
+    g = frame.gram()
+    off = np.abs(g[~np.eye(n, dtype=bool)])
+    op = frame.entries @ frame.entries.conj().T
+    tight_res = float(np.abs(op - (n / m) * np.eye(m)).max())
+    pot = float(np.sum(np.abs(g) ** 2))
+    return EtfCertificate(
+        m=m, n=n, coherence=float(off.max()), coherence_exact=None,
+        welch=welch_bound(m, n), tightness_residual=tight_res,
+        offdiag_max=float(off.max()), offdiag_min=float(off.min()),
+        potential_residual=abs(pot - n * n / m), exact=False, tol=tol,
+    )
+
+
+def _float_corpus():
+    """The float frames of the certification corpus, their Naimark
+    complements, the harmonic ladder without its group hint, and random
+    unit-norm frames, one of them with a NaN entry."""
+    for label, frame in _corpus_frames():
+        if frame.exact_ints is None:  # without provenance: no group hint
+            yield label, Frame(entries=np.array(frame.entries))
+            yield f"naimark {label}", naimark_complement(frame)
+    for case in FLOAT_LADDER[:9]:
+        for name, frame in _harmonic_sets(*case):
+            yield f"{_label(case)} {name}", Frame(entries=np.array(frame.entries))
+    rng = np.random.default_rng(29)
+    for m, n in ((3, 4), (5, 60), (8, 9)):
+        entries = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        entries /= np.linalg.norm(entries, axis=0)
+        yield f"random {m}x{n}", Frame(entries=entries)
+    entries[2, 3] = np.nan
+    yield "random with NaN", Frame(entries=entries)
+
+
+def test_dense_float_certificate_is_bit_identical_to_the_masked_formula():
+    count = 0
+    for label, frame in _float_corpus():
+        assert json.dumps(certify_etf(frame).as_dict()) == json.dumps(_masked_certificate(frame).as_dict()), label
+        count += 1
+    assert count > 40

@@ -176,8 +176,10 @@ def test_spark_of_simplex_frame():
 
 def test_spark_respects_subset_budget():
     f = Frame(entries=np.eye(65, dtype=np.complex128))
-    with pytest.raises(EnumerationBudgetExceeded):
+    with pytest.raises(EnumerationBudgetExceeded) as refused:
         spark(f)
+    assert str(refused.value) == \
+        "sum of C(65,k) for k <= 65 = 36893488147419103231 subsets exceeds the budget 10000000"
     report = spark(f, max_subset=2)
     assert report.spark is None and report.lower_bound == 3
 
@@ -201,8 +203,23 @@ def test_spark_refuses_round_robin_8_before_enumerating(monkeypatch):
     def enumerate_nothing(gram, size, window=None):
         raise AssertionError("spark enumerated subsets past the budget")
     monkeypatch.setattr(metrics, "_subset_spectra", enumerate_nothing)
-    with pytest.raises(EnumerationBudgetExceeded):
+    with pytest.raises(EnumerationBudgetExceeded) as refused:
         spark(frame)
+    assert str(refused.value) == "sum of C(64,k) for k <= 8 = 5130659560 subsets exceeds the budget 10000000"
+
+
+def test_spark_budget_does_not_count_size_m_plus_1(monkeypatch):
+    # 3 x 30: size 4 is decided by dimension count, so only the 4525 subsets
+    # of sizes 1-3 count against the budget, not C(30, 4) = 27405 more
+    rng = np.random.default_rng(0)
+    entries = rng.standard_normal((3, 30))
+    entries /= np.linalg.norm(entries, axis=0)
+    monkeypatch.setattr(metrics, "SUBSET_BUDGET", 10_000)
+    report = spark(Frame(entries=entries.astype(np.complex128)))
+    assert report.spark == 4 and report.witness == (0, 1, 2, 3) and report.exact
+    monkeypatch.setattr(metrics, "SUBSET_BUDGET", 4524)
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^sum of C\(30,k\) for k <= 3 = 4525 subsets"):
+        spark(Frame(entries=entries.astype(np.complex128)))
 
 
 def test_spark_does_not_trust_a_forged_r(fig2):

@@ -31,8 +31,8 @@ def test_no_assert_and_no_assertion_error(path):
     assert not bad, f"assert or raise AssertionError in the package source: {bad}"
 
 
-def _numeric_call_sites(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing 'Class.function' or 'function', line) of every _numeric(...) call."""
+def _sites(tree: ast.AST, matches) -> list[tuple[str, int]]:
+    """(enclosing 'Class.function' or 'function', line) of every node that matches."""
     sites = []
 
     def visit(node, scope):
@@ -40,21 +40,41 @@ def _numeric_call_sites(tree: ast.AST) -> list[tuple[str, int]]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_numeric":
-                    sites.append((scope, child.lineno))
+            if matches(child):
+                sites.append((scope, child.lineno))
             visit(child, scope)
 
     visit(tree, "")
     return sites
 
 
+def _is_numeric_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "_numeric"
+
+
 def test_complex_entries_of_an_integer_frame_are_derived_in_one_place():
     """An integer frame stores exact_ints and scale_sq only; Frame.entries
     derives the complex entries, so no other code may call _numeric."""
-    sites = {path.name: _numeric_call_sites(ast.parse(path.read_text(), filename=str(path)))
+    sites = {path.name: _sites(ast.parse(path.read_text(), filename=str(path)), _is_numeric_call)
              for path in SOURCES}
     assert [scope for scope, _ in sites.pop("frames.py")] == ["Frame.entries"]
     assert not any(sites.values()), f"_numeric called outside Frame.entries: {sites}"
+
+
+def _names_provenance(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Attribute) and node.attr == "provenance")
+            or (isinstance(node, ast.Name) and node.id == "provenance")
+            or (isinstance(node, ast.Constant) and node.value == "provenance"))
+
+
+def test_metrics_reads_provenance_only_where_it_is_checked():
+    """A provenance field is a claim from the input, not a fact: in metrics
+    only _design_r and _group_hint read it, so every use of one goes
+    through those two, and the group _group_hint returns is verified on the
+    entries (_has_character_rows) before anything rests on it."""
+    path = next(p for p in SOURCES if p.name == "metrics.py")
+    sites = _sites(ast.parse(path.read_text(), filename=str(path)), _names_provenance)
+    assert {scope for scope, _ in sites} == {"_design_r", "_group_hint"}, sites
