@@ -7,8 +7,11 @@ orders outside that closure raise UnsupportedHadamardOrder.  A
 UnimodularMatrix stores one array, its read-only entries, and is checked once,
 when it is built; its integer sign view, which keeps downstream arithmetic
 exact, is derived from entries whenever every entry is exactly real +-1.
-A character table is checked through the DFT factors of its Kronecker
-product rather than through its own N x N Gram.
+A character table is built from its exact phase exponents and checked on
+them, in O(N t) integers for a group of t cyclic factors, rather than
+through its own N x N Gram; its entries are gathered from one table of
+roots of unity, _unit_roots, the one place the package tabulates them
+outside the DFT.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from math import prod
+from math import lcm
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOf
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_KRON_BLOCK = 1 << 18  # entries per column block of the Kronecker-factor check
+_TABLE_BLOCK = 1 << 16  # phase exponents per row block of character_table: 512 kB
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,37 +39,33 @@ class UnimodularMatrix:
     Orthogonal kinds (dft, hadamard, character-table) have pairwise-orthogonal
     columns of squared norm rows; the simplex kind is (n-1) x n with distinct
     columns at inner-product modulus exactly 1.  entries becomes a read-only
-    view of the array passed in (no copy) and is checked at construction.
-    signs is the exact +-1 integer view, derived from entries: present
-    exactly when every entry is real +-1.
+    view of the array passed in (no copy) and is checked at construction by
+    the dense O(N^3) test of its Gram.  signs is the exact +-1 integer view,
+    derived from entries: present exactly when every entry is real +-1.
 
-    kron_factors, when given, are square orthogonal UnimodularMatrix objects
-    F_1, ..., F_t whose Kronecker product the entries claim to be; the check
-    then requires entries to match that product as well as to be orthogonal
-    (see character_table).  Equality and hashing are over kind, shape, dtype
-    and entry bytes.
+    character_table is the one builder that skips the dense test: it proves
+    its table's invariant on the exact phase exponents the entries are
+    gathered from (see there).  Equality and hashing are over kind, shape,
+    dtype and entry bytes.
     """
 
     entries: np.ndarray
     kind: str
-    kron_factors: tuple[UnimodularMatrix, ...] = field(default=(), repr=False)
     signs: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries).view()
-        entries.flags.writeable = False
-        signs = None
-        if np.all((entries == 1) | (entries == -1)):
-            signs = entries.real.astype(np.int64)
-            signs.flags.writeable = False
-        try:
-            factors = tuple(self.kron_factors)
-        except TypeError:
-            raise NotUnimodular(f"{self.kind} Kronecker factors must be a sequence of matrices") from None
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "kron_factors", factors)
-        object.__setattr__(self, "signs", signs)
+        entries = np.asarray(self.entries)
+        signs = entries.real.astype(np.int64) if np.all((entries == 1) | (entries == -1)) else None
+        self._store(entries, signs)
         self.check()
+
+    def _store(self, entries: np.ndarray, signs: np.ndarray | None) -> None:
+        entries = entries.view()
+        for a in (entries, signs):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "signs", signs)
 
     def _key(self) -> tuple:
         return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
@@ -95,14 +94,6 @@ class UnimodularMatrix:
             raise NotUnimodular(f"{self.kind} matrix must be a 2-d numeric array, got {a.dtype} {a.shape}")
         if not _deviation(np.abs(a) - 1.0) <= ENTRY_TOL:
             raise NotUnimodular(f"{self.kind} matrix has a non-unimodular entry")
-        if self.kron_factors:
-            residual = _kron_residual(self)
-            if not residual <= ORTHO_TOL:
-                raise NotUnimodular(f"{self.kind} matrix is not the Kronecker product of its factors")
-            if _kron_gram_bound(self, residual) <= ORTHO_TOL:
-                return
-            # the rounding allowance of a large factor is too wide to certify
-            # orthogonality from the residual: the dense Gram decides
         _check_gram(self)
 
 
@@ -127,56 +118,16 @@ def _deviation(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
-def _inner_product_error(n: int) -> float:
-    """Relative rounding bound of a complex inner product of length n:
-    twice gamma_{n+2} = (n+2)u / (1 - (n+2)u), u the unit roundoff."""
-    return 2 * (n + 2) * _UNIT_ROUNDOFF / (1 - (n + 2) * _UNIT_ROUNDOFF)
-
-
-def _kron_residual(m: UnimodularMatrix) -> float:
-    """max |(F_1 x ... x F_t)^H T - N I| for T = m.entries, computed a block of
-    columns at a time: each F_k^H is applied along its own axis of the
-    reshaped block by one batched matmul, O(N^2 sum f_k) work in all.
-    Raises NotUnimodular unless T is N x N and the factors are square,
-    orthogonal and of orders multiplying to N."""
-    a, factors = m.entries, m.kron_factors
-    n = a.shape[0]
-    if not all(isinstance(f, UnimodularMatrix) and f.kind != "simplex" and f.rows == f.cols
-               for f in factors):
-        raise NotUnimodular(f"{m.kind} Kronecker factors must be square orthogonal unimodular matrices")
-    orders = [f.rows for f in factors]
-    if a.shape != (n, n) or prod(orders) != n:
-        raise NotUnimodular(f"{m.kind} matrix of shape {a.shape} is not a product "
-                            f"of factors of orders {orders}")
-    adjoints = [np.ascontiguousarray(f.entries.conj().T) for f in factors]
-    step = max(1, _KRON_BLOCK // n)
-    devs = []
-    for lo in range(0, n, step):
-        width = min(step, n - lo)
-        y = np.ascontiguousarray(a[:, lo:lo + width])
-        for k, adj in enumerate(adjoints):
-            y = np.matmul(adj, y.reshape(prod(orders[:k]), orders[k], -1))
-        y = y.reshape(n, width)
-        y[lo + np.arange(width), np.arange(width)] -= n
-        devs.append(_deviation(y))
-    return _deviation(np.array(devs))
-
-
-def _kron_gram_bound(m: UnimodularMatrix, residual: float) -> float:
-    """Bound on max |T^H T - N I| in exact arithmetic from the computed
-    residual of _kron_residual; derived in character_table's docstring."""
-    n = m.rows
-    eps = residual + 1.01 * n * sum(_inner_product_error(f.rows) for f in m.kron_factors)
-    sigma = 1.0
-    for f in m.kron_factors:
-        g = f.entries.conj().T @ f.entries
-        g[np.diag_indices(f.rows)] -= f.rows
-        r = _deviation(g) + 1.01 * f.rows * _inner_product_error(f.rows)
-        if not r < 1:
-            return np.inf
-        sigma *= 1 + r / f.rows / (1 - r)
-    sigma -= 1
-    return 2 * eps + eps ** 2 + n * (1 + eps) ** 2 * sigma
+def _unit_roots(n: int) -> np.ndarray:
+    """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1.  The quarter
+    roots 1, i, -1, -i that n admits are exact, so a table of +-1 values
+    gathered from them is exactly +-1; every other root is within 24 u of
+    exact (u the unit roundoff; see metrics.certify_etf)."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
+        if k * n % 4 == 0:
+            roots[k * n // 4] = root
+    return roots
 
 
 def dft(n: int) -> UnimodularMatrix:
@@ -328,57 +279,62 @@ class AbelianGroup:
 
 @lru_cache(maxsize=2)
 def character_table(g: AbelianGroup) -> UnimodularMatrix:
-    """|G| x |G| table with entry (u, r) = chi_u(g_r); the Kronecker product of
-    the factors' DFT matrices under the lexicographic element order.
+    """|G| x |G| table with entry (u, r) = chi_u(g_r), built from its exact
+    phase exponents.
 
-    Each table of a group with two or more cyclic factors is checked when it
-    is built, through its checked DFT factors F_k of orders f_k: with
-    K = F_1 x ... x F_t and N = |G|, the check computes the residual
-    max |K^H T - N I| in O(N^2 sum f_k) work, instead of the O(N^3) Gram
-    T^H T.  Since K / sqrt(N) is unitary up to rounding,
-    a small residual holds only when T is K entry for entry, so a table with
-    two columns swapped fails although its Gram is N I.
+    For G = Z_f1 x ... x Z_ft with exponent L = lcm(f_k), the character u
+    takes the generator e_k to zeta_L^(u_k L / f_k), zeta_L = exp(2 pi i / L),
+    so chi_u(g_r) = zeta_L^(sum_k u_k r_k L / f_k mod L).  These phase
+    exponents come from one exact integer product of the N x t generator
+    exponents with the element digits, a block of rows at a time, and the
+    entries from one gather of them from the table of the L-th roots
+    (_unit_roots).  When G has exponent two, L is at most 2 and the roots are
+    exactly 1 and -1, so the table is exactly +-1 and carries its sign view.
 
-    The rounding allowance.  Let u be the unit roundoff and c_f = 2 gamma_{f+2}
-    the relative error bound of a complex inner product of length f.
-      - Each stage applies one F_k^H to entries bounded by the product of the
-        earlier orders (all entries have modulus 1 + ENTRY_TOL at most), and
-        later stages multiply an error by at most their orders, so the
-        computed residual is within eta = 1.01 N sum_k c_{f_k} of the exact
-        max |E|, E = K^H T - N I.  Let eps = residual + eta.
-      - Each factor's Gram is F_k^H F_k = f_k (I + D_k) with max |D_k| at most
-        s_k = r_k / f_k, r_k its computed max |F_k^H F_k - f_k I| plus
-        1.01 f_k c_{f_k}; the operator norm of D_k is at most r_k < 1, so
-        max |(I + D_k)^-1 - I| <= s_k / (1 - r_k) =: s'_k, and every entry of
-        N (K^H K)^-1 - I, a Kronecker product of the (I + D_k)^-1, is within
-        sigma = prod_k (1 + s'_k) - 1 of I.
-      - K is then invertible and T = K^-H (N I + E), so
-        T^H T = (N I + E)^H (K^H K)^-1 (N I + E).  With W = N (K^H K)^-1 - I,
-        T^H T - N I = E + E^H + E^H E / N + (N I + E)^H W (N I + E) / N,
-        and entry by entry |E_ij| + |E_ji| <= 2 eps, |(E^H E)_ij| <= N eps^2,
-        and the last term is at most sigma ||(N I + E) e_i||_1
-        ||(N I + E) e_j||_1 / N <= N (1 + eps)^2 sigma.
-    So max |T^H T - N I| <= 2 eps + eps^2 + N (1 + eps)^2 sigma in exact
-    arithmetic; when this bound is within ORTHO_TOL, the table meets the
-    invariant the dense Gram test checks, to the same tolerance.  The check
-    rejects a residual above ORTHO_TOL; a residual under it whose bound
-    exceeds ORTHO_TOL (only a factor of order in the thousands has so wide
-    an allowance) is settled by the dense Gram test, as is the table of a
-    cyclic group, which is its one DFT and is checked once, with no factor.
+    The check is on the exact form, in O(N t) integers: every generator
+    exponent u_k L / f_k lies in [0, L) and is a multiple of L / f_k, so
+    each row is a homomorphism G -> <zeta_L>, a character; and the N rows
+    are distinct, so each of the N characters of G appears once.  Then the
+    exact table T* has T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r))
+    sums a character that is trivial only when u = v.  No float Gram is
+    formed: each computed entry is a tabulated root within 24 u of the exact
+    one (u the unit roundoff, the bound metrics.certify_etf states), so
+    T = T* + E with max |E| <= 24 u, and every entry of
+    T^H T - N I = E^H T* + T*^H E + E^H E is at most N (48 u + (24 u)^2),
+    below ORTHO_TOL for every N under 10^5, far beyond any table that fits
+    in memory.
 
     The two most recently requested tables are kept and handed out again;
     like every UnimodularMatrix, their arrays are read-only."""
-    if len(g.factors) == 1:
-        # the table is the group's one DFT, built here and checked once by
-        # the dense Gram test: a checked dft() factor would be the same O(N^3)
-        # product over the same bytes
-        factors, table = (), _dft_entries(g.order)
-    else:
-        factors = tuple(dft(f) for f in g.factors)
-        table = reduce(np.kron, (f.entries for f in factors))
-    if g.exponent_two:  # every character is +-1: round off the DFT's phase error
-        table = np.rint(table.real).astype(np.complex128)
-    return UnimodularMatrix(entries=table, kind="character-table", kron_factors=factors)
+    n, big_l = g.order, lcm(*g.factors)
+    digits = g.digit_array(np.arange(n))
+    exponents = digits * (big_l // g._radix)  # row u: the exponent of chi_u at each generator e_k
+    _check_character_exponents(g, exponents)
+    roots = _unit_roots(big_l)
+    entries = np.empty((n, n), dtype=np.complex128)
+    # each phase sum_k u_k r_k L / f_k is an integer below t L max f_k, far
+    # under 2^53, so the product runs exactly on float64 BLAS; the gather
+    # reduces it mod L
+    rows, elements = exponents.astype(np.float64), digits.T.astype(np.float64)
+    step = max(1, _TABLE_BLOCK // n)
+    for lo in range(0, n, step):
+        roots.take((rows[lo:lo + step] @ elements).astype(np.intp), mode="wrap", out=entries[lo:lo + step])
+    table = object.__new__(UnimodularMatrix)
+    object.__setattr__(table, "kind", "character-table")
+    table._store(entries, entries.real.astype(np.int64) if g.exponent_two else None)
+    return table
+
+
+def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
+    """Raise NotUnimodular unless the N x t generator exponents name every
+    character of G once: each exponent of e_k in [0, L) and a multiple of
+    L / f_k, and no two rows equal (see character_table)."""
+    big_l = lcm(*g.factors)
+    step = big_l // g._radix
+    if not (np.all((exponents >= 0) & (exponents < big_l)) and np.all(exponents % step == 0)):
+        raise NotUnimodular("character-table generator exponents are not characters of the group")
+    if np.bincount(g.index_array(exponents // step), minlength=g.order).max() != 1:
+        raise NotUnimodular("character-table rows repeat a character of the group")
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:

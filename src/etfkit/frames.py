@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -31,7 +32,14 @@ from .errors import (
     NotUnitNorm,
     SimplexShapeMismatch,
 )
-from .flatmat import AbelianGroup, UnimodularMatrix, character_table, hadamard_order_reachable, simplex_from_characters
+from .flatmat import (
+    AbelianGroup,
+    UnimodularMatrix,
+    _unit_roots,
+    character_table,
+    hadamard_order_reachable,
+    simplex_from_characters,
+)
 
 UNIT_NORM_TOL = 1e-9
 _FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
@@ -402,12 +410,15 @@ def _mcfarland_elements(structure: AffineStructure) -> np.ndarray:
     return r * fld.order + fld.mul_indices(fld.antilog[r], structure.hyperplane)
 
 
+@lru_cache(maxsize=2)
 def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     """Hyperplane-translate difference set in G x V, where V is the additive
     group of GF(q^(j+1)): D = {(g_r, v) : v in g^r * S, r = 0..R-1} for the
     canonical primitive element g and trace-zero hyperplane S.
 
-    G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1.
+    G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1.  The
+    two most recently requested sets, which are frozen, are kept and handed
+    out again.
     """
     structure, _ = affine_structure(q, j)
     fld = structure.field
@@ -447,11 +458,7 @@ def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
     hyper = structure.hyperplane
     dinv = fld.pow_indices(structure.delta, fld.order - 2)
     tr_vals = fld.trace_table[fld.mul_indices(fld.mul_indices(hyper[:, None], hyper[None, :]), dinv)]
-    if p == 2:
-        entries = np.where(tr_vals % 2 == 0, 1, -1).astype(np.complex128)
-    else:
-        entries = np.exp(2j * np.pi * tr_vals / p)
-    return UnimodularMatrix(entries=entries, kind="character-table")
+    return UnimodularMatrix(entries=_unit_roots(p).take(tr_vals), kind="character-table")
 
 
 @dataclass(frozen=True)

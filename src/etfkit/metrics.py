@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .flatmat import _UNIT_ROUNDOFF, AbelianGroup
+from .flatmat import _UNIT_ROUNDOFF, AbelianGroup, _unit_roots
 from .frames import Frame, _abs_max, _exact_ints, exact_matmul
 
 DEFAULT_TOL = 1e-9
@@ -223,7 +223,7 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     # each term r_k u_k L / f_k is below L f_k, so the sum is exact in float64
     phase = ((r * (big_l // orders)).astype(np.float64)
              @ group.digit_array(np.arange(n)).T.astype(np.float64)).astype(np.intp) % big_l
-    roots = np.exp(2j * np.pi * np.arange(big_l) / big_l) / np.sqrt(m)
+    roots = _unit_roots(big_l) / np.sqrt(m)
     residual = np.abs(entries - roots.take(phase)).max()
     return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
 
@@ -245,8 +245,10 @@ def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     N x N Gram.
 
     The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A character
-    entry formed as a product of t factor values exp(2 pi i a b / f_k),
-    a b < f_k^2, then scaled by 1/sqrt(M), is off the exact value by at most
+    entry of flatmat.character_table is one tabulated root, within 24 u of
+    exact.  One formed instead as a product of t factor values
+    exp(2 pi i a b / f_k), a b < f_k^2 (a Kronecker product of DFTs), then
+    scaled by 1/sqrt(M), is off the exact value by at most
     sum_k (6 pi f_k + 5) u + 2 u relative to 1/sqrt(M): a phase argument
     below 2 pi f_k with three roundings, the exponential and one complex
     product per factor, and the scale.  The check accepts a computed

@@ -1,9 +1,11 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etfkit import flatmat
 from etfkit.errors import (
     EtfkitError,
     IndexOutOfRange,
@@ -252,36 +254,15 @@ def test_character_table_is_read_only_and_memoised():
 
 
 def test_character_table_checks_every_build(monkeypatch):
-    from etfkit import flatmat
-
-    checked = []
-    monkeypatch.setattr(flatmat.UnimodularMatrix, "check", lambda self: checked.append(self.kind))
+    checked, real = [], flatmat._check_character_exponents
+    monkeypatch.setattr(flatmat, "_check_character_exponents",
+                        lambda g, exponents: checked.append(g.factors) or real(g, exponents))
     character_table.cache_clear()
     for factors in ((5,), (7,), (5,), (3, 3)):
         character_table(AbelianGroup(factors))
-    # (5,) is served again from the cache; the other three builds each ran check()
-    assert checked.count("character-table") == 3
+    # (5,) is served again from the cache; the other three builds each ran the check
+    assert checked == [(5,), (7,), (3, 3)]
     character_table.cache_clear()
-
-
-@pytest.mark.parametrize("factors,dense", [
-    ((1,), ["character-table"]), ((2,), ["character-table"]), ((12,), ["character-table"]),
-    ((2, 3), ["dft", "dft"]), ((2, 2), ["dft", "dft"]),
-])
-def test_each_table_runs_the_dense_gram_check_once_per_distinct_matrix(factors, dense, monkeypatch):
-    """A cyclic group's table is its one DFT: one dense check, of the table,
-    and not a second one of a dft() factor with the same bytes.  A product's
-    table is checked through its factors, each checked densely."""
-    from etfkit import flatmat
-
-    checked, real = [], flatmat._check_gram
-    monkeypatch.setattr(flatmat, "_check_gram", lambda m: checked.append(m.kind) or real(m))
-    character_table.cache_clear()
-    table = character_table(AbelianGroup(factors))
-    character_table.cache_clear()
-    assert checked == dense
-    if len(factors) == 1:
-        assert table.entries.tobytes() == (hadamard(2) if factors == (2,) else dft(factors[0])).entries.tobytes()
 
 
 # -- one stored form, checked at construction -----------------------------------
@@ -321,7 +302,7 @@ def test_entries_are_a_read_only_view_and_signs_are_derived():
         UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument
 
 
-# -- character tables checked through their Kronecker factors -------------------
+# -- character tables built from their exact phase exponents ------------------
 
 # the product groups G x V of the harmonic_fields benchmark ladder: G of
 # order R + 1 and V the additive group of GF(p^k)
@@ -331,94 +312,87 @@ LADDER_GROUPS = [g + (p,) * k for gs, p, k in (
     (((10,), (2, 5)), 2, 6), (((11,),), 3, 4), (((14,), (2, 7)), 3, 3),
     (((2, 2, 2, 2), (16,), (4, 4), (2, 8), (2, 2, 4)), 2, 4),
     (((22,), (2, 11)), 2, 6)) for g in gs]
+U = np.finfo(np.float64).eps / 2
 
 
-def _dense_residual(a: np.ndarray) -> float:
-    g = a.conj().T @ a
-    g[np.diag_indices(len(a))] -= len(a)
-    return float(np.abs(g).max())
-
-
-@pytest.mark.parametrize("factors", LADDER_GROUPS, ids=lambda f: "x".join(map(str, f)))
+@pytest.mark.parametrize("factors", LADDER_GROUPS + [(1, 5), (5, 1), (1, 1, 4)],
+                         ids=lambda f: "x".join(map(str, f)))
 def test_ladder_tables_keep_their_bytes_and_both_checks_agree(factors):
-    from etfkit import flatmat
-
+    """Each table is, byte for byte, the tabulated L-th roots at its exact
+    phase exponents, and lies within 1e-13 of the Kronecker-of-DFT
+    reference; the exponent check and the dense Gram test both accept it,
+    and exponent-two tables keep the sign bytes the Kronecker build had."""
     g = AbelianGroup(factors)
     table = character_table(g)
+    exponents = _exponents(g)
+    flatmat._check_character_exponents(g, exponents)  # the exact-form check accepts
+    big_l = int(np.lcm.reduce(g.factors))
+    phases = (exponents @ g.digit_array(np.arange(g.order)).T) % big_l  # exact int64 product
+    assert table.entries.tobytes() == flatmat._unit_roots(big_l)[phases].tobytes()
     want = reduce(np.kron, (dft(f).entries for f in factors))
-    if g.exponent_two:
-        want = np.rint(want.real).astype(np.complex128)
-    assert table.entries.tobytes() == want.tobytes()
-    assert [f.rows for f in table.kron_factors] == list(factors)
-    residual = flatmat._kron_residual(table)
-    bound = flatmat._kron_gram_bound(table, residual)
-    dense = _dense_residual(want)
-    # both accept, and the bound the factored check certifies covers the dense residual
-    assert residual <= flatmat.ORTHO_TOL and bound <= flatmat.ORTHO_TOL
-    assert dense <= bound
+    assert np.abs(table.entries - want).max() <= 1e-13
+    n = g.order
+    gram = table.entries.conj().T @ table.entries
+    gram[np.diag_indices(n)] -= n
+    assert np.abs(gram).max() <= n * (48 * U + (24 * U) ** 2)  # the bound character_table derives
+    UnimodularMatrix(entries=table.entries, kind="character-table")  # the dense test agrees
+    if g.exponent_two:  # the sign view the Kronecker build rounded to, byte for byte
+        assert table.signs.tobytes() == np.rint(want.real).astype(np.int64).tobytes()
+        assert table.entries.tobytes() == table.signs.astype(np.complex128).tobytes()
+    else:
+        assert table.signs is None
 
 
-def _mutated(kind: str) -> tuple[np.ndarray, tuple]:
-    """The Z_3 x Z_4 x Z_2 table and its DFT factors, with one defect of the
-    named kind ("intact" for none)."""
-    factors = (dft(3), dft(4), dft(2))
-    a = reduce(np.kron, (f.entries for f in factors)).copy()
-    if kind == "phase":
-        a[5, 7] *= np.exp(1e-6j)
-    elif kind == "swap":
-        a[:, [3, 10]] = a[:, [10, 3]]
-    elif kind == "nan":
-        a[2, 2] = np.nan
-    elif kind == "orders":
-        factors = (dft(3), dft(4), dft(5))  # 60 != 24
-    return a, factors
+def test_quarter_roots_are_exact():
+    i = 1j
+    assert np.array_equal(character_table(AbelianGroup((4,))).entries,
+                          [[1, 1, 1, 1], [1, i, -1, -i], [1, -1, 1, -1], [1, -i, -1, i]])
+    roots = flatmat._unit_roots(8)
+    assert roots[[0, 2, 4, 6]].tolist() == [1, i, -1, -i]
+    assert not np.signbit([roots[0].imag, roots[2].real, roots[4].imag, roots[6].real]).any()  # no -0.0
+    assert flatmat._unit_roots(2).tolist() == [1, -1]
+    for n in (3, 5, 7):  # no quarter root but 1: every root is the plain exponential
+        assert flatmat._unit_roots(n).tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["phase", "swap", "nan", "orders"])
-def test_factored_check_rejects_a_mutated_table(kind):
-    a, factors = _mutated(kind)
+def test_character_table_forms_no_dense_gram(monkeypatch):
+    """The 1408-element ladder top is checked on its exponents: no dense Gram
+    test runs, and no second N x N array (a float Gram or a Kronecker
+    product) is ever live beside the table."""
+    dense = []
+    monkeypatch.setattr(flatmat, "_check_gram", lambda m: dense.append(m.kind))
+    character_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = character_table(AbelianGroup((22,) + (2,) * 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        character_table.cache_clear()
+    assert dense == []
+    assert table.entries.nbytes <= peak < 1.25 * table.entries.nbytes
+
+
+def _exponents(g: AbelianGroup) -> np.ndarray:
+    step = np.lcm.reduce(g.factors) // np.array(g.factors)
+    return g.digit_array(np.arange(g.order)) * step
+
+
+@pytest.mark.parametrize("mutation", ["not-a-multiple", "negative", "out-of-range", "repeat"])
+def test_exponent_check_rejects_a_mutated_form(mutation):
+    g = AbelianGroup((3, 4, 2))  # L = 12: generator exponents are multiples of 4, 3 and 6
+    exponents = _exponents(g)
+    flatmat._check_character_exponents(g, exponents)
+    if mutation == "not-a-multiple":
+        exponents[5, 1] += 1
+    elif mutation == "negative":
+        exponents[5, 1] -= 12
+    elif mutation == "out-of-range":
+        exponents[5, 1] += 12
+    else:
+        exponents[5] = exponents[7]
     with pytest.raises(NotUnimodular):
-        UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
-
-
-def test_swapped_columns_pass_the_dense_test_but_not_the_factored_one():
-    a, factors = _mutated("swap")
-    UnimodularMatrix(entries=a, kind="character-table")  # still orthogonal
-    with pytest.raises(NotUnimodular):
-        UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
-
-
-def test_kron_factors_must_be_a_sequence():
-    with pytest.raises(NotUnimodular):
-        UnimodularMatrix(entries=dft(4).entries, kind="character-table", kron_factors=4)
-
-
-@pytest.mark.parametrize("first", [
-    "dft",                                                                 # not a matrix
-    drop_row_simplex(dft(4)),                                              # 3 x 4 simplex
-    UnimodularMatrix(entries=hadamard(4).entries[:, :3], kind="hadamard"),  # 4 x 3
-], ids=["not-a-matrix", "simplex", "not-square"])
-def test_kron_factors_must_be_square_orthogonal_unimodular_matrices(first):
-    # row counts multiply to N = 12, so only the factor's own form can fail
-    factors = (first, dft(4) if getattr(first, "rows", 4) == 3 else dft(3))
-    table = np.kron(dft(3).entries, dft(4).entries)
-    with pytest.raises(NotUnimodular):
-        UnimodularMatrix(entries=table, kind="character-table", kron_factors=factors)
-
-
-def test_a_bound_too_wide_to_certify_leaves_the_decision_to_the_dense_test(monkeypatch):
-    from etfkit import flatmat
-
-    monkeypatch.setattr(flatmat, "_kron_gram_bound", lambda m, residual: np.inf)
-    a, factors = _mutated("intact")
-    UnimodularMatrix(entries=a, kind="character-table", kron_factors=factors)
-    swapped, _ = _mutated("swap")
-    with pytest.raises(NotUnimodular):  # the residual still rejects it
-        UnimodularMatrix(entries=swapped, kind="character-table", kron_factors=factors)
-
-
-def test_cyclic_group_tables_are_checked_by_the_dense_test():
-    assert character_table(AbelianGroup((12,))).kron_factors == ()
+        flatmat._check_character_exponents(g, exponents)
 
 
 @pytest.mark.parametrize("kind", ["dft", "hadamard", "character-table"])
@@ -434,6 +408,6 @@ def test_unimodular_matrices_compare_and_hash_by_kind_and_entry_bytes():
     assert hadamard(4) != dft(4)
     assert UnimodularMatrix(entries=hadamard(4).entries, kind="character-table") != hadamard(4)
     assert character_table(AbelianGroup((2, 2))) == UnimodularMatrix(
-        entries=hadamard(4).entries, kind="character-table")  # factors are not part of the key
+        entries=hadamard(4).entries, kind="character-table")
     assert len({hadamard(4), hadamard(4), dft(4), dft(4)}) == 2
     assert hadamard(4) != "hadamard"

@@ -155,6 +155,12 @@ def test_mcfarland_z5():
     assert ds.lam == 3
 
 
+def test_mcfarland_set_is_memoised():
+    ds = mcfarland_set(2, 1, AbelianGroup((2, 2)))
+    assert mcfarland_set(2, 1, AbelianGroup([2, 2])) is ds
+    assert mcfarland_set.cache_info().maxsize == 2
+
+
 def test_mcfarland_group_order_checked():
     with pytest.raises(GroupOrderMismatch):
         mcfarland_set(2, 1, AbelianGroup((2,)))

@@ -78,3 +78,17 @@ def test_metrics_reads_provenance_only_where_it_is_checked():
     path = next(p for p in SOURCES if p.name == "metrics.py")
     sites = _sites(ast.parse(path.read_text(), filename=str(path)), _names_provenance)
     assert {scope for scope, _ in sites} == {"_design_r", "_group_hint"}, sites
+
+
+def _is_root_exponential(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node).startswith("np.exp(2j")
+
+
+def test_roots_of_unity_are_tabulated_in_one_place():
+    """Character entries are gathered from flatmat._unit_roots, whose quarter
+    roots are exact; only it and the DFT (whose bytes frame JSON depends on)
+    evaluate exp(2 pi i k / n)."""
+    sites = {path.name: _sites(ast.parse(path.read_text(), filename=str(path)), _is_root_exponential)
+             for path in SOURCES}
+    assert sorted(scope for scope, _ in sites.pop("flatmat.py")) == ["_dft_entries", "_unit_roots"]
+    assert not any(sites.values()), f"np.exp(2j ...) outside flatmat's root helpers: {sites}"
