@@ -24,8 +24,15 @@ from .errors import EtfkitError, GroupOrderMismatch, NotResolvable
 from .flatmat import AbelianGroup, dft, drop_row_simplex, hadamard, simplex_from_characters
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("ETFKIT_TOL", "1e-9"))
+def _tolerance(flag: float | None) -> float:
+    """--tol, else ETFKIT_TOL, else 1e-9; ValueError unless a finite number >= 0."""
+    text = os.environ.get("ETFKIT_TOL", "1e-9") if flag is None else flag
+    try:
+        if 0 <= float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"tolerance (--tol or ETFKIT_TOL) must be a finite number >= 0, got {text!r}")
 
 
 def _read(path: str) -> str:
@@ -325,9 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = _default_tol()
     try:
+        args.tol = _tolerance(args.tol)
         return args.func(args)
     except (EtfkitError, ValueError, OSError) as e:
         print(f"etfkit: {e}", file=sys.stderr)

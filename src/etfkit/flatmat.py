@@ -122,7 +122,7 @@ def _unit_roots(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1.  The quarter
     roots 1, i, -1, -i that n admits are exact, so a table of +-1 values
     gathered from them is exactly +-1; every other root is within 24 u of
-    exact (u the unit roundoff; see metrics.certify_etf)."""
+    exact (u the unit roundoff; the bound _has_character_rows derives)."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
         if k * n % 4 == 0:
@@ -298,7 +298,7 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     exact table T* has T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r))
     sums a character that is trivial only when u = v.  No float Gram is
     formed: each computed entry is a tabulated root within 24 u of the exact
-    one (u the unit roundoff, the bound metrics.certify_etf states), so
+    one (u the unit roundoff, the bound _has_character_rows derives), so
     T = T* + E with max |E| <= 24 u, and every entry of
     T^H T - N I = E^H T* + T*^H E + E^H E is at most N (48 u + (24 u)^2),
     below ORTHO_TOL for every N under 10^5, far beyond any table that fits
@@ -335,6 +335,50 @@ def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
         raise NotUnimodular("character-table generator exponents are not characters of the group")
     if np.bincount(g.index_array(exponents // step), minlength=g.order).max() != 1:
         raise NotUnimodular("character-table rows repeat a character of the group")
+
+
+def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
+    """True when |G| is N and every row of the M x N entries F checks as
+    1/sqrt(M) times a character of G = Z_f1 x ... x Z_ft, with column u the
+    element u of G (digits first factor most significant).  F's Gram is then
+    a group circulant within eta below, so one Gram row stands for all of it.
+
+    The check, O(MN) array operations on the entries alone: each row's values
+    at the generators e_k are read as the nearest f_k-th roots of unity,
+    exponents r_k, and the row must match, within tau below, the character
+    P: u -> prod_k exp(2 pi i r_k u_k / f_k), gathered from the L-th roots
+    (L the exponent of G) at the integer phase sum_k r_k u_k L / f_k mod L.
+
+    The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A root _unit_roots
+    tabulates (three roundings of a phase below 2 pi, then the exponential)
+    is within 24 u of exact, as is each entry of character_table; with the
+    scale 1/sqrt(M) rounded in, each entry of P is within 24 u / sqrt(M).
+    An entry of F formed instead as a product of t factor values
+    exp(2 pi i a b / f_k), a b < f_k^2 (a Kronecker product of DFTs), and the
+    scale is within sum_k (6 pi f_k + 5) u + 2 u of exact, relative to
+    1/sqrt(M).  The check accepts max |F - P| up to tau = 32 s u / sqrt(M),
+    above both, so eps = max |F - F*| <= 32 (s + 1) u / sqrt(M) for the exact
+    characters F*.  With F = F* + E, F^H F - F*^H F* = E^H F* + F*^H E + E^H E
+    has entries at most eta = 2 sqrt(M) eps + M eps^2, about 64 (s + 1) u:
+    every Gram entry G[a, b] is within eta of the circulant value g*(b - a),
+    so within 2 eta of G[0, b - a], and a computed row is within the dense
+    product's rounding of G[0, c].  2 eta is at most 1.5e-14 (s + 1): under
+    1e-10 while the orders sum below 6000, far inside the default tolerance."""
+    m, n = entries.shape
+    if m == 0 or group.order != n:
+        return False
+    factors, orders = group.factors, group._radix
+    big_l = lcm(*factors)
+    # the column of e_k is its place value; a factor of 1 at the front has
+    # place N, and its generator is the identity, column 0
+    with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
+        r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
+    # each term r_k u_k L / f_k is below L f_k, so the sum is exact in float64
+    phase = ((r * (big_l // orders)).astype(np.float64)
+             @ group.digit_array(np.arange(n)).T.astype(np.float64)).astype(np.intp) % big_l
+    roots = _unit_roots(big_l) / np.sqrt(m)
+    residual = np.abs(entries - roots.take(phase)).max()
+    return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:

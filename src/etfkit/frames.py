@@ -35,6 +35,7 @@ from .errors import (
 from .flatmat import (
     AbelianGroup,
     UnimodularMatrix,
+    _has_character_rows,
     _unit_roots,
     character_table,
     hadamard_order_reachable,
@@ -495,16 +496,15 @@ def _deviations(a: np.ndarray, k: np.ndarray, group: AbelianGroup) -> tuple[floa
     matched, whose columns are labelled by the abelian group G of order N.
 
     A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and E = A - K.
-    When metrics._has_character_rows verifies both A and K as character
-    frames of G, both Grams are circulants up to its allowance (see
-    mcfarland_as_kirkman), and the deviation is max_c |g_A(c) - g_K(c)|
+    A, the harmonic frame, is rows of character_table(G), characters by
+    construction; when _has_character_rows verifies K too, both Grams are
+    group circulants within its allowance, and the deviation is
+    max_c |g_A(c) - g_K(c)|, within 2 eta per side of the two-Gram value,
     from row 0 of X + X^H, S[:, 0]^H E + E[:, 0]^H S.  Otherwise X is formed
     and X + X^H read a block of rows at a time, with one N x N array live."""
-    from .metrics import _has_character_rows  # metrics imports this module
-
     diff = a - k
     summed = a + k
-    if _has_character_rows(a, group) and _has_character_rows(k, group):
+    if _has_character_rows(k, group):
         row = np.conjugate(summed[:, 0]) @ diff + np.conjugate(diff[:, 0]) @ summed
         return float(np.abs(diff).max()), float(np.abs(row).max()) / 2
     x = np.conjugate(summed, out=summed).T @ diff
@@ -527,12 +527,9 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
 
     The Gram deviation is taken with both frames' columns in the harmonic
     labelling by G x V (the design-based frame's relabelled by that
-    identification).  When the rows of each check as characters of G x V
-    within the allowance derived in metrics.certify_etf, both Grams are
-    group circulants up to eta = 2 sqrt(M) eps + M eps^2 per entry, so
-    max_gram_dev is max_c |g_A(c) - g_K(c)|, read from one row of the Gram
-    difference, within 2 eta per side of the two-Gram value; otherwise
-    (_deviations) the two Grams' difference is read in full.
+    identification), from one row of the Gram difference when the
+    design-based rows check as characters of G x V, else in full
+    (_deviations).
     """
     structure, design = affine_structure(q, j)
     fld = structure.field
@@ -565,14 +562,20 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
 
 # -- Naimark complement --------------------------------------------------------
 
+def _tightness_deviation(entries: np.ndarray) -> float:
+    """max |F F^H - (N/M) I| for the M x N entries F, in floating point: a
+    float certificate's tightness residual and naimark_complement's check."""
+    m, n = entries.shape
+    return float(np.abs(entries @ entries.conj().T - (n / m) * np.eye(m)).max())
+
+
 def naimark_complement(frame: Frame, require_tight: bool = True,
                        tol: float = 1e-9) -> Frame:
     """The (N-M) x N unit-norm tight frame whose rows complete the scaled
     rows of a tight frame to an orthogonal N x N system."""
     m, n = frame.m, frame.n
     if require_tight:
-        op = frame.entries @ frame.entries.conj().T
-        dev = np.abs(op - (n / m) * np.eye(m)).max()
+        dev = _tightness_deviation(frame.entries)
         if dev > tol:
             raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
     if n == m:

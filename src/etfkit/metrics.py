@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .flatmat import _UNIT_ROUNDOFF, AbelianGroup, _unit_roots
-from .frames import Frame, _abs_max, _exact_ints, exact_matmul
+from .flatmat import AbelianGroup, _has_character_rows
+from .frames import Frame, _abs_max, _exact_ints, _tightness_deviation, exact_matmul
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
@@ -37,21 +37,13 @@ _EIG_CHUNK = 65536
 
 
 def coherence(frame: Frame, tol: float = DEFAULT_TOL):
-    """Largest inner-product modulus over distinct columns.
-
-    Returns a Fraction (exact) for frames with an integer form, a float
-    otherwise.
-    """
+    """Largest inner-product modulus over distinct columns: the coherence
+    certify_etf reports, from the same _gram_profile.  A Fraction (exact)
+    for frames with an integer form, a float otherwise."""
     if frame.n < 2:
         raise TooFewColumns("coherence needs at least two columns")
     _check_columns(frame, tol)
-    if frame.exact_ints is not None:
-        g, d = frame.gram_exact()
-        off = np.abs(g[~np.eye(frame.n, dtype=bool)])
-        return Fraction(int(off.max()), d)
-    g = frame.gram()
-    off = np.abs(g[~np.eye(frame.n, dtype=bool)])
-    return float(off.max())
+    return _gram_profile(frame)[0]
 
 
 def _check_columns(frame: Frame, tol: float = DEFAULT_TOL) -> None:
@@ -160,33 +152,70 @@ def _tightness_residual(ints: np.ndarray, d: int) -> Fraction:
     beyond."""
     m, n = ints.shape
     op = exact_matmul(ints, ints.T)
-    op_off = int(np.abs(op[~np.eye(m, dtype=bool)]).max()) if m > 1 else 0
+    op_off = int(_offdiag_extremes(np.abs(op))[0])
     diag = np.diagonal(op)
     diag = _exact_ints(diag, _abs_max(diag) * m + n * abs(d))
     diag_dev = Fraction(int(np.abs(diag * m - n * d).max()), abs(d) * m)
     return max(Fraction(op_off, d), diag_dev)
 
 
+def _offdiag_extremes(a: np.ndarray) -> tuple:
+    """(max, min) of the square array a off its diagonal, which it overwrites
+    (0 for the max, then that max for the min, so an integer or object array
+    stays exact); no N x N mask is formed.  Fewer than two rows give (0, 0)."""
+    np.fill_diagonal(a, 0)
+    hi = a.max(initial=0)
+    np.fill_diagonal(a, hi)
+    return hi, a.min(initial=hi)
+
+
+def _exact_profile(g_int: np.ndarray, d: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(offdiag max, offdiag min, potential) of the Gram g_int / d, exactly."""
+    hi, lo = _offdiag_extremes(np.abs(g_int))
+    g = _exact_ints(g_int, _abs_max(g_int) ** 2 * g_int.size)
+    return Fraction(int(hi), d), Fraction(int(lo), d), Fraction(int(np.sum(g * g)), d * d)
+
+
+def _gram_profile(frame: Frame) -> tuple:
+    """(offdiag max, offdiag min, potential) of the frame's Gram moduli: the
+    one place that decides how a certificate reads the Gram.
+
+    A frame with an integer form gets Fractions from its exact integer Gram.
+    A float frame whose provenance names a group (_group_hint) that
+    flatmat._has_character_rows verifies on its entries is read from Gram
+    row 0, F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is,
+    within the allowance derived there, the circulant G[a, b] = g(b - a),
+    g(c) = (1/M) sum_rows chi_r(c), with extremes those of |g(c)|, c != 0,
+    and potential N sum_c |g(c)|^2.  Any other frame gets the dense Gram."""
+    if frame.exact_ints is not None:
+        return _exact_profile(*frame.gram_exact())
+    group = _group_hint(frame)
+    if group is not None and _has_character_rows(frame.entries, group):
+        row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
+        return float(row[1:].max()), float(row[1:].min()), frame.n * float(np.sum(row ** 2))
+    a = np.abs(frame.gram())
+    pot = float(np.sum(a ** 2))  # before _offdiag_extremes overwrites the diagonal
+    return (*map(float, _offdiag_extremes(a)), pot)
+
+
+def _certificate(m: int, n: int, welch: float, profile: tuple, tight_res, tol: float) -> EtfCertificate:
+    """An M x N frame's certificate from its Gram profile and tightness
+    residual, exact when the profile is."""
+    mu, mu_min, pot = profile
+    exact = isinstance(mu, Fraction)
+    return EtfCertificate(
+        m=m, n=n, coherence=float(mu), coherence_exact=str(mu) if exact else None, welch=welch,
+        tightness_residual=float(tight_res), offdiag_max=float(mu), offdiag_min=float(mu_min),
+        potential_residual=float(abs(pot - (Fraction(n * n, m) if exact else n * n / m))), exact=exact, tol=tol,
+    )
+
+
 def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) -> EtfCertificate:
     """Certificate of the frame ints / sqrt(d), given its integer Gram
-    g_int = ints^T ints, in exact rational arithmetic: certify_etf's exact
-    path, and codes.certify_grbe's on the Gram it already holds."""
+    g_int = ints^T ints, in exact rational arithmetic: codes.certify_grbe's
+    path on the Gram it already holds."""
     m, n = ints.shape
-    welch = welch_bound(m, n)
-    mask = ~np.eye(n, dtype=bool)
-    off = np.abs(g_int[mask])
-    mu = Fraction(int(off.max()), d)
-    mu_min = Fraction(int(off.min()), d)
-    tight_res = _tightness_residual(ints, d)
-    g = _exact_ints(g_int, _abs_max(g_int) ** 2 * n * n)
-    pot = Fraction(int(np.sum(g * g)), d * d)
-    pot_res = abs(pot - Fraction(n * n, m))
-    return EtfCertificate(
-        m=m, n=n, coherence=float(mu), coherence_exact=str(mu),
-        welch=welch, tightness_residual=float(tight_res),
-        offdiag_max=float(mu), offdiag_min=float(mu_min),
-        potential_residual=float(pot_res), exact=True, tol=tol,
-    )
+    return _certificate(m, n, welch_bound(m, n), _exact_profile(g_int, d), _tightness_residual(ints, d), tol)
 
 
 def _group_hint(frame: Frame) -> AbelianGroup | None:
@@ -200,96 +229,15 @@ def _group_hint(frame: Frame) -> AbelianGroup | None:
     return AbelianGroup(tuple(factors))
 
 
-def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
-    """True when |G| is N and every row of the M x N entries F checks as
-    1/sqrt(M) times a character of G = Z_f1 x ... x Z_ft, with column u the
-    element u of G (digits first factor most significant).
-
-    The check, O(MN) array operations on the entries alone: each row's values
-    at the generators e_k are read as the nearest f_k-th roots of unity,
-    exponents r_k, and the row must match, within the allowance derived in
-    certify_etf, the character u -> prod_k exp(2 pi i r_k u_k / f_k), formed
-    as an integer phase sum_k r_k u_k L / f_k mod L, L the exponent of G, that
-    indexes a table of the L-th roots of unity."""
-    m, n = entries.shape
-    if m == 0 or group.order != n:
-        return False
-    factors, orders = group.factors, group._radix
-    big_l = lcm(*factors)
-    # the column of e_k is its place value; a factor of 1 at the front has
-    # place N, and its generator is the identity, column 0
-    with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
-        r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
-    # each term r_k u_k L / f_k is below L f_k, so the sum is exact in float64
-    phase = ((r * (big_l // orders)).astype(np.float64)
-             @ group.digit_array(np.arange(n)).T.astype(np.float64)).astype(np.intp) % big_l
-    roots = _unit_roots(big_l) / np.sqrt(m)
-    residual = np.abs(entries - roots.take(phase)).max()
-    return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
-
-
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
-    """Full certificate; exact rational arithmetic when the frame carries an
-    integer form (_exact_certificate), floating point otherwise.
-
-    A float frame whose provenance names a group of order N (a harmonic
-    frame's "group") is certified from one Gram row when
-    _has_character_rows verifies that group on the entries: every row is,
-    within an allowance, 1/sqrt(M) times a character chi_r of G labelling
-    the columns.  For exact characters the Gram is a group circulant,
-    G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), so row 0 decides
-    it: coherence and offdiag_max are max_{c != 0} |g(c)|, offdiag_min is
-    min_{c != 0} |g(c)|, and the potential is N sum_c |g(c)|^2.  The
-    tightness residual comes from the M x M frame operator either way.  A
-    frame with no hint, or whose entries fail the check, gets the dense
-    N x N Gram.
-
-    The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A character
-    entry of flatmat.character_table is one tabulated root, within 24 u of
-    exact.  One formed instead as a product of t factor values
-    exp(2 pi i a b / f_k), a b < f_k^2 (a Kronecker product of DFTs), then
-    scaled by 1/sqrt(M), is off the exact value by at most
-    sum_k (6 pi f_k + 5) u + 2 u relative to 1/sqrt(M): a phase argument
-    below 2 pi f_k with three roundings, the exponential and one complex
-    product per factor, and the scale.  The check accepts a computed
-    residual rho = max |F - P| up to tau = 32 s u / sqrt(M), above that
-    sum.  Each tabulated root in P, a phase below 2 pi with three roundings,
-    the exponential and the scale, is off the exact one by at most
-    24 u / sqrt(M), so eps = max |F - F*| <= 32 (s + 1) u / sqrt(M) for the
-    exact characters F*.  With F = F* + E, the difference
-    F^H F - F*^H F* = E^H F* + F*^H E + E^H E has entries at most
-    eta = 2 sqrt(M) eps + M eps^2, about 64 (s + 1) u: every exact Gram
-    entry G[a, b] is within eta of the circulant value g*(b - a), so within
-    2 eta of G[0, b - a].  The computed row is within the dense product's
-    rounding bound of G[0, c], so each off-diagonal value read from it
-    stands for every Gram entry with that difference to within 2 eta, at
-    most 1.5e-14 (s + 1), more than the dense Gram's own rounding: under
-    1e-10 while the orders sum below 6000, far inside DEFAULT_TOL.
-    """
-    if frame.exact_ints is not None:
-        return _exact_certificate(frame.exact_ints, frame.scale_sq, frame.gram_exact()[0], tol)
-    m, n = frame.m, frame.n
-    welch = welch_bound(m, n)
-    group = _group_hint(frame)
-    if group is not None and _has_character_rows(frame.entries, group):
-        a = np.abs(frame.entries[:, 0].conj() @ frame.entries)
-        pot = n * float(np.sum(a ** 2))
-        off_max, off_min = float(a[1:].max()), float(a[1:].min())
-    else:
-        a = np.abs(frame.gram())
-        pot = float(np.sum(a ** 2))
-        np.fill_diagonal(a, 0.0)
-        off_max = float(a.max())
-        np.fill_diagonal(a, np.inf)
-        off_min = float(a.min())
-    op = frame.entries @ frame.entries.conj().T
-    tight_res = float(np.abs(op - (n / m) * np.eye(m)).max())
-    return EtfCertificate(
-        m=m, n=n, coherence=off_max, coherence_exact=None,
-        welch=welch, tightness_residual=tight_res,
-        offdiag_max=off_max, offdiag_min=off_min,
-        potential_residual=abs(pot - n * n / m), exact=False, tol=tol,
-    )
+    """Full certificate: the Gram profile (_gram_profile decides exact
+    Fractions, one Gram row or the dense Gram) and the tightness residual of
+    the M x M frame operator, exact alongside an exact profile."""
+    welch = welch_bound(frame.m, frame.n)  # first: it refuses the shapes no Gram should be formed for
+    profile = _gram_profile(frame)
+    exact = isinstance(profile[0], Fraction)
+    tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq) if exact else _tightness_deviation(frame.entries)
+    return _certificate(frame.m, frame.n, welch, profile, tight_res, tol)
 
 
 @dataclass(frozen=True)
@@ -414,16 +362,17 @@ def _certified_inside(flat: np.ndarray, n: int, subsets: np.ndarray, lo: float, 
     return ok
 
 
-def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list | None = None):
+def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list):
     """Every size-subset of the columns in lexicographic order, in the
     batches of _lex_batches: yields (subsets, eigenvalues), the ascending
     eigenvalues of each subset's Gram submatrix.
 
-    With a window (lo, hi), read before each batch so a caller may move it
-    between batches, a subset whose eigvalsh eigenvalues are certified
+    The window (lo, hi) is read before each batch, so a caller may move it
+    between batches.  A subset whose eigvalsh eigenvalues are certified
     strictly inside (lo, hi) (_certified_inside) is neither eigensolved nor
     yielded; a batch yields its other subsets, in order, or nothing, so no
     subset with an eigvalsh extreme at or beyond lo or hi goes missing.
+    (inf, -inf) certifies nothing: every subset is yielded.
 
     The certificate.  Let H be the k x k Hermitian matrix whose lower
     triangle, diagonal real part, both the factorization and eigvalsh read,
@@ -449,14 +398,11 @@ def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list | None = N
     semidefinite nor any column scale is assumed; a Gram has t >= 0.
     """
     n = gram.shape[0]
-    if window is not None:
-        flat = (np.ascontiguousarray(gram.real) if not gram.imag.any() else gram).ravel()
+    flat = (np.ascontiguousarray(gram.real) if not gram.imag.any() else gram).ravel()
     for subsets in _lex_batches(n, size):
-        if window is not None:
-            subsets = subsets[~_certified_inside(flat, n, subsets, *window)]
-            if not len(subsets):
-                continue
-        yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
+        subsets = subsets[~_certified_inside(flat, n, subsets, *window)]
+        if len(subsets):
+            yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
 
 
 def _design_r(frame: Frame) -> int | None:
@@ -549,7 +495,7 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
 
     gram = frame.gram()
     thr_sq = _rank_threshold(n) ** 2
-    mu = np.abs(gram[~np.eye(n, dtype=bool)]).max(initial=0.0)
+    mu = _offdiag_extremes(np.abs(gram))[0]
     least_norm_sq = float(np.diag(gram).real.min(initial=np.inf))
 
     def found(witness: tuple[int, ...]) -> SparkReport:

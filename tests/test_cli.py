@@ -348,6 +348,20 @@ def test_tol_env_override(capsys, monkeypatch):
     assert json.loads(out)["tol"] == 0.5
 
 
+def test_malformed_tol_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ETFKIT_TOL", "abc")
+    code = main(["bound", "welch", "--m", "6", "--n", "16"])
+    _assert_one_line_input_error(capsys, code)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_tol_flag_that_is_not_finite_and_nonnegative_is_input_error(capsys, monkeypatch, tol):
+    _, frame_doc = run_cli(capsys, "fixtures", "emit", "--which", "fig2")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(frame_doc))
+    code = main(["verify", "-", "--tol", tol])
+    _assert_one_line_input_error(capsys, code)
+
+
 def test_characters_simplex_group_order_checked_before_any_table(capsys, monkeypatch):
     from etfkit import flatmat
 

@@ -4,18 +4,29 @@ A float frame whose provenance names its group, and whose rows check as
 characters of that group, gets its certificate from Gram row 0; every other
 float frame, and every frame whose check fails, gets the dense N x N Gram.
 The one-row reports are compared here with the dense ones on the same
-entries, and the dense float certificate with the formula it replaced.
+entries, coherence with the certificate's coherence, and the dense float
+certificate with the formula it replaced.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from etfkit import frames, metrics
-from etfkit.flatmat import AbelianGroup
-from etfkit.frames import DifferenceSet, Frame, harmonic_etf, mcfarland_as_kirkman, mcfarland_set, naimark_complement
-from etfkit.metrics import DEFAULT_TOL, EtfCertificate, certify_etf, welch_bound
+from etfkit import fixtures, flatmat, frames, metrics
+from etfkit.designs import affine_design
+from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex
+from etfkit.frames import (
+    DifferenceSet,
+    Frame,
+    harmonic_etf,
+    mcfarland_as_kirkman,
+    mcfarland_set,
+    naimark_complement,
+    steiner_etf,
+)
+from etfkit.metrics import DEFAULT_TOL, EtfCertificate, certify_etf, coherence, welch_bound
 
 from test_acceptance import _corpus_frames
 
@@ -50,14 +61,16 @@ def gram_calls(monkeypatch):
 
 @pytest.fixture
 def row_checks(monkeypatch):
-    """The verdicts of metrics._has_character_rows, one per call, in order."""
-    checks, real = [], metrics._has_character_rows
+    """The verdicts of flatmat._has_character_rows, one per call, in order,
+    from metrics (the certificate) and frames (the McFarland match)."""
+    checks, real = [], flatmat._has_character_rows
 
     def counted(entries, group):
         checks.append(real(entries, group))
         return checks[-1]
 
-    monkeypatch.setattr(metrics, "_has_character_rows", counted)
+    for module in (metrics, frames):
+        monkeypatch.setattr(module, "_has_character_rows", counted)
     return checks
 
 
@@ -100,15 +113,20 @@ def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks)
 @pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
 def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, row_checks, monkeypatch):
     _, _, got = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert gram_calls == [] and row_checks == [True, True]  # the harmonic side, then the Kirkman side
-    monkeypatch.setattr(metrics, "_has_character_rows", lambda entries, group: False)
+    assert gram_calls == [] and row_checks == [True]  # the Kirkman side; the harmonic side is built from characters
+    monkeypatch.setattr(frames, "_has_character_rows", lambda entries, group: False)
     _, _, want = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
     assert got.max_entry_dev == want.max_entry_dev
     assert abs(got.max_gram_dev - want.max_gram_dev) <= 1e-15
     assert got.as_dict()["passed"] and want.as_dict()["passed"]
 
 
-@pytest.mark.parametrize("order,elements", [(7, (1, 2, 4)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14))])
+# the exponent-two cases of the benchmark's harmonic ladder: +-1 tables, exact frames
+EXACT_LADDER = [(2, 1, (2, 2)), (2, 2, (2, 2, 2)), (2, 3, (2, 2, 2, 2))]
+SINGER_SETS = [(7, (1, 2, 4)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14))]
+
+
+@pytest.mark.parametrize("order,elements", SINGER_SETS)
 def test_singer_sets_in_cyclic_groups_take_the_one_row_path(order, elements, gram_calls, row_checks):
     group = AbelianGroup((order,))
     frame = harmonic_etf(group, DifferenceSet.verified(group, elements))
@@ -120,6 +138,42 @@ def test_singer_sets_in_cyclic_groups_take_the_one_row_path(order, elements, gra
         assert abs(got[key] - want[key]) <= 1e-12, key
 
 
+def _coherence_corpus():
+    """(label, frame, whether the certificate reads one Gram row): the
+    harmonic ladder with its complements, the Singer sets, the two figure
+    frames, aff31-dft and a random frame."""
+    for case in FLOAT_LADDER + EXACT_LADDER:
+        for name, frame in _harmonic_sets(*case):
+            yield f"{_label(case)} {name}", frame, frame.exact_ints is None
+    for order, elements in SINGER_SETS:
+        group = AbelianGroup((order,))
+        yield f"singer {order}", harmonic_etf(group, DifferenceSet.verified(group, elements)), True
+    yield "fig1", fixtures.fig1(), False
+    yield "fig2", fixtures.fig2(), False
+    yield "aff31-dft", steiner_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0)), False
+    rng = np.random.default_rng(31)
+    entries = rng.standard_normal((5, 24)) + 1j * rng.standard_normal((5, 24))
+    yield "random 5x24", Frame(entries=entries / np.linalg.norm(entries, axis=0)), False
+
+
+def test_coherence_is_the_certificate_coherence(gram_calls):
+    seen = {"one-row": 0, "exact": 0, "dense": 0}
+    for label, frame, one_row in _coherence_corpus():
+        del gram_calls[:]
+        mu = coherence(frame)
+        exact = frame.exact_ints is not None
+        # coherence forms the N x N float Gram only where the certificate does
+        assert gram_calls == ([] if one_row or exact else [frame.n]), label
+        cert = certify_etf(frame)
+        if exact:
+            assert mu == Fraction(cert.coherence_exact), label
+        else:
+            assert type(mu) is float and mu == cert.coherence, label
+        seen["one-row" if one_row else "exact" if exact else "dense"] += 1
+    assert seen == {"one-row": 3 * len(FLOAT_LADDER) + len(SINGER_SETS), "exact": 3 * len(EXACT_LADDER) + 2,
+                    "dense": 2}
+
+
 def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks):
     cases = FLOAT_LADDER + [TOP]
     for q, j, factors in cases:
@@ -128,8 +182,8 @@ def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_che
         _, _, match = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
         assert match.entrywise_match and match.gram_match
     assert gram_calls == []
-    # per case: the certificate's check, then the harmonic and Kirkman sides of the match
-    assert row_checks == [True] * 3 * len(cases)
+    # per case: the certificate's check, then the Kirkman side of the match
+    assert row_checks == [True] * 2 * len(cases)
 
 
 def _mutants(frame: Frame):
@@ -203,7 +257,7 @@ def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
     _, _, report = mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
-    assert row_checks == [True, False]  # the harmonic side checks, the Kirkman side does not
+    assert row_checks == [False]  # the Kirkman side is the one checked, and it fails
     assert report.max_gram_dev > 1e-8 and not report.gram_match
 
 

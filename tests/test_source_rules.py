@@ -92,3 +92,34 @@ def test_roots_of_unity_are_tabulated_in_one_place():
              for path in SOURCES}
     assert sorted(scope for scope, _ in sites.pop("flatmat.py")) == ["_dft_entries", "_unit_roots"]
     assert not any(sites.values()), f"np.exp(2j ...) outside flatmat's root helpers: {sites}"
+
+
+def _tests_for_an_integer_form(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "exact_ints" and isinstance(node.ops[0], (ast.Is, ast.IsNot)))
+
+
+def test_metrics_decides_exact_arithmetic_in_one_place():
+    """The rule "exact when an integer form exists" is written once in
+    metrics: _gram_profile picks the arithmetic for coherence and
+    certify_etf, and gram_equal, which compares two frames, the only other
+    test of an integer form."""
+    path = next(p for p in SOURCES if p.name == "metrics.py")
+    sites = _sites(ast.parse(path.read_text(), filename=str(path)), _tests_for_an_integer_form)
+    assert {scope for scope, _ in sites} == {"_gram_profile", "gram_equal"}, sites
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "etfkit"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "etfkit" for a in node.names)
+
+
+def test_no_function_imports_a_package_module():
+    """Package modules import each other at module level only, so an import
+    cycle shows at import time instead of hiding inside a function."""
+    sites = {path.name: [site for site in _sites(ast.parse(path.read_text(), filename=str(path)),
+                                                 _imports_the_package) if site[0]]
+             for path in SOURCES}
+    assert not any(sites.values()), f"package imports inside a function or class: {sites}"
+    assert _sites(ast.parse("def f():\n    from .metrics import x\n"), _imports_the_package) == [("f", 2)]
