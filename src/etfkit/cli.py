@@ -125,7 +125,7 @@ def _build_simplex(args, big_r: int):
     if args.simplex == "hadamard":
         return drop_row_simplex(hadamard(big_r + 1), args.drop_row)
     group = AbelianGroup.parse(args.group) if args.group else AbelianGroup((big_r + 1,))
-    if group.order != big_r + 1:  # before the |G| x |G| table is built and checked
+    if group.order != big_r + 1:  # before any character value is gathered
         raise GroupOrderMismatch(f"group order {group.order} != R+1 = {big_r + 1}")
     return simplex_from_characters(group, group.order - 1)
 

@@ -7,11 +7,11 @@ orders outside that closure raise UnsupportedHadamardOrder.  A
 UnimodularMatrix stores one array, its read-only entries, and is checked once,
 when it is built; its integer sign view, which keeps downstream arithmetic
 exact, is derived from entries whenever every entry is exactly real +-1.
-A character table is built from its exact phase exponents and checked on
-them, in O(N t) integers for a group of t cyclic factors, rather than
-through its own N x N Gram; its entries are gathered from one table of
-roots of unity, _unit_roots, the one place the package tabulates them
-outside the DFT.
+Character values, the DFT's entries among them, are gathered by one helper,
+_character_values, at their exact phase exponents from one table of roots
+of unity, _unit_roots, the one place the package evaluates them.  A
+character table is checked on those exponents, in O(N t) integers for a
+group of t cyclic factors, rather than through its own N x N Gram.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOf
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TABLE_BLOCK = 1 << 16  # phase exponents per row block of character_table: 512 kB
+_TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_values: 512 kB
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +119,12 @@ def _deviation(a: np.ndarray) -> float:
 
 
 def _unit_roots(n: int) -> np.ndarray:
-    """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1.  The quarter
-    roots 1, i, -1, -i that n admits are exact, so a table of +-1 values
-    gathered from them is exactly +-1; every other root is within 24 u of
-    exact (u the unit roundoff; the bound _has_character_rows derives)."""
+    """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1: the one table
+    of roots the package evaluates, from which _character_values gathers the
+    DFT, every character table and every harmonic frame.  The quarter roots
+    1, i, -1, -i that n admits are exact, so a table of +-1 values gathered
+    from them is exactly +-1; every other root is within 24 u of exact (u
+    the unit roundoff; the bound _has_character_rows derives)."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
         if k * n % 4 == 0:
@@ -131,15 +133,13 @@ def _unit_roots(n: int) -> np.ndarray:
 
 
 def dft(n: int) -> UnimodularMatrix:
-    """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n)."""
-    return UnimodularMatrix(entries=_dft_entries(n), kind="dft")
-
-
-def _dft_entries(n: int) -> np.ndarray:
+    """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n): the character table
+    of Z_n, gathered from _unit_roots(n) at the exponents a*b mod n, so its
+    +-1, +-i entries are exact and dft(2) carries the signs of hadamard(2).
+    Unlike character_table, it keeps the dense Gram test."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(a, a) / n)
+    return UnimodularMatrix(entries=_character_values(AbelianGroup((n,)), np.arange(n)), kind="dft")
 
 
 def _paley_signs(n: int) -> np.ndarray:
@@ -277,52 +277,59 @@ class AbelianGroup:
         return AbelianGroup(factors)
 
 
-@lru_cache(maxsize=2)
 def character_table(g: AbelianGroup) -> UnimodularMatrix:
     """|G| x |G| table with entry (u, r) = chi_u(g_r), built from its exact
-    phase exponents.
+    phase exponents by _character_values, over every element of G.
 
     For G = Z_f1 x ... x Z_ft with exponent L = lcm(f_k), the character u
     takes the generator e_k to zeta_L^(u_k L / f_k), zeta_L = exp(2 pi i / L),
-    so chi_u(g_r) = zeta_L^(sum_k u_k r_k L / f_k mod L).  These phase
-    exponents come from one exact integer product of the N x t generator
-    exponents with the element digits, a block of rows at a time, and the
-    entries from one gather of them from the table of the L-th roots
-    (_unit_roots).  When G has exponent two, L is at most 2 and the roots are
-    exactly 1 and -1, so the table is exactly +-1 and carries its sign view.
+    so chi_u(g_r) = zeta_L^(sum_k u_k r_k L / f_k mod L), gathered from the
+    table of the L-th roots (_unit_roots).  When G has exponent two, L is at
+    most 2 and the roots are exactly 1 and -1, so the table is exactly +-1
+    and carries its sign view.
 
-    The check is on the exact form, in O(N t) integers: every generator
-    exponent u_k L / f_k lies in [0, L) and is a multiple of L / f_k, so
-    each row is a homomorphism G -> <zeta_L>, a character; and the N rows
-    are distinct, so each of the N characters of G appears once.  Then the
-    exact table T* has T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r))
-    sums a character that is trivial only when u = v.  No float Gram is
-    formed: each computed entry is a tabulated root within 24 u of the exact
-    one (u the unit roundoff, the bound _has_character_rows derives), so
-    T = T* + E with max |E| <= 24 u, and every entry of
-    T^H T - N I = E^H T* + T*^H E + E^H E is at most N (48 u + (24 u)^2),
-    below ORTHO_TOL for every N under 10^5, far beyond any table that fits
-    in memory.
+    The check is on the exact form, in O(N t) integers
+    (_check_character_exponents): every generator exponent u_k L / f_k lies
+    in [0, L) and is a multiple of L / f_k, so each row is a homomorphism
+    G -> <zeta_L>, a character; and the N rows are distinct, so each of the
+    N characters of G appears once.  Then the exact table T* has
+    T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r)) sums a character
+    that is trivial only when u = v.  No float Gram is formed: each computed
+    entry is a tabulated root within 24 u of the exact one (u the unit
+    roundoff, the bound _has_character_rows derives), so T = T* + E with
+    max |E| <= 24 u, and every entry of T^H T - N I = E^H T* + T*^H E + E^H E
+    is at most N (48 u + (24 u)^2), below ORTHO_TOL for every N under 10^5,
+    far beyond any table that fits in memory.
 
-    The two most recently requested tables are kept and handed out again;
-    like every UnimodularMatrix, their arrays are read-only."""
-    n, big_l = g.order, lcm(*g.factors)
-    digits = g.digit_array(np.arange(n))
-    exponents = digits * (big_l // g._radix)  # row u: the exponent of chi_u at each generator e_k
-    _check_character_exponents(g, exponents)
-    roots = _unit_roots(big_l)
-    entries = np.empty((n, n), dtype=np.complex128)
-    # each phase sum_k u_k r_k L / f_k is an integer below t L max f_k, far
-    # under 2^53, so the product runs exactly on float64 BLAS; the gather
-    # reduces it mod L
-    rows, elements = exponents.astype(np.float64), digits.T.astype(np.float64)
-    step = max(1, _TABLE_BLOCK // n)
-    for lo in range(0, n, step):
-        roots.take((rows[lo:lo + step] @ elements).astype(np.intp), mode="wrap", out=entries[lo:lo + step])
+    Each call builds a new table; its arrays, like every UnimodularMatrix's,
+    are read-only."""
+    entries = _character_values(g, np.arange(g.order))
     table = object.__new__(UnimodularMatrix)
     object.__setattr__(table, "kind", "character-table")
     table._store(entries, entries.real.astype(np.int64) if g.exponent_two else None)
     return table
+
+
+def _character_values(g: AbelianGroup, elements) -> np.ndarray:
+    """The len(elements) x |G| values chi_u(e) of every character u of G at
+    each listed element e, gathered from _unit_roots(L) at their exact phase
+    exponents sum_k e_k u_k L / f_k mod L (see character_table), a block of
+    rows at a time: the one place the package computes character values.
+    The phase is symmetric in e and u, so row i is also the character
+    chi_{elements[i]} at every element u.  The N x t generator exponents are
+    checked (_check_character_exponents) before anything is gathered."""
+    n, big_l = g.order, lcm(*g.factors)
+    exponents = g.digit_array(np.arange(n)) * (big_l // g._radix)  # row u: the exponent of chi_u at each e_k
+    _check_character_exponents(g, exponents)
+    roots = _unit_roots(big_l)
+    # each phase is an integer below t L max f_k, far under 2^53, so the
+    # product runs exactly on float64 BLAS; the gather reduces it mod L
+    rows, chars = g.digit_array(elements).astype(np.float64), exponents.T.astype(np.float64)
+    values = np.empty((len(rows), n), dtype=np.complex128)
+    step = max(1, _TABLE_BLOCK // n)
+    for lo in range(0, len(rows), step):
+        roots.take((rows[lo:lo + step] @ chars).astype(np.intp), mode="wrap", out=values[lo:lo + step])
+    return values
 
 
 def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
@@ -347,7 +354,8 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     at the generators e_k are read as the nearest f_k-th roots of unity,
     exponents r_k, and the row must match, within tau below, the character
     P: u -> prod_k exp(2 pi i r_k u_k / f_k), gathered from the L-th roots
-    (L the exponent of G) at the integer phase sum_k r_k u_k L / f_k mod L.
+    (L the exponent of G) at the integer phase sum_k r_k u_k L / f_k mod L
+    (_character_values, at the elements with digits r).
 
     The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A root _unit_roots
     tabulates (three roundings of a phase below 2 pi, then the exponential)
@@ -368,26 +376,19 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     if m == 0 or group.order != n:
         return False
     factors, orders = group.factors, group._radix
-    big_l = lcm(*factors)
     # the column of e_k is its place value; a factor of 1 at the front has
     # place N, and its generator is the identity, column 0
     with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
         r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
-    # each term r_k u_k L / f_k is below L f_k, so the sum is exact in float64
-    phase = ((r * (big_l // orders)).astype(np.float64)
-             @ group.digit_array(np.arange(n)).T.astype(np.float64)).astype(np.intp) % big_l
-    roots = _unit_roots(big_l) / np.sqrt(m)
-    residual = np.abs(entries - roots.take(phase)).max()
+    residual = np.abs(entries - _character_values(group, group.index_array(r)) / np.sqrt(m)).max()
     return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
-    """Delete one group-element column of the character table; the transposed
-    view f_u(r) = chi_u(g_r) over the remaining R elements is an R x (R+1)
-    unimodular regular simplex."""
+    """The character table with one group-element column deleted, transposed:
+    f_u(r) = chi_u(g_r) over the remaining R elements (_character_values at
+    those elements) is an R x (R+1) unimodular regular simplex."""
     n = g.order
     if not 0 <= dropped < n:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")
-    table = character_table(g)
-    keep = [r for r in range(n) if r != dropped]
-    return UnimodularMatrix(entries=table.entries[:, keep].T.copy(), kind="simplex")
+    return UnimodularMatrix(entries=_character_values(g, np.delete(np.arange(n), dropped)), kind="simplex")

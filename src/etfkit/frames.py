@@ -5,8 +5,10 @@ complements, and the parameter calculator for real constant-amplitude builds.
 A frame whose entries are integer multiples of a common 1/sqrt(d) stores
 only that integer matrix and d, so Gram computations downstream are exact and
 the +-1/sqrt(M) case is what the binary-code bridge consumes; its complex
-entries are derived from the integers when first read.  exact_matmul is the
-one place that decides how such integer products are computed exactly.
+entries are derived from the integers when first read.  _assemble is the one
+place a construction picks that form, from the dtype of the values it
+gathered, and exact_matmul the one place that decides how such integer
+products are computed exactly.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .errors import (
 from .flatmat import (
     AbelianGroup,
     UnimodularMatrix,
+    _character_values,
     _has_character_rows,
     _unit_roots,
-    character_table,
     hadamard_order_reachable,
     simplex_from_characters,
 )
@@ -278,16 +280,22 @@ def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
     return pos, block
 
 
-def _scalar_cmul(a, b) -> np.ndarray:
-    """a * b for complex arrays, rounded the way numpy's complex scalar
-    product rounds it: four real products and two sums, no fused
-    multiply-add (the vectorised complex ufunc may fuse them).  This keeps
-    the gathers below bit-identical to an entry-by-entry construction."""
-    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _form(m: UnimodularMatrix) -> np.ndarray:
+    """m's integer signs when it has them, else its entries: the array a
+    builder gathers, so that the dtype of the product decides the form."""
+    return m.entries if m.signs is None else m.signs
+
+
+def _assemble(values: np.ndarray, scale_sq: int, provenance: dict) -> Frame:
+    """The unit-norm frame values / sqrt(scale_sq): the one place a
+    construction picks its form.  Integer values become the integer form;
+    any others, complex entries divided by sqrt(scale_sq)."""
+    if np.issubdtype(values.dtype, np.integer):
+        frame = Frame(exact_ints=values, scale_sq=scale_sq, provenance=provenance)
+    else:
+        frame = Frame(entries=np.asarray(values, dtype=np.complex128) / np.sqrt(scale_sq), provenance=provenance)
+    frame.check_unit_norm()
+    return frame
 
 
 def _check_simplex(simplex: UnimodularMatrix, big_r: int) -> None:
@@ -314,16 +322,10 @@ def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
 
     prov = {"construction": "steiner", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind}
-    if simplex.signs is not None:
-        ints = np.zeros((big_b, n), dtype=np.int64)
-        ints[rows, cols] = np.tile(simplex.signs, (1, v_count))
-        frame = Frame(exact_ints=ints, scale_sq=big_r, provenance=prov)
-    else:
-        entries = np.zeros((big_b, n), dtype=np.complex128)
-        entries[rows, cols] = _scalar_cmul(big_r ** -0.5, np.tile(simplex.entries, (1, v_count)))
-        frame = Frame(entries=entries, provenance=prov)
-    frame.check_unit_norm()
-    return frame
+    f = _form(simplex)
+    values = np.zeros((big_b, n), dtype=f.dtype)
+    values[rows, cols] = np.tile(f, (1, v_count))
+    return _assemble(values, big_r, prov)
 
 
 def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
@@ -347,22 +349,10 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     # f_u(r) and an R x S x N table of h_{s(r,v)}(s); their product, rows
     # flattened r-major, is the frame
     h_cols = np.repeat(pos, big_r + 1, axis=1)
-
-    def tables(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.tile(f, (1, v_count))[:, None, :], h[:, h_cols].transpose(1, 0, 2)
-
+    values = np.tile(_form(simplex), (1, v_count))[:, None, :] * _form(basis)[:, h_cols].transpose(1, 0, 2)
     prov = {"construction": "kirkman", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind}
-    if simplex.signs is not None and basis.signs is not None:
-        f, h = tables(simplex.signs, basis.signs)
-        frame = Frame(exact_ints=(f * h).reshape(big_r * s_count, n), scale_sq=big_b,
-                      provenance=prov)
-    else:
-        f, h = tables(simplex.entries, basis.entries)
-        entries = _scalar_cmul(_scalar_cmul(big_b ** -0.5, f), h).reshape(big_r * s_count, n)
-        frame = Frame(entries=entries, provenance=prov)
-    frame.check_unit_norm()
-    return frame
+    return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
 
 
 # -- difference sets and harmonic ETFs ----------------------------------------
@@ -435,17 +425,12 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
     entry (d, n) = chi_n(d) / sqrt(|D|).  M = |D|, N = |group|."""
     if dset.group != group:
         raise GroupMismatch("difference set lives in a different group")
-    table = character_table(group)
-    rows = list(dset.elements)
-    m, n = len(rows), group.order
+    m = len(dset.elements)
+    values = _character_values(group, dset.elements)
     prov = {"construction": "harmonic", "group": list(group.factors),
             "d": m, "lambda": dset.lam}
-    if table.signs is not None:
-        frame = Frame(exact_ints=table.signs[:, rows].T.copy(), scale_sq=m, provenance=prov)
-    else:
-        frame = Frame(entries=table.entries[:, rows].T.copy() / np.sqrt(m), provenance=prov)
-    frame.check_unit_norm()
-    return frame
+    # an exponent-two group's characters are exactly +-1 (character_table)
+    return _assemble(values.real.astype(np.int64) if group.exponent_two else values, m, prov)
 
 
 # -- the harmonic / flat-frame identification ---------------------------------
@@ -496,8 +481,8 @@ def _deviations(a: np.ndarray, k: np.ndarray, group: AbelianGroup) -> tuple[floa
     matched, whose columns are labelled by the abelian group G of order N.
 
     A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and E = A - K.
-    A, the harmonic frame, is rows of character_table(G), characters by
-    construction; when _has_character_rows verifies K too, both Grams are
+    A, the harmonic frame, is character values gathered by
+    flatmat._character_values, characters by construction; when _has_character_rows verifies K too, both Grams are
     group circulants within its allowance, and the deviation is
     max_c |g_A(c) - g_K(c)|, within 2 eta per side of the two-Gram value,
     from row 0 of X + X^H, S[:, 0]^H E + E[:, 0]^H S.  Otherwise X is formed
@@ -524,6 +509,11 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     Returns (harmonic frame, design-based frame, match report); the report
     compares entries under the canonical identification of row (r, s) with
     group element (g_r, g^r s) and of column (u, v) with the character pair.
+    Both frames are assembled by _assemble from roots that _unit_roots
+    tabulates: the harmonic entries are single gathered roots, the
+    design-based ones products of a simplex root and a basis root, so with
+    an exponent-two G and p = 2 both are +-1 integer forms, and otherwise
+    max_entry_dev is the rounding of that product and of the scale.
 
     The Gram deviation is taken with both frames' columns in the harmonic
     labelling by G x V (the design-based frame's relabelled by that

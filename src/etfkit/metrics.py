@@ -176,9 +176,10 @@ def _exact_profile(g_int: np.ndarray, d: int) -> tuple[Fraction, Fraction, Fract
     return Fraction(int(hi), d), Fraction(int(lo), d), Fraction(int(np.sum(g * g)), d * d)
 
 
-def _gram_profile(frame: Frame) -> tuple:
+def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     """(offdiag max, offdiag min, potential) of the frame's Gram moduli: the
-    one place that decides how a certificate reads the Gram.
+    one place that decides how a certificate reads the Gram.  gram is the
+    dense Gram when the caller already holds it (rip_delta's search does).
 
     A frame with an integer form gets Fractions from its exact integer Gram.
     A float frame whose provenance names a group (_group_hint) that
@@ -193,7 +194,7 @@ def _gram_profile(frame: Frame) -> tuple:
     if group is not None and _has_character_rows(frame.entries, group):
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
         return float(row[1:].max()), float(row[1:].min()), frame.n * float(np.sum(row ** 2))
-    a = np.abs(frame.gram())
+    a = np.abs(frame.gram() if gram is None else gram)
     pot = float(np.sum(a ** 2))  # before _offdiag_extremes overwrites the diagonal
     return (*map(float, _offdiag_extremes(a)), pot)
 
@@ -569,14 +570,12 @@ def rip_delta(frame: Frame, size: int) -> RipReport:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
     total = comb(n, size)
     _check_budget(total, f"C({n},{size})")
-    # both branches check unit norm before the search, not after it; one
-    # column has no pairs, so its Gershgorin term (L-1)*mu is 0
-    if size == 1:
-        _check_columns(frame)
-        gershgorin = 0.0
-    else:
-        gershgorin = float((size - 1) * coherence(frame))
-    delta, lo, hi = _rip_spectrum(frame.gram(), size)
+    _check_columns(frame)  # before the search, not after it
+    gram = frame.gram()
+    # coherence's mu, from the Gram the search reads; one column has no
+    # pairs, so its Gershgorin term (L-1)*mu is 0
+    gershgorin = float((size - 1) * _gram_profile(frame, gram)[0]) if size > 1 else 0.0
+    delta, lo, hi = _rip_spectrum(gram, size)
     return RipReport(n=n, size=size, delta=delta, min_eig=lo, max_eig=hi,
                      gershgorin=gershgorin, subsets=total)
 

@@ -365,10 +365,10 @@ def test_tol_flag_that_is_not_finite_and_nonnegative_is_input_error(capsys, monk
 def test_characters_simplex_group_order_checked_before_any_table(capsys, monkeypatch):
     from etfkit import flatmat
 
-    def no_table(g):
-        raise AssertionError("character_table must not be built for a wrong-order group")
+    def no_table(g, elements):
+        raise AssertionError("no character value may be gathered for a wrong-order group")
 
-    monkeypatch.setattr(flatmat, "character_table", no_table)
+    monkeypatch.setattr(flatmat, "_character_values", no_table)
     monkeypatch.setattr(sys, "stdin", io.StringIO(etfkit.round_robin_design(4).to_json()))
     code = main(["frame", "steiner", "-", "--simplex", "characters", "--group", "8"])
     _assert_one_line_input_error(capsys, code)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from etfkit.errors import (
     NotUnitNorm,
     SimplexShapeMismatch,
 )
-from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex, hadamard
+from etfkit.flatmat import AbelianGroup, character_table, dft, drop_row_simplex, hadamard
 from etfkit.frames import (
     DifferenceSet,
     Frame,
@@ -32,6 +33,8 @@ from etfkit.frames import (
     _numeric,
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
+
+from test_gram_row import EXACT_LADDER, FLOAT_LADDER, TOP, _label
 
 
 def fig1_frame() -> Frame:
@@ -552,3 +555,46 @@ def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, pert
     assert report.max_entry_dev == float(np.abs(a - k).max())
     assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
     assert (report.max_gram_dev > 1e-8) == (perturb > 0)
+
+
+# -- harmonic frames gathered from the characters at the difference set ------
+
+# (q, j, G) for every case of the benchmark's harmonic ladder
+HARMONIC_LADDER = FLOAT_LADDER + EXACT_LADDER + [TOP, (4, 2, (2, 11))]
+
+
+@pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)
+def test_harmonic_frame_is_the_character_table_restricted_to_the_set(case):
+    q, j, factors = case
+    dset = mcfarland_set(q, j, AbelianGroup(factors))
+    frame = harmonic_etf(dset.group, dset)
+    table = character_table(dset.group)
+    rows = list(dset.elements)
+    want = table.entries[:, rows].T / np.sqrt(len(rows))
+    assert frame.entries.tobytes() == want.tobytes()
+    assert (frame.exact_ints is not None) == dset.group.exponent_two
+    if dset.group.exponent_two:
+        assert frame.exact_ints.tobytes() == table.signs[:, rows].T.copy().tobytes()
+
+
+def test_harmonic_frame_builds_no_character_table(monkeypatch):
+    """At the 336 x 1408 ladder top only the difference set's M rows of
+    character values are gathered: no table is built, and the peak stays
+    below one N x N complex table (31.7 MB)."""
+    from etfkit import flatmat, frames
+
+    def no_table(g):
+        raise AssertionError("harmonic_etf must not build the character table")
+
+    for module in (flatmat, frames):
+        monkeypatch.setattr(module, "character_table", no_table, raising=False)
+    dset = mcfarland_set(4, 2, AbelianGroup((22,)))
+    n = dset.group.order
+    tracemalloc.start()
+    try:
+        frame = harmonic_etf(dset.group, dset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (frame.m, frame.n) == (336, 1408)
+    assert peak < n * n * np.dtype(np.complex128).itemsize

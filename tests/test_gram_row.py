@@ -26,7 +26,7 @@ from etfkit.frames import (
     naimark_complement,
     steiner_etf,
 )
-from etfkit.metrics import DEFAULT_TOL, EtfCertificate, certify_etf, coherence, welch_bound
+from etfkit.metrics import DEFAULT_TOL, EtfCertificate, certify_etf, coherence, rip_delta, welch_bound
 
 from test_acceptance import _corpus_frames
 
@@ -172,6 +172,14 @@ def test_coherence_is_the_certificate_coherence(gram_calls):
         seen["one-row" if one_row else "exact" if exact else "dense"] += 1
     assert seen == {"one-row": 3 * len(FLOAT_LADDER) + len(SINGER_SETS), "exact": 3 * len(EXACT_LADDER) + 2,
                     "dense": 2}
+
+
+def test_rip_delta_forms_the_dense_gram_once(gram_calls):
+    """On the dense path the Gershgorin term reads the Gram the search forms."""
+    frame = steiner_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0))
+    report = rip_delta(frame, 2)
+    assert gram_calls == [45]
+    assert report.gershgorin == coherence(frame)
 
 
 def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks):

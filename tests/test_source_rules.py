@@ -85,13 +85,41 @@ def _is_root_exponential(node: ast.AST) -> bool:
 
 
 def test_roots_of_unity_are_tabulated_in_one_place():
-    """Character entries are gathered from flatmat._unit_roots, whose quarter
-    roots are exact; only it and the DFT (whose bytes frame JSON depends on)
-    evaluate exp(2 pi i k / n)."""
+    """DFT and character entries are gathered from flatmat._unit_roots, whose
+    quarter roots are exact; only it evaluates exp(2 pi i k / n)."""
     sites = {path.name: _sites(ast.parse(path.read_text(), filename=str(path)), _is_root_exponential)
              for path in SOURCES}
-    assert sorted(scope for scope, _ in sites.pop("flatmat.py")) == ["_dft_entries", "_unit_roots"]
-    assert not any(sites.values()), f"np.exp(2j ...) outside flatmat's root helpers: {sites}"
+    assert [scope for scope, _ in sites.pop("flatmat.py")] == ["_unit_roots"]
+    assert not any(sites.values()), f"np.exp(2j ...) outside flatmat._unit_roots: {sites}"
+
+
+def _calls(name: str):
+    def matches(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and (
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+    return matches
+
+
+def _builds_an_integer_frame(node: ast.AST) -> bool:
+    return _calls("Frame")(node) and any(k.arg == "exact_ints" for k in node.keywords)
+
+
+def test_frames_builds_an_integer_form_in_one_place():
+    """A construction hands its values to _assemble, which picks the form;
+    only it and parse_frame, which reads a sign form, build a Frame with
+    exact_ints."""
+    path = next(p for p in SOURCES if p.name == "frames.py")
+    sites = _sites(ast.parse(path.read_text(), filename=str(path)), _builds_an_integer_frame)
+    assert sorted(scope for scope, _ in sites) == ["_assemble", "parse_frame"], sites
+
+
+def test_no_package_function_builds_a_character_table():
+    """character_table is for callers outside the package: inside it,
+    character values are gathered for the elements needed
+    (flatmat._character_values), never as a whole N x N table."""
+    sites = {path.name: _sites(ast.parse(path.read_text(), filename=str(path)), _calls("character_table"))
+             for path in SOURCES}
+    assert not any(sites.values()), f"character_table called in the package: {sites}"
 
 
 def _tests_for_an_integer_form(node: ast.AST) -> bool:
