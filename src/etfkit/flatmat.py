@@ -5,19 +5,19 @@ Hadamard construction is deliberately limited to Sylvester doubling and the
 quadratic-character (Paley I) construction composed via Kronecker products;
 orders outside that closure raise UnsupportedHadamardOrder.  A
 UnimodularMatrix stores one array, its read-only entries, and is checked once,
-when it is built; its integer sign view, which keeps downstream arithmetic
-exact, is derived from entries whenever every entry is exactly real +-1.
-Character values, the DFT's entries among them, are gathered by one helper,
+when it is built: by its builder on the exact form it builds from, which
+hands in +-1 values as integers whose dtype gives the exact sign view, or by
+the dense test of its Gram for entries from outside the package.  Character
+values, the DFT's entries among them, are gathered by one helper,
 _character_values, at their exact phase exponents from one table of roots
-of unity, _unit_roots, the one place the package evaluates them.  A
-character table is checked on those exponents, in O(N t) integers for a
-group of t cyclic factors, rather than through its own N x N Gram.
+of unity, _unit_roots, the one place the package evaluates them, and checked
+on those exponents in O(N t) integers for a group of t cyclic factors.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 
@@ -38,34 +38,37 @@ class UnimodularMatrix:
 
     Orthogonal kinds (dft, hadamard, character-table) have pairwise-orthogonal
     columns of squared norm rows; the simplex kind is (n-1) x n with distinct
-    columns at inner-product modulus exactly 1.  entries becomes a read-only
-    view of the array passed in (no copy) and is checked at construction by
-    the dense O(N^3) test of its Gram.  signs is the exact +-1 integer view,
-    derived from entries: present exactly when every entry is real +-1.
+    columns at inner-product modulus exactly 1.  signs is the exact int64
+    view, present exactly when every entry is real +-1.  Equality and hashing
+    are over kind, shape, dtype and entry bytes.
 
-    character_table is the one builder that skips the dense test: it proves
-    its table's invariant on the exact phase exponents the entries are
-    gathered from (see there).  Equality and hashing are over kind, shape,
-    dtype and entry bytes.
+    Entries from outside the package become a read-only view of the array
+    passed in (no copy), scanned for +-1 and checked by the dense O(N^3) test
+    of their Gram.  A builder passes _proven, having proved the kind's
+    invariant on its exact form, and +-1 values as integers: their dtype gives
+    the sign view, and the entries are the values as complex128.
     """
 
     entries: np.ndarray
     kind: str
     signs: np.ndarray | None = field(init=False, repr=False)
+    _proven: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _proven: bool):
         entries = np.asarray(self.entries)
-        signs = entries.real.astype(np.int64) if np.all((entries == 1) | (entries == -1)) else None
-        self._store(entries, signs)
-        self.check()
-
-    def _store(self, entries: np.ndarray, signs: np.ndarray | None) -> None:
-        entries = entries.view()
+        if _proven:
+            signs = entries if np.issubdtype(entries.dtype, np.integer) else None
+            entries = entries.astype(np.complex128, copy=False)
+        else:
+            signs = _sign_view(entries)
+            entries = entries.view()
         for a in (entries, signs):
             if a is not None:
                 a.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "signs", signs)
+        if not _proven:
+            self.check()
 
     def _key(self) -> tuple:
         return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
@@ -113,6 +116,11 @@ def _check_gram(m: UnimodularMatrix) -> None:
             raise NotUnimodular(f"{m.kind} columns are not orthogonal with norm^2 = rows")
 
 
+def _sign_view(a: np.ndarray) -> np.ndarray | None:
+    """The exact int64 view of a when every entry is real +-1, else None."""
+    return a.real.astype(np.int64) if np.all((a == 1) | (a == -1)) else None
+
+
 def _deviation(a: np.ndarray) -> float:
     """Largest modulus in a, 0 for an empty array and NaN if any entry is."""
     return float(np.abs(a).max(initial=0.0))
@@ -122,9 +130,9 @@ def _unit_roots(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1: the one table
     of roots the package evaluates, from which _character_values gathers the
     DFT, every character table and every harmonic frame.  The quarter roots
-    1, i, -1, -i that n admits are exact, so a table of +-1 values gathered
-    from them is exactly +-1; every other root is within 24 u of exact (u
-    the unit roundoff; the bound _has_character_rows derives)."""
+    1, i, -1, -i that n admits are exact, so for n <= 2 the table holds
+    exactly 1 and -1; every other root is within 24 u of exact (u the unit
+    roundoff; the bound _has_character_rows derives)."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
         if k * n % 4 == 0:
@@ -135,11 +143,11 @@ def _unit_roots(n: int) -> np.ndarray:
 def dft(n: int) -> UnimodularMatrix:
     """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n): the character table
     of Z_n, gathered from _unit_roots(n) at the exponents a*b mod n, so its
-    +-1, +-i entries are exact and dft(2) carries the signs of hadamard(2).
-    Unlike character_table, it keeps the dense Gram test."""
+    +-1, +-i entries are exact and dft(2) carries the signs of hadamard(2);
+    it is checked on those exponents, in O(n) integers (see character_table)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return UnimodularMatrix(entries=_character_values(AbelianGroup((n,)), np.arange(n)), kind="dft")
+    return UnimodularMatrix(entries=_character_values(AbelianGroup((n,)), np.arange(n)), kind="dft", _proven=True)
 
 
 def _paley_signs(n: int) -> np.ndarray:
@@ -163,57 +171,56 @@ def _paley_signs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _hadamard_signs(n: int) -> tuple | None:
-    """Sign matrix (as nested tuples, for hashability) or None if unreachable."""
+def _hadamard_signs(n: int) -> np.ndarray | None:
+    """Read-only int64 sign matrix of order n, or None if unreachable."""
     if n == 1:
-        return ((1,),)
-    if n == 2:
-        return ((1, 1), (1, -1))
-    if n % 4:
+        signs = np.ones((1, 1), dtype=np.int64)
+    elif n % 4 and n != 2:
         return None
-    if n % 2 == 0 and _hadamard_signs(n // 2) is not None:
-        half = np.array(_hadamard_signs(n // 2), dtype=np.int64)
-        return tuple(map(tuple, np.kron(np.array([[1, 1], [1, -1]]), half)))
-    pp = gf.prime_power(n - 1)
-    if pp is not None and (n - 1) % 4 == 3:
-        return tuple(map(tuple, _paley_signs(n)))
-    for d in range(4, n // 3):
-        if n % d == 0 and _hadamard_signs(d) is not None and _hadamard_signs(n // d) is not None:
-            a = np.array(_hadamard_signs(d), dtype=np.int64)
-            b = np.array(_hadamard_signs(n // d), dtype=np.int64)
-            return tuple(map(tuple, np.kron(a, b)))
-    return None
+    elif _hadamard_signs(n // 2) is not None:
+        signs = np.kron(np.array([[1, 1], [1, -1]]), _hadamard_signs(n // 2))
+    elif gf.prime_power(n - 1) is not None and (n - 1) % 4 == 3:
+        signs = _paley_signs(n)
+    else:
+        for d in range(4, n // 3):
+            if n % d == 0 and _hadamard_signs(d) is not None and _hadamard_signs(n // d) is not None:
+                signs = np.kron(_hadamard_signs(d), _hadamard_signs(n // d))
+                break
+        else:
+            return None
+    signs.flags.writeable = False
+    return signs
 
 
 def hadamard_order_reachable(n: int) -> bool:
-    if n < 1 or (n not in (1, 2) and n % 4):
-        return False
-    return _hadamard_signs(n) is not None
+    return n >= 1 and _hadamard_signs(n) is not None
 
 
 def hadamard(n: int) -> UnimodularMatrix:
-    """+-1 matrix with H^T H = n I exactly, built by Sylvester doubling and
-    Paley I composed with Kronecker products."""
+    """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
+    composed with Kronecker products; both are checked exactly on the signs."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    signs = _hadamard_signs(n) if (n in (1, 2) or n % 4 == 0) else None
+    signs = _hadamard_signs(n)
     if signs is None:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
-    arr = np.array(signs, dtype=np.int64)
-    if not np.array_equal(arr.T @ arr, n * np.eye(n, dtype=np.int64)):
+    if not (np.all(np.abs(signs) == 1) and np.array_equal(signs.T @ signs, n * np.eye(n, dtype=np.int64))):
         raise InvariantViolation(f"constructed matrix of order {n} fails the exact Hadamard identity")
-    return UnimodularMatrix(entries=arr.astype(np.complex128), kind="hadamard")
+    return UnimodularMatrix(entries=signs, kind="hadamard", _proven=True)
 
 
 def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
-    """Remove one row of an orthogonal unimodular basis, leaving the
-    (n-1) x n unimodular regular simplex."""
+    """Remove row r of an orthogonal unimodular basis B, leaving the (n-1) x n
+    unimodular regular simplex, with no test: columns a, b meet at
+    G[a, b] - conj(B[r, a]) B[r, b] with G the Gram checked when B was built,
+    so within |G[a, b]| + 2 ENTRY_TOL of modulus 1.  Kept rows are scanned for +-1."""
     if basis.rows != basis.cols:
         raise ValueError("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
-    keep = [i for i in range(basis.rows) if i != row]
-    return UnimodularMatrix(entries=basis.entries[keep, :], kind="simplex")
+    rows = np.delete(basis.entries if basis.signs is None else basis.signs, row, axis=0)
+    signs = _sign_view(rows) if basis.signs is None else rows
+    return UnimodularMatrix(entries=rows if signs is None else signs, kind="simplex", _proven=True)
 
 
 @dataclass(frozen=True)
@@ -241,10 +248,6 @@ class AbelianGroup:
     @property
     def order(self) -> int:
         return reduce(lambda a, b: a * b, self.factors, 1)
-
-    @property
-    def exponent_two(self) -> bool:
-        return all(f in (1, 2) for f in self.factors)
 
     @cached_property
     def _radix(self) -> np.ndarray:
@@ -285,8 +288,8 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     takes the generator e_k to zeta_L^(u_k L / f_k), zeta_L = exp(2 pi i / L),
     so chi_u(g_r) = zeta_L^(sum_k u_k r_k L / f_k mod L), gathered from the
     table of the L-th roots (_unit_roots).  When G has exponent two, L is at
-    most 2 and the roots are exactly 1 and -1, so the table is exactly +-1
-    and carries its sign view.
+    most 2 and the values are the exact integers 1 and -1, so the table
+    carries its sign view.
 
     The check is on the exact form, in O(N t) integers
     (_check_character_exponents): every generator exponent u_k L / f_k lies
@@ -301,13 +304,8 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     is at most N (48 u + (24 u)^2), below ORTHO_TOL for every N under 10^5,
     far beyond any table that fits in memory.
 
-    Each call builds a new table; its arrays, like every UnimodularMatrix's,
-    are read-only."""
-    entries = _character_values(g, np.arange(g.order))
-    table = object.__new__(UnimodularMatrix)
-    object.__setattr__(table, "kind", "character-table")
-    table._store(entries, entries.real.astype(np.int64) if g.exponent_two else None)
-    return table
+    Each call builds a new table, read-only like every UnimodularMatrix."""
+    return UnimodularMatrix(entries=_character_values(g, np.arange(g.order)), kind="character-table", _proven=True)
 
 
 def _character_values(g: AbelianGroup, elements) -> np.ndarray:
@@ -317,15 +315,18 @@ def _character_values(g: AbelianGroup, elements) -> np.ndarray:
     rows at a time: the one place the package computes character values.
     The phase is symmetric in e and u, so row i is also the character
     chi_{elements[i]} at every element u.  The N x t generator exponents are
-    checked (_check_character_exponents) before anything is gathered."""
+    checked (_check_character_exponents) before anything is gathered.  The
+    values are int64 when L <= 2, where they are exactly +-1, else complex."""
     n, big_l = g.order, lcm(*g.factors)
     exponents = g.digit_array(np.arange(n)) * (big_l // g._radix)  # row u: the exponent of chi_u at each e_k
     _check_character_exponents(g, exponents)
     roots = _unit_roots(big_l)
+    if big_l <= 2:
+        roots = roots.real.astype(np.int64)
     # each phase is an integer below t L max f_k, far under 2^53, so the
     # product runs exactly on float64 BLAS; the gather reduces it mod L
     rows, chars = g.digit_array(elements).astype(np.float64), exponents.T.astype(np.float64)
-    values = np.empty((len(rows), n), dtype=np.complex128)
+    values = np.empty((len(rows), n), dtype=roots.dtype)
     step = max(1, _TABLE_BLOCK // n)
     for lo in range(0, len(rows), step):
         roots.take((rows[lo:lo + step] @ chars).astype(np.intp), mode="wrap", out=values[lo:lo + step])
@@ -386,9 +387,10 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
     """The character table with one group-element column deleted, transposed:
-    f_u(r) = chi_u(g_r) over the remaining R elements (_character_values at
-    those elements) is an R x (R+1) unimodular regular simplex."""
+    f_u(r) = chi_u(g_r) over the remaining R elements is an R x (R+1)
+    unimodular regular simplex, gathered and checked by _character_values."""
     n = g.order
     if not 0 <= dropped < n:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")
-    return UnimodularMatrix(entries=_character_values(g, np.delete(np.arange(n), dropped)), kind="simplex")
+    return UnimodularMatrix(entries=_character_values(g, np.delete(np.arange(n), dropped)), kind="simplex",
+                            _proven=True)

@@ -426,11 +426,9 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
     if dset.group != group:
         raise GroupMismatch("difference set lives in a different group")
     m = len(dset.elements)
-    values = _character_values(group, dset.elements)
     prov = {"construction": "harmonic", "group": list(group.factors),
             "d": m, "lambda": dset.lam}
-    # an exponent-two group's characters are exactly +-1 (character_table)
-    return _assemble(values.real.astype(np.int64) if group.exponent_two else values, m, prov)
+    return _assemble(_character_values(group, dset.elements), m, prov)
 
 
 # -- the harmonic / flat-frame identification ---------------------------------
@@ -438,7 +436,7 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
 def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
     """Unimodular orthogonal basis over the hyperplane S:
     h_{s'}(s) = exp(2*pi*i/p * tr(s' * s / delta)), traces taken down to the
-    prime field."""
+    prime field.  With no exponent form to check, it gets the dense test."""
     fld = structure.field
     p = fld.p
     hyper = structure.hyperplane
@@ -559,15 +557,14 @@ def _tightness_deviation(entries: np.ndarray) -> float:
     return float(np.abs(entries @ entries.conj().T - (n / m) * np.eye(m)).max())
 
 
-def naimark_complement(frame: Frame, require_tight: bool = True,
-                       tol: float = 1e-9) -> Frame:
+def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     """The (N-M) x N unit-norm tight frame whose rows complete the scaled
-    rows of a tight frame to an orthogonal N x N system."""
+    rows of a tight frame to an orthogonal N x N system; NotTight unless
+    the frame is tight within tol."""
     m, n = frame.m, frame.n
-    if require_tight:
-        dev = _tightness_deviation(frame.entries)
-        if dev > tol:
-            raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
+    dev = _tightness_deviation(frame.entries)
+    if dev > tol:
+        raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
     if n == m:
         return Frame(entries=np.zeros((0, n), dtype=np.complex128),
                      provenance={"construction": "naimark", "parent_m": m, "parent_n": n})

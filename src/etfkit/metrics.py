@@ -615,10 +615,10 @@ def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRip
     big_r = _design_r(frame)
     if big_r is None:
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
+    _check_columns(frame)  # before rho, which a frame with no rows would divide by zero
     rho = frame.n / frame.m
     cutoff = ((rho * frame.m - 1) / (rho - 1)) ** 0.5
     top = min(big_r + 1, max_size if max_size is not None else big_r + 1)
-    frame.check_unit_norm()
     gram = frame.gram()
     per_l = []
     for size in range(2, top + 1):

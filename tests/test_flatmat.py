@@ -10,6 +10,7 @@ from etfkit.designs import round_robin_design
 from etfkit.errors import (
     EtfkitError,
     IndexOutOfRange,
+    InvariantViolation,
     NotUnimodular,
     RowOutOfRange,
     UnsupportedHadamardOrder,
@@ -45,13 +46,12 @@ def test_dft_1_has_the_sign_view_of_hadamard_1():
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
-def test_dft_phases_are_reduced_before_the_root_is_taken(n, monkeypatch):
-    """Entry (a, b) is the root at a*b mod n, so large DFTs stay orthogonal
-    far inside ORTHO_TOL: they pass their own dense Gram test at 1e-11 (the
-    unreduced exp(2 pi i a b / n) drifted to 7.8e-11 at n = 1024 and 2.8e-10
-    at n = 2048)."""
-    monkeypatch.setattr(flatmat, "ORTHO_TOL", 1e-11)
-    assert dft(n).rows == n
+def test_dft_phases_are_reduced_before_the_root_is_taken(n):
+    """Entry (a, b) is, byte for byte, the tabulated root at a*b mod n (the
+    unreduced exp(2 pi i a b / n) drifted from orthogonal by 7.8e-11 at
+    n = 1024 and 2.8e-10 at n = 2048)."""
+    a = np.arange(n)
+    assert dft(n).entries.tobytes() == flatmat._unit_roots(n)[np.outer(a, a) % n].tobytes()
 
 
 def test_dft_2():
@@ -302,6 +302,26 @@ def test_drop_row_simplex_of_a_malformed_basis_is_an_etfkit_error():
         drop_row_simplex(UnimodularMatrix(entries=np.ones((2, 2)), kind="hadamard"))
 
 
+def test_hadamard_rejects_an_exact_identity_without_unit_entries(monkeypatch):
+    # 2 I has H^T H = 4 I exactly, but is not a +-1 matrix
+    monkeypatch.setattr(flatmat, "_hadamard_signs", lambda n: 2 * np.eye(n, dtype=np.int64))
+    with pytest.raises(InvariantViolation):
+        hadamard(4)
+
+
+def test_drop_row_simplex_derives_the_sign_view_of_the_kept_rows():
+    a = hadamard(4).entries.copy()
+    a[2] *= 1j  # still orthogonal and unimodular, but no longer real
+    basis = UnimodularMatrix(entries=a, kind="hadamard")
+    assert basis.signs is None
+    simplex = drop_row_simplex(basis, 2)
+    assert np.array_equal(simplex.signs, hadamard(4).signs[[0, 1, 3]])
+    assert drop_row_simplex(basis, 1).signs is None
+    # a simplex with a sign view has complex128 entries, whatever the basis's dtype
+    ints = drop_row_simplex(UnimodularMatrix(entries=hadamard(4).signs.copy(), kind="hadamard"), 0)
+    assert ints.entries.dtype == np.complex128 and np.array_equal(ints.signs, hadamard(4).signs[1:])
+
+
 def test_entries_are_a_read_only_view_and_signs_are_derived():
     arr = hadamard(4).entries.copy()
     m = UnimodularMatrix(entries=arr, kind="hadamard")
@@ -350,7 +370,7 @@ def test_ladder_tables_keep_their_bytes_and_both_checks_agree(factors):
     gram[np.diag_indices(n)] -= n
     assert np.abs(gram).max() <= n * (48 * U + (24 * U) ** 2)  # the bound character_table derives
     UnimodularMatrix(entries=table.entries, kind="character-table")  # the dense test agrees
-    if g.exponent_two:  # the sign view the Kronecker build rounded to, byte for byte
+    if big_l <= 2:  # exponent two: the sign view the Kronecker build rounded to, byte for byte
         assert table.signs.tobytes() == np.rint(want.real).astype(np.int64).tobytes()
         assert table.entries.tobytes() == table.signs.astype(np.complex128).tobytes()
     else:
@@ -369,20 +389,33 @@ def test_quarter_roots_are_exact():
         assert flatmat._unit_roots(n).tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
 
 
-def test_character_table_forms_no_dense_gram(monkeypatch):
-    """The 1408-element ladder top is checked on its exponents: no dense Gram
-    test runs, and no second N x N array (a float Gram or a Kronecker
-    product) is ever live beside the table."""
+LADDER_TOP = AbelianGroup((22,) + (2,) * 6)
+
+
+@pytest.mark.parametrize("builder,args", [
+    (dft, lambda: (1024,)),
+    (hadamard, lambda: (256,)),
+    (drop_row_simplex, lambda: (hadamard(256), 5)),
+    (simplex_from_characters, lambda: (LADDER_TOP, 0)),
+    (character_table, lambda: (LADDER_TOP,)),
+], ids=["dft", "hadamard", "drop_row_simplex", "simplex_from_characters", "character_table"])
+def test_builders_form_no_dense_gram(builder, args, monkeypatch):
+    """Each builder has proved its matrix on the exact form it built it from
+    (phase exponents, the integer Hadamard identity, a checked basis): no
+    dense Gram test runs, and no second N x N array (a float Gram or a
+    Kronecker product) is ever live beside the arrays it returns."""
+    args = args()
     dense = []
     monkeypatch.setattr(flatmat, "_check_gram", lambda m: dense.append(m.kind))
     tracemalloc.start()
     try:
-        table = character_table(AbelianGroup((22,) + (2,) * 6))
+        m = builder(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dense == []
-    assert table.entries.nbytes <= peak < 1.25 * table.entries.nbytes
+    returned = m.entries.nbytes + (0 if m.signs is None else m.signs.nbytes)
+    assert m.entries.nbytes <= peak < 1.25 * returned
 
 
 def _exponents(g: AbelianGroup) -> np.ndarray:

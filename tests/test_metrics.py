@@ -314,6 +314,12 @@ def test_steiner_rip_verdict_fig1(fig1):
     assert report.consistent
 
 
+def test_steiner_rip_verdict_of_a_frame_with_no_rows_is_not_unit_norm():
+    frame = Frame(entries=np.zeros((0, 5), complex), provenance={"construction": "steiner", "r": 2})
+    with pytest.raises(NotUnitNorm, match="no rows"):
+        steiner_rip_verdict(frame)
+
+
 def test_steiner_rip_not_applicable_for_plain_frames():
     report = steiner_rip_verdict(orthonormal(4))
     assert not report.applicable

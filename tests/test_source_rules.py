@@ -122,6 +122,23 @@ def test_no_package_function_builds_a_character_table():
     assert not any(sites.values()), f"character_table called in the package: {sites}"
 
 
+def _news_a_unimodular_matrix(node: ast.AST) -> bool:
+    return _calls("__new__")(node) and "UnimodularMatrix" in ast.unparse(node)
+
+
+def test_unimodular_matrices_are_checked_in_one_place():
+    """Every UnimodularMatrix goes through its constructor, which stores the
+    entries and derives the sign view in one place; the dense Gram test runs
+    only from UnimodularMatrix.check, for entries from outside the package,
+    since each builder proves its invariant on its exact form."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    bypasses = {name: _sites(tree, _news_a_unimodular_matrix) for name, tree in trees.items()}
+    assert not any(bypasses.values()), f"UnimodularMatrix built without its constructor: {bypasses}"
+    dense = {name: _sites(tree, _calls("_check_gram")) for name, tree in trees.items()}
+    assert [scope for scope, _ in dense.pop("flatmat.py")] == ["UnimodularMatrix.check"]
+    assert not any(dense.values()), f"_check_gram called outside UnimodularMatrix.check: {dense}"
+
+
 def _tests_for_an_integer_form(node: ast.AST) -> bool:
     return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
             and node.left.attr == "exact_ints" and isinstance(node.ops[0], (ast.Is, ast.IsNot)))
