@@ -4,14 +4,15 @@ tables of finite abelian groups.
 Hadamard construction is deliberately limited to Sylvester doubling and the
 quadratic-character (Paley I) construction composed via Kronecker products;
 orders outside that closure raise UnsupportedHadamardOrder.  A
-UnimodularMatrix stores one array, its read-only entries, and is checked once,
-when it is built: by its builder on the exact form it builds from, which
-hands in +-1 values as integers whose dtype gives the exact sign view, or by
-the dense test of its Gram for entries from outside the package.  Character
-values, the DFT's entries among them, are gathered by one helper,
-_character_values, at their exact phase exponents from one table of roots
-of unity, _unit_roots, the one place the package evaluates them, and checked
-on those exponents in O(N t) integers for a group of t cyclic factors.
+UnimodularMatrix stores its read-only entries and is checked once, when it
+is built: by its builder on the exact form it builds from, which hands in
++-1 values as integers whose dtype gives the exact sign view, or by the
+dense test of its Gram for entries from outside the package, which it
+copies.  Character phase exponents, the DFT's among them, are computed by
+one helper, _character_phases, reduced mod the group exponent L and checked
+in O(N t) integers for a group of t cyclic factors; a matrix built from them
+keeps them beside its entries, gathered at those phases from one table of
+roots of unity, _unit_roots, the one place the package evaluates them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOf
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_values: 512 kB
+_TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,33 +43,47 @@ class UnimodularMatrix:
     view, present exactly when every entry is real +-1.  Equality and hashing
     are over kind, shape, dtype and entry bytes.
 
-    Entries from outside the package become a read-only view of the array
-    passed in (no copy), scanned for +-1 and checked by the dense O(N^3) test
-    of their Gram.  A builder passes _proven, having proved the kind's
-    invariant on its exact form, and +-1 values as integers: their dtype gives
-    the sign view, and the entries are the values as complex128.
+    Entries from outside the package become a read-only copy of the array
+    passed in, scanned for +-1 and checked by the dense O(N^3) test of their
+    Gram.  A builder passes _proven, having proved the kind's invariant on its
+    exact form, and +-1 values as integers: their dtype gives the sign view,
+    and the entries are the values as complex128.  A builder from characters
+    also passes _phases, (phases, L) with entries zeta_L^phases, kept unless
+    the sign view already holds that exact form (_exponents).
     """
 
     entries: np.ndarray
     kind: str
     signs: np.ndarray | None = field(init=False, repr=False)
     _proven: InitVar[bool] = False
+    _phases: tuple[np.ndarray, int] | None = field(default=None, repr=False)
 
     def __post_init__(self, _proven: bool):
-        entries = np.asarray(self.entries)
         if _proven:
+            entries = np.asarray(self.entries)
             signs = entries if np.issubdtype(entries.dtype, np.integer) else None
             entries = entries.astype(np.complex128, copy=False)
         else:
+            entries = np.array(self.entries)  # a copy: the caller's array cannot change it
             signs = _sign_view(entries)
-            entries = entries.view()
-        for a in (entries, signs):
+        phases = None if signs is not None or self._phases is None else self._phases[0]
+        for a in (entries, signs, phases):
             if a is not None:
                 a.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_phases", None if phases is None else (phases, self._phases[1]))
         if not _proven:
             self.check()
+
+    @property
+    def _exponents(self) -> tuple[np.ndarray, int] | None:
+        """(phases, L), the exact form whose entries are zeta_L^phases: the
+        stored phases of a character build, exponents mod 2 read off the sign
+        view of a +-1 matrix, or None for other entries from outside."""
+        if self.signs is not None:
+            return (self.signs < 0).view(np.uint8), 2
+        return self._phases
 
     def _key(self) -> tuple:
         return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
@@ -128,8 +143,8 @@ def _deviation(a: np.ndarray) -> float:
 
 def _unit_roots(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1: the one table
-    of roots the package evaluates, from which _character_values gathers the
-    DFT, every character table and every harmonic frame.  The quarter roots
+    of roots the package evaluates, from which the DFT, every character
+    table and every frame stored as phases are gathered.  The quarter roots
     1, i, -1, -i that n admits are exact, so for n <= 2 the table holds
     exactly 1 and -1; every other root is within 24 u of exact (u the unit
     roundoff; the bound _has_character_rows derives)."""
@@ -147,7 +162,7 @@ def dft(n: int) -> UnimodularMatrix:
     it is checked on those exponents, in O(n) integers (see character_table)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return UnimodularMatrix(entries=_character_values(AbelianGroup((n,)), np.arange(n)), kind="dft", _proven=True)
+    return _character_matrix(AbelianGroup((n,)), np.arange(n), "dft")
 
 
 def _paley_signs(n: int) -> np.ndarray:
@@ -196,6 +211,18 @@ def hadamard_order_reachable(n: int) -> bool:
     return n >= 1 and _hadamard_signs(n) is not None
 
 
+def _has_hadamard_identity(signs: np.ndarray) -> bool:
+    """True when every entry is +-1 and H^T H = n I, exactly: with +-1
+    entries every partial sum of H^T H is an integer of magnitude at most
+    n < 2^53, so the float64 BLAS product is exact."""
+    if not np.all(np.abs(signs) == 1):
+        return False
+    f = signs.astype(np.float64)
+    gram = f.T @ f
+    gram[np.diag_indices(len(f))] -= len(f)  # H^T H - n I, without an n x n identity
+    return not gram.any()
+
+
 def hadamard(n: int) -> UnimodularMatrix:
     """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
     composed with Kronecker products; both are checked exactly on the signs."""
@@ -204,7 +231,7 @@ def hadamard(n: int) -> UnimodularMatrix:
     signs = _hadamard_signs(n)
     if signs is None:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
-    if not (np.all(np.abs(signs) == 1) and np.array_equal(signs.T @ signs, n * np.eye(n, dtype=np.int64))):
+    if not _has_hadamard_identity(signs):
         raise InvariantViolation(f"constructed matrix of order {n} fails the exact Hadamard identity")
     return UnimodularMatrix(entries=signs, kind="hadamard", _proven=True)
 
@@ -213,14 +240,16 @@ def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     """Remove row r of an orthogonal unimodular basis B, leaving the (n-1) x n
     unimodular regular simplex, with no test: columns a, b meet at
     G[a, b] - conj(B[r, a]) B[r, b] with G the Gram checked when B was built,
-    so within |G[a, b]| + 2 ENTRY_TOL of modulus 1.  Kept rows are scanned for +-1."""
+    so within |G[a, b]| + 2 ENTRY_TOL of modulus 1.  Kept rows are scanned for
+    +-1, and a character build's phases keep the same rows."""
     if basis.rows != basis.cols:
         raise ValueError("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
     rows = np.delete(basis.entries if basis.signs is None else basis.signs, row, axis=0)
     signs = _sign_view(rows) if basis.signs is None else rows
-    return UnimodularMatrix(entries=rows if signs is None else signs, kind="simplex", _proven=True)
+    phases = None if basis._phases is None else (np.delete(basis._phases[0], row, axis=0), basis._phases[1])
+    return UnimodularMatrix(entries=rows if signs is None else signs, kind="simplex", _proven=True, _phases=phases)
 
 
 @dataclass(frozen=True)
@@ -282,7 +311,8 @@ class AbelianGroup:
 
 def character_table(g: AbelianGroup) -> UnimodularMatrix:
     """|G| x |G| table with entry (u, r) = chi_u(g_r), built from its exact
-    phase exponents by _character_values, over every element of G.
+    phase exponents (_character_phases), over every element of G, and
+    keeping them.
 
     For G = Z_f1 x ... x Z_ft with exponent L = lcm(f_k), the character u
     takes the generator e_k to zeta_L^(u_k L / f_k), zeta_L = exp(2 pi i / L),
@@ -305,32 +335,68 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     far beyond any table that fits in memory.
 
     Each call builds a new table, read-only like every UnimodularMatrix."""
-    return UnimodularMatrix(entries=_character_values(g, np.arange(g.order)), kind="character-table", _proven=True)
+    return _character_matrix(g, np.arange(g.order), "character-table")
 
 
-def _character_values(g: AbelianGroup, elements) -> np.ndarray:
-    """The len(elements) x |G| values chi_u(e) of every character u of G at
-    each listed element e, gathered from _unit_roots(L) at their exact phase
-    exponents sum_k e_k u_k L / f_k mod L (see character_table), a block of
-    rows at a time: the one place the package computes character values.
-    The phase is symmetric in e and u, so row i is also the character
-    chi_{elements[i]} at every element u.  The N x t generator exponents are
-    checked (_check_character_exponents) before anything is gathered.  The
-    values are int64 when L <= 2, where they are exactly +-1, else complex."""
+def _character_matrix(g: AbelianGroup, elements, kind: str) -> UnimodularMatrix:
+    """The proven matrix of the characters at the listed elements, gathered
+    with its phases (_character_phases), which it keeps."""
+    phases, big_l, values = _character_phases(g, elements, gather=True)
+    return UnimodularMatrix(entries=values, kind=kind, _proven=True, _phases=(phases, big_l))
+
+
+def _phase_dtype(big_l: int) -> np.dtype:
+    """The smallest unsigned integer type that holds every exponent mod L."""
+    return np.min_scalar_type(big_l - 1)
+
+
+def _root_table(big_l: int) -> np.ndarray:
+    """_unit_roots(L), as the int64 values 1 and -1 when L <= 2, where they
+    are exact: the table every character value is gathered from."""
+    roots = _unit_roots(big_l)
+    return roots.real.astype(np.int64) if big_l <= 2 else roots
+
+
+def _character_phases(g: AbelianGroup, elements, gather: bool = False) -> tuple:
+    """(phases, L, values): the len(elements) x |G| exponents
+    sum_k e_k u_k L / f_k mod L of every character u of G at each listed
+    element e, so that chi_u(e) = zeta_L^phase (see character_table), in
+    _phase_dtype(L), computed a block of rows at a time: the one place the
+    package computes character phases.  The phase is symmetric in e and u,
+    so row i is also the character chi_{elements[i]} at every element u.
+    The N x t generator exponents are checked (_check_character_exponents)
+    before anything is computed.  With gather, values holds zeta_L^phases
+    from _root_table(L), gathered in the same pass (as _root_values would);
+    else it is None."""
     n, big_l = g.order, lcm(*g.factors)
     exponents = g.digit_array(np.arange(n)) * (big_l // g._radix)  # row u: the exponent of chi_u at each e_k
     _check_character_exponents(g, exponents)
-    roots = _unit_roots(big_l)
-    if big_l <= 2:
-        roots = roots.real.astype(np.int64)
-    # each phase is an integer below t L max f_k, far under 2^53, so the
-    # product runs exactly on float64 BLAS; the gather reduces it mod L
+    # each phase is an integer of at most sum_k (f_k - 1)^2 L / f_k, far
+    # under 2^53, so the product runs exactly on float64 BLAS; it is then
+    # reduced mod L once, in int32 when that holds it (the faster division)
+    bound = sum((f - 1) ** 2 * (big_l // f) for f in g.factors)
+    work = np.int32 if bound < 2 ** 31 else np.int64
     rows, chars = g.digit_array(elements).astype(np.float64), exponents.T.astype(np.float64)
-    values = np.empty((len(rows), n), dtype=roots.dtype)
+    phases = np.empty((len(rows), n), dtype=_phase_dtype(big_l))
+    roots = _root_table(big_l) if gather else None
+    values = np.empty(phases.shape, dtype=roots.dtype) if gather else None
     step = max(1, _TABLE_BLOCK // n)
     for lo in range(0, len(rows), step):
-        roots.take((rows[lo:lo + step] @ chars).astype(np.intp), mode="wrap", out=values[lo:lo + step])
-    return values
+        block = (rows[lo:lo + step] @ chars).astype(work)
+        block -= block // big_l * big_l
+        phases[lo:lo + step] = block
+        if gather:
+            # every index is in range; mode "clip" writes into out directly,
+            # where the default mode would buffer it
+            roots.take(block, mode="clip", out=values[lo:lo + step])
+    return phases, big_l, values
+
+
+def _root_values(phases: np.ndarray, big_l: int) -> np.ndarray:
+    """zeta_L^phases for exponents already reduced mod L, gathered from
+    _root_table(L): int64 when L <= 2, where they are exactly +-1, else
+    complex."""
+    return _root_table(big_l).take(phases)
 
 
 def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
@@ -356,7 +422,7 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     exponents r_k, and the row must match, within tau below, the character
     P: u -> prod_k exp(2 pi i r_k u_k / f_k), gathered from the L-th roots
     (L the exponent of G) at the integer phase sum_k r_k u_k L / f_k mod L
-    (_character_values, at the elements with digits r).
+    (_character_phases, at the elements with digits r).
 
     The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A root _unit_roots
     tabulates (three roundings of a phase below 2 pi, then the exponential)
@@ -381,16 +447,36 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     # place N, and its generator is the identity, column 0
     with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
         r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
-    residual = np.abs(entries - _character_values(group, group.index_array(r)) / np.sqrt(m)).max()
+    reference = _character_phases(group, group.index_array(r), gather=True)[2]
+    residual = np.abs(entries - reference / np.sqrt(m)).max()
     return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
+
+
+def _has_distinct_character_phases(phases: np.ndarray, order: int, group: AbelianGroup) -> bool:
+    """True when every row of the M x N phases mod order is, exactly, a
+    character of G = Z_f1 x ... x Z_ft with exponent order, column u the
+    element u of G, and no two rows are the same character: the integer
+    form of _has_character_rows, with no allowance.  A row's label r is read
+    at the generators, whose exponents are r_k L / f_k (L = order) if it is
+    chi_r; the row must then equal the phases of chi_r (_character_phases),
+    and the labels must be distinct.  The rows of the exact frame
+    zeta_L^phases / sqrt(M) are then orthogonal, each of squared norm N / M."""
+    m, n = phases.shape
+    if m == 0 or group.order != n or lcm(*group.factors) != order:
+        return False
+    # the generator columns as in _has_character_rows; index_array reduces
+    # each digit mod its factor, so a factor of 1 reads label 0
+    labels = group.index_array(phases[:, group._place % n] // (order // group._radix))
+    return (np.array_equal(phases, _character_phases(group, labels)[0])
+            and np.bincount(labels, minlength=n).max() == 1)
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
     """The character table with one group-element column deleted, transposed:
     f_u(r) = chi_u(g_r) over the remaining R elements is an R x (R+1)
-    unimodular regular simplex, gathered and checked by _character_values."""
+    unimodular regular simplex, built and checked from its phases
+    (_character_phases), which it keeps."""
     n = g.order
     if not 0 <= dropped < n:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")
-    return UnimodularMatrix(entries=_character_values(g, np.delete(np.arange(n), dropped)), kind="simplex",
-                            _proven=True)
+    return _character_matrix(g, np.delete(np.arange(n), dropped), "simplex")

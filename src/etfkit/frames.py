@@ -4,11 +4,12 @@ complements, and the parameter calculator for real constant-amplitude builds.
 
 A frame whose entries are integer multiples of a common 1/sqrt(d) stores
 only that integer matrix and d, so Gram computations downstream are exact and
-the +-1/sqrt(M) case is what the binary-code bridge consumes; its complex
-entries are derived from the integers when first read.  _assemble is the one
-place a construction picks that form, from the dtype of the values it
-gathered, and exact_matmul the one place that decides how such integer
-products are computed exactly.
+the +-1/sqrt(M) case is what the binary-code bridge consumes.  A flat frame
+of L-th roots of unity, L > 2, stores only their exponents mod L and d.
+Either way the complex entries are derived when first read.  _assemble is
+the one place a construction picks its form, from what it gathered, and
+exact_matmul the one place that decides how integer products are computed
+exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 
 import numpy as np
 
@@ -37,8 +39,9 @@ from .errors import (
 from .flatmat import (
     AbelianGroup,
     UnimodularMatrix,
-    _character_values,
-    _has_character_rows,
+    _character_phases,
+    _phase_dtype,
+    _root_values,
     _unit_roots,
     hadamard_order_reachable,
     simplex_from_characters,
@@ -93,43 +96,63 @@ class Frame:
 
     A frame stores one form.  A float frame stores its complex entries.  An
     integer frame stores exact_ints and scale_sq, the frame being
-    exact_ints / sqrt(scale_sq); its entries are derived from them on first
-    read, by _numeric, and kept read-only, and every exact check reads the
-    integers alone.  Entries passed alongside an integer form must equal the
-    derived ones, else FrameFormatError.
+    exact_ints / sqrt(scale_sq).  A phase frame stores phases, its exponents
+    mod order (an unsigned integer array), and scale_sq, the frame being
+    zeta_order^phases / sqrt(scale_sq); a builder hands them in as the
+    private _phases = (phases, order).  An exact form's entries are derived
+    on first read, by _numeric, and kept read-only, and every exact check
+    reads the integers alone.  Entries passed alongside an exact form must
+    equal the derived ones, else FrameFormatError.
     """
 
     entries: np.ndarray
     exact_ints: np.ndarray | None
     scale_sq: int | None
     provenance: dict
+    _phases: tuple[np.ndarray, int] | None
 
     def __init__(self, entries: np.ndarray | None = None, exact_ints: np.ndarray | None = None,
-                 scale_sq: int | None = None, provenance: dict | None = None):
-        if (exact_ints is None) != (scale_sq is None):
-            raise FrameFormatError("an integer form needs both exact_ints and scale_sq")
-        if exact_ints is None and entries is None:
-            raise FrameFormatError("a frame needs entries or an integer form")
-        if exact_ints is not None:
-            exact_ints = np.asarray(exact_ints).view()
-            exact_ints.flags.writeable = False
-        self.exact_ints, self.scale_sq = exact_ints, scale_sq
+                 scale_sq: int | None = None, provenance: dict | None = None,
+                 _phases: tuple[np.ndarray, int] | None = None):
+        phases, order = (None, None) if _phases is None else _phases
+        exact = exact_ints if phases is None else phases
+        if (exact is None) != (scale_sq is None) or (exact_ints is not None and phases is not None):
+            raise FrameFormatError("an exact form is exact_ints or phases, one of them, with scale_sq")
+        if exact is None and entries is None:
+            raise FrameFormatError("a frame needs entries or an exact form")
+        if phases is not None and (phases.ndim != 2 or phases.dtype.kind != "u" or phases.max(initial=0) >= order):
+            raise FrameFormatError("a phase form is a matrix of unsigned exponents below its order")
+        if exact is not None:
+            exact = np.asarray(exact).view()
+            exact.flags.writeable = False
+        self.exact_ints = exact if phases is None else None
+        self._phases = None if phases is None else (exact, order)
+        self.scale_sq = scale_sq
         self.provenance = {} if provenance is None else provenance
-        self._entries = entries if exact_ints is None else None
-        if exact_ints is not None and entries is not None and not np.array_equal(entries, self.entries):
-            raise FrameFormatError("entries differ from exact_ints / sqrt(scale_sq)")
+        self._entries = entries if exact is None else None
+        if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
+            raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            entries = _numeric(self.exact_ints, self.scale_sq)
+            values = self.exact_ints if self.phases is None else _root_values(self.phases, self.order)
+            entries = _numeric(values, self.scale_sq)
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
 
     @property
+    def phases(self) -> np.ndarray | None:
+        return None if self._phases is None else self._phases[0]
+
+    @property
+    def order(self) -> int | None:
+        return None if self._phases is None else self._phases[1]
+
+    @property
     def _stored(self) -> np.ndarray:
-        return self._entries if self.exact_ints is None else self.exact_ints
+        return next(a for a in (self.exact_ints, self.phases, self._entries) if a is not None)
 
     @property
     def m(self) -> int:
@@ -161,8 +184,13 @@ class Frame:
         """Raise NotUnitNorm unless every column norm is within tol of 1; a
         NaN norm fails.  Frames with no rows or no columns pass.  An integer
         frame's norms are sqrt(c / scale_sq), c its integer column sums of
-        squares."""
+        squares.  A phase frame's entries all have modulus 1/sqrt(scale_sq),
+        so it is unit-norm exactly when M = scale_sq, whatever tol is."""
         if self.m == 0 or self.n == 0:
+            return
+        if self.phases is not None:
+            if self.m != self.scale_sq:
+                raise NotUnitNorm(f"column norms are sqrt({self.m}/{self.scale_sq}), not 1")
             return
         if self.exact_ints is None:
             norms = np.linalg.norm(self.entries, axis=0)
@@ -175,9 +203,11 @@ class Frame:
             raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
 
 
-def _numeric(ints: np.ndarray, scale_sq: int) -> np.ndarray:
-    """The complex entries of the integer form: Frame.entries derives them here."""
-    return ints.astype(np.complex128) / np.sqrt(scale_sq)
+def _numeric(values: np.ndarray, scale_sq: int) -> np.ndarray:
+    """The complex entries values / sqrt(scale_sq) of an exact form, values
+    its integers or the roots its phases gather: Frame.entries derives them
+    here."""
+    return np.true_divide(values, np.sqrt(scale_sq), dtype=np.complex128)
 
 
 # -- serialization ------------------------------------------------------------
@@ -286,11 +316,19 @@ def _form(m: UnimodularMatrix) -> np.ndarray:
     return m.entries if m.signs is None else m.signs
 
 
-def _assemble(values: np.ndarray, scale_sq: int, provenance: dict) -> Frame:
+def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | None = None) -> Frame:
     """The unit-norm frame values / sqrt(scale_sq): the one place a
-    construction picks its form.  Integer values become the integer form;
-    any others, complex entries divided by sqrt(scale_sq)."""
-    if np.issubdtype(values.dtype, np.integer):
+    construction picks its form.  With order, values are the exponents mod
+    order of the roots zeta_order: order <= 2 gives the integer form of the
+    signs they gather (flatmat._root_values), any larger order the phase form,
+    stored in _phase_dtype(order).  Without it, integer values become the
+    integer form, and any others complex entries divided by sqrt(scale_sq)."""
+    if order is not None and order <= 2:
+        values, order = _root_values(values, order), None
+    if order is not None:
+        frame = Frame(scale_sq=scale_sq, provenance=provenance,
+                      _phases=(values.astype(_phase_dtype(order), copy=False), order))
+    elif np.issubdtype(values.dtype, np.integer):
         frame = Frame(exact_ints=values, scale_sq=scale_sq, provenance=provenance)
     else:
         frame = Frame(entries=np.asarray(values, dtype=np.complex128) / np.sqrt(scale_sq), provenance=provenance)
@@ -334,7 +372,14 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     f_u(r) * h_{s(r,v)}(s) / sqrt(B), where s(r,v) indexes the class-r block
     containing v and h-columns come from a unimodular orthogonal basis.
 
-    Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.
+    Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.  When
+    both matrices carry an exact exponent form (UnimodularMatrix._exponents:
+    +-1 signs, or the phases of a character build), f = zeta_Ls^a and
+    h = zeta_Lb^b, so the entry is exactly zeta_L^(a L/Ls + b L/Lb) with
+    L = lcm(Ls, Lb), and _assemble gets those exponents mod L: a sign frame
+    for L <= 2, else a phase frame.  A complex matrix from outside the
+    package has no exponent form, and the entries are the products of the
+    values.
     """
     pos, _ = _resolution_lookup(design)
     big_r = pos.shape[0]
@@ -349,10 +394,20 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     # f_u(r) and an R x S x N table of h_{s(r,v)}(s); their product, rows
     # flattened r-major, is the frame
     h_cols = np.repeat(pos, big_r + 1, axis=1)
-    values = np.tile(_form(simplex), (1, v_count))[:, None, :] * _form(basis)[:, h_cols].transpose(1, 0, 2)
     prov = {"construction": "kirkman", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind}
-    return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
+    fx, hx = simplex._exponents, basis._exponents
+    if fx is None or hx is None or (simplex.signs is not None and basis.signs is not None):
+        # a complex matrix from outside has no exponents to add, and two sign
+        # matrices multiply their signs, the cheaper route to the same integers
+        values = np.tile(_form(simplex), (1, v_count))[:, None, :] * _form(basis)[:, h_cols].transpose(1, 0, 2)
+        return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
+    (f, f_order), (h, h_order) = fx, hx
+    order = lcm(f_order, h_order)
+    f, h = f.astype(np.intp) * (order // f_order), h.astype(np.intp) * (order // h_order)
+    phases = (np.tile(f, (1, v_count))[:, None, :] + h[:, h_cols].transpose(1, 0, 2)).reshape(big_r * s_count, n)
+    np.subtract(phases, order, out=phases, where=phases >= order)  # each term is below order: the sum mod order
+    return _assemble(phases, big_b, prov, order)
 
 
 # -- difference sets and harmonic ETFs ----------------------------------------
@@ -428,7 +483,8 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
     m = len(dset.elements)
     prov = {"construction": "harmonic", "group": list(group.factors),
             "d": m, "lambda": dset.lam}
-    return _assemble(_character_values(group, dset.elements), m, prov)
+    phases, order, _ = _character_phases(group, dset.elements)
+    return _assemble(phases, m, prov, order)
 
 
 # -- the harmonic / flat-frame identification ---------------------------------
@@ -436,13 +492,14 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
 def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
     """Unimodular orthogonal basis over the hyperplane S:
     h_{s'}(s) = exp(2*pi*i/p * tr(s' * s / delta)), traces taken down to the
-    prime field.  With no exponent form to check, it gets the dense test."""
+    prime field, which it keeps as its exponents mod p.  With no check on
+    those exponents, it gets the dense test."""
     fld = structure.field
     p = fld.p
     hyper = structure.hyperplane
     dinv = fld.pow_indices(structure.delta, fld.order - 2)
     tr_vals = fld.trace_table[fld.mul_indices(fld.mul_indices(hyper[:, None], hyper[None, :]), dinv)]
-    return UnimodularMatrix(entries=_unit_roots(p).take(tr_vals), kind="character-table")
+    return UnimodularMatrix(entries=_unit_roots(p).take(tr_vals), kind="character-table", _phases=(tr_vals, p))
 
 
 @dataclass(frozen=True)
@@ -474,28 +531,28 @@ class McFarlandMatchReport:
         }
 
 
-def _deviations(a: np.ndarray, k: np.ndarray, group: AbelianGroup) -> tuple[float, float]:
+def _deviations(a: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     """(max |A - K|, max |A^H A - K^H K|) for M x N matrices A and K, rows
-    matched, whose columns are labelled by the abelian group G of order N.
-
-    A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and E = A - K.
-    A, the harmonic frame, is character values gathered by
-    flatmat._character_values, characters by construction; when _has_character_rows verifies K too, both Grams are
-    group circulants within its allowance, and the deviation is
-    max_c |g_A(c) - g_K(c)|, within 2 eta per side of the two-Gram value,
-    from row 0 of X + X^H, S[:, 0]^H E + E[:, 0]^H S.  Otherwise X is formed
-    and X + X^H read a block of rows at a time, with one N x N array live."""
+    matched.  A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and
+    E = A - K; X is formed and X + X^H read a block of rows at a time, with
+    one N x N array live."""
     diff = a - k
     summed = a + k
-    if _has_character_rows(k, group):
-        row = np.conjugate(summed[:, 0]) @ diff + np.conjugate(diff[:, 0]) @ summed
-        return float(np.abs(diff).max()), float(np.abs(row).max()) / 2
     x = np.conjugate(summed, out=summed).T @ diff
     n = x.shape[0]
     step = max(1, _GRAM_BLOCK // n)
     gram_dev = max(float(np.abs(x[lo:lo + step] + x[:, lo:lo + step].conj().T).max())
                    for lo in range(0, n, step))
     return float(np.abs(diff).max()), gram_dev / 2
+
+
+def _exact_form(frame: Frame) -> tuple | None:
+    """(integers, scale_sq, order) that determine the frame exactly: its
+    integer form with order None, or its phases mod order; None for a float
+    frame.  Two frames whose exact forms are equal have the same entries."""
+    if frame.exact_ints is not None:
+        return frame.exact_ints, frame.scale_sq, None
+    return None if frame.phases is None else (frame.phases, frame.scale_sq, frame.order)
 
 
 def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
@@ -507,16 +564,18 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     Returns (harmonic frame, design-based frame, match report); the report
     compares entries under the canonical identification of row (r, s) with
     group element (g_r, g^r s) and of column (u, v) with the character pair.
-    Both frames are assembled by _assemble from roots that _unit_roots
-    tabulates: the harmonic entries are single gathered roots, the
-    design-based ones products of a simplex root and a basis root, so with
-    an exponent-two G and p = 2 both are +-1 integer forms, and otherwise
-    max_entry_dev is the rounding of that product and of the scale.
+    Both frames are exact forms built by _assemble: the harmonic one from the
+    character phases at the difference set, the design-based one from the
+    sums of simplex and basis exponents (kirkman_etf), both mod the exponent
+    L of G x V.  So with an exponent-two G and p = 2 both are +-1 integer
+    forms, and otherwise phase forms.
 
-    The Gram deviation is taken with both frames' columns in the harmonic
-    labelling by G x V (the design-based frame's relabelled by that
-    identification), from one row of the Gram difference when the
-    design-based rows check as characters of G x V, else in full
+    The theorem is then an integer identity: when the two exact forms
+    (_exact_form) are equal under the identification, one np.array_equal,
+    the frames are the same matrix, and both deviations are exactly 0.0,
+    with no complex entry formed.  Otherwise, or for a frame with no exact
+    form, both deviations are computed from the entries, the Gram deviation
+    with both frames' columns in the harmonic labelling by G x V
     (_deviations).
     """
     structure, design = affine_structure(q, j)
@@ -538,10 +597,13 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     # u * |V| + sum_l w(l) p^l, laid out v-major
     place = fld.p ** np.arange(fld.k)
     w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
-    col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
+    col_order = np.argsort((np.arange(big_r + 1) * fld.order + w[:, None]).ravel())
 
-    max_entry_dev, max_gram_dev = _deviations(harm.entries[row_perm], kirk.entries[:, np.argsort(col_perm)],
-                                              dset.group)
+    a, k = _exact_form(harm), _exact_form(kirk)
+    if a is not None and k is not None and a[1:] == k[1:] and np.array_equal(a[0][row_perm], k[0][:, col_order]):
+        max_entry_dev = max_gram_dev = 0.0
+    else:
+        max_entry_dev, max_gram_dev = _deviations(harm.entries[row_perm], kirk.entries[:, col_order])
     report = McFarlandMatchReport(q=q, j=j, group=tuple(group_g.factors),
                                   max_entry_dev=max_entry_dev,
                                   max_gram_dev=max_gram_dev, tol=tol)

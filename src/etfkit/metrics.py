@@ -10,7 +10,9 @@ further integer reductions run in int64 while their bound stays below 2**63
 and in Python integers beyond it, and the results are Fractions with no
 tolerance involved.  Everything else is certified in floating point against
 the stated tolerances; a float frame whose rows check as characters of an
-abelian group labelling its columns is certified from one Gram row.
+abelian group labelling its columns is certified from one Gram row, and a
+phase frame whose exponents check as distinct characters also needs no
+frame operator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .flatmat import AbelianGroup, _has_character_rows
+from .flatmat import _UNIT_ROUNDOFF, AbelianGroup, _has_character_rows, _has_distinct_character_phases
 from .frames import Frame, _abs_max, _exact_ints, _tightness_deviation, exact_matmul
 
 DEFAULT_TOL = 1e-9
@@ -177,31 +179,59 @@ def _exact_profile(g_int: np.ndarray, d: int) -> tuple[Fraction, Fraction, Fract
 
 
 def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
-    """(offdiag max, offdiag min, potential) of the frame's Gram moduli: the
-    one place that decides how a certificate reads the Gram.  gram is the
-    dense Gram when the caller already holds it (rip_delta's search does).
+    """(offdiag max, offdiag min, potential, tightness) of the frame's Gram
+    moduli: the one place that decides how a certificate reads the Gram.
+    gram is the dense Gram when the caller already holds it (rip_delta's
+    search does).  tightness is the frame-operator residual when the path
+    settles it with no frame operator, else None.
 
     A frame with an integer form gets Fractions from its exact integer Gram.
-    A float frame whose provenance names a group (_group_hint) that
-    flatmat._has_character_rows verifies on its entries is read from Gram
-    row 0, F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is,
-    within the allowance derived there, the circulant G[a, b] = g(b - a),
+    A frame whose provenance names a group (_group_hint) and whose rows check
+    as characters of it is read from Gram row 0, F[:, 0]^H F: its rows are
+    characters chi_r of G, so its Gram is the circulant G[a, b] = g(b - a),
     g(c) = (1/M) sum_rows chi_r(c), with extremes those of |g(c)|, c != 0,
-    and potential N sum_c |g(c)|^2.  Any other frame gets the dense Gram."""
+    and potential N sum_c |g(c)|^2.  A phase frame is checked exactly on its
+    exponents, distinct labels included (flatmat._has_distinct_character_phases);
+    a float frame on its entries, within the allowance derived in
+    flatmat._has_character_rows.  Any other frame gets the dense Gram.
+
+    The tightness of a phase frame whose rows are distinct characters.  Its
+    exact frame F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared
+    norm N/M, so F* F*^H = (N/M) I exactly.  Each computed entry is a root
+    within 24 u of exact (flatmat._unit_roots; u the unit roundoff), divided
+    by a rounded sqrt(M), so within eps = 27 u / sqrt(M) of F*; then every
+    entry of F F^H - F* F*^H = E F*^H + F* E^H + E E^H is at most
+    N (2 eps / sqrt(M) + eps^2) = (N/M)(54 u + 729 u^2).  A dense product
+    fl(F F^H), by any order of summation, is within gamma_(N+2) sum_n |f_in|
+    |f_jn| <= (N+2) u (N/M)(1 + 27 u)^2 / (1 - (N+2) u) of F F^H (complex
+    inner products, Higham 3.6), and forming (N/M) I and the difference
+    adds 2 u (N/M).  So the residual a dense certificate computes, and the
+    true one of the stored entries, are both at most (N + 64) u N / M while
+    N stays below 10^8; that bound is returned, and no frame operator is
+    formed here (certify_etf forms it when the bound exceeds tol)."""
     if frame.exact_ints is not None:
-        return _exact_profile(*frame.gram_exact())
+        return (*_exact_profile(*frame.gram_exact()), None)
     group = _group_hint(frame)
-    if group is not None and _has_character_rows(frame.entries, group):
+    if group is None:
+        circulant = distinct = False
+    elif frame.phases is not None:
+        circulant = distinct = _has_distinct_character_phases(frame.phases, frame.order, group)
+    else:
+        circulant, distinct = _has_character_rows(frame.entries, group), False
+    if circulant:
+        m, n = frame.m, frame.n
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
-        return float(row[1:].max()), float(row[1:].min()), frame.n * float(np.sum(row ** 2))
+        tight = (n + 64) * _UNIT_ROUNDOFF * n / m if distinct else None
+        return float(row[1:].max()), float(row[1:].min()), n * float(np.sum(row ** 2)), tight
     a = np.abs(frame.gram() if gram is None else gram)
     pot = float(np.sum(a ** 2))  # before _offdiag_extremes overwrites the diagonal
-    return (*map(float, _offdiag_extremes(a)), pot)
+    return (*map(float, _offdiag_extremes(a)), pot, None)
 
 
 def _certificate(m: int, n: int, welch: float, profile: tuple, tight_res, tol: float) -> EtfCertificate:
-    """An M x N frame's certificate from its Gram profile and tightness
-    residual, exact when the profile is."""
+    """An M x N frame's certificate from its Gram profile (offdiag max,
+    offdiag min, potential) and tightness residual, exact when the profile
+    is."""
     mu, mu_min, pot = profile
     exact = isinstance(mu, Fraction)
     return EtfCertificate(
@@ -222,8 +252,8 @@ def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) 
 def _group_hint(frame: Frame) -> AbelianGroup | None:
     """The abelian group Z_f1 x ... x Z_ft that the provenance field "group"
     names as the labelling of the columns, when it is a nonempty list of
-    positive ints; None otherwise.  Only a hint: _has_character_rows checks
-    its order and verifies it on the entries before anything rests on it."""
+    positive ints; None otherwise.  Only a hint: _gram_profile verifies it on
+    the exponents or the entries before anything rests on it."""
     factors = frame.provenance.get("group")
     if type(factors) is not list or not factors or not all(type(f) is int and f > 0 for f in factors):
         return None
@@ -232,12 +262,21 @@ def _group_hint(frame: Frame) -> AbelianGroup | None:
 
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate: the Gram profile (_gram_profile decides exact
-    Fractions, one Gram row or the dense Gram) and the tightness residual of
-    the M x M frame operator, exact alongside an exact profile."""
+    Fractions, one Gram row or the dense Gram) and the tightness residual:
+    of the exact M x M frame operator alongside an exact profile; for a
+    phase frame whose exponents check as distinct characters of its hinted
+    group, the rounding bound (N + 64) u N / M that _gram_profile derives,
+    with no frame operator formed, unless the bound exceeds tol; else of the
+    float frame operator.  The bound is at least the float residual, so the
+    tightness verdict is the float path's either way.  A complex frame's
+    certificate is a float one (exact_arithmetic false)."""
     welch = welch_bound(frame.m, frame.n)  # first: it refuses the shapes no Gram should be formed for
-    profile = _gram_profile(frame)
+    *profile, tight_res = _gram_profile(frame)
     exact = isinstance(profile[0], Fraction)
-    tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq) if exact else _tightness_deviation(frame.entries)
+    if exact:
+        tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq)
+    elif tight_res is None or tight_res > tol:
+        tight_res = _tightness_deviation(frame.entries)
     return _certificate(frame.m, frame.n, welch, profile, tight_res, tol)
 
 

@@ -368,7 +368,7 @@ def test_characters_simplex_group_order_checked_before_any_table(capsys, monkeyp
     def no_table(g, elements):
         raise AssertionError("no character value may be gathered for a wrong-order group")
 
-    monkeypatch.setattr(flatmat, "_character_values", no_table)
+    monkeypatch.setattr(flatmat, "_character_phases", no_table)
     monkeypatch.setattr(sys, "stdin", io.StringIO(etfkit.round_robin_design(4).to_json()))
     code = main(["frame", "steiner", "-", "--simplex", "characters", "--group", "8"])
     _assert_one_line_input_error(capsys, code)

@@ -51,7 +51,10 @@ def test_dft_phases_are_reduced_before_the_root_is_taken(n):
     unreduced exp(2 pi i a b / n) drifted from orthogonal by 7.8e-11 at
     n = 1024 and 2.8e-10 at n = 2048)."""
     a = np.arange(n)
-    assert dft(n).entries.tobytes() == flatmat._unit_roots(n)[np.outer(a, a) % n].tobytes()
+    m = dft(n)
+    assert m.entries.tobytes() == flatmat._unit_roots(n)[np.outer(a, a) % n].tobytes()
+    phases, order = m._exponents  # kept beside the entries
+    assert order == n and np.array_equal(phases, np.outer(a, a) % n)
 
 
 def test_dft_2():
@@ -69,6 +72,17 @@ def test_hadamard_exact_identity(n):
     h = hadamard(n)
     assert h.signs is not None
     assert np.array_equal(h.signs.T @ h.signs, n * np.eye(n, dtype=np.int64))
+
+
+def test_hadamard_signs_keep_their_bytes_at_every_reachable_order_up_to_64():
+    import hashlib
+
+    digest = hashlib.sha256()
+    orders = [n for n in range(1, 65) if hadamard_order_reachable(n)]
+    for n in orders:
+        digest.update(n.to_bytes(2, "little") + hadamard(n).signs.tobytes())
+    assert orders == [1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 44, 48, 56, 60, 64]
+    assert digest.hexdigest() == "327f498f2245d6c811f70a3a33aabd8c47ad36dcaeec5518051d7ad4921cd4e6"
 
 
 def test_hadamard_4_is_sylvester():
@@ -322,10 +336,10 @@ def test_drop_row_simplex_derives_the_sign_view_of_the_kept_rows():
     assert ints.entries.dtype == np.complex128 and np.array_equal(ints.signs, hadamard(4).signs[1:])
 
 
-def test_entries_are_a_read_only_view_and_signs_are_derived():
+def test_entries_are_a_read_only_copy_and_signs_are_derived():
     arr = hadamard(4).entries.copy()
     m = UnimodularMatrix(entries=arr, kind="hadamard")
-    assert np.shares_memory(m.entries, arr)  # no copy
+    assert not np.shares_memory(m.entries, arr)  # a copy: the caller keeps no handle on it
     with pytest.raises(ValueError):
         m.entries[0, 0] = -1
     assert m.signs.dtype == np.int64 and np.array_equal(m.signs, arr.real)
@@ -336,7 +350,37 @@ def test_entries_are_a_read_only_view_and_signs_are_derived():
         UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument
 
 
+def test_writing_to_the_callers_array_changes_nothing_built_from_it():
+    arr = hadamard(4).entries.copy()
+    m = UnimodularMatrix(entries=arr, kind="hadamard")
+    arr[0, 1] = 5
+    arr[2] *= 1j
+    assert m.entries.tobytes() == hadamard(4).entries.tobytes()
+    assert np.array_equal(m.signs, hadamard(4).signs)
+    simplex = drop_row_simplex(m, 3)
+    assert simplex.entries.tobytes() == drop_row_simplex(hadamard(4), 3).entries.tobytes()
+    assert np.array_equal(simplex.signs, hadamard(4).signs[:3])
+
+
 # -- character tables built from their exact phase exponents ------------------
+
+def test_character_builds_keep_their_phases_and_sign_matrices_derive_them():
+    g = AbelianGroup((3, 4))
+    table = character_table(g)
+    phases, order = table._exponents
+    assert order == 12 and phases.dtype == np.uint8 and not phases.flags.writeable
+    assert table.entries.tobytes() == flatmat._unit_roots(12)[phases].tobytes()
+    for simplex in (simplex_from_characters(g, 5), drop_row_simplex(table, 5)):
+        assert simplex._exponents[1] == 12 and np.array_equal(simplex._exponents[0], np.delete(phases, 5, axis=0))
+    # a +-1 matrix stores no phases: its exponents mod 2 are read off its signs
+    for m in (hadamard(8), character_table(AbelianGroup((2, 2))), drop_row_simplex(hadamard(4), 1), dft(2)):
+        signs_phases, order = m._exponents
+        assert m._phases is None and order == 2
+        assert np.array_equal(1 - 2 * signs_phases.astype(np.int64), m.signs)
+    # a complex matrix from outside the package has no exponent form
+    assert UnimodularMatrix(entries=dft(3).entries, kind="dft")._exponents is None
+
+
 
 # the product groups G x V of the harmonic_fields benchmark ladder: G of
 # order R + 1 and V the additive group of GF(p^k)

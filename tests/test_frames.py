@@ -18,7 +18,7 @@ from etfkit.errors import (
     NotUnitNorm,
     SimplexShapeMismatch,
 )
-from etfkit.flatmat import AbelianGroup, character_table, dft, drop_row_simplex, hadamard
+from etfkit.flatmat import AbelianGroup, UnimodularMatrix, character_table, dft, drop_row_simplex, hadamard
 from etfkit.frames import (
     DifferenceSet,
     Frame,
@@ -469,6 +469,29 @@ def test_derived_entries_are_the_numeric_form_and_read_only(name):
         frame.entries = want
 
 
+def test_a_phase_frame_derives_read_only_entries_once_and_is_unit_norm_exactly():
+    from dataclasses import replace
+
+    from etfkit import flatmat
+
+    dset = mcfarland_set(3, 1, AbelianGroup((5,)))
+    frame = harmonic_etf(dset.group, dset)
+    assert frame.exact_ints is None and frame.order == 15 and frame.phases.dtype == np.uint8
+    assert frame._entries is None  # nothing derived yet
+    want = flatmat._unit_roots(15)[frame.phases] / np.sqrt(12)
+    assert frame.entries.tobytes() == want.tobytes() and frame.entries is frame.entries
+    for array in (frame.entries, frame.phases):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    copy = replace(frame, provenance={})
+    assert np.array_equal(copy.phases, frame.phases) and copy.entries.tobytes() == want.tobytes()
+    with pytest.raises(FrameFormatError):  # entries alongside an exact form must be the derived ones
+        replace(frame, entries=frame.entries[:, ::-1])
+    # every entry has modulus 1/sqrt(scale_sq), so no tolerance admits another scale
+    with pytest.raises(NotUnitNorm):
+        Frame(scale_sq=13, _phases=(frame.phases, 15)).check_unit_norm(tol=1.0)
+
+
 def test_a_float_frame_keeps_the_array_it_was_given():
     a = np.eye(3, dtype=np.complex128)
     frame = Frame(entries=a)
@@ -489,7 +512,13 @@ def test_entries_given_alongside_the_integer_form_must_equal_the_derived_ones():
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"exact_ints": np.ones((1, 2), dtype=np.int64)},
-                                    {"entries": np.ones((1, 2)), "scale_sq": 1}])
+                                    {"entries": np.ones((1, 2)), "scale_sq": 1},
+                                    {"_phases": (np.zeros((1, 2), dtype=np.uint8), 3)},
+                                    {"_phases": (np.zeros((1, 2), dtype=np.uint8), 3), "scale_sq": 1,
+                                     "exact_ints": np.ones((1, 2), dtype=np.int64)},
+                                    {"_phases": (np.zeros((1, 2), dtype=np.int64), 3), "scale_sq": 1},
+                                    {"_phases": (np.full((1, 2), 3, dtype=np.uint8), 3), "scale_sq": 1},
+                                    {"_phases": (np.zeros(2, dtype=np.uint8), 3), "scale_sq": 1}])
 def test_a_frame_needs_one_whole_form(kwargs):
     with pytest.raises(FrameFormatError):
         Frame(**kwargs)
@@ -545,9 +574,9 @@ def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, pert
     if block is not None:  # rows of X + X^H in blocks of 100 // N = 2 (or 1) rows
         monkeypatch.setattr(frames, "_GRAM_BLOCK", block)
 
-    def deviations(a, k, group):
+    def deviations(a, k):
         seen.append((a, k))
-        return real_deviations(a, k, group)
+        return real_deviations(a, k)
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
     monkeypatch.setattr(frames, "_deviations", deviations)
@@ -556,6 +585,44 @@ def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, pert
     assert report.max_entry_dev == float(np.abs(a - k).max())
     assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
     assert (report.max_gram_dev > 1e-8) == (perturb > 0)
+
+
+@pytest.mark.parametrize("q,j,factors", [(3, 1, (5,)), (4, 1, (6,)), (2, 2, (8,))])
+def test_a_flipped_kirkman_exponent_is_caught_with_the_dense_two_gram_value(q, j, factors, monkeypatch):
+    from etfkit import frames
+
+    real_kirkman, real_deviations, seen = frames.kirkman_etf, frames._deviations, []
+
+    def kirkman_etf(*args):
+        frame = real_kirkman(*args)
+        phases = frame.phases.copy()
+        phases[2, 5] = (phases[2, 5] + 1) % frame.order
+        return Frame(scale_sq=frame.scale_sq, provenance=frame.provenance, _phases=(phases, frame.order))
+
+    def deviations(a, k):
+        seen.append((a, k))
+        return real_deviations(a, k)
+
+    monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
+    monkeypatch.setattr(frames, "_deviations", deviations)
+    _, _, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    (a, k), = seen  # the exponents differ, so the entries are compared
+    assert report.max_entry_dev > report.tol and report.max_entry_dev == float(np.abs(a - k).max())
+    assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
+    assert report.max_gram_dev > report.tol and not report.as_dict()["passed"]
+
+
+def test_a_complex_kirkman_frame_adds_the_exponents_of_its_two_matrices():
+    design, simplex, basis = affine_design(3, 1), drop_row_simplex(dft(5), 0), dft(3)
+    frame = kirkman_etf(design, simplex, basis)
+    assert frame.order == 15 and frame.exact_ints is None
+    # the same matrices from outside the package carry no exponents: their
+    # entries are multiplied, which differs from the gathered root in the last bits
+    outside = kirkman_etf(design, UnimodularMatrix(entries=simplex.entries, kind="simplex"),
+                          UnimodularMatrix(entries=basis.entries, kind="dft"))
+    assert outside.phases is None
+    assert np.abs(frame.entries - outside.entries).max() <= 1e-15
+    assert certify_etf(frame).passed and gram_equal(frame, outside).passed
 
 
 # -- harmonic frames gathered from the characters at the difference set ------
@@ -577,6 +644,27 @@ def test_harmonic_frame_is_the_character_table_restricted_to_the_set(case):
     assert (frame.exact_ints is not None) == exponent_two
     if exponent_two:
         assert frame.exact_ints.tobytes() == table.signs[:, rows].T.copy().tobytes()
+
+
+@pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)
+def test_the_mcfarland_match_is_an_exponent_identity(case, monkeypatch):
+    """Both frames are exact forms that agree under the identification:
+    both deviations are exactly 0.0, with no character-row check, no dense
+    deviation and no complex entry formed on either frame."""
+    from etfkit import flatmat, frames, metrics
+
+    def forbidden(*args):
+        raise AssertionError("the exponent match needs no float check")
+
+    for module in (flatmat, metrics):
+        monkeypatch.setattr(module, "_has_character_rows", forbidden)
+    monkeypatch.setattr(frames, "_deviations", forbidden)
+    q, j, factors = case
+    harm, kirk, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    assert (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0) and report.as_dict()["passed"]
+    assert harm._entries is None and kirk._entries is None
+    # exponent-two cases are sign frames on both sides, the others phase frames
+    assert (harm.phases is None) == (kirk.phases is None) == (case in EXACT_LADDER)
 
 
 def test_harmonic_frame_builds_no_character_table(monkeypatch):

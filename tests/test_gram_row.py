@@ -1,11 +1,13 @@
 """Harmonic and McFarland frames certified from one verified Gram row.
 
 A float frame whose provenance names its group, and whose rows check as
-characters of that group, gets its certificate from Gram row 0; every other
-float frame, and every frame whose check fails, gets the dense N x N Gram.
-The one-row reports are compared here with the dense ones on the same
-entries, coherence with the certificate's coherence, and the dense float
-certificate with the formula it replaced.
+characters of that group, gets its certificate from Gram row 0; so does a
+phase frame whose exponents check, exactly, as distinct characters, and its
+tightness residual is a derived rounding bound, with no frame operator.
+Every other frame, and every frame whose check fails, gets the dense N x N
+Gram.  The one-row reports are compared here with the dense ones on the
+same entries, coherence with the certificate's coherence, and the dense
+float certificate with the formula it replaced.
 """
 
 import json
@@ -62,16 +64,34 @@ def gram_calls(monkeypatch):
 @pytest.fixture
 def row_checks(monkeypatch):
     """The verdicts of flatmat._has_character_rows, one per call, in order,
-    from metrics (the certificate) and frames (the McFarland match)."""
+    from metrics (the certificate of a float frame)."""
     checks, real = [], flatmat._has_character_rows
 
     def counted(entries, group):
         checks.append(real(entries, group))
         return checks[-1]
 
-    for module in (metrics, frames):
-        monkeypatch.setattr(module, "_has_character_rows", counted)
+    monkeypatch.setattr(metrics, "_has_character_rows", counted)
     return checks
+
+
+@pytest.fixture
+def phase_checks(monkeypatch):
+    """The verdicts of flatmat._has_distinct_character_phases, one per call,
+    in order, from metrics (the certificate of a phase frame)."""
+    checks, real = [], flatmat._has_distinct_character_phases
+
+    def counted(phases, order, group):
+        checks.append(real(phases, order, group))
+        return checks[-1]
+
+    monkeypatch.setattr(metrics, "_has_distinct_character_phases", counted)
+    return checks
+
+
+def _tightness_bound(frame: Frame) -> float:
+    """The bound certify_etf reports for a phase frame of distinct characters."""
+    return (frame.n + 64) * np.finfo(np.float64).eps / 2 * frame.n / frame.m
 
 
 def _dense(frame: Frame) -> dict:
@@ -93,18 +113,22 @@ def _label(case):
 
 
 @pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
-def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks):
+def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks, phase_checks):
     for name, frame in _harmonic_sets(*case):
-        assert frame.exact_ints is None
-        del gram_calls[:], row_checks[:]
+        assert frame.exact_ints is None and frame.phases is not None
+        del gram_calls[:], phase_checks[:]
         got = certify_etf(frame).as_dict()
-        assert gram_calls == [] and row_checks == [True], f"{name}: the one-row path was not taken"
+        assert gram_calls == [] and phase_checks == [True], f"{name}: the one-row path was not taken"
+        assert row_checks == []  # the exponents are checked, not the entries
         want = _dense(frame)
         assert gram_calls == [frame.n]
         assert got["passed"] == want["passed"] and got["criteria"] == want["criteria"], name
         assert got["passed"] == (name != "full-group")
         for key in FLOAT_FIELDS:
-            assert abs(got[key] - want[key]) <= 1e-12, (name, key)
+            if key != "tightness_residual":
+                assert abs(got[key] - want[key]) <= 1e-12, (name, key)
+        # the verified path reports the rounding bound on the frame operator
+        assert want["tightness_residual"] <= got["tightness_residual"] == _tightness_bound(frame), name
         # the potential N^2/M reaches 8821 on this ladder, where one ulp is 1.8e-12
         scale = max(1.0, frame.n ** 2 / frame.m)
         assert abs(got["potential_residual"] - want["potential_residual"]) <= 1e-12 * scale, name
@@ -112,13 +136,43 @@ def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks)
 
 @pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
 def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, row_checks, monkeypatch):
+    # no Gram row is read any more: equal exponent forms make both deviations
+    # exactly 0.0, and the dense computation on the same entries agrees
+    dense, real = [], frames._deviations
+    monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real(a, k))
     _, _, got = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert gram_calls == [] and row_checks == [True]  # the Kirkman side; the harmonic side is built from characters
-    monkeypatch.setattr(frames, "_has_character_rows", lambda entries, group: False)
+    assert gram_calls == [] and row_checks == [] and dense == []
+    monkeypatch.setattr(frames, "_exact_form", lambda frame: None)
     _, _, want = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert got.max_entry_dev == want.max_entry_dev
-    assert abs(got.max_gram_dev - want.max_gram_dev) <= 1e-15
-    assert got.as_dict()["passed"] and want.as_dict()["passed"]
+    assert len(dense) == 1
+    assert (got.max_entry_dev, got.max_gram_dev) == (want.max_entry_dev, want.max_gram_dev) == (0.0, 0.0)
+    assert got.as_dict() == want.as_dict() and got.as_dict()["passed"]
+
+
+@pytest.mark.parametrize("case", FLOAT_LADDER + [TOP], ids=_label)
+def test_the_tightness_bound_covers_the_dense_residual_with_no_frame_operator(case, monkeypatch):
+    """Every float ladder frame and its complement (at the top, whose
+    complement is 1072 x 1408, the frame alone) is certified tight from its
+    exponents, and the bound it reports is at least the residual of the
+    dense M x M frame operator, which the certificate never forms."""
+    operators, real = [], frames._tightness_deviation
+    monkeypatch.setattr(metrics, "_tightness_deviation", lambda entries: operators.append(entries.shape) or real(entries))
+    for name, frame in _harmonic_sets(*case)[:1 if case == TOP else 2]:
+        cert = certify_etf(frame)
+        assert operators == [] and cert.passed, name
+        assert real(frame.entries) <= cert.tightness_residual == _tightness_bound(frame), name
+
+
+def test_a_tightness_bound_above_tol_falls_back_to_the_frame_operator(monkeypatch):
+    # the bound decides nothing above tol: the float residual is formed, so
+    # the tight verdict is the one the dense path gives
+    operators, real = [], frames._tightness_deviation
+    monkeypatch.setattr(metrics, "_tightness_deviation", lambda entries: operators.append(entries.shape) or real(entries))
+    _, frame = _harmonic_sets(*TOP)[0]
+    tol = _tightness_bound(frame) / 2
+    cert = certify_etf(frame, tol=tol)
+    assert operators == [(336, 1408)]
+    assert cert.tightness_residual == real(frame.entries) <= tol and cert.tight
 
 
 # the exponent-two cases of the benchmark's harmonic ladder: +-1 tables, exact frames
@@ -127,11 +181,11 @@ SINGER_SETS = [(7, (1, 2, 4)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14))]
 
 
 @pytest.mark.parametrize("order,elements", SINGER_SETS)
-def test_singer_sets_in_cyclic_groups_take_the_one_row_path(order, elements, gram_calls, row_checks):
+def test_singer_sets_in_cyclic_groups_take_the_one_row_path(order, elements, gram_calls, phase_checks):
     group = AbelianGroup((order,))
     frame = harmonic_etf(group, DifferenceSet.verified(group, elements))
     got = certify_etf(frame).as_dict()
-    assert gram_calls == [] and row_checks == [True]
+    assert gram_calls == [] and phase_checks == [True]
     want = _dense(frame)
     assert got["passed"] and want["passed"] and got["criteria"] == want["criteria"]
     for key in FLOAT_FIELDS + ("potential_residual",):
@@ -182,16 +236,16 @@ def test_rip_delta_forms_the_dense_gram_once(gram_calls):
     assert report.gershgorin == coherence(frame)
 
 
-def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks):
+def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks, phase_checks):
     cases = FLOAT_LADDER + [TOP]
     for q, j, factors in cases:
         dset = mcfarland_set(q, j, AbelianGroup(factors))
         assert certify_etf(harmonic_etf(dset.group, dset)).passed
         _, _, match = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
         assert match.entrywise_match and match.gram_match
-    assert gram_calls == []
-    # per case: the certificate's check, then the Kirkman side of the match
-    assert row_checks == [True] * 2 * len(cases)
+    assert gram_calls == [] and row_checks == []
+    # per case, the certificate's exponent check; the match compares exponents
+    assert phase_checks == [True] * len(cases)
 
 
 def _mutants(frame: Frame):
@@ -226,6 +280,26 @@ def test_mutations_go_dense_with_the_dense_verdict(case, gram_calls):
         assert json.loads(got)["passed"] == (name != "perturbed"), name
 
 
+@pytest.mark.parametrize("case", [(3, 1, (5,)), (4, 1, (2, 3))], ids=_label)
+def test_phase_form_mutations_go_dense_with_the_dense_verdict(case, gram_calls, phase_checks):
+    _, frame = _harmonic_sets(*case)[0]
+    order, prov = frame.order, frame.provenance
+    flipped, repeated = frame.phases.copy(), frame.phases.copy()
+    flipped[3, 7] = (flipped[3, 7] + 1) % order
+    repeated[1] = repeated[0]
+    mutants = {"flipped": (flipped, prov), "repeated": (repeated, prov),
+               "reordered": (frame.phases, {**prov, "group": prov["group"][::-1]}),
+               "other-group": (frame.phases, {**prov, "group": [frame.n]})}
+    for name, (phases, provenance) in mutants.items():
+        del gram_calls[:]
+        mutant = Frame(scale_sq=frame.scale_sq, provenance=provenance, _phases=(phases, order))
+        got = json.dumps(certify_etf(mutant).as_dict())
+        assert gram_calls == [frame.n], name
+        assert got == json.dumps(_dense(mutant)), name
+        assert json.loads(got)["passed"] == (name in ("reordered", "other-group")), name
+    assert phase_checks == [False] * len(mutants)
+
+
 @pytest.mark.parametrize("case", [(3, 1, (5,)), (7, 1, (3, 3))], ids=_label)
 def test_a_conjugated_row_is_still_a_character_and_keeps_the_one_row_path(case, gram_calls):
     # conj(chi_r) = chi_{-r}: the rows still check, so the Gram is still a
@@ -255,7 +329,7 @@ def test_a_forged_harmonic_provenance_on_a_random_frame_changes_nothing(hint, gr
 
 
 def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
-    real_kirkman = frames.kirkman_etf
+    real_kirkman, real_deviations, dense = frames.kirkman_etf, frames._deviations, []
 
     def kirkman_etf(*args):
         frame = real_kirkman(*args)
@@ -264,19 +338,26 @@ def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
         return Frame(entries=entries, provenance=frame.provenance)
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
+    monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real_deviations(a, k))
     _, _, report = mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
-    assert row_checks == [False]  # the Kirkman side is the one checked, and it fails
+    # a float frame has no exact form to compare: the deviations are dense
+    assert len(dense) == 1 and row_checks == []
     assert report.max_gram_dev > 1e-8 and not report.gram_match
 
 
-def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, row_checks):
-    # Z_1 x G enumerates G in the same order, so the hint still verifies
+def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, row_checks, phase_checks):
+    # Z_1 x G enumerates G in the same order, so the hint still verifies, on
+    # the entries of a float frame and on the exponents of a phase frame
     _, frame = _harmonic_sets(4, 1, (2, 3))[0]
-    want = certify_etf(frame).as_dict()
+    float_frame = Frame(entries=frame.entries, provenance=frame.provenance)
+    want = {"float": certify_etf(float_frame).as_dict(), "phase": certify_etf(frame).as_dict()}
     for hint in ([1] + frame.provenance["group"], frame.provenance["group"] + [1]):
-        got = certify_etf(Frame(entries=frame.entries, provenance={**frame.provenance, "group": hint}))
-        assert got.as_dict() == want, hint
-    assert gram_calls == [] and row_checks == [True] * 3
+        prov = {**frame.provenance, "group": hint}
+        got = certify_etf(Frame(entries=frame.entries, provenance=prov))
+        assert got.as_dict() == want["float"], hint
+        got = certify_etf(Frame(scale_sq=frame.scale_sq, provenance=prov, _phases=(frame.phases, frame.order)))
+        assert got.as_dict() == want["phase"], hint
+    assert gram_calls == [] and row_checks == [True] * 3 and phase_checks == [True] * 3
 
 
 # -- the dense float certificate, against the formula it replaced -------------
