@@ -452,23 +452,25 @@ def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
     return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
 
 
-def _has_distinct_character_phases(phases: np.ndarray, order: int, group: AbelianGroup) -> bool:
-    """True when every row of the M x N phases mod order is, exactly, a
-    character of G = Z_f1 x ... x Z_ft with exponent order, column u the
-    element u of G, and no two rows are the same character: the integer
-    form of _has_character_rows, with no allowance.  A row's label r is read
-    at the generators, whose exponents are r_k L / f_k (L = order) if it is
-    chi_r; the row must then equal the phases of chi_r (_character_phases),
-    and the labels must be distinct.  The rows of the exact frame
-    zeta_L^phases / sqrt(M) are then orthogonal, each of squared norm N / M."""
+def _character_labels(phases: np.ndarray, order: int, group: AbelianGroup) -> np.ndarray | None:
+    """The element labels r of the rows when every row of the M x N phases
+    mod order is, exactly, the character chi_r of G = Z_f1 x ... x Z_ft with
+    exponent order, column u the element u of G, and no two rows are the
+    same character; None otherwise.  The integer form of _has_character_rows,
+    with no allowance: a row's label is read at the generators, whose
+    exponents are r_k L / f_k (L = order) if it is chi_r; the row must then
+    equal the phases of chi_r (_character_phases), and the labels must be
+    distinct.  The rows of the exact frame zeta_L^phases / sqrt(M) are then
+    orthogonal, each of squared norm N / M."""
     m, n = phases.shape
     if m == 0 or group.order != n or lcm(*group.factors) != order:
-        return False
+        return None
     # the generator columns as in _has_character_rows; index_array reduces
     # each digit mod its factor, so a factor of 1 reads label 0
     labels = group.index_array(phases[:, group._place % n] // (order // group._radix))
-    return (np.array_equal(phases, _character_phases(group, labels)[0])
-            and np.bincount(labels, minlength=n).max() == 1)
+    if np.array_equal(phases, _character_phases(group, labels)[0]) and np.bincount(labels, minlength=n).max() == 1:
+        return labels
+    return None
 
 
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:

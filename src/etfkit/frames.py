@@ -39,6 +39,7 @@ from .errors import (
 from .flatmat import (
     AbelianGroup,
     UnimodularMatrix,
+    _character_labels,
     _character_phases,
     _phase_dtype,
     _root_values,
@@ -619,21 +620,68 @@ def _tightness_deviation(entries: np.ndarray) -> float:
     return float(np.abs(entries @ entries.conj().T - (n / m) * np.eye(m)).max())
 
 
+def _group_hint(frame: Frame) -> AbelianGroup | None:
+    """The abelian group Z_f1 x ... x Z_ft that the provenance field "group"
+    names as the labelling of the columns, when it is a nonempty list of
+    positive ints; None otherwise.  Only a hint: metrics._gram_profile and
+    naimark_complement verify it on the exponents or the entries before
+    anything rests on it."""
+    factors = frame.provenance.get("group")
+    if type(factors) is not list or not factors or not all(type(f) is int and f > 0 for f in factors):
+        return None
+    return AbelianGroup(tuple(factors))
+
+
+def _unit_exponents(frame: Frame) -> tuple[np.ndarray, int] | None:
+    """(exponents, L) with the frame exactly zeta_L^exponents / sqrt(M): a
+    phase frame's phases when its scale is M, the exponents mod 2 of the
+    signs of a +-1/sqrt(M) integer frame; None for any other frame."""
+    if frame.is_sign_matrix:
+        return (frame.exact_ints < 0).view(np.uint8), 2
+    if frame.phases is not None and frame.scale_sq == frame.m:
+        return frame.phases, frame.order
+    return None
+
+
 def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     """The (N-M) x N unit-norm tight frame whose rows complete the scaled
     rows of a tight frame to an orthogonal N x N system; NotTight unless
-    the frame is tight within tol."""
+    the frame is tight within tol.
+
+    A frame whose provenance names a group (_group_hint) and whose exact
+    exponents (_unit_exponents) check as distinct characters of it
+    (flatmat._character_labels) has rows chi_d / sqrt(M), d over its labels
+    D.  Its complement is the characters at the other elements of G over
+    sqrt(N - M), gathered as phases (_character_phases), assembled by
+    _assemble and carrying the group.  Stacked, the rows of both frames,
+    scaled by sqrt(M/N) and sqrt((N-M)/N), are the whole character table
+    over sqrt(N), whose rows are exactly orthogonal since distinct
+    characters are.  So the frame and its complement are exactly tight, and
+    neither a frame operator nor an SVD is formed; when D is a difference
+    set, the complement has the exact form of harmonic_etf of the
+    complementary set.  An exponent-two group gives a +-1 integer frame.
+
+    Every other frame, a float frame, one with no group hint and one whose
+    check fails, is checked tight on its float frame operator
+    (_tightness_deviation), and its complement is read off the SVD."""
     m, n = frame.m, frame.n
-    dev = _tightness_deviation(frame.entries)
-    if dev > tol:
-        raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
+    prov = {"construction": "naimark", "parent_m": m, "parent_n": n}
+    group = _group_hint(frame)
+    form = None if group is None else _unit_exponents(frame)
+    labels = None if form is None else _character_labels(*form, group)
+    if labels is None:
+        dev = _tightness_deviation(frame.entries)
+        if dev > tol:
+            raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
     if n == m:
-        return Frame(entries=np.zeros((0, n), dtype=np.complex128),
-                     provenance={"construction": "naimark", "parent_m": m, "parent_n": n})
+        return Frame(entries=np.zeros((0, n), dtype=np.complex128), provenance=prov)
+    if labels is not None:
+        rest = np.ones(n, dtype=bool)
+        rest[labels] = False
+        phases, order, _ = _character_phases(group, np.flatnonzero(rest))
+        return _assemble(phases, n - m, {**prov, "group": list(group.factors)}, order)
     _, _, vh = np.linalg.svd(frame.entries, full_matrices=True)
-    comp = vh[m:, :] * np.sqrt(n / (n - m))
-    out = Frame(entries=comp.astype(np.complex128),
-                provenance={"construction": "naimark", "parent_m": m, "parent_n": n})
+    out = Frame(entries=(vh[m:, :] * np.sqrt(n / (n - m))).astype(np.complex128), provenance=prov)
     out.check_unit_norm()
     return out
 

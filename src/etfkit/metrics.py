@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .flatmat import _UNIT_ROUNDOFF, AbelianGroup, _has_character_rows, _has_distinct_character_phases
-from .frames import Frame, _abs_max, _exact_ints, _tightness_deviation, exact_matmul
+from .flatmat import _UNIT_ROUNDOFF, _character_labels, _has_character_rows
+from .frames import Frame, _abs_max, _exact_ints, _group_hint, _tightness_deviation, exact_matmul
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
@@ -186,14 +186,15 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     settles it with no frame operator, else None.
 
     A frame with an integer form gets Fractions from its exact integer Gram.
-    A frame whose provenance names a group (_group_hint) and whose rows check
-    as characters of it is read from Gram row 0, F[:, 0]^H F: its rows are
-    characters chi_r of G, so its Gram is the circulant G[a, b] = g(b - a),
-    g(c) = (1/M) sum_rows chi_r(c), with extremes those of |g(c)|, c != 0,
-    and potential N sum_c |g(c)|^2.  A phase frame is checked exactly on its
-    exponents, distinct labels included (flatmat._has_distinct_character_phases);
-    a float frame on its entries, within the allowance derived in
-    flatmat._has_character_rows.  Any other frame gets the dense Gram.
+    A frame whose provenance names a group (frames._group_hint) and whose
+    rows check as characters of it is read from Gram row 0, F[:, 0]^H F: its
+    rows are characters chi_r of G, so its Gram is the circulant
+    G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with extremes those
+    of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  A phase frame is
+    checked exactly on its exponents, distinct labels included
+    (flatmat._character_labels); a float frame on its entries, within the
+    allowance derived in flatmat._has_character_rows.  Any other frame gets
+    the dense Gram.
 
     The tightness of a phase frame whose rows are distinct characters.  Its
     exact frame F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared
@@ -215,7 +216,7 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     if group is None:
         circulant = distinct = False
     elif frame.phases is not None:
-        circulant = distinct = _has_distinct_character_phases(frame.phases, frame.order, group)
+        circulant = distinct = _character_labels(frame.phases, frame.order, group) is not None
     else:
         circulant, distinct = _has_character_rows(frame.entries, group), False
     if circulant:
@@ -247,17 +248,6 @@ def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) 
     path on the Gram it already holds."""
     m, n = ints.shape
     return _certificate(m, n, welch_bound(m, n), _exact_profile(g_int, d), _tightness_residual(ints, d), tol)
-
-
-def _group_hint(frame: Frame) -> AbelianGroup | None:
-    """The abelian group Z_f1 x ... x Z_ft that the provenance field "group"
-    names as the labelling of the columns, when it is a nonempty list of
-    positive ints; None otherwise.  Only a hint: _gram_profile verifies it on
-    the exponents or the entries before anything rests on it."""
-    factors = frame.provenance.get("group")
-    if type(factors) is not list or not factors or not all(type(f) is int and f > 0 for f in factors):
-        return None
-    return AbelianGroup(tuple(factors))
 
 
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:

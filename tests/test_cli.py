@@ -182,6 +182,22 @@ def test_frame_naimark(capsys, monkeypatch):
     assert doc["m"] == 10 and doc["n"] == 16
 
 
+@pytest.mark.parametrize("group,exact", [("2x2", True), ("4", False)])
+def test_naimark_of_a_harmonic_frame_verifies(capsys, monkeypatch, schema, group, exact):
+    # a sign frame's complement is its complementary characters, written in
+    # sign form with its group and certified exactly; a complex harmonic
+    # frame is parsed as floats, and its complement is the SVD's
+    _, frame_doc = run_cli(capsys, "frame", "harmonic", "--q", "2", "--j", "1", "--group", group)
+    code, comp_doc = run_on_stdin(capsys, monkeypatch, frame_doc, "frame", "naimark", "-")
+    assert code == 0
+    comp = json.loads(comp_doc)
+    assert (comp["m"], comp["n"]) == (10, 16) and ("signs" in comp) is exact
+    assert ("group" in comp["provenance"]) is exact
+    code, out = run_on_stdin(capsys, monkeypatch, comp_doc, "verify", "-")
+    doc = check_report(schema, out)
+    assert code == 0 and doc["passed"] is True and doc["exact_arithmetic"] is exact
+
+
 def test_code_check_report(capsys, monkeypatch, schema):
     _, code_text = run_cli(capsys, "fixtures", "emit", "--which", "fig3")
     ret, out = run_on_stdin(capsys, monkeypatch, code_text, "code", "check", "-")

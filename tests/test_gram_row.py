@@ -77,15 +77,16 @@ def row_checks(monkeypatch):
 
 @pytest.fixture
 def phase_checks(monkeypatch):
-    """The verdicts of flatmat._has_distinct_character_phases, one per call,
-    in order, from metrics (the certificate of a phase frame)."""
-    checks, real = [], flatmat._has_distinct_character_phases
+    """The verdicts of flatmat._character_labels, whether it read labels, one
+    per call, in order, from metrics (the certificate of a phase frame)."""
+    checks, real = [], flatmat._character_labels
 
     def counted(phases, order, group):
-        checks.append(real(phases, order, group))
-        return checks[-1]
+        labels = real(phases, order, group)
+        checks.append(labels is not None)
+        return labels
 
-    monkeypatch.setattr(metrics, "_has_distinct_character_phases", counted)
+    monkeypatch.setattr(metrics, "_character_labels", counted)
     return checks
 
 
@@ -380,13 +381,16 @@ def _masked_certificate(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificat
 
 
 def _float_corpus():
-    """The float frames of the certification corpus, their Naimark
+    """The float frames of the certification corpus and their SVD Naimark
     complements, the harmonic ladder without its group hint, and random
     unit-norm frames, one of them with a NaN entry."""
     for label, frame in _corpus_frames():
         if frame.exact_ints is None:  # without provenance: no group hint
-            yield label, Frame(entries=np.array(frame.entries))
-            yield f"naimark {label}", naimark_complement(frame)
+            stripped = Frame(entries=np.array(frame.entries))
+            yield label, stripped
+            # the SVD complement: a hinted character frame's complement
+            # would be characters again, and take the one-row path
+            yield f"naimark {label}", naimark_complement(stripped)
     for case in FLOAT_LADDER[:9]:
         for name, frame in _harmonic_sets(*case):
             yield f"{_label(case)} {name}", Frame(entries=np.array(frame.entries))

@@ -70,14 +70,53 @@ def _names_provenance(node: ast.AST) -> bool:
             or (isinstance(node, ast.Constant) and node.value == "provenance"))
 
 
+def _reads_the_group_hint(node: ast.AST) -> bool:
+    """provenance["group"] or provenance.get("group"), on any provenance."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        target, key = node.value, node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get" and node.args):
+        target, key = node.func.value, node.args[0]
+    else:
+        return False
+    return _names_provenance(target) and isinstance(key, ast.Constant) and key.value == "group"
+
+
 def test_metrics_reads_provenance_only_where_it_is_checked():
     """A provenance field is a claim from the input, not a fact: in metrics
-    only _design_r and _group_hint read it, so every use of one goes
-    through those two, and the group _group_hint returns is verified on the
-    entries (_has_character_rows) before anything rests on it."""
+    only _design_r reads it, and in the whole package only frames._group_hint
+    reads the group hint, so every use of one goes through those two.  The
+    group _group_hint returns is verified on the exponents or the entries
+    (flatmat._character_labels, _has_character_rows) before anything rests
+    on it, by metrics._gram_profile and frames.naimark_complement."""
     path = next(p for p in SOURCES if p.name == "metrics.py")
     sites = _sites(ast.parse(path.read_text(), filename=str(path)), _names_provenance)
-    assert {scope for scope, _ in sites} == {"_design_r", "_group_hint"}, sites
+    assert {scope for scope, _ in sites} == {"_design_r"}, sites
+    reads = {path.name: [scope for scope, _ in _sites(ast.parse(path.read_text(), filename=str(path)),
+                                                      _reads_the_group_hint)]
+             for path in SOURCES}
+    assert {name: scopes for name, scopes in reads.items() if scopes} == {"frames.py": ["_group_hint"]}, reads
+    probe = 'f.provenance.get("group")\nprovenance["group"]\nf.provenance["group"] = 1\nf.provenance.get("r")'
+    assert _sites(ast.parse(probe), _reads_the_group_hint) == [("", 1), ("", 2)]
+
+
+def test_frames_takes_an_svd_only_in_the_naimark_fallback():
+    """naimark_complement returns the complementary characters of a verified
+    character frame before its SVD, the only one in frames."""
+    path = next(p for p in SOURCES if p.name == "frames.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [scope for scope, _ in _sites(tree, _calls("svd"))] == ["naimark_complement"]
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "naimark_complement")
+
+    def holds(statement, matches):
+        return any(matches(node) for node in ast.walk(statement))
+
+    svd_at = [i for i, statement in enumerate(func.body) if holds(statement, _calls("svd"))]
+    characters_at = [i for i, statement in enumerate(func.body) if isinstance(statement, ast.If)
+                     and holds(statement, _calls("_character_phases"))
+                     and holds(statement, lambda node: isinstance(node, ast.Return))]
+    assert len(svd_at) == len(characters_at) == 1 and characters_at[0] < svd_at[0]
+    assert not isinstance(func.body[svd_at[0]], (ast.If, ast.For, ast.While, ast.With, ast.Try))
 
 
 def _is_root_exponential(node: ast.AST) -> bool:
