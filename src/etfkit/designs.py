@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import gf
 from .errors import (
+    BadDimensions,
     DesignFormatError,
     FieldConstructionError,
     InvariantViolation,
@@ -80,15 +81,18 @@ class DesignParams:
 def parse_design(text: str) -> SteinerSystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DesignFormatError(f"invalid JSON: {e}") from e
     try:
-        v, k = int(doc["v"]), int(doc["k"])
-        blocks = tuple(tuple(int(p) for p in blk) for blk in doc["blocks"])
+        v, k = doc["v"], doc["k"]
+        blocks = tuple(tuple(blk) for blk in doc["blocks"])
         res = doc.get("resolution")
-        resolution = None if res is None else tuple(tuple(int(i) for i in cls) for cls in res)
+        resolution = None if res is None else tuple(tuple(cls) for cls in res)
     except (KeyError, TypeError, ValueError) as e:
         raise DesignFormatError(f"malformed design document: {e}") from e
+    # JSON integers only: int() would truncate a float and read a bool or a string
+    if not all(type(x) is int for x in chain((v, k), *blocks, *(resolution or ()))):
+        raise DesignFormatError("v, k, block points and resolution indices must be JSON integers")
     if any(not 0 <= p < v for blk in blocks for p in blk):
         raise DesignFormatError("block contains a point index out of range")
     if resolution is not None and any(not 0 <= i < len(blocks) for cls in resolution for i in cls):
@@ -119,7 +123,7 @@ def steiner_params(k: int, v: int) -> DesignParams:
     (equivalently integral w with v = w*k*(k-1) + k).
     """
     if not (v > k >= 2):
-        raise ValueError(f"need v > k >= 2, got k={k}, v={v}")
+        raise BadDimensions(f"need v > k >= 2, got k={k}, v={v}")
     r_num, r_den = v - 1, k - 1
     b_num, b_den = v * (v - 1), k * (k - 1)
     r = r_num // r_den if r_num % r_den == 0 else None
@@ -176,7 +180,7 @@ def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
         raise FieldConstructionError(f"q = {q} is not a prime power")
     p, d = pp
     if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+        raise BadDimensions(f"need j >= 1, got {j}")
     fld = gf.make_field(p, d * (j + 1))
     hyper = gf.hyperplane_kernel(fld, q)
     delta = gf.trace_one_element(fld, q)

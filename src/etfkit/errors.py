@@ -9,6 +9,10 @@ class InvariantViolation(EtfkitError):
     """A fact that mathematics guarantees failed to hold: a library bug, not bad input."""
 
 
+class BadDimensions(EtfkitError, ValueError):
+    """A size or parameter outside the range a construction or bound is defined on."""
+
+
 # -- finite fields ----------------------------------------------------------
 
 class FieldConstructionError(EtfkitError):
@@ -73,7 +77,7 @@ class SimplexShapeMismatch(EtfkitError):
     pass
 
 
-class BasisShapeMismatch(EtfkitError):
+class BasisShapeMismatch(EtfkitError, ValueError):
     pass
 
 
@@ -93,7 +97,7 @@ class NotTight(EtfkitError):
     pass
 
 
-class FrameFormatError(EtfkitError):
+class FrameFormatError(EtfkitError, ValueError):
     pass
 
 
@@ -104,10 +108,6 @@ class TooFewColumns(EtfkitError):
 
 
 class NotUnitNorm(EtfkitError):
-    pass
-
-
-class BadDimensions(EtfkitError):
     pass
 
 

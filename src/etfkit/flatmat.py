@@ -25,7 +25,8 @@ from math import lcm
 import numpy as np
 
 from . import gf
-from .errors import IndexOutOfRange, InvariantViolation, NotUnimodular, RowOutOfRange, UnsupportedHadamardOrder
+from .errors import (BadDimensions, BasisShapeMismatch, IndexOutOfRange, InvariantViolation, NotUnimodular,
+                     RowOutOfRange, UnsupportedHadamardOrder)
 
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
@@ -146,8 +147,11 @@ def _unit_roots(n: int) -> np.ndarray:
     of roots the package evaluates, from which the DFT, every character
     table and every frame stored as phases are gathered.  The quarter roots
     1, i, -1, -i that n admits are exact, so for n <= 2 the table holds
-    exactly 1 and -1; every other root is within 24 u of exact (u the unit
-    roundoff; the bound _has_character_rows derives)."""
+    exactly 1 and -1; every other root is within 24 u of exact, u the unit
+    roundoff.  The phase 2 pi k / n, below 2 pi, takes three roundings (pi,
+    the product by k, the quotient by n), so it is within 3 u 2 pi (1 + 3 u)
+    of exact, and so is its exponential; cos and sin, each within an ulp of
+    a value below 1, add at most sqrt(2) u: 19 u + 1.5 u < 24 u."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
         if k * n % 4 == 0:
@@ -161,7 +165,7 @@ def dft(n: int) -> UnimodularMatrix:
     +-1, +-i entries are exact and dft(2) carries the signs of hadamard(2);
     it is checked on those exponents, in O(n) integers (see character_table)."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise BadDimensions(f"need n >= 1, got {n}")
     return _character_matrix(AbelianGroup((n,)), np.arange(n), "dft")
 
 
@@ -227,7 +231,7 @@ def hadamard(n: int) -> UnimodularMatrix:
     """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
     composed with Kronecker products; both are checked exactly on the signs."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise BadDimensions(f"need n >= 1, got {n}")
     signs = _hadamard_signs(n)
     if signs is None:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
@@ -243,7 +247,7 @@ def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     so within |G[a, b]| + 2 ENTRY_TOL of modulus 1.  Kept rows are scanned for
     +-1, and a character build's phases keep the same rows."""
     if basis.rows != basis.cols:
-        raise ValueError("simplex construction needs a square orthogonal basis")
+        raise BasisShapeMismatch("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
     rows = np.delete(basis.entries if basis.signs is None else basis.signs, row, axis=0)
@@ -271,7 +275,7 @@ class AbelianGroup:
         except TypeError:
             factors = ()
         if not factors or any(f < 1 for f in factors):
-            raise ValueError("factors must be a nonempty list of positive cyclic orders")
+            raise BadDimensions("factors must be a nonempty list of positive cyclic orders")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -305,7 +309,7 @@ class AbelianGroup:
         try:
             factors = tuple(int(tok) for tok in spec.lower().split("x"))
         except ValueError as e:
-            raise ValueError(f"bad group spec {spec!r}: expected orders like '2x2' or '4'") from e
+            raise BadDimensions(f"bad group spec {spec!r}: expected orders like '2x2' or '4'") from e
         return AbelianGroup(factors)
 
 
@@ -329,7 +333,7 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r)) sums a character
     that is trivial only when u = v.  No float Gram is formed: each computed
     entry is a tabulated root within 24 u of the exact one (u the unit
-    roundoff, the bound _has_character_rows derives), so T = T* + E with
+    roundoff, the bound _unit_roots derives), so T = T* + E with
     max |E| <= 24 u, and every entry of T^H T - N I = E^H T* + T*^H E + E^H E
     is at most N (48 u + (24 u)^2), below ORTHO_TOL for every N under 10^5,
     far beyond any table that fits in memory.
@@ -411,62 +415,22 @@ def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
         raise NotUnimodular("character-table rows repeat a character of the group")
 
 
-def _has_character_rows(entries: np.ndarray, group: AbelianGroup) -> bool:
-    """True when |G| is N and every row of the M x N entries F checks as
-    1/sqrt(M) times a character of G = Z_f1 x ... x Z_ft, with column u the
-    element u of G (digits first factor most significant).  F's Gram is then
-    a group circulant within eta below, so one Gram row stands for all of it.
-
-    The check, O(MN) array operations on the entries alone: each row's values
-    at the generators e_k are read as the nearest f_k-th roots of unity,
-    exponents r_k, and the row must match, within tau below, the character
-    P: u -> prod_k exp(2 pi i r_k u_k / f_k), gathered from the L-th roots
-    (L the exponent of G) at the integer phase sum_k r_k u_k L / f_k mod L
-    (_character_phases, at the elements with digits r).
-
-    The allowance.  Let u = 2^-53 and s = sum_k f_k + t.  A root _unit_roots
-    tabulates (three roundings of a phase below 2 pi, then the exponential)
-    is within 24 u of exact, as is each entry of character_table; with the
-    scale 1/sqrt(M) rounded in, each entry of P is within 24 u / sqrt(M).
-    An entry of F formed instead as a product of t factor values
-    exp(2 pi i a b / f_k), a b < f_k^2 (a Kronecker product of DFTs), and the
-    scale is within sum_k (6 pi f_k + 5) u + 2 u of exact, relative to
-    1/sqrt(M).  The check accepts max |F - P| up to tau = 32 s u / sqrt(M),
-    above both, so eps = max |F - F*| <= 32 (s + 1) u / sqrt(M) for the exact
-    characters F*.  With F = F* + E, F^H F - F*^H F* = E^H F* + F*^H E + E^H E
-    has entries at most eta = 2 sqrt(M) eps + M eps^2, about 64 (s + 1) u:
-    every Gram entry G[a, b] is within eta of the circulant value g*(b - a),
-    so within 2 eta of G[0, b - a], and a computed row is within the dense
-    product's rounding of G[0, c].  2 eta is at most 1.5e-14 (s + 1): under
-    1e-10 while the orders sum below 6000, far inside the default tolerance."""
-    m, n = entries.shape
-    if m == 0 or group.order != n:
-        return False
-    factors, orders = group.factors, group._radix
-    # the column of e_k is its place value; a factor of 1 at the front has
-    # place N, and its generator is the identity, column 0
-    with np.errstate(invalid="ignore"):  # a NaN entry gives some exponent, then fails the match
-        r = np.rint(np.angle(entries[:, group._place % n]) * (orders / (2 * np.pi))).astype(np.int64) % orders
-    reference = _character_phases(group, group.index_array(r), gather=True)[2]
-    residual = np.abs(entries - reference / np.sqrt(m)).max()
-    return bool(residual <= 32 * (sum(factors) + len(factors)) * _UNIT_ROUNDOFF / np.sqrt(m))
-
-
 def _character_labels(phases: np.ndarray, order: int, group: AbelianGroup) -> np.ndarray | None:
     """The element labels r of the rows when every row of the M x N phases
     mod order is, exactly, the character chi_r of G = Z_f1 x ... x Z_ft with
     exponent order, column u the element u of G, and no two rows are the
-    same character; None otherwise.  The integer form of _has_character_rows,
-    with no allowance: a row's label is read at the generators, whose
-    exponents are r_k L / f_k (L = order) if it is chi_r; the row must then
-    equal the phases of chi_r (_character_phases), and the labels must be
-    distinct.  The rows of the exact frame zeta_L^phases / sqrt(M) are then
-    orthogonal, each of squared norm N / M."""
+    same character; None otherwise.  Exact, with no allowance: a row's
+    label is read at the generators, whose exponents are r_k L / f_k
+    (L = order) if it is chi_r; the row must then equal the phases of chi_r
+    (_character_phases), and the labels must be distinct.  The rows of the
+    exact frame zeta_L^phases / sqrt(M) are then orthogonal, each of squared
+    norm N / M."""
     m, n = phases.shape
     if m == 0 or group.order != n or lcm(*group.factors) != order:
         return None
-    # the generator columns as in _has_character_rows; index_array reduces
-    # each digit mod its factor, so a factor of 1 reads label 0
+    # generator e_k's column is its place value (a leading factor of 1 has
+    # place N: the identity, column 0); index_array reduces each digit mod
+    # its factor, so a factor of 1 reads label 0
     labels = group.index_array(phases[:, group._place % n] // (order // group._radix))
     if np.array_equal(phases, _character_phases(group, labels)[0]) and np.bincount(labels, minlength=n).max() == 1:
         return labels

@@ -25,6 +25,7 @@ import numpy as np
 
 from .designs import AffineStructure, SteinerSystem, affine_structure
 from .errors import (
+    BadDimensions,
     BasisShapeMismatch,
     FrameFormatError,
     GroupMismatch,
@@ -178,7 +179,7 @@ class Frame:
     def gram_exact(self) -> tuple[np.ndarray, int]:
         """Integer Gram matrix G with true Gram = G / scale_sq (real exact frames)."""
         if self.exact_ints is None:
-            raise ValueError("frame carries no exact integer form")
+            raise FrameFormatError("frame carries no exact integer form")
         return exact_matmul(self.exact_ints.T, self.exact_ints), self.scale_sq
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
@@ -243,19 +244,24 @@ def frame_to_json(frame: Frame) -> str:
 def parse_frame(text: str) -> Frame:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FrameFormatError(f"invalid JSON: {e}") from e
     try:
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = doc["m"], doc["n"]
+        if type(m) is not int or type(n) is not int:  # not a float, bool or string, which int() would read
+            raise FrameFormatError("m and n must be JSON integers")
         provenance = {} if doc.get("provenance") is None else doc["provenance"]
         if not isinstance(provenance, dict):
             raise FrameFormatError(f"provenance must be a JSON object, got {type(provenance).__name__}")
         if "signs" in doc:
-            ints = np.array(doc["signs"], dtype=np.int64)
-            scale_sq = int(doc["scale_sq_inv"])
-            if ints.shape != (m, n) or not np.all(np.abs(ints) == 1):
+            ints = np.array(doc["signs"])  # its dtype, with no cast: a float or a string entry is no sign
+            scale_sq = doc["scale_sq_inv"]
+            if type(scale_sq) is not int:
+                raise FrameFormatError("scale_sq_inv must be a JSON integer")
+            if (ints.shape != (m, n) or not (ints.dtype.kind in "iu" or ints.size == 0)
+                    or not np.all(np.abs(ints) == 1)):
                 raise FrameFormatError("sign form must be an m x n matrix of +-1")
-            frame = Frame(exact_ints=ints, scale_sq=scale_sq, provenance=provenance)
+            frame = Frame(exact_ints=ints.astype(np.int64, copy=False), scale_sq=scale_sq, provenance=provenance)
         else:
             raw = doc["entries"]
             arr = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=np.complex128)
@@ -263,6 +269,8 @@ def parse_frame(text: str) -> Frame:
                 raise FrameFormatError(f"entries shape {arr.shape} does not match ({m}, {n})")
             scale = doc.get("scale")
             if scale is not None:
+                if type(scale) not in (int, float):
+                    raise FrameFormatError("scale must be a JSON number")
                 scale = float(scale)
                 if not math.isfinite(scale):
                     raise FrameFormatError(f"scale {scale} is not a finite number")
@@ -547,15 +555,6 @@ def _deviations(a: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     return float(np.abs(diff).max()), gram_dev / 2
 
 
-def _exact_form(frame: Frame) -> tuple | None:
-    """(integers, scale_sq, order) that determine the frame exactly: its
-    integer form with order None, or its phases mod order; None for a float
-    frame.  Two frames whose exact forms are equal have the same entries."""
-    if frame.exact_ints is not None:
-        return frame.exact_ints, frame.scale_sq, None
-    return None if frame.phases is None else (frame.phases, frame.scale_sq, frame.order)
-
-
 def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
                          tol: float = 1e-9) -> tuple[Frame, Frame, McFarlandMatchReport]:
     """Build the same ETF twice: as restricted characters over the
@@ -571,11 +570,12 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     L of G x V.  So with an exponent-two G and p = 2 both are +-1 integer
     forms, and otherwise phase forms.
 
-    The theorem is then an integer identity: when the two exact forms
-    (_exact_form) are equal under the identification, one np.array_equal,
-    the frames are the same matrix, and both deviations are exactly 0.0,
-    with no complex entry formed.  Otherwise, or for a frame with no exact
-    form, both deviations are computed from the entries, the Gram deviation
+    The theorem is then an integer identity: both are unit-norm flat frames
+    at scale M, so when their exponents (_unit_exponents) have the same
+    order L and are equal under the identification, one np.array_equal, the
+    frames are the same matrix, and both deviations are exactly 0.0, with
+    no complex entry formed.  Otherwise, or for a frame with no exponents,
+    both deviations are computed from the entries, the Gram deviation
     with both frames' columns in the harmonic labelling by G x V
     (_deviations).
     """
@@ -600,8 +600,8 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
     col_order = np.argsort((np.arange(big_r + 1) * fld.order + w[:, None]).ravel())
 
-    a, k = _exact_form(harm), _exact_form(kirk)
-    if a is not None and k is not None and a[1:] == k[1:] and np.array_equal(a[0][row_perm], k[0][:, col_order]):
+    a, k = _unit_exponents(harm), _unit_exponents(kirk)
+    if a is not None and k is not None and a[1] == k[1] and np.array_equal(a[0][row_perm], k[0][:, col_order]):
         max_entry_dev = max_gram_dev = 0.0
     else:
         max_entry_dev, max_gram_dev = _deviations(harm.entries[row_perm], kirk.entries[:, col_order])
@@ -623,9 +623,8 @@ def _tightness_deviation(entries: np.ndarray) -> float:
 def _group_hint(frame: Frame) -> AbelianGroup | None:
     """The abelian group Z_f1 x ... x Z_ft that the provenance field "group"
     names as the labelling of the columns, when it is a nonempty list of
-    positive ints; None otherwise.  Only a hint: metrics._gram_profile and
-    naimark_complement verify it on the exponents or the entries before
-    anything rests on it."""
+    positive ints; None otherwise.  Only a hint: _character_rows verifies
+    it on the exponents before anything rests on it."""
     factors = frame.provenance.get("group")
     if type(factors) is not list or not factors or not all(type(f) is int and f > 0 for f in factors):
         return None
@@ -643,17 +642,29 @@ def _unit_exponents(frame: Frame) -> tuple[np.ndarray, int] | None:
     return None
 
 
+def _character_rows(frame: Frame) -> tuple[AbelianGroup, np.ndarray] | None:
+    """(G, labels) when the frame's provenance names G (_group_hint) and its
+    exact exponents (_unit_exponents) are, row by row, the distinct
+    characters chi_d of G, d over the labels (flatmat._character_labels);
+    None otherwise, for a float frame among others: the one test of whether
+    a frame is a character frame.  The frame is then exactly
+    zeta_L^exponents / sqrt(M), whose rows are orthogonal, each of squared
+    norm N / M."""
+    group = _group_hint(frame)
+    form = None if group is None else _unit_exponents(frame)
+    labels = None if form is None else _character_labels(*form, group)
+    return None if labels is None else (group, labels)
+
+
 def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     """The (N-M) x N unit-norm tight frame whose rows complete the scaled
     rows of a tight frame to an orthogonal N x N system; NotTight unless
     the frame is tight within tol.
 
-    A frame whose provenance names a group (_group_hint) and whose exact
-    exponents (_unit_exponents) check as distinct characters of it
-    (flatmat._character_labels) has rows chi_d / sqrt(M), d over its labels
-    D.  Its complement is the characters at the other elements of G over
-    sqrt(N - M), gathered as phases (_character_phases), assembled by
-    _assemble and carrying the group.  Stacked, the rows of both frames,
+    A character frame (_character_rows) has rows chi_d / sqrt(M), d over
+    its labels D.  Its complement is the characters at the other elements
+    of G over sqrt(N - M), gathered as phases (_character_phases), assembled
+    by _assemble and carrying the group.  Stacked, the rows of both frames,
     scaled by sqrt(M/N) and sqrt((N-M)/N), are the whole character table
     over sqrt(N), whose rows are exactly orthogonal since distinct
     characters are.  So the frame and its complement are exactly tight, and
@@ -666,16 +677,15 @@ def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     (_tightness_deviation), and its complement is read off the SVD."""
     m, n = frame.m, frame.n
     prov = {"construction": "naimark", "parent_m": m, "parent_n": n}
-    group = _group_hint(frame)
-    form = None if group is None else _unit_exponents(frame)
-    labels = None if form is None else _character_labels(*form, group)
-    if labels is None:
+    rows = _character_rows(frame)
+    if rows is None:
         dev = _tightness_deviation(frame.entries)
         if dev > tol:
             raise NotTight(f"frame operator deviates from (N/M) I by {dev:.3e}")
     if n == m:
         return Frame(entries=np.zeros((0, n), dtype=np.complex128), provenance=prov)
-    if labels is not None:
+    if rows is not None:
+        group, labels = rows
         rest = np.ones(n, dtype=bool)
         rest[labels] = False
         phases, order, _ = _character_phases(group, np.flatnonzero(rest))
@@ -730,7 +740,7 @@ def real_kirkman_params(k: int, w: int) -> RealKirkmanReport:
     constant-amplitude build needs; congruence violations are reported, not
     raised."""
     if k < 2 or w < 1:
-        raise ValueError("need k >= 2 and w >= 1")
+        raise BadDimensions("need k >= 2 and w >= 1")
     v = k * (w * (k - 1) + 1)
     m = (w * k + 1) * (w * (k - 1) + 1)
     n = k * (w * k + 2) * (w * (k - 1) + 1)

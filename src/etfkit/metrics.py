@@ -9,10 +9,10 @@ frames.exact_matmul (float64 BLAS while every partial sum stays below 2**53),
 further integer reductions run in int64 while their bound stays below 2**63
 and in Python integers beyond it, and the results are Fractions with no
 tolerance involved.  Everything else is certified in floating point against
-the stated tolerances; a float frame whose rows check as characters of an
-abelian group labelling its columns is certified from one Gram row, and a
-phase frame whose exponents check as distinct characters also needs no
-frame operator.
+the stated tolerances; a character frame (frames._character_rows), whose
+exponents check exactly as distinct characters of an abelian group
+labelling its columns, is certified from one Gram row with no frame
+operator.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatch,
     TooFewColumns,
 )
-from .flatmat import _UNIT_ROUNDOFF, _character_labels, _has_character_rows
-from .frames import Frame, _abs_max, _exact_ints, _group_hint, _tightness_deviation, exact_matmul
+from .flatmat import _UNIT_ROUNDOFF
+from .frames import Frame, _abs_max, _character_rows, _exact_ints, _tightness_deviation, exact_matmul
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
@@ -186,19 +186,16 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     settles it with no frame operator, else None.
 
     A frame with an integer form gets Fractions from its exact integer Gram.
-    A frame whose provenance names a group (frames._group_hint) and whose
-    rows check as characters of it is read from Gram row 0, F[:, 0]^H F: its
-    rows are characters chi_r of G, so its Gram is the circulant
-    G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with extremes those
-    of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  A phase frame is
-    checked exactly on its exponents, distinct labels included
-    (flatmat._character_labels); a float frame on its entries, within the
-    allowance derived in flatmat._has_character_rows.  Any other frame gets
-    the dense Gram.
+    A character frame (frames._character_rows: the group its provenance
+    names, checked exactly on its exponents) is read from Gram row 0,
+    F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is the
+    circulant G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with
+    extremes those of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  Any
+    other frame, every float frame among them, gets the dense Gram.
 
-    The tightness of a phase frame whose rows are distinct characters.  Its
-    exact frame F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared
-    norm N/M, so F* F*^H = (N/M) I exactly.  Each computed entry is a root
+    The tightness of a character frame.  Its exact frame
+    F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared norm N/M,
+    so F* F*^H = (N/M) I exactly.  Each computed entry is a root
     within 24 u of exact (flatmat._unit_roots; u the unit roundoff), divided
     by a rounded sqrt(M), so within eps = 27 u / sqrt(M) of F*; then every
     entry of F F^H - F* F*^H = E F*^H + F* E^H + E E^H is at most
@@ -212,17 +209,10 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     formed here (certify_etf forms it when the bound exceeds tol)."""
     if frame.exact_ints is not None:
         return (*_exact_profile(*frame.gram_exact()), None)
-    group = _group_hint(frame)
-    if group is None:
-        circulant = distinct = False
-    elif frame.phases is not None:
-        circulant = distinct = _character_labels(frame.phases, frame.order, group) is not None
-    else:
-        circulant, distinct = _has_character_rows(frame.entries, group), False
-    if circulant:
+    if _character_rows(frame) is not None:
         m, n = frame.m, frame.n
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
-        tight = (n + 64) * _UNIT_ROUNDOFF * n / m if distinct else None
+        tight = (n + 64) * _UNIT_ROUNDOFF * n / m
         return float(row[1:].max()), float(row[1:].min()), n * float(np.sum(row ** 2)), tight
     a = np.abs(frame.gram() if gram is None else gram)
     pot = float(np.sum(a ** 2))  # before _offdiag_extremes overwrites the diagonal
@@ -254,8 +244,8 @@ def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate: the Gram profile (_gram_profile decides exact
     Fractions, one Gram row or the dense Gram) and the tightness residual:
     of the exact M x M frame operator alongside an exact profile; for a
-    phase frame whose exponents check as distinct characters of its hinted
-    group, the rounding bound (N + 64) u N / M that _gram_profile derives,
+    character frame (frames._character_rows) with no integer form, the
+    rounding bound (N + 64) u N / M that _gram_profile derives,
     with no frame operator formed, unless the bound exceeds tol; else of the
     float frame operator.  The bound is at least the float residual, so the
     tightness verdict is the float path's either way.  A complex frame's

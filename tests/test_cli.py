@@ -314,6 +314,15 @@ def _assert_one_line_input_error(capsys, code):
     assert err.startswith("etfkit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["verify", "FILE"], ["frame", "steiner", "FILE", "--simplex", "hadamard"]],
+                         ids=["frame", "design"])
+def test_json_nested_past_the_decoder_depth_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code = main([str(path) if arg == "FILE" else arg for arg in argv])
+    _assert_one_line_input_error(capsys, code)
+
+
 def test_frame_kirkman_on_a_non_partitioning_class_is_input_error(capsys, monkeypatch):
     doc = json.loads(etfkit.round_robin_design(4).to_json())
     doc["resolution"][0].append(doc["resolution"][1][0])

@@ -651,14 +651,13 @@ def test_the_mcfarland_match_is_an_exponent_identity(case, monkeypatch):
     """Both frames are exact forms that agree under the identification:
     both deviations are exactly 0.0, with no character-row check, no dense
     deviation and no complex entry formed on either frame."""
-    from etfkit import flatmat, frames, metrics
+    from etfkit import frames
 
     def forbidden(*args):
-        raise AssertionError("the exponent match needs no float check")
+        raise AssertionError("the exponent match needs no character-row check")
 
-    for module in (flatmat, metrics):
-        monkeypatch.setattr(module, "_has_character_rows", forbidden)
-    monkeypatch.setattr(frames, "_deviations", forbidden)
+    for name in ("_character_rows", "_deviations"):
+        monkeypatch.setattr(frames, name, forbidden)
     q, j, factors = case
     harm, kirk, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
     assert (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0) and report.as_dict()["passed"]

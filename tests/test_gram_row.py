@@ -1,13 +1,13 @@
 """Harmonic and McFarland frames certified from one verified Gram row.
 
-A float frame whose provenance names its group, and whose rows check as
-characters of that group, gets its certificate from Gram row 0; so does a
-phase frame whose exponents check, exactly, as distinct characters, and its
-tightness residual is a derived rounding bound, with no frame operator.
-Every other frame, and every frame whose check fails, gets the dense N x N
-Gram.  The one-row reports are compared here with the dense ones on the
-same entries, coherence with the certificate's coherence, and the dense
-float certificate with the formula it replaced.
+A character frame, whose provenance names its group and whose exponents
+check, exactly, as distinct characters of it (frames._character_rows), gets
+its certificate from Gram row 0, and its tightness residual is a derived
+rounding bound, with no frame operator.  Every other frame, every float
+frame among them, hinted or not, gets the dense N x N Gram.  The one-row
+reports are compared here with the dense ones on the same entries,
+coherence with the certificate's coherence, and the dense float certificate
+with the formula it replaced.
 """
 
 import json
@@ -62,23 +62,10 @@ def gram_calls(monkeypatch):
 
 
 @pytest.fixture
-def row_checks(monkeypatch):
-    """The verdicts of flatmat._has_character_rows, one per call, in order,
-    from metrics (the certificate of a float frame)."""
-    checks, real = [], flatmat._has_character_rows
-
-    def counted(entries, group):
-        checks.append(real(entries, group))
-        return checks[-1]
-
-    monkeypatch.setattr(metrics, "_has_character_rows", counted)
-    return checks
-
-
-@pytest.fixture
 def phase_checks(monkeypatch):
     """The verdicts of flatmat._character_labels, whether it read labels, one
-    per call, in order, from metrics (the certificate of a phase frame)."""
+    per call, in order, from frames._character_rows (the one test of a
+    character frame, which only a frame with exact exponents reaches)."""
     checks, real = [], flatmat._character_labels
 
     def counted(phases, order, group):
@@ -86,13 +73,26 @@ def phase_checks(monkeypatch):
         checks.append(labels is not None)
         return labels
 
-    monkeypatch.setattr(metrics, "_character_labels", counted)
+    monkeypatch.setattr(frames, "_character_labels", counted)
     return checks
 
 
 def _tightness_bound(frame: Frame) -> float:
     """The bound certify_etf reports for a phase frame of distinct characters."""
     return (frame.n + 64) * np.finfo(np.float64).eps / 2 * frame.n / frame.m
+
+
+def _row_certificate(frame: Frame) -> dict:
+    """The one-row certificate of a character frame, formed here from Gram
+    row 0 and the tightness bound: certify_etf must give it byte for byte."""
+    m, n = frame.m, frame.n
+    row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
+    mu = float(row[1:].max())
+    return EtfCertificate(
+        m=m, n=n, coherence=mu, coherence_exact=None, welch=welch_bound(m, n),
+        tightness_residual=float(_tightness_bound(frame)), offdiag_max=mu, offdiag_min=float(row[1:].min()),
+        potential_residual=abs(n * float(np.sum(row ** 2)) - n * n / m), exact=False, tol=DEFAULT_TOL,
+    ).as_dict()
 
 
 def _dense(frame: Frame) -> dict:
@@ -114,13 +114,13 @@ def _label(case):
 
 
 @pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
-def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks, phase_checks):
+def test_one_row_certificate_matches_the_dense_one(case, gram_calls, phase_checks):
     for name, frame in _harmonic_sets(*case):
         assert frame.exact_ints is None and frame.phases is not None
         del gram_calls[:], phase_checks[:]
         got = certify_etf(frame).as_dict()
         assert gram_calls == [] and phase_checks == [True], f"{name}: the one-row path was not taken"
-        assert row_checks == []  # the exponents are checked, not the entries
+        assert json.dumps(got) == json.dumps(_row_certificate(frame)), name
         want = _dense(frame)
         assert gram_calls == [frame.n]
         assert got["passed"] == want["passed"] and got["criteria"] == want["criteria"], name
@@ -136,14 +136,14 @@ def test_one_row_certificate_matches_the_dense_one(case, gram_calls, row_checks,
 
 
 @pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
-def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, row_checks, monkeypatch):
-    # no Gram row is read any more: equal exponent forms make both deviations
+def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, monkeypatch):
+    # no Gram row is read any more: equal exponents make both deviations
     # exactly 0.0, and the dense computation on the same entries agrees
     dense, real = [], frames._deviations
     monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real(a, k))
     _, _, got = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert gram_calls == [] and row_checks == [] and dense == []
-    monkeypatch.setattr(frames, "_exact_form", lambda frame: None)
+    assert gram_calls == [] and dense == []
+    monkeypatch.setattr(frames, "_unit_exponents", lambda frame: None)
     _, _, want = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
     assert len(dense) == 1
     assert (got.max_entry_dev, got.max_gram_dev) == (want.max_entry_dev, want.max_gram_dev) == (0.0, 0.0)
@@ -237,14 +237,14 @@ def test_rip_delta_forms_the_dense_gram_once(gram_calls):
     assert report.gershgorin == coherence(frame)
 
 
-def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, row_checks, phase_checks):
+def test_no_float_harmonic_ladder_frame_forms_an_n_by_n_gram(gram_calls, phase_checks):
     cases = FLOAT_LADDER + [TOP]
     for q, j, factors in cases:
         dset = mcfarland_set(q, j, AbelianGroup(factors))
         assert certify_etf(harmonic_etf(dset.group, dset)).passed
         _, _, match = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
         assert match.entrywise_match and match.gram_match
-    assert gram_calls == [] and row_checks == []
+    assert gram_calls == []
     # per case, the certificate's exponent check; the match compares exponents
     assert phase_checks == [True] * len(cases)
 
@@ -302,15 +302,21 @@ def test_phase_form_mutations_go_dense_with_the_dense_verdict(case, gram_calls, 
 
 
 @pytest.mark.parametrize("case", [(3, 1, (5,)), (7, 1, (3, 3))], ids=_label)
-def test_a_conjugated_row_is_still_a_character_and_keeps_the_one_row_path(case, gram_calls):
-    # conj(chi_r) = chi_{-r}: the rows still check, so the Gram is still a
-    # circulant, but the set of row characters is no longer a difference set
+def test_a_conjugated_row_is_still_a_character_and_keeps_the_one_row_path(case, gram_calls, phase_checks):
+    # conj(chi_r) = chi_{-r}, the row's phases negated mod L: with -r no
+    # other row's label, the rows are still distinct characters, so the Gram
+    # is still a circulant, but the labels are no longer a difference set
     _, frame = _harmonic_sets(*case)[0]
-    entries = np.array(frame.entries)
-    entries[1] = entries[1].conj()
-    mutant = Frame(entries=entries, provenance=frame.provenance)
+    group, labels = frames._character_rows(frame)
+    negated = group.index_array(-group.digit_array(labels))
+    row = next(i for i, r in enumerate(negated) if r not in labels)
+    phases = frame.phases.copy()
+    phases[row] = (frame.order - phases[row].astype(np.int64)) % frame.order
+    mutant = Frame(scale_sq=frame.scale_sq, provenance=frame.provenance, _phases=(phases, frame.order))
+    assert np.abs(mutant.entries[row] - frame.entries[row].conj()).max() <= 1e-15
+    del phase_checks[:]
     got = certify_etf(mutant).as_dict()
-    assert gram_calls == []
+    assert gram_calls == [] and phase_checks == [True]
     want = _dense(mutant)
     assert not got["passed"] and got["criteria"] == want["criteria"]
     for key in FLOAT_FIELDS:
@@ -318,18 +324,47 @@ def test_a_conjugated_row_is_still_a_character_and_keeps_the_one_row_path(case, 
 
 
 @pytest.mark.parametrize("hint", [[5, 3, 3], [1, 45], [45, 1], [1, 5, 1, 3, 3]], ids=str)
-def test_a_forged_harmonic_provenance_on_a_random_frame_changes_nothing(hint, gram_calls, row_checks):
+def test_a_forged_harmonic_provenance_on_a_random_frame_changes_nothing(hint, gram_calls, phase_checks):
     rng = np.random.default_rng(13)
     entries = rng.standard_normal((12, 45)) + 1j * rng.standard_normal((12, 45))
     entries /= np.linalg.norm(entries, axis=0)
     forged = Frame(entries=entries, provenance={"construction": "harmonic", "group": hint,
                                                "d": 12, "lambda": 3})
     got = json.dumps(certify_etf(forged).as_dict())
-    assert gram_calls == [45] and row_checks == [False]
+    # a float frame has no exponents to check: no label is read
+    assert gram_calls == [45] and phase_checks == []
     assert got == json.dumps(_dense(forged))
 
 
-def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
+@pytest.mark.parametrize("case", FLOAT_LADDER + [TOP], ids=_label)
+def test_a_hinted_float_frame_is_certified_on_the_dense_gram(case, gram_calls, phase_checks):
+    """A float copy of a character frame keeps its group hint, but has no
+    exponents: its certificate is, byte for byte, that of the same entries
+    with no provenance, with the verdict of the character frame."""
+    for name, frame in _harmonic_sets(*case)[:1 if case == TOP else 2]:
+        verdict = certify_etf(frame).passed
+        hinted = Frame(entries=np.array(frame.entries), provenance=frame.provenance)
+        del gram_calls[:], phase_checks[:]
+        got = certify_etf(hinted).as_dict()
+        assert gram_calls == [frame.n] and phase_checks == [], name
+        assert json.dumps(got) == json.dumps(_dense(frame)), name
+        assert got["passed"] == verdict is True, name
+
+
+def test_a_phase_frame_at_another_scale_is_no_character_frame(gram_calls, phase_checks):
+    """McF(3,1)'s phases over sqrt(2M): F F^H = (N/2M) I, so the true
+    tightness residual is N/2M = 1.875.  Its exponents are characters, but
+    the frame is not zeta_L^phases / sqrt(M): it takes the dense Gram."""
+    _, frame = _harmonic_sets(3, 1, (5,))[0]
+    halved = Frame(scale_sq=2 * frame.m, provenance=frame.provenance, _phases=(frame.phases, frame.order))
+    cert = certify_etf(halved)
+    assert gram_calls == [frame.n] and phase_checks == []
+    assert abs(cert.tightness_residual - frame.n / (2 * frame.m)) <= 1e-12
+    assert not cert.tight and not cert.passed
+    assert json.dumps(cert.as_dict()) == json.dumps(_dense(halved))
+
+
+def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch):
     real_kirkman, real_deviations, dense = frames.kirkman_etf, frames._deviations, []
 
     def kirkman_etf(*args):
@@ -341,24 +376,21 @@ def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch, row_checks):
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
     monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real_deviations(a, k))
     _, _, report = mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
-    # a float frame has no exact form to compare: the deviations are dense
-    assert len(dense) == 1 and row_checks == []
+    # a float frame has no exponents to compare: the deviations are dense
+    assert len(dense) == 1
     assert report.max_gram_dev > 1e-8 and not report.gram_match
 
 
-def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, row_checks, phase_checks):
-    # Z_1 x G enumerates G in the same order, so the hint still verifies, on
-    # the entries of a float frame and on the exponents of a phase frame
+def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, phase_checks):
+    # Z_1 x G enumerates G in the same order, so the hint still verifies on
+    # the exponents
     _, frame = _harmonic_sets(4, 1, (2, 3))[0]
-    float_frame = Frame(entries=frame.entries, provenance=frame.provenance)
-    want = {"float": certify_etf(float_frame).as_dict(), "phase": certify_etf(frame).as_dict()}
+    want = certify_etf(frame).as_dict()
     for hint in ([1] + frame.provenance["group"], frame.provenance["group"] + [1]):
         prov = {**frame.provenance, "group": hint}
-        got = certify_etf(Frame(entries=frame.entries, provenance=prov))
-        assert got.as_dict() == want["float"], hint
         got = certify_etf(Frame(scale_sq=frame.scale_sq, provenance=prov, _phases=(frame.phases, frame.order)))
-        assert got.as_dict() == want["phase"], hint
-    assert gram_calls == [] and row_checks == [True] * 3 and phase_checks == [True] * 3
+        assert got.as_dict() == want, hint
+    assert gram_calls == [] and phase_checks == [True] * 3
 
 
 # -- the dense float certificate, against the formula it replaced -------------

@@ -14,7 +14,7 @@ import pytest
 from etfkit import frames
 from etfkit.errors import NotTight
 from etfkit.flatmat import AbelianGroup, _character_phases
-from etfkit.frames import Frame, _assemble, _exact_form, harmonic_etf, mcfarland_set, naimark_complement
+from etfkit.frames import Frame, _assemble, _unit_exponents, harmonic_etf, mcfarland_set, naimark_complement
 from etfkit.metrics import certify_etf, welch_bound_exact
 
 from test_gram_row import TOP, _label
@@ -57,8 +57,9 @@ def test_the_complement_is_the_harmonic_frame_of_the_complementary_set(case, den
     comp = naimark_complement(frame)
     assert dense_calls == []
     want = harmonic_etf(dset.group, dset.complement())
-    got_form, want_form = _exact_form(comp), _exact_form(want)
-    assert got_form[1:] == want_form[1:] and np.array_equal(got_form[0], want_form[0])
+    got_form, want_form = _unit_exponents(comp), _unit_exponents(want)
+    assert got_form[1] == want_form[1] and np.array_equal(got_form[0], want_form[0])
+    assert comp.exact_ints is None or np.array_equal(comp.exact_ints, want.exact_ints)
     assert comp.provenance == {"construction": "naimark", "parent_m": frame.m, "parent_n": frame.n,
                                "group": list(dset.group.factors)}
 
@@ -131,7 +132,7 @@ def test_distinct_characters_that_are_no_difference_set_get_the_character_comple
     comp = naimark_complement(frame)
     assert dense_calls == []
     rest = [u for u in range(group.order) if u not in labels]
-    got = frames._unit_exponents(comp)
+    got = _unit_exponents(comp)
     assert got[1] == order and np.array_equal(got[0], _character_phases(group, rest)[0])
     n = group.order
     stacked = np.vstack([np.sqrt(len(labels) / n) * frame.entries, np.sqrt(len(rest) / n) * comp.entries])

@@ -85,17 +85,18 @@ def _reads_the_group_hint(node: ast.AST) -> bool:
 def test_metrics_reads_provenance_only_where_it_is_checked():
     """A provenance field is a claim from the input, not a fact: in metrics
     only _design_r reads it, and in the whole package only frames._group_hint
-    reads the group hint, so every use of one goes through those two.  The
-    group _group_hint returns is verified on the exponents or the entries
-    (flatmat._character_labels, _has_character_rows) before anything rests
-    on it, by metrics._gram_profile and frames.naimark_complement."""
-    path = next(p for p in SOURCES if p.name == "metrics.py")
-    sites = _sites(ast.parse(path.read_text(), filename=str(path)), _names_provenance)
+    reads the group hint, so every use of one goes through those two.  Only
+    frames._character_rows calls _group_hint, and it verifies the group on
+    the exponents (flatmat._character_labels, which nothing else calls)
+    before anything rests on it: it is the one test of a character frame."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    sites = _sites(trees["metrics.py"], _names_provenance)
     assert {scope for scope, _ in sites} == {"_design_r"}, sites
-    reads = {path.name: [scope for scope, _ in _sites(ast.parse(path.read_text(), filename=str(path)),
-                                                      _reads_the_group_hint)]
-             for path in SOURCES}
+    reads = {name: [scope for scope, _ in _sites(tree, _reads_the_group_hint)] for name, tree in trees.items()}
     assert {name: scopes for name, scopes in reads.items() if scopes} == {"frames.py": ["_group_hint"]}, reads
+    for callee in ("_group_hint", "_character_labels"):
+        calls = {name: [scope for scope, _ in _sites(tree, _calls(callee))] for name, tree in trees.items()}
+        assert {name: scopes for name, scopes in calls.items() if scopes} == {"frames.py": ["_character_rows"]}, calls
     probe = 'f.provenance.get("group")\nprovenance["group"]\nf.provenance["group"] = 1\nf.provenance.get("r")'
     assert _sites(ast.parse(probe), _reads_the_group_hint) == [("", 1), ("", 2)]
 
