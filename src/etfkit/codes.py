@@ -7,10 +7,14 @@ equality for the code is Welch-bound equality for the frame.
 
 A BinaryCode is one read-only W x m uint8 bit array; validation, text I/O and
 the frame conversions are array operations on it.  All arithmetic in this
-module is exact (bits and integers, no tolerances): distances come from a +-1
-sign Gram computed by frames.exact_matmul, only the N x N Gram of the first
-half for a self-complementary code, and linearity from GF(2) elimination on
-words packed into Python integers.
+module is exact (bits and integers, no tolerances).  A self-complementary
+code's distance and its ETF side are both read off one exact profile of its
+first half's signs, metrics._integer_profile: structural, with no Gram, for
+the code of a Steiner-form sign frame (a kirkman_etf frame, or a +-1
+harmonic frame of (Z_2)^k), else from the N x N sign Gram of the first half
+computed by frames.exact_matmul.  Any other code's distance comes from its
+W x W sign Gram.  Linearity comes from GF(2) elimination on words packed
+into Python integers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     TooFewWords,
 )
 from .frames import Frame, exact_matmul
-from .metrics import DEFAULT_TOL, _exact_certificate
+from .metrics import DEFAULT_TOL, _exact_certificate, _integer_profile
 
 _NOT_BITS = "every codeword must be a 0/1 vector of the stated length"
 
@@ -189,29 +193,28 @@ def code_to_frame(code: BinaryCode) -> Frame:
     return frame
 
 
-def _half_sign_gram(code: BinaryCode) -> tuple[np.ndarray, np.ndarray]:
-    """(S, G): the N x m signs S = (-1)^bit of the first N = W/2 words and
-    their N x N Gram G = S S^T, exact (see distance)."""
+def _half_profile(code: BinaryCode) -> tuple[np.ndarray, tuple]:
+    """(S^T, profile): the m x N signs S^T = (-1)^bit of the first N = W/2
+    words, the integer form code_to_frame gives the code, and
+    metrics._integer_profile of S^T / sqrt(m), whose offdiag max is
+    max_{a != b} |G_ab| / m for the half sign Gram G = S S^T (see distance)."""
     signs = 1 - 2 * code.bits[:code.count // 2].astype(np.int8)
-    return signs, exact_matmul(signs, signs.T)
+    return signs.T, _integer_profile(signs.T, code.m)
 
 
-def _distance(code: BinaryCode, half_gram: np.ndarray | None) -> int:
-    """distance(code), reading the first half's sign Gram of a
-    self-complementary code (half_gram) or, for any other code (None), the
-    full W x W sign Gram."""
+def _distance(code: BinaryCode) -> tuple[int, tuple | None]:
+    """(distance(code), half): half is the _half_profile the distance read
+    for a self-complementary code, None for any other code, whose distance
+    reads the full W x W sign Gram."""
     if code.count < 2:
         raise TooFewWords("distance needs at least two codewords")
-    if half_gram is not None:
-        if len(half_gram) == 1:
-            return code.m
-        gram = np.abs(half_gram)
-        np.fill_diagonal(gram, 0)  # |G_aa| = m is no pair; 0 never exceeds the max
-    else:
-        signs = 1 - 2 * code.bits.astype(np.int8)
-        gram = exact_matmul(signs, signs.T)
-        np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
-    return (code.m - int(gram.max())) // 2
+    if code.self_complementary:
+        half = _half_profile(code)
+        return (code.m if code.count == 2 else (code.m - int(half[1][0] * code.m)) // 2), half
+    signs = 1 - 2 * code.bits.astype(np.int8)
+    gram = exact_matmul(signs, signs.T)
+    np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
+    return (code.m - int(gram.max())) // 2, None
 
 
 def distance(code: BinaryCode) -> int:
@@ -231,10 +234,14 @@ def distance(code: BinaryCode) -> int:
     the minimum is (m - max_{a != b} |G_ab|) / 2 for N >= 2 and m for N = 1,
     from a quarter of the multiply-adds of the full Gram.
 
-    exact_matmul computes the Gram in float64, exact because every partial
-    sum is at most m < 2**53, in W^2 (or N^2) memory.
+    That maximum is m times the offdiag max of metrics._integer_profile of
+    the frame S^T / sqrt(m) of the first half's signs (_half_profile).  When
+    that frame's Steiner form checks, every |G_ab| is m/R and no Gram is
+    formed; otherwise exact_matmul computes the Gram in float64, exact
+    because every partial sum is at most m < 2**53, in N^2 memory.  Any
+    other code reads its W x W sign Gram, in W^2 memory.
     """
-    return _distance(code, _half_sign_gram(code)[1] if code.self_complementary else None)
+    return _distance(code)[0]
 
 
 @dataclass(frozen=True)
@@ -310,19 +317,23 @@ class GrbeCertificate:
 
 def certify_grbe(code: BinaryCode) -> GrbeCertificate:
     """Certify Grey-Rankin equality and cross-check it against the exact ETF
-    certificate of the corresponding sign frame, both read from one half
-    sign Gram."""
+    certificate of the corresponding sign frame, both read from one exact
+    profile of the first half (_half_profile), so one path decides both.
+    For the code of a Steiner-form sign frame (a kirkman_etf frame) the
+    profile is structural: no Gram and no frame operator is formed, and its
+    Fractions are the dense ones.  Any other code forms the N x N half sign
+    Gram once, and the M x M frame operator for the ETF side."""
     if not code.self_complementary:
         raise NotSelfComplementary("Grey-Rankin certification applies to self-complementary codes")
-    signs, gram = _half_sign_gram(code)
-    delta = _distance(code, gram)
+    delta, (ints, profile) = _distance(code)
     bound = grey_rankin_bound(code.m, delta)
     equality = bound.applicable and bound.value == code.count
     if code.count // 2 >= max(code.m, 2):
         # exact path: the first half's signs S are code_to_frame's integer
-        # form S^T over sqrt(m), and the Gram the distance read is its Gram,
-        # so the certificate tolerance plays no role in the verdict comparison
-        etf_passed = _exact_certificate(signs.T, code.m, gram, DEFAULT_TOL).passed
+        # form S^T over sqrt(m), and the profile the distance read is its
+        # Gram's, so the certificate tolerance plays no role in the verdict
+        # comparison
+        etf_passed = _exact_certificate(ints, code.m, profile, DEFAULT_TOL).passed
     else:
         # a lone vector and its complement span no ETF, and fewer than m
         # vectors cannot span R^m at all, let alone tightly

@@ -241,11 +241,21 @@ def frame_to_json(frame: Frame) -> str:
                       sort_keys=True)
 
 
+def _has_bool(values) -> bool:
+    """Whether a JSON bool sits among the nested lists of numbers values,
+    which numpy and complex() would read as 1 or 0."""
+    return any(type(v) is bool or (type(v) is list and _has_bool(v)) for v in values)
+
+
 def parse_frame(text: str) -> Frame:
+    """The frame of a frame_to_json document.  Integer fields must be JSON
+    integers, and no sign or entry may be a JSON true or false; that
+    per-entry check runs only when the text holds one of those tokens."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise FrameFormatError(f"invalid JSON: {e}") from e
+    booleans = "true" in text or "false" in text
     try:
         m, n = doc["m"], doc["n"]
         if type(m) is not int or type(n) is not int:  # not a float, bool or string, which int() would read
@@ -259,7 +269,7 @@ def parse_frame(text: str) -> Frame:
             if type(scale_sq) is not int:
                 raise FrameFormatError("scale_sq_inv must be a JSON integer")
             if (ints.shape != (m, n) or not (ints.dtype.kind in "iu" or ints.size == 0)
-                    or not np.all(np.abs(ints) == 1)):
+                    or not np.all(np.abs(ints) == 1) or (booleans and _has_bool(doc["signs"]))):
                 raise FrameFormatError("sign form must be an m x n matrix of +-1")
             frame = Frame(exact_ints=ints.astype(np.int64, copy=False), scale_sq=scale_sq, provenance=provenance)
         else:
@@ -267,6 +277,8 @@ def parse_frame(text: str) -> Frame:
             arr = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=np.complex128)
             if arr.shape != (m, n):
                 raise FrameFormatError(f"entries shape {arr.shape} does not match ({m}, {n})")
+            if booleans and _has_bool(raw):
+                raise FrameFormatError("entries must be JSON numbers, not true or false")
             scale = doc.get("scale")
             if scale is not None:
                 if type(scale) not in (int, float):

@@ -4,15 +4,25 @@ constants.
 
 Subset searches are exhaustive by design; the constructions in this package
 are desk-scale and exactness is the point.  Frames carrying an exact integer
-form are certified exactly: their integer Grams and frame operators come from
-frames.exact_matmul (float64 BLAS while every partial sum stays below 2**53),
-further integer reductions run in int64 while their bound stays below 2**63
-and in Python integers beyond it, and the results are Fractions with no
-tolerance involved.  Everything else is certified in floating point against
-the stated tolerances; a character frame (frames._character_rows), whose
-exponents check exactly as distinct characters of an abelian group
-labelling its columns, is certified from one Gram row with no frame
-operator.
+form are certified exactly, and the results are Fractions with no tolerance
+involved.  A Steiner or Kirkman sign frame is certified from its structure,
+with no N x N Gram: _steiner_form reads a {0, +-1} form with d = R nonzero
+entries per column as a Steiner form Phi, and a +-1 form with d = M as a
+Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner checks
+Phi's design and simplex blocks (Fickus, Mixon and Tremain), in O(MN)
+integer work plus small Grams.  That proves every off-diagonal Gram modulus
+1/R and the frame operator (N/M) I, so the Fractions are exactly the ones
+the dense path computes, and the reports are the same bytes.  This covers
+steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
+frames of (Z_2)^k, read as built, with no provenance.  Every other integer
+frame, and any frame that fails a check, gets its integer Gram and frame
+operator from frames.exact_matmul (float64 BLAS while every partial sum
+stays below 2**53); further integer reductions run in int64 while their
+bound stays below 2**63 and in Python integers beyond it.  Everything else
+is certified in floating point against the stated tolerances; a character
+frame (frames._character_rows), whose exponents check exactly as distinct
+characters of an abelian group labelling its columns, is certified from
+one Gram row with no frame operator.
 """
 
 from __future__ import annotations
@@ -178,6 +188,173 @@ def _exact_profile(g_int: np.ndarray, d: int) -> tuple[Fraction, Fraction, Fract
     return Fraction(int(hi), d), Fraction(int(lo), d), Fraction(int(np.sum(g * g)), d * d)
 
 
+# -- structural certificates of Steiner and Kirkman frames ----------------------
+
+_KEY_BITS = 53  # a Kirkman class's pattern bits, summed in float64: exact below 2**53
+
+
+def _steiner_form(ints: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The Steiner form (rows, signs, R) of the integer frame ints / sqrt(d),
+    read from the integers alone, or None: the one entry to the structural
+    path.  rows and signs are N x R, and Phi, the M x N matrix with
+    signs[i] in the rows rows[i] (ascending) of column i and zeros
+    elsewhere, has Phi^T Phi / R = ints^T ints / d.  The form is not yet
+    checked as an ETF: _is_steiner does that.
+
+    A +-1 form with d = M is tried as a Kirkman frame (_kirkman_columns) at
+    each class size S = 2, 3, ... in turn that divides M into R = M/S >= 2
+    classes, with R + 1 dividing N (and S <= 53 with R 2^S below 2^63, so
+    its pattern keys are exact); the first that reads gives the form.
+    Failing that, a {0, +-1} form with exactly d nonzero entries in every
+    column is its own Phi, with R = d.  A frame that is neither, or an
+    integer form in any other dtype, has no Steiner form."""
+    if (ints.dtype.kind not in "iu" or ints.ndim != 2 or not ints.size
+            or not isinstance(d, (int, np.integer)) or d < 1):
+        return None
+    m, n = ints.shape
+    d = int(d)
+    if ints.min() < -1 or ints.max() > 1:
+        return None
+    if d == m and ints.all():
+        for s in range(2, min(m // 2, _KEY_BITS) + 1):
+            if m % s == 0 and n % (m // s + 1) == 0 and (m // s).bit_length() + s <= 63:
+                form = _kirkman_columns(ints, s)
+                if form is not None:
+                    return (*form, m // s)
+    if d > m or n % (d + 1):
+        return None
+    flat = np.flatnonzero(np.ascontiguousarray((ints != 0).T))  # i m + row, column-major: rows ascend
+    rows = flat.reshape(n, -1) - (np.arange(n) * m)[:, None] if len(flat) == n * d else None
+    if rows is None or rows.min() < 0 or rows.max() >= m:  # with N d nonzeros in all, d in each column
+        return None
+    return rows, ints[rows, np.arange(n)[:, None]], d
+
+
+def _kirkman_columns(ints: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, signs) of Phi when the +-1 form ints reads as a Kirkman frame
+    with classes of s consecutive rows, else None.
+
+    In class r, column i is c_ri h with c_ri its first entry and h a +-1
+    pattern with first entry 1.  Each class must show exactly s distinct
+    patterns, and their s x s Gram must be s I: they are then the columns
+    h_0, ..., h_(s-1) of an H_r with H_r^T H_r = H_r H_r^T = s I.  With h_sigma
+    the pattern of column i in class r, Phi has c_ri in row r s + sigma and
+    zeros in the class's other rows, so ints = blockdiag(H_r) Phi exactly:
+    ints^T ints = s Phi^T Phi, the Gram of ints / sqrt(M) is the Gram of
+    Phi / sqrt(R), R = M/s, and the frame operators agree up to the
+    orthogonal blockdiag(H_r) / sqrt(s).
+
+    A pattern's key is its bits (entry unequal to the first), summed in
+    float64 (exact: s <= 53), plus r 2^s, in int64.  One sort of the R x N
+    keys lists each class's distinct patterns in turn, so a key's place
+    among them is its row r s + sigma in Phi, and the patterns are read back
+    off their keys."""
+    m, n = ints.shape
+    big_r = m // s
+    x = ints.reshape(big_r, s, n)
+    flips = x < 0
+    weights = np.exp2(np.arange(s))
+    keys = weights @ flips  # R x N: the bits of each class's column, exact in float64
+    # a column with a negative first entry has the complementary pattern bits
+    keys = np.where(flips[:, 0, :], 2 ** s - 1 - keys, keys).astype(np.int64) + (np.arange(big_r) << s)[:, None]
+    ranked = np.sort(keys, axis=None)
+    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    if len(distinct) != m or ((distinct >> s) != np.arange(m) // s).any():
+        return None
+    patterns = 1 - 2 * ((distinct[:, None] >> np.arange(s)) & 1).reshape(big_r, s, s)  # one per row of Phi
+    if not (patterns @ patterns.transpose(0, 2, 1) == s * np.eye(s, dtype=np.int64)).all():
+        return None
+    return np.searchsorted(distinct, keys).T.copy(), x[:, 0, :].T.copy()
+
+
+def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
+    """Whether the M x N matrix Phi of +-1 signs on the rows rows (both
+    N x R, each row of rows ascending) is a Steiner ETF form: Phi / sqrt(R)
+    then has coherence 1/R and frame operator (N/M) I exactly.
+
+    The checks: the columns fall into V = N/(R+1) points of R+1 columns
+    sharing one support; two distinct supports meet in exactly one row
+    (the point incidence P, M x V, has P^T P = 1 off its diagonal); every
+    row lies in the same number k of supports; and each point's R x (R+1)
+    sign block has a column Gram with off-diagonal entries +-1 and a row
+    Gram (R+1) I.
+
+    Why they suffice (Fickus, Mixon and Tremain, Steiner equiangular tight
+    frames, 2012).  Gram: two columns of one point meet in the off-diagonal
+    of its column Gram, +-1; two columns of distinct points meet only in the
+    one row their supports share, where each is +-1.  So every off-diagonal
+    entry of Phi^T Phi / R has modulus 1/R, the diagonal is 1, and the
+    potential is N + N(N-1)/R^2.  Frame operator: two rows meet in at most
+    one support (two supports sharing both would meet twice), within which
+    the point's row Gram is 0 off its diagonal; a row's own entry sums the
+    row Grams of its k points, k (R+1).  So Phi Phi^T = k (R+1) I, and
+    counting nonzeros, M k (R+1) = N R, so Phi Phi^T / R = (N/M) I."""
+    n, big_r = rows.shape
+    size = big_r + 1
+    if n % size:
+        return False
+    # group by the first two support rows, then check that each group shares its whole support
+    key = rows[:, 0] * m + rows[:, 1] if big_r > 1 else rows[:, 0]
+    order = np.argsort(key)
+    ranked = key[order]
+    if not np.array_equal(ranked[1:] != ranked[:-1], np.arange(1, n) % size == 0):
+        return False
+    points = order.reshape(-1, size)
+    supports = rows[points[:, 0]]
+    if not (rows[points] == supports[:, None, :]).all():
+        return False
+    incidence = np.zeros((m, len(points)))
+    incidence[supports, np.arange(len(points))[:, None]] = 1.0
+    meets = incidence.T @ incidence  # exact: every count is at most M
+    np.fill_diagonal(meets, 1.0)
+    per_row = incidence.sum(axis=1)
+    if (meets != 1.0).any() or (per_row != per_row[0]).any():
+        return False
+    blocks = signs[points].astype(np.float64)  # V x (R+1) x R: a point's columns on its support
+    col_gram = np.abs(blocks @ blocks.transpose(0, 2, 1))
+    col_gram[:, np.arange(size), np.arange(size)] = 1.0
+    row_gram = blocks.transpose(0, 2, 1) @ blocks
+    return bool((col_gram == 1.0).all() and (row_gram == size * np.eye(big_r)).all())
+
+
+def _integer_profile(ints: np.ndarray, d: int) -> tuple:
+    """(offdiag max, offdiag min, potential, tightness) of the Gram of the
+    integer frame ints / sqrt(d), as Fractions: from its Steiner form
+    (_steiner_form) when _is_steiner accepts it, else from the dense integer
+    Gram, with tightness None (the caller forms the frame operator if it
+    needs it).
+
+    The structural Fractions are the dense ones: every off-diagonal Gram
+    entry has modulus 1/R and every diagonal entry is 1 (_is_steiner), so
+    the dense path's Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2)
+    reduce to 1/R and N + N(N-1)/R^2, and the frame operator is (N/M) I,
+    residual 0."""
+    form = _steiner_form(ints, d)
+    if form is None or not _is_steiner(form[0], form[1], ints.shape[0]):
+        return (*_exact_profile(exact_matmul(ints.T, ints), d), None)
+    n, big_r = ints.shape[1], form[2]
+    mu = Fraction(1, big_r)
+    return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
+
+
+def _signed_rows(ints: np.ndarray, d: int) -> tuple[int, bytes] | None:
+    """(R, rows) of the Steiner form Phi of ints / sqrt(d) (_steiner_form),
+    or None: rows holds Phi's rows, each times the sign of its first nonzero
+    entry, sorted as byte strings and joined.  Two frames with equal
+    (R, rows) have equal Grams, ETFs or not: their forms are P D Phi and Phi
+    for a row permutation P and a diagonal sign matrix D, and
+    (P D Phi)^T (P D Phi) = Phi^T Phi, over the same R."""
+    form = _steiner_form(ints, d)
+    if form is None:
+        return None
+    rows, signs, big_r = form
+    m, n = ints.shape
+    phi = np.zeros((m, n), dtype=np.int8)
+    phi[rows, np.arange(n)[:, None]] = signs
+    phi *= phi[np.arange(m), np.argmax(phi != 0, axis=1)][:, None]
+    return big_r, np.sort(phi.view(np.dtype((np.void, n))).ravel()).tobytes()
+
+
 def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     """(offdiag max, offdiag min, potential, tightness) of the frame's Gram
     moduli: the one place that decides how a certificate reads the Gram.
@@ -185,11 +362,12 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     search does).  tightness is the frame-operator residual when the path
     settles it with no frame operator, else None.
 
-    A frame with an integer form gets Fractions from its exact integer Gram.
-    A character frame (frames._character_rows: the group its provenance
-    names, checked exactly on its exponents) is read from Gram row 0,
-    F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is the
-    circulant G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with
+    A frame with an integer form gets Fractions (_integer_profile): from its
+    Steiner form when _is_steiner accepts it, else from its exact integer
+    Gram.  A character frame (frames._character_rows: the group its
+    provenance names, checked exactly on its exponents) is read from Gram
+    row 0, F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is
+    the circulant G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with
     extremes those of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  Any
     other frame, every float frame among them, gets the dense Gram.
 
@@ -208,7 +386,7 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     N stays below 10^8; that bound is returned, and no frame operator is
     formed here (certify_etf forms it when the bound exceeds tol)."""
     if frame.exact_ints is not None:
-        return (*_exact_profile(*frame.gram_exact()), None)
+        return _integer_profile(frame.exact_ints, frame.scale_sq)
     if _character_rows(frame) is not None:
         m, n = frame.m, frame.n
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
@@ -232,18 +410,25 @@ def _certificate(m: int, n: int, welch: float, profile: tuple, tight_res, tol: f
     )
 
 
-def _exact_certificate(ints: np.ndarray, d: int, g_int: np.ndarray, tol: float) -> EtfCertificate:
-    """Certificate of the frame ints / sqrt(d), given its integer Gram
-    g_int = ints^T ints, in exact rational arithmetic: codes.certify_grbe's
-    path on the Gram it already holds."""
+def _exact_certificate(ints: np.ndarray, d: int, profile: tuple, tol: float) -> EtfCertificate:
+    """Certificate of the frame ints / sqrt(d), given its _integer_profile,
+    in exact rational arithmetic: the frame operator is formed only when the
+    profile leaves tightness open.  codes.certify_grbe's path on the profile
+    its distance read."""
     m, n = ints.shape
-    return _certificate(m, n, welch_bound(m, n), _exact_profile(g_int, d), _tightness_residual(ints, d), tol)
+    *profile, tight_res = profile
+    if tight_res is None:
+        tight_res = _tightness_residual(ints, d)
+    return _certificate(m, n, welch_bound(m, n), profile, tight_res, tol)
 
 
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate: the Gram profile (_gram_profile decides exact
     Fractions, one Gram row or the dense Gram) and the tightness residual:
-    of the exact M x M frame operator alongside an exact profile; for a
+    0 for a frame whose Steiner form checks (_is_steiner: its frame operator
+    is (N/M) I exactly, and its coherence 1/R, the dense path's Fractions,
+    with no N x N Gram and no M x M frame operator formed); of the exact
+    M x M frame operator alongside any other exact profile; for a
     character frame (frames._character_rows) with no integer form, the
     rounding bound (N + 64) u N / M that _gram_profile derives,
     with no frame operator formed, unless the bound exceeds tol; else of the
@@ -254,7 +439,8 @@ def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     *profile, tight_res = _gram_profile(frame)
     exact = isinstance(profile[0], Fraction)
     if exact:
-        tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq)
+        if tight_res is None:
+            tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq)
     elif tight_res is None or tight_res > tol:
         tight_res = _tightness_deviation(frame.entries)
     return _certificate(frame.m, frame.n, welch, profile, tight_res, tol)
@@ -288,10 +474,21 @@ class MatchReport:
 
 def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
     """Compare the two N x N Gram matrices entrywise; exact when both frames
-    carry integer forms (cross-multiplied integer comparison, no tolerance)."""
+    carry integer forms (cross-multiplied integer comparison, no tolerance).
+
+    Two integer frames whose Steiner forms (_steiner_form: a Kirkman frame's
+    Phi, or a sparse frame itself) have the same R and the same rows up to
+    order and sign (_signed_rows) have equal Grams, so the report is
+    max_dev 0.0 with no witness, as the dense comparison finds, and no Gram
+    is formed: this is how a kirkman_etf frame matches its steiner_etf frame.
+    Otherwise the Grams are compared densely, and a witness is the first
+    largest deviation."""
     if a.n != b.n:
         raise ShapeMismatch(f"column counts differ: {a.n} != {b.n}")
     if a.exact_ints is not None and b.exact_ints is not None:
+        rows_a = _signed_rows(a.exact_ints, a.scale_sq)
+        if rows_a is not None and rows_a == _signed_rows(b.exact_ints, b.scale_sq):
+            return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=True, tol=tol)
         ga, da = a.gram_exact()
         gb, db = b.gram_exact()
         # max(., 1): the scale factors themselves must fit as well

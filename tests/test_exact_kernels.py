@@ -250,9 +250,8 @@ def test_the_exact_pipeline_never_builds_complex_entries(monkeypatch):
     assert flat.entries is flat.entries and len(calls) == 1  # derived on first read, once
 
 
-def test_certify_grbe_forms_the_half_sign_gram_once(monkeypatch):
-    """The distance and the exact ETF side read one N x N Gram; the only
-    other product is the M x M frame operator."""
+def _counting_products(monkeypatch) -> list:
+    """The (rows, columns) of every exact_matmul product the package forms."""
     from etfkit import codes, frames, metrics
 
     shapes = []
@@ -263,6 +262,34 @@ def test_certify_grbe_forms_the_half_sign_gram_once(monkeypatch):
 
     for module in (codes, frames, metrics):
         monkeypatch.setattr(module, "exact_matmul", counting)
-    code = frame_to_code(kirkman_etf(affine_design(2, 2), drop_row_simplex(hadamard(8), 0), hadamard(4)))
-    assert certify_grbe(code).as_dict()["passed"]
+    return shapes
+
+
+def test_certify_grbe_forms_the_half_sign_gram_once(monkeypatch):
+    """A code that takes the dense path reads one N x N half sign Gram for
+    its distance and its exact ETF side; the only other product is the M x M
+    frame operator.  Here the aff22 Kirkman frame with two rows swapped
+    across classes: a row permutation keeps the Gram, so it is still an ETF,
+    but no longer a Kirkman frame, and it reports today's bytes."""
+    from etfkit.frames import Frame
+
+    flat = kirkman_etf(affine_design(2, 2), drop_row_simplex(hadamard(8), 0), hadamard(4))
+    ints = np.array(flat.exact_ints)
+    ints[[0, 4]] = ints[[4, 0]]  # row 0 of class 0 and row 0 of class 1
+    code = frame_to_code(Frame(exact_ints=ints, scale_sq=flat.scale_sq))
+    shapes = _counting_products(monkeypatch)
+    assert certify_grbe(code).as_dict() == {
+        "report": "grbe-certificate", "passed": True, "m": 28, "words": 128, "delta": 12,
+        "bound_applicable": True, "bound_value": 128, "bound_equality": True, "etf_passed": True,
+        "verdicts_agree": True,
+    }
     assert sorted(shapes) == [(28, 28), (64, 64)]
+
+
+def test_certify_grbe_of_a_kirkman_code_forms_no_product(monkeypatch):
+    """The code of a Kirkman frame is certified from the frame's structure:
+    its distance and ETF side read one structural profile, with no Gram."""
+    code = frame_to_code(kirkman_etf(affine_design(2, 2), drop_row_simplex(hadamard(8), 0), hadamard(4)))
+    shapes = _counting_products(monkeypatch)
+    assert certify_grbe(code).as_dict()["passed"] and distance(code) == 12
+    assert shapes == []

@@ -2,7 +2,8 @@
 
 The frame and design parsers read integer fields only from JSON integers,
 and a frame's scale only from a JSON number, so a float where an integer
-belongs, a bool or a string is refused rather than truncated or read;
+belongs, a bool or a string is refused rather than truncated or read; a
+bool is refused among a frame's signs and entries too;
 JSON nested past the decoder's depth is a format error, not a traceback.
 Any one field of a valid document replaced by any JSON value either parses
 or raises an EtfkitError.  API calls outside a function's domain raise an
@@ -55,6 +56,25 @@ def test_an_entries_scale_must_be_a_json_number(scale):
     parse_frame(_substituted(ENTRIES_DOC, ("scale",), 1.0))
     with pytest.raises(FrameFormatError):
         parse_frame(_substituted(ENTRIES_DOC, ("scale",), scale))
+
+
+@pytest.mark.parametrize("path,value", [
+    (("signs", 0, 0), True), (("signs", 5, 15), True), (("signs", 2, 3), False), (("signs", 0), [True] * 16),
+    (("entries", 0, 0), [True, 0]), (("entries", 3, 7), [0.5, False]), (("entries", 1, 2), [False, False]),
+], ids=str)
+def test_a_sign_or_entry_must_not_be_a_json_bool(path, value):
+    """numpy reads true among integer signs as 1, and complex() reads it as
+    1.0: the parser refuses a bool wherever a sign or an entry belongs."""
+    doc = SIGN_DOC if path[0] == "signs" else ENTRIES_DOC
+    parse_frame(json.dumps(doc))
+    with pytest.raises(FrameFormatError):
+        parse_frame(_substituted(doc, path, value))
+
+
+def test_a_bool_in_the_provenance_is_no_entry():
+    for doc in (SIGN_DOC, ENTRIES_DOC):
+        text = _substituted(doc, ("provenance",), {"checked": True, "complement": False})
+        assert parse_frame(text).provenance == {"checked": True, "complement": False}
 
 
 @pytest.mark.parametrize("path,value", [
