@@ -173,8 +173,9 @@ class AffineStructure:
     delta: int
 
 
-def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
-    """Affine design in natural (r, s) block order plus its field data."""
+def _affine_field(q: int, j: int) -> AffineStructure:
+    """The field data of the affine design over GF(q^(j+1)), with no design
+    built: its field, trace-zero hyperplane and trace-one element."""
     pp = gf.prime_power(q)
     if pp is None:
         raise FieldConstructionError(f"q = {q} is not a prime power")
@@ -183,7 +184,15 @@ def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
         raise BadDimensions(f"need j >= 1, got {j}")
     fld = gf.make_field(p, d * (j + 1))
     hyper = gf.hyperplane_kernel(fld, q)
-    delta = gf.trace_one_element(fld, q)
+    hyper.flags.writeable = False
+    return AffineStructure(q=q, j=j, field=fld, hyperplane=hyper, delta=gf.trace_one_element(fld, q))
+
+
+def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
+    """Affine design in natural (r, s) block order plus its field data."""
+    structure = _affine_field(q, j)
+    fld, hyper, delta = structure.field, structure.hyperplane, structure.delta
+    d = fld.k // (j + 1)  # q = p^d
     big_r = (q ** (j + 1) - 1) // (q - 1)
 
     # class r, offset s: the line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}
@@ -196,10 +205,7 @@ def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
     s_count = len(hyper)
     resolution = tuple(tuple(range(r * s_count, (r + 1) * s_count)) for r in range(big_r))
 
-    design = SteinerSystem(v=fld.order, k=q, blocks=blocks, resolution=resolution)
-    hyper.flags.writeable = False
-    structure = AffineStructure(q=q, j=j, field=fld, hyperplane=hyper, delta=delta)
-    return structure, design
+    return structure, SteinerSystem(v=fld.order, k=q, blocks=blocks, resolution=resolution)
 
 
 def round_robin_design(v: int) -> SteinerSystem:

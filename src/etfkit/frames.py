@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .designs import AffineStructure, SteinerSystem, affine_structure
+from .designs import AffineStructure, SteinerSystem, _affine_field, affine_structure
 from .errors import (
     BadDimensions,
     BasisShapeMismatch,
@@ -43,6 +43,7 @@ from .flatmat import (
     _character_labels,
     _character_phases,
     _phase_dtype,
+    _root_table,
     _root_values,
     _unit_roots,
     hadamard_order_reachable,
@@ -52,7 +53,7 @@ from .flatmat import (
 UNIT_NORM_TOL = 1e-9
 _FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
 _INT64_EXACT = 2 ** 63
-_DIFFERENCE_BATCH = 2 ** 18  # pairs per bincount: bounds memory to a few MB per group digit
+_DIFFERENCE_BATCH = 2 ** 18  # pairs per bincount: its int32 differences and their borrow masks take a few MB
 _GRAM_BLOCK = 2 ** 18  # entries per block of _deviations' Hermitian part: 4 MB complex
 
 
@@ -137,9 +138,18 @@ class Frame:
 
     @property
     def entries(self) -> np.ndarray:
+        """The complex entries, derived on first read by _numeric and kept
+        read-only.  A phase frame divides the table of the order-th roots
+        (flatmat._root_table) by sqrt(scale_sq) and gathers its entries from
+        that table at the phases, in one take: each entry is the same
+        division of the same root as dividing the gathered roots would make,
+        bit for bit.  Every phase is below order, so mode "clip" changes no
+        index, and the take writes into the result with no buffer."""
         if self._entries is None:
-            values = self.exact_ints if self.phases is None else _root_values(self.phases, self.order)
+            values = self.exact_ints if self.phases is None else _root_table(self.order)
             entries = _numeric(values, self.scale_sq)
+            if self.phases is not None:
+                entries = entries.take(self.phases, mode="clip", out=np.empty(self.phases.shape, entries.dtype))
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
@@ -207,8 +217,8 @@ class Frame:
 
 def _numeric(values: np.ndarray, scale_sq: int) -> np.ndarray:
     """The complex entries values / sqrt(scale_sq) of an exact form, values
-    its integers or the roots its phases gather: Frame.entries derives them
-    here."""
+    its integers or the table of roots its phases gather from: Frame.entries
+    derives them here."""
     return np.true_divide(values, np.sqrt(scale_sq), dtype=np.complex128)
 
 
@@ -398,9 +408,12 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     +-1 signs, or the phases of a character build), f = zeta_Ls^a and
     h = zeta_Lb^b, so the entry is exactly zeta_L^(a L/Ls + b L/Lb) with
     L = lcm(Ls, Lb), and _assemble gets those exponents mod L: a sign frame
-    for L <= 2, else a phase frame.  A complex matrix from outside the
-    package has no exponent form, and the entries are the products of the
-    values.
+    for L <= 2, else a phase frame.  The exponents are summed into one
+    R x S x N array of the narrowest unsigned type that holds 2L - 2
+    (flatmat._phase_dtype), and reduced mod L by subtracting L where the sum
+    is at least L, so no wider integer is formed.  A complex matrix from
+    outside the package has no exponent form, and the entries are the
+    products of the values.
     """
     pos, _ = _resolution_lookup(design)
     big_r = pos.shape[0]
@@ -425,10 +438,12 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
         return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
     (f, f_order), (h, h_order) = fx, hx
     order = lcm(f_order, h_order)
-    f, h = f.astype(np.intp) * (order // f_order), h.astype(np.intp) * (order // h_order)
-    phases = (np.tile(f, (1, v_count))[:, None, :] + h[:, h_cols].transpose(1, 0, 2)).reshape(big_r * s_count, n)
+    work = _phase_dtype(2 * order - 1)  # holds every sum of two exponents below order, up to 2 order - 2
+    f, h = f.astype(work) * (order // f_order), h.astype(work) * (order // h_order)
+    phases = np.empty((big_r, s_count, n), dtype=work)
+    np.add(np.tile(f, (1, v_count))[:, None, :], h[:, h_cols].transpose(1, 0, 2), out=phases)
     np.subtract(phases, order, out=phases, where=phases >= order)  # each term is below order: the sum mod order
-    return _assemble(phases, big_b, prov, order)
+    return _assemble(phases.reshape(big_r * s_count, n), big_b, prov, order)
 
 
 # -- difference sets and harmonic ETFs ----------------------------------------
@@ -446,8 +461,17 @@ class DifferenceSet:
     def verified(group: AbelianGroup, elements) -> "DifferenceSet":
         """Count all |D|^2 differences d1 - d2 with np.bincount, in batches
         of whole rows of at most _DIFFERENCE_BATCH pairs, and require the
-        same count on every nonzero element."""
-        elements = tuple(sorted(set(int(e) for e in elements)))
+        same count on every nonzero element.  Each element must be an
+        integer element index (a Python or numpy integer, not a bool) in
+        range, checked before the count, since the differences are taken by
+        index borrows (AbelianGroup.sub_array), which need in-range indices."""
+        if isinstance(elements, np.ndarray) and elements.dtype.kind in "iu":
+            elements = tuple(np.unique(elements).tolist())
+        else:
+            elements = list(elements)
+            if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements):
+                raise IndexOutOfRange("difference set elements must be integer element indices")
+            elements = tuple(sorted(set(map(int, elements))))
         order = group.order
         if elements and not (0 <= elements[0] and elements[-1] < order):
             raise IndexOutOfRange(f"difference set element out of range for a group of order {order}")
@@ -484,10 +508,11 @@ def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     canonical primitive element g and trace-zero hyperplane S.
 
     G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1.  The
-    two most recently requested sets, which are frozen, are kept and handed
-    out again.
+    set reads only the field data (designs._affine_field), so no design is
+    built.  The two most recently requested sets, which are frozen, are kept
+    and handed out again.
     """
-    structure, _ = affine_structure(q, j)
+    structure = _affine_field(q, j)
     fld = structure.field
     big_r = (q ** (j + 1) - 1) // (q - 1)
     if group_g.order != big_r + 1:

@@ -14,15 +14,17 @@ integer work plus small Grams.  That proves every off-diagonal Gram modulus
 1/R and the frame operator (N/M) I, so the Fractions are exactly the ones
 the dense path computes, and the reports are the same bytes.  This covers
 steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
-frames of (Z_2)^k, read as built, with no provenance.  Every other integer
-frame, and any frame that fails a check, gets its integer Gram and frame
-operator from frames.exact_matmul (float64 BLAS while every partial sum
-stays below 2**53); further integer reductions run in int64 while their
-bound stays below 2**63 and in Python integers beyond it.  Everything else
-is certified in floating point against the stated tolerances; a character
-frame (frames._character_rows), whose exponents check exactly as distinct
+frames of (Z_2)^k, read as built, with no provenance.  A character frame
+(frames._character_rows), whose exponents check exactly as distinct
 characters of an abelian group labelling its columns, is certified from
-one Gram row with no frame operator.
+one Gram row with no frame operator; exactly, with no N x N Gram, when it
+is a +-1 frame, such as the Naimark complement of a (Z_2)^k harmonic
+frame.  Every other integer frame, and any frame that fails a check, gets
+its integer Gram and frame operator from frames.exact_matmul (float64 BLAS
+while every partial sum stays below 2**53); further integer reductions run
+in int64 while their bound stays below 2**63 and in Python integers beyond
+it.  Everything else is certified in floating point against the stated
+tolerances.
 """
 
 from __future__ import annotations
@@ -362,13 +364,18 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     search does).  tightness is the frame-operator residual when the path
     settles it with no frame operator, else None.
 
-    A frame with an integer form gets Fractions (_integer_profile): from its
-    Steiner form when _is_steiner accepts it, else from its exact integer
-    Gram.  A character frame (frames._character_rows: the group its
-    provenance names, checked exactly on its exponents) is read from Gram
-    row 0, F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is
-    the circulant G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with
-    extremes those of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  Any
+    A character frame (frames._character_rows: the group its provenance
+    names, checked exactly on its exponents) is read from Gram row 0,
+    F[:, 0]^H F: its rows are characters chi_r of G, so its Gram is the
+    circulant G[a, b] = g(b - a), g(c) = (1/M) sum_rows chi_r(c), with
+    extremes those of |g(c)|, c != 0, and potential N sum_c |g(c)|^2.  A +-1
+    character frame X / sqrt(M) (G of exponent two, so b - a = a + b) reads
+    r = X[:, 0]^T X in exact integers, |r_c| <= M: its Gram is r[a + b] / M,
+    so the Fractions max and min of |r_c| / M over c != 0 and
+    N sum_c r_c^2 / M^2 are exactly the dense ones, and its tightness is 0,
+    since distinct characters are orthogonal.  Any other frame with an
+    integer form gets Fractions (_integer_profile): from its Steiner form
+    when _is_steiner accepts it, else from its exact integer Gram.  Any
     other frame, every float frame among them, gets the dense Gram.
 
     The tightness of a character frame.  Its exact frame
@@ -385,10 +392,17 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     true one of the stored entries, are both at most (N + 64) u N / M while
     N stays below 10^8; that bound is returned, and no frame operator is
     formed here (certify_etf forms it when the bound exceeds tol)."""
-    if frame.exact_ints is not None:
+    rows = _character_rows(frame)
+    if frame.exact_ints is not None and rows is None:
         return _integer_profile(frame.exact_ints, frame.scale_sq)
-    if _character_rows(frame) is not None:
+    if rows is not None:
         m, n = frame.m, frame.n
+        if frame.exact_ints is not None:
+            x = frame.exact_ints.astype(np.int64, copy=False)
+            r = _exact_ints(np.abs(x[:, 0] @ x), m * m * n)  # |r_c| <= M
+            d = frame.scale_sq
+            return (Fraction(int(r[1:].max()), d), Fraction(int(r[1:].min()), d),
+                    Fraction(n * int(np.sum(r * r)), d * d), Fraction(0))
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
         tight = (n + 64) * _UNIT_ROUNDOFF * n / m
         return float(row[1:].max()), float(row[1:].min()), n * float(np.sum(row ** 2)), tight
@@ -427,7 +441,8 @@ def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     Fractions, one Gram row or the dense Gram) and the tightness residual:
     0 for a frame whose Steiner form checks (_is_steiner: its frame operator
     is (N/M) I exactly, and its coherence 1/R, the dense path's Fractions,
-    with no N x N Gram and no M x M frame operator formed); of the exact
+    with no N x N Gram and no M x M frame operator formed), and for a +-1
+    character frame, read from Gram row 0 in integers; of the exact
     M x M frame operator alongside any other exact profile; for a
     character frame (frames._character_rows) with no integer form, the
     rounding bound (N + 64) u N / M that _gram_profile derives,

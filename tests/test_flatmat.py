@@ -238,7 +238,7 @@ def group_and_elements(draw):
     return factors, draw(st.lists(elems, min_size=1, max_size=12)), draw(st.lists(elems, min_size=1, max_size=12))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(group_and_elements())
 def test_group_array_forms_match_scalar_arithmetic(case):
     factors, a, b = case
@@ -261,6 +261,20 @@ def test_group_array_forms_match_scalar_arithmetic(case):
     assert [[int(_add(g, u, v)) for v in b] for u in a] == add
     assert [[int(g.sub_array(u, v)) for v in b] for u in a] == sub
     assert [int(g.sub_array(0, u)) for u in a] == neg
+
+
+@pytest.mark.parametrize("factors, dtype", [((2 ** 15, 2 ** 15 - 1), np.int32), ((3, 2 ** 15, 2 ** 15), np.int64),
+                                            ((1, 2 ** 31 + 11), np.int64)])
+def test_sub_array_by_index_borrows_at_either_width(factors, dtype):
+    """In int32 while |G| < 2^30, where every partial sum of the borrows
+    lies in (-|G|, 2 |G|), else in int64; the extreme elements included."""
+    g = AbelianGroup(factors)
+    n = g.order
+    elements = np.array([0, 1, n // 2, n // 3 + 7, n - 2, n - 1])
+    want = [[_ref_index(factors, [x - y for x, y in zip(_ref_digits(factors, u), _ref_digits(factors, v))])
+             for v in elements.tolist()] for u in elements.tolist()]
+    got = g.sub_array(elements[:, None], elements)
+    assert got.dtype == dtype and got.tolist() == want
 
 
 def test_group_factors_normalise_to_a_tuple_of_ints():

@@ -18,7 +18,18 @@ from etfkit.errors import (
     NotUnitNorm,
     SimplexShapeMismatch,
 )
-from etfkit.flatmat import AbelianGroup, UnimodularMatrix, character_table, dft, drop_row_simplex, hadamard
+from etfkit.designs import affine_structure
+from etfkit.flatmat import (
+    AbelianGroup,
+    UnimodularMatrix,
+    _phase_dtype,
+    _root_values,
+    character_table,
+    dft,
+    drop_row_simplex,
+    hadamard,
+    simplex_from_characters,
+)
 from etfkit.frames import (
     DifferenceSet,
     Frame,
@@ -31,6 +42,7 @@ from etfkit.frames import (
     parse_frame,
     real_kirkman_params,
     steiner_etf,
+    trace_character_basis,
     _numeric,
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
@@ -389,7 +401,7 @@ def _check_against_reference(group, elements):
 MCFARLAND_SMALL = [(2, 1, (2, 2)), (2, 1, (4,)), (3, 1, (5,)), (2, 2, (8,)), (2, 2, (2, 4)), (4, 1, (2, 3))]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(MCFARLAND_SMALL), st.sampled_from(["set", "complement", "flip"]), st.data())
 def test_verified_matches_pairwise_count_on_mcfarland_sets(params, variant, data):
     q, j, factors = params
@@ -403,7 +415,7 @@ def test_verified_matches_pairwise_count_on_mcfarland_sets(params, variant, data
     _check_against_reference(ds.group, elements)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
 def test_verified_matches_pairwise_count_on_random_subsets(factors, data):
     group = AbelianGroup(factors)
@@ -422,11 +434,41 @@ def test_verified_in_several_batches(monkeypatch):
         DifferenceSet.verified(ds.group, ds.elements[1:])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 5), st.data())
+def test_verified_matches_pairwise_count_in_several_batches(factors, batch_rows, data):
+    """Groups of up to four factors, the differences counted a few rows at
+    a time."""
+    from etfkit import frames
+
+    group = AbelianGroup(factors)
+    elements = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=group.order))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "_DIFFERENCE_BATCH", batch_rows * len(set(elements)))
+        _check_against_reference(group, elements)
+        _check_against_reference(group, sorted(set(range(group.order)) - set(elements)))
+
+
 def test_difference_set_range_checked():
     for bad in ((8, 9, 11), (-1, 0, 2)):
         with pytest.raises(IndexOutOfRange):
             DifferenceSet.verified(AbelianGroup((7,)), bad)
     assert DifferenceSet.verified(AbelianGroup((7,)), (1, 2, 4)).lam == 1
+
+
+@pytest.mark.parametrize("bad", [(1.9, 2, 4), (np.float64(1.0), 2, 4), (True, 2, 4), (np.True_, 2, 4),
+                                 ("1", 2, 4), (None, 2, 4)], ids=repr)
+def test_verified_takes_only_integer_elements(bad):
+    """An element that is no integer index is refused, not truncated or
+    read: 1.9, True and "1" would all count as the element 1 of {1, 2, 4}."""
+    with pytest.raises(IndexOutOfRange):
+        DifferenceSet.verified(AbelianGroup((7,)), bad)
+
+
+def test_verified_takes_python_and_numpy_integers():
+    want = DifferenceSet.verified(AbelianGroup((7,)), (1, 2, 4))
+    for elements in ((np.int64(1), np.uint8(2), 4), np.array([4, 2, 1], dtype=np.int32), [4, 1, 2, 2]):
+        assert DifferenceSet.verified(AbelianGroup((7,)), elements) == want
 
 
 def test_not_a_difference_set_is_a_value_error():
@@ -664,6 +706,99 @@ def test_the_mcfarland_match_is_an_exponent_identity(case, monkeypatch):
     assert harm._entries is None and kirk._entries is None
     # exponent-two cases are sign frames on both sides, the others phase frames
     assert (harm.phases is None) == (kirk.phases is None) == (case in EXACT_LADDER)
+
+
+def _intp_kirkman_phases(design: SteinerSystem, simplex: UnimodularMatrix,
+                         basis: UnimodularMatrix) -> tuple[np.ndarray, int]:
+    """kirkman_etf's exponent sum in intp: both exponent tables cast to
+    intp, tiled and gathered, summed into an R x S x N intp array and reduced
+    mod L, then stored in _phase_dtype(L) as _assemble stores them."""
+    from etfkit import frames
+
+    pos, _ = frames._resolution_lookup(design)
+    big_r = pos.shape[0]
+    h_cols = np.repeat(pos, big_r + 1, axis=1)
+    (f, f_order), (h, h_order) = simplex._exponents, basis._exponents
+    order = math.lcm(f_order, h_order)
+    f, h = f.astype(np.intp) * (order // f_order), h.astype(np.intp) * (order // h_order)
+    phases = (np.tile(f, (1, design.v))[:, None, :] + h[:, h_cols].transpose(1, 0, 2)).reshape(big_r * design.s, -1)
+    np.subtract(phases, order, out=phases, where=phases >= order)
+    return phases.astype(_phase_dtype(order)), order
+
+
+def _mcfarland_twin_inputs(case) -> tuple:
+    """The design, simplex and basis mcfarland_as_kirkman builds its Kirkman
+    twin from."""
+    q, j, factors = case
+    structure, design = affine_structure(q, j)
+    group = AbelianGroup(factors)
+    return design, simplex_from_characters(group, group.order - 1), trace_character_basis(structure)
+
+
+# the McFarland twins, and McF(4,2)'s design with a DFT basis: L = lcm(22, 16) = 176, so the
+# sum of two exponents, up to 350, passes 255
+KIRKMAN_PHASE_CASES = {_label(case): (lambda case=case: _mcfarland_twin_inputs(case)) for case in HARMONIC_LADDER}
+KIRKMAN_PHASE_CASES["affine42-Z22-dft16"] = lambda: (
+    affine_design(4, 2), simplex_from_characters(AbelianGroup((22,)), 21), dft(16))
+KIRKMAN_PHASE_CASES["affine31-dft5-dft3"] = lambda: (affine_design(3, 1), drop_row_simplex(dft(5)), dft(3))
+
+
+@pytest.mark.parametrize("name", list(KIRKMAN_PHASE_CASES))
+def test_kirkman_phases_equal_the_intp_sum(name):
+    """The exponent sum in the narrow phase dtype gives the same exponents,
+    dtype and order as the sum in intp; a pair of sign matrices multiplies,
+    and gives the signs of those exponents."""
+    design, simplex, basis = KIRKMAN_PHASE_CASES[name]()
+    want, order = _intp_kirkman_phases(design, simplex, basis)
+    frame = kirkman_etf(design, simplex, basis)
+    if frame.phases is None:
+        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, 2))
+    else:
+        assert frame.order == order and frame.phases.dtype == want.dtype
+        assert frame.phases.tobytes() == want.tobytes()
+    if name == "affine42-Z22-dft16":
+        assert order == 176 and _phase_dtype(2 * order - 1) == np.uint16 and frame.phases.dtype == np.uint8
+
+
+def _gathered_then_divided(frame: Frame) -> np.ndarray:
+    return _numeric(_root_values(frame.phases, frame.order), frame.scale_sq)
+
+
+@pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)
+def test_phase_entries_equal_the_gathered_roots_divided(case):
+    """A phase frame's entries, gathered from the divided table of roots,
+    are bit for bit the gathered roots divided, on every phase frame of the
+    ladder: the harmonic frame, its Kirkman twin and its complement."""
+    q, j, factors = case
+    harm, kirk, _ = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    for frame in [harm, kirk] + ([naimark_complement(harm)] if harm.n <= 256 else []):
+        if frame.phases is not None:
+            want = _gathered_then_divided(frame)
+            assert frame.entries.dtype == want.dtype and frame.entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 22, 44, 176, 1408])
+def test_random_phase_entries_equal_the_gathered_roots_divided(order):
+    rng = np.random.default_rng(order)
+    phases = rng.integers(0, order, size=(9, 40)).astype(_phase_dtype(order))
+    for scale_sq in (1, 2, 3, 9, 336):
+        frame = Frame(scale_sq=scale_sq, _phases=(phases, order))
+        assert frame.entries.tobytes() == _gathered_then_divided(frame).tobytes()
+
+
+def test_mcfarland_set_builds_no_design(monkeypatch):
+    """mcfarland_set reads only the field data, so it never calls
+    affine_structure, which builds the design's blocks."""
+    from etfkit import frames
+
+    want = {case: mcfarland_set(case[0], case[1], AbelianGroup(case[2])) for case in HARMONIC_LADDER}
+
+    def no_design(*args):
+        raise AssertionError("mcfarland_set builds the affine design")
+
+    monkeypatch.setattr(frames, "affine_structure", no_design)
+    for (q, j, factors), dset in want.items():
+        assert mcfarland_set.__wrapped__(q, j, AbelianGroup(factors)) == dset
 
 
 def test_harmonic_frame_builds_no_character_table(monkeypatch):

@@ -82,8 +82,11 @@ def _reports(a: Frame, b: Frame) -> str:
 
 
 def _dense_reports(monkeypatch, a: Frame, b: Frame) -> str:
+    """The reports with the structural path and the Gram row 0 path of a
+    +-1 character frame both switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(metrics, "_steiner_form", lambda ints, d: None)
+        patch.setattr(metrics, "_character_rows", lambda frame: None)
         assert not _structural(a) and not _structural(b)
         return _reports(a, b)
 
@@ -120,12 +123,41 @@ def test_no_gram_and_no_frame_operator_is_formed(name, monkeypatch):
 @pytest.mark.parametrize("label", HARMONIC_LABELS)
 def test_sign_harmonic_frames_read_as_kirkman_frames(label, monkeypatch):
     """The (Z_2)^k McFarland frames pass the Kirkman check as built, with no
-    provenance to read; their complements are no Kirkman frames and take
-    the dense path.  Both report the dense bytes."""
+    provenance to read; their complements are no Kirkman frames, and are
+    read from Gram row 0 as the characters of the group they carry.  Both
+    report the dense bytes."""
     frame, _ = _frames(label)
     assert _structural(frame) == label.startswith("harm")
     assert _reports(frame, frame) == _dense_reports(monkeypatch, frame, frame)
     assert certify_etf(frame).passed
+
+
+@pytest.mark.parametrize("case", HARMONIC, ids=str)
+def test_sign_character_frames_are_certified_from_gram_row_0(case, monkeypatch):
+    """A +-1 frame whose rows check as distinct characters of its hinted
+    group, a (Z_2)^k harmonic frame or its Naimark complement, is certified
+    from Gram row 0 in integers: certify_etf and coherence form no dense
+    product, and their bytes are the dense path's."""
+    q, j, factors = case
+    dset = mcfarland_set(q, j, AbelianGroup(factors))
+    harm = harmonic_etf(dset.group, dset)
+    for frame in (harm, naimark_complement(harm)):
+        assert frames._character_rows(frame) is not None and frame.is_sign_matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_steiner_form", lambda ints, d: None)
+            patch.setattr(metrics, "_character_rows", lambda frame: None)
+            dense = json.dumps([certify_etf(frame).as_dict(), str(coherence(frame))])
+
+        def refuse(*args):
+            raise AssertionError("a dense product was formed")
+
+        with monkeypatch.context() as patch:
+            for module in (frames, metrics):
+                patch.setattr(module, "exact_matmul", refuse)
+            patch.setattr(Frame, "gram_exact", refuse)
+            cert = certify_etf(frame)
+            assert json.dumps([cert.as_dict(), str(coherence(frame))]) == dense
+        assert cert.passed and cert.exact and cert.tightness_residual == 0.0
 
 
 def _transformed(frame: Frame, kind: str, columns: np.ndarray, rng) -> Frame:
