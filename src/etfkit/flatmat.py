@@ -304,13 +304,15 @@ class AbelianGroup:
         """Indices of a - b for element indices a and b, broadcast, by index
         borrows: each digit of a - b is a_k - b_k, plus f_k when that
         borrows, so idx(a - b) = (a - b) + sum_k f_k P_k [a_k < b_k], P_k the
-        place value of digit k.  The identity needs in-range indices
-        (0 <= a, b < |G|).  One index subtraction, then one in-place borrow
-        term per factor above 1, with no digit vectors formed; in int32 while
+        place value of digit k.  The identity needs in-range indices, so a
+        and b are first reduced mod |G| in int64, as digit_array reduces
+        each digit.  One index subtraction, then one in-place borrow term
+        per factor above 1, with no digit vectors formed; in int32 while
         |G| < 2^30, since every partial sum lies in (-|G|, 2 |G|), else
         int64."""
-        work = np.int32 if self.order < 2 ** 30 else np.int64
-        a, b = np.asarray(a, dtype=work), np.asarray(b, dtype=work)
+        order = self.order
+        work = np.int32 if order < 2 ** 30 else np.int64
+        a, b = (np.asarray(np.asarray(x, dtype=np.int64) % order, dtype=work) for x in (a, b))
         out = np.asarray(a - b)  # an array even for two single elements, so the borrows add in place
         for f, place in zip(self.factors, self._place.tolist()):
             if f > 1:

@@ -144,7 +144,9 @@ class Frame:
         that table at the phases, in one take: each entry is the same
         division of the same root as dividing the gathered roots would make,
         bit for bit.  Every phase is below order, so mode "clip" changes no
-        index, and the take writes into the result with no buffer."""
+        index.  out= spares only the output buffer: numpy still casts the
+        narrow phases to an intp index array of the same shape for the
+        take."""
         if self._entries is None:
             values = self.exact_ints if self.phases is None else _root_table(self.order)
             entries = _numeric(values, self.scale_sq)
@@ -463,15 +465,13 @@ class DifferenceSet:
         of whole rows of at most _DIFFERENCE_BATCH pairs, and require the
         same count on every nonzero element.  Each element must be an
         integer element index (a Python or numpy integer, not a bool) in
-        range, checked before the count, since the differences are taken by
-        index borrows (AbelianGroup.sub_array), which need in-range indices."""
-        if isinstance(elements, np.ndarray) and elements.dtype.kind in "iu":
-            elements = tuple(np.unique(elements).tolist())
-        else:
-            elements = list(elements)
-            if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements):
-                raise IndexOutOfRange("difference set elements must be integer element indices")
-            elements = tuple(sorted(set(map(int, elements))))
+        range, checked before the count: an index outside [0, |G|) is an
+        error here, where AbelianGroup.sub_array, which takes the
+        differences by index borrows, would read its residue."""
+        elements = list(elements)
+        if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements):
+            raise IndexOutOfRange("difference set elements must be integer element indices")
+        elements = tuple(sorted(set(map(int, elements))))
         order = group.order
         if elements and not (0 <= elements[0] and elements[-1] < order):
             raise IndexOutOfRange(f"difference set element out of range for a group of order {order}")

@@ -277,6 +277,26 @@ def test_sub_array_by_index_borrows_at_either_width(factors, dtype):
     assert got.dtype == dtype and got.tolist() == want
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
+def test_sub_array_reduces_indices_out_of_range(factors, data):
+    """Indices below 0 or at least |G| name the element they are congruent
+    to mod |G|, as in digit_array and index_array."""
+    g = AbelianGroup(factors)
+    n = g.order
+    a = data.draw(st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=8))
+    b = data.draw(st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=8))
+    want = [[_ref_index(factors, [x - y for x, y in zip(_ref_digits(factors, u % n), _ref_digits(factors, v % n))])
+             for v in b] for u in a]
+    assert g.sub_array(np.array(a)[:, None], np.array(b)).tolist() == want
+
+
+def test_sub_array_reduces_single_indices_out_of_range():
+    g = AbelianGroup((7,))
+    assert int(g.sub_array(9, 1)) == 1 and int(g.sub_array(-1, 0)) == 6
+    assert int(g.sub_array(2 ** 31, 0)) == 2 ** 31 % 7 and int(g.sub_array(0, 2 ** 40)) == -(2 ** 40) % 7
+
+
 def test_group_factors_normalise_to_a_tuple_of_ints():
     g = AbelianGroup([2, np.int64(2)])
     assert g.factors == (2, 2) and type(g.factors[1]) is int

@@ -416,11 +416,18 @@ def test_verified_matches_pairwise_count_on_mcfarland_sets(params, variant, data
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
-def test_verified_matches_pairwise_count_on_random_subsets(factors, data):
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 5), st.data())
+def test_verified_matches_pairwise_count_on_random_subsets(factors, batch_rows, data):
+    """Groups of up to four factors, a subset and its complement, the
+    differences counted a few rows at a time."""
+    from etfkit import frames
+
     group = AbelianGroup(factors)
     elements = data.draw(st.lists(st.integers(0, group.order - 1), max_size=group.order))
-    _check_against_reference(group, elements)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "_DIFFERENCE_BATCH", batch_rows * max(len(set(elements)), 1))
+        _check_against_reference(group, elements)
+        _check_against_reference(group, sorted(set(range(group.order)) - set(elements)))
 
 
 def test_verified_in_several_batches(monkeypatch):
@@ -432,21 +439,6 @@ def test_verified_in_several_batches(monkeypatch):
     assert DifferenceSet.verified(ds.group, ds.complement().elements) == ds.complement()
     with pytest.raises(NotADifferenceSet):
         DifferenceSet.verified(ds.group, ds.elements[1:])
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 5), st.data())
-def test_verified_matches_pairwise_count_in_several_batches(factors, batch_rows, data):
-    """Groups of up to four factors, the differences counted a few rows at
-    a time."""
-    from etfkit import frames
-
-    group = AbelianGroup(factors)
-    elements = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=group.order))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frames, "_DIFFERENCE_BATCH", batch_rows * len(set(elements)))
-        _check_against_reference(group, elements)
-        _check_against_reference(group, sorted(set(range(group.order)) - set(elements)))
 
 
 def test_difference_set_range_checked():
