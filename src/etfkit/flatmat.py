@@ -31,7 +31,7 @@ from .errors import (BadDimensions, BasisShapeMismatch, IndexOutOfRange, Invaria
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_phases
+_TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_phases and _root_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +360,9 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
 
 def _character_matrix(g: AbelianGroup, elements, kind: str) -> UnimodularMatrix:
     """The proven matrix of the characters at the listed elements, gathered
-    with its phases (_character_phases), which it keeps."""
-    phases, big_l, values = _character_phases(g, elements, gather=True)
-    return UnimodularMatrix(entries=values, kind=kind, _proven=True, _phases=(phases, big_l))
+    from its phases (_character_phases), which it keeps."""
+    phases, big_l = _character_phases(g, elements)
+    return UnimodularMatrix(entries=_root_values(phases, big_l), kind=kind, _proven=True, _phases=(phases, big_l))
 
 
 def _phase_dtype(big_l: int) -> np.dtype:
@@ -377,17 +377,15 @@ def _root_table(big_l: int) -> np.ndarray:
     return roots.real.astype(np.int64) if big_l <= 2 else roots
 
 
-def _character_phases(g: AbelianGroup, elements, gather: bool = False) -> tuple:
-    """(phases, L, values): the len(elements) x |G| exponents
+def _character_phases(g: AbelianGroup, elements) -> tuple[np.ndarray, int]:
+    """(phases, L): the len(elements) x |G| exponents
     sum_k e_k u_k L / f_k mod L of every character u of G at each listed
     element e, so that chi_u(e) = zeta_L^phase (see character_table), in
     _phase_dtype(L), computed a block of rows at a time: the one place the
     package computes character phases.  The phase is symmetric in e and u,
     so row i is also the character chi_{elements[i]} at every element u.
     The N x t generator exponents are checked (_check_character_exponents)
-    before anything is computed.  With gather, values holds zeta_L^phases
-    from _root_table(L), gathered in the same pass (as _root_values would);
-    else it is None."""
+    before anything is computed."""
     n, big_l = g.order, lcm(*g.factors)
     exponents = g.digit_array(np.arange(n)) * (big_l // g._radix)  # row u: the exponent of chi_u at each e_k
     _check_character_exponents(g, exponents)
@@ -398,25 +396,28 @@ def _character_phases(g: AbelianGroup, elements, gather: bool = False) -> tuple:
     work = np.int32 if bound < 2 ** 31 else np.int64
     rows, chars = g.digit_array(elements).astype(np.float64), exponents.T.astype(np.float64)
     phases = np.empty((len(rows), n), dtype=_phase_dtype(big_l))
-    roots = _root_table(big_l) if gather else None
-    values = np.empty(phases.shape, dtype=roots.dtype) if gather else None
     step = max(1, _TABLE_BLOCK // n)
     for lo in range(0, len(rows), step):
         block = (rows[lo:lo + step] @ chars).astype(work)
         block -= block // big_l * big_l
         phases[lo:lo + step] = block
-        if gather:
-            # every index is in range; mode "clip" writes into out directly,
-            # where the default mode would buffer it
-            roots.take(block, mode="clip", out=values[lo:lo + step])
-    return phases, big_l, values
+    return phases, big_l
 
 
-def _root_values(phases: np.ndarray, big_l: int) -> np.ndarray:
-    """zeta_L^phases for exponents already reduced mod L, gathered from
-    _root_table(L): int64 when L <= 2, where they are exactly +-1, else
-    complex."""
-    return _root_table(big_l).take(phases)
+def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None) -> np.ndarray:
+    """table[phases] for an M x N array of exponents already reduced mod L:
+    by default table is _root_table(L), so the values are zeta_L^phases,
+    int64 when L <= 2, where they are exactly +-1, else complex.  The one
+    gather of roots at phases, a block of rows at a time: numpy's take
+    casts its indices to intp, so only a block of them is cast at once.
+    Every index is below L, so mode "clip" changes none, and it writes into
+    out directly, where the default mode would buffer it."""
+    table = _root_table(big_l) if table is None else table
+    values = np.empty(phases.shape, dtype=table.dtype)
+    step = max(1, _TABLE_BLOCK // max(phases.shape[1], 1))
+    for lo in range(0, len(phases), step):
+        table.take(phases[lo:lo + step], mode="clip", out=values[lo:lo + step])
+    return values
 
 
 def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:

@@ -8,8 +8,8 @@ the +-1/sqrt(M) case is what the binary-code bridge consumes.  A flat frame
 of L-th roots of unity, L > 2, stores only their exponents mod L and d.
 Either way the complex entries are derived when first read.  _assemble is
 the one place a construction picks its form, from what it gathered, and
-exact_matmul the one place that decides how integer products are computed
-exactly.
+exact_gram the one place that decides how an integer product, always the
+Gram a a^T of one matrix, is computed exactly.
 """
 
 from __future__ import annotations
@@ -61,30 +61,21 @@ def _abs_max(a: np.ndarray) -> int:
     return max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer arrays, exactly.
+def exact_gram(a: np.ndarray) -> np.ndarray:
+    """a @ a.T for an integer array a, exactly.
 
     With K the inner dimension, every partial sum is bounded by
-    max|a| * max|b| * K.  Below 2**53 those sums are integers a float64 holds
-    exactly, so the product runs on float64 BLAS; below 2**63 it runs in int64
-    (no BLAS); beyond that in Python integers (object dtype).  The result is
-    int64 on the first two paths.  When b is a.T (the same memory, transposed)
-    a is converted once and the product is f @ f.T, numpy's symmetric kernel.
-    """
-    bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
+    max|a|^2 * K.  Below 2**53 those sums are integers a float64 holds
+    exactly, so the product runs on float64 BLAS, as f @ f.T, numpy's
+    symmetric kernel; below 2**63 it runs in int64 (no BLAS); beyond that in
+    Python integers (object dtype).  The result is int64 on the first two
+    paths."""
+    bound = _abs_max(a) ** 2 * a.shape[-1]
     if bound < _FLOAT64_EXACT:
         f = a.astype(np.float64)
-        return (f @ (f.T if _is_transpose(a, b) else b.astype(np.float64))).astype(np.int64)
-    if bound < _INT64_EXACT:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
-
-
-def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when b views the memory of a, transposed: b is a.T."""
-    return (a.ndim == b.ndim == 2 and b.dtype == a.dtype and b.shape == a.shape[::-1]
-            and b.strides == a.strides[::-1]
-            and b.__array_interface__["data"][0] == a.__array_interface__["data"][0])
+        return (f @ f.T).astype(np.int64)
+    a = a.astype(np.int64 if bound < _INT64_EXACT else object)
+    return a @ a.T
 
 
 def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
@@ -141,17 +132,14 @@ class Frame:
         """The complex entries, derived on first read by _numeric and kept
         read-only.  A phase frame divides the table of the order-th roots
         (flatmat._root_table) by sqrt(scale_sq) and gathers its entries from
-        that table at the phases, in one take: each entry is the same
-        division of the same root as dividing the gathered roots would make,
-        bit for bit.  Every phase is below order, so mode "clip" changes no
-        index.  out= spares only the output buffer: numpy still casts the
-        narrow phases to an intp index array of the same shape for the
-        take."""
+        that table at the phases (flatmat._root_values, a block of rows at a
+        time): each entry is the same division of the same root as dividing
+        the gathered roots would make, bit for bit."""
         if self._entries is None:
             values = self.exact_ints if self.phases is None else _root_table(self.order)
             entries = _numeric(values, self.scale_sq)
             if self.phases is not None:
-                entries = entries.take(self.phases, mode="clip", out=np.empty(self.phases.shape, entries.dtype))
+                entries = _root_values(self.phases, self.order, entries)
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
@@ -192,7 +180,7 @@ class Frame:
         """Integer Gram matrix G with true Gram = G / scale_sq (real exact frames)."""
         if self.exact_ints is None:
             raise FrameFormatError("frame carries no exact integer form")
-        return exact_matmul(self.exact_ints.T, self.exact_ints), self.scale_sq
+        return exact_gram(self.exact_ints.T), self.scale_sq
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
         """Raise NotUnitNorm unless every column norm is within tol of 1; a
@@ -529,7 +517,7 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
     m = len(dset.elements)
     prov = {"construction": "harmonic", "group": list(group.factors),
             "d": m, "lambda": dset.lam}
-    phases, order, _ = _character_phases(group, dset.elements)
+    phases, order = _character_phases(group, dset.elements)
     return _assemble(phases, m, prov, order)
 
 
@@ -725,7 +713,7 @@ def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
         group, labels = rows
         rest = np.ones(n, dtype=bool)
         rest[labels] = False
-        phases, order, _ = _character_phases(group, np.flatnonzero(rest))
+        phases, order = _character_phases(group, np.flatnonzero(rest))
         return _assemble(phases, n - m, {**prov, "group": list(group.factors)}, order)
     _, _, vh = np.linalg.svd(frame.entries, full_matrices=True)
     out = Frame(entries=(vh[m:, :] * np.sqrt(n / (n - m))).astype(np.complex128), provenance=prov)

@@ -3,24 +3,27 @@ certificates, Gram comparison, spark, and brute-force restricted-isometry
 constants.
 
 Subset searches are exhaustive by design; the constructions in this package
-are desk-scale and exactness is the point.  Frames carrying an exact integer
-form are certified exactly, and the results are Fractions with no tolerance
-involved.  A Steiner or Kirkman sign frame is certified from its structure,
-with no N x N Gram: _steiner_form reads a {0, +-1} form with d = R nonzero
-entries per column as a Steiner form Phi, and a +-1 form with d = M as a
-Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner checks
-Phi's design and simplex blocks (Fickus, Mixon and Tremain), in O(MN)
-integer work plus small Grams.  That proves every off-diagonal Gram modulus
-1/R and the frame operator (N/M) I, so the Fractions are exactly the ones
-the dense path computes, and the reports are the same bytes.  This covers
-steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
+are desk-scale and exactness is the point.  Every certificate takes one
+path: _gram_profile, the one way into the exact or float reading of a Gram,
+then _certify, the one place an EtfCertificate is built; codes.certify_grbe
+takes it too, on the frame of a code's first half.  Frames carrying an exact
+integer form are certified exactly, and the results are Fractions with no
+tolerance involved.  A Steiner or Kirkman sign frame is certified from its
+structure, with no N x N Gram: _steiner_form reads a {0, +-1} form with
+d = R nonzero entries per column as a Steiner form Phi, and a +-1 form with
+d = M as a Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner
+checks Phi's design and simplex blocks (Fickus, Mixon and Tremain), in
+O(MN) integer work plus small Grams.  That proves every off-diagonal Gram
+modulus 1/R and the frame operator (N/M) I, so the Fractions are exactly
+the ones the dense path computes, and the reports are the same bytes.  This
+covers steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
 frames of (Z_2)^k, read as built, with no provenance.  A character frame
 (frames._character_rows), whose exponents check exactly as distinct
 characters of an abelian group labelling its columns, is certified from
 one Gram row with no frame operator; exactly, with no N x N Gram, when it
 is a +-1 frame, such as the Naimark complement of a (Z_2)^k harmonic
 frame.  Every other integer frame, and any frame that fails a check, gets
-its integer Gram and frame operator from frames.exact_matmul (float64 BLAS
+its integer Gram and frame operator from frames.exact_gram (float64 BLAS
 while every partial sum stays below 2**53); further integer reductions run
 in int64 while their bound stays below 2**63 and in Python integers beyond
 it.  Everything else is certified in floating point against the stated
@@ -43,7 +46,7 @@ from .errors import (
     TooFewColumns,
 )
 from .flatmat import _UNIT_ROUNDOFF
-from .frames import Frame, _abs_max, _character_rows, _exact_ints, _tightness_deviation, exact_matmul
+from .frames import Frame, _abs_max, _character_rows, _exact_ints, _tightness_deviation, exact_gram
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
@@ -165,7 +168,7 @@ def _tightness_residual(ints: np.ndarray, d: int) -> Fraction:
     in int64 while |op_ii| m + n |d| stays below 2**63 and in Python integers
     beyond."""
     m, n = ints.shape
-    op = exact_matmul(ints, ints.T)
+    op = exact_gram(ints)
     op_off = int(_offdiag_extremes(np.abs(op))[0])
     diag = np.diagonal(op)
     diag = _exact_ints(diag, _abs_max(diag) * m + n * abs(d))
@@ -181,13 +184,6 @@ def _offdiag_extremes(a: np.ndarray) -> tuple:
     hi = a.max(initial=0)
     np.fill_diagonal(a, hi)
     return hi, a.min(initial=hi)
-
-
-def _exact_profile(g_int: np.ndarray, d: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(offdiag max, offdiag min, potential) of the Gram g_int / d, exactly."""
-    hi, lo = _offdiag_extremes(np.abs(g_int))
-    g = _exact_ints(g_int, _abs_max(g_int) ** 2 * g_int.size)
-    return Fraction(int(hi), d), Fraction(int(lo), d), Fraction(int(np.sum(g * g)), d * d)
 
 
 # -- structural certificates of Steiner and Kirkman frames ----------------------
@@ -319,26 +315,6 @@ def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
     return bool((col_gram == 1.0).all() and (row_gram == size * np.eye(big_r)).all())
 
 
-def _integer_profile(ints: np.ndarray, d: int) -> tuple:
-    """(offdiag max, offdiag min, potential, tightness) of the Gram of the
-    integer frame ints / sqrt(d), as Fractions: from its Steiner form
-    (_steiner_form) when _is_steiner accepts it, else from the dense integer
-    Gram, with tightness None (the caller forms the frame operator if it
-    needs it).
-
-    The structural Fractions are the dense ones: every off-diagonal Gram
-    entry has modulus 1/R and every diagonal entry is 1 (_is_steiner), so
-    the dense path's Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2)
-    reduce to 1/R and N + N(N-1)/R^2, and the frame operator is (N/M) I,
-    residual 0."""
-    form = _steiner_form(ints, d)
-    if form is None or not _is_steiner(form[0], form[1], ints.shape[0]):
-        return (*_exact_profile(exact_matmul(ints.T, ints), d), None)
-    n, big_r = ints.shape[1], form[2]
-    mu = Fraction(1, big_r)
-    return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
-
-
 def _signed_rows(ints: np.ndarray, d: int) -> tuple[int, bytes] | None:
     """(R, rows) of the Steiner form Phi of ints / sqrt(d) (_steiner_form),
     or None: rows holds Phi's rows, each times the sign of its first nonzero
@@ -359,10 +335,10 @@ def _signed_rows(ints: np.ndarray, d: int) -> tuple[int, bytes] | None:
 
 def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     """(offdiag max, offdiag min, potential, tightness) of the frame's Gram
-    moduli: the one place that decides how a certificate reads the Gram.
-    gram is the dense Gram when the caller already holds it (rip_delta's
-    search does).  tightness is the frame-operator residual when the path
-    settles it with no frame operator, else None.
+    moduli: the one way into the exact or float reading of a Gram.  gram is
+    the dense Gram when the caller already holds it (rip_delta's search
+    does).  tightness is the frame-operator residual when the path settles
+    it with no frame operator, else None (_certify forms the operator).
 
     A character frame (frames._character_rows: the group its provenance
     names, checked exactly on its exponents) is read from Gram row 0,
@@ -373,10 +349,16 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     r = X[:, 0]^T X in exact integers, |r_c| <= M: its Gram is r[a + b] / M,
     so the Fractions max and min of |r_c| / M over c != 0 and
     N sum_c r_c^2 / M^2 are exactly the dense ones, and its tightness is 0,
-    since distinct characters are orthogonal.  Any other frame with an
-    integer form gets Fractions (_integer_profile): from its Steiner form
-    when _is_steiner accepts it, else from its exact integer Gram.  Any
-    other frame, every float frame among them, gets the dense Gram.
+    since distinct characters are orthogonal.
+
+    Any other frame with an integer form ints / sqrt(d) gets Fractions: from
+    its Steiner form (_steiner_form) when _is_steiner accepts it, else from
+    its dense integer Gram (frames.exact_gram), with tightness None.  The
+    structural Fractions are the dense ones: every off-diagonal Gram entry
+    has modulus 1/R and every diagonal entry is 1 (_is_steiner), so the
+    dense path's Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2) reduce
+    to 1/R and N + N(N-1)/R^2, and the frame operator is (N/M) I, residual
+    0.  Any other frame, every float frame among them, gets the dense Gram.
 
     The tightness of a character frame.  Its exact frame
     F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared norm N/M,
@@ -391,16 +373,24 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     adds 2 u (N/M).  So the residual a dense certificate computes, and the
     true one of the stored entries, are both at most (N + 64) u N / M while
     N stays below 10^8; that bound is returned, and no frame operator is
-    formed here (certify_etf forms it when the bound exceeds tol)."""
+    formed here (_certify forms it when the bound exceeds its tol)."""
     rows = _character_rows(frame)
+    ints, d = frame.exact_ints, frame.scale_sq
     if frame.exact_ints is not None and rows is None:
-        return _integer_profile(frame.exact_ints, frame.scale_sq)
+        form = _steiner_form(ints, d)
+        if form is not None and _is_steiner(form[0], form[1], ints.shape[0]):
+            n, big_r = ints.shape[1], form[2]
+            mu = Fraction(1, big_r)
+            return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
+        g = exact_gram(ints.T)
+        hi, lo = _offdiag_extremes(np.abs(g))
+        g = _exact_ints(g, _abs_max(g) ** 2 * g.size)
+        return Fraction(int(hi), d), Fraction(int(lo), d), Fraction(int(np.sum(g * g)), d * d), None
     if rows is not None:
         m, n = frame.m, frame.n
         if frame.exact_ints is not None:
-            x = frame.exact_ints.astype(np.int64, copy=False)
+            x = ints.astype(np.int64, copy=False)
             r = _exact_ints(np.abs(x[:, 0] @ x), m * m * n)  # |r_c| <= M
-            d = frame.scale_sq
             return (Fraction(int(r[1:].max()), d), Fraction(int(r[1:].min()), d),
                     Fraction(n * int(np.sum(r * r)), d * d), Fraction(0))
         row = np.abs(frame.entries[:, 0].conj() @ frame.entries)
@@ -411,54 +401,43 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     return (*map(float, _offdiag_extremes(a)), pot, None)
 
 
-def _certificate(m: int, n: int, welch: float, profile: tuple, tight_res, tol: float) -> EtfCertificate:
-    """An M x N frame's certificate from its Gram profile (offdiag max,
-    offdiag min, potential) and tightness residual, exact when the profile
-    is."""
-    mu, mu_min, pot = profile
+def _certify(frame: Frame, profile: tuple, tol: float) -> EtfCertificate:
+    """The frame's certificate from its _gram_profile: the one place an
+    EtfCertificate is built, exact when the profile is.  Tightness is the
+    profile's when it settles it; an exact profile that leaves it open gets
+    the exact M x M frame operator (_tightness_residual), and a float one
+    the float frame operator, also when its rounding bound exceeds tol.  The
+    bound is at least the float residual, so the tightness verdict is the
+    float path's either way."""
+    m, n = frame.m, frame.n
+    mu, mu_min, pot, tight_res = profile
     exact = isinstance(mu, Fraction)
+    if exact and tight_res is None:
+        tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq)
+    elif not exact and (tight_res is None or tight_res > tol):
+        tight_res = _tightness_deviation(frame.entries)
     return EtfCertificate(
-        m=m, n=n, coherence=float(mu), coherence_exact=str(mu) if exact else None, welch=welch,
+        m=m, n=n, coherence=float(mu), coherence_exact=str(mu) if exact else None, welch=welch_bound(m, n),
         tightness_residual=float(tight_res), offdiag_max=float(mu), offdiag_min=float(mu_min),
         potential_residual=float(abs(pot - (Fraction(n * n, m) if exact else n * n / m))), exact=exact, tol=tol,
     )
 
 
-def _exact_certificate(ints: np.ndarray, d: int, profile: tuple, tol: float) -> EtfCertificate:
-    """Certificate of the frame ints / sqrt(d), given its _integer_profile,
-    in exact rational arithmetic: the frame operator is formed only when the
-    profile leaves tightness open.  codes.certify_grbe's path on the profile
-    its distance read."""
-    m, n = ints.shape
-    *profile, tight_res = profile
-    if tight_res is None:
-        tight_res = _tightness_residual(ints, d)
-    return _certificate(m, n, welch_bound(m, n), profile, tight_res, tol)
-
-
 def certify_etf(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificate:
     """Full certificate: the Gram profile (_gram_profile decides exact
-    Fractions, one Gram row or the dense Gram) and the tightness residual:
-    0 for a frame whose Steiner form checks (_is_steiner: its frame operator
-    is (N/M) I exactly, and its coherence 1/R, the dense path's Fractions,
-    with no N x N Gram and no M x M frame operator formed), and for a +-1
-    character frame, read from Gram row 0 in integers; of the exact
-    M x M frame operator alongside any other exact profile; for a
-    character frame (frames._character_rows) with no integer form, the
-    rounding bound (N + 64) u N / M that _gram_profile derives,
+    Fractions, one Gram row or the dense Gram) and the tightness residual
+    (_certify): 0 for a frame whose Steiner form checks (_is_steiner: its
+    frame operator is (N/M) I exactly, and its coherence 1/R, the dense
+    path's Fractions, with no N x N Gram and no M x M frame operator
+    formed), and for a +-1 character frame, read from Gram row 0 in
+    integers; of the exact M x M frame operator alongside any other exact
+    profile; for a character frame (frames._character_rows) with no integer
+    form, the rounding bound (N + 64) u N / M that _gram_profile derives,
     with no frame operator formed, unless the bound exceeds tol; else of the
-    float frame operator.  The bound is at least the float residual, so the
-    tightness verdict is the float path's either way.  A complex frame's
-    certificate is a float one (exact_arithmetic false)."""
-    welch = welch_bound(frame.m, frame.n)  # first: it refuses the shapes no Gram should be formed for
-    *profile, tight_res = _gram_profile(frame)
-    exact = isinstance(profile[0], Fraction)
-    if exact:
-        if tight_res is None:
-            tight_res = _tightness_residual(frame.exact_ints, frame.scale_sq)
-    elif tight_res is None or tight_res > tol:
-        tight_res = _tightness_deviation(frame.entries)
-    return _certificate(frame.m, frame.n, welch, profile, tight_res, tol)
+    float frame operator.  A complex frame's certificate is a float one
+    (exact_arithmetic false)."""
+    welch_bound(frame.m, frame.n)  # first: it refuses the shapes no Gram should be formed for
+    return _certify(frame, _gram_profile(frame), tol)
 
 
 @dataclass(frozen=True)

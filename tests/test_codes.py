@@ -25,6 +25,7 @@ from etfkit.errors import (
 )
 from etfkit.flatmat import drop_row_simplex, hadamard
 from etfkit.frames import Frame, kirkman_etf, steiner_etf
+from etfkit.metrics import certify_etf
 
 
 def fig2_frame() -> Frame:
@@ -439,10 +440,15 @@ def test_to_text_of_zero_length_words():
 @PROPERTY
 @given(half_words(max_m=10, min_half=1, max_half=12))
 def test_half_gram_distance_matches_pairwise_hamming(case):
+    """The distance, and the ETF side of certify_grbe, which certifies the
+    code as the frame of its first half: the verdict certify_etf gives that
+    frame whenever it can be an ETF at all."""
     m, first = case
     code = BinaryCode(m=m, words=first + [complement(w) for w in first],
                       self_complementary=True)
     assert distance(code) == min(hamming(a, b) for a, b in combinations(code.words, 2))
+    n = len(first)
+    assert certify_grbe(code).etf_passed == (n >= max(m, 2) and certify_etf(code_to_frame(code)).passed)
 
 
 @pytest.mark.parametrize("words", [((0, 1, 1),), ((0, 0, 0), (0, 1, 1)), ((0, 0), (0, 1))])

@@ -1,6 +1,7 @@
-"""The exact integer kernels against independent references: exact_matmul
-against Python-integer matmul, code distance against a pairwise Hamming
-minimum, and GF(2)-rank linearity against the pairwise XOR closure scan."""
+"""The exact integer kernels against independent references: exact_gram
+against Python-integer Grams at each of its tiers, code distance against a
+pairwise Hamming minimum, and GF(2)-rank linearity against the pairwise XOR
+closure scan."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,75 +24,65 @@ from etfkit.codes import (
 )
 from etfkit.designs import affine_design
 from etfkit.flatmat import drop_row_simplex, hadamard
-from etfkit.frames import _is_transpose, exact_matmul, kirkman_etf
+from etfkit.frames import exact_gram, kirkman_etf
 from etfkit.metrics import _tightness_residual, certify_etf
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def object_matmul(a: np.ndarray, b: np.ndarray) -> list:
-    return (a.astype(object) @ b.astype(object)).tolist()
+def object_gram(a: np.ndarray) -> list:
+    """a a^T in Python integers."""
+    o = a.astype(object)
+    return (o @ o.T).tolist()
 
 
 @st.composite
-def int_pairs(draw):
-    """Integer matrices a (m x k) and b (k x n) whose largest entry has a
-    drawn magnitude: small, near 2**26 (float64 path refused once k >= 2) or
-    near 2**32 (int64 refused too)."""
-    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+def int_matrices(draw):
+    """An m x k integer matrix whose largest entry has a drawn magnitude:
+    small (the float64 tier), near 2**26 (float64 refused once k >= 2, the
+    int64 tier) or near 2**32 (int64 refused too, the object tier)."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     top = draw(st.sampled_from([1, 7, 2 ** 20, 2 ** 26 + 3, 2 ** 32 + 1]))
-    elems = st.integers(-top, top)
-    a = draw(hnp.arrays(np.int64, (m, k), elements=elems))
-    b = draw(hnp.arrays(np.int64, (k, n), elements=elems))
-    a[0, 0], b[0, 0] = draw(st.sampled_from([-top, top])), top
-    return a, b
+    a = draw(hnp.arrays(np.int64, (m, k), elements=st.integers(-top, top)))
+    a[0, 0] = draw(st.sampled_from([-top, top]))
+    return a
 
 
 @PROPERTY
-@given(int_pairs())
-def test_exact_matmul_matches_python_integers(pair):
-    a, b = pair
-    assert exact_matmul(a, b).tolist() == object_matmul(a, b)
+@given(int_matrices())
+def test_exact_gram_matches_python_integers(a):
+    """Both a a^T and a^T a (the Gram of the transposed view)."""
+    assert exact_gram(a).tolist() == object_gram(a)
+    assert exact_gram(a.T).tolist() == object_gram(a.T)
 
 
-@PROPERTY
-@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
-                  elements=st.integers(-2 ** 20, 2 ** 20)))
-def test_exact_matmul_of_a_matrix_and_its_transpose(a):
-    assert exact_matmul(a, a.T).tolist() == object_matmul(a, a.T)
-    assert exact_matmul(a.T, a).tolist() == object_matmul(a.T, a)
-    assert _is_transpose(a, a.T) and _is_transpose(a.T, a)
-    assert not _is_transpose(a, a.T.copy())
+def test_exact_gram_float_tier_on_signs():
+    rng = np.random.default_rng(5)
+    a = rng.choice([-1, 1], size=(40, 70)).astype(np.int8)
+    for x in (a, a.T):
+        out = exact_gram(x)
+        assert out.dtype == np.int64 and out.tolist() == object_gram(x)
 
 
-def test_exact_matmul_refuses_float_beyond_2_53():
-    # the exact sum is odd and above 2**53, so float64 cannot hold it
+def test_exact_gram_refuses_float_beyond_2_53():
+    # the exact sum is odd and above 2**53, so float64 cannot hold it: the int64 tier
     x = 2 ** 26 + 1
     a = np.array([[x, x, 1]], dtype=np.int64)
-    b = a.T.copy()
     exact = 2 * x * x + 1
-    assert exact > 2 ** 53 and int((a.astype(float) @ b.astype(float))[0, 0]) != exact
-    out = exact_matmul(a, b)
+    assert exact > 2 ** 53 and int((a.astype(float) @ a.T.astype(float))[0, 0]) != exact
+    out = exact_gram(a)
     assert out.dtype == np.int64 and int(out[0, 0]) == exact
 
 
-def test_exact_matmul_float_path_on_signs():
-    rng = np.random.default_rng(5)
-    a = rng.choice([-1, 1], size=(40, 70)).astype(np.int64)
-    out = exact_matmul(a.T, a)
-    assert out.dtype == np.int64
-    assert out.tolist() == object_matmul(a.T, a)
-
-
-def test_exact_matmul_beyond_int64_uses_python_integers():
+def test_exact_gram_beyond_int64_uses_python_integers():
     a = np.array([[2 ** 40, 2 ** 40]], dtype=np.int64)
-    out = exact_matmul(a, a.T)
-    assert int(out[0, 0]) == 2 ** 81
+    out = exact_gram(a)
+    assert out.dtype == object and out.tolist() == object_gram(a) == [[2 ** 81]]
 
 
-def test_exact_matmul_empty_inner_dimension():
-    out = exact_matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
-    assert out.shape == (2, 3) and not out.any()
+def test_exact_gram_empty_inner_dimension():
+    out = exact_gram(np.zeros((2, 0), dtype=np.int64))
+    assert out.shape == (2, 2) and out.dtype == np.int64 and not out.any()
 
 
 @st.composite
@@ -251,17 +242,17 @@ def test_the_exact_pipeline_never_builds_complex_entries(monkeypatch):
 
 
 def _counting_products(monkeypatch) -> list:
-    """The (rows, columns) of every exact_matmul product the package forms."""
+    """The (rows, columns) of every exact_gram product the package forms."""
     from etfkit import codes, frames, metrics
 
     shapes = []
 
-    def counting(a, b):
-        shapes.append((a.shape[0], b.shape[1]))
-        return exact_matmul(a, b)
+    def counting(a):
+        shapes.append((a.shape[0], a.shape[0]))
+        return exact_gram(a)
 
     for module in (codes, frames, metrics):
-        monkeypatch.setattr(module, "exact_matmul", counting)
+        monkeypatch.setattr(module, "exact_gram", counting)
     return shapes
 
 

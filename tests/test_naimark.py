@@ -127,7 +127,7 @@ def test_mutants_take_the_svd_path_as_before(case, dense_calls):
                          ids=str)
 def test_distinct_characters_that_are_no_difference_set_get_the_character_complement(factors, labels, dense_calls):
     group = AbelianGroup(factors)
-    phases, order, _ = _character_phases(group, labels)
+    phases, order = _character_phases(group, labels)
     frame = _assemble(phases, len(labels), {"construction": "test", "group": list(factors)}, order)
     comp = naimark_complement(frame)
     assert dense_calls == []
@@ -143,6 +143,6 @@ def test_distinct_characters_that_are_no_difference_set_get_the_character_comple
 
 def test_a_full_character_table_has_the_empty_complement(dense_calls):
     group = AbelianGroup((2, 3))
-    phases, order, _ = _character_phases(group, range(6))
+    phases, order = _character_phases(group, range(6))
     comp = naimark_complement(_assemble(phases, 6, {"group": [2, 3]}, order))
     assert dense_calls == [] and (comp.m, comp.n) == (0, 6)

@@ -194,6 +194,19 @@ def test_metrics_decides_exact_arithmetic_in_one_place():
     assert {scope for scope, _ in sites} == {"_gram_profile", "gram_equal"}, sites
 
 
+def test_frames_and_codes_take_one_certificate_path():
+    """Only metrics._certify builds an EtfCertificate, from a _gram_profile,
+    and codes reaches metrics only through those two and DEFAULT_TOL: a
+    code's ETF side is certified as the frame of its first half, on the
+    path certify_etf takes."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    builds = {name: [scope for scope, _ in _sites(tree, _calls("EtfCertificate"))] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in builds.items() if scopes} == {"metrics.py": ["_certify"]}, builds
+    imported = {alias.name for node in ast.walk(trees["codes.py"])
+                if isinstance(node, ast.ImportFrom) and node.module == "metrics" for alias in node.names}
+    assert imported == {"DEFAULT_TOL", "_gram_profile", "_certify"}, imported
+
+
 def _imports_the_package(node: ast.AST) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "etfkit"

@@ -20,7 +20,7 @@ from etfkit.codes import certify_grbe, distance, frame_to_code
 from etfkit.designs import affine_design, round_robin_design
 from etfkit.flatmat import AbelianGroup, drop_row_simplex, hadamard
 from etfkit.frames import Frame, harmonic_etf, kirkman_etf, mcfarland_set, naimark_complement, steiner_etf
-from etfkit.metrics import _integer_profile, certify_etf, coherence, gram_equal
+from etfkit.metrics import _gram_profile, certify_etf, coherence, gram_equal
 
 DESIGNS = {  # the flat_sign_certify ladder, and A24
     "aff22": lambda: affine_design(2, 2), "rr8": lambda: round_robin_design(8),
@@ -62,9 +62,9 @@ HARMONIC_LABELS = [f"{kind}-{i}" for i in range(len(HARMONIC)) for kind in ("har
 
 
 def _structural(frame: Frame) -> bool:
-    """Whether the frame's exact profile settles tightness, as only the
-    structural path does."""
-    return _integer_profile(frame.exact_ints, frame.scale_sq)[3] is not None
+    """Whether the exact profile of the frame's integer form, read with no
+    provenance, settles tightness, as only the structural path does."""
+    return _gram_profile(Frame(exact_ints=frame.exact_ints, scale_sq=frame.scale_sq))[3] is not None
 
 
 def _with(ints: np.ndarray, frame: Frame) -> Frame:
@@ -110,7 +110,7 @@ def test_no_gram_and_no_frame_operator_is_formed(name, monkeypatch):
         raise AssertionError("a dense product was formed")
 
     for module in (codes, frames, metrics):
-        monkeypatch.setattr(module, "exact_matmul", refuse)
+        monkeypatch.setattr(module, "exact_gram", refuse)
     monkeypatch.setattr(Frame, "gram_exact", refuse)
     flat, sparse = _pair(name)
     for frame in (flat, sparse):
@@ -153,7 +153,7 @@ def test_sign_character_frames_are_certified_from_gram_row_0(case, monkeypatch):
 
         with monkeypatch.context() as patch:
             for module in (frames, metrics):
-                patch.setattr(module, "exact_matmul", refuse)
+                patch.setattr(module, "exact_gram", refuse)
             patch.setattr(Frame, "gram_exact", refuse)
             cert = certify_etf(frame)
             assert json.dumps([cert.as_dict(), str(coherence(frame))]) == dense
