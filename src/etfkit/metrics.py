@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (
     BadDimensions,
     EnumerationBudgetExceeded,
+    FrameFormatError,
     NotUnitNorm,
     ShapeMismatch,
     TooFewColumns,
@@ -50,7 +51,7 @@ from .frames import Frame, _abs_max, _character_rows, _exact_ints, _tightness_de
 
 DEFAULT_TOL = 1e-9
 SUBSET_BUDGET = 10 ** 7
-_EIG_CHUNK = 65536
+_EIG_CHUNK = 8192
 
 
 def coherence(frame: Frame, tol: float = DEFAULT_TOL):
@@ -513,106 +514,187 @@ def _check_budget(total: int, what: str) -> None:
 
 
 def _lex_batches(n: int, size: int):
-    """Every size-subset of range(n) in lexicographic order, as index arrays
-    of 64, 128, ... up to _EIG_CHUNK rows, so a search that stops at its
-    first subsets does not pay for a full batch: the one place that
-    enumerates subsets.  Each batch is unranked in the combinatorial number
-    system: the lexicographic rank r of c is C(n, size) - 1 minus the
-    colexicographic rank R of n - 1 - c (reversed), and the largest element
-    of the subset with colex rank R is the largest x with C(x, j) <= R.
-    The tables of C(x, j) saturate at C(n, size), above every rank, so they
-    stay exact where they are read and never overflow int64."""
-    total = comb(n, size)
+    """Every size-subset of range(n) in lexicographic order, factored into
+    its (size-1)-prefix P, a subset of range(n - 1), and its last element
+    x, last(P) < x < n: the one place that enumerates subsets.  Yields
+    (prefixes, counts), index arrays of prefixes in order and the number
+    n - 1 - last(P) of each one's extensions (n for the empty prefix), a
+    batch the fewest whole prefixes that stand for 64, 128, ... up to
+    _EIG_CHUNK subsets, or the last ones, so a search that stops at its
+    first subsets does not pay for a full batch.
+
+    Prefixes are unranked in the combinatorial number system: the
+    lexicographic rank r of a j-subset c of range(m) is C(m, j) - 1 minus
+    the colexicographic rank R of m - 1 - c (reversed), and the largest
+    element of the subset with colex rank R is the largest x with
+    C(x, i) <= R.  The tables of C(x, i) saturate at C(m, j), above every
+    rank, so they stay exact where they are read and never overflow int64.
+    Every prefix stands for at least one subset, so unranking as many
+    prefixes as a batch stands for, when those left over from the last
+    batch stand for fewer, always fills it: at most 2 _EIG_CHUNK prefixes
+    are held at once."""
+    m, j = n - 1, size - 1
+    total = comb(m, j)
     tables = []
-    binom = np.ones(n, dtype=np.int64)  # C(x, 0) for x < n
-    for _ in range(size):
-        # C(x, j) = sum over y < x of C(y, j-1)
+    binom = np.ones(m, dtype=np.int64)  # C(x, 0) for x < m
+    for _ in range(j):
+        # C(x, i) = sum over y < x of C(y, i-1)
         binom = np.minimum(np.concatenate(([0], np.cumsum(binom)[:-1])), total)
         tables.append(binom)
     start, batch = 0, 64
-    while start < total:
-        stop = min(start + batch, total)
-        rank = total - 1 - np.arange(start, stop, dtype=np.int64)
-        subsets = np.empty((stop - start, size), dtype=np.intp)
-        for j in range(size, 0, -1):
-            x = np.searchsorted(tables[j - 1], rank, side="right") - 1
-            rank -= tables[j - 1][x]
-            subsets[:, size - j] = n - 1 - x
-        yield subsets
-        start, batch = stop, min(2 * batch, _EIG_CHUNK)
+    prefixes = np.empty((0, j), dtype=np.intp)
+    counts = np.empty(0, dtype=np.intp)
+    while start < total or len(prefixes):
+        if start < total and counts.sum() < batch:
+            stop = min(start + batch, total)
+            rank = total - 1 - np.arange(start, stop, dtype=np.int64)
+            more = np.empty((stop - start, j), dtype=np.intp)
+            for i in range(j, 0, -1):
+                x = np.searchsorted(tables[i - 1], rank, side="right") - 1
+                rank -= tables[i - 1][x]
+                more[:, j - i] = m - 1 - x
+            prefixes = np.concatenate((prefixes, more))
+            counts = np.concatenate((counts, m - (more[:, -1] if j else np.full(len(more), -1))))
+            start = stop
+        cut = int(np.searchsorted(np.cumsum(counts), batch)) + 1
+        yield prefixes[:cut], counts[:cut]
+        prefixes, counts, batch = prefixes[cut:], counts[cut:], min(2 * batch, _EIG_CHUNK)
 
 
-def _certified_inside(flat: np.ndarray, n: int, subsets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mask of the subsets whose Gram eigenvalues, as eigvalsh computes them,
-    are certified strictly inside (lo, hi) (see _subset_spectra): lower
-    triangles read once from the n x n Gram flattened to flat, all subsets
-    factored at once.  lo = -inf or hi = inf certifies that side for every
-    subset; lo = inf or hi = -inf for none."""
-    k = subsets.shape[1]
-    cols = np.ascontiguousarray(subsets.T)
-    rows = cols * n
-    h = [[flat.take(rows[i] + cols[j]) for j in range(i + 1)] for i in range(k)]
-    trace = np.abs(sum(h[j][j].real for j in range(k)))
-    ok = np.ones(len(subsets), dtype=bool)
-    for shift, sign in ((lo, 1.0), (hi, -1.0)):
-        if np.isinf(shift) or not ok.any():
-            ok &= sign * shift < 0
-            continue
-        # LDL^H of G_S - s' I without pivoting; sign (G_S - s' I) has sign times its pivots
-        inward = shift + sign * 16 * k ** 4 * 2.0 ** -53 * (abs(shift) + trace)
-        a = [row[:-1] + [row[-1].real - inward] for row in h]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for j in range(k):
-                ok &= sign * a[j][j] > 0
-                inv = 1.0 / a[j][j]
-                ratios = [a[i][j].conj() * inv for i in range(j + 1, k)]
-                for i in range(j + 1, k):
-                    for col in range(j + 1, i):
-                        a[i][col] = a[i][col] - a[i][j] * ratios[col - j - 1]
-                    a[i][i] = a[i][i] - (a[i][j] * ratios[i - j - 1]).real
-    return ok
+def _certified_extensions(gram: np.ndarray, prefixes: np.ndarray, counts: np.ndarray,
+                          ext: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the subsets P + (x), for each prefix P (a row of prefixes)
+    and its next counts[P] entries x of ext, each above P's last element,
+    whose Gram eigenvalues, as eigvalsh computes them, are certified
+    strictly inside (lo, hi) (see _subset_spectra).  Each prefix's shifted
+    Gram is factored once, then each subset takes one forward solve and one
+    pivot, both sides at once, all read from the lower triangle of the
+    contiguous n x n Gram.  lo = -inf or hi = inf certifies that side for
+    every subset; lo = inf or hi = -inf for none."""
+    k = prefixes.shape[1] + 1
+    sides = [(shift, sign) for shift, sign in ((lo, 1.0), (hi, -1.0)) if not np.isinf(shift)]
+    if lo == np.inf or hi == -np.inf or not sides:
+        return np.full(len(ext), lo != np.inf and hi != -np.inf)
+    shift, sign = (np.array(column)[:, None] for column in zip(*sides))  # a row per side
+    n, flat = len(gram), gram.ravel()
+    cols = prefixes.T
+    starts = cols * n
+    h = [[flat.take(starts[i] + cols[j]) for j in range(i + 1)] for i in range(k - 1)]  # G[p_i, p_j], i >= j
+    index = np.repeat(cols, counts, axis=1)
+    index += ext * n
+    border = flat.take(index)  # row j: G[x, p_j], the lower triangle
+    diag = flat[::n + 1].real
+    corner = diag.take(ext)
+    # |tr G_S| <= |tr G_P| + max over y > last(P) of |g_yy|, for every extension S = P + (x)
+    tail = np.maximum.accumulate(np.abs(diag[::-1]))[::-1]
+    bound = tail[cols[-1] + 1 if k > 1 else np.zeros(len(prefixes), dtype=np.intp)]
+    if k > 1:
+        bound += np.abs(sum(h[i][i].real for i in range(k - 1)))
+    # LDL^H of G_S - s' I without pivoting; sign (G_S - s' I) has sign times its pivots
+    inward = shift + sign * 16 * k ** 4 * 2.0 ** -53 * (np.abs(shift) + bound)
+    a = [row[:-1] + [row[-1].real - inward] for row in h]
+    complex_gram = flat.dtype.kind == "c"
+    invs, ratios = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k - 1):
+            signed = sign * a[j][j]
+            least = signed if j == 0 else np.minimum(least, signed)  # NaN propagates
+            invs.append(1.0 / a[j][j])
+            step = [(a[i][j].conj() if complex_gram else a[i][j]) * invs[j] for i in range(j + 1, k - 1)]
+            for i in range(j + 1, k - 1):
+                for col in range(j + 1, i):
+                    a[i][col] = a[i][col] - a[i][j] * step[col - j - 1]
+                a[i][i] = a[i][i] - (a[i][j] * step[i - j - 1]).real
+            ratios.append(step)
+        if k > 1:  # a prefix with a pivot that is not positive fails every extension: a NaN shift
+            inward[~(least > 0)] = np.nan
+        # The last row, the same operations on the border: v, then the last pivot times sign.
+        # A prefix's entries are spread to its extensions one row at a time, into one buffer.
+        owner = np.repeat(np.arange(len(prefixes)), counts)
+        v = list(border[:, None])
+        spread = np.empty((len(sides), len(ext)))
+        work = np.empty(spread.shape, dtype=flat.dtype)
+        pivot = np.multiply(sign, corner)
+        pivot -= np.multiply(sign, inward, out=inward).take(owner, axis=-1, out=spread)
+        for j in range(k - 1):
+            scale = np.multiply(sign, invs[j], out=invs[j]).take(owner, axis=-1, out=spread)
+            np.multiply(np.conjugate(v[j], out=work) if complex_gram else v[j], scale, out=work)
+            pivot -= np.multiply(work, v[j], out=work).real
+            for col, ratio in enumerate(ratios[j], j + 1):
+                np.multiply(v[j], ratio.take(owner, axis=-1, out=work), out=work)
+                v[col] = np.subtract(v[col], work, out=v[col] if v[col].shape == work.shape else None)
+    return (pivot > 0).all(axis=0)
 
 
 def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list):
-    """Every size-subset of the columns in lexicographic order, in the
-    batches of _lex_batches: yields (subsets, eigenvalues), the ascending
-    eigenvalues of each subset's Gram submatrix.
+    """Every size-subset of the columns in lexicographic order: yields
+    (subsets, eigenvalues), the ascending eigenvalues of each subset's Gram
+    submatrix.  _lex_batches enumerates them as (size-1)-prefixes P, each
+    standing for its extensions P + (x), last(P) < x < n, in batches of
+    whole prefixes that stand for 64, 128, ... up to _EIG_CHUNK subsets
+    (and at most one more prefix).
 
     The window (lo, hi) is read before each batch, so a caller may move it
     between batches.  A subset whose eigvalsh eigenvalues are certified
-    strictly inside (lo, hi) (_certified_inside) is neither eigensolved nor
-    yielded; a batch yields its other subsets, in order, or nothing, so no
-    subset with an eigvalsh extreme at or beyond lo or hi goes missing.
-    (inf, -inf) certifies nothing: every subset is yielded.
+    strictly inside (lo, hi) (_certified_extensions) is neither eigensolved
+    nor yielded, and no index row is built for it; a batch yields its other
+    subsets, in order, or nothing, so no subset with an eigvalsh extreme at
+    or beyond lo or hi goes missing.  (inf, -inf) certifies nothing: every
+    subset is yielded.
 
-    The certificate.  Let H be the k x k Hermitian matrix whose lower
-    triangle, diagonal real part, both the factorization and eigvalsh read,
-    t its computed trace, u = 2^-53 and kappa_k = 16 k^4 u.  The side
-    s = lo (sigma = 1), or s = hi (sigma = -1), is certified when the LDL^H
+    The certificate.  Let S = P + (x) be a k-subset, H the k x k Hermitian
+    matrix whose lower triangle, diagonal real part, both the factorization
+    and eigvalsh read, u = 2^-53 and kappa_k = 16 k^4 u.  The trace bound
+    T_P = |tr G_P| + max over y > last(P) of |g_yy| is at least |tr H| for
+    every extension of P (up to the rounding of the sum).  The side s = lo
+    (sigma = 1), or s = hi (sigma = -1), is certified when the LDL^H
     factorization without pivoting of A = sigma (H - s' I), formed in
-    floating point with s' = s + sigma kappa_k (|s| + |t|), has only positive
-    pivots.  Why kappa_k (|s| + |t|) covers the rounding, to first order in u:
+    floating point with s' = s + sigma kappa_k (|s| + T_P), has only
+    positive pivots.
+
+    The factorization is bordered.  s' is one per prefix, so the leading
+    (k-1) x (k-1) block of A, sigma (G_P - s' I), and its factors L_P and
+    D_P are the same for every extension of P, and are formed once.  Each x
+    then adds the last row: v, the solution of v L_P^H = h, h the row
+    (G[x, p_0], ..., G[x, p_(k-2)]) of the lower triangle, by forward
+    substitution (v_j = h_j - sum over i < j of v_i conj(L_ji)), and the
+    last pivot d = (g_xx - s') - sum over j of v_j conj(v_j) / D_j (times
+    sigma).  These are the operations, with the same roundings, that the
+    factorization of all of A performs on its last row after its first
+    k - 1, so the computed factors are those of one factorization without
+    pivoting of A, with its backward error.  A subset is certified when
+    its prefix's k - 1 pivots and its own d are positive.
+
+    Why kappa_k (|s| + T_P) covers the rounding, to first order in u:
       - forming A rounds its diagonal, an error F with ||F|| <= u (max |h_ii| + |s'|);
       - the factors are exact for A + F + E with |E| <= gamma_(k+2) |L| D |L|^H
         (no growth factor: nothing is pivoted and D > 0; the reciprocal pivot
         adds one rounding).  |L| D |L|^H is positive semidefinite with the
-        trace of L D L^H, so ||E|| <= 2 (k+2) u tr A <= 2 (k+2) u (|t| + k |s'|);
+        trace of L D L^H, so ||E|| <= 2 (k+2) u tr A <= 2 (k+2) u (T_P + k |s'|);
       - A + F + E = L D L^H is positive definite, so every eigenvalue l of H
-        has sigma (l - s') > -||E + F||, and as the eigenvalues sum to t,
-        ||H|| <= |t| + k |s'|, which also bounds max |h_ii|;
+        has sigma (l - s') > -||E + F||, and as the eigenvalues sum to tr H,
+        ||H|| <= T_P + k |s'|, which also bounds max |h_ii|;
       - eigvalsh is backward stable: each eigenvalue it returns is within a
         modest multiple of u ||H|| of H's, taken as 4 k^3 u ||H||.
-    The errors add to at most 12 k^4 u (|t| + |s'|) <= 12 k^4 u (1 + kappa_k)
-    (|s| + |t|), so with the rounding of s' itself the eigvalsh extreme on
-    that side has sigma (l - s) > (16 - 15) k^4 u (|s| + |t|) >= 0 (and
-    |s| + |t| = 0 admits no positive pivot).  Neither H positive
-    semidefinite nor any column scale is assumed; a Gram has t >= 0.
+    The errors add to at most 12 k^4 u (T_P + |s'|) <= 12 k^4 u (1 + kappa_k)
+    (|s| + T_P), so with the rounding of s' itself the eigvalsh extreme on
+    that side has sigma (l - s) > (16 - 15) k^4 u (|s| + T_P) >= 0 (and
+    |s| + T_P = 0 admits no positive pivot).  Neither H positive
+    semidefinite nor any column scale is assumed.  Every bound above holds
+    with any T >= |tr H| in place of |tr H|, so sharing T_P over the
+    extensions costs only tightness: on a Gram, T_P = tr G_P + max g_yy is
+    at most tr H plus the largest squared norm after P, never the largest
+    over all columns times k.
     """
     n = gram.shape[0]
-    flat = (np.ascontiguousarray(gram.real) if not gram.imag.any() else gram).ravel()
-    for subsets in _lex_batches(n, size):
-        subsets = subsets[~_certified_inside(flat, n, subsets, *window)]
-        if len(subsets):
+    lower = np.ascontiguousarray(gram.real if not gram.imag.any() else gram)
+    for prefixes, counts in _lex_batches(n, size):
+        ends = np.cumsum(counts)
+        ext = np.arange(ends[-1]) + np.repeat(n - ends, counts)  # last(P) + 1, ..., n - 1 for each P
+        keep = np.flatnonzero(~_certified_extensions(lower, prefixes, counts, ext, *window))
+        if len(keep):
+            owner = np.searchsorted(ends, keep, side="right")
+            subsets = np.concatenate((prefixes[owner], ext[keep, None]), axis=1)
             yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
 
 
@@ -687,6 +769,8 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     n = frame.n
     if max_subset is not None and max_subset < 0:
         raise BadDimensions(f"spark subset cap must be at least 0, got {max_subset}")
+    if not np.isfinite(frame.entries).all():
+        raise FrameFormatError("entries must be finite numbers")
     limit = n if max_subset is None else min(max_subset, n)
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend
@@ -818,14 +902,20 @@ class SteinerRipReport:
 
 
 def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
-    """Check that delta_L < 1 exactly when L <= R, for every L up to R+1 that
-    fits SUBSET_BUDGET; R comes from the frame's provenance and the cutoff
-    formula sqrt((rho M - 1)/(rho - 1)) from its dimensions.  Each delta_L
-    comes from rip_delta's search on one shared Gram, the same bits."""
+    """Check that delta_L < 1 exactly when L <= R, for every L from 2 up to
+    R+1 (or max_size) that fits SUBSET_BUDGET; R comes from the frame's
+    provenance and the cutoff formula sqrt((rho M - 1)/(rho - 1)) from its
+    dimensions.  Each delta_L comes from rip_delta's search on one shared
+    Gram, the same bits.  A verdict that checks no L would pass vacuously,
+    so a max_size below 2 raises BadDimensions, and a frame whose C(N, 2)
+    is over SUBSET_BUDGET raises EnumerationBudgetExceeded."""
+    if max_size is not None and max_size < 2:
+        raise BadDimensions(f"Steiner RIP checks L >= 2, so its cap must be at least 2, got {max_size}")
     big_r = _design_r(frame)
     if big_r is None:
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
     _check_columns(frame)  # before rho, which a frame with no rows would divide by zero
+    _check_budget(comb(frame.n, 2), f"C({frame.n},2)")
     rho = frame.n / frame.m
     cutoff = ((rho * frame.m - 1) / (rho - 1)) ** 0.5
     top = min(big_r + 1, max_size if max_size is not None else big_r + 1)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from etfkit.designs import affine_design, round_robin_design
 from etfkit.errors import (
     BadDimensions,
     EnumerationBudgetExceeded,
+    FrameFormatError,
     NotUnitNorm,
     ShapeMismatch,
     TooFewColumns,
@@ -318,6 +320,42 @@ def test_steiner_rip_verdict_of_a_frame_with_no_rows_is_not_unit_norm():
     frame = Frame(entries=np.zeros((0, 5), complex), provenance={"construction": "steiner", "r": 2})
     with pytest.raises(NotUnitNorm, match="no rows"):
         steiner_rip_verdict(frame)
+
+
+def _search_nothing(gram, size, window=None):
+    raise AssertionError("the search ran on input it should refuse")
+
+
+@pytest.mark.parametrize("cap", [1, 0, -1])
+def test_steiner_rip_verdict_refuses_a_cap_below_two(monkeypatch, fig1, cap):
+    # L runs from 2, so a cap below 2 would check nothing and pass vacuously
+    monkeypatch.setattr(metrics, "_subset_spectra", _search_nothing)
+    with pytest.raises(BadDimensions, match=f"at least 2, got {cap}"):
+        steiner_rip_verdict(fig1, cap)
+    with pytest.raises(BadDimensions):
+        steiner_rip_verdict(orthonormal(4), cap)
+
+
+def test_steiner_rip_verdict_refuses_a_frame_whose_pairs_are_over_budget(monkeypatch, fig1):
+    monkeypatch.setattr(metrics, "_subset_spectra", _search_nothing)
+    monkeypatch.setattr(metrics, "SUBSET_BUDGET", comb(fig1.n, 2) - 1)
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^C\(16,2\) = 120 subsets exceeds the budget 119$"):
+        steiner_rip_verdict(fig1)
+
+
+def test_steiner_rip_verdict_stops_at_the_first_size_over_budget(monkeypatch, fig1):
+    monkeypatch.setattr(metrics, "SUBSET_BUDGET", comb(fig1.n, 3) - 1)
+    report = steiner_rip_verdict(fig1)
+    assert [size for size, _ in report.per_l] == [2] and report.consistent
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_spark_refuses_non_finite_entries_before_searching(monkeypatch, bad):
+    entries = np.eye(3, 5, dtype=np.complex128)
+    entries[1, 2] = bad
+    monkeypatch.setattr(metrics, "_subset_spectra", _search_nothing)
+    with pytest.raises(FrameFormatError, match="^entries must be finite numbers$"):
+        spark(Frame(entries=entries))
 
 
 def test_steiner_rip_not_applicable_for_plain_frames():

@@ -237,3 +237,22 @@ def test_no_gather_wraps_its_indices():
              for path in SOURCES}
     assert not any(sites.values()), f'mode="wrap" in the package source: {sites}'
     assert _sites(ast.parse('a.take(i, mode="wrap")'), _gathers_in_wrap_mode) == [("", 1)]
+
+
+def test_one_subset_engine_serves_spark_and_rip():
+    """In metrics only _lex_batches enumerates subsets, and only
+    _subset_spectra eigensolves them: it alone calls eigvalsh, the
+    certificate _certified_extensions and _lex_batches, and spark and
+    _rip_spectrum (rip_delta and steiner_rip_verdict) reach subsets only
+    through it.  No itertools enumerator is imported beside it."""
+    path = next(p for p in SOURCES if p.name == "metrics.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for callee, callers in (("eigvalsh", ["_subset_spectra"]),
+                            ("_certified_extensions", ["_subset_spectra"]),
+                            ("_lex_batches", ["_subset_spectra"]),
+                            ("_subset_spectra", ["spark", "_rip_spectrum"]),
+                            ("_rip_spectrum", ["rip_delta", "steiner_rip_verdict"])):
+        assert [scope for scope, _ in _sites(tree, _calls(callee))] == callers, callee
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"itertools", "combinations", "permutations", "product"}, imported

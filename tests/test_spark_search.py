@@ -147,6 +147,26 @@ def generic_frames(draw) -> Frame:
     return Frame(entries=a / np.linalg.norm(a, axis=0))
 
 
+@st.composite
+def uneven_frames(draw) -> Frame:
+    """Gaussian frames, real or complex, with m <= 5 rows and n <= 9 columns
+    whose norms span up to sixteen orders of magnitude; then one column is
+    left as it is, made a copy of another (spark 2) or made zero (spark 1)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        a = a + 1j * rng.standard_normal((m, n))
+    a = a * 10.0 ** rng.uniform(-8, 8, n)
+    dst, src = rng.permutation(n)[:2]
+    kind = draw(st.sampled_from(["uneven", "duplicate", "zero"]))
+    if kind == "duplicate":
+        a[:, dst] = a[:, src]
+    elif kind == "zero":
+        a[:, dst] = 0
+    return Frame(entries=a)
+
+
 def _design_frames() -> list[Frame]:
     """Steiner and Kirkman ETFs (coherence 1/R) from affine_design(2, 1..2)
     and round_robin_design(4 | 6), with DFT and, where one exists, Hadamard
@@ -168,12 +188,12 @@ DESIGN_FRAMES = _design_frames()
 
 @st.composite
 def frames_and_caps(draw):
-    kind = draw(st.sampled_from(["design", "small", "generic"]))
+    kind = draw(st.sampled_from(["design", "small", "generic", "uneven"]))
     if kind == "design":
         frame = draw(st.sampled_from(DESIGN_FRAMES))
         cap = draw(st.sampled_from([None, 1, 2, 3, metrics._design_r(frame) + 1]))
     else:
-        frame = draw(small_frames() if kind == "small" else generic_frames())
+        frame = draw({"small": small_frames, "generic": generic_frames, "uneven": uneven_frames}[kind]())
         cap = draw(st.none() | st.integers(1, frame.n + 1))
     return frame, cap
 
@@ -206,7 +226,7 @@ def indefinite_hermitian(draw) -> np.ndarray:
 
 @PROPERTY
 @given(st.one_of(generic_frames().map(Frame.gram), small_frames().map(Frame.gram),
-                 indefinite_hermitian()),
+                 uneven_frames().map(Frame.gram), indefinite_hermitian()),
        st.sampled_from([None, -np.inf, 1e-6, 1e-3, 1e-2, 0.1, 0.5]),
        st.sampled_from([np.inf, 1.5, 2.0, 3.0]))
 def test_every_subset_below_the_floor_is_left_uncertified(gram, lo, hi):
@@ -225,6 +245,18 @@ def test_every_subset_below_the_floor_is_left_uncertified(gram, lo, hi):
         for subset, row in zip(every.tolist(), eigs):
             if row[0] <= lo or row[-1] >= hi:
                 assert np.array_equal(yielded[tuple(subset)], row), (size, subset)
+
+
+@PROPERTY
+@given(st.one_of(generic_frames(), small_frames(), uneven_frames()))
+def test_rip_spectrum_matches_the_reference_search(frame):
+    """The running-extremes search against every subset eigensolved, on
+    every size up to 5, also where column norms differ by orders of
+    magnitude or a column repeats or is zero (rip_delta itself refuses such
+    frames as not unit-norm)."""
+    gram = frame.gram()
+    for size in range(1, min(frame.n, 5) + 1):
+        assert metrics._rip_spectrum(gram, size) == reference_spectrum(gram, size), size
 
 
 def _hermitian_batch(rng, size: int, count: int, ends: tuple[float, float], scale: float):
@@ -254,16 +286,20 @@ def test_the_shifted_ldl_certificate_is_strict(size, scale):
     ends = (0.3, 1.7) if size > 1 else (0.3, 0.3)
     gram, subsets = _hermitian_batch(rng, size, 100, ends, scale)
     eigs = np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
-    flat = gram.ravel()
+
+    def certified(lo, hi):
+        # each block's first size-1 columns as a prefix, and its last column as the one extension
+        return metrics._certified_extensions(gram, subsets[:, :-1], np.ones(len(subsets), dtype=np.intp),
+                                             subsets[:, -1], lo, hi)
     low, high = scale * ends[0], scale * ends[1]
     nudges = [0.0, -1e-15, 1e-15, -1e-12, 1e-12, -1e-9, 1e-9]
     for lo in [low * (1 + d) for d in nudges] + [np.nextafter(low, 0), np.nextafter(low, np.inf), -np.inf]:
         for hi in [high * (1 + d) for d in nudges] + [np.nextafter(high, 0), np.nextafter(high, np.inf), np.inf]:
-            certified = metrics._certified_inside(flat, gram.shape[0], subsets, lo, hi)
-            assert np.all(eigs[certified, 0] > lo) and np.all(eigs[certified, -1] < hi), (lo, hi)
-    assert metrics._certified_inside(flat, gram.shape[0], subsets, low * (1 - 1e-9), high * (1 + 1e-9)).all()
-    assert metrics._certified_inside(flat, gram.shape[0], subsets, -np.inf, np.inf).all()
-    assert not metrics._certified_inside(flat, gram.shape[0], subsets, np.inf, -np.inf).any()
+            inside = certified(lo, hi)
+            assert np.all(eigs[inside, 0] > lo) and np.all(eigs[inside, -1] < hi), (lo, hi)
+    assert certified(low * (1 - 1e-9), high * (1 + 1e-9)).all()
+    assert certified(-np.inf, np.inf).all()
+    assert not certified(np.inf, -np.inf).any()
 
 
 def _recording_enumerator(monkeypatch) -> list[tuple[int, int]]:
@@ -272,21 +308,24 @@ def _recording_enumerator(monkeypatch) -> list[tuple[int, int]]:
     enumerate_batches = metrics._lex_batches
 
     def recording(n, size):
-        for subsets in enumerate_batches(n, size):
-            batches.append((size, len(subsets)))
-            yield subsets
+        for prefixes, counts in enumerate_batches(n, size):
+            batches.append((size, int(counts.sum())))
+            yield prefixes, counts
     monkeypatch.setattr(metrics, "_lex_batches", recording)
     return batches
 
 
-@pytest.mark.parametrize("design,order", [(affine_design(3, 1), 5), (round_robin_design(6), 6)])
-def test_steiner_spark_enumerates_one_batch_of_size_r_plus_1(monkeypatch, design, order):
+@pytest.mark.parametrize("design,order,first", [(affine_design(3, 1), 5, 41 + 40),
+                                                (round_robin_design(6), 6, 31 + 30 + 29)])
+def test_steiner_spark_enumerates_one_batch_of_size_r_plus_1(monkeypatch, design, order, first):
+    """The first batch is the fewest whole prefixes that stand for 64
+    subsets: (0, ..., R-1) and the next prefixes, each with its extensions."""
     frame = steiner_etf(design, drop_row_simplex(dft(order), 0))
     big_r = order - 1
     batches = _recording_enumerator(monkeypatch)
     report = spark(frame)
     assert report.spark == big_r + 1 and report.witness == tuple(range(big_r + 1))
-    assert batches == [(big_r + 1, 64)]
+    assert batches == [(big_r + 1, first)] and 64 <= first < 64 + frame.n
 
 
 def _counting_engine(monkeypatch) -> list[tuple[int, int]]:
@@ -358,16 +397,26 @@ def test_spark_size_m_plus_1_is_decided_without_an_eigensolve(monkeypatch, frame
         assert want["witness"] == first.tolist()
 
 
-@pytest.mark.parametrize("n,size,chunk", [(20, 3, metrics._EIG_CHUNK), (12, 4, 128), (5, 5, 64), (9, 1, 64)])
+@pytest.mark.parametrize("n,size,chunk", [(20, 3, metrics._EIG_CHUNK), (30, 4, 128), (12, 4, 128),
+                                          (5, 5, 64), (9, 1, 64), (80, 1, 64), (70, 2, 64)])
 def test_subset_batches_are_the_lexicographic_combinations(monkeypatch, n, size, chunk):
+    """With a window that certifies nothing, every subset is yielded once,
+    in lexicographic order, in batches of whole prefixes: each but the last
+    is the fewest that stand for min(64 2^i, chunk) subsets, so it ends at
+    column n-1 and holds fewer than that plus n-size+1, the most any prefix
+    stands for."""
     monkeypatch.setattr(metrics, "_EIG_CHUNK", chunk)
     rng = np.random.default_rng(n * size)
     a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     gram = a.conj().T @ a
-    batches = list(metrics._subset_spectra(gram, size, (np.inf, -np.inf)))  # a window that certifies nothing
-    sizes = [len(subsets) for subsets, _ in batches]
-    assert sizes[:-1] == [min(64 << i, chunk) for i in range(len(sizes) - 1)]
+    batches = list(metrics._subset_spectra(gram, size, (np.inf, -np.inf)))
+    for i, (subsets, _) in enumerate(batches[:-1]):
+        want = min(64 << i, chunk)
+        assert want <= len(subsets) < want + n - size + 1 and subsets[-1, -1] == n - 1
+        last_prefix = (subsets[:, :-1] == subsets[-1, :-1]).all(axis=1)
+        assert len(subsets) - last_prefix.sum() < want
     subsets = np.concatenate([subsets for subsets, _ in batches])
+    assert len(subsets) == comb(n, size)
     assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(n), size))
     eigs = np.concatenate([e for _, e in batches])
     assert np.array_equal(eigs, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]]))
@@ -375,9 +424,11 @@ def test_subset_batches_are_the_lexicographic_combinations(monkeypatch, n, size,
 
 @pytest.mark.parametrize("n,size", [(100, 97), (120, 118)])
 def test_lexicographic_batches_where_middle_binomials_pass_int64(n, size):
-    # C(99, 49) and C(119, 59) exceed 2**63; the rank tables must not wrap
-    subsets = np.concatenate(list(metrics._lex_batches(n, size)))
-    assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(n), size))
+    # C(98, 49) and C(118, 59) exceed 2**63; the rank tables must not wrap
+    subsets = [prefix + (x,) for prefixes, counts in metrics._lex_batches(n, size)
+               for prefix, count in zip(map(tuple, prefixes.tolist()), counts.tolist())
+               for x in range(n - count, n)]
+    assert subsets == list(combinations(range(n), size))
 
 
 # L = 1..4 on every frame, and L = N on fig1, where the one subset is every column
