@@ -10,11 +10,11 @@ the frame conversions are array operations on it.  All arithmetic in this
 module is exact (bits and integers, no tolerances).  A self-complementary
 code is certified as the frame it is: its distance and its ETF side are
 both read off metrics._gram_profile of the frame S^T / sqrt(m) of its first
-half's signs (_half), and certify_grbe hands that profile to
-metrics._certify, the path certify_etf takes.  The profile is structural,
-with no Gram, for the code of a Steiner-form sign frame (a kirkman_etf
-frame, or a +-1 harmonic frame of (Z_2)^k), else it reads the N x N sign
-Gram of the first half, computed by frames.exact_gram.  Any other code's
+half's signs, which code_to_frame builds (_half), and certify_grbe hands
+that profile to metrics._certify, the path certify_etf takes.  The profile
+is structural, with no Gram, for the code of a Steiner-form sign frame (a
+kirkman_etf frame, or a +-1 harmonic frame of (Z_2)^k), else it reads the
+N x N sign Gram of the first half, computed by frames.exact_gram.  Any other code's
 distance comes from its W x W sign Gram.  Linearity comes from GF(2)
 elimination on words packed into Python integers.
 """
@@ -184,28 +184,25 @@ def frame_to_code(frame: Frame) -> BinaryCode:
 
 def code_to_frame(code: BinaryCode) -> Frame:
     """Exponentiate the first half of a self-complementary code back into the
-    M x N sign-form frame."""
+    M x N sign-form frame S^T / sqrt(M), S = (-1)^bit of the first N = W/2
+    words.  S^T is held as an int8 view, with no copy and no norm pass: +-1
+    over sqrt(M) is unit-norm."""
     if not code.self_complementary:
         raise NotSelfComplementary("only self-complementary codes map back to frames")
     half = code.count // 2
-    ints = 1 - 2 * code.bits[:half].T.astype(np.int64, order="C")
-    frame = Frame(exact_ints=ints, scale_sq=code.m,
-                  provenance={"construction": "from-code", "m": code.m, "n": half})
-    frame.check_unit_norm()
-    return frame
+    signs = 1 - 2 * code.bits[:half].astype(np.int8)
+    return Frame(exact_ints=signs.T, scale_sq=code.m,
+                 provenance={"construction": "from-code", "m": code.m, "n": half})
 
 
 def _half(code: BinaryCode) -> tuple[int, Frame, tuple]:
-    """(distance(code), F, profile) of a self-complementary code:
-    F = S^T / sqrt(m), the frame of the signs S = (-1)^bit of the first
-    N = W/2 words, which code_to_frame gives the code, and profile its
-    metrics._gram_profile, whose offdiag max is max_{a != b} |G_ab| / m for
-    the half sign Gram G = S S^T (see distance).  S^T is held as an int8
-    view, with no copy and no norm pass: +-1 over sqrt(m) is unit-norm."""
+    """(distance(code), F, profile) of a self-complementary code: F its
+    frame (code_to_frame) and profile its metrics._gram_profile, whose
+    offdiag max is max_{a != b} |G_ab| / m for the half sign Gram
+    G = S S^T (see distance)."""
     if code.count < 2:
         raise TooFewWords("distance needs at least two codewords")
-    signs = 1 - 2 * code.bits[:code.count // 2].astype(np.int8)
-    frame = Frame(exact_ints=signs.T, scale_sq=code.m)
+    frame = code_to_frame(code)
     profile = _gram_profile(frame)
     return (code.m if code.count == 2 else (code.m - int(profile[0] * code.m)) // 2), frame, profile
 

@@ -9,7 +9,9 @@ of L-th roots of unity, L > 2, stores only their exponents mod L and d.
 Either way the complex entries are derived when first read.  _assemble is
 the one place a construction picks its form, from what it gathered, and
 exact_gram the one place that decides how an integer product, always the
-Gram a a^T of one matrix, is computed exactly.
+Gram a a^T of one matrix, is computed exactly.  Exponents are the one exact
+route through the Kirkman layer: kirkman_etf sums them, signs included, and
+mcfarland_as_kirkman proves the twins equal as one identity on them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     GroupMismatch,
     GroupOrderMismatch,
     IndexOutOfRange,
+    InvariantViolation,
     NotADifferenceSet,
     NotResolvable,
     NotTight,
@@ -54,7 +57,6 @@ UNIT_NORM_TOL = 1e-9
 _FLOAT64_EXACT = 2 ** 53  # every integer of smaller magnitude is a float64
 _INT64_EXACT = 2 ** 63
 _DIFFERENCE_BATCH = 2 ** 18  # pairs per bincount: its int32 differences and their borrow masks take a few MB
-_GRAM_BLOCK = 2 ** 18  # entries per block of _deviations' Hermitian part: 4 MB complex
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -96,7 +98,9 @@ class Frame:
     private _phases = (phases, order).  An exact form's entries are derived
     on first read, by _numeric, and kept read-only, and every exact check
     reads the integers alone.  Entries passed alongside an exact form must
-    equal the derived ones, else FrameFormatError.
+    equal the derived ones.  The stored form is checked once, here: finite
+    2-D entries, 2-D integer exact_ints, and an integer scale_sq (not a
+    bool), positive on a nonempty form; else FrameFormatError.
     """
 
     entries: np.ndarray
@@ -110,15 +114,29 @@ class Frame:
                  _phases: tuple[np.ndarray, int] | None = None):
         phases, order = (None, None) if _phases is None else _phases
         exact = exact_ints if phases is None else phases
+        if exact is not None:
+            exact = np.asarray(exact).view()
+            exact.flags.writeable = False
         if (exact is None) != (scale_sq is None) or (exact_ints is not None and phases is not None):
             raise FrameFormatError("an exact form is exact_ints or phases, one of them, with scale_sq")
         if exact is None and entries is None:
             raise FrameFormatError("a frame needs entries or an exact form")
-        if phases is not None and (phases.ndim != 2 or phases.dtype.kind != "u" or phases.max(initial=0) >= order):
+        if phases is not None and (exact.ndim != 2 or exact.dtype.kind != "u" or exact.max(initial=0) >= order):
             raise FrameFormatError("a phase form is a matrix of unsigned exponents below its order")
-        if exact is not None:
-            exact = np.asarray(exact).view()
-            exact.flags.writeable = False
+        if exact_ints is not None and (exact.ndim != 2 or exact.dtype.kind not in "iu"):
+            raise FrameFormatError("an integer form is a matrix of integers")
+        if scale_sq is not None:
+            if not isinstance(scale_sq, (int, np.integer)) or isinstance(scale_sq, bool):
+                raise FrameFormatError(f"scale_sq must be an integer, got {scale_sq!r}")
+            scale_sq = int(scale_sq)
+            if scale_sq < 1 and exact.size:  # else the derived entries divide by zero or take a NaN root
+                raise FrameFormatError(f"scale_sq must be positive, got {scale_sq}")
+        if entries is not None:
+            entries = np.asarray(entries)
+            if entries.ndim != 2 or entries.dtype.kind not in "biufc":
+                raise FrameFormatError("entries must be a matrix of numbers")
+            if not np.isfinite(entries).all():
+                raise FrameFormatError("entries must be finite numbers")
         self.exact_ints = exact if phases is None else None
         self._phases = None if phases is None else (exact, order)
         self.scale_sq = scale_sq
@@ -287,8 +305,6 @@ def parse_frame(text: str) -> Frame:
                 if not math.isfinite(scale):
                     raise FrameFormatError(f"scale {scale} is not a finite number")
                 arr = arr * scale
-            if not np.isfinite(arr).all():
-                raise FrameFormatError("entries must be finite numbers")
             frame = Frame(entries=arr, provenance=provenance)
         frame.check_unit_norm()  # inside: a scale past float64 is malformed
     except FrameFormatError:
@@ -393,17 +409,17 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     f_u(r) * h_{s(r,v)}(s) / sqrt(B), where s(r,v) indexes the class-r block
     containing v and h-columns come from a unimodular orthogonal basis.
 
-    Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.  When
-    both matrices carry an exact exponent form (UnimodularMatrix._exponents:
-    +-1 signs, or the phases of a character build), f = zeta_Ls^a and
-    h = zeta_Lb^b, so the entry is exactly zeta_L^(a L/Ls + b L/Lb) with
-    L = lcm(Ls, Lb), and _assemble gets those exponents mod L: a sign frame
-    for L <= 2, else a phase frame.  The exponents are summed into one
-    R x S x N array of the narrowest unsigned type that holds 2L - 2
-    (flatmat._phase_dtype), and reduced mod L by subtracting L where the sum
-    is at least L, so no wider integer is formed.  A complex matrix from
-    outside the package has no exponent form, and the entries are the
-    products of the values.
+    Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.  Every
+    pair of matrices that both carry an exact exponent form
+    (UnimodularMatrix._exponents: +-1 signs, or the phases of a character
+    build) takes the one exponent route: f = zeta_Ls^a and h = zeta_Lb^b, so
+    the entry is exactly zeta_L^(a L/Ls + b L/Lb) with L = lcm(Ls, Lb), and
+    _assemble gets those exponents mod L: a sign frame for L <= 2, else a
+    phase frame.  The exponents are summed into one R x S x N array of the
+    narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype), and
+    reduced mod L by subtracting L where the sum is at least L, so no wider
+    integer is formed.  Only when a matrix from outside the package has no
+    exponent form are the values multiplied.
     """
     pos, _ = _resolution_lookup(design)
     big_r = pos.shape[0]
@@ -421,9 +437,7 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     prov = {"construction": "kirkman", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind}
     fx, hx = simplex._exponents, basis._exponents
-    if fx is None or hx is None or (simplex.signs is not None and basis.signs is not None):
-        # a complex matrix from outside has no exponents to add, and two sign
-        # matrices multiply their signs, the cheaper route to the same integers
+    if fx is None or hx is None:  # a complex matrix from outside has no exponents to add
         values = np.tile(_form(simplex), (1, v_count))[:, None, :] * _form(basis)[:, h_cols].transpose(1, 0, 2)
         return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
     (f, f_order), (h, h_order) = fx, hx
@@ -538,7 +552,9 @@ def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
 
 @dataclass(frozen=True)
 class McFarlandMatchReport:
-    """Entrywise and Gram agreement between the two constructions."""
+    """Entrywise and Gram agreement between the two constructions: both
+    deviations are 0.0, since mcfarland_as_kirkman returns a report only
+    when the two frames are the same matrix."""
 
     q: int
     j: int
@@ -565,44 +581,28 @@ class McFarlandMatchReport:
         }
 
 
-def _deviations(a: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-    """(max |A - K|, max |A^H A - K^H K|) for M x N matrices A and K, rows
-    matched.  A^H A - K^H K = (X + X^H) / 2 for X = S^H E, S = A + K and
-    E = A - K; X is formed and X + X^H read a block of rows at a time, with
-    one N x N array live."""
-    diff = a - k
-    summed = a + k
-    x = np.conjugate(summed, out=summed).T @ diff
-    n = x.shape[0]
-    step = max(1, _GRAM_BLOCK // n)
-    gram_dev = max(float(np.abs(x[lo:lo + step] + x[:, lo:lo + step].conj().T).max())
-                   for lo in range(0, n, step))
-    return float(np.abs(diff).max()), gram_dev / 2
-
-
 def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
                          tol: float = 1e-9) -> tuple[Frame, Frame, McFarlandMatchReport]:
     """Build the same ETF twice: as restricted characters over the
     hyperplane-translate difference set, and as the flat transform of the
     affine design with f_u(r) = chi_u(g_r) and the trace-character basis.
 
-    Returns (harmonic frame, design-based frame, match report); the report
-    compares entries under the canonical identification of row (r, s) with
-    group element (g_r, g^r s) and of column (u, v) with the character pair.
-    Both frames are exact forms built by _assemble: the harmonic one from the
-    character phases at the difference set, the design-based one from the
-    sums of simplex and basis exponents (kirkman_etf), both mod the exponent
-    L of G x V.  So with an exponent-two G and p = 2 both are +-1 integer
-    forms, and otherwise phase forms.
+    Returns (harmonic frame, design-based frame, match report), under the
+    canonical identification of row (r, s) with group element (g_r, g^r s)
+    and of column (u, v) with the character pair.  Both frames are exact
+    forms built by _assemble: the harmonic one from the character phases at
+    the difference set, the design-based one from the sums of simplex and
+    basis exponents (kirkman_etf), both mod the exponent L of G x V.  So with
+    an exponent-two G and p = 2 both are +-1 integer forms, and otherwise
+    phase forms.
 
-    The theorem is then an integer identity: both are unit-norm flat frames
-    at scale M, so when their exponents (_unit_exponents) have the same
-    order L and are equal under the identification, one np.array_equal, the
-    frames are the same matrix, and both deviations are exactly 0.0, with
-    no complex entry formed.  Otherwise, or for a frame with no exponents,
-    both deviations are computed from the entries, the Gram deviation
-    with both frames' columns in the harmonic labelling by G x V
-    (_deviations).
+    The theorem is checked as one integer identity, the only test: both are
+    unit-norm flat frames at scale M, and their exponents (_unit_exponents)
+    have the same order L and are equal under the identification, so the
+    frames are the same matrix and both deviations are exactly 0.0, with no
+    complex entry formed.  Should the identity fail, that is a bug, and
+    InvariantViolation names q, j, G and the first entry (row, column) of
+    the design-based frame, in row-major order, where it fails.
     """
     structure, design = affine_structure(q, j)
     fld = structure.field
@@ -622,17 +622,19 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     # power basis x^l of V, at the place of V's coefficient l: index
     # u * |V| + sum_l w(l) p^l, laid out v-major
     place = fld.p ** np.arange(fld.k)
-    w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
-    col_order = np.argsort((np.arange(big_r + 1) * fld.order + w[:, None]).ravel())
+    w = (fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] * place).sum(axis=1)
+    col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
 
+    where = f"McFarland frame for q={q}, j={j}, G={group_g.factors}"
     a, k = _unit_exponents(harm), _unit_exponents(kirk)
-    if a is not None and k is not None and a[1] == k[1] and np.array_equal(a[0][row_perm], k[0][:, col_order]):
-        max_entry_dev = max_gram_dev = 0.0
-    else:
-        max_entry_dev, max_gram_dev = _deviations(harm.entries[row_perm], kirk.entries[:, col_order])
+    if a is None or k is None or a[1] != k[1]:
+        raise InvariantViolation(f"{where}: its two builds are not flat frames of one root order")
+    mapped = a[0][row_perm][:, col_perm]
+    if not np.array_equal(mapped, k[0]):
+        row, col = np.argwhere(mapped != k[0])[0].tolist()
+        raise InvariantViolation(f"{where} fails the exponent identity at Kirkman entry ({row}, {col})")
     report = McFarlandMatchReport(q=q, j=j, group=tuple(group_g.factors),
-                                  max_entry_dev=max_entry_dev,
-                                  max_gram_dev=max_gram_dev, tol=tol)
+                                  max_entry_dev=0.0, max_gram_dev=0.0, tol=tol)
     return harm, kirk, report
 
 

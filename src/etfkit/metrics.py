@@ -41,7 +41,6 @@ import numpy as np
 from .errors import (
     BadDimensions,
     EnumerationBudgetExceeded,
-    FrameFormatError,
     NotUnitNorm,
     ShapeMismatch,
     TooFewColumns,
@@ -769,8 +768,6 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     n = frame.n
     if max_subset is not None and max_subset < 0:
         raise BadDimensions(f"spark subset cap must be at least 0, got {max_subset}")
-    if not np.isfinite(frame.entries).all():
-        raise FrameFormatError("entries must be finite numbers")
     limit = n if max_subset is None else min(max_subset, n)
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend

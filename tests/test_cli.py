@@ -12,6 +12,7 @@ import pytest
 import etfkit
 from conftest import FIG3_GRID
 from etfkit.cli import main
+from test_frames import _flip_kirkman_phases
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,15 @@ def test_frame_mcfarland_vs_kirkman(capsys, schema):
     doc = check_report(schema, out)
     assert doc["passed"] is True
     assert doc["group"] == [5]
+
+
+def test_a_broken_mcfarland_identity_exits_2_with_one_line(capsys, monkeypatch):
+    _flip_kirkman_phases(monkeypatch, (2, 5))
+    code = main(["frame", "mcfarland-vs-kirkman", "--q", "3", "--j", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("etfkit: McFarland frame for q=3, j=1, G=(5,) fails the exponent identity "
+                   "at Kirkman entry (2, 5)\n")
 
 
 def test_a_group_with_a_factor_of_order_1_is_matched_and_verified(capsys, monkeypatch, schema):

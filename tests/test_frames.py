@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from etfkit.errors import (
     FrameFormatError,
     GroupOrderMismatch,
     IndexOutOfRange,
+    InvariantViolation,
     NotADifferenceSet,
     NotResolvable,
     NotTight,
@@ -47,7 +49,7 @@ from etfkit.frames import (
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
 
-from test_gram_row import EXACT_LADDER, FLOAT_LADDER, TOP, _label
+from test_gram_row import EXACT_LADDER, FLOAT_LADDER, TOP, _dense_deviations, _identification, _label
 
 
 def fig1_frame() -> Frame:
@@ -330,9 +332,38 @@ def test_frame_json_rejects_non_finite_numbers(text):
 def test_check_unit_norm_raises_not_unit_norm():
     with pytest.raises(NotUnitNorm):
         Frame(entries=np.array([[1.0, 1.0], [1.0, 0.0]], dtype=np.complex128)).check_unit_norm()
-    with pytest.raises(NotUnitNorm):
-        Frame(entries=np.array([[1.0, np.nan]], dtype=np.complex128)).check_unit_norm()
+    with pytest.raises(FrameFormatError, match="^entries must be finite numbers$"):  # refused when built
+        Frame(entries=np.array([[1.0, np.nan]], dtype=np.complex128))
     Frame(entries=np.eye(2, dtype=np.complex128)).check_unit_norm()
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    # columns [1, 0], [.6, .8], [0, 1]: read as integers, their coherence would be "0", not 0.8
+    ({"exact_ints": np.array([[1.0, 0.6, 0.0], [0.0, 0.8, 1.0]]), "scale_sq": 1}, "an integer form is a matrix of integers"),
+    ({"exact_ints": np.array([[True, False]]), "scale_sq": 1}, "an integer form is a matrix of integers"),
+    ({"exact_ints": np.array([1, -1]), "scale_sq": 1}, "an integer form is a matrix of integers"),
+    ({"exact_ints": np.array([[1, -1]], dtype=object), "scale_sq": 1}, "an integer form is a matrix of integers"),
+    ({"exact_ints": np.array([[1, -1]]), "scale_sq": 2.0}, "scale_sq must be an integer, got 2.0"),
+    ({"exact_ints": np.array([[1, -1]]), "scale_sq": True}, "scale_sq must be an integer, got True"),
+    ({"exact_ints": np.array([[1, -1]]), "scale_sq": "1"}, "scale_sq must be an integer, got '1'"),
+    ({"exact_ints": np.array([[1, -1]]), "scale_sq": 0}, "scale_sq must be positive, got 0"),
+    ({"_phases": (np.zeros((1, 2), dtype=np.uint8), 3), "scale_sq": -1}, "scale_sq must be positive, got -1"),
+    ({"entries": np.array([1.0, 0.0])}, "entries must be a matrix of numbers"),
+    ({"entries": np.array([["1", "0"]])}, "entries must be a matrix of numbers"),
+    ({"entries": np.array([[1.0, np.nan]])}, "entries must be finite numbers"),
+    ({"entries": np.array([[1.0, 1j * np.inf]])}, "entries must be finite numbers"),
+    ({"entries": np.array([[np.nan]]), "exact_ints": np.array([[1]]), "scale_sq": 1}, "entries must be finite numbers"),
+], ids=["float-ints", "bool-ints", "1d-ints", "object-ints", "float-scale", "bool-scale", "str-scale",
+        "zero-scale", "negative-scale", "1d-entries", "str-entries", "nan", "inf-imag", "nan-beside-ints"])
+def test_a_frame_checks_its_stored_form_when_built(kwargs, message):
+    with pytest.raises(FrameFormatError, match=f"^{re.escape(message)}$"):
+        Frame(**kwargs)
+
+
+def test_a_scale_is_stored_as_a_python_int_and_may_be_0_on_an_empty_form():
+    frame = Frame(exact_ints=np.array([[3, 4]], dtype=np.uint8), scale_sq=np.int64(25))
+    assert frame.scale_sq == 25 and type(frame.scale_sq) is int
+    assert Frame(exact_ints=np.zeros((0, 3), dtype=np.int8), scale_sq=0).entries.shape == (0, 3)
 
 
 def test_real_kirkman_params_k2_w1():
@@ -583,19 +614,23 @@ def test_resolution_faults_keep_their_messages(resolution, message):
         steiner_etf(_round_robin_4_with_resolution(resolution), drop_row_simplex(hadamard(4), 0))
 
 
-# -- McFarland: the Gram deviation from one product ----------------------------
+# -- McFarland: one exponent identity, and a dense reference ---------------------
 
 def _two_gram_deviation(a: np.ndarray, k: np.ndarray) -> float:
     return float(np.abs(a.conj().T @ a - k.conj().T @ k).max())
 
 
-@pytest.mark.parametrize("block", [None, 100], ids=["one-block", "two-row-blocks"])
+@pytest.mark.parametrize("block", [2 ** 18, 100], ids=["one-block", "two-row-blocks"])
 @pytest.mark.parametrize("perturb", [0.0, 1e-6], ids=["exact", "perturbed"])
 @pytest.mark.parametrize("q,j,factors", [(3, 1, (5,)), (4, 1, (6,)), (2, 2, (8,))])
-def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, perturb, block, monkeypatch):
+def test_the_dense_reference_matches_the_two_gram_value(q, j, factors, perturb, block, monkeypatch):
+    """The dense reference the twins are checked against, on the twins with
+    three entries of the Kirkman one nudged, read in one block of rows of
+    X + X^H or in blocks of 100 // N = 2 (or 1) rows.  mcfarland_as_kirkman
+    refuses the nudged frame, which has no exponents."""
     from etfkit import frames
 
-    real_kirkman, real_deviations, seen = frames.kirkman_etf, frames._deviations, []
+    real_kirkman, built = frames.kirkman_etf, []
 
     def kirkman_etf(*args):
         frame = real_kirkman(*args)
@@ -603,47 +638,85 @@ def test_mcfarland_gram_deviation_matches_the_two_gram_value(q, j, factors, pert
         rng = np.random.default_rng(sum(factors))
         rows, cols = rng.integers(frame.m, size=3), rng.integers(frame.n, size=3)
         entries[rows, cols] += perturb * np.exp(2j * np.pi * rng.random(3))
-        return Frame(entries=entries, provenance=frame.provenance)
-
-    if block is not None:  # rows of X + X^H in blocks of 100 // N = 2 (or 1) rows
-        monkeypatch.setattr(frames, "_GRAM_BLOCK", block)
-
-    def deviations(a, k):
-        seen.append((a, k))
-        return real_deviations(a, k)
+        built.append(Frame(entries=entries, provenance=frame.provenance))
+        return built[-1]
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
-    monkeypatch.setattr(frames, "_deviations", deviations)
-    _, _, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
-    (a, k), = seen
-    assert report.max_entry_dev == float(np.abs(a - k).max())
-    assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
-    assert (report.max_gram_dev > 1e-8) == (perturb > 0)
+    with pytest.raises(InvariantViolation, match="not flat frames of one root order"):
+        mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    dset = mcfarland_set(q, j, AbelianGroup(factors))
+    rows, cols = _identification(q, j, AbelianGroup(factors))
+    a, k = harmonic_etf(dset.group, dset).entries[rows], built[0].entries[:, cols]
+    entry_dev, gram_dev = _dense_deviations(a, k, block)
+    assert entry_dev == float(np.abs(a - k).max())
+    assert abs(gram_dev - _two_gram_deviation(a, k)) <= 1e-15
+    assert (gram_dev > 1e-8) == (perturb > 0)
 
 
-@pytest.mark.parametrize("q,j,factors", [(3, 1, (5,)), (4, 1, (6,)), (2, 2, (8,))])
-def test_a_flipped_kirkman_exponent_is_caught_with_the_dense_two_gram_value(q, j, factors, monkeypatch):
+def _flip_kirkman_phases(monkeypatch, *at) -> list[Frame]:
+    """Patch frames.kirkman_etf to add 1 mod L to the exponents at each
+    (row, column) of at; the frames it builds are listed in the result."""
     from etfkit import frames
 
-    real_kirkman, real_deviations, seen = frames.kirkman_etf, frames._deviations, []
+    real_kirkman, built = frames.kirkman_etf, []
 
     def kirkman_etf(*args):
         frame = real_kirkman(*args)
         phases = frame.phases.copy()
-        phases[2, 5] = (phases[2, 5] + 1) % frame.order
-        return Frame(scale_sq=frame.scale_sq, provenance=frame.provenance, _phases=(phases, frame.order))
-
-    def deviations(a, k):
-        seen.append((a, k))
-        return real_deviations(a, k)
+        for row, col in at:
+            phases[row, col] = (phases[row, col] + 1) % frame.order
+        built.append(Frame(scale_sq=frame.scale_sq, provenance=frame.provenance, _phases=(phases, frame.order)))
+        return built[-1]
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
-    monkeypatch.setattr(frames, "_deviations", deviations)
+    return built
+
+
+@pytest.mark.parametrize("q,j,factors", [(3, 1, (5,)), (4, 1, (6,)), (2, 2, (8,))])
+def test_a_flipped_kirkman_exponent_raises_naming_its_entry(q, j, factors, monkeypatch):
+    group = AbelianGroup(factors)
+    harm, _, _ = mcfarland_as_kirkman(q, j, group)
+    flipped = _flip_kirkman_phases(monkeypatch, (4, 1), (2, 5))
+    # the first entry in row-major order is named
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(f'McFarland frame for q={q}, j={j}, G={factors}')} "
+                                                 r"fails the exponent identity at Kirkman entry \(2, 5\)$"):
+        mcfarland_as_kirkman(q, j, group)
+    # the dense reference sees the flipped entries as well
+    rows, cols = _identification(q, j, group)
+    entry_dev, gram_dev = _dense_deviations(harm.entries[rows], flipped[0].entries[:, cols])
+    assert entry_dev > 1e-9 and gram_dev > 1e-9
+
+
+def _ordered_factorizations(n: int) -> list[tuple[int, ...]]:
+    """Every ordered factorization of n into factors of at least 2."""
+    return [(n,)] * (n > 1) + [(f, *rest) for f in range(2, n) if n % f == 0
+                               for rest in _ordered_factorizations(n // f)]
+
+
+def _every_group(q: int, j: int) -> list[tuple[int, ...]]:
+    """Every ordered factorization of R + 1, each also with a unit factor
+    at every place."""
+    big_r = (q ** (j + 1) - 1) // (q - 1)
+    return [g for f in _ordered_factorizations(big_r + 1)
+            for g in [f] + [f[:i] + (1,) + f[i:] for i in range(len(f) + 1)]]
+
+
+EVERY_GROUP = [(q, j, g) for q, j in ((2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (2, 3), (7, 1), (8, 1), (3, 2),
+                                      (9, 1))
+               for g in _every_group(q, j)]
+
+
+def test_every_group_lists_each_ordered_factorization_with_its_unit_factors():
+    assert _ordered_factorizations(8) == [(8,), (2, 4), (2, 2, 2), (4, 2)]
+    assert _every_group(2, 1) == [(4,), (1, 4), (4, 1), (2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    assert len(EVERY_GROUP) == len(set(EVERY_GROUP)) == 108
+
+
+@pytest.mark.parametrize("case", EVERY_GROUP, ids=_label)
+def test_the_mcfarland_identity_holds_on_every_group(case):
+    q, j, factors = case
     _, _, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
-    (a, k), = seen  # the exponents differ, so the entries are compared
-    assert report.max_entry_dev > report.tol and report.max_entry_dev == float(np.abs(a - k).max())
-    assert abs(report.max_gram_dev - _two_gram_deviation(a, k)) <= 1e-15
-    assert report.max_gram_dev > report.tol and not report.as_dict()["passed"]
+    assert (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0) and report.as_dict()["passed"]
 
 
 def test_a_complex_kirkman_frame_adds_the_exponents_of_its_two_matrices():
@@ -683,15 +756,14 @@ def test_harmonic_frame_is_the_character_table_restricted_to_the_set(case):
 @pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)
 def test_the_mcfarland_match_is_an_exponent_identity(case, monkeypatch):
     """Both frames are exact forms that agree under the identification:
-    both deviations are exactly 0.0, with no character-row check, no dense
-    deviation and no complex entry formed on either frame."""
+    both deviations are exactly 0.0, with no character-row check and no
+    complex entry formed on either frame."""
     from etfkit import frames
 
     def forbidden(*args):
         raise AssertionError("the exponent match needs no character-row check")
 
-    for name in ("_character_rows", "_deviations"):
-        monkeypatch.setattr(frames, name, forbidden)
+    monkeypatch.setattr(frames, "_character_rows", forbidden)
     q, j, factors = case
     harm, kirk, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
     assert (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0) and report.as_dict()["passed"]

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from etfkit import fixtures, flatmat, frames, metrics
-from etfkit.designs import affine_design
+from etfkit.designs import affine_design, affine_structure
+from etfkit.errors import InvariantViolation
 from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex
 from etfkit.frames import (
     DifferenceSet,
@@ -43,6 +44,8 @@ TOP = (4, 2, (22,))
 # groups with a cyclic factor of order 1, at the front (generator column N),
 # inside and at the back; the McFarland group appends (Z_q)^(j+1)
 UNIT_FACTOR = [(3, 1, (1, 5)), (3, 1, (5, 1)), (2, 1, (1, 1, 4)), (3, 1, (1, 5, 1))]
+# the exponent-two cases of the benchmark's harmonic ladder: +-1 tables, exact frames
+EXACT_LADDER = [(2, 1, (2, 2)), (2, 2, (2, 2, 2)), (2, 3, (2, 2, 2, 2))]
 FLOAT_FIELDS = ("coherence", "welch_bound", "welch_gap", "tightness_residual", "offdiag_max",
                 "offdiag_min")
 
@@ -135,19 +138,45 @@ def test_one_row_certificate_matches_the_dense_one(case, gram_calls, phase_check
         assert abs(got["potential_residual"] - want["potential_residual"]) <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR, ids=_label)
-def test_one_row_mcfarland_gram_deviation_matches_the_dense_one(case, gram_calls, monkeypatch):
-    # no Gram row is read any more: equal exponents make both deviations
-    # exactly 0.0, and the dense computation on the same entries agrees
-    dense, real = [], frames._deviations
-    monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real(a, k))
-    _, _, got = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert gram_calls == [] and dense == []
-    monkeypatch.setattr(frames, "_unit_exponents", lambda frame: None)
-    _, _, want = mcfarland_as_kirkman(*case[:2], AbelianGroup(case[2]))
-    assert len(dense) == 1
-    assert (got.max_entry_dev, got.max_gram_dev) == (want.max_entry_dev, want.max_gram_dev) == (0.0, 0.0)
-    assert got.as_dict() == want.as_dict() and got.as_dict()["passed"]
+def _identification(q, j, group_g):
+    """(rows, cols) with harmonic.entries[rows] and twin.entries[:, cols] the
+    same matrix, for the twins of mcfarland_as_kirkman(q, j, group_g): row
+    (r, s) of the twin is the difference-set element (g_r, g^r s), and the
+    twin's columns are sorted by the index u |V| + sum_l tr(v x^l) p^l of
+    the character pair (u, w) that column (u, v) is."""
+    structure, _ = affine_structure(q, j)
+    fld = structure.field
+    rows = np.searchsorted(mcfarland_set(q, j, group_g).elements, frames._mcfarland_elements(structure).ravel())
+    place = fld.p ** np.arange(fld.k)
+    w = fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] @ place
+    return rows, np.argsort((np.arange(group_g.order) * fld.order + w[:, None]).ravel())
+
+
+def _dense_deviations(a: np.ndarray, k: np.ndarray, block: int = 2 ** 18) -> tuple[float, float]:
+    """The dense reference: (max |A - K|, max |A^H A - K^H K|) for M x N
+    matrices A and K, rows matched.  A^H A - K^H K = (X + X^H) / 2 for
+    X = S^H E, S = A + K and E = A - K; X + X^H is read `block` entries of
+    rows at a time.  When the entries are equal, E = 0 and both deviations
+    are exactly 0.0."""
+    diff = a - k
+    x = (a + k).conj().T @ diff
+    n = x.shape[0]
+    step = max(1, block // n)
+    gram_dev = max(float(np.abs(x[lo:lo + step] + x[:, lo:lo + step].conj().T).max()) for lo in range(0, n, step))
+    return float(np.abs(diff).max()), gram_dev / 2
+
+
+@pytest.mark.parametrize("case", FLOAT_LADDER + UNIT_FACTOR + EXACT_LADDER + [TOP], ids=_label)
+def test_mcfarland_twins_agree_with_the_dense_reference(case, gram_calls):
+    # the report rests on the exponent identity alone, with no Gram; the
+    # twins' entries under the identification agree densely as well
+    q, j, factors = case
+    harm, kirk, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
+    assert gram_calls == [] and (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0)
+    assert report.as_dict()["passed"]
+    rows, cols = _identification(q, j, AbelianGroup(factors))
+    entry_dev, gram_dev = _dense_deviations(harm.entries[rows], kirk.entries[:, cols])
+    assert entry_dev <= 1e-15 and gram_dev <= 1e-15
 
 
 @pytest.mark.parametrize("case", FLOAT_LADDER + [TOP], ids=_label)
@@ -176,8 +205,6 @@ def test_a_tightness_bound_above_tol_falls_back_to_the_frame_operator(monkeypatc
     assert cert.tightness_residual == real(frame.entries) <= tol and cert.tight
 
 
-# the exponent-two cases of the benchmark's harmonic ladder: +-1 tables, exact frames
-EXACT_LADDER = [(2, 1, (2, 2)), (2, 2, (2, 2, 2)), (2, 3, (2, 2, 2, 2))]
 SINGER_SETS = [(7, (1, 2, 4)), (13, (0, 1, 3, 9)), (21, (3, 6, 7, 12, 14))]
 
 
@@ -364,21 +391,25 @@ def test_a_phase_frame_at_another_scale_is_no_character_frame(gram_calls, phase_
     assert json.dumps(cert.as_dict()) == json.dumps(_dense(halved))
 
 
-def test_a_kirkman_frame_off_by_1e_minus_6_goes_dense(monkeypatch):
-    real_kirkman, real_deviations, dense = frames.kirkman_etf, frames._deviations, []
+def test_a_kirkman_frame_off_by_1e_minus_6_raises(monkeypatch):
+    real_kirkman, built = frames.kirkman_etf, []
 
     def kirkman_etf(*args):
         frame = real_kirkman(*args)
         entries = np.array(frame.entries)
         entries[2, 5] += 1e-6
-        return Frame(entries=entries, provenance=frame.provenance)
+        built.append(Frame(entries=entries, provenance=frame.provenance))
+        return built[-1]
 
     monkeypatch.setattr(frames, "kirkman_etf", kirkman_etf)
-    monkeypatch.setattr(frames, "_deviations", lambda a, k: dense.append(a.shape) or real_deviations(a, k))
-    _, _, report = mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
-    # a float frame has no exponents to compare: the deviations are dense
-    assert len(dense) == 1
-    assert report.max_gram_dev > 1e-8 and not report.gram_match
+    # a float frame has no exponents to compare, so the identity cannot be
+    # checked: that fails closed, where the dense reference sees the nudge
+    with pytest.raises(InvariantViolation, match=r"^McFarland frame for q=4, j=1, G=\(6,\): .* not flat frames"):
+        mcfarland_as_kirkman(4, 1, AbelianGroup((6,)))
+    _, harm = _harmonic_sets(4, 1, (6,))[0]
+    rows, cols = _identification(4, 1, AbelianGroup((6,)))
+    entry_dev, gram_dev = _dense_deviations(harm.entries[rows], built[0].entries[:, cols])
+    assert entry_dev == pytest.approx(1e-6) and gram_dev > 1e-8
 
 
 def test_a_unit_factor_added_to_the_hint_labels_the_same_columns(gram_calls, phase_checks):
@@ -415,7 +446,7 @@ def _masked_certificate(frame: Frame, tol: float = DEFAULT_TOL) -> EtfCertificat
 def _float_corpus():
     """The float frames of the certification corpus and their SVD Naimark
     complements, the harmonic ladder without its group hint, and random
-    unit-norm frames, one of them with a NaN entry."""
+    unit-norm frames."""
     for label, frame in _corpus_frames():
         if frame.exact_ints is None:  # without provenance: no group hint
             stripped = Frame(entries=np.array(frame.entries))
@@ -431,8 +462,6 @@ def _float_corpus():
         entries = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         entries /= np.linalg.norm(entries, axis=0)
         yield f"random {m}x{n}", Frame(entries=entries)
-    entries[2, 3] = np.nan
-    yield "random with NaN", Frame(entries=entries)
 
 
 def test_dense_float_certificate_is_bit_identical_to_the_masked_formula():

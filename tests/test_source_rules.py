@@ -256,3 +256,37 @@ def test_one_subset_engine_serves_spark_and_rip():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert not imported & {"itertools", "combinations", "permutations", "product"}, imported
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _attributes(node: ast.AST, attr: str) -> list[ast.Attribute]:
+    return [child for child in ast.walk(node) if isinstance(child, ast.Attribute) and child.attr == attr]
+
+
+def test_the_kirkman_layer_takes_one_exponent_route():
+    """mcfarland_as_kirkman proves the twins equal by one integer identity
+    on their exponents: it reads no complex entries and forms no @ product.
+    kirkman_etf multiplies values, the arrays _form gives, only in the one
+    branch for a matrix with no exponent form, which returns; every other
+    pair of matrices takes the exponent sum, whatever their signs."""
+    path = next(p for p in SOURCES if p.name == "frames.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    twins = _function(tree, "mcfarland_as_kirkman")
+    assert not _attributes(twins, "entries")
+    assert not [node for node in ast.walk(twins) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+
+    kirkman = _function(tree, "kirkman_etf")
+    branch, = [node for node in kirkman.body if isinstance(node, ast.If)
+               and any(_calls("_form")(child) for child in ast.walk(node))]
+    assert ast.unparse(branch.test) == "fx is None or hx is None" and not branch.orelse
+    assert isinstance(branch.body[-1], ast.Return)
+    inside = {id(node) for statement in branch.body for node in ast.walk(statement)}
+    values = [node for node in ast.walk(kirkman) if _calls("_form")(node)]
+    assert values and all(id(node) in inside for node in values)
+    assert not _attributes(kirkman, "signs")
+    # outside the branch, a matrix's entries give only their shape
+    shapes = {id(node.value) for node in _attributes(kirkman, "shape")}
+    assert all(id(node) in inside or id(node) in shapes for node in _attributes(kirkman, "entries"))
