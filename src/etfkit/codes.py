@@ -150,6 +150,8 @@ def parse_code(text: str) -> BinaryCode:
         raise CodeFormatError(f"bad header: {e}") from e
     if m < 0 or count < 0:
         raise CodeFormatError(f"bad header: m and n must be non-negative, got m={m}, n={count}")
+    if m > np.iinfo(np.intp).max:  # a word that long fits no array, even in a code of no words
+        raise CodeFormatError(f"bad header: m={m} is past the largest array dimension")
     if selfcomp not in (0, 1):
         raise CodeFormatError(f"bad header: selfcomp must be 0 or 1, got {fields['selfcomp']!r}")
     body = lines[1:]

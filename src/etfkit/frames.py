@@ -202,10 +202,10 @@ class Frame:
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
         """Raise NotUnitNorm unless every column norm is within tol of 1; a
-        NaN norm fails.  Frames with no rows or no columns pass.  An integer
-        frame's norms are sqrt(c / scale_sq), c its integer column sums of
-        squares.  A phase frame's entries all have modulus 1/sqrt(scale_sq),
-        so it is unit-norm exactly when M = scale_sq, whatever tol is."""
+        norm past float64 fails.  Frames with no rows or no columns pass.  An
+        integer frame's norms are sqrt(c / scale_sq), c its integer column
+        sums of squares.  A phase frame, all of modulus 1/sqrt(scale_sq), is
+        unit-norm exactly when M = scale_sq, whatever tol is."""
         if self.m == 0 or self.n == 0:
             return
         if self.phases is not None:
@@ -213,11 +213,11 @@ class Frame:
                 raise NotUnitNorm(f"column norms are sqrt({self.m}/{self.scale_sq}), not 1")
             return
         if self.exact_ints is None:
-            norms = np.linalg.norm(self.entries, axis=0)
+            with np.errstate(over="ignore"):  # a norm past float64 is inf, which fails below
+                norms = np.linalg.norm(self.entries, axis=0)
         else:
             ints = _exact_ints(self.exact_ints, _abs_max(self.exact_ints) ** 2 * self.m)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                norms = np.sqrt(np.sum(ints * ints, axis=0).astype(np.float64) / self.scale_sq)
+            norms = np.sqrt(np.sum(ints * ints, axis=0).astype(np.float64) / self.scale_sq)
         worst = float(np.abs(norms - 1.0).max())
         if not worst <= tol:
             raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
@@ -304,7 +304,8 @@ def parse_frame(text: str) -> Frame:
                 scale = float(scale)
                 if not math.isfinite(scale):
                     raise FrameFormatError(f"scale {scale} is not a finite number")
-                arr = arr * scale
+                with np.errstate(over="ignore"):  # an entry past float64 is inf, which Frame refuses
+                    arr = arr * scale
             frame = Frame(entries=arr, provenance=provenance)
         frame.check_unit_norm()  # inside: a scale past float64 is malformed
     except FrameFormatError:
@@ -358,18 +359,23 @@ def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | 
     construction picks its form.  With order, values are the exponents mod
     order of the roots zeta_order: order <= 2 gives the integer form of the
     signs they gather (flatmat._root_values), any larger order the phase form,
-    stored in _phase_dtype(order).  Without it, integer values become the
-    integer form, and any others complex entries divided by sqrt(scale_sq)."""
-    if order is not None and order <= 2:
-        values, order = _root_values(values, order), None
+    stored in _phase_dtype(order); either way every entry has modulus
+    1/sqrt(scale_sq), so it is unit-norm when M = scale_sq, checked first.
+    Without it, integer values become the integer form, and any others
+    complex entries divided by sqrt(scale_sq), checked by check_unit_norm."""
     if order is not None:
-        frame = Frame(scale_sq=scale_sq, provenance=provenance,
-                      _phases=(values.astype(_phase_dtype(order), copy=False), order))
-    elif np.issubdtype(values.dtype, np.integer):
+        if values.size and len(values) != scale_sq:  # check_unit_norm's phase test, before any gather
+            raise NotUnitNorm(f"column norms are sqrt({len(values)}/{scale_sq}), not 1")
+        if order > 2:
+            return Frame(scale_sq=scale_sq, provenance=provenance,
+                         _phases=(values.astype(_phase_dtype(order), copy=False), order))
+        values = _root_values(values, order)
+    if np.issubdtype(values.dtype, np.integer):
         frame = Frame(exact_ints=values, scale_sq=scale_sq, provenance=provenance)
     else:
         frame = Frame(entries=np.asarray(values, dtype=np.complex128) / np.sqrt(scale_sq), provenance=provenance)
-    frame.check_unit_norm()
+    if order is None:
+        frame.check_unit_norm()
     return frame
 
 

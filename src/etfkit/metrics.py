@@ -204,15 +204,11 @@ def _steiner_form(ints: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int
     classes, with R + 1 dividing N (and S <= 53 with R 2^S below 2^63, so
     its pattern keys are exact); the first that reads gives the form.
     Failing that, a {0, +-1} form with exactly d nonzero entries in every
-    column is its own Phi, with R = d.  A frame that is neither, or an
-    integer form in any other dtype, has no Steiner form."""
-    if (ints.dtype.kind not in "iu" or ints.ndim != 2 or not ints.size
-            or not isinstance(d, (int, np.integer)) or d < 1):
+    column is its own Phi, with R = d.  A frame that is neither, or an empty
+    form, has no Steiner form.  ints and d are a Frame's checked exact form."""
+    if not ints.size or ints.min() < -1 or ints.max() > 1:
         return None
     m, n = ints.shape
-    d = int(d)
-    if ints.min() < -1 or ints.max() > 1:
-        return None
     if d == m and ints.all():
         for s in range(2, min(m // 2, _KEY_BITS) + 1):
             if m % s == 0 and n % (m // s + 1) == 0 and (m // s).bit_length() + s <= 63:
@@ -267,8 +263,8 @@ def _kirkman_columns(ints: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray] 
 
 def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
     """Whether the M x N matrix Phi of +-1 signs on the rows rows (both
-    N x R, each row of rows ascending) is a Steiner ETF form: Phi / sqrt(R)
-    then has coherence 1/R and frame operator (N/M) I exactly.
+    N x R, rows ascending, R+1 | N: a _steiner_form) is a Steiner ETF form:
+    Phi / sqrt(R) then has coherence 1/R and frame operator (N/M) I exactly.
 
     The checks: the columns fall into V = N/(R+1) points of R+1 columns
     sharing one support; two distinct supports meet in exactly one row
@@ -289,8 +285,6 @@ def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
     counting nonzeros, M k (R+1) = N R, so Phi Phi^T / R = (N/M) I."""
     n, big_r = rows.shape
     size = big_r + 1
-    if n % size:
-        return False
     # group by the first two support rows, then check that each group shares its whole support
     key = rows[:, 0] * m + rows[:, 1] if big_r > 1 else rows[:, 0]
     order = np.argsort(key)
@@ -697,13 +691,17 @@ def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list):
             yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
 
 
-def _design_r(frame: Frame) -> int | None:
-    """R, the replication number, of a frame built from a resolvable design,
-    as its provenance states it; None for any other frame."""
+def _design_structure(frame: Frame) -> tuple[int, tuple[int, ...], int] | None:
+    """(R, witness, rank) when the provenance names a resolvable-design
+    construction with an int r, 0 < r < N, else None: the one provenance
+    read in metrics.  The witness, columns 0..R, lies on one design point's
+    R rows as built, so is dependent: SVD rank <= R at _rank_threshold(N)."""
     big_r = frame.provenance.get("r")
-    if frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman"):
+    if (frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman")
+            or type(big_r) is not int or not 0 < big_r < frame.n):
         return None
-    return big_r if type(big_r) is int and 0 < big_r < frame.n else None
+    svals = np.linalg.svd(frame.entries[:, :big_r + 1], compute_uv=False)
+    return big_r, tuple(range(big_r + 1)), int(np.sum(svals > _rank_threshold(frame.n)))
 
 
 @dataclass(frozen=True)
@@ -738,11 +736,11 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     A subset is dependent when the smallest singular value of its column
     submatrix falls below 1e-8 sqrt(N) (equivalently its Gram's smallest
     eigenvalue below the square).  Frames from resolvable constructions also
-    get the structural witness: the R+1 columns sharing one design point are
-    supported on only R rows.  The search stops at R+1 only when that witness
-    checks as dependent, so a provenance R is never taken on trust.  Sizes up
-    to the cap, but not size m+1, must fit SUBSET_BUDGET in total;
-    max_subset lowers the cap.
+    get the structural witness (_design_structure): the R+1 columns sharing
+    one design point are supported on only R rows.  The search stops at R+1
+    only when that witness checks as dependent, so a provenance R is never
+    taken on trust.  Sizes up to the cap, but not size m+1, must fit
+    SUBSET_BUDGET in total; max_subset lowers the cap.
 
     Sizes k that the coherence bound spark >= 1 + 1/mu already certifies are
     not enumerated: with mu the largest off-diagonal Gram modulus and d the
@@ -772,15 +770,9 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend
 
-    structural = None
-    structural_rank = None
-    big_r = _design_r(frame)
-    if big_r is not None:
-        structural = tuple(range(big_r + 1))
-        svals = np.linalg.svd(frame.entries[:, list(structural)], compute_uv=False)
-        structural_rank = int(np.sum(svals > _rank_threshold(n)))
-        if structural_rank < big_r + 1:
-            limit = min(limit, big_r + 1)
+    big_r, structural, structural_rank = _design_structure(frame) or (None, None, None)
+    if structural is not None and structural_rank <= big_r:
+        limit = min(limit, big_r + 1)
     searched = min(limit, frame.m)  # size m+1 is decided by dimension count, with nothing enumerated
     _check_budget(sum(comb(n, size) for size in range(1, searched + 1)),
                   f"sum of C({n},k) for k <= {searched}")
@@ -873,8 +865,8 @@ def rip_delta(frame: Frame, size: int) -> RipReport:
 
 @dataclass(frozen=True)
 class SteinerRipReport:
-    """Per-L RIP constants for a frame with a design provenance, against the
-    structural cutoff L <= R."""
+    """Per-L RIP constants for a frame with a checked design structure,
+    against the structural cutoff L <= R."""
 
     applicable: bool
     big_r: int | None
@@ -883,9 +875,7 @@ class SteinerRipReport:
 
     @property
     def consistent(self) -> bool:
-        if not self.applicable:
-            return False
-        return all((delta < 1.0) == (size <= self.big_r) for size, delta in self.per_l)
+        return self.applicable and all((delta < 1.0) == (size <= self.big_r) for size, delta in self.per_l)
 
     def as_dict(self) -> dict:
         return {
@@ -900,18 +890,20 @@ class SteinerRipReport:
 
 def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
     """Check that delta_L < 1 exactly when L <= R, for every L from 2 up to
-    R+1 (or max_size) that fits SUBSET_BUDGET; R comes from the frame's
-    provenance and the cutoff formula sqrt((rho M - 1)/(rho - 1)) from its
-    dimensions.  Each delta_L comes from rip_delta's search on one shared
-    Gram, the same bits.  A verdict that checks no L would pass vacuously,
-    so a max_size below 2 raises BadDimensions, and a frame whose C(N, 2)
-    is over SUBSET_BUDGET raises EnumerationBudgetExceeded."""
+    R+1 (or max_size) that fits SUBSET_BUDGET, on a frame with a checked
+    design structure R (_design_structure, as spark checks it); the cutoff
+    formula sqrt((rho M - 1)/(rho - 1)) comes from its dimensions.  Each
+    delta_L comes from rip_delta's search on one shared Gram, the same
+    bits.  A verdict that checks no L would pass vacuously, so a max_size
+    below 2 raises BadDimensions, and a frame whose C(N, 2) is over
+    SUBSET_BUDGET raises EnumerationBudgetExceeded."""
     if max_size is not None and max_size < 2:
         raise BadDimensions(f"Steiner RIP checks L >= 2, so its cap must be at least 2, got {max_size}")
-    big_r = _design_r(frame)
-    if big_r is None:
+    big_r, _, rank = _design_structure(frame) or (None, None, None)
+    if big_r is not None:
+        _check_columns(frame)  # before rho, which a frame with no rows would divide by zero
+    if big_r is None or rank > big_r:  # no r, or columns 0..R independent
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
-    _check_columns(frame)  # before rho, which a frame with no rows would divide by zero
     _check_budget(comb(frame.n, 2), f"C({frame.n},2)")
     rho = frame.n / frame.m
     cutoff = ((rho * frame.m - 1) / (rho - 1)) ** 0.5
@@ -922,5 +914,4 @@ def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRip
         if comb(frame.n, size) > SUBSET_BUDGET:
             break
         per_l.append((size, _rip_spectrum(gram, size)[0]))
-    return SteinerRipReport(applicable=True, big_r=big_r, cutoff_formula=cutoff,
-                            per_l=tuple(per_l))
+    return SteinerRipReport(applicable=True, big_r=big_r, cutoff_formula=cutoff, per_l=tuple(per_l))

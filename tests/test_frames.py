@@ -589,6 +589,44 @@ def test_a_frame_needs_one_whole_form(kwargs):
         Frame(**kwargs)
 
 
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_an_exponent_build_is_unit_norm_by_its_form(monkeypatch, order):
+    """Every entry of an exponent build has modulus 1/sqrt(scale_sq), so
+    _assemble refuses M != scale_sq before it gathers a sign, with the
+    message check_unit_norm gives a phase frame, and takes no pass over
+    the entries."""
+    from etfkit import frames
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exponent build took the pass over its values")
+    monkeypatch.setattr(Frame, "check_unit_norm", refuse)
+    monkeypatch.setattr(frames, "_root_values", refuse)
+    with pytest.raises(NotUnitNorm) as built:
+        frames._assemble(np.zeros((3, 4), dtype=np.uint8), 2, {}, order)
+    monkeypatch.undo()
+    with pytest.raises(NotUnitNorm) as stored:
+        Frame(scale_sq=2, _phases=(np.zeros((3, 4), dtype=np.uint8), 5)).check_unit_norm()
+    assert str(built.value) == str(stored.value) == "column norms are sqrt(3/2), not 1"
+
+
+def test_only_a_value_build_takes_the_unit_norm_pass(monkeypatch):
+    """steiner_etf hands _assemble values, whose norms check_unit_norm sums;
+    a sign or character kirkman_etf, harmonic_etf and the character
+    complement hand it exponents, unit-norm by their form."""
+    checked = []
+    check = Frame.check_unit_norm
+    monkeypatch.setattr(Frame, "check_unit_norm", lambda self, *a, **kw: checked.append(self.m) or check(self, *a, **kw))
+    dset = mcfarland_set(2, 1, AbelianGroup((4,)))
+    harmonic = harmonic_etf(dset.group, dset)
+    built = [fig2_frame(), kirkman_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0), dft(3)),
+             harmonic, naimark_complement(harmonic)]
+    assert checked == []
+    fig1_frame()
+    assert checked == [6]
+    monkeypatch.undo()
+    assert all(certify_etf(frame).passed for frame in built)
+
+
 @pytest.mark.parametrize("ints,scale_sq", [
     ([[1, 1], [1, 0]], 2), ([[2, 0], [0, 1]], 1), ([[1, -1], [1, 1]], 3), ([[3, 4]], 26), ([[1], [1]], 1),
 ])

@@ -6,17 +6,25 @@ belongs, a bool or a string is refused rather than truncated or read; a
 bool is refused among a frame's signs and entries too;
 JSON nested past the decoder's depth is a format error, not a traceback.
 Any one field of a valid document replaced by any JSON value either parses
-or raises an EtfkitError.  API calls outside a function's domain raise an
+or raises an EtfkitError, and so does any text, and any byte-mutated copy
+of a canonical frame, design or code document; the CLI commands that read
+such a document from stdin exit 2 with one stderr line on every input that
+does not parse.  API calls outside a function's domain raise an
 EtfkitError that is also a ValueError, so `except ValueError` still works.
 """
 
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etfkit import fixtures
+from etfkit.cli import main
+from etfkit.codes import parse_code
 from etfkit.designs import affine_structure, parse_design, round_robin_design, steiner_params
 from etfkit.errors import DesignFormatError, EtfkitError, FrameFormatError
 from etfkit.flatmat import AbelianGroup, UnimodularMatrix, dft, drop_row_simplex, hadamard
@@ -130,6 +138,119 @@ def test_an_entries_document_with_any_field_replaced_parses_or_is_refused(path, 
 @given(path=st.sampled_from(DESIGN_PATHS), value=JSON)
 def test_a_design_document_with_any_field_replaced_parses_or_is_refused(path, value):
     _parses_or_refuses(parse_design, _substituted(DESIGN_DOC, path, value))
+
+
+BYTES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# the canonical documents, as the package writes them
+CANONICAL = {"sign-frame": (frame_to_json(fixtures.fig2()), parse_frame),
+             "entries-frame": (frame_to_json(harmonic_etf(_MCF21.group, _MCF21)), parse_frame),
+             "design": (round_robin_design(4).to_json(), parse_design),
+             "code": (fixtures.fig3().to_text(), parse_code)}
+COMMANDS = {parse_frame: ("verify", "-"), parse_design: ("design", "validate", "-"),
+            parse_code: ("code", "check", "-")}
+# bytes that shift a document between its cases: JSON structure, literals
+# Python's decoder accepts, numbers past float64 and int64, header tokens
+TOKENS = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"-", b".", b"e", b"0", b"1", b"7", b" ", b"\n", b"\\",
+          b"true", b"false", b"null", b"NaN", b"Infinity", b"1e999", b"e300", b"99999999999999999999", b"=", b"#",
+          b"\r\n", b"\xff", b"\xc3", b"\x00"]
+
+
+@st.composite
+def byte_mutations(draw, text: str) -> bytes:
+    """text's UTF-8 bytes after 1 to 4 edits: a byte replaced, bytes or a
+    token inserted, a run deleted, or a slice of the document copied in."""
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "copy"]))
+        if kind == "replace" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[at:at] = draw(st.sampled_from(TOKENS) | st.binary(min_size=1, max_size=6))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 12))]
+        else:
+            start = draw(st.integers(0, len(data)))
+            data[at:at] = data[start:start + draw(st.integers(1, 40))]
+    return bytes(data)
+
+
+def _stdin_text(data: bytes) -> str | None:
+    """data as a UTF-8 sys.stdin reads it (universal newlines), or None when
+    it is no UTF-8."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        return None
+
+
+def _cli_on_stdin(data: bytes, argv: tuple) -> tuple[int, str]:
+    """main(argv) with data on a UTF-8 stdin: (exit code, stderr)."""
+    saved, err = sys.stdin, io.StringIO()
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+def test_the_canonical_documents_parse_and_pass_the_cli():
+    for text, parse in CANONICAL.values():
+        parse(text)
+        assert _cli_on_stdin(text.encode(), COMMANDS[parse]) == (0, "")
+
+
+JSONISH = st.text(alphabet=st.sampled_from(list('{}[]",:-.eE0123456789 \nabcfilmnrstu')), max_size=60)
+CODEISH = st.builds("".join, st.lists(st.sampled_from(["# etfkit-code", " m=", " n=", " selfcomp=", "0", "1", "6",
+                                                       "-", "\n", "\r", "\x0b", " ", "x", "=", "\u0663"]),
+                                      max_size=20))
+
+
+@BYTES
+@given(text=st.text() | JSONISH | CODEISH)
+@pytest.mark.parametrize("parse", [parse_frame, parse_design, parse_code], ids=lambda f: f.__name__)
+def test_any_text_parses_or_is_refused(parse, text):
+    _parses_or_refuses(parse, text)
+
+
+@BYTES
+@given(data=st.data())
+@pytest.mark.parametrize("name", CANONICAL)
+def test_a_byte_mutated_document_parses_or_is_refused(name, data):
+    """The parser, on the bytes read as text (undecodable ones kept as lone
+    surrogates), and the CLI, on the bytes as stdin: a document that does
+    not parse exits 2 with one stderr line."""
+    text, parse = CANONICAL[name]
+    raw = data.draw(byte_mutations(text))
+    _parses_or_refuses(parse, raw.decode("utf-8", "surrogateescape"))
+    stdin = _stdin_text(raw)
+    try:
+        parsed = stdin is not None and parse(stdin)
+    except EtfkitError:
+        parsed = False
+    code, err = _cli_on_stdin(raw, COMMANDS[parse])
+    if not parsed:
+        assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code in (0, 1, 2) and (code != 2 or err.count("\n") == 1), (code, err)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_frame, '{"m": 1, "n": 2, "entries": [[[1e300, 0], [1e300, 1e300]]]}'),
+    (parse_frame, '{"m": 1, "n": 2, "entries": [[[1e-300, 0], [1, 0]]], "scale": 1e300}'),
+    (parse_frame, '{"m": 1, "n": 2, "entries": [[[1e200, 0], [1, 0]]], "scale": 1e200}'),
+    (parse_code, "# etfkit-code m=99999999999999999999 n=0 selfcomp=0\n"),
+], ids=["norm-past-float64", "scaled-norm-past-float64", "scaled-entry-past-float64", "word-past-intp"])
+def test_values_past_float64_or_an_array_size_are_refused(parse, text):
+    """Norms and scaled entries that overflow float64 are inf, which fails,
+    with no warning; a word length past intp fits no array, even in a code
+    of no words."""
+    with pytest.raises(EtfkitError):
+        parse(text)
+    code, err = _cli_on_stdin(text.encode(), COMMANDS[parse])
+    assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("call", [

@@ -231,6 +231,36 @@ def test_spark_does_not_trust_a_forged_r(fig2):
     assert report.structural_witness == (0, 1)
     assert report.structural_rank == 2
     assert report.exact
+    assert not steiner_rip_verdict(forged).applicable  # columns 0 and 1 are independent
+
+
+def _identity_beside_hadamard(big_r: int) -> Frame:
+    """F = [I_4 | H_4 / 2], unit-norm with Gram moduli 0 and 1/2: no ETF,
+    under a Steiner provenance that claims R = big_r."""
+    entries = np.hstack([np.eye(4), hadamard(4).entries / 2])
+    return Frame(entries=entries, provenance={"construction": "steiner", "r": big_r})
+
+
+@pytest.mark.parametrize("big_r", [2, 3])
+def test_steiner_rip_does_not_trust_a_forged_r(big_r):
+    """Columns 0..R of F are independent, so no design structure R stands;
+    read from the provenance, r = 3 would pass F on delta_4 = 1 + 2^-52."""
+    frame = _identity_beside_hadamard(big_r)
+    assert not certify_etf(frame).passed
+    assert spark(frame).structural_rank == big_r + 1
+    report = steiner_rip_verdict(frame)
+    assert not report.applicable and report.big_r is None and report.per_l == ()
+    assert report.as_dict()["passed"] is None
+
+
+def test_steiner_rip_rests_on_a_checked_structure_only():
+    """With r = 4, columns 0..4 of F lie in 4 dimensions: the witness is
+    dependent, so the verdict applies, and F fails it (delta_4 >= 1)."""
+    frame = _identity_beside_hadamard(4)
+    assert spark(frame).structural_rank == 4
+    report = steiner_rip_verdict(frame)
+    assert report.applicable and report.big_r == 4
+    assert report.as_dict()["passed"] is False
 
 
 @pytest.mark.parametrize("forged_r", [16, 99, "3", 0])

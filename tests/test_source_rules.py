@@ -84,14 +84,20 @@ def _reads_the_group_hint(node: ast.AST) -> bool:
 
 def test_metrics_reads_provenance_only_where_it_is_checked():
     """A provenance field is a claim from the input, not a fact: in metrics
-    only _design_r reads it, and in the whole package only frames._group_hint
-    reads the group hint, so every use of one goes through those two.  Only
-    frames._character_rows calls _group_hint, and it verifies the group on
-    the exponents (flatmat._character_labels, which nothing else calls)
-    before anything rests on it: it is the one test of a character frame."""
+    only _design_structure reads it, and tests the R+1 columns of its witness
+    on the frame; only spark and steiner_rip_verdict call it, so both decide
+    "this frame has design structure R" one way.  In the whole package only
+    frames._group_hint reads the group hint, so every use of one goes
+    through those two.  Only frames._character_rows calls _group_hint, and
+    it verifies the group on the exponents (flatmat._character_labels, which
+    nothing else calls) before anything rests on it: it is the one test of a
+    character frame."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     sites = _sites(trees["metrics.py"], _names_provenance)
-    assert {scope for scope, _ in sites} == {"_design_r"}, sites
+    assert {scope for scope, _ in sites} == {"_design_structure"}, sites
+    calls = {name: [scope for scope, _ in _sites(tree, _calls("_design_structure"))] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in calls.items() if scopes} == {
+        "metrics.py": ["spark", "steiner_rip_verdict"]}, calls
     reads = {name: [scope for scope, _ in _sites(tree, _reads_the_group_hint)] for name, tree in trees.items()}
     assert {name: scopes for name, scopes in reads.items() if scopes} == {"frames.py": ["_group_hint"]}, reads
     for callee in ("_group_hint", "_character_labels"):
@@ -118,6 +124,15 @@ def test_frames_takes_an_svd_only_in_the_naimark_fallback():
                      and holds(statement, lambda node: isinstance(node, ast.Return))]
     assert len(svd_at) == len(characters_at) == 1 and characters_at[0] < svd_at[0]
     assert not isinstance(func.body[svd_at[0]], (ast.If, ast.For, ast.While, ast.With, ast.Try))
+
+
+def test_metrics_takes_an_svd_only_in_the_design_witness_test():
+    """The rank of a design witness, the R+1 columns of one design point,
+    is decided in one place, by one threshold: _design_structure's SVD is
+    the only one in metrics."""
+    path = next(p for p in SOURCES if p.name == "metrics.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [scope for scope, _ in _sites(tree, _calls("svd"))] == ["_design_structure"]
 
 
 def _is_root_exponential(node: ast.AST) -> bool:

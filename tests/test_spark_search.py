@@ -7,8 +7,12 @@ at size m+1 of an m x N frame every subset depends by dimension count, and
 the reference takes the first, as spark does.  reference_rip and
 reference_steiner_rip take the extreme eigenvalues over every subset, as
 rip_delta and steiner_rip_verdict did before the engine skipped the subsets
-certified strictly inside the running extremes."""
+certified strictly inside the running extremes.  The references read a
+design frame's R from its provenance, and test its R+1 witness columns, in
+their own code (provenance_r, witness_rank), not through
+metrics._design_structure."""
 
+from dataclasses import replace
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -26,17 +30,31 @@ from etfkit.metrics import RipReport, SparkReport, SteinerRipReport, rip_delta, 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
+def provenance_r(frame: Frame) -> int | None:
+    """R as a design frame's provenance states it: an int r, 0 < r < N,
+    under a steiner, kirkman or mcfarland-kirkman construction."""
+    big_r = frame.provenance.get("r")
+    if frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman"):
+        return None
+    return big_r if type(big_r) is int and 0 < big_r < frame.n else None
+
+
+def witness_rank(frame: Frame, big_r: int) -> int:
+    """The SVD rank of columns 0..R, at spark's threshold."""
+    svals = np.linalg.svd(frame.entries[:, :big_r + 1], compute_uv=False)
+    return int(np.sum(svals > metrics._rank_threshold(frame.n)))
+
+
 def reference_spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     n = frame.n
     limit = n if max_subset is None else min(max_subset, n)
     if n > frame.m:
         limit = min(limit, frame.m + 1)
     structural = structural_rank = None
-    big_r = metrics._design_r(frame)
+    big_r = provenance_r(frame)
     if big_r is not None:
         structural = tuple(range(big_r + 1))
-        svals = np.linalg.svd(frame.entries[:, list(structural)], compute_uv=False)
-        structural_rank = int(np.sum(svals > metrics._rank_threshold(n)))
+        structural_rank = witness_rank(frame, big_r)
         if structural_rank < big_r + 1:
             limit = min(limit, big_r + 1)
     metrics._check_budget(sum(comb(n, size) for size in range(1, limit + 1)),
@@ -79,8 +97,8 @@ def reference_rip(frame: Frame, size: int) -> RipReport:
 
 
 def reference_steiner_rip(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
-    big_r = metrics._design_r(frame)
-    if big_r is None:
+    big_r = provenance_r(frame)
+    if big_r is None or witness_rank(frame, big_r) == big_r + 1:
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
     rho = frame.n / frame.m
     per_l = []
@@ -191,7 +209,7 @@ def frames_and_caps(draw):
     kind = draw(st.sampled_from(["design", "small", "generic", "uneven"]))
     if kind == "design":
         frame = draw(st.sampled_from(DESIGN_FRAMES))
-        cap = draw(st.sampled_from([None, 1, 2, 3, metrics._design_r(frame) + 1]))
+        cap = draw(st.sampled_from([None, 1, 2, 3, frame.provenance["r"] + 1]))
     else:
         frame = draw({"small": small_frames, "generic": generic_frames, "uneven": uneven_frames}[kind]())
         cap = draw(st.none() | st.integers(1, frame.n + 1))
@@ -203,6 +221,21 @@ def frames_and_caps(draw):
 def test_spark_matches_the_reference_search(frame_and_cap):
     frame, cap = frame_and_cap
     assert outcome(spark, frame, cap) == outcome(reference_spark, frame, cap)
+
+
+@pytest.mark.parametrize("frame", DESIGN_FRAMES, ids=lambda f: f"{f.provenance['construction']}-{f.m}x{f.n}")
+def test_steiner_rip_applies_exactly_when_the_spark_witness_is_dependent(frame):
+    """spark and Steiner-RIP decide "this frame has design structure r" one
+    way: under every provenance r from 1 to R+1, the verdict applies exactly
+    when spark's witness, columns 0..r, has rank at most r.  On a design
+    frame that holds for r = R and r = R+1 (the R+1 columns of point 0 lie
+    on R rows), and for no r < R (coherence 1/R makes any R columns
+    independent)."""
+    big_r = frame.provenance["r"]
+    for r in range(1, big_r + 2):
+        forged = replace(frame, provenance={**frame.provenance, "r": r})
+        rank = spark(forged, max_subset=1).structural_rank
+        assert steiner_rip_verdict(forged, 2).applicable == (rank <= r) == (r >= big_r), r
 
 
 def test_design_frames_cover_steiner_and_kirkman():
