@@ -149,7 +149,7 @@ def _cmd_design(args) -> int:
 
 def _load_resolvable(path: str) -> designs_mod.SteinerSystem:
     design = _load_design(path)
-    if design.resolution is None:
+    if not design.resolution:
         raise NotResolvable("design carries no resolution; frame synthesis needs one")
     return design
 
@@ -162,7 +162,8 @@ def _cmd_frame(args) -> int:
     if args.frame_cmd == "kirkman":
         design = _load_resolvable(args.design)
         simplex = _build_simplex(args, len(design.resolution))
-        basis = _build_basis(args.basis, design.s)
+        # S from the blocks of a class, which the document holds, not from its V, which it may only claim
+        basis = _build_basis(args.basis, len(design.resolution[0]))
         return _emit_frame(frames_mod.kirkman_etf(design, simplex, basis), args)
     if args.frame_cmd == "harmonic":
         group = AbelianGroup.parse(args.group) if args.group else _default_group(args.q, args.j)

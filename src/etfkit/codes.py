@@ -16,14 +16,14 @@ is structural, with no Gram, for the code of a Steiner-form sign frame (a
 kirkman_etf frame, or a +-1 harmonic frame of (Z_2)^k), else it reads the
 N x N sign Gram of the first half, computed by frames.exact_gram.  Any other code's
 distance comes from its W x W sign Gram.  Linearity comes from GF(2)
-elimination on words packed into Python integers.
+elimination on words packed into uint64 lanes, and a hashed table of them
+for the first pair whose XOR is no word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -42,7 +42,7 @@ _NOT_BITS = "every codeword must be a 0/1 vector of the stated length"
 
 def _bit_array(m: int, words) -> np.ndarray:
     """words (an array or a sequence of sequences) as a W x m uint8 array,
-    checked for shape and for 0/1 entries."""
+    checked for shape and for 0/1 entries; a bool array holds nothing else."""
     if isinstance(words, np.ndarray):
         arr = words
     else:
@@ -53,7 +53,7 @@ def _bit_array(m: int, words) -> np.ndarray:
             arr = np.array(words) if words else np.zeros((0, m), dtype=np.uint8)
         except (TypeError, ValueError) as e:
             raise CodeFormatError(_NOT_BITS) from e
-    if arr.ndim != 2 or arr.shape[1] != m or not ((arr == 0) | (arr == 1)).all():
+    if arr.ndim != 2 or arr.shape[1] != m or (arr.dtype != bool and not ((arr == 0) | (arr == 1)).all()):
         raise CodeFormatError(_NOT_BITS)
     bits = np.array(arr, dtype=np.uint8, order="C")  # always a private copy
     bits.flags.writeable = False
@@ -134,41 +134,75 @@ class BinaryCode:
         return header + "\n" + body.tobytes().decode("ascii")
 
 
-def parse_code(text: str) -> BinaryCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# etfkit-code"):
+def _header(line: str) -> tuple[int, int, int]:
+    """(m, n, selfcomp) of a code's header line.  Each field is a string of
+    ASCII digits: int() would also read a sign, an underscore or a
+    non-ASCII digit, and to_text would then write a different header."""
+    if not line.startswith("# etfkit-code"):
         raise CodeFormatError("missing '# etfkit-code' header line")
     fields = {}
-    for tok in lines[0].split()[2:]:
+    for tok in line.split()[2:]:
         key, eq, value = tok.partition("=")
         if not eq:
             raise CodeFormatError(f"bad header token {tok!r}: expected key=value")
         fields[key] = value
-    try:
-        m, count, selfcomp = int(fields["m"]), int(fields["n"]), int(fields["selfcomp"])
-    except (KeyError, ValueError) as e:
-        raise CodeFormatError(f"bad header: {e}") from e
-    if m < 0 or count < 0:
-        raise CodeFormatError(f"bad header: m and n must be non-negative, got m={m}, n={count}")
+    values = []
+    for key in ("m", "n", "selfcomp"):
+        if key not in fields:
+            raise CodeFormatError(f"bad header: {key!r}")
+        value = fields[key]
+        if not (value.isascii() and value.isdigit()):
+            wanted = "0 or 1" if key == "selfcomp" else "a non-negative integer in ASCII digits"
+            raise CodeFormatError(f"bad header: {key} must be {wanted}, got {value!r}")
+        values.append(int(value))
+    m, count, selfcomp = values
     if m > np.iinfo(np.intp).max:  # a word that long fits no array, even in a code of no words
         raise CodeFormatError(f"bad header: m={m} is past the largest array dimension")
     if selfcomp not in (0, 1):
         raise CodeFormatError(f"bad header: selfcomp must be 0 or 1, got {fields['selfcomp']!r}")
+    return m, count, selfcomp
+
+
+def _canonical_bits(body: str, m: int, count: int) -> np.ndarray | None:
+    """The count x m bits of a body laid out as to_text writes it, count
+    lines of m characters 0 or 1, each ended by a newline, read as one
+    count x (m+1) array of bytes; None for any other body, and for an empty
+    one (with m = 0 its lines would be blank)."""
+    if not (m and count) or len(body) != count * (m + 1):
+        return None
+    # one byte per character: anything outside ASCII becomes '?' and fails
+    grid = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8).reshape(count, m + 1)
+    if not ((grid[:, m] == ord("\n")).all() and ((grid[:, :m] | 1) == ord("1")).all()):
+        return None
+    return grid[:, :m] == ord("1")
+
+
+def parse_code(text: str) -> BinaryCode:
+    """The code of a to_text document.  Blank lines are skipped and a line
+    may end in any line break, but the text as to_text writes it, a header
+    line and then the body, is checked as it stands, as one array of bytes
+    (_canonical_bits).  Any other text is split into lines, which are
+    checked the same way once joined; a bad line is quoted."""
+    head, _, body = text.partition("\n")
+    if head.strip() and head.splitlines() == [head]:  # the header is the first line
+        m, count, selfcomp = _header(head)
+        bits = _canonical_bits(body, m, count)
+        if bits is not None:
+            return BinaryCode(m=m, words=bits, self_complementary=bool(selfcomp))
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise CodeFormatError("missing '# etfkit-code' header line")
+    m, count, selfcomp = _header(lines[0])
     body = lines[1:]
-    bits = None
-    if all(len(ln) == m for ln in body):
-        # one char per byte: anything outside ASCII becomes '?' and fails below
-        raw = np.frombuffer("".join(body).encode("ascii", "replace"), dtype=np.uint8)
-        bits = raw - np.uint8(ord("0"))  # '0' -> 0, '1' -> 1, anything else > 1
-        if bits.max(initial=0) > 1:
-            bits = None
-    if bits is None:
+    bits = _canonical_bits("".join(ln + "\n" for ln in body), m, len(body))
+    if bits is None:  # a bad line, or no lines
         for ln in body:  # only to quote the first bad line
             if len(ln) != m or any(c not in "01" for c in ln):
                 raise CodeFormatError(f"bad codeword line {ln!r}")
+        bits = np.zeros((0, m), dtype=bool)
     if len(body) != count:
         raise CodeFormatError(f"header says {count} words, file has {len(body)}")
-    return BinaryCode(m=m, words=bits.reshape(count, m), self_complementary=bool(selfcomp))
+    return BinaryCode(m=m, words=bits, self_complementary=bool(selfcomp))
 
 
 def frame_to_code(frame: Frame) -> BinaryCode:
@@ -180,8 +214,11 @@ def frame_to_code(frame: Frame) -> BinaryCode:
     if not frame.is_sign_matrix:
         raise NotRealConstantAmplitude(
             "frame is not in exact sign form; only +-1/sqrt(M) frames convert to codes")
-    bits = frame.exact_ints.T == -1
-    return BinaryCode(m=frame.m, words=np.concatenate([bits, ~bits]), self_complementary=True)
+    n = frame.n
+    words = np.empty((2 * n, frame.m), dtype=bool)
+    words[:n] = (frame.exact_ints < 0).T  # compared in the form's row order, then transposed as bytes
+    np.logical_not(words[:n], out=words[n:])
+    return BinaryCode(m=frame.m, words=words, self_complementary=True)
 
 
 def code_to_frame(code: BinaryCode) -> Frame:
@@ -379,19 +416,104 @@ def _classify_linear_dimensions(m: int, count: int) -> str | None:
     return None
 
 
-def _gf2_rank_exceeds(words: list[int], limit: int) -> bool:
-    """Whether the GF(2) span of the packed words has rank above limit, by
-    XOR-basis elimination: O(len(words) * rank) integer XORs."""
-    basis: list[int] = []  # distinct leading bits, in decreasing order
-    for w in words:
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-            if len(basis) > limit:
-                return True
-    return False
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2^64 / golden ratio: multiplicative hashing
+_PAIR_BLOCKS = (4096, 1 << 16)  # the pairs in _first_witness's first block, and its cap as they double
+
+
+def _lanes(bits: np.ndarray) -> np.ndarray:
+    """The L x W array of the W words of bits, each packed (np.packbits)
+    into L = max(1, ceil(m / 64)) uint64 lanes, zero-padded: two words are
+    equal exactly when their lanes are, and XOR acts lane by lane."""
+    count, m = bits.shape
+    lanes = max(1, -(-m // 64))
+    packed = np.zeros((count, 8 * lanes), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(bits, axis=1)
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _gf2_rank_exceeds(lanes: np.ndarray, limit: int) -> bool:
+    """Whether the GF(2) span of the packed words (_lanes) has rank above
+    limit, by elimination over all the words at once.  A step takes the
+    first lane that is not zero in every word, the word largest there and
+    its highest set bit in that lane, and XORs that word into every word
+    with that bit, itself included: the others then lack the bit, so the
+    pivot lies outside their span, and the rank falls by exactly one.  The
+    rank exceeds limit exactly when words remain after limit steps, each
+    one XOR over the W words."""
+    words = lanes.copy()
+    lane_of = np.arange(len(words))
+    for _ in range(limit):
+        ats = words.argmax(axis=1)
+        tops = words[lane_of, ats]
+        live = np.flatnonzero(tops)
+        if not live.size:
+            return False
+        lane, at = words[live[0]], ats[live[0]]
+        bit = np.uint64(1 << (int(tops[live[0]]).bit_length() - 1))
+        np.bitwise_xor(words, words[:, at:at + 1].copy(), out=words, where=(lane & bit) != 0)
+    return bool(words.any())
+
+
+def _slots(lanes: np.ndarray, bits: int) -> np.ndarray:
+    """The top bits of a multiplicative hash of each packed word's lanes: its
+    slot in a table of 2^bits, as an index."""
+    key = lanes[0] * _MIX
+    for lane in lanes[1:]:
+        key ^= lane
+        key *= _MIX
+    return (key >> np.uint64(64 - bits)).view(np.int64)
+
+
+def _first_witness(lanes: np.ndarray) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in lexicographic order, whose XOR is
+    not a word, or None.  The words go into a hash table of at least 8 W
+    slots (_slots), sorted by slot, so a slot's words lie between two
+    offsets.  The pairs are tried in blocks of whole rows i, each against
+    every j > the block's first row: from about 4096 pairs, doubling up to
+    65536 (_PAIR_BLOCKS), so a witness among the first rows costs only its
+    block.  A pair's XOR is looked up round by round: the first compares
+    every XOR with the first word of its slot, each later one the XORs
+    still unfound with the next.  Words are distinct, so at most one
+    matches, whatever the hash."""
+    width, count = lanes.shape
+    bits = (8 * count - 1).bit_length()
+    slots = _slots(lanes, bits)
+    order = np.argsort(slots, kind="stable")
+    # the words by slot, and a zero word after them that an empty last slot's offset reads
+    table = np.concatenate((lanes[:, order], np.zeros((width, 1), dtype=np.uint64)), axis=1)
+    offsets = np.zeros((1 << bits) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=1 << bits), out=offsets[1:])
+
+    def found(xors: np.ndarray) -> np.ndarray:
+        slot = _slots(xors, bits)
+        at, stop = offsets.take(slot), offsets.take(slot + 1)
+        hit = at < stop
+        for lane, xor in zip(table, xors):
+            hit &= lane.take(at) == xor
+        todo = np.flatnonzero(~hit & (at + 1 < stop))
+        while todo.size:
+            at[todo] += 1
+            pos = at.take(todo)
+            same = np.ones(todo.size, dtype=bool)
+            for lane, xor in zip(table, xors):
+                same &= lane.take(pos) == xor.take(todo)
+            hit[todo[same]] = True
+            todo = todo[~same & (pos + 1 < stop.take(todo))]
+        return hit
+
+    first, (pairs, cap) = 0, _PAIR_BLOCKS
+    while first < count - 1:
+        span = count - first - 1  # the columns j = first + 1, ..., count - 1
+        last = min(count - 1, first + max(1, pairs // span))
+        xors = (lanes[:, first:last, None] ^ lanes[:, None, first + 1:]).reshape(width, -1)
+        missing = ~found(xors).reshape(last - first, span)
+        missing &= np.arange(span) >= np.arange(last - first)[:, None]  # j > i
+        hits = np.flatnonzero(missing)
+        if hits.size:
+            row, col = divmod(int(hits[0]), span)
+            return first + row, first + 1 + col
+        first, pairs = last, min(2 * pairs, cap)
+    return None
 
 
 def is_linear(code: BinaryCode) -> LinearityReport:
@@ -400,20 +522,20 @@ def is_linear(code: BinaryCode) -> LinearityReport:
 
     A set of W distinct words that contains zero is closed under XOR exactly
     when it is a GF(2) subspace, that is when W == 2**rank.  Words are packed
-    into Python integers and the rank found by elimination, O(W * m) bit
-    work.  Only a set that is not closed gets the pairwise scan, in
-    lexicographic pair order, for its first witness pair (i, j).
+    into uint64 lanes (_lanes) and the rank found by elimination over all of
+    them at once (_gf2_rank_exceeds).  Only a set that is not closed gets the
+    pair search, in lexicographic pair order, for its first witness pair
+    (i, j) (_first_witness).
     """
-    packed = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(code.bits, axis=1)]
-    wordset = set(packed)
-    if 0 not in wordset:
+    lanes = _lanes(code.bits)
+    if not (lanes == 0).all(axis=0).any():
         return LinearityReport(linear=False, witness=None, family=None)
     count = code.count
     dim = count.bit_length() - 1
-    if count == 1 << dim and not _gf2_rank_exceeds(packed, dim):
+    if count == 1 << dim and not _gf2_rank_exceeds(lanes, dim):
         return LinearityReport(linear=True, witness=None,
                                family=_classify_linear_dimensions(code.m, count))
-    for i, j in combinations(range(count), 2):
-        if packed[i] ^ packed[j] not in wordset:
-            return LinearityReport(linear=False, witness=(i, j), family=None)
-    raise InvariantViolation("a non-subspace containing zero has a non-closed pair")  # unreachable
+    witness = _first_witness(lanes)
+    if witness is None:
+        raise InvariantViolation("a non-subspace containing zero has a non-closed pair")  # unreachable
+    return LinearityReport(linear=False, witness=witness, family=None)

@@ -9,6 +9,7 @@ fixtures byte-stable; all constructors here emit it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -93,6 +94,8 @@ def parse_design(text: str) -> SteinerSystem:
     # JSON integers only: int() would truncate a float and read a bool or a string
     if not all(type(x) is int for x in chain((v, k), *blocks, *(resolution or ()))):
         raise DesignFormatError("v, k, block points and resolution indices must be JSON integers")
+    if k < 2:  # a (2,K,V) design's blocks hold two points or more; V/K and V-1/K-1 need it too
+        raise DesignFormatError(f"k must be at least 2, got {k}")
     if any(not 0 <= p < v for blk in blocks for p in blk):
         raise DesignFormatError("block contains a point index out of range")
     if resolution is not None and any(not 0 <= i < len(blocks) for cls in resolution for i in cls):
@@ -275,11 +278,11 @@ def validate(design: SteinerSystem) -> ValidationReport:
     bad = next((b for b in blocks if len(set(b)) != k), None)
     checks.append(("block_sizes", bad is None, "" if bad is None else f"block {bad} does not have {k} distinct points"))
 
-    counts = [0] * v
-    for blk in blocks:
-        for p in blk:
-            counts[p] += 1
-    r_expected = (v - 1) / (k - 1)
+    counts = Counter(chain.from_iterable(blocks))  # as many entries as the blocks hold, whatever v is
+    try:
+        r_expected = (v - 1) / (k - 1)
+    except OverflowError:  # past float64: no point lies in that many blocks
+        r_expected = float("inf")
     bad_pt = next((p for p in range(v) if counts[p] != r_expected), None)
     checks.append(("replication", bad_pt is None,
                    "" if bad_pt is None else f"point {bad_pt} lies in {counts[bad_pt]} blocks, expected {r_expected:g}"))
@@ -290,7 +293,9 @@ def validate(design: SteinerSystem) -> ValidationReport:
             pair_counts[pr] = pair_counts.get(pr, 0) + 1
     bad_pair = next((pr for pr, c in pair_counts.items() if c != 1), None)
     if bad_pair is None:
-        missing = next((pr for pr in combinations(range(v), 2) if pr not in pair_counts), None)
+        # pairs in combinations' order, drawn lazily: combinations would first hold all of range(v)
+        pairs = ((a, b) for a in range(v) for b in range(a + 1, v))
+        missing = next((pr for pr in pairs if pr not in pair_counts), None)
         checks.append(("pair_coverage", missing is None, "" if missing is None else f"pair {missing} is uncovered"))
     else:
         checks.append(("pair_coverage", False, f"pair {bad_pair} is covered {pair_counts[bad_pair]} times"))
@@ -312,7 +317,7 @@ def validate(design: SteinerSystem) -> ValidationReport:
         bad_cls = None
         for ci, cls in enumerate(res):
             cover = sorted(p for i in cls for p in blocks[i])
-            if cover != list(range(v)):
+            if len(cover) != v or cover != list(range(v)):
                 bad_cls = ci
                 break
         checks.append(("classes_partition_points", bad_cls is None,

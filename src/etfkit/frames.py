@@ -142,6 +142,7 @@ class Frame:
         self.scale_sq = scale_sq
         self.provenance = {} if provenance is None else provenance
         self._entries = entries if exact is None else None
+        self._steiner = None  # metrics._steiner_reading keeps its reading of the exact form here
         if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
             raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
 
@@ -188,7 +189,8 @@ class Frame:
         return (
             self.exact_ints is not None
             and self.scale_sq == self.m
-            and bool(np.all(np.abs(self.exact_ints) == 1))
+            and _abs_max(self.exact_ints) <= 1
+            and bool(self.exact_ints.all())
         )
 
     def gram(self) -> np.ndarray:
@@ -205,7 +207,8 @@ class Frame:
         norm past float64 fails.  Frames with no rows or no columns pass.  An
         integer frame's norms are sqrt(c / scale_sq), c its integer column
         sums of squares.  A phase frame, all of modulus 1/sqrt(scale_sq), is
-        unit-norm exactly when M = scale_sq, whatever tol is."""
+        unit-norm exactly when M = scale_sq, whatever tol is.  A {0, +-1}
+        form's sums of squares are its column counts of nonzero entries."""
         if self.m == 0 or self.n == 0:
             return
         if self.phases is not None:
@@ -216,8 +219,13 @@ class Frame:
             with np.errstate(over="ignore"):  # a norm past float64 is inf, which fails below
                 norms = np.linalg.norm(self.entries, axis=0)
         else:
-            ints = _exact_ints(self.exact_ints, _abs_max(self.exact_ints) ** 2 * self.m)
-            norms = np.sqrt(np.sum(ints * ints, axis=0).astype(np.float64) / self.scale_sq)
+            top = _abs_max(self.exact_ints)
+            if top <= 1:
+                sums = np.count_nonzero(self.exact_ints, axis=0)
+            else:
+                ints = _exact_ints(self.exact_ints, top ** 2 * self.m)
+                sums = np.sum(ints * ints, axis=0)
+            norms = np.sqrt(sums.astype(np.float64) / self.scale_sq)
         worst = float(np.abs(norms - 1.0).max())
         if not worst <= tol:
             raise NotUnitNorm(f"column norms deviate from 1 by {worst:.3e}")
@@ -232,18 +240,25 @@ def _numeric(values: np.ndarray, scale_sq: int) -> np.ndarray:
 
 # -- serialization ------------------------------------------------------------
 
+# the NUL-padded 4-byte cells of +1 and -1, inside a row and at its end, and the break after a row
+_SIGN_CELLS = np.frombuffer(b"1, \0-1, 1\0\0\0-1\0\0", dtype=np.uint32).reshape(2, 2)
+_ROW_BREAK = np.frombuffer(b"], [", dtype=np.uint32)[0]
+
+
 def _sign_rows(ints: np.ndarray) -> str:
-    """json.dumps(ints.tolist()) of a +-1 matrix, written from the array: one
-    NUL-padded cell "1, " or "-1, " per entry, the last of each row ending
-    "], [" instead, and the NULs dropped."""
+    """json.dumps(ints.tolist()) of a +-1 matrix, written from the array: the
+    one writer of sign text.  Each entry is one NUL-padded 4-byte cell,
+    "1, " or "-1, ", or "1" or "-1" at the end of its row, chosen by one
+    np.where; a cell "], [" follows each row, and bytes.translate drops the
+    NULs."""
     if not ints.size:
         return json.dumps(ints.tolist())
-    cells = np.empty(ints.shape + (6,), dtype=np.uint8)
-    cells[...] = np.frombuffer(b"\x001, \x00\x00", dtype=np.uint8)
-    cells[..., 0] = (ints < 0) * ord("-")
-    cells[:, -1, 2:] = np.frombuffer(b"], [", dtype=np.uint8)
-    text = cells.ravel()
-    return "[[" + text[text != 0].tobytes().decode()[:-4] + "]]"
+    m, n = ints.shape
+    cells = np.repeat(_SIGN_CELLS, (n - 1, 1), axis=0)  # n x 2: column j's cells of +1 and -1
+    text = np.empty((m, n + 1), dtype=np.uint32)
+    text[:, :n] = np.where(ints < 0, cells[:, 1], cells[:, 0])
+    text[:, n] = _ROW_BREAK
+    return "[[" + text.tobytes().translate(None, b"\0")[:-4].decode() + "]]"
 
 
 def frame_to_json(frame: Frame) -> str:
@@ -349,16 +364,19 @@ def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _form(m: UnimodularMatrix) -> np.ndarray:
-    """m's integer signs when it has them, else its entries: the array a
-    builder gathers, so that the dtype of the product decides the form."""
-    return m.entries if m.signs is None else m.signs
+    """m's integer signs, as int8, when it has them, else its entries: the
+    array a builder gathers, so that the dtype of the product decides the
+    form."""
+    return m.entries if m.signs is None else m.signs.astype(np.int8)
 
 
 def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | None = None) -> Frame:
     """The unit-norm frame values / sqrt(scale_sq): the one place a
     construction picks its form.  With order, values are the exponents mod
     order of the roots zeta_order: order <= 2 gives the integer form of the
-    signs they gather (flatmat._root_values), any larger order the phase form,
+    signs they gather (flatmat._root_values), in int8, one byte per sign as
+    code_to_frame holds them (every product of an integer form goes through
+    exact_gram, which widens it), any larger order the phase form,
     stored in _phase_dtype(order); either way every entry has modulus
     1/sqrt(scale_sq), so it is unit-norm when M = scale_sq, checked first.
     Without it, integer values become the integer form, and any others
@@ -369,7 +387,7 @@ def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | 
         if order > 2:
             return Frame(scale_sq=scale_sq, provenance=provenance,
                          _phases=(values.astype(_phase_dtype(order), copy=False), order))
-        values = _root_values(values, order)
+        values = _root_values(values, order, _root_table(order).astype(np.int8))
     if np.issubdtype(values.dtype, np.integer):
         frame = Frame(exact_ints=values, scale_sq=scale_sq, provenance=provenance)
     else:
@@ -431,6 +449,8 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     big_r = pos.shape[0]
     _check_simplex(simplex, big_r)
     s_count = design.s
+    if pos.max(initial=-1) >= s_count:  # blocks of other sizes than K: a class holds more than V/K
+        raise NotResolvable(f"a parallel class holds more than V/K = {s_count} blocks")
     if basis.entries.shape != (s_count, s_count):
         raise BasisShapeMismatch(f"basis is {basis.entries.shape}, need ({s_count}, {s_count})")
 

@@ -13,7 +13,8 @@ structure, with no N x N Gram: _steiner_form reads a {0, +-1} form with
 d = R nonzero entries per column as a Steiner form Phi, and a +-1 form with
 d = M as a Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner
 checks Phi's design and simplex blocks (Fickus, Mixon and Tremain), in
-O(MN) integer work plus small Grams.  That proves every off-diagonal Gram
+O(MN) integer work plus small Grams.  A frame is read so once, and keeps
+its reading (_steiner_reading).  That proves every off-diagonal Gram
 modulus 1/R and the frame operator (N/M) I, so the Fractions are exactly
 the ones the dense path computes, and the reports are the same bytes.  This
 covers steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
@@ -309,18 +310,30 @@ def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
     return bool((col_gram == 1.0).all() and (row_gram == size * np.eye(big_r)).all())
 
 
-def _signed_rows(ints: np.ndarray, d: int) -> tuple[int, bytes] | None:
-    """(R, rows) of the Steiner form Phi of ints / sqrt(d) (_steiner_form),
-    or None: rows holds Phi's rows, each times the sign of its first nonzero
-    entry, sorted as byte strings and joined.  Two frames with equal
-    (R, rows) have equal Grams, ETFs or not: their forms are P D Phi and Phi
-    for a row permutation P and a diagonal sign matrix D, and
-    (P D Phi)^T (P D Phi) = Phi^T Phi, over the same R."""
-    form = _steiner_form(ints, d)
+def _steiner_reading(frame: Frame) -> tuple:
+    """(form, is_steiner) of a frame with an integer form: its _steiner_form,
+    and whether _is_steiner accepts it (False when there is none).  It is
+    read once per frame, the first time it is asked for, and kept on the
+    frame; the exact form is read-only, so the reading cannot go stale.
+    The one caller of _steiner_form and _is_steiner."""
+    if frame._steiner is None:
+        form = _steiner_form(frame.exact_ints, frame.scale_sq)
+        frame._steiner = form, form is not None and _is_steiner(form[0], form[1], frame.m)
+    return frame._steiner
+
+
+def _signed_rows(frame: Frame) -> tuple[int, bytes] | None:
+    """(R, rows) of the Steiner form Phi of a frame with an integer form
+    (_steiner_reading), or None: rows holds Phi's rows, each times the sign
+    of its first nonzero entry, sorted as byte strings and joined.  Two
+    frames with equal (R, rows) have equal Grams, ETFs or not: their forms
+    are P D Phi and Phi for a row permutation P and a diagonal sign matrix
+    D, and (P D Phi)^T (P D Phi) = Phi^T Phi, over the same R."""
+    form = _steiner_reading(frame)[0]
     if form is None:
         return None
     rows, signs, big_r = form
-    m, n = ints.shape
+    m, n = frame.m, frame.n
     phi = np.zeros((m, n), dtype=np.int8)
     phi[rows, np.arange(n)[:, None]] = signs
     phi *= phi[np.arange(m), np.argmax(phi != 0, axis=1)][:, None]
@@ -346,8 +359,9 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     since distinct characters are orthogonal.
 
     Any other frame with an integer form ints / sqrt(d) gets Fractions: from
-    its Steiner form (_steiner_form) when _is_steiner accepts it, else from
-    its dense integer Gram (frames.exact_gram), with tightness None.  The
+    its Steiner form when _is_steiner accepts it (_steiner_reading, read
+    once per frame), else from its dense integer Gram (frames.exact_gram),
+    with tightness None.  The
     structural Fractions are the dense ones: every off-diagonal Gram entry
     has modulus 1/R and every diagonal entry is 1 (_is_steiner), so the
     dense path's Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2) reduce
@@ -371,8 +385,8 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     rows = _character_rows(frame)
     ints, d = frame.exact_ints, frame.scale_sq
     if frame.exact_ints is not None and rows is None:
-        form = _steiner_form(ints, d)
-        if form is not None and _is_steiner(form[0], form[1], ints.shape[0]):
+        form, steiner = _steiner_reading(frame)
+        if steiner:
             n, big_r = ints.shape[1], form[2]
             mu = Fraction(1, big_r)
             return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
@@ -464,9 +478,10 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
     """Compare the two N x N Gram matrices entrywise; exact when both frames
     carry integer forms (cross-multiplied integer comparison, no tolerance).
 
-    Two integer frames whose Steiner forms (_steiner_form: a Kirkman frame's
-    Phi, or a sparse frame itself) have the same R and the same rows up to
-    order and sign (_signed_rows) have equal Grams, so the report is
+    Two integer frames whose Steiner forms (_steiner_reading: a Kirkman
+    frame's Phi, or a sparse frame itself; a frame that certify_etf has
+    read is not read again) have the same R and the same rows up to order
+    and sign (_signed_rows) have equal Grams, so the report is
     max_dev 0.0 with no witness, as the dense comparison finds, and no Gram
     is formed: this is how a kirkman_etf frame matches its steiner_etf frame.
     Otherwise the Grams are compared densely, and a witness is the first
@@ -474,8 +489,8 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
     if a.n != b.n:
         raise ShapeMismatch(f"column counts differ: {a.n} != {b.n}")
     if a.exact_ints is not None and b.exact_ints is not None:
-        rows_a = _signed_rows(a.exact_ints, a.scale_sq)
-        if rows_a is not None and rows_a == _signed_rows(b.exact_ints, b.scale_sq):
+        rows_a = _signed_rows(a)
+        if rows_a is not None and rows_a == _signed_rows(b):
             return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=True, tol=tol)
         ga, da = a.gram_exact()
         gb, db = b.gram_exact()

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -267,6 +268,22 @@ def test_code_header_is_strict(header, message):
         parse_code(header + "\n01\n10\n")
 
 
+@pytest.mark.parametrize("key,value", [
+    (key, value) for key, digit in (("m", "2"), ("n", "2"), ("selfcomp", "1"))
+    for value in (f"+{digit}", f"0_{digit}", chr(0x0660 + int(digit)), chr(0xFF10 + int(digit)))
+], ids=ascii)
+def test_each_header_field_is_a_string_of_ascii_digits(key, value):
+    """int() reads a sign, an underscore, an Arabic-Indic or a fullwidth
+    digit, each as the value the valid header below gives, and to_text would
+    then write a different header; each is refused, in each field."""
+    assert parse_code("# etfkit-code m=2 n=2 selfcomp=1\n01\n10\n").to_text().startswith("# etfkit-code m=2 n=2")
+    fields = {"m": "2", "n": "2", "selfcomp": "1"}
+    fields[key] = value
+    header = "# etfkit-code " + " ".join(f"{k}={v}" for k, v in fields.items())
+    with pytest.raises(CodeFormatError, match=f"^bad header: {key} must be .*, got {re.escape(repr(value))}$"):
+        parse_code(header + "\n01\n10\n")
+
+
 def test_few_half_words_certify_as_a_negative_verdict():
     # N = 2 < m = 3: the sign frame cannot be tight, so etf_passed is False
     # without running the ETF certificate on a 3 x 2 frame
@@ -277,7 +294,8 @@ def test_few_half_words_certify_as_a_negative_verdict():
 
 
 # -- the tuple-based validation BinaryCode ran before it held a bit array,
-# kept as the reference for the array form (with the strict header rules)
+# kept as the reference for the array form (with the strict header rules:
+# each header field a string of ASCII digits)
 
 def reference_validate(m, words, self_complementary):
     if any(len(w) != m or any(b not in (0, 1) for b in w) for w in words):
@@ -307,12 +325,15 @@ def reference_parse_code(text):
         if not eq:
             raise CodeFormatError(f"bad header token {tok!r}: expected key=value")
         fields[key] = value
-    try:
-        m, count, selfcomp = int(fields["m"]), int(fields["n"]), int(fields["selfcomp"])
-    except (KeyError, ValueError) as e:
-        raise CodeFormatError(f"bad header: {e}") from e
-    if m < 0 or count < 0:
-        raise CodeFormatError(f"bad header: m and n must be non-negative, got m={m}, n={count}")
+    values = []
+    for key in ("m", "n", "selfcomp"):
+        if key not in fields:
+            raise CodeFormatError(f"bad header: {key!r}")
+        if not re.fullmatch("[0-9]+", fields[key]):
+            wanted = "0 or 1" if key == "selfcomp" else "a non-negative integer in ASCII digits"
+            raise CodeFormatError(f"bad header: {key} must be {wanted}, got {fields[key]!r}")
+        values.append(int(fields[key]))
+    m, count, selfcomp = values
     if selfcomp not in (0, 1):
         raise CodeFormatError(f"bad header: selfcomp must be 0 or 1, got {fields['selfcomp']!r}")
     words = []
@@ -360,7 +381,11 @@ def half_words(draw, min_m=1, max_m=8, min_half=0, max_half=6):
 def code_texts(draw):
     """Code files, valid or carrying one drawn defect: a wrong line length,
     a character outside 01, a duplicate word, a broken complement, a wrong
-    count or a bad header; blank lines are sprinkled in throughout."""
+    count or a bad header.  Half are laid out as to_text writes them, which
+    parse_code checks as one array of bytes; the rest have blank lines
+    sprinkled in throughout, either line break, and maybe no final newline.
+    Either may then have one character replaced by a line break, a bit or
+    another character, anywhere."""
     m, first = draw(half_words(max_half=5))
     selfcomp = draw(st.booleans())
     words = first + [complement(w) for w in first] if selfcomp else first
@@ -385,16 +410,24 @@ def code_texts(draw):
         fields["n"] = str(len(lines) + draw(st.sampled_from([-1, 1])))
     if defect == "header":
         key = draw(st.sampled_from(sorted(fields)))
-        fields[key] = draw(st.sampled_from(["-1", "2", "7", "x", "", "1.0"]))
+        fields[key] = draw(st.sampled_from(["-1", "2", "7", "x", "", "1.0", "01", "+1", "0_1", "\u0661", "\uff11"]))
         if draw(st.booleans()):
             del fields[key]
     tokens = [f"{k}={v}" for k, v in fields.items()]
     if defect == "header" and draw(st.booleans()):
         tokens.insert(draw(st.integers(0, len(tokens))), "bogus")
     lines.insert(0, "# etfkit-code " + " ".join(tokens))
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        text = "\n".join(lines) + "\n"
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+        text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from(["\n", "0", "1", "2", " ", "\r", "\x0b", "\x1c", "\x85",
+                                                 "\u2028", "\u00e9"])) + text[at + 1:]
+    return text
 
 
 @PROPERTY

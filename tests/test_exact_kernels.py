@@ -4,7 +4,7 @@ pairwise Hamming minimum, and GF(2)-rank linearity against the pairwise XOR
 closure scan."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from etfkit.codes import (
     is_linear,
     parse_code,
 )
-from etfkit.designs import affine_design
+from etfkit import codes as codes_module
+from etfkit.designs import affine_design, round_robin_design
 from etfkit.flatmat import drop_row_simplex, hadamard
 from etfkit.frames import exact_gram, kirkman_etf
 from etfkit.metrics import _tightness_residual, certify_etf
@@ -110,19 +111,30 @@ def test_distance_on_a_self_complementary_flat_code():
 
 
 def pairwise_linearity(code: BinaryCode) -> LinearityReport:
-    """The XOR closure scan over every pair, in lexicographic order."""
-    wordset = set(code.words)
-    if (0,) * code.m not in wordset:
+    """The XOR closure scan over every pair, in lexicographic order, on the
+    words read as Python integers."""
+    words = [int("".join(map(str, w)) or "0", 2) for w in code.words]
+    wordset = set(words)
+    if 0 not in wordset:
         return LinearityReport(linear=False, witness=None, family=None)
     for i, j in combinations(range(code.count), 2):
-        if tuple(a ^ b for a, b in zip(code.words[i], code.words[j])) not in wordset:
+        if words[i] ^ words[j] not in wordset:
             return LinearityReport(linear=False, witness=(i, j), family=None)
     return LinearityReport(linear=True, witness=None,
                            family=_classify_linear_dimensions(code.m, code.count))
 
 
+# word lengths at and past the edges of one and two 64-bit lanes, and short ones,
+# where a drawn foreign word often lies in the span
+LENGTHS = st.integers(1, 8) | st.sampled_from([63, 64, 65, 127, 128, 129, 130]) | st.integers(9, 130)
+
+
+def words_of(m: int):
+    return st.tuples(*[st.integers(0, 1)] * m)
+
+
 @PROPERTY
-@given(codes(max_m=6, max_words=40), st.booleans())
+@given(LENGTHS.flatmap(lambda m: codes(max_m=m, max_words=40)), st.booleans())
 def test_is_linear_matches_pairwise_scan(code, add_zero):
     if add_zero and (0,) * code.m not in code.words:
         code = BinaryCode(m=code.m, words=((0,) * code.m,) + code.words, self_complementary=False)
@@ -131,20 +143,25 @@ def test_is_linear_matches_pairwise_scan(code, add_zero):
 
 @st.composite
 def subspaces(draw):
-    """A random GF(2) subspace in shuffled word order, sometimes with one
-    word dropped or one foreign word added."""
-    m = draw(st.integers(1, 8))
-    gens = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m), max_size=5))
+    """A random GF(2) subspace C of words of up to 130 bits, in shuffled
+    word order, sometimes with one word dropped or one foreign word added.
+    Or a late witness: the union of the cosets of C at a few foreign words,
+    C's words first, so the first pair that is not closed has i >= |C|."""
+    m = draw(LENGTHS)
+    gens = draw(st.lists(words_of(m), max_size=5))
     span = {(0,) * m}
     for g in gens:
         span |= {tuple(a ^ b for a, b in zip(w, g)) for w in span}
     words = list(draw(st.permutations(sorted(span))))
-    change = draw(st.sampled_from(["none", "drop", "add"]))
+    change = draw(st.sampled_from(["none", "drop", "add", "late"]))
+    foreign = [w for w in draw(st.lists(words_of(m), min_size=1, max_size=3)) if w not in span]
     if change == "drop" and len(words) > 2:
         words.pop(draw(st.integers(0, len(words) - 1)))
-    elif change == "add" and len(words) < 2 ** m:
-        outside = sorted(set(product((0, 1), repeat=m)) - span)
-        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(outside)))
+    elif change == "add" and foreign:
+        words.insert(draw(st.integers(0, len(words))), foreign[0])
+    elif change == "late":
+        cosets = {tuple(a ^ b for a, b in zip(w, f)) for w in span for f in foreign}
+        words += draw(st.permutations(sorted(cosets - span)))
     return BinaryCode(m=m, words=tuple(words), self_complementary=False)
 
 
@@ -152,6 +169,30 @@ def subspaces(draw):
 @given(subspaces())
 def test_is_linear_matches_pairwise_scan_on_subspaces(code):
     assert is_linear(code) == pairwise_linearity(code)
+
+
+@PROPERTY
+@given(subspaces(), st.sampled_from([(1, 1), (1, 4), (5, 64)]), st.sampled_from([1, 3, 2 ** 64 - 1]))
+def test_is_linear_finds_the_same_witness_whatever_its_blocks_and_hash(code, blocks, mix):
+    """Blocks of one row, or of pairs doubling from one, and multipliers
+    that crowd words into few slots (with 1, every word short enough hashes
+    to slot 0), so the lookup takes many rounds: the report is the scan's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes_module, "_PAIR_BLOCKS", blocks)
+        patch.setattr(codes_module, "_MIX", np.uint64(mix))
+        assert is_linear(code) == pairwise_linearity(code)
+
+
+@pytest.mark.parametrize("name", ["aff22", "rr8", "aff23", "rr16"])
+def test_is_linear_matches_pairwise_scan_on_the_flat_codes(name):
+    """The codes of the flat ladder up to M = 120 at every drop row: bent
+    subspaces, and codes whose first witness needs a second block."""
+    design = {"aff22": affine_design(2, 2), "rr8": round_robin_design(8), "aff23": affine_design(2, 3),
+              "rr16": round_robin_design(16)}[name]
+    big_r = len(design.resolution)
+    for drop in range(big_r + 1):
+        code = frame_to_code(kirkman_etf(design, drop_row_simplex(hadamard(big_r + 1), drop), hadamard(design.s)))
+        assert is_linear(code) == pairwise_linearity(code)
 
 
 def test_a24_certificate_bound_and_linearity():

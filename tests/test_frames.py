@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from etfkit.designs import SteinerSystem, affine_design, kirkman15, round_robin_design
 from etfkit.errors import (
@@ -46,6 +47,7 @@ from etfkit.frames import (
     steiner_etf,
     trace_character_basis,
     _numeric,
+    _sign_rows,
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
 
@@ -294,6 +296,15 @@ def test_sign_form_is_json_dumps_of_the_document(shape):
     doc = {"m": shape[0], "n": shape[1], "signs": ints.tolist(), "scale_sq_inv": shape[0],
            "provenance": PROVENANCE}
     assert frame_to_json(frame) == json.dumps(doc, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(0, 7), st.integers(0, 9)).flatmap(
+    lambda shape: hnp.arrays(st.sampled_from([np.int8, np.int64]), shape, elements=st.sampled_from([-1, 1]))))
+def test_sign_rows_is_json_dumps_of_the_signs(ints):
+    """Both sides of the empty-form test: 1 x 1, 1 x N, M x 1, the empty
+    shapes, and the rest."""
+    assert _sign_rows(ints) == json.dumps(ints.tolist())
 
 
 def test_sign_form_of_a_constructed_frame_is_json_dumps_of_the_document():
@@ -640,6 +651,32 @@ def test_unit_norm_of_the_integer_form_matches_the_float_check(ints, scale_sq):
     Frame(exact_ints=np.array([[3, 4], [4, -3]]), scale_sq=25).check_unit_norm()
 
 
+def reference_unit_norm(ints: np.ndarray, scale_sq: int, tol: float) -> str | None:
+    """check_unit_norm's message on an integer form, from its column sums of
+    squares in Python integers, or None when it passes."""
+    sums = [sum(int(x) ** 2 for x in column) for column in ints.T.tolist()]
+    worst = float(np.abs(np.sqrt(np.array(sums, dtype=np.float64) / scale_sq) - 1.0).max())
+    return None if worst <= tol else f"column norms deviate from 1 by {worst:.3e}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 8), st.sampled_from([1, 2, 3])).flatmap(
+    lambda case: st.tuples(hnp.arrays(st.sampled_from([np.int8, np.int16, np.int64]), case[:2],
+                                      elements=st.integers(-case[2], case[2])),
+                           st.integers(1, 9), st.sampled_from([0.0, 1e-9, 0.5]))))
+def test_unit_norm_of_an_integer_form_matches_its_sums_of_squares(case):
+    """A {0, +-1} form counts its nonzero entries; a wider one, with an entry
+    +-2 or +-3 where a count would be wrong, still sums its squares: both
+    give the Python-integer reference's verdict and message."""
+    ints, scale_sq, tol = case
+    try:
+        Frame(exact_ints=ints, scale_sq=scale_sq).check_unit_norm(tol)
+        got = None
+    except NotUnitNorm as e:
+        got = str(e)
+    assert got == reference_unit_norm(ints, scale_sq, tol)
+
+
 @pytest.mark.parametrize("resolution,message", [
     (((0, 1, 2), (2, 3), (4, 5)), "parallel class 0 does not partition the 4 points"),
     (((0, 1), (2, 3, 0), (4, 5)), "parallel class 1 does not partition the 4 points"),
@@ -788,7 +825,8 @@ def test_harmonic_frame_is_the_character_table_restricted_to_the_set(case):
     exponent_two = math.lcm(*factors) <= 2
     assert (frame.exact_ints is not None) == exponent_two
     if exponent_two:
-        assert frame.exact_ints.tobytes() == table.signs[:, rows].T.copy().tobytes()
+        assert frame.exact_ints.dtype == np.int8  # one byte per sign
+        assert frame.exact_ints.tobytes() == table.signs[:, rows].T.astype(np.int8).tobytes()
 
 
 @pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)

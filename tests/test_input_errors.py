@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etfkit import fixtures
 from etfkit.cli import main
@@ -235,6 +235,71 @@ def test_a_byte_mutated_document_parses_or_is_refused(name, data):
         assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert code in (0, 1, 2) and (code != 2 or err.count("\n") == 1), (code, err)
+
+
+# the other commands that read a document from '-': two read a design, the
+# rest a frame, the sign form and the entries form both where they apply
+STDIN_COMMANDS = [
+    ("design", ("frame", "steiner", "-", "--simplex", "hadamard")),
+    ("design", ("frame", "kirkman", "-", "--simplex", "hadamard", "--basis", "hadamard")),
+    *[(name, argv) for name in ("sign-frame", "entries-frame")
+      for argv in (("frame", "naimark", "-"), ("analyze", "spark", "-"), ("analyze", "rip", "-", "--L", "2"))],
+    ("sign-frame", ("code", "from-frame", "-")),
+]
+
+
+@pytest.mark.parametrize("name,argv", STDIN_COMMANDS, ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_the_canonical_documents_pass_every_stdin_command(name, argv):
+    code, err = _cli_on_stdin(CANONICAL[name][0].encode(), argv)
+    assert code in (0, 1) and err == "", (code, err)
+
+
+@BYTES
+@given(data=st.data())
+@pytest.mark.parametrize("name,argv", STDIN_COMMANDS, ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_every_stdin_command_refuses_a_byte_mutated_document(name, argv, data):
+    """frame steiner, frame kirkman, frame naimark, analyze spark, analyze
+    rip and code from-frame on a byte-mutated canonical document: one that
+    does not parse exits 2 with one stderr line, and one that parses exits
+    0, 1 or 2, with one stderr line at most and no traceback."""
+    text, parse = CANONICAL[name]
+    raw = data.draw(byte_mutations(text))
+    stdin = _stdin_text(raw)
+    try:
+        parsed = stdin is not None and parse(stdin)
+    except EtfkitError:
+        parsed = False
+    code, err = _cli_on_stdin(raw, argv)
+    if not parsed:
+        assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code in (0, 1, 2) and err.count("\n") == (code == 2), (code, err)
+
+
+@BYTES
+@given(path=st.sampled_from(DESIGN_PATHS), value=st.integers(-2, 9) | st.integers() | JSON)
+@example(path=("k",), value=0).via("k = 0: V/K divides by zero")
+@example(path=("k",), value=1).via("k = 1: V-1/K-1 divides by zero")
+@example(path=("k",), value=3).via("blocks of 2 in classes that V/K = 1 says hold 1")
+@example(path=("v",), value=2 ** 40).via("a list or a basis of V entries")
+@example(path=("v",), value=10 ** 400).via("R = V-1/K-1 past float64")
+@pytest.mark.parametrize("argv", [("design", "validate", "-"), *[argv for name, argv in STDIN_COMMANDS if name == "design"]],
+                         ids=" ".join)
+def test_every_design_command_refuses_a_document_with_any_field_replaced(argv, path, value):
+    """A k below 2, a V that the blocks do not bear out (huge ones among
+    them) or classes of blocks of other sizes than K: each command that
+    reads a design exits 2 with one stderr line unless the document parses,
+    and allocates nothing for a V that only the document claims."""
+    text = _substituted(DESIGN_DOC, path, value)
+    try:
+        parsed = bool(parse_design(text))
+    except EtfkitError:
+        parsed = False
+    code, err = _cli_on_stdin(text.encode(), argv)
+    if not parsed:
+        assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1, err
+    else:
+        assert code in (0, 1, 2) and err.count("\n") == (code == 2), (code, err)
 
 
 @pytest.mark.parametrize("parse,text", [

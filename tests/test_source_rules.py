@@ -305,3 +305,44 @@ def test_the_kirkman_layer_takes_one_exponent_route():
     # outside the branch, a matrix's entries give only their shape
     shapes = {id(node.value) for node in _attributes(kirkman, "shape")}
     assert all(id(node) in inside or id(node) in shapes for node in _attributes(kirkman, "entries"))
+
+
+def test_a_frame_is_read_as_a_steiner_form_in_one_place():
+    """Only metrics._steiner_reading calls _steiner_form and _is_steiner, and
+    it keeps its reading on the frame: every structural path reads a frame
+    once."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    for callee in ("_steiner_form", "_is_steiner"):
+        calls = {name: [scope for scope, _ in _sites(tree, _calls(callee))] for name, tree in trees.items()}
+        assert {name: scopes for name, scopes in calls.items() if scopes} == {
+            "metrics.py": ["_steiner_reading"]}, calls
+
+
+def _writes_a_signs_field(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and '"signs":' in node.value
+
+
+def test_sign_text_has_one_writer():
+    """frames._sign_rows writes the text of every sign matrix: only
+    frame_to_json calls it and writes a "signs" field, and it reads the
+    integer form only to hand it to _sign_rows, with no tolist."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    for matches in (_calls("_sign_rows"), _writes_a_signs_field):
+        sites = {name: [scope for scope, _ in _sites(tree, matches)] for name, tree in trees.items()}
+        assert {name: scopes for name, scopes in sites.items() if scopes} == {"frames.py": ["frame_to_json"]}, sites
+    writer = _function(trees["frames.py"], "frame_to_json")
+    assert not [node for node in ast.walk(writer) if _calls("tolist")(node)]
+    handed = {id(arg) for node in ast.walk(writer) if _calls("_sign_rows")(node) for arg in node.args}
+    assert all(id(node) in handed for node in _attributes(writer, "exact_ints"))
+
+
+def test_codes_enumerates_no_pairs_in_python():
+    """Linearity takes its witness from array blocks of pairs
+    (codes._first_witness), not from a Python loop over
+    itertools.combinations."""
+    path = next(p for p in SOURCES if p.name == "codes.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"itertools", "combinations"}, imported

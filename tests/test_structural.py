@@ -5,11 +5,13 @@ itself, or a Kirkman frame reduced by orthogonal class blocks) that passes
 the Steiner checks is certified with no N x N Gram.  certify_etf, coherence,
 gram_equal, certify_grbe and distance then report exactly the bytes of the
 dense path, which each test gets by forcing metrics._steiner_form, the one
-entry to the structural path, to return None.  Frames that fail a check,
-the mutants below among them, take the dense path.
+entry to the structural path, to return None, on frames built inside that
+patch: a frame keeps the Steiner reading it was first given.  Frames that
+fail a check, the mutants below among them, take the dense path.
 """
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +73,13 @@ def _with(ints: np.ndarray, frame: Frame) -> Frame:
     return Frame(exact_ints=ints, scale_sq=frame.scale_sq)
 
 
+def _fresh(frame: Frame) -> Frame:
+    """The frame built again from its stored form, with no reading kept: a
+    frame keeps its Steiner reading (metrics._steiner_reading), so a dense
+    comparison needs frames that no path has read yet."""
+    return Frame(exact_ints=frame.exact_ints, scale_sq=frame.scale_sq, provenance=frame.provenance)
+
+
 def _reports(a: Frame, b: Frame) -> str:
     out = [gram_equal(a, b).as_dict()]
     for frame in (a, b):
@@ -83,12 +92,13 @@ def _reports(a: Frame, b: Frame) -> str:
 
 def _dense_reports(monkeypatch, a: Frame, b: Frame) -> str:
     """The reports with the structural path and the Gram row 0 path of a
-    +-1 character frame both switched off."""
+    +-1 character frame both switched off, on fresh frames built inside the
+    patch."""
     with monkeypatch.context() as patch:
         patch.setattr(metrics, "_steiner_form", lambda ints, d: None)
         patch.setattr(metrics, "_character_rows", lambda frame: None)
         assert not _structural(a) and not _structural(b)
-        return _reports(a, b)
+        return _reports(_fresh(a), _fresh(b))
 
 
 @pytest.mark.parametrize("name", LADDER + ["A24"])
@@ -102,6 +112,25 @@ def test_kirkman_and_steiner_frames_are_certified_from_their_structure(name, mon
     cert = certify_etf(flat)
     assert cert.passed and cert.exact and cert.coherence_exact == f"1/{big_r}" and cert.tightness_residual == 0.0
     assert gram_equal(flat, sparse).max_dev == 0.0
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_a_frame_is_read_once(name, monkeypatch):
+    """A frame keeps its Steiner reading: after certify_etf has read the
+    Kirkman frame, gram_equal reads only the Steiner frame, and nothing
+    after reads either again."""
+    read, calls = metrics._steiner_form, []
+    monkeypatch.setattr(metrics, "_steiner_form", lambda ints, d: calls.append(ints.shape) or read(ints, d))
+    flat, sparse = (_fresh(frame) for frame in _pair(name))
+    assert flat._steiner is None and sparse._steiner is None
+    certify_etf(flat)
+    assert calls == [flat.exact_ints.shape]
+    assert gram_equal(flat, sparse).max_dev == 0.0
+    assert calls == [flat.exact_ints.shape, sparse.exact_ints.shape]
+    for frame in (flat, sparse):
+        assert certify_etf(frame).passed and coherence(frame) == Fraction(1, sparse.scale_sq)
+    assert gram_equal(sparse, flat).passed and len(calls) == 2
+    assert flat._steiner[1] and sparse._steiner[1]
 
 
 @pytest.mark.parametrize("name", LADDER + ["A24"])
@@ -146,7 +175,8 @@ def test_sign_character_frames_are_certified_from_gram_row_0(case, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_steiner_form", lambda ints, d: None)
             patch.setattr(metrics, "_character_rows", lambda frame: None)
-            dense = json.dumps([certify_etf(frame).as_dict(), str(coherence(frame))])
+            fresh = _fresh(frame)
+            dense = json.dumps([certify_etf(fresh).as_dict(), str(coherence(fresh))])
 
         def refuse(*args):
             raise AssertionError("a dense product was formed")
