@@ -39,6 +39,12 @@ class SteinerSystem:
     blocks: tuple[tuple[int, ...], ...]
     resolution: tuple[tuple[int, ...], ...] | None = None
 
+    def __post_init__(self):  # K >= 2: blocks hold two points or more, and V/K and (V-1)/(K-1) need it
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.v, self.k)):
+            raise DesignFormatError(f"v and k must be integers, got v={self.v!r}, k={self.k!r}")
+        if self.k < 2:
+            raise DesignFormatError(f"k must be at least 2, got {self.k}")
+
     @property
     def b(self) -> int:
         return len(self.blocks)
@@ -94,8 +100,6 @@ def parse_design(text: str) -> SteinerSystem:
     # JSON integers only: int() would truncate a float and read a bool or a string
     if not all(type(x) is int for x in chain((v, k), *blocks, *(resolution or ()))):
         raise DesignFormatError("v, k, block points and resolution indices must be JSON integers")
-    if k < 2:  # a (2,K,V) design's blocks hold two points or more; V/K and V-1/K-1 need it too
-        raise DesignFormatError(f"k must be at least 2, got {k}")
     if any(not 0 <= p < v for blk in blocks for p in blk):
         raise DesignFormatError("block contains a point index out of range")
     if resolution is not None and any(not 0 <= i < len(blocks) for cls in resolution for i in cls):

@@ -142,7 +142,7 @@ class Frame:
         self.scale_sq = scale_sq
         self.provenance = {} if provenance is None else provenance
         self._entries = entries if exact is None else None
-        self._steiner = None  # metrics._steiner_reading keeps its reading of the exact form here
+        self._steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form here
         if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
             raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
 
@@ -414,17 +414,13 @@ def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
     big_r = block.shape[0]
     _check_simplex(simplex, big_r)
     big_b, v_count = design.b, design.v
-    n = v_count * (big_r + 1)
-    # R x N gathers over column (u, v) = v * (R+1) + u: the row of the
-    # class-r block containing v, and f_u(r)
-    rows, cols = np.repeat(block, big_r + 1, axis=1), np.arange(n)
-
     prov = {"construction": "steiner", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind}
     f = _form(simplex)
-    values = np.zeros((big_b, n), dtype=f.dtype)
-    values[rows, cols] = np.tile(f, (1, v_count))
-    return _assemble(values, big_r, prov)
+    # on the B x V x (R+1) grid of rows and columns (u, v) = v (R+1) + u, f_u(r) goes to the class-r block of v
+    values = np.zeros((big_b, v_count, big_r + 1), dtype=f.dtype)
+    values[block, np.arange(v_count)] = f[:, None, :]
+    return _assemble(values.reshape(big_b, v_count * (big_r + 1)), big_r, prov)
 
 
 def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
@@ -433,17 +429,18 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     f_u(r) * h_{s(r,v)}(s) / sqrt(B), where s(r,v) indexes the class-r block
     containing v and h-columns come from a unimodular orthogonal basis.
 
-    Rows are (r, s) pairs, r-major; its Gram equals the Steiner ETF's.  Every
+    Rows are (r, s) pairs, r-major, and columns (u, v) at v (R+1) + u, as
+    steiner_etf places them; its Gram equals the Steiner ETF's.  Every
     pair of matrices that both carry an exact exponent form
     (UnimodularMatrix._exponents: +-1 signs, or the phases of a character
     build) takes the one exponent route: f = zeta_Ls^a and h = zeta_Lb^b, so
     the entry is exactly zeta_L^(a L/Ls + b L/Lb) with L = lcm(Ls, Lb), and
     _assemble gets those exponents mod L: a sign frame for L <= 2, else a
-    phase frame.  The exponents are summed into one R x S x N array of the
-    narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype), and
-    reduced mod L by subtracting L where the sum is at least L, so no wider
-    integer is formed.  Only when a matrix from outside the package has no
-    exponent form are the values multiplied.
+    phase frame.  The exponents are summed into one R x S x V x (R+1) array
+    of the narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype),
+    and reduced mod L by subtracting L where the sum is at least L, so no
+    wider integer is formed.  Only when a matrix from outside the package has
+    no exponent form are the values multiplied.
     """
     pos, _ = _resolution_lookup(design)
     big_r = pos.shape[0]
@@ -455,25 +452,23 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
         raise BasisShapeMismatch(f"basis is {basis.entries.shape}, need ({s_count}, {s_count})")
 
     big_b, v_count = design.b, design.v
-    n = v_count * (big_r + 1)
-    # gathers over column (u, v) = v * (R+1) + u, as an R x 1 x N table of
-    # f_u(r) and an R x S x N table of h_{s(r,v)}(s); their product, rows
-    # flattened r-major, is the frame
-    h_cols = np.repeat(pos, big_r + 1, axis=1)
+    shape = (big_r * s_count, v_count * (big_r + 1))
     prov = {"construction": "kirkman", "v": v_count, "k": design.k,
             "b": big_b, "r": big_r, "simplex": simplex.kind, "basis": basis.kind}
+    # on the R x S x V x (R+1) grid of rows (r, s) and columns (u, v) = v (R+1) + u, the
+    # R x 1 x 1 x (R+1) table of f_u(r) meets the R x S x V x 1 gather of h_{pos(r,v)}(s)
     fx, hx = simplex._exponents, basis._exponents
     if fx is None or hx is None:  # a complex matrix from outside has no exponents to add
-        values = np.tile(_form(simplex), (1, v_count))[:, None, :] * _form(basis)[:, h_cols].transpose(1, 0, 2)
-        return _assemble(values.reshape(big_r * s_count, n), big_b, prov)
+        values = _form(simplex)[:, None, None, :] * _form(basis)[:, pos].transpose(1, 0, 2)[..., None]
+        return _assemble(values.reshape(shape), big_b, prov)
     (f, f_order), (h, h_order) = fx, hx
     order = lcm(f_order, h_order)
     work = _phase_dtype(2 * order - 1)  # holds every sum of two exponents below order, up to 2 order - 2
     f, h = f.astype(work) * (order // f_order), h.astype(work) * (order // h_order)
-    phases = np.empty((big_r, s_count, n), dtype=work)
-    np.add(np.tile(f, (1, v_count))[:, None, :], h[:, h_cols].transpose(1, 0, 2), out=phases)
+    phases = np.empty((big_r, s_count, v_count, big_r + 1), dtype=work)
+    np.add(f[:, None, None, :], h[:, pos].transpose(1, 0, 2)[..., None], out=phases)
     np.subtract(phases, order, out=phases, where=phases >= order)  # each term is below order: the sum mod order
-    return _assemble(phases.reshape(big_r * s_count, n), big_b, prov, order)
+    return _assemble(phases.reshape(shape), big_b, prov, order)
 
 
 # -- difference sets and harmonic ETFs ----------------------------------------

@@ -14,21 +14,21 @@ d = R nonzero entries per column as a Steiner form Phi, and a +-1 form with
 d = M as a Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner
 checks Phi's design and simplex blocks (Fickus, Mixon and Tremain), in
 O(MN) integer work plus small Grams.  A frame is read so once, and keeps
-its reading (_steiner_reading).  That proves every off-diagonal Gram
-modulus 1/R and the frame operator (N/M) I, so the Fractions are exactly
-the ones the dense path computes, and the reports are the same bytes.  This
-covers steiner_etf and kirkman_etf with sign matrices, and the +-1 harmonic
-frames of (Z_2)^k, read as built, with no provenance.  A character frame
-(frames._character_rows), whose exponents check exactly as distinct
-characters of an abelian group labelling its columns, is certified from
-one Gram row with no frame operator; exactly, with no N x N Gram, when it
-is a +-1 frame, such as the Naimark complement of a (Z_2)^k harmonic
-frame.  Every other integer frame, and any frame that fails a check, gets
-its integer Gram and frame operator from frames.exact_gram (float64 BLAS
-while every partial sum stays below 2**53); further integer reductions run
-in int64 while their bound stays below 2**63 and in Python integers beyond
-it.  Everything else is certified in floating point against the stated
-tolerances.
+its form, not the verdict (_steiner_reading).  The check proves every
+off-diagonal Gram modulus 1/R and the frame operator (N/M) I, so the
+Fractions are exactly the ones the dense path computes, and the reports are
+the same bytes.  This covers steiner_etf and kirkman_etf with sign
+matrices, and the +-1 harmonic frames of (Z_2)^k, read as built, with no
+provenance.  A character frame (frames._character_rows), whose exponents
+check exactly as distinct characters of an abelian group labelling its
+columns, is certified from one Gram row with no frame operator; exactly,
+with no N x N Gram, when it is a +-1 frame, such as the Naimark complement
+of a (Z_2)^k harmonic frame.  Every other integer frame, and any frame
+that fails a check, gets its integer Gram and frame operator from
+frames.exact_gram (float64 BLAS while every partial sum stays below 2**53);
+further integer reductions run in int64 while their bound stays below 2**63
+and in Python integers beyond it.  Everything else is certified in floating
+point against the stated tolerances.
 """
 
 from __future__ import annotations
@@ -310,16 +310,15 @@ def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
     return bool((col_gram == 1.0).all() and (row_gram == size * np.eye(big_r)).all())
 
 
-def _steiner_reading(frame: Frame) -> tuple:
-    """(form, is_steiner) of a frame with an integer form: its _steiner_form,
-    and whether _is_steiner accepts it (False when there is none).  It is
-    read once per frame, the first time it is asked for, and kept on the
-    frame; the exact form is read-only, so the reading cannot go stale.
-    The one caller of _steiner_form and _is_steiner."""
+def _steiner_reading(frame: Frame) -> tuple | None:
+    """The _steiner_form of a frame with an integer form, or None: the one
+    caller of _steiner_form.  It is read once, when first asked for, and kept
+    in Frame._steiner: None while unread, False once read with no form; the
+    exact form is read-only, so it cannot go stale.  The form's ETF verdict
+    is not kept: _gram_profile, which alone needs it, asks _is_steiner."""
     if frame._steiner is None:
-        form = _steiner_form(frame.exact_ints, frame.scale_sq)
-        frame._steiner = form, form is not None and _is_steiner(form[0], form[1], frame.m)
-    return frame._steiner
+        frame._steiner = _steiner_form(frame.exact_ints, frame.scale_sq) or False
+    return frame._steiner or None
 
 
 def _signed_rows(frame: Frame) -> tuple[int, bytes] | None:
@@ -329,7 +328,7 @@ def _signed_rows(frame: Frame) -> tuple[int, bytes] | None:
     frames with equal (R, rows) have equal Grams, ETFs or not: their forms
     are P D Phi and Phi for a row permutation P and a diagonal sign matrix
     D, and (P D Phi)^T (P D Phi) = Phi^T Phi, over the same R."""
-    form = _steiner_reading(frame)[0]
+    form = _steiner_reading(frame)
     if form is None:
         return None
     rows, signs, big_r = form
@@ -359,14 +358,14 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     since distinct characters are orthogonal.
 
     Any other frame with an integer form ints / sqrt(d) gets Fractions: from
-    its Steiner form when _is_steiner accepts it (_steiner_reading, read
-    once per frame), else from its dense integer Gram (frames.exact_gram),
-    with tightness None.  The
-    structural Fractions are the dense ones: every off-diagonal Gram entry
-    has modulus 1/R and every diagonal entry is 1 (_is_steiner), so the
-    dense path's Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2) reduce
-    to 1/R and N + N(N-1)/R^2, and the frame operator is (N/M) I, residual
-    0.  Any other frame, every float frame among them, gets the dense Gram.
+    its Steiner form (_steiner_reading, read once per frame) when
+    _is_steiner, which only this path runs, accepts it, else from its dense
+    integer Gram (frames.exact_gram), with tightness None.  The structural
+    Fractions are the dense ones: every off-diagonal Gram entry has modulus
+    1/R and every diagonal entry is 1 (_is_steiner), so the dense path's
+    Fraction(max |G_ij|, d) and Fraction(sum G^2, d^2) reduce to 1/R and
+    N + N(N-1)/R^2, and the frame operator is (N/M) I, residual 0.  Any
+    other frame, every float frame among them, gets the dense Gram.
 
     The tightness of a character frame.  Its exact frame
     F* = zeta_L^phases / sqrt(M) has orthogonal rows of squared norm N/M,
@@ -385,8 +384,8 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     rows = _character_rows(frame)
     ints, d = frame.exact_ints, frame.scale_sq
     if frame.exact_ints is not None and rows is None:
-        form, steiner = _steiner_reading(frame)
-        if steiner:
+        form = _steiner_reading(frame)
+        if form is not None and _is_steiner(form[0], form[1], frame.m):
             n, big_r = ints.shape[1], form[2]
             mu = Fraction(1, big_r)
             return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
@@ -480,12 +479,13 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
 
     Two integer frames whose Steiner forms (_steiner_reading: a Kirkman
     frame's Phi, or a sparse frame itself; a frame that certify_etf has
-    read is not read again) have the same R and the same rows up to order
-    and sign (_signed_rows) have equal Grams, so the report is
-    max_dev 0.0 with no witness, as the dense comparison finds, and no Gram
-    is formed: this is how a kirkman_etf frame matches its steiner_etf frame.
-    Otherwise the Grams are compared densely, and a witness is the first
-    largest deviation."""
+    read is not read again, and neither form is checked as an ETF form)
+    have the same R and the same rows up to order and sign (_signed_rows)
+    have equal Grams, so the report is max_dev 0.0 with no witness, as the
+    dense comparison finds, and no Gram is formed: this is how a kirkman_etf
+    frame matches its steiner_etf frame.  Otherwise the Grams are compared
+    densely, and a witness is the first largest deviation; two frames with
+    no columns have equal 0 x 0 Grams, max_dev 0.0 with no witness."""
     if a.n != b.n:
         raise ShapeMismatch(f"column counts differ: {a.n} != {b.n}")
     if a.exact_ints is not None and b.exact_ints is not None:
@@ -497,18 +497,18 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
         # max(., 1): the scale factors themselves must fit as well
         bound = max(_abs_max(ga), 1) * abs(db) + max(_abs_max(gb), 1) * abs(da)
         diff = np.abs(_exact_ints(ga, bound) * db - _exact_ints(gb, bound) * da)
-        max_int = diff.max()
+        max_int = diff.max(initial=0)
         if max_int == 0:
             return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=True, tol=tol)
         i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
         return MatchReport(n=a.n, max_dev=float(Fraction(int(max_int), da * db)),
                            witness=(int(i), int(j)), exact=True, tol=tol)
     diff = np.abs(a.gram() - b.gram())
+    max_dev = float(diff.max(initial=0.0))
+    if not max_dev > tol:  # a NaN deviation too: it has no witness
+        return MatchReport(n=a.n, max_dev=max_dev, witness=None, exact=False, tol=tol)
     i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    max_dev = float(diff[i, j])
-    return MatchReport(n=a.n, max_dev=max_dev,
-                       witness=(int(i), int(j)) if max_dev > tol else None,
-                       exact=False, tol=tol)
+    return MatchReport(n=a.n, max_dev=max_dev, witness=(int(i), int(j)), exact=False, tol=tol)
 
 
 def _rank_threshold(n: int) -> float:

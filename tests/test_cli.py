@@ -148,6 +148,19 @@ def test_analyze_gram_equal(capsys, schema, tmp_path):
     assert check_report(schema, out)["passed"] is True
 
 
+@pytest.mark.parametrize("doc", [
+    {"m": 1, "n": 0, "signs": [[]], "scale_sq_inv": 1, "provenance": {}},
+    {"m": 1, "n": 0, "entries": [[]], "scale": None, "provenance": {}},
+], ids=["signs", "entries"])
+def test_analyze_gram_equal_on_frames_with_no_columns(capsys, schema, tmp_path, doc):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "analyze", "gram-equal", str(path), str(path))
+    assert code == 0
+    report = check_report(schema, out)
+    assert (report["passed"], report["max_dev"], report["witness"]) == (True, 0.0, None)
+
+
 def test_frame_harmonic_real_default_group(capsys):
     code, out = run_cli(capsys, "frame", "harmonic", "--q", "2", "--j", "1")
     assert code == 0

@@ -15,7 +15,9 @@ from etfkit.designs import (
     validate,
 )
 from etfkit import designs
-from etfkit.errors import InvariantViolation, NotResolvableParameters, OddPointCount
+from etfkit.errors import DesignFormatError, InvariantViolation, NotResolvableParameters, OddPointCount
+from etfkit.flatmat import drop_row_simplex, hadamard
+from etfkit.frames import kirkman_etf, steiner_etf
 
 
 def incidence(design: SteinerSystem) -> np.ndarray:
@@ -166,6 +168,25 @@ def test_validate_duplicate_block_fails_pair_coverage():
     by_name = {name: (passed, detail) for name, passed, detail in rep.checks}
     assert not by_name["pair_coverage"][0]
     assert "(0, 1)" in by_name["pair_coverage"][1]
+
+
+@pytest.mark.parametrize("v,k,message", [
+    (4, 0, "k must be at least 2, got 0"), (4, 1, "k must be at least 2, got 1"),
+    (4, None, "v and k must be integers"), (4, True, "v and k must be integers"),
+    (4.0, 2, "v and k must be integers"), (True, 2, "v and k must be integers"),
+], ids=str)
+@pytest.mark.parametrize("use", [
+    validate,
+    lambda design: steiner_etf(design, drop_row_simplex(hadamard(4), 0)),
+    lambda design: kirkman_etf(design, drop_row_simplex(hadamard(4), 0), hadamard(2)),
+], ids=["validate", "steiner_etf", "kirkman_etf"])
+def test_a_design_checks_v_and_k_when_it_is_built(v, k, message, use):
+    """v and k must be integers, not bools, and k at least 2, whatever the
+    design is built for: round-robin 4's blocks with any other v or k are
+    refused before any count divides by K - 1 or V/K."""
+    rr4 = round_robin_design(4)
+    with pytest.raises(DesignFormatError, match=message):
+        use(SteinerSystem(v=v, k=k, blocks=rr4.blocks, resolution=rr4.resolution))
 
 
 def test_serialization_round_trip():

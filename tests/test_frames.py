@@ -26,6 +26,7 @@ from etfkit.flatmat import (
     AbelianGroup,
     UnimodularMatrix,
     _phase_dtype,
+    _root_table,
     _root_values,
     character_table,
     dft,
@@ -103,6 +104,14 @@ def test_kirkman_constant_amplitude():
     assert np.abs(np.abs(f.entries) - 6 ** -0.5).max() < 1e-12
 
 
+def _outside_dft(order: int, kind: str, first_row: int = 0) -> UnimodularMatrix:
+    """The rows first_row.. of the order x order DFT, built from np.exp and
+    handed in as plain entries: a matrix from outside the package, with no
+    exponents."""
+    exponents = np.outer(np.arange(first_row, order), np.arange(order))
+    return UnimodularMatrix(entries=np.exp(2j * np.pi * exponents / order), kind=kind)
+
+
 TRIPLES = [
     (lambda: affine_design(2, 1), lambda: drop_row_simplex(hadamard(4), 0), lambda: hadamard(2)),
     (lambda: affine_design(2, 1), lambda: drop_row_simplex(dft(4), 0), lambda: dft(2)),
@@ -110,6 +119,7 @@ TRIPLES = [
     (lambda: affine_design(2, 2), lambda: drop_row_simplex(hadamard(8), 0), lambda: hadamard(4)),
     (lambda: round_robin_design(6), lambda: drop_row_simplex(dft(6), 0), lambda: dft(3)),
     (kirkman15, lambda: drop_row_simplex(hadamard(8), 0), lambda: dft(5)),
+    (lambda: affine_design(3, 1), lambda: _outside_dft(5, "simplex", 1), lambda: _outside_dft(3, "dft")),
 ]
 
 
@@ -120,6 +130,70 @@ def test_kirkman_gram_matches_steiner(design_f, simplex_f, basis_f):
     flat = kirkman_etf(design, simplex_f(), basis_f())
     report = gram_equal(sparse, flat, tol=1e-9)
     assert report.passed, report.max_dev
+
+
+def _grid_reference(design: SteinerSystem, simplex: UnimodularMatrix, basis: UnimodularMatrix) -> tuple:
+    """steiner_etf's and kirkman_etf's values written from their docstrings,
+    one column at a time: column (u, v) is at v (R+1) + u; the Steiner row
+    of v's class-r block holds f_u(r), and Kirkman row (r, s) holds
+    f_u(r) h_{pos(r,v)}(s), pos(r, v) that block's place in class r.  It
+    returns the Steiner values and (Kirkman values, L): exponents mod L when
+    both matrices carry exponents, else products of entries, with L None."""
+    big_r, s_count = len(design.resolution), design.v // design.k
+    place = {(r, v): (blk, at) for r, cls in enumerate(design.resolution)
+             for at, blk in enumerate(cls) for v in design.blocks[blk]}
+    f = simplex.entries if simplex.signs is None else simplex.signs.astype(np.int8)
+    fx, hx = simplex._exponents, basis._exponents
+    order = None if fx is None or hx is None else math.lcm(fx[1], hx[1])
+    sparse = np.zeros((design.b, design.v * (big_r + 1)), dtype=f.dtype)
+    flat = np.zeros((big_r * s_count, sparse.shape[1]), dtype=np.complex128 if order is None else np.int64)
+    for v in range(design.v):
+        for u in range(big_r + 1):
+            col = v * (big_r + 1) + u
+            for r in range(big_r):
+                blk, at = place[r, v]
+                sparse[blk, col] = f[r, u]
+                for s in range(s_count):
+                    if order is None:
+                        flat[r * s_count + s, col] = simplex.entries[r, u] * basis.entries[s, at]
+                    else:
+                        flat[r * s_count + s, col] = (int(fx[0][r, u]) * (order // fx[1])
+                                                      + int(hx[0][s, at]) * (order // hx[1])) % order
+    return sparse, (flat, order)
+
+
+def _assert_stores(frame: Frame, values: np.ndarray, scale_sq: int, order: int | None = None,
+                   products: bool = False) -> None:
+    """frame stores values, exponents mod order when order is given (+-1
+    signs, in int8, for order 2), and its entries are, bit for bit, the
+    numbers they stand for divided by sqrt(scale_sq).  Products of two
+    complex entries are held to their rounding instead: numpy's vector and
+    scalar loops round a complex product differently in its last bit, so
+    those bits depend on the loop numpy picks, not on the construction."""
+    if order == 2:
+        values, order = (1 - 2 * values).astype(np.int8), None
+    if order is not None:
+        assert frame.order == order and frame.phases.dtype == _phase_dtype(order)
+        assert np.array_equal(frame.phases, values)
+        values = _root_table(order)[values]
+    elif values.dtype.kind == "i":
+        assert frame.exact_ints.dtype == np.int8 and frame.exact_ints.tobytes() == values.tobytes()
+    else:
+        assert frame.exact_ints is None and frame.phases is None
+    assert frame.scale_sq in (None, scale_sq)
+    expected = np.asarray(values, dtype=np.complex128) / np.sqrt(scale_sq)
+    if products:
+        assert np.abs(frame.entries - expected).max() <= 2.0 ** -50
+    else:
+        assert frame.entries.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("design_f,simplex_f,basis_f", TRIPLES)
+def test_both_constructions_match_their_definition_column_by_column(design_f, simplex_f, basis_f):
+    design, simplex, basis = design_f(), simplex_f(), basis_f()
+    sparse, (flat, order) = _grid_reference(design, simplex, basis)
+    _assert_stores(steiner_etf(design, simplex), sparse, len(design.resolution))
+    _assert_stores(kirkman_etf(design, simplex, basis), flat, design.b, order, products=order is None)
 
 
 def test_steiner_requires_resolution():

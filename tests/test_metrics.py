@@ -150,6 +150,19 @@ def test_gram_equal_shape_mismatch(fig1):
         gram_equal(fig1, orthonormal(4))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Frame(exact_ints=np.zeros((1, 0), dtype=np.int64), scale_sq=1),
+    lambda: Frame(entries=np.zeros((1, 0))),
+], ids=["integer", "entries"])
+def test_gram_equal_on_frames_with_no_columns(build):
+    """Two 0 x 0 Grams are equal, on the exact path and the float one:
+    max_dev 0.0 with no witness."""
+    frame = build()
+    report = gram_equal(frame, build())
+    assert (report.n, report.max_dev, report.witness, report.passed) == (0, 0.0, None, True)
+    assert report.exact == (frame.exact_ints is not None)
+
+
 def test_spark_fig1(fig1):
     report = spark(fig1)
     assert report.spark == 4

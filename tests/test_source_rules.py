@@ -308,14 +308,23 @@ def test_the_kirkman_layer_takes_one_exponent_route():
 
 
 def test_a_frame_is_read_as_a_steiner_form_in_one_place():
-    """Only metrics._steiner_reading calls _steiner_form and _is_steiner, and
-    it keeps its reading on the frame: every structural path reads a frame
-    once."""
+    """Only metrics._steiner_reading calls _steiner_form, and it keeps the
+    form on the frame, so every structural path reads a frame once; only
+    _gram_profile, the one path that needs the verdict, calls _is_steiner."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    for callee in ("_steiner_form", "_is_steiner"):
+    for callee, caller in (("_steiner_form", "_steiner_reading"), ("_is_steiner", "_gram_profile")):
         calls = {name: [scope for scope, _ in _sites(tree, _calls(callee))] for name, tree in trees.items()}
-        assert {name: scopes for name, scopes in calls.items() if scopes} == {
-            "metrics.py": ["_steiner_reading"]}, calls
+        assert {name: scopes for name, scopes in calls.items() if scopes} == {"metrics.py": [caller]}, calls
+
+
+@pytest.mark.parametrize("builder", ["steiner_etf", "kirkman_etf"])
+def test_the_constructions_write_the_point_grid_directly(builder):
+    """steiner_etf and kirkman_etf write their values on the grid of points
+    and simplex columns and reshape it: neither expands a table with
+    np.repeat or np.tile."""
+    path = next(p for p in SOURCES if p.name == "frames.py")
+    function = _function(ast.parse(path.read_text(), filename=str(path)), builder)
+    assert not [ast.unparse(node) for node in ast.walk(function) if _calls("repeat")(node) or _calls("tile")(node)]
 
 
 def _writes_a_signs_field(node: ast.AST) -> bool:

@@ -75,7 +75,7 @@ def _with(ints: np.ndarray, frame: Frame) -> Frame:
 
 def _fresh(frame: Frame) -> Frame:
     """The frame built again from its stored form, with no reading kept: a
-    frame keeps its Steiner reading (metrics._steiner_reading), so a dense
+    frame keeps its Steiner form (metrics._steiner_reading), so a dense
     comparison needs frames that no path has read yet."""
     return Frame(exact_ints=frame.exact_ints, scale_sq=frame.scale_sq, provenance=frame.provenance)
 
@@ -116,21 +116,35 @@ def test_kirkman_and_steiner_frames_are_certified_from_their_structure(name, mon
 
 @pytest.mark.parametrize("name", LADDER)
 def test_a_frame_is_read_once(name, monkeypatch):
-    """A frame keeps its Steiner reading: after certify_etf has read the
+    """A frame keeps its Steiner form: after certify_etf has read the
     Kirkman frame, gram_equal reads only the Steiner frame, and nothing
-    after reads either again."""
+    after reads either again.  The form's verdict is not kept: only the
+    certificate path checks it (_is_steiner), so gram_equal checks
+    neither frame."""
     read, calls = metrics._steiner_form, []
     monkeypatch.setattr(metrics, "_steiner_form", lambda ints, d: calls.append(ints.shape) or read(ints, d))
+    check, checks = metrics._is_steiner, []
+    monkeypatch.setattr(metrics, "_is_steiner", lambda rows, signs, m: checks.append(m) or check(rows, signs, m))
     flat, sparse = (_fresh(frame) for frame in _pair(name))
     assert flat._steiner is None and sparse._steiner is None
     certify_etf(flat)
-    assert calls == [flat.exact_ints.shape]
+    assert calls == [flat.exact_ints.shape] and checks == [flat.m]
     assert gram_equal(flat, sparse).max_dev == 0.0
-    assert calls == [flat.exact_ints.shape, sparse.exact_ints.shape]
+    assert calls == [flat.exact_ints.shape, sparse.exact_ints.shape] and checks == [flat.m]
     for frame in (flat, sparse):
         assert certify_etf(frame).passed and coherence(frame) == Fraction(1, sparse.scale_sq)
-    assert gram_equal(sparse, flat).passed and len(calls) == 2
-    assert flat._steiner[1] and sparse._steiner[1]
+    assert gram_equal(sparse, flat).passed and len(calls) == 2 and len(checks) == 5
+    assert flat._steiner[2] == sparse._steiner[2] == sparse.scale_sq
+
+
+def test_a_frame_with_no_steiner_form_is_read_once(monkeypatch):
+    """A frame read with no Steiner form keeps the mark False, not None, so
+    no later path reads it again."""
+    read, calls = metrics._steiner_form, []
+    monkeypatch.setattr(metrics, "_steiner_form", lambda ints, d: calls.append(ints.shape) or read(ints, d))
+    frame = Frame(exact_ints=np.array([[2, 0], [0, 2]]), scale_sq=4)
+    assert gram_equal(frame, frame).passed and frame._steiner is False
+    assert not certify_etf(frame).passed and gram_equal(frame, frame).passed and calls == [(2, 2)]
 
 
 @pytest.mark.parametrize("name", LADDER + ["A24"])
