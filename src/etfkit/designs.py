@@ -42,6 +42,8 @@ class SteinerSystem:
     def __post_init__(self):  # K >= 2: blocks hold two points or more, and V/K and (V-1)/(K-1) need it
         if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.v, self.k)):
             raise DesignFormatError(f"v and k must be integers, got v={self.v!r}, k={self.k!r}")
+        object.__setattr__(self, "v", int(self.v))  # numpy integers become ints, which JSON writes
+        object.__setattr__(self, "k", int(self.k))
         if self.k < 2:
             raise DesignFormatError(f"k must be at least 2, got {self.k}")
 
@@ -63,13 +65,14 @@ class SteinerSystem:
         return [[self.blocks[i] for i in cls] for cls in self.resolution]
 
     def to_json(self) -> str:
-        doc = {
-            "v": self.v,
-            "k": self.k,
-            "blocks": [list(b) for b in self.blocks],
-            "resolution": None if self.resolution is None else [list(c) for c in self.resolution],
-        }
-        return json.dumps(doc, sort_keys=True)
+        """The design document, numpy integers written as JSON integers;
+        any other point or resolution index raises DesignFormatError."""
+        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                   for t in set(map(type, chain.from_iterable(chain(self.blocks, self.resolution or ()))))):
+            raise DesignFormatError("block points and resolution indices must be integers")
+        resolution = None if self.resolution is None else [list(c) for c in self.resolution]
+        doc = {"v": self.v, "k": self.k, "blocks": [list(b) for b in self.blocks], "resolution": resolution}
+        return json.dumps(doc, sort_keys=True, default=int)  # default: only numpy integers reach it
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,21 @@ tables of finite abelian groups.
 Hadamard construction is deliberately limited to Sylvester doubling and the
 quadratic-character (Paley I) construction composed via Kronecker products;
 orders outside that closure raise UnsupportedHadamardOrder.  A
-UnimodularMatrix stores its read-only entries and is checked once, when it
-is built: by its builder on the exact form it builds from, which hands in
-+-1 values as integers whose dtype gives the exact sign view, or by the
-dense test of its Gram for entries from outside the package, which it
-copies.  Character phase exponents, the DFT's among them, are computed by
-one helper, _character_phases, reduced mod the group exponent L and checked
-in O(N t) integers for a group of t cyclic factors; a matrix built from them
-keeps them beside its entries, gathered at those phases from one table of
-roots of unity, _unit_roots, the one place the package evaluates them.
+UnimodularMatrix stores one form and is checked once, when it is built:
+every builder hands in the exact exponents it proved the matrix on, Hadamard
+signs as exponents mod 2, and entries from outside the package are copied
+and get the dense test of their Gram.  Its entries and signs are derived
+from the exponents on first read, gathered from one table of roots of
+unity, _unit_roots, the one place the package evaluates them.  Character
+phase exponents, the DFT's among them, are computed by one helper,
+_character_phases, reduced mod the group exponent L and checked in O(N t)
+integers for a group of t cyclic factors.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import lcm
 
@@ -34,57 +34,51 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_phases and _root_values
 
 
-@dataclass(frozen=True, eq=False)
 class UnimodularMatrix:
     """Matrix of unit-modulus entries; kind tags the invariant family.
 
     Orthogonal kinds (dft, hadamard, character-table) have pairwise-orthogonal
     columns of squared norm rows; the simplex kind is (n-1) x n with distinct
-    columns at inner-product modulus exactly 1.  signs is the exact int64
-    view, present exactly when every entry is real +-1.  Equality and hashing
-    are over kind, shape, dtype and entry bytes.
+    columns at inner-product modulus exactly 1.  Equality and hashing are
+    over kind, shape, dtype and entry bytes.
 
-    Entries from outside the package become a read-only copy of the array
-    passed in, scanned for +-1 and checked by the dense O(N^3) test of their
-    Gram.  A builder passes _proven, having proved the kind's invariant on its
-    exact form, and +-1 values as integers: their dtype gives the sign view,
-    and the entries are the values as complex128.  A builder from characters
-    also passes _phases, (phases, L) with entries zeta_L^phases, kept unless
-    the sign view already holds that exact form (_exponents).
+    One form is stored, _exponents = (phases, L) with entries zeta_L^phases
+    (+-1 signs: L = 2), handed in as _phases by a builder that proved them.
+    Entries from outside the package are copied and get the dense O(N^3) test
+    of their Gram; all real +-1, they are kept as exponents mod 2, else as
+    the read-only copy, with _exponents None.  entries (complex128 when
+    derived) and signs (the exact int64 view, present exactly when L <= 2)
+    are derived on first read (_root_values) and kept read-only.
     """
 
-    entries: np.ndarray
-    kind: str
-    signs: np.ndarray | None = field(init=False, repr=False)
-    _proven: InitVar[bool] = False
-    _phases: tuple[np.ndarray, int] | None = field(default=None, repr=False)
-
-    def __post_init__(self, _proven: bool):
-        if _proven:
-            entries = np.asarray(self.entries)
-            signs = entries if np.issubdtype(entries.dtype, np.integer) else None
-            entries = entries.astype(np.complex128, copy=False)
-        else:
-            entries = np.array(self.entries)  # a copy: the caller's array cannot change it
-            signs = _sign_view(entries)
-        phases = None if signs is not None or self._phases is None else self._phases[0]
-        for a in (entries, signs, phases):
-            if a is not None:
-                a.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_phases", None if phases is None else (phases, self._phases[1]))
-        if not _proven:
+    def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple[np.ndarray, int] | None = None):
+        self.kind, self._exponents = kind, _phases
+        if _phases is None:
+            self.entries = np.array(entries)  # a copy: the caller's array cannot change it
+            self.entries.flags.writeable = False
             self.check()
+            if np.all((self.entries == 1) | (self.entries == -1)):  # checked 2-d first: a +-1 matrix
+                self._exponents = ((self.entries.real < 0).view(np.uint8), 2)
+                del self.entries  # derived again from the exponents
+        if self._exponents is not None:
+            self._exponents[0].flags.writeable = False
 
-    @property
-    def _exponents(self) -> tuple[np.ndarray, int] | None:
-        """(phases, L), the exact form whose entries are zeta_L^phases: the
-        stored phases of a character build, exponents mod 2 read off the sign
-        view of a +-1 matrix, or None for other entries from outside."""
-        if self.signs is not None:
-            return (self.signs < 0).view(np.uint8), 2
-        return self._phases
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """zeta_L^phases, gathered from _unit_roots(L)."""
+        phases, big_l = self._exponents
+        entries = _root_values(phases, big_l, _unit_roots(big_l))
+        entries.flags.writeable = False
+        return entries
+
+    @cached_property
+    def signs(self) -> np.ndarray | None:
+        """The exact int64 view, +-1 gathered from _root_table(L), when L <= 2."""
+        if self._exponents is None or self._exponents[1] > 2:
+            return None
+        signs = _root_values(*self._exponents)
+        signs.flags.writeable = False
+        return signs
 
     def _key(self) -> tuple:
         return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
@@ -99,11 +93,15 @@ class UnimodularMatrix:
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return self._stored.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.entries.shape[1]
+        return self._stored.shape[1]
+
+    @property
+    def _stored(self) -> np.ndarray:
+        return self.entries if self._exponents is None else self._exponents[0]
 
     def check(self) -> None:
         """Raise NotUnimodular unless the entries meet the kind's invariants;
@@ -132,11 +130,6 @@ def _check_gram(m: UnimodularMatrix) -> None:
             raise NotUnimodular(f"{m.kind} columns are not orthogonal with norm^2 = rows")
 
 
-def _sign_view(a: np.ndarray) -> np.ndarray | None:
-    """The exact int64 view of a when every entry is real +-1, else None."""
-    return a.real.astype(np.int64) if np.all((a == 1) | (a == -1)) else None
-
-
 def _deviation(a: np.ndarray) -> float:
     """Largest modulus in a, 0 for an empty array and NaN if any entry is."""
     return float(np.abs(a).max(initial=0.0))
@@ -161,8 +154,9 @@ def _unit_roots(n: int) -> np.ndarray:
 
 def dft(n: int) -> UnimodularMatrix:
     """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n): the character table
-    of Z_n, gathered from _unit_roots(n) at the exponents a*b mod n, so its
-    +-1, +-i entries are exact and dft(2) carries the signs of hadamard(2);
+    of Z_n, stored as the exponents a*b mod n and gathered from
+    _unit_roots(n), so its +-1, +-i entries are exact and dft(2) has the
+    signs of hadamard(2);
     it is checked on those exponents, in O(n) integers (see character_table)."""
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
@@ -229,7 +223,8 @@ def _has_hadamard_identity(signs: np.ndarray) -> bool:
 
 def hadamard(n: int) -> UnimodularMatrix:
     """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
-    composed with Kronecker products; both are checked exactly on the signs."""
+    composed with Kronecker products; both are checked exactly on the signs,
+    which it stores as their exponents mod 2."""
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
     signs = _hadamard_signs(n)
@@ -237,23 +232,23 @@ def hadamard(n: int) -> UnimodularMatrix:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
     if not _has_hadamard_identity(signs):
         raise InvariantViolation(f"constructed matrix of order {n} fails the exact Hadamard identity")
-    return UnimodularMatrix(entries=signs, kind="hadamard", _proven=True)
+    return UnimodularMatrix(None, "hadamard", _phases=((signs < 0).view(np.uint8), 2))
 
 
 def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     """Remove row r of an orthogonal unimodular basis B, leaving the (n-1) x n
-    unimodular regular simplex, with no test: columns a, b meet at
-    G[a, b] - conj(B[r, a]) B[r, b] with G the Gram checked when B was built,
-    so within |G[a, b]| + 2 ENTRY_TOL of modulus 1.  Kept rows are scanned for
-    +-1, and a character build's phases keep the same rows."""
+    unimodular regular simplex.  A basis with exponents hands in the kept
+    rows of them, with no test: columns a, b of the exact matrix meet at
+    n [a = b] - conj(B[r, a]) B[r, b], of modulus 1 off the diagonal.  The
+    kept rows of other entries from outside are entries from outside too."""
     if basis.rows != basis.cols:
         raise BasisShapeMismatch("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
-    rows = np.delete(basis.entries if basis.signs is None else basis.signs, row, axis=0)
-    signs = _sign_view(rows) if basis.signs is None else rows
-    phases = None if basis._phases is None else (np.delete(basis._phases[0], row, axis=0), basis._phases[1])
-    return UnimodularMatrix(entries=rows if signs is None else signs, kind="simplex", _proven=True, _phases=phases)
+    if basis._exponents is None:
+        return UnimodularMatrix(np.delete(basis.entries, row, axis=0), "simplex")
+    phases, big_l = basis._exponents
+    return UnimodularMatrix(None, "simplex", _phases=(np.delete(phases, row, axis=0), big_l))
 
 
 @dataclass(frozen=True)
@@ -302,22 +297,8 @@ class AbelianGroup:
 
     def sub_array(self, a, b) -> np.ndarray:
         """Indices of a - b for element indices a and b, broadcast, by index
-        borrows: each digit of a - b is a_k - b_k, plus f_k when that
-        borrows, so idx(a - b) = (a - b) + sum_k f_k P_k [a_k < b_k], P_k the
-        place value of digit k.  The identity needs in-range indices, so a
-        and b are first reduced mod |G| in int64, as digit_array reduces
-        each digit.  One index subtraction, then one in-place borrow term
-        per factor above 1, with no digit vectors formed; in int32 while
-        |G| < 2^30, since every partial sum lies in (-|G|, 2 |G|), else
-        int64."""
-        order = self.order
-        work = np.int32 if order < 2 ** 30 else np.int64
-        a, b = (np.asarray(np.asarray(x, dtype=np.int64) % order, dtype=work) for x in (a, b))
-        out = np.asarray(a - b)  # an array even for two single elements, so the borrows add in place
-        for f, place in zip(self.factors, self._place.tolist()):
-            if f > 1:
-                out += (a // place % f < b // place % f) * work(f * place)
-        return out
+        borrows, with no digit vectors formed (gf._digitwise_indices)."""
+        return gf._digitwise_indices(a, b, self.factors, self._place.tolist(), subtract=True)
 
     @staticmethod
     def parse(spec: str) -> "AbelianGroup":
@@ -330,16 +311,15 @@ class AbelianGroup:
 
 
 def character_table(g: AbelianGroup) -> UnimodularMatrix:
-    """|G| x |G| table with entry (u, r) = chi_u(g_r), built from its exact
-    phase exponents (_character_phases), over every element of G, and
-    keeping them.
+    """|G| x |G| table with entry (u, r) = chi_u(g_r), stored as its exact
+    phase exponents (_character_phases) over every element of G.
 
     For G = Z_f1 x ... x Z_ft with exponent L = lcm(f_k), the character u
     takes the generator e_k to zeta_L^(u_k L / f_k), zeta_L = exp(2 pi i / L),
     so chi_u(g_r) = zeta_L^(sum_k u_k r_k L / f_k mod L), gathered from the
-    table of the L-th roots (_unit_roots).  When G has exponent two, L is at
-    most 2 and the values are the exact integers 1 and -1, so the table
-    carries its sign view.
+    table of the L-th roots (_unit_roots) when first read.  When G has
+    exponent two, L is at most 2 and the values are the exact integers 1 and
+    -1, so the table has a sign view.
 
     The check is on the exact form, in O(N t) integers
     (_check_character_exponents): every generator exponent u_k L / f_k lies
@@ -359,10 +339,9 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
 
 
 def _character_matrix(g: AbelianGroup, elements, kind: str) -> UnimodularMatrix:
-    """The proven matrix of the characters at the listed elements, gathered
-    from its phases (_character_phases), which it keeps."""
-    phases, big_l = _character_phases(g, elements)
-    return UnimodularMatrix(entries=_root_values(phases, big_l), kind=kind, _proven=True, _phases=(phases, big_l))
+    """The proven matrix of the characters at the listed elements, stored as
+    its phases (_character_phases)."""
+    return UnimodularMatrix(None, kind, _phases=_character_phases(g, elements))
 
 
 def _phase_dtype(big_l: int) -> np.dtype:
@@ -457,8 +436,8 @@ def _character_labels(phases: np.ndarray, order: int, group: AbelianGroup) -> np
 def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
     """The character table with one group-element column deleted, transposed:
     f_u(r) = chi_u(g_r) over the remaining R elements is an R x (R+1)
-    unimodular regular simplex, built and checked from its phases
-    (_character_phases), which it keeps."""
+    unimodular regular simplex, checked and stored as its phases
+    (_character_phases)."""
     n = g.order
     if not 0 <= dropped < n:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")

@@ -48,7 +48,6 @@ from .flatmat import (
     _phase_dtype,
     _root_table,
     _root_values,
-    _unit_roots,
     hadamard_order_reachable,
     simplex_from_characters,
 )
@@ -364,10 +363,12 @@ def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _form(m: UnimodularMatrix) -> np.ndarray:
-    """m's integer signs, as int8, when it has them, else its entries: the
-    array a builder gathers, so that the dtype of the product decides the
-    form."""
-    return m.entries if m.signs is None else m.signs.astype(np.int8)
+    """m's +-1 signs, as int8, gathered straight from its exponents, when it
+    has them, else its entries: the array a builder gathers, so that the
+    dtype of the product decides the form."""
+    if m._exponents is None or m._exponents[1] > 2:
+        return m.entries
+    return _root_values(*m._exponents, _root_table(m._exponents[1]).astype(np.int8))
 
 
 def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | None = None) -> Frame:
@@ -398,9 +399,9 @@ def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | 
 
 
 def _check_simplex(simplex: UnimodularMatrix, big_r: int) -> None:
-    if simplex.entries.shape != (big_r, big_r + 1):
+    if (simplex.rows, simplex.cols) != (big_r, big_r + 1):
         raise SimplexShapeMismatch(
-            f"simplex is {simplex.entries.shape}, need ({big_r}, {big_r + 1})")
+            f"simplex is {(simplex.rows, simplex.cols)}, need ({big_r}, {big_r + 1})")
 
 
 def steiner_etf(design: SteinerSystem, simplex: UnimodularMatrix) -> Frame:
@@ -432,15 +433,17 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     Rows are (r, s) pairs, r-major, and columns (u, v) at v (R+1) + u, as
     steiner_etf places them; its Gram equals the Steiner ETF's.  Every
     pair of matrices that both carry an exact exponent form
-    (UnimodularMatrix._exponents: +-1 signs, or the phases of a character
-    build) takes the one exponent route: f = zeta_Ls^a and h = zeta_Lb^b, so
+    (UnimodularMatrix._exponents: every package build, and +-1 entries from
+    outside) takes the one exponent route: f = zeta_Ls^a and h = zeta_Lb^b, so
     the entry is exactly zeta_L^(a L/Ls + b L/Lb) with L = lcm(Ls, Lb), and
     _assemble gets those exponents mod L: a sign frame for L <= 2, else a
     phase frame.  The exponents are summed into one R x S x V x (R+1) array
     of the narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype),
     and reduced mod L by subtracting L where the sum is at least L, so no
     wider integer is formed.  Only when a matrix from outside the package has
-    no exponent form are the values multiplied.
+    no exponent form are the values multiplied, from float64 parts as
+    re = fr hr - fi hi, im = fr hi + fi hr: the bits of a Python complex
+    product, where numpy's complex multiply rounds by the loop it picks.
     """
     pos, _ = _resolution_lookup(design)
     big_r = pos.shape[0]
@@ -448,8 +451,8 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     s_count = design.s
     if pos.max(initial=-1) >= s_count:  # blocks of other sizes than K: a class holds more than V/K
         raise NotResolvable(f"a parallel class holds more than V/K = {s_count} blocks")
-    if basis.entries.shape != (s_count, s_count):
-        raise BasisShapeMismatch(f"basis is {basis.entries.shape}, need ({s_count}, {s_count})")
+    if (basis.rows, basis.cols) != (s_count, s_count):
+        raise BasisShapeMismatch(f"basis is {(basis.rows, basis.cols)}, need ({s_count}, {s_count})")
 
     big_b, v_count = design.b, design.v
     shape = (big_r * s_count, v_count * (big_r + 1))
@@ -459,7 +462,10 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     # R x 1 x 1 x (R+1) table of f_u(r) meets the R x S x V x 1 gather of h_{pos(r,v)}(s)
     fx, hx = simplex._exponents, basis._exponents
     if fx is None or hx is None:  # a complex matrix from outside has no exponents to add
-        values = _form(simplex)[:, None, None, :] * _form(basis)[:, pos].transpose(1, 0, 2)[..., None]
+        f, h = _form(simplex)[:, None, None, :], _form(basis)[:, pos].transpose(1, 0, 2)[..., None]
+        values = np.empty((big_r, s_count, v_count, big_r + 1), dtype=np.complex128)
+        values.real = f.real * h.real - f.imag * h.imag
+        values.imag = f.real * h.imag + f.imag * h.real
         return _assemble(values.reshape(shape), big_b, prov)
     (f, f_order), (h, h_order) = fx, hx
     order = lcm(f_order, h_order)
@@ -561,14 +567,16 @@ def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
 def trace_character_basis(structure: AffineStructure) -> UnimodularMatrix:
     """Unimodular orthogonal basis over the hyperplane S:
     h_{s'}(s) = exp(2*pi*i/p * tr(s' * s / delta)), traces taken down to the
-    prime field, which it keeps as its exponents mod p.  With no check on
-    those exponents, it gets the dense test."""
+    prime field, stored as its exponents mod p.  With no check on those
+    exponents, its derived entries get the dense test."""
     fld = structure.field
     p = fld.p
     hyper = structure.hyperplane
     dinv = fld.pow_indices(structure.delta, fld.order - 2)
     tr_vals = fld.trace_table[fld.mul_indices(fld.mul_indices(hyper[:, None], hyper[None, :]), dinv)]
-    return UnimodularMatrix(entries=_unit_roots(p).take(tr_vals), kind="character-table", _phases=(tr_vals, p))
+    basis = UnimodularMatrix(None, "character-table", _phases=(tr_vals.astype(_phase_dtype(p)), p))
+    basis.check()
+    return basis
 
 
 @dataclass(frozen=True)

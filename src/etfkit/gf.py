@@ -11,9 +11,11 @@ order, and the primitive element is the first field element that generates the
 multiplicative group, so construction is fully deterministic: repeated calls
 to make_field agree, across runs and machines.
 
-All arithmetic runs on integer index arrays through per-field lookup tables
-(coefficient digits, log and antilog over the primitive element, trace to the
-prime field).  A field builds its tables on first use and keeps them, and
+All arithmetic runs on integer index arrays.  Addition and subtraction take
+the carries and borrows of the base-p digits on the indices themselves
+(_digitwise_indices, shared with AbelianGroup.sub_array), with no digit
+table.  The rest uses per-field tables (log and antilog over the primitive
+element, trace to the prime field), built on first use and kept, and
 make_field is memoised, so each field pays for them once.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -88,17 +91,16 @@ def _poly_trim(a):
 
 
 def _poly_mod(a, b, p):
-    """Remainder of a modulo the monic-leading polynomial b, over Z_p."""
+    """Remainder of a modulo the monic polynomial b (leading 1 last), over Z_p:
+    every caller passes the modulus or a candidate factor, both monic."""
     a = list(a)
-    db = len(_poly_trim(b)) - 1
-    lead_inv = pow(b[db], p - 2, p) if b[db] != 1 else 1
+    db = len(b) - 1
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
         if c == 0:
             continue
-        factor = (c * lead_inv) % p
-        for j_, bj in enumerate(b[: db + 1]):
-            a[i - db + j_] = (a[i - db + j_] - factor * bj) % p
+        for j_, bj in enumerate(b):
+            a[i - db + j_] = (a[i - db + j_] - c * bj) % p
     return tuple(c % p for c in a[:db])
 
 
@@ -139,12 +141,7 @@ def _index_digits(index: int, p: int, k: int) -> tuple[int, ...]:
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree, in canonical index order."""
     for idx in range(p ** degree):
-        coeffs = []
-        m = idx
-        for _ in range(degree):
-            coeffs.append(m % p)
-            m //= p
-        yield tuple(coeffs) + (1,)
+        yield _index_digits(idx, p, degree) + (1,)
 
 
 def _is_irreducible(poly, p: int) -> bool:
@@ -191,15 +188,6 @@ class FiniteField:
         return self.p ** np.arange(self.k, dtype=np.int64)
 
     @cached_property
-    def digits(self) -> np.ndarray:
-        """order x k table: row i holds the coefficients of element i, low to
-        high.  One byte per digit where p allows: GF(2^20), the largest field
-        in scope, then takes 20 MB."""
-        dtype = np.uint8 if self.p <= 256 else np.int32
-        table = (np.arange(self.order, dtype=np.int64)[:, None] // self._place % self.p).astype(dtype)
-        return _read_only(table)
-
-    @cached_property
     def antilog(self) -> np.ndarray:
         """antilog[e] is the index of g^e, e = 0 .. order-2, for the primitive g.
 
@@ -237,15 +225,11 @@ class FiniteField:
 
     # -- arithmetic on index arrays (numpy broadcasting) -------------------
 
-    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
-        return digits % self.p @ self._place
-
     def add_indices(self, a, b) -> np.ndarray:
-        # widened first: the stored digits are bytes, and unsigned for p <= 256
-        return self._from_digits(self.digits[a].astype(np.int64) + self.digits[b])
+        return _digitwise_indices(a, b, (self.p,) * self.k, self._place.tolist())
 
     def sub_indices(self, a, b) -> np.ndarray:
-        return self._from_digits(self.digits[a].astype(np.int64) - self.digits[b])
+        return _digitwise_indices(a, b, (self.p,) * self.k, self._place.tolist(), subtract=True)
 
     def mul_indices(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
@@ -257,6 +241,27 @@ class FiniteField:
         a = np.asarray(a)
         n1 = self.order - 1
         return np.where(a == 0, int(e == 0), self.antilog[self.log[a] * (e % n1) % n1])
+
+
+def _digitwise_indices(a, b, factors, places, subtract: bool = False) -> np.ndarray:
+    """Indices of a + b, or a - b, for indices a and b of Z_f1 x ... x Z_ft
+    with place values P_k, broadcast: idx(a + b) = (a + b) - sum_k f_k P_k
+    [a_k + b_k >= f_k] by carries, idx(a - b) = (a - b) + sum_k f_k P_k
+    [a_k < b_k] by borrows, once a and b are reduced mod the order in int64.
+    One index sum, then one in-place term per factor above 1, with no digit
+    table or vectors; in int32 below order 2^30, since every partial sum
+    lies in (-order, 2 order), else int64."""
+    order = prod(factors)
+    work = np.int32 if order < 2 ** 30 else np.int64
+    a, b = (np.asarray(np.asarray(x, dtype=np.int64) % order, dtype=work) for x in (a, b))
+    out = np.asarray(a - b if subtract else a + b)  # an array even for two single elements, so terms add in place
+    for f, place in zip(factors, places):
+        if f > 1:
+            if subtract:
+                out += (a // place % f < b // place % f) * work(f * place)
+            else:
+                out -= (a // place % f + b // place % f >= f) * work(f * place)
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -93,6 +93,12 @@ def test_code_to_frame_needs_self_complementary():
         code_to_frame(code)
 
 
+def test_grey_rankin_certification_needs_a_self_complementary_code():
+    code = BinaryCode(m=3, words=((0, 0, 0), (1, 1, 0)), self_complementary=False)
+    with pytest.raises(NotSelfComplementary):
+        certify_grbe(code)
+
+
 def test_self_complementary_ordering_enforced():
     with pytest.raises(NotSelfComplementary):
         BinaryCode(m=2, words=((0, 0), (0, 1)), self_complementary=True)

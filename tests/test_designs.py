@@ -1,5 +1,8 @@
+import json
 from dataclasses import replace
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -16,8 +19,8 @@ from etfkit.designs import (
 )
 from etfkit import designs
 from etfkit.errors import DesignFormatError, InvariantViolation, NotResolvableParameters, OddPointCount
-from etfkit.flatmat import drop_row_simplex, hadamard
-from etfkit.frames import kirkman_etf, steiner_etf
+from etfkit.flatmat import dft, drop_row_simplex, hadamard
+from etfkit.frames import frame_to_json, kirkman_etf, steiner_etf
 
 
 def incidence(design: SteinerSystem) -> np.ndarray:
@@ -229,3 +232,40 @@ def test_feasibility_degree_always_square():
             assert f.lam_integral
             assert f.lam == w * (w * (k - 1) + 1)
             assert isqrt(f.degree) ** 2 == f.degree
+
+
+def _with_numpy_ints(design: SteinerSystem) -> SteinerSystem:
+    return SteinerSystem(v=np.int64(design.v), k=np.int64(design.k),
+                         blocks=tuple(tuple(np.int64(p) for p in blk) for blk in design.blocks),
+                         resolution=tuple(tuple(np.intp(i) for i in cls) for cls in design.resolution))
+
+
+@pytest.mark.parametrize("design,basis", [(round_robin_design(4), hadamard(4)), (affine_design(3, 1), dft(5))],
+                         ids=["rr4", "aff31"])
+def test_a_design_of_numpy_integers_writes_the_same_documents(design, basis):
+    """numpy integers for v, k, the block points and the resolution indices
+    give the bytes of the Python-int design, in its document and in the
+    provenance of a frame built on it (the parent raised TypeError)."""
+    numpy_design = _with_numpy_ints(design)
+    assert validate(numpy_design).ok and type(numpy_design.v) is int and type(numpy_design.k) is int
+    assert numpy_design.to_json() == design.to_json()
+    simplex = drop_row_simplex(basis)
+    assert frame_to_json(steiner_etf(numpy_design, simplex)) == frame_to_json(steiner_etf(design, simplex))
+
+
+@pytest.mark.parametrize("blocks,resolution", [
+    (((0, 1.0), (2, 3)), None), (((0, True), (2, 3)), None), (((0, "1"), (2, 3)), None),
+    (((0, 1), (2, 3)), ((0, 1.0),)),
+], ids=["float-point", "bool-point", "str-point", "float-index"])
+def test_a_design_with_a_point_or_index_that_is_no_integer_is_not_written(blocks, resolution):
+    design = SteinerSystem(v=4, k=2, blocks=blocks, resolution=resolution)
+    with pytest.raises(DesignFormatError, match="must be integers"):
+        design.to_json()
+
+
+def test_the_feasibility_report_meets_its_schema():
+    schema = json.loads(resources.files("etfkit").joinpath("schemas/report.schema.json").read_text())
+    for k, v in ((2, 4), (2, 20), (3, 9)):
+        doc = harmonic_feasibility(k, v).as_dict()
+        jsonschema.validate(doc, schema)
+        assert doc["report"] == "harmonic-feasibility" and doc["passed"] is True

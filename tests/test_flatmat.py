@@ -95,6 +95,13 @@ def test_hadamard_24_is_doubled_12():
     assert np.array_equal(h24.signs, np.kron(np.array([[1, 1], [1, -1]]), h12.signs))
 
 
+def test_hadamard_784_is_the_kronecker_square_of_28():
+    """784 = 28 * 28 is the first order that doubling and Paley I miss (392
+    and 783 = 27 * 29 are out of reach) and a Kronecker product reaches."""
+    h28 = hadamard(28).signs
+    assert np.array_equal(hadamard(784).signs, np.kron(h28, h28))
+
+
 def test_hadamard_unsupported_orders():
     with pytest.raises(UnsupportedHadamardOrder):
         hadamard(6)
@@ -406,11 +413,13 @@ def test_character_builds_keep_their_phases_and_sign_matrices_derive_them():
     assert table.entries.tobytes() == flatmat._unit_roots(12)[phases].tobytes()
     for simplex in (simplex_from_characters(g, 5), drop_row_simplex(table, 5)):
         assert simplex._exponents[1] == 12 and np.array_equal(simplex._exponents[0], np.delete(phases, 5, axis=0))
-    # a +-1 matrix stores no phases: its exponents mod 2 are read off its signs
+    # a +-1 build stores its exponents mod 2, and derives its signs and entries from them on first read
     for m in (hadamard(8), character_table(AbelianGroup((2, 2))), drop_row_simplex(hadamard(4), 1), dft(2)):
         signs_phases, order = m._exponents
-        assert m._phases is None and order == 2
+        assert order == 2 and signs_phases.dtype == np.uint8 and not signs_phases.flags.writeable
+        assert not {"entries", "signs"} & set(vars(m))
         assert np.array_equal(1 - 2 * signs_phases.astype(np.int64), m.signs)
+        assert m.entries.tobytes() == m.signs.astype(np.complex128).tobytes()
     # a complex matrix from outside the package has no exponent form
     assert UnimodularMatrix(entries=dft(3).entries, kind="dft")._exponents is None
 
@@ -480,9 +489,15 @@ LADDER_TOP = AbelianGroup((22,) + (2,) * 6)
 def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     """Each builder has proved its matrix on the exact form it built it from
     (phase exponents, the integer Hadamard identity, a checked basis): no
-    dense Gram test runs, and no second N x N array (a float Gram or a
-    Kronecker product) is ever live beside the arrays it returns."""
+    dense Gram test runs, and it stores only its exponents, with no complex
+    or sign array until one is read.  So its build peaks under twice the
+    bytes of its exponents, plus, for hadamard, the float64 copy and product
+    of the exact identity (its cached int64 signs, which every call shares,
+    are built first), and under 5 MB (the parent formed the complex entries:
+    34.2 MB for the largest character table, 19.4 MB for dft(1024))."""
     args = args()
+    if builder is hadamard:
+        flatmat._hadamard_signs(*args)
     dense = []
     monkeypatch.setattr(flatmat, "_check_gram", lambda m: dense.append(m.kind))
     tracemalloc.start()
@@ -492,8 +507,10 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     finally:
         tracemalloc.stop()
     assert dense == []
-    returned = m.entries.nbytes + (0 if m.signs is None else m.signs.nbytes)
-    assert m.entries.nbytes <= peak < 1.25 * returned
+    assert not {"entries", "signs"} & set(vars(m))
+    phases = m._exponents[0]
+    identity = 16 * phases.size if builder is hadamard else 0
+    assert peak < min(2 * phases.nbytes + identity, 5_000_000)
 
 
 def _exponents(g: AbelianGroup) -> np.ndarray:

@@ -2,7 +2,9 @@ import json
 import math
 import re
 import tracemalloc
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,31 @@ def test_both_constructions_match_their_definition_column_by_column(design_f, si
     sparse, (flat, order) = _grid_reference(design, simplex, basis)
     _assert_stores(steiner_etf(design, simplex), sparse, len(design.resolution))
     _assert_stores(kirkman_etf(design, simplex, basis), flat, design.b, order, products=order is None)
+
+
+@pytest.mark.parametrize("design_f,order,s_count", [
+    (lambda: affine_design(3, 1), 5, 3), (kirkman15, 8, 5), (lambda: round_robin_design(16), 16, 8),
+], ids=["aff31", "kirkman15", "rr16"])
+def test_kirkman_products_of_values_are_python_complex_products(design_f, order, s_count):
+    """With a simplex and a basis from outside that have no exponents,
+    every stored entry is, bit for bit, the per-element Python complex
+    product f_u(r) h_{pos(r,v)}(s), divided by sqrt(B) as _assemble divides
+    it: the bits rest on the construction, not on the loop numpy picks for
+    an array of complex products (at the parent, 114 of aff31's 540 entries
+    differed in the last bit on an AVX-512 machine)."""
+    design = design_f()
+    simplex, basis = _outside_dft(order, "simplex", 1), _outside_dft(s_count, "dft")
+    frame = kirkman_etf(design, simplex, basis)
+    big_r = len(design.resolution)
+    want = np.empty(frame.entries.shape, dtype=np.complex128)
+    for r, cls in enumerate(design.resolution):
+        for at, blk in enumerate(cls):
+            for v in design.blocks[blk]:
+                for u in range(big_r + 1):
+                    for s in range(s_count):
+                        want[r * s_count + s, v * (big_r + 1) + u] = (complex(simplex.entries[r, u])
+                                                                      * complex(basis.entries[s, at]))
+    assert frame.entries.tobytes() == (want / np.sqrt(design.b)).tobytes()
 
 
 def test_steiner_requires_resolution():
@@ -471,6 +498,15 @@ def test_real_kirkman_params_k2_w11():
     assert rep.hadamard_order_simplex == 24
     assert rep.hadamard_order_basis == 12
     assert rep.simplex_constructible and rep.basis_constructible
+
+
+def test_the_real_kirkman_report_meets_its_schema():
+    schema = json.loads(resources.files("etfkit").joinpath("schemas/report.schema.json").read_text())
+    for k, w in ((2, 1), (2, 3), (2, 11), (6, 3)):
+        rep = real_kirkman_params(k, w)
+        doc = rep.as_dict()
+        jsonschema.validate(doc, schema)
+        assert (doc["v"], doc["m"], doc["n"]) == (rep.v, rep.m, rep.n)
 
 
 def test_real_kirkman_params_k6_no_generator():

@@ -9,6 +9,7 @@ from etfkit.errors import (
     NotASubfield,
     SizeLimitExceeded,
 )
+from etfkit.flatmat import AbelianGroup
 from etfkit.gf import (
     hyperplane_kernel,
     make_field,
@@ -269,9 +270,18 @@ def test_primitive_powers_enumerate_nonzero(p, k):
     assert [int(f.pow_indices(f.primitive_index, e)) for e in range(f.order - 1)] == walk
 
 
+def _monomial_sums(f, coeffs) -> list:
+    """Each element as the field sum of its monomials c_t x^t, of index c_t p^t."""
+    monomials = np.array(coeffs) * f.p ** np.arange(f.k)
+    acc = monomials[:, 0]
+    for t in range(1, f.k):
+        acc = f.add_indices(acc, monomials[:, t])
+    return acc.tolist()
+
+
 def test_canonical_index_round_trip():
     f, every, coeffs = _ref_field(3, 3)
-    assert [tuple(row) for row in f.digits.tolist()] == coeffs
+    assert _monomial_sums(f, coeffs) == every.tolist()
     assert f.add_indices(every, 0).tolist() == every.tolist()
     assert [_index(c, 3) for c in coeffs] == every.tolist()
 
@@ -326,7 +336,7 @@ def _small_fields():
 @pytest.mark.parametrize("p,k", _small_fields())
 def test_field_tables_match_element_arithmetic(p, k):
     f, every, coeffs = _ref_field(p, k)
-    assert [tuple(row) for row in f.digits.tolist()] == coeffs
+    assert _monomial_sums(f, coeffs) == every.tolist()  # the index encodes the coefficients
 
     def index(c):
         return _index(c, p)
@@ -364,12 +374,33 @@ def test_field_tables_match_element_arithmetic(p, k):
 
 def test_field_tables_are_read_only_and_lazy():
     f = make_field.__wrapped__(2, 5)  # a fresh field, outside the cache
-    assert not set(vars(f)) & {"digits", "antilog", "log", "trace_table"}
-    for name in ("digits", "antilog", "log", "trace_table"):
+    assert not set(vars(f)) & {"antilog", "log", "trace_table"}
+    assert not hasattr(f, "digits")  # addition takes carries on the indices: no digit table
+    for name in ("antilog", "log", "trace_table"):
         table = getattr(f, name)
         assert getattr(f, name) is table  # built once, kept with the field
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def test_field_addition_and_group_subtraction_are_one_index_function(monkeypatch):
+    calls, real = [], gf._digitwise_indices
+    monkeypatch.setattr(gf, "_digitwise_indices",
+                        lambda *args, **kw: calls.append(kw.get("subtract", False)) or real(*args, **kw))
+    f, every = make_field(3, 2), np.arange(9)
+    f.add_indices(every, 4)
+    f.sub_indices(every, 4)
+    AbelianGroup((3, 3)).sub_array(every, 4)
+    assert calls == [False, True, True]
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_binary_field_addition_is_xor_of_indices(k):
+    """In GF(2^k) both a + b and a - b are the XOR of the indices: carries
+    and borrows on every one of k digits, in int32 up to the largest field."""
+    f = make_field(2, k)
+    a, b = np.random.default_rng(k).integers(0, f.order, (2, 4096))
+    assert np.array_equal(f.add_indices(a, b), a ^ b) and np.array_equal(f.sub_indices(a, b), a ^ b)
 
 
 def test_zero_powers():

@@ -276,6 +276,38 @@ def test_every_stdin_command_refuses_a_byte_mutated_document(name, argv, data):
         assert code in (0, 1, 2) and err.count("\n") == (code == 2), (code, err)
 
 
+@pytest.fixture(scope="module")
+def canonical_frame_files(tmp_path_factory) -> dict:
+    """The canonical sign and entries frame documents, each in a file."""
+    where = tmp_path_factory.mktemp("canonical")
+    for name in ("sign-frame", "entries-frame"):
+        (where / f"{name}.json").write_text(CANONICAL[name][0])
+    return {name: str(where / f"{name}.json") for name in ("sign-frame", "entries-frame")}
+
+
+@BYTES
+@given(data=st.data())
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("name,other", [("sign-frame", "entries-frame"), ("entries-frame", "sign-frame")])
+def test_gram_equal_refuses_either_byte_mutated_document(canonical_frame_files, side, name, other, data):
+    """analyze gram-equal with one byte-mutated canonical document on stdin,
+    as its first or its second frame, and the other canonical one from a
+    file: a mutant that does not parse exits 2 with one stderr line, and
+    one that parses exits 0, 1 or 2, with one stderr line at most."""
+    raw = data.draw(byte_mutations(CANONICAL[name][0]))
+    stdin = _stdin_text(raw)
+    try:
+        parsed = stdin is not None and parse_frame(stdin)
+    except EtfkitError:
+        parsed = False
+    pair = ["-", canonical_frame_files[other]]
+    code, err = _cli_on_stdin(raw, ("analyze", "gram-equal", *(pair if side == "a" else pair[::-1])))
+    if not parsed:
+        assert code == 2 and err.startswith("etfkit: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code in (0, 1, 2) and err.count("\n") == (code == 2), (code, err)
+
+
 @BYTES
 @given(path=st.sampled_from(DESIGN_PATHS), value=st.integers(-2, 9) | st.integers() | JSON)
 @example(path=("k",), value=0).via("k = 0: V/K divides by zero")

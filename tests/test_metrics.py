@@ -418,3 +418,47 @@ def test_steiner_rip_verdict_deltas_equal_rip_delta(request, name):
     assert [size for size, _ in report.per_l] == list(range(2, report.big_r + 2))
     for size, delta in report.per_l:
         assert delta == rip_delta(frame, size).delta
+
+
+@pytest.mark.parametrize("forged_r", [4, 5, 12])
+def test_steiner_rip_refuses_a_forged_r_above_the_frames_r(fig1, forged_r):
+    """fig1 has R = 3.  Under r = 4, 5 or 12 its columns 0..r are dependent,
+    as spark reports unchanged, but so are columns 0..r-1 (rank 3, 4 and 6,
+    each below r): no design structure r stands, so the verdict does not
+    apply (the parent reported applicable: true, passed: false)."""
+    forged = replace(fig1, provenance={**fig1.provenance, "r": forged_r})
+    report = spark(forged)
+    assert report.spark == 4 and report.witness == (0, 1, 2, 3)
+    assert report.structural_witness == tuple(range(forged_r + 1)) and report.structural_rank <= forged_r
+    verdict = steiner_rip_verdict(forged)
+    assert not verdict.applicable and verdict.big_r is None and verdict.as_dict()["passed"] is None
+    assert steiner_rip_verdict(fig1).applicable  # the frame's own R
+
+
+@pytest.mark.parametrize("m,n", [(0, 4), (5, 4), (1, 1), (-1, 3)])
+def test_welch_bound_exact_refuses_bad_dimensions(m, n):
+    with pytest.raises(BadDimensions):
+        welch_bound_exact(m, n)
+
+
+@pytest.mark.parametrize("size", [0, -1, 17])
+def test_rip_delta_refuses_a_subset_size_outside_1_to_n(fig1, size):
+    with pytest.raises(BadDimensions):
+        rip_delta(fig1, size)
+
+
+@pytest.mark.parametrize("ints", [
+    [[1, 0], [1, 0], [0, 0]],  # N d = 2 nonzeros, but both in column 0
+    [[0, 1], [0, 1], [0, 0]],  # both in column 1
+], ids=["first-column", "last-column"])
+def test_a_form_with_uneven_columns_has_no_steiner_form(ints):
+    assert metrics._steiner_form(np.array(ints, dtype=np.int8), 1) is None
+
+
+def test_point_supports_that_meet_twice_are_no_steiner_form(fig1):
+    """Two points of R + 1 = 4 columns each, supported on rows {0, 1, 2}
+    and {0, 2, 3}: the grouping reads two points, but their supports meet
+    in two rows, so no Steiner ETF has them."""
+    rows = np.array([[0, 1, 2]] * 4 + [[0, 2, 3]] * 4)
+    assert not metrics._is_steiner(rows, np.ones((8, 3), dtype=np.int8), 4)
+    assert metrics._is_steiner(*metrics._steiner_form(fig1.exact_ints, fig1.scale_sq)[:2], fig1.m)

@@ -225,17 +225,18 @@ def test_spark_matches_the_reference_search(frame_and_cap):
 
 @pytest.mark.parametrize("frame", DESIGN_FRAMES, ids=lambda f: f"{f.provenance['construction']}-{f.m}x{f.n}")
 def test_steiner_rip_applies_exactly_when_the_spark_witness_is_dependent(frame):
-    """spark and Steiner-RIP decide "this frame has design structure r" one
-    way: under every provenance r from 1 to R+1, the verdict applies exactly
-    when spark's witness, columns 0..r, has rank at most r.  On a design
-    frame that holds for r = R and r = R+1 (the R+1 columns of point 0 lie
-    on R rows), and for no r < R (coherence 1/R makes any R columns
-    independent)."""
+    """spark and Steiner-RIP read "this frame has design structure r" from
+    one witness, under every provenance r from 1 to R+2.  spark's witness,
+    columns 0..r, has rank at most r for every r >= R (the R+1 columns of
+    point 0 lie on R rows) and for no r < R (coherence 1/R makes any R
+    columns independent).  The verdict applies only when, besides, columns
+    0..r-1 have rank r, which fails for every r > R: so at r = R alone."""
     big_r = frame.provenance["r"]
-    for r in range(1, big_r + 2):
+    for r in range(1, big_r + 3):
         forged = replace(frame, provenance={**frame.provenance, "r": r})
         rank = spark(forged, max_subset=1).structural_rank
-        assert steiner_rip_verdict(forged, 2).applicable == (rank <= r) == (r >= big_r), r
+        assert (rank <= r) == (r >= big_r), r
+        assert steiner_rip_verdict(forged, 2).applicable == (r == big_r), r
 
 
 def test_design_frames_cover_steiner_and_kirkman():
