@@ -34,6 +34,7 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TABLE_BLOCK = 1 << 16  # phase exponents per row block of _character_phases and _root_values
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class UnimodularMatrix:
     """Matrix of unit-modulus entries; kind tags the invariant family.
 
@@ -44,22 +45,23 @@ class UnimodularMatrix:
 
     One form is stored, _exponents = (phases, L) with entries zeta_L^phases
     (+-1 signs: L = 2), handed in as _phases by a builder that proved them.
-    Entries from outside the package are copied and get the dense O(N^3) test
-    of their Gram; all real +-1, they are kept as exponents mod 2, else as
-    the read-only copy, with _exponents None.  entries (complex128 when
-    derived) and signs (the exact int64 view, present exactly when L <= 2)
-    are derived on first read (_root_values) and kept read-only.
+    Entries from outside the package are copied and, unless _checked by the
+    caller, get the dense O(N^3) test of their Gram; all real +-1, they are
+    kept as exponents mod 2, else as the read-only copy, with _exponents
+    None.  entries (complex128 when derived) and signs (the exact int64
+    view, present exactly when L <= 2) are derived on first read
+    (_root_values) and kept read-only, and the attributes are frozen.
     """
 
-    def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple[np.ndarray, int] | None = None):
-        self.kind, self._exponents = kind, _phases
+    def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple | None = None, _checked=False):
+        vars(self).update(kind=kind, _exponents=_phases)  # set once here, or by a cached_property: frozen
         if _phases is None:
-            self.entries = np.array(entries)  # a copy: the caller's array cannot change it
-            self.entries.flags.writeable = False
-            self.check()
-            if np.all((self.entries == 1) | (self.entries == -1)):  # checked 2-d first: a +-1 matrix
-                self._exponents = ((self.entries.real < 0).view(np.uint8), 2)
-                del self.entries  # derived again from the exponents
+            vars(self)["entries"] = gf._read_only(np.array(entries))  # a copy: the caller's cannot change it
+            if not _checked:
+                self.check()
+            if np.all((self.entries == 1) | (self.entries == -1)):  # 2-d, checked: a +-1 matrix
+                vars(self)["_exponents"] = ((self.entries.real < 0).view(np.uint8), 2)
+                del vars(self)["entries"]  # derived again from the exponents
         if self._exponents is not None:
             self._exponents[0].flags.writeable = False
 
@@ -67,18 +69,14 @@ class UnimodularMatrix:
     def entries(self) -> np.ndarray:
         """zeta_L^phases, gathered from _unit_roots(L)."""
         phases, big_l = self._exponents
-        entries = _root_values(phases, big_l, _unit_roots(big_l))
-        entries.flags.writeable = False
-        return entries
+        return gf._read_only(_root_values(phases, big_l, _unit_roots(big_l)))
 
     @cached_property
     def signs(self) -> np.ndarray | None:
         """The exact int64 view, +-1 gathered from _root_table(L), when L <= 2."""
         if self._exponents is None or self._exponents[1] > 2:
             return None
-        signs = _root_values(*self._exponents)
-        signs.flags.writeable = False
-        return signs
+        return gf._read_only(_root_values(*self._exponents))
 
     def _key(self) -> tuple:
         return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
@@ -201,8 +199,7 @@ def _hadamard_signs(n: int) -> np.ndarray | None:
                 break
         else:
             return None
-    signs.flags.writeable = False
-    return signs
+    return gf._read_only(signs)
 
 
 def hadamard_order_reachable(n: int) -> bool:
@@ -237,16 +234,16 @@ def hadamard(n: int) -> UnimodularMatrix:
 
 def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     """Remove row r of an orthogonal unimodular basis B, leaving the (n-1) x n
-    unimodular regular simplex.  A basis with exponents hands in the kept
-    rows of them, with no test: columns a, b of the exact matrix meet at
-    n [a = b] - conj(B[r, a]) B[r, b], of modulus 1 off the diagonal.  The
-    kept rows of other entries from outside are entries from outside too."""
+    unimodular regular simplex, with no test: off the diagonal, columns a, b
+    meet at G[a, b] - conj(B[r, a]) B[r, b], with |G[a, b]| <= ORTHO_TOL as
+    checked when B was built (0 for exponents), so at modulus 1 within
+    ORTHO_TOL + 2 ENTRY_TOL.  The kept rows of B's one stored form are handed in."""
     if basis.rows != basis.cols:
         raise BasisShapeMismatch("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
         raise RowOutOfRange(f"row {row} out of range for a {basis.rows}-row basis")
     if basis._exponents is None:
-        return UnimodularMatrix(np.delete(basis.entries, row, axis=0), "simplex")
+        return UnimodularMatrix(np.delete(basis.entries, row, axis=0), "simplex", _checked=True)
     phases, big_l = basis._exponents
     return UnimodularMatrix(None, "simplex", _phases=(np.delete(phases, row, axis=0), big_l))
 

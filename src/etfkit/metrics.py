@@ -706,20 +706,21 @@ def _subset_spectra(gram: np.ndarray, size: int, window: tuple | list):
             yield subsets, np.linalg.eigvalsh(gram[subsets[:, :, None], subsets[:, None, :]])
 
 
-def _design_structure(frame: Frame) -> tuple[int, tuple[int, ...], int, bool] | None:
-    """(R, witness, rank, spans) when the provenance names a resolvable-design
+def _design_structure(frame: Frame) -> tuple[int, tuple[int, ...], int] | None:
+    """(R, witness, rank) when the provenance names a resolvable-design
     construction with an int r, 0 < r < N, else None: the one provenance
     read in metrics.  The witness, columns 0..R, lies on one design point's
-    R rows as built, so is dependent: SVD rank <= R at _rank_threshold(N).
-    spans: columns 0..R-1 have rank R, as R simplex columns do, and no r
-    above the frame's R gives that."""
+    R rows as built, so is dependent: SVD rank <= R at _rank_threshold(N)."""
     big_r = frame.provenance.get("r")
     if (frame.provenance.get("construction") not in ("steiner", "kirkman", "mcfarland-kirkman")
             or type(big_r) is not int or not 0 < big_r < frame.n):
         return None
-    ranks = [int(np.sum(np.linalg.svd(frame.entries[:, :size], compute_uv=False) > _rank_threshold(frame.n)))
-             for size in (big_r + 1, big_r)]
-    return big_r, tuple(range(big_r + 1)), ranks[0], ranks[1] == big_r
+    return big_r, tuple(range(big_r + 1)), _svd_rank(frame, big_r + 1)
+
+
+def _svd_rank(frame: Frame, size: int) -> int:
+    """SVD rank of columns 0..size-1 at _rank_threshold(N)."""
+    return int(np.sum(np.linalg.svd(frame.entries[:, :size], compute_uv=False) > _rank_threshold(frame.n)))
 
 
 @dataclass(frozen=True)
@@ -788,7 +789,7 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     if n > frame.m:
         limit = min(limit, frame.m + 1)  # m+1 columns in m dimensions always depend
 
-    big_r, structural, structural_rank, _ = _design_structure(frame) or (None,) * 4
+    big_r, structural, structural_rank = _design_structure(frame) or (None, None, None)
     if structural is not None and structural_rank <= big_r:
         limit = min(limit, big_r + 1)
     searched = min(limit, frame.m)  # size m+1 is decided by dimension count, with nothing enumerated
@@ -909,18 +910,19 @@ class SteinerRipReport:
 def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRipReport:
     """Check that delta_L < 1 exactly when L <= R, for every L from 2 up to
     R+1 (or max_size) that fits SUBSET_BUDGET, on a frame with a checked
-    design structure R (_design_structure: spans, witness dependent); the cutoff
-    formula sqrt((rho M - 1)/(rho - 1)) comes from its dimensions.  Each
-    delta_L comes from rip_delta's search on one shared Gram, the same
-    bits.  A verdict that checks no L would pass vacuously, so a max_size
-    below 2 raises BadDimensions, and a frame whose C(N, 2) is over
-    SUBSET_BUDGET raises EnumerationBudgetExceeded."""
+    design structure R (_design_structure, and columns 0..R-1 of rank R,
+    which no r above the frame's R gives); the cutoff formula
+    sqrt((rho M - 1)/(rho - 1)) comes from its dimensions.  Each delta_L
+    comes from rip_delta's search on one shared Gram, the same bits.  A
+    verdict that checks no L would pass vacuously, so a max_size below 2
+    raises BadDimensions, and a frame whose C(N, 2) is over SUBSET_BUDGET
+    raises EnumerationBudgetExceeded."""
     if max_size is not None and max_size < 2:
         raise BadDimensions(f"Steiner RIP checks L >= 2, so its cap must be at least 2, got {max_size}")
-    big_r, _, rank, spans = _design_structure(frame) or (None,) * 4
+    big_r, _, rank = _design_structure(frame) or (None, None, None)
     if big_r is not None:
         _check_columns(frame)  # before rho, which a frame with no rows would divide by zero
-    if big_r is None or rank > big_r or not spans:  # no r, columns 0..R independent, or 0..R-1 dependent
+    if big_r is None or rank > big_r or _svd_rank(frame, big_r) < big_r:  # no r, 0..R independent, 0..R-1 not
         return SteinerRipReport(applicable=False, big_r=None, cutoff_formula=None, per_l=())
     _check_budget(comb(frame.n, 2), f"C({frame.n},2)")
     rho = frame.n / frame.m

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import reduce
 
 import numpy as np
@@ -391,6 +392,32 @@ def test_entries_are_a_read_only_copy_and_signs_are_derived():
         UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument
 
 
+def test_the_attributes_are_frozen_so_the_hash_holds():
+    outside = UnimodularMatrix(entries=dft(3).entries, kind="dft")
+    for m in (hadamard(4), dft(3), outside, drop_row_simplex(outside, 1)):
+        key = hash(m)  # the entries are derived here, and kept
+        for name in ("kind", "_exponents", "entries", "signs"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, name)
+        assert hash(m) == key and m == UnimodularMatrix(entries=m.entries, kind=m.kind)
+
+
+def test_drop_row_simplex_of_a_checked_outside_basis_takes_no_dense_test(monkeypatch):
+    """The kept rows of an outside basis are a simplex by the basis's own
+    dense test; they are copied and scanned for +-1, not tested again."""
+    a = hadamard(4).entries.copy()
+    a[2] *= 1j
+    basis = UnimodularMatrix(entries=a, kind="hadamard")
+    dense = []
+    monkeypatch.setattr(flatmat, "_check_gram", lambda m: dense.append(m.kind))
+    complex_rows, sign_rows = drop_row_simplex(basis, 1), drop_row_simplex(basis, 2)
+    assert dense == []
+    assert complex_rows._exponents is None and complex_rows.entries.tobytes() == np.delete(a, 1, axis=0).tobytes()
+    assert np.array_equal(sign_rows.signs, hadamard(4).signs[[0, 1, 3]])
+
+
 def test_writing_to_the_callers_array_changes_nothing_built_from_it():
     arr = hadamard(4).entries.copy()
     m = UnimodularMatrix(entries=arr, kind="hadamard")
@@ -491,13 +518,15 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     (phase exponents, the integer Hadamard identity, a checked basis): no
     dense Gram test runs, and it stores only its exponents, with no complex
     or sign array until one is read.  So its build peaks under twice the
-    bytes of its exponents, plus, for hadamard, the float64 copy and product
-    of the exact identity (its cached int64 signs, which every call shares,
-    are built first), and under 5 MB (the parent formed the complex entries:
-    34.2 MB for the largest character table, 19.4 MB for dft(1024))."""
+    bytes of its exponents and under 5 MB (building the complex entries
+    took 34.2 MB for the largest character table, 19.4 MB for dft(1024)).
+    hadamard is measured cold, its sign cache cleared, and may hold beside
+    them what is live at its exact identity test: the int64 signs it caches
+    for each order of the doubling chain, 8 bytes an entry for under 4/3 of
+    the entries of order n, and the test's float64 copy and product."""
     args = args()
     if builder is hadamard:
-        flatmat._hadamard_signs(*args)
+        flatmat._hadamard_signs.cache_clear()
     dense = []
     monkeypatch.setattr(flatmat, "_check_gram", lambda m: dense.append(m.kind))
     tracemalloc.start()
@@ -509,8 +538,10 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     assert dense == []
     assert not {"entries", "signs"} & set(vars(m))
     phases = m._exponents[0]
-    identity = 16 * phases.size if builder is hadamard else 0
-    assert peak < min(2 * phases.nbytes + identity, 5_000_000)
+    if builder is hadamard:  # built from order 1 up: 1, 2, 4, ..., 256
+        assert flatmat._hadamard_signs.cache_info().currsize == 9
+    chain_and_identity = (8 * 4 / 3 + 16) * phases.size if builder is hadamard else 0
+    assert peak < min(2 * phases.nbytes + chain_and_identity, 5_000_000)
 
 
 def _exponents(g: AbelianGroup) -> np.ndarray:

@@ -425,7 +425,7 @@ def test_steiner_rip_refuses_a_forged_r_above_the_frames_r(fig1, forged_r):
     """fig1 has R = 3.  Under r = 4, 5 or 12 its columns 0..r are dependent,
     as spark reports unchanged, but so are columns 0..r-1 (rank 3, 4 and 6,
     each below r): no design structure r stands, so the verdict does not
-    apply (the parent reported applicable: true, passed: false)."""
+    apply, where columns 0..r alone would make it apply and fail."""
     forged = replace(fig1, provenance={**fig1.provenance, "r": forged_r})
     report = spark(forged)
     assert report.spark == 4 and report.witness == (0, 1, 2, 3)
@@ -433,6 +433,21 @@ def test_steiner_rip_refuses_a_forged_r_above_the_frames_r(fig1, forged_r):
     verdict = steiner_rip_verdict(forged)
     assert not verdict.applicable and verdict.big_r is None and verdict.as_dict()["passed"] is None
     assert steiner_rip_verdict(fig1).applicable  # the frame's own R
+
+
+def test_only_steiner_rip_ranks_the_first_r_columns_and_only_on_a_dependent_witness(fig1, monkeypatch):
+    """spark ranks columns 0..R alone; steiner_rip_verdict ranks columns
+    0..R-1 as well, and only once columns 0..R are found dependent."""
+    widths, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: widths.append(a.shape[1]) or svd(a, *args, **kw))
+    spark(fig1)
+    assert widths == [4]
+    widths.clear()
+    steiner_rip_verdict(fig1)
+    assert widths == [4, 3]
+    widths.clear()
+    steiner_rip_verdict(_identity_beside_hadamard(3))  # columns 0..3 independent
+    assert widths == [4]
 
 
 @pytest.mark.parametrize("m,n", [(0, 4), (5, 4), (1, 1), (-1, 3)])

@@ -128,11 +128,13 @@ def test_frames_takes_an_svd_only_in_the_naimark_fallback():
 
 def test_metrics_takes_an_svd_only_in_the_design_witness_test():
     """The rank of a design witness, the R+1 columns of one design point,
-    is decided in one place, by one threshold: _design_structure's SVD is
-    the only one in metrics."""
+    and of its first R columns is decided in one place, by one threshold:
+    _svd_rank's SVD is the only one in metrics, and only _design_structure
+    and steiner_rip_verdict call it."""
     path = next(p for p in SOURCES if p.name == "metrics.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [scope for scope, _ in _sites(tree, _calls("svd"))] == ["_design_structure"]
+    assert [scope for scope, _ in _sites(tree, _calls("svd"))] == ["_svd_rank"]
+    assert [scope for scope, _ in _sites(tree, _calls("_svd_rank"))] == ["_design_structure", "steiner_rip_verdict"]
 
 
 def _is_root_exponential(node: ast.AST) -> bool:
