@@ -53,8 +53,9 @@ class UnimodularMatrix:
     (_root_values) and kept read-only, and the attributes are frozen.
     """
 
-    def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple | None = None, _checked=False):
-        vars(self).update(kind=kind, _exponents=_phases)  # set once here, or by a cached_property: frozen
+    def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple[np.ndarray, int] | None = None,
+                 _checked: bool = False):
+        vars(self).update(kind=kind, _exponents=_phases)  # frozen: set only here, through vars, or by a cached_property
         if _phases is None:
             vars(self)["entries"] = gf._read_only(np.array(entries))  # a copy: the caller's cannot change it
             if not _checked:
