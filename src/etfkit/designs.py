@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -31,7 +31,11 @@ class SteinerSystem:
     """V points, B blocks of size K, every point pair in exactly one block.
 
     resolution, when present, lists R parallel classes, each a list of block
-    indices whose blocks partition the point set.
+    indices whose blocks partition the point set.  The fields are checked
+    once, here: v and k integers with k >= 2, block points in [0, V) and
+    resolution indices in [0, B), where an integer is a Python or numpy
+    integer, not a bool; else DesignFormatError.  Points and indices are
+    stored as tuples of Python ints, which JSON writes.
     """
 
     v: int
@@ -42,10 +46,29 @@ class SteinerSystem:
     def __post_init__(self):  # K >= 2: blocks hold two points or more, and V/K and (V-1)/(K-1) need it
         if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.v, self.k)):
             raise DesignFormatError(f"v and k must be integers, got v={self.v!r}, k={self.k!r}")
-        object.__setattr__(self, "v", int(self.v))  # numpy integers become ints, which JSON writes
+        object.__setattr__(self, "v", int(self.v))
         object.__setattr__(self, "k", int(self.k))
         if self.k < 2:
             raise DesignFormatError(f"k must be at least 2, got {self.k}")
+        bound = self.v
+        for name, what in (("blocks", "block point"), ("resolution", "resolution index")):
+            if name == "resolution" and self.resolution is None:
+                break
+            try:
+                rows = tuple(map(tuple, getattr(self, name)))
+            except TypeError as e:
+                raise DesignFormatError(f"{name} must be a list of lists of integers: {e}") from e
+            values = list(chain.from_iterable(rows))
+            types = set(map(type, values))
+            if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+                raise DesignFormatError(f"every {what} must be an integer")
+            if values and not (0 <= min(values) and max(values) < bound):
+                bad = next(x for x in values if not 0 <= x < bound)
+                raise DesignFormatError(f"{what} {bad} is out of range [0, {bound})")
+            if types != {int}:
+                rows = tuple(tuple(map(int, row)) for row in rows)
+            object.__setattr__(self, name, rows)
+            bound = len(rows)
 
     @property
     def b(self) -> int:
@@ -59,20 +82,9 @@ class SteinerSystem:
     def s(self) -> int:
         return self.v // self.k
 
-    def classes(self) -> list[list[tuple[int, ...]]]:
-        if self.resolution is None:
-            raise NotResolvableParameters("design carries no resolution")
-        return [[self.blocks[i] for i in cls] for cls in self.resolution]
-
     def to_json(self) -> str:
-        """The design document, numpy integers written as JSON integers;
-        any other point or resolution index raises DesignFormatError."""
-        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-                   for t in set(map(type, chain.from_iterable(chain(self.blocks, self.resolution or ()))))):
-            raise DesignFormatError("block points and resolution indices must be integers")
-        resolution = None if self.resolution is None else [list(c) for c in self.resolution]
-        doc = {"v": self.v, "k": self.k, "blocks": [list(b) for b in self.blocks], "resolution": resolution}
-        return json.dumps(doc, sort_keys=True, default=int)  # default: only numpy integers reach it
+        return json.dumps({"v": self.v, "k": self.k, "blocks": self.blocks, "resolution": self.resolution},
+                          sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -89,40 +101,23 @@ class DesignParams:
 
 
 def parse_design(text: str) -> SteinerSystem:
+    """The design of a to_json document; SteinerSystem checks its fields."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise DesignFormatError(f"invalid JSON: {e}") from e
     try:
-        v, k = doc["v"], doc["k"]
-        blocks = tuple(tuple(blk) for blk in doc["blocks"])
-        res = doc.get("resolution")
-        resolution = None if res is None else tuple(tuple(cls) for cls in res)
-    except (KeyError, TypeError, ValueError) as e:
+        v, k, blocks = doc["v"], doc["k"], doc["blocks"]
+    except (KeyError, TypeError) as e:
         raise DesignFormatError(f"malformed design document: {e}") from e
-    # JSON integers only: int() would truncate a float and read a bool or a string
-    if not all(type(x) is int for x in chain((v, k), *blocks, *(resolution or ()))):
-        raise DesignFormatError("v, k, block points and resolution indices must be JSON integers")
-    if any(not 0 <= p < v for blk in blocks for p in blk):
-        raise DesignFormatError("block contains a point index out of range")
-    if resolution is not None and any(not 0 <= i < len(blocks) for cls in resolution for i in cls):
-        raise DesignFormatError("resolution references a block index out of range")
-    return SteinerSystem(v=v, k=k, blocks=blocks, resolution=resolution)
+    return SteinerSystem(v=v, k=k, blocks=blocks, resolution=doc.get("resolution"))
 
 
 def _canonicalize(classes: list[list[tuple[int, ...]]]) -> tuple[tuple, tuple]:
     """Sort blocks within classes, classes by smallest block; flatten class-major."""
-    classes = [sorted(tuple(sorted(b)) for b in cls) for cls in classes]
-    classes.sort(key=lambda cls: cls[0])
-    blocks = []
-    resolution = []
-    for cls in classes:
-        idx = []
-        for blk in cls:
-            idx.append(len(blocks))
-            blocks.append(blk)
-        resolution.append(tuple(idx))
-    return tuple(blocks), tuple(resolution)
+    classes = sorted((sorted(tuple(sorted(b)) for b in cls) for cls in classes), key=lambda cls: cls[0])
+    starts = list(accumulate(map(len, classes), initial=0))
+    return tuple(chain.from_iterable(classes)), tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
 
 
 def steiner_params(k: int, v: int) -> DesignParams:
@@ -162,7 +157,7 @@ def affine_design(q: int, j: int) -> SteinerSystem:
     Output is re-sorted into canonical form like every other constructor.
     """
     _, design = affine_structure(q, j)
-    blocks, resolution = _canonicalize(design.classes())
+    blocks, resolution = _canonicalize([[design.blocks[i] for i in cls] for cls in design.resolution])
     return SteinerSystem(v=design.v, k=design.k, blocks=blocks, resolution=resolution)
 
 
@@ -227,13 +222,8 @@ def round_robin_design(v: int) -> SteinerSystem:
     if v < 4 or v % 2:
         raise OddPointCount(f"round-robin resolution needs an even v >= 4, got {v}")
     n = v - 1
-    classes = []
-    for r in range(n):
-        cls = [(v - 1, r)]
-        for i in range(1, v // 2):
-            cls.append(((r + i) % n, (r - i) % n))
-        classes.append([tuple(sorted(pair)) for pair in cls])
-    blocks, resolution = _canonicalize(classes)
+    blocks, resolution = _canonicalize([[(n, r)] + [((r + i) % n, (r - i) % n) for i in range(1, v // 2)]
+                                        for r in range(n)])
     return SteinerSystem(v=v, k=2, blocks=blocks, resolution=resolution)
 
 
@@ -256,6 +246,34 @@ def kirkman15() -> SteinerSystem:
     return SteinerSystem(v=15, k=3, blocks=blocks, resolution=resolution)
 
 
+def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The integer sequences concatenated, and the index of each value's sequence."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    values = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
+    return values, np.repeat(np.arange(len(seqs)), lengths)
+
+
+def _class_partition(design: SteinerSystem) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """(bad, pos, block): the one test of whether a resolution's classes
+    partition the points, for validate and both frame builders.  bad is the
+    first class that does not, or None.  Classes are tabulated up to the
+    first whose blocks hold other than V points, so no table is larger than
+    the points the blocks list: pos[r, x] is the place in class r of the
+    block holding x, block[r, x] its index, -1 where no block of r holds x.
+    A class of V points that leaves no -1 is a partition."""
+    listed, cls = _flatten(design.resolution)  # every listing of a block in a class, class-major
+    lengths = np.fromiter(map(len, design.blocks), dtype=np.intp, count=design.b)[listed]
+    sizes = np.bincount(cls, lengths, minlength=len(design.resolution)).astype(np.intp)
+    count = next(iter(np.flatnonzero(sizes != design.v)), len(sizes))
+    points, listing = _flatten([design.blocks[i] for i in listed[:np.searchsorted(cls, count)].tolist()])
+    pos = np.full((count, len(points) // max(count, 1)), -1, dtype=np.intp)  # V: each class here lists V points
+    block = np.full_like(pos, -1)
+    pos[cls[listing], points] = (np.arange(len(listed)) - np.searchsorted(cls, cls))[listing]
+    block[cls[listing], points] = listed[listing]
+    bad = int(next(iter(np.flatnonzero((pos < 0).any(axis=1))), count))
+    return (bad if bad < len(sizes) else None), pos, block
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-invariant pass/fail, with the first counterexample on failure."""
@@ -265,9 +283,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, passed, _ in self.checks if not passed]
 
     def as_dict(self) -> dict:
         return {
@@ -321,12 +336,7 @@ def validate(design: SteinerSystem) -> ValidationReport:
         part = flat == list(range(b))
         checks.append(("resolution_partitions_blocks", part,
                        "" if part else "classes do not partition the block list"))
-        bad_cls = None
-        for ci, cls in enumerate(res):
-            cover = sorted(p for i in cls for p in blocks[i])
-            if len(cover) != v or cover != list(range(v)):
-                bad_cls = ci
-                break
+        bad_cls = _class_partition(design)[0]
         checks.append(("classes_partition_points", bad_cls is None,
                        "" if bad_cls is None else f"class {bad_cls} does not partition the point set"))
         bose = r is not None and b >= v + r - 1

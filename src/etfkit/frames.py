@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 
 import numpy as np
 
-from .designs import AffineStructure, SteinerSystem, _affine_field, affine_structure
+from .designs import AffineStructure, SteinerSystem, _affine_field, _class_partition, affine_structure
 from .errors import (
     BadDimensions,
     BasisShapeMismatch,
@@ -141,7 +140,7 @@ class Frame:
         self.scale_sq = scale_sq
         self.provenance = {} if provenance is None else provenance
         self._entries = entries if exact is None else None
-        self._steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form here
+        self._steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form and verdict here
         if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
             raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
 
@@ -263,14 +262,14 @@ def _sign_rows(ints: np.ndarray) -> str:
 def frame_to_json(frame: Frame) -> str:
     """Sign form for exact +-1/sqrt(M) frames, literal complex entries otherwise:
     json.dumps(doc, sort_keys=True) either way.  "signs" sorts after every
-    other key of the sign form, so its text is spliced in last."""
+    other key of the sign form, so its text is spliced in last.  Entries are written as complex128."""
     if frame.is_sign_matrix:
         head = json.dumps({"m": frame.m, "n": frame.n, "scale_sq_inv": frame.scale_sq,
                            "provenance": frame.provenance}, sort_keys=True)
         return f'{head[:-1]}, "signs": {_sign_rows(frame.exact_ints)}}}'
+    entries = np.ascontiguousarray(frame.entries, dtype=np.complex128).view(np.float64)
     return json.dumps({"m": frame.m, "n": frame.n, "scale": None, "provenance": frame.provenance,
-                       "entries": [[[z.real, z.imag] for z in row] for row in frame.entries]},
-                      sort_keys=True)
+                       "entries": entries.reshape(frame.m, frame.n, 2).tolist()}, sort_keys=True)
 
 
 def _has_bool(values) -> bool:
@@ -296,17 +295,19 @@ def parse_frame(text: str) -> Frame:
         if not isinstance(provenance, dict):
             raise FrameFormatError(f"provenance must be a JSON object, got {type(provenance).__name__}")
         if "signs" in doc:
-            ints = np.array(doc["signs"])  # its dtype, with no cast: a float or a string entry is no sign
+            signs = doc["signs"]  # in its dtype, with no cast: a float or a string entry is no sign
+            ints = np.array(signs) if signs != [] else np.zeros((0, n), dtype=np.int64)  # [] has no row to give n
             scale_sq = doc["scale_sq_inv"]
             if type(scale_sq) is not int:
                 raise FrameFormatError("scale_sq_inv must be a JSON integer")
             if (ints.shape != (m, n) or not (ints.dtype.kind in "iu" or ints.size == 0)
-                    or not np.all(np.abs(ints) == 1) or (booleans and _has_bool(doc["signs"]))):
+                    or not np.all(np.abs(ints) == 1) or (booleans and _has_bool(signs))):
                 raise FrameFormatError("sign form must be an m x n matrix of +-1")
             frame = Frame(exact_ints=ints.astype(np.int64, copy=False), scale_sq=scale_sq, provenance=provenance)
         else:
             raw = doc["entries"]
-            arr = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=np.complex128)
+            arr = np.array([[complex(re, im) for re, im in row] for row in raw] if raw != [] else np.zeros((0, n)),
+                           dtype=np.complex128)
             if arr.shape != (m, n):
                 raise FrameFormatError(f"entries shape {arr.shape} does not match ({m}, {n})")
             if booleans and _has_bool(raw):
@@ -331,34 +332,14 @@ def parse_frame(text: str) -> Frame:
 
 # -- Steiner and flat (Kirkman-transformed) ETFs ------------------------------
 
-def _flatten(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """The integer sequences concatenated, and for each value the index of
-    the sequence it came from."""
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    values = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
-    return values, np.repeat(np.arange(len(seqs)), lengths)
-
-
 def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
-    """R x V tables: pos[r, v] is the index within class r of the block
-    containing v, and block[r, v] is that block's id."""
-    if design.resolution is None:
+    """R x V tables (designs._class_partition): pos[r, v] is the index within
+    class r of the block containing v, and block[r, v] that block's id."""
+    if not design.resolution:
         raise NotResolvable("design carries no resolution")
-    big_r = len(design.resolution)
-    # every listing of a block in a class, class-major, and every point of those blocks
-    listed, cls = _flatten(design.resolution)
-    within = np.arange(len(listed)) - np.searchsorted(cls, cls)
-    points, listing = _flatten([design.blocks[i] for i in listed.tolist()])
-    rows = cls[listing]
-    wrong = np.flatnonzero(np.bincount(rows, minlength=big_r) != design.v)
-    if wrong.size:
-        raise NotResolvable(f"parallel class {wrong[0]} does not partition the {design.v} points")
-    pos = np.full((big_r, design.v), -1, dtype=np.intp)
-    block = np.full_like(pos, -1)
-    pos[rows, points] = within[listing]
-    block[rows, points] = listed[listing]
-    if (pos < 0).any():  # with the sizes summing to V, a full cover is a partition
-        raise NotResolvable("a parallel class fails to cover every point")
+    bad, pos, block = _class_partition(design)
+    if bad is not None:
+        raise NotResolvable(f"parallel class {bad} does not partition the {design.v} points")
     return pos, block
 
 
@@ -482,42 +463,40 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
 @dataclass(frozen=True)
 class DifferenceSet:
     """Subset D of an abelian group hitting every nonzero element as a
-    difference exactly lam times; verified exhaustively at construction."""
+    difference exactly lam times, checked once, when built, and lam derived.
+    Each element must be an integer index (Python or numpy, not a bool) in
+    [0, |G|), which AbelianGroup.sub_array would otherwise read mod |G|;
+    then all |D|^2 differences are counted by np.bincount, in batches of
+    whole rows of at most _DIFFERENCE_BATCH pairs.  elements are stored
+    sorted, without repeats, as Python ints."""
 
     group: AbelianGroup
     elements: tuple[int, ...]
-    lam: int
+    lam: int = field(init=False)
 
-    @staticmethod
-    def verified(group: AbelianGroup, elements) -> "DifferenceSet":
-        """Count all |D|^2 differences d1 - d2 with np.bincount, in batches
-        of whole rows of at most _DIFFERENCE_BATCH pairs, and require the
-        same count on every nonzero element.  Each element must be an
-        integer element index (a Python or numpy integer, not a bool) in
-        range, checked before the count: an index outside [0, |G|) is an
-        error here, where AbelianGroup.sub_array, which takes the
-        differences by index borrows, would read its residue."""
-        elements = list(elements)
+    def __post_init__(self):
+        elements = list(self.elements)
         if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements):
             raise IndexOutOfRange("difference set elements must be integer element indices")
         elements = tuple(sorted(set(map(int, elements))))
-        order = group.order
+        order = self.group.order
         if elements and not (0 <= elements[0] and elements[-1] < order):
             raise IndexOutOfRange(f"difference set element out of range for a group of order {order}")
         d = np.array(elements, dtype=np.int64)
         counts = np.zeros(order, dtype=np.int64)
         rows = max(1, _DIFFERENCE_BATCH // max(len(d), 1))
         for lo in range(0, len(d), rows):
-            counts += np.bincount(group.sub_array(d[lo:lo + rows, None], d).ravel(), minlength=order)
+            counts += np.bincount(self.group.sub_array(d[lo:lo + rows, None], d).ravel(), minlength=order)
         nonzero = counts[1:]
         if not nonzero.size or nonzero.min() != nonzero.max():
             raise NotADifferenceSet("not a difference set: difference counts are not constant")
-        return DifferenceSet(group=group, elements=elements, lam=int(nonzero[0]))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "lam", int(nonzero[0]))
 
     def complement(self) -> "DifferenceSet":
         rest = np.ones(self.group.order, dtype=bool)
         rest[list(self.elements)] = False
-        return DifferenceSet.verified(self.group, np.flatnonzero(rest))
+        return DifferenceSet(self.group, np.flatnonzero(rest))
 
 
 def _mcfarland_elements(structure: AffineStructure) -> np.ndarray:
@@ -547,7 +526,7 @@ def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     if group_g.order != big_r + 1:
         raise GroupOrderMismatch(f"group order {group_g.order} != R+1 = {big_r + 1}")
     product = AbelianGroup(group_g.factors + (fld.p,) * fld.k)
-    return DifferenceSet.verified(product, _mcfarland_elements(structure).ravel())
+    return DifferenceSet(product, _mcfarland_elements(structure).ravel())
 
 
 def harmonic_etf(group: AbelianGroup, dset: DifferenceSet) -> Frame:
@@ -732,6 +711,8 @@ def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     check fails, is checked tight on its float frame operator
     (_tightness_deviation), and its complement is read off the SVD."""
     m, n = frame.m, frame.n
+    if m == 0:
+        raise NotTight("a frame with no rows has no frame operator (N/M) I")
     prov = {"construction": "naimark", "parent_m": m, "parent_n": n}
     rows = _character_rows(frame)
     if rows is None:

@@ -14,7 +14,7 @@ d = R nonzero entries per column as a Steiner form Phi, and a +-1 form with
 d = M as a Kirkman frame blockdiag(H_r) Phi with orthogonal H_r; _is_steiner
 checks Phi's design and simplex blocks (Fickus, Mixon and Tremain), in
 O(MN) integer work plus small Grams.  A frame is read so once, and keeps
-its form, not the verdict (_steiner_reading).  The check proves every
+its form, and its verdict once checked (_steiner_reading).  The check proves every
 off-diagonal Gram modulus 1/R and the frame operator (N/M) I, so the
 Fractions are exactly the ones the dense path computes, and the reports are
 the same bytes.  This covers steiner_etf and kirkman_etf with sign
@@ -311,13 +311,14 @@ def _is_steiner(rows: np.ndarray, signs: np.ndarray, m: int) -> bool:
 
 
 def _steiner_reading(frame: Frame) -> tuple | None:
-    """The _steiner_form of a frame with an integer form, or None: the one
-    caller of _steiner_form.  It is read once, when first asked for, and kept
-    in Frame._steiner: None while unread, False once read with no form; the
-    exact form is read-only, so it cannot go stale.  The form's ETF verdict
-    is not kept: _gram_profile, which alone needs it, asks _is_steiner."""
+    """The _steiner_form of a frame with an integer form and its verdict,
+    (rows, signs, R, verdict), or None: the one caller of _steiner_form.  It
+    is read once and kept in Frame._steiner (None while unread, False with
+    no form; the exact form is read-only, so it cannot go stale).  verdict
+    is None until _gram_profile, its one reader, asks _is_steiner."""
     if frame._steiner is None:
-        frame._steiner = _steiner_form(frame.exact_ints, frame.scale_sq) or False
+        form = _steiner_form(frame.exact_ints, frame.scale_sq)
+        frame._steiner = False if form is None else (*form, None)
     return frame._steiner or None
 
 
@@ -331,7 +332,7 @@ def _signed_rows(frame: Frame) -> tuple[int, bytes] | None:
     form = _steiner_reading(frame)
     if form is None:
         return None
-    rows, signs, big_r = form
+    rows, signs, big_r, _ = form
     m, n = frame.m, frame.n
     phi = np.zeros((m, n), dtype=np.int8)
     phi[rows, np.arange(n)[:, None]] = signs
@@ -359,7 +360,8 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
 
     Any other frame with an integer form ints / sqrt(d) gets Fractions: from
     its Steiner form (_steiner_reading, read once per frame) when
-    _is_steiner, which only this path runs, accepts it, else from its dense
+    _is_steiner, which only this path runs, once per frame, accepts it, else
+    from its dense
     integer Gram (frames.exact_gram), with tightness None.  The structural
     Fractions are the dense ones: every off-diagonal Gram entry has modulus
     1/R and every diagonal entry is 1 (_is_steiner), so the dense path's
@@ -385,7 +387,9 @@ def _gram_profile(frame: Frame, gram: np.ndarray | None = None) -> tuple:
     ints, d = frame.exact_ints, frame.scale_sq
     if frame.exact_ints is not None and rows is None:
         form = _steiner_reading(frame)
-        if form is not None and _is_steiner(form[0], form[1], frame.m):
+        if form is not None and form[3] is None:
+            form = frame._steiner = (*form[:3], _is_steiner(form[0], form[1], frame.m))
+        if form is not None and form[3]:
             n, big_r = ints.shape[1], form[2]
             mu = Fraction(1, big_r)
             return mu, mu, n + Fraction(n * (n - 1), big_r * big_r), Fraction(0)
@@ -485,9 +489,12 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
     dense comparison finds, and no Gram is formed: this is how a kirkman_etf
     frame matches its steiner_etf frame.  Otherwise the Grams are compared
     densely, and a witness is the first largest deviation; two frames with
-    no columns have equal 0 x 0 Grams, max_dev 0.0 with no witness."""
+    no columns, or none with rows, have equal Grams: max_dev 0.0, no witness."""
     if a.n != b.n:
         raise ShapeMismatch(f"column counts differ: {a.n} != {b.n}")
+    if a.m == b.m == 0:
+        exact = a.exact_ints is not None and b.exact_ints is not None
+        return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=exact, tol=tol)
     if a.exact_ints is not None and b.exact_ints is not None:
         rows_a = _signed_rows(a)
         if rows_a is not None and rows_a == _signed_rows(b):
@@ -796,15 +803,17 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     _check_budget(sum(comb(n, size) for size in range(1, searched + 1)),
                   f"sum of C({n},k) for k <= {searched}")
 
-    gram = frame.gram()
-    thr_sq = _rank_threshold(n) ** 2
-    mu = _offdiag_extremes(np.abs(gram))[0]
-    least_norm_sq = float(np.diag(gram).real.min(initial=np.inf))
-
     def found(witness: tuple[int, ...]) -> SparkReport:
         return SparkReport(n=n, spark=len(witness), lower_bound=len(witness), witness=witness,
                            structural_witness=structural, structural_rank=structural_rank,
                            exact=True)
+
+    if limit > frame.m == 0:  # a frame with no rows: its first column depends, and no Gram is formed
+        return found((0,))
+    gram = frame.gram()
+    thr_sq = _rank_threshold(n) ** 2
+    mu = _offdiag_extremes(np.abs(gram))[0]
+    least_norm_sq = float(np.diag(gram).real.min(initial=np.inf))
 
     for size in range(1, limit + 1):
         if size > frame.m:  # every subset of m+1 columns depends: the first is the witness

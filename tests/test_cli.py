@@ -205,6 +205,23 @@ def test_frame_naimark(capsys, monkeypatch):
     assert doc["m"] == 10 and doc["n"] == 16
 
 
+def test_the_complement_of_a_square_frame_reads_back(capsys, monkeypatch):
+    """frame naimark writes the 0 x N complement of a square frame; the
+    commands that read a frame take that document: spark reports its first
+    column, and naimark and verify refuse it with one stderr line (naimark
+    divided by zero at the parent, after the document failed to parse)."""
+    square = json.dumps({"m": 2, "n": 2, "scale": None, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    code, empty = run_on_stdin(capsys, monkeypatch, square, "frame", "naimark", "-")
+    assert code == 0 and (json.loads(empty)["m"], json.loads(empty)["n"]) == (0, 2)
+    code, out = run_on_stdin(capsys, monkeypatch, empty, "analyze", "spark", "-")
+    assert code == 0 and json.loads(out)["witness"] == [0]
+    for argv in (("frame", "naimark", "-"), ("verify", "-")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(empty))
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("etfkit: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("group,exact", [("2x2", True), ("4", False)])
 def test_naimark_of_a_harmonic_frame_verifies(capsys, monkeypatch, schema, group, exact):
     # a sign frame's complement is its complementary characters, written in

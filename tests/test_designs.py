@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from importlib import resources
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -130,7 +131,7 @@ def test_kirkman15_shape():
 def test_kirkman15_pairs_once():
     d = kirkman15()
     rep = validate(d)
-    assert rep.ok, rep.failures()
+    assert rep.ok, rep.as_dict()
 
 
 @pytest.mark.parametrize("maker", [lambda: affine_design(2, 1), lambda: affine_design(3, 1),
@@ -258,9 +259,51 @@ def test_a_design_of_numpy_integers_writes_the_same_documents(design, basis):
     (((0, 1), (2, 3)), ((0, 1.0),)),
 ], ids=["float-point", "bool-point", "str-point", "float-index"])
 def test_a_design_with_a_point_or_index_that_is_no_integer_is_not_written(blocks, resolution):
-    design = SteinerSystem(v=4, k=2, blocks=blocks, resolution=resolution)
-    with pytest.raises(DesignFormatError, match="must be integers"):
-        design.to_json()
+    """Refused when the design is built, so no document is ever written."""
+    with pytest.raises(DesignFormatError, match="must be an integer"):
+        SteinerSystem(v=4, k=2, blocks=blocks, resolution=resolution)
+
+
+def _rr4_fields(point=None, index=None) -> tuple:
+    """Round-robin 4's blocks with point 3 written as point, and its
+    resolution with the first index written as index."""
+    rr4 = round_robin_design(4)
+    blocks = tuple(tuple(point if p == 3 and point is not None else p for p in blk) for blk in rr4.blocks)
+    first = rr4.resolution[0]
+    return blocks, rr4.resolution if index is None else ((index, *first[1:]), *rr4.resolution[1:])
+
+
+@pytest.mark.parametrize("fields,message", [
+    (_rr4_fields(point=-1), r"block point -1 is out of range \[0, 4\)"),
+    (_rr4_fields(point=4), r"block point 4 is out of range \[0, 4\)"),
+    (_rr4_fields(point=np.int64(7)), r"block point 7 is out of range \[0, 4\)"),
+    (_rr4_fields(point=3.0), "every block point must be an integer"),
+    (_rr4_fields(point=True), "every block point must be an integer"),
+    (_rr4_fields(index=-1), r"resolution index -1 is out of range \[0, 6\)"),
+    (_rr4_fields(index=6), r"resolution index 6 is out of range \[0, 6\)"),
+    (_rr4_fields(index=0.0), "every resolution index must be an integer"),
+    (((0, 1), 2), "blocks must be a list of lists of integers"),
+], ids=["point-minus-1", "point-v", "numpy-point-past-v", "float-point", "bool-point", "index-minus-1",
+        "index-b", "float-index", "block-no-list"])
+@pytest.mark.parametrize("use", [
+    validate, SteinerSystem.to_json,
+    lambda design: steiner_etf(design, drop_row_simplex(hadamard(4), 0)),
+    lambda design: kirkman_etf(design, drop_row_simplex(hadamard(4), 0), hadamard(2)),
+], ids=["validate", "to_json", "steiner_etf", "kirkman_etf"])
+def test_a_design_checks_its_points_and_indices_when_it_is_built(fields, message, use):
+    """Round-robin 4 with point 3 written as -1 built and certified the rr4
+    ETF, a point at or past V or an index at or past B raised IndexError,
+    and float points passed validate: each is refused when the design is
+    built, whatever it is built for."""
+    blocks, resolution = fields
+    with pytest.raises(DesignFormatError, match=message):
+        use(SteinerSystem(v=4, k=2, blocks=blocks, resolution=resolution))
+
+
+def test_a_design_stores_python_ints():
+    design = SteinerSystem(v=4, k=2, blocks=np.array([[0, 1], [2, 3]], dtype=np.uint8), resolution=[[1, np.int64(0)]])
+    assert design.blocks == ((0, 1), (2, 3)) and design.resolution == ((1, 0),)
+    assert {type(x) for x in chain(*design.blocks, *design.resolution)} == {int}
 
 
 def test_the_feasibility_report_meets_its_schema():

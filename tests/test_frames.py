@@ -297,7 +297,7 @@ def test_harmonic_group_mismatch_checked():
 
 def test_difference_set_rejects_non_difference_set():
     with pytest.raises(ValueError):
-        DifferenceSet.verified(AbelianGroup((7,)), (0, 1, 2))
+        DifferenceSet(AbelianGroup((7,)), (0, 1, 2))
 
 
 def test_harmonic_real_case():
@@ -311,7 +311,7 @@ def test_harmonic_real_case():
 
 def test_harmonic_trivial_set_is_orthonormal_not_etf():
     g = AbelianGroup((2, 2))
-    full = DifferenceSet.verified(g, range(4))
+    full = DifferenceSet(g, range(4))
     f = harmonic_etf(g, full)
     assert (f.m, f.n) == (4, 4)
     cert = certify_etf(f)
@@ -419,6 +419,50 @@ def test_frame_json_entries_round_trip():
     f = steiner_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0))
     back = parse_frame(frame_to_json(f))
     assert np.array_equal(back.entries, f.entries)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32, np.float64, np.complex64], ids=str)
+def test_entries_of_any_dtype_a_frame_takes_are_written_as_complex128(dtype):
+    """Frame takes bool, integer, float and complex entries; each is
+    written as complex128, the per-entry loop's text (an int64 entry raised
+    TypeError at the parent)."""
+    entries = np.array([[1, 0, 1], [0, 1, 0]]).astype(dtype)
+    frame = Frame(entries=entries)
+    wide = entries.astype(np.complex128)
+    doc = {"m": 2, "n": 3, "scale": None, "provenance": {},
+           "entries": [[[float(z.real), float(z.imag)] for z in row] for row in wide]}
+    assert frame_to_json(frame) == json.dumps(doc, sort_keys=True)
+    assert np.array_equal(parse_frame(frame_to_json(frame)).entries, wide)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (0, 1), (0, 0), (3, 0), (1, 0)], ids=str)
+@pytest.mark.parametrize("form", ["signs", "entries"])
+def test_a_frame_with_no_rows_or_no_columns_round_trips(shape, form):
+    """frame_to_json writes 0 x N and M x 0 frames in both forms, and
+    parse_frame reads them back (a 0 x N document was refused at the
+    parent), as naimark_complement writes the complement of a square
+    frame."""
+    if form == "signs":
+        frame = Frame(exact_ints=np.ones(shape, dtype=np.int64), scale_sq=shape[0])
+        assert frame.is_sign_matrix
+    else:
+        frame = Frame(entries=np.ones(shape, dtype=np.complex128))
+    text = frame_to_json(frame)
+    assert form in json.loads(text)
+    back = parse_frame(text)
+    assert (back.m, back.n) == shape and frame_to_json(back) == text
+    assert back.is_sign_matrix == (form == "signs")
+
+
+def test_the_complement_of_a_square_frame_is_read_back_and_refused_again():
+    """naimark_complement of a square frame is a 0 x N frame, whose document
+    reads back; its own complement is refused with NotTight, where the
+    parent divided by zero."""
+    comp = naimark_complement(Frame(entries=np.eye(4, dtype=np.complex128)))
+    back = parse_frame(frame_to_json(comp))
+    assert (back.m, back.n) == (0, 4)
+    with pytest.raises(NotTight, match="no rows"):
+        naimark_complement(back)
 
 
 def test_frame_json_rejects_garbage():
@@ -544,9 +588,9 @@ def _check_against_reference(group, elements):
     want = _ref_verified(group, elements)
     if want is None:
         with pytest.raises(NotADifferenceSet):
-            DifferenceSet.verified(group, elements)
+            DifferenceSet(group, elements)
     else:
-        got = DifferenceSet.verified(group, elements)
+        got = DifferenceSet(group, elements)
         assert (got.elements, got.lam, got.group) == (*want, group)
 
 
@@ -587,17 +631,17 @@ def test_verified_in_several_batches(monkeypatch):
 
     ds = mcfarland_set(2, 2, AbelianGroup((2, 4)))
     monkeypatch.setattr(frames, "_DIFFERENCE_BATCH", 7 * len(ds.elements))  # 7 rows a batch
-    assert DifferenceSet.verified(ds.group, ds.elements) == ds
-    assert DifferenceSet.verified(ds.group, ds.complement().elements) == ds.complement()
+    assert DifferenceSet(ds.group, ds.elements) == ds
+    assert DifferenceSet(ds.group, ds.complement().elements) == ds.complement()
     with pytest.raises(NotADifferenceSet):
-        DifferenceSet.verified(ds.group, ds.elements[1:])
+        DifferenceSet(ds.group, ds.elements[1:])
 
 
 def test_difference_set_range_checked():
     for bad in ((8, 9, 11), (-1, 0, 2)):
         with pytest.raises(IndexOutOfRange):
-            DifferenceSet.verified(AbelianGroup((7,)), bad)
-    assert DifferenceSet.verified(AbelianGroup((7,)), (1, 2, 4)).lam == 1
+            DifferenceSet(AbelianGroup((7,)), bad)
+    assert DifferenceSet(AbelianGroup((7,)), (1, 2, 4)).lam == 1
 
 
 @pytest.mark.parametrize("bad", [(1.9, 2, 4), (np.float64(1.0), 2, 4), (True, 2, 4), (np.True_, 2, 4),
@@ -606,18 +650,18 @@ def test_verified_takes_only_integer_elements(bad):
     """An element that is no integer index is refused, not truncated or
     read: 1.9, True and "1" would all count as the element 1 of {1, 2, 4}."""
     with pytest.raises(IndexOutOfRange):
-        DifferenceSet.verified(AbelianGroup((7,)), bad)
+        DifferenceSet(AbelianGroup((7,)), bad)
 
 
 def test_verified_takes_python_and_numpy_integers():
-    want = DifferenceSet.verified(AbelianGroup((7,)), (1, 2, 4))
+    want = DifferenceSet(AbelianGroup((7,)), (1, 2, 4))
     for elements in ((np.int64(1), np.uint8(2), 4), np.array([4, 2, 1], dtype=np.int32), [4, 1, 2, 2]):
-        assert DifferenceSet.verified(AbelianGroup((7,)), elements) == want
+        assert DifferenceSet(AbelianGroup((7,)), elements) == want
 
 
 def test_not_a_difference_set_is_a_value_error():
     with pytest.raises(NotADifferenceSet):
-        DifferenceSet.verified(AbelianGroup((7,)), (0, 1, 2))
+        DifferenceSet(AbelianGroup((7,)), (0, 1, 2))
     assert issubclass(NotADifferenceSet, ValueError)
 
 
@@ -791,10 +835,13 @@ def test_unit_norm_of_an_integer_form_matches_its_sums_of_squares(case):
     (((0, 1, 2), (2, 3), (4, 5)), "parallel class 0 does not partition the 4 points"),
     (((0, 1), (2, 3, 0), (4, 5)), "parallel class 1 does not partition the 4 points"),
     (((0, 1), (2,), (4, 5)), "parallel class 1 does not partition the 4 points"),
-    (((0, 0), (2, 3), (4, 5)), "a parallel class fails to cover every point"),
-    (((0, 1), (2, 3), (4, 0)), "a parallel class fails to cover every point"),
+    (((0, 0), (2, 3), (4, 5)), "parallel class 0 does not partition the 4 points"),
+    (((0, 1), (2, 3), (4, 0)), "parallel class 2 does not partition the 4 points"),
 ])
 def test_resolution_faults_keep_their_messages(resolution, message):
+    """Each fault names the first class that does not partition the points
+    (designs._class_partition), as validate's classes_partition_points
+    check does."""
     with pytest.raises(NotResolvable, match=f"^{message}$"):
         steiner_etf(_round_robin_4_with_resolution(resolution), drop_row_simplex(hadamard(4), 0))
 

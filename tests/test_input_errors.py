@@ -25,10 +25,12 @@ from hypothesis import example, given, settings, strategies as st
 from etfkit import fixtures
 from etfkit.cli import main
 from etfkit.codes import parse_code
-from etfkit.designs import affine_structure, parse_design, round_robin_design, steiner_params
+from etfkit.designs import (SteinerSystem, affine_design, affine_structure, kirkman15, parse_design,
+                            round_robin_design, steiner_params, validate)
 from etfkit.errors import DesignFormatError, EtfkitError, FrameFormatError
 from etfkit.flatmat import AbelianGroup, UnimodularMatrix, dft, drop_row_simplex, hadamard
-from etfkit.frames import Frame, frame_to_json, harmonic_etf, mcfarland_set, parse_frame, real_kirkman_params
+from etfkit.frames import (DifferenceSet, Frame, frame_to_json, harmonic_etf, kirkman_etf, mcfarland_set,
+                           parse_frame, real_kirkman_params, steiner_etf)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _MCF21 = mcfarland_set(2, 1, AbelianGroup((4,)))
@@ -367,3 +369,78 @@ def test_api_misuse_raises_an_etfkit_error_that_is_a_value_error(call):
     with pytest.raises(EtfkitError) as raised:
         call()
     assert isinstance(raised.value, ValueError)
+
+
+def _values(high: int):
+    """Values for a slot that holds an integer below high: in range, the
+    integers just outside it, and floats, bools and numpy integers."""
+    inside = st.integers(0, max(high - 1, 0))
+    return st.one_of(inside, inside, inside, st.integers(-2, -1), st.integers(high, high + 2),
+                     inside.map(np.int64), inside.map(np.uint8), inside.map(float), st.booleans(),
+                     st.just(np.True_), st.just(np.float64(1.0)))
+
+
+@st.composite
+def design_fields(draw) -> dict:
+    """The fields of a package design with one point, index, v or k
+    replaced, or of a random design, drawn from _values."""
+    design = draw(st.sampled_from([round_robin_design(4), round_robin_design(6), affine_design(2, 1),
+                                   affine_design(3, 1), kirkman15(), None]))
+    if design is None:
+        v = draw(_values(10) | st.just(2 ** 40))
+        rows = st.lists(st.lists(_values(10), max_size=4), max_size=8)
+        return {"v": v, "k": draw(_values(4)), "blocks": draw(rows), "resolution": draw(st.none() | rows)}
+    fields = {"v": design.v, "k": design.k, "blocks": [list(b) for b in design.blocks],
+              "resolution": [list(c) for c in design.resolution]}
+    name = draw(st.sampled_from(["v", "k", "blocks", "blocks", "resolution", "resolution"]))
+    if name in ("v", "k"):
+        fields[name] = draw(_values(design.v + 1))
+    else:
+        row = draw(st.sampled_from(fields[name]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_values(design.v if name == "blocks" else design.b))
+    return fields
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fields=design_fields())
+@example(fields={"v": -3, "k": 2, "blocks": [[]], "resolution": [[0]]}).via("no point fits a negative v")
+@example(fields={"v": 2 ** 40, "k": 2, "blocks": [[0, 1]], "resolution": [[0]]}).via("a V the blocks do not bear out")
+def test_a_design_built_through_the_api_is_refused_or_sound(fields):
+    """A design is refused with an EtfkitError when it is built, or it
+    writes a document that reads back as itself, and validate, steiner_etf
+    and kirkman_etf raise nothing but EtfkitErrors on it."""
+    try:
+        design = SteinerSystem(**fields)
+    except EtfkitError:
+        return
+    assert parse_design(design.to_json()) == design
+    classes = design.resolution or ((),)
+    simplex = drop_row_simplex(dft(len(classes) + 1), 0)
+    for call in (lambda: validate(design), lambda: steiner_etf(design, simplex),
+                 lambda: kirkman_etf(design, simplex, dft(max(len(classes[0]), 1)))):
+        with contextlib.suppress(EtfkitError):
+            call()
+
+
+_Z7 = AbelianGroup((7,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_difference_set_built_through_the_api_is_refused_or_sound(data):
+    """A difference set is refused with an EtfkitError when it is built, or
+    its lam is the count that Lambda (|G| - 1) = |D| (|D| - 1) gives and
+    harmonic_etf raises nothing but EtfkitErrors on it."""
+    group, elements = data.draw(st.sampled_from([(_Z7, [1, 2, 4]), (_Z7, [0, 3, 5, 6]), (_MCF21.group,
+                                                 list(_MCF21.elements)), (AbelianGroup((2, 3)), [0, 1])]))
+    elements = list(elements)  # the sampled list is shared by every example
+    for _ in range(data.draw(st.integers(0, 2))):
+        elements[data.draw(st.integers(0, len(elements) - 1))] = data.draw(_values(group.order))
+    try:
+        dset = DifferenceSet(group, elements)
+    except EtfkitError:
+        return
+    size = len(dset.elements)
+    assert dset.lam * (group.order - 1) == size * (size - 1) and dset.elements == tuple(sorted(set(dset.elements)))
+    with contextlib.suppress(EtfkitError):
+        harmonic_etf(group, dset)

@@ -163,6 +163,27 @@ def test_gram_equal_on_frames_with_no_columns(build):
     assert report.exact == (frame.exact_ints is not None)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Frame(exact_ints=np.zeros((0, 50), dtype=np.int64), scale_sq=0),
+    lambda: Frame(entries=np.zeros((0, 50))),
+], ids=["integer", "entries"])
+def test_frames_with_no_rows_form_no_gram(build, monkeypatch):
+    """A 0 x N document bears out no N, so spark and gram_equal form no
+    N x N Gram of a frame with no rows: its first column depends, and two
+    such Grams are equal zero matrices.  The reports are the dense ones."""
+    frame = build()
+    dense = spark(frame).as_dict(), gram_equal(frame, build()).as_dict()
+
+    def refuse(*args):
+        raise AssertionError("a Gram was formed")
+
+    monkeypatch.setattr(Frame, "gram", refuse)
+    monkeypatch.setattr(Frame, "gram_exact", refuse)
+    assert dense == (spark(frame).as_dict(), gram_equal(frame, build()).as_dict())
+    assert dense[0]["witness"] == [0] and dense[1]["max_dev"] == 0.0
+    assert dense[1]["exact_arithmetic"] == (frame.exact_ints is not None)
+
+
 def test_spark_fig1(fig1):
     report = spark(fig1)
     assert report.spark == 4

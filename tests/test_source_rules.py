@@ -336,13 +336,15 @@ def _writes_a_signs_field(node: ast.AST) -> bool:
 def test_sign_text_has_one_writer():
     """frames._sign_rows writes the text of every sign matrix: only
     frame_to_json calls it and writes a "signs" field, and it reads the
-    integer form only to hand it to _sign_rows, with no tolist."""
+    integer form only to hand it to _sign_rows.  Its one tolist writes the
+    entries form, from the float64 view of the complex128 entries."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     for matches in (_calls("_sign_rows"), _writes_a_signs_field):
         sites = {name: [scope for scope, _ in _sites(tree, matches)] for name, tree in trees.items()}
         assert {name: scopes for name, scopes in sites.items() if scopes} == {"frames.py": ["frame_to_json"]}, sites
     writer = _function(trees["frames.py"], "frame_to_json")
-    assert not [node for node in ast.walk(writer) if _calls("tolist")(node)]
+    lists = [ast.unparse(node.func.value) for node in ast.walk(writer) if _calls("tolist")(node)]
+    assert lists == ["entries.reshape(frame.m, frame.n, 2)"], lists
     handed = {id(arg) for node in ast.walk(writer) if _calls("_sign_rows")(node) for arg in node.args}
     assert all(id(node) in handed for node in _attributes(writer, "exact_ints"))
 
@@ -357,3 +359,33 @@ def test_codes_enumerates_no_pairs_in_python():
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"itertools", "combinations"}, imported
+
+
+def _tests_a_type(node: ast.AST) -> bool:
+    return any(_calls(name)(node) for name in ("isinstance", "issubclass", "type"))
+
+
+def test_designs_and_difference_sets_are_checked_where_they_are_built():
+    """SteinerSystem.__post_init__ is the one place in designs that tests a
+    value's type or raises DesignFormatError for a field, so parse_design
+    and to_json hold no field checks of their own (parse_design refuses
+    only text that is no JSON object with the fields); only
+    DifferenceSet.__post_init__ takes differences in frames, and
+    DifferenceSet has no other way to be built; and designs._class_partition
+    decides the class partition, called only by validate and by
+    frames._resolution_lookup, which only the two frame builders call."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    designs, frames = trees["designs.py"], trees["frames.py"]
+    assert {scope for scope, _ in _sites(designs, _tests_a_type)} == {"SteinerSystem.__post_init__"}
+    raises = [scope for scope, _ in _sites(designs, _calls("DesignFormatError"))]
+    assert set(raises) == {"SteinerSystem.__post_init__", "parse_design"} and raises.count("parse_design") == 2
+    for name in ("parse_design", "SteinerSystem.to_json"):
+        assert not [scope for scope, _ in _sites(designs, lambda node: isinstance(node, ast.Compare))
+                    if scope == name], name
+    calls = {name: [scope for scope, _ in _sites(tree, _calls("sub_array"))] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in calls.items() if scopes} == {"frames.py": ["DifferenceSet.__post_init__"]}
+    assert not [node for node in ast.walk(frames) if isinstance(node, ast.FunctionDef) and node.name == "verified"]
+    for callee, callers in (("_class_partition", {"designs.py": ["validate"], "frames.py": ["_resolution_lookup"]}),
+                            ("_resolution_lookup", {"frames.py": ["steiner_etf", "kirkman_etf"]})):
+        calls = {name: [scope for scope, _ in _sites(tree, _calls(callee))] for name, tree in trees.items()}
+        assert {name: scopes for name, scopes in calls.items() if scopes} == callers, callee

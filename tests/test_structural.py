@@ -118,9 +118,10 @@ def test_kirkman_and_steiner_frames_are_certified_from_their_structure(name, mon
 def test_a_frame_is_read_once(name, monkeypatch):
     """A frame keeps its Steiner form: after certify_etf has read the
     Kirkman frame, gram_equal reads only the Steiner frame, and nothing
-    after reads either again.  The form's verdict is not kept: only the
-    certificate path checks it (_is_steiner), so gram_equal checks
-    neither frame."""
+    after reads either again.  Only the certificate path checks a form
+    (_is_steiner), once per frame, and keeps the verdict beside it, so
+    gram_equal checks neither frame and no later certificate or coherence
+    checks one again."""
     read, calls = metrics._steiner_form, []
     monkeypatch.setattr(metrics, "_steiner_form", lambda ints, d: calls.append(ints.shape) or read(ints, d))
     check, checks = metrics._is_steiner, []
@@ -133,7 +134,7 @@ def test_a_frame_is_read_once(name, monkeypatch):
     assert calls == [flat.exact_ints.shape, sparse.exact_ints.shape] and checks == [flat.m]
     for frame in (flat, sparse):
         assert certify_etf(frame).passed and coherence(frame) == Fraction(1, sparse.scale_sq)
-    assert gram_equal(sparse, flat).passed and len(calls) == 2 and len(checks) == 5
+    assert gram_equal(sparse, flat).passed and len(calls) == 2 and checks == [flat.m, sparse.m]
     assert flat._steiner[2] == sparse._steiner[2] == sparse.scale_sq
 
 
