@@ -156,9 +156,9 @@ def affine_design(q: int, j: int) -> SteinerSystem:
     g and trace-one element d; class r collects the lines of direction g^-r.
     Output is re-sorted into canonical form like every other constructor.
     """
-    _, design = affine_structure(q, j)
-    blocks, resolution = _canonicalize([[design.blocks[i] for i in cls] for cls in design.resolution])
-    return SteinerSystem(v=design.v, k=design.k, blocks=blocks, resolution=resolution)
+    structure, lines = _affine_lines(q, j)
+    blocks, resolution = _canonicalize(lines.tolist())
+    return SteinerSystem(v=structure.field.order, k=q, blocks=blocks, resolution=resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,24 +193,25 @@ def _affine_field(q: int, j: int) -> AffineStructure:
     return AffineStructure(q=q, j=j, field=fld, hyperplane=hyper, delta=gf.trace_one_element(fld, q))
 
 
-def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
-    """Affine design in natural (r, s) block order plus its field data."""
+def _affine_lines(q: int, j: int) -> tuple[AffineStructure, np.ndarray]:
+    """The field data of the affine design over GF(q^(j+1)) and its R x S x q
+    lines, each sorted, with no design built: class r, offset s holds the
+    line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}."""
     structure = _affine_field(q, j)
     fld, hyper, delta = structure.field, structure.hyperplane, structure.delta
-    d = fld.k // (j + 1)  # q = p^d
-    big_r = (q ** (j + 1) - 1) // (q - 1)
-
-    # class r, offset s: the line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}
     n1 = fld.order - 1
-    g_neg = fld.antilog[-np.arange(big_r) % n1][:, None]  # g^-r, an R x 1 column
+    g_neg = fld.antilog[-np.arange((q ** (j + 1) - 1) // (q - 1)) % n1][:, None]  # g^-r, an R x 1 column
     start = fld.mul_indices(fld.mul_indices(hyper, g_neg), fld.pow_indices(delta, n1 - 1))
-    steps = fld.mul_indices(fld.subfield_indices(d), g_neg)
-    lines = np.sort(fld.add_indices(start[:, :, None], steps[:, None, :]), axis=-1)
-    blocks = tuple(map(tuple, lines.reshape(-1, q).tolist()))
-    s_count = len(hyper)
-    resolution = tuple(tuple(range(r * s_count, (r + 1) * s_count)) for r in range(big_r))
+    steps = fld.mul_indices(fld.subfield_indices(fld.k // (j + 1)), g_neg)  # GF(q) = GF(p^(k/(j+1)))
+    return structure, np.sort(fld.add_indices(start[:, :, None], steps[:, None, :]), axis=-1)
 
-    return structure, SteinerSystem(v=fld.order, k=q, blocks=blocks, resolution=resolution)
+
+def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
+    """Affine design in natural (r, s) block order plus its field data."""
+    structure, lines = _affine_lines(q, j)
+    resolution = np.arange(lines[..., 0].size).reshape(lines.shape[:2]).tolist()  # class r lists its S lines
+    return structure, SteinerSystem(v=structure.field.order, k=q, blocks=lines.reshape(-1, q).tolist(),
+                                    resolution=resolution)
 
 
 def round_robin_design(v: int) -> SteinerSystem:

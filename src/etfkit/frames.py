@@ -465,10 +465,9 @@ class DifferenceSet:
     """Subset D of an abelian group hitting every nonzero element as a
     difference exactly lam times, checked once, when built, and lam derived.
     Each element must be an integer index (Python or numpy, not a bool) in
-    [0, |G|), which AbelianGroup.sub_array would otherwise read mod |G|;
-    then all |D|^2 differences are counted by np.bincount, in batches of
-    whole rows of at most _DIFFERENCE_BATCH pairs.  elements are stored
-    sorted, without repeats, as Python ints."""
+    [0, |G|), which AbelianGroup.sub_array would read mod |G|; then all |D|^2
+    differences are counted by np.bincount, in batches of whole rows of at
+    most _DIFFERENCE_BATCH pairs.  elements are kept sorted, unique, as ints."""
 
     group: AbelianGroup
     elements: tuple[int, ...]

@@ -659,6 +659,17 @@ def test_verified_takes_python_and_numpy_integers():
         assert DifferenceSet(AbelianGroup((7,)), elements) == want
 
 
+def test_lam_is_derived_and_cannot_be_passed_in():
+    """The parent took lam as given: DifferenceSet(Z_7, (1, 2, 11), lam=5)
+    built the {1, 2, 4} harmonic frame with "lambda": 5 in its provenance."""
+    with pytest.raises(TypeError):
+        DifferenceSet(group=AbelianGroup((7,)), elements=(1, 2, 4), lam=5)
+    with pytest.raises(IndexOutOfRange):
+        DifferenceSet(AbelianGroup((7,)), (1, 2, 11))
+    ds = DifferenceSet(AbelianGroup((7,)), (1, 2, 4))
+    assert ds.lam == 1 and harmonic_etf(ds.group, ds).provenance["lambda"] == 1
+
+
 def test_not_a_difference_set_is_a_value_error():
     with pytest.raises(NotADifferenceSet):
         DifferenceSet(AbelianGroup((7,)), (0, 1, 2))
