@@ -2,15 +2,15 @@
 
 A real +-1/sqrt(M) frame and a self-complementary (M, 2N) binary code are two
 views of the same object: column signs map to bits (+ -> 0, - -> 1), the
-second half of the code is the complement of the first, and distance-bound
-equality for the code is Welch-bound equality for the frame.
+frame's exponents mod 2, the second half of the code is the complement of
+the first, and distance-bound equality for the code is Welch-bound equality.
 
 A BinaryCode is one read-only W x m uint8 bit array; validation, text I/O and
 the frame conversions are array operations on it.  All arithmetic in this
 module is exact (bits and integers, no tolerances).  A self-complementary
 code is certified as the frame it is: its distance and its ETF side are
 both read off metrics._gram_profile of the frame S^T / sqrt(m) of its first
-half's signs, which code_to_frame builds (_half), and certify_grbe hands
+half's bits, which code_to_frame builds (_half), and certify_grbe hands
 that profile to metrics._certify, the path certify_etf takes.  The profile
 is structural, with no Gram, for the code of a Steiner-form sign frame (a
 kirkman_etf frame, or a +-1 harmonic frame of (Z_2)^k), else it reads the
@@ -34,7 +34,7 @@ from .errors import (
     NotSelfComplementary,
     TooFewWords,
 )
-from .frames import Frame, exact_gram
+from .frames import Frame, _signs, exact_gram
 from .metrics import DEFAULT_TOL, _certify, _gram_profile
 
 _NOT_BITS = "every codeword must be a 0/1 vector of the stated length"
@@ -214,24 +214,20 @@ def frame_to_code(frame: Frame) -> BinaryCode:
     if not frame.is_sign_matrix:
         raise NotRealConstantAmplitude(
             "frame is not in exact sign form; only +-1/sqrt(M) frames convert to codes")
-    n = frame.n
-    words = np.empty((2 * n, frame.m), dtype=bool)
-    words[:n] = (frame.exact_ints < 0).T  # compared in the form's row order, then transposed as bytes
-    np.logical_not(words[:n], out=words[n:])
-    return BinaryCode(m=frame.m, words=words, self_complementary=True)
+    bits = np.ascontiguousarray(frame.phases.T).view(bool)  # the exponents mod 2, in rows, are the bits
+    return BinaryCode(m=frame.m, words=np.concatenate((bits, ~bits)), self_complementary=True)
 
 
 def code_to_frame(code: BinaryCode) -> Frame:
-    """Exponentiate the first half of a self-complementary code back into the
-    M x N sign-form frame S^T / sqrt(M), S = (-1)^bit of the first N = W/2
-    words.  S^T is held as an int8 view, with no copy and no norm pass: +-1
-    over sqrt(M) is unit-norm."""
+    """The M x N sign-form frame S^T / sqrt(M), S = (-1)^bit of the first
+    N = W/2 words of a self-complementary code: the transposed bits are its
+    exponents mod 2, held as a view, with no copy and no norm pass (+-1 over
+    sqrt(M) is unit-norm)."""
     if not code.self_complementary:
         raise NotSelfComplementary("only self-complementary codes map back to frames")
     half = code.count // 2
-    signs = 1 - 2 * code.bits[:half].astype(np.int8)
-    return Frame(exact_ints=signs.T, scale_sq=code.m,
-                 provenance={"construction": "from-code", "m": code.m, "n": half})
+    return Frame(scale_sq=code.m, provenance={"construction": "from-code", "m": code.m, "n": half},
+                 _phases=(code.bits[:half].T, 2))
 
 
 def _half(code: BinaryCode) -> tuple[int, Frame, tuple]:
@@ -274,7 +270,7 @@ def distance(code: BinaryCode) -> int:
         return _half(code)[0]
     if code.count < 2:
         raise TooFewWords("distance needs at least two codewords")
-    gram = exact_gram(1 - 2 * code.bits.astype(np.int8))
+    gram = exact_gram(_signs(code.bits))
     np.fill_diagonal(gram, -code.m)  # no pair has a smaller inner product
     return (code.m - int(gram.max())) // 2
 

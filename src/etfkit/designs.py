@@ -32,7 +32,7 @@ class SteinerSystem:
 
     resolution, when present, lists R parallel classes, each a list of block
     indices whose blocks partition the point set.  The fields are checked
-    once, here: v and k integers with k >= 2, block points in [0, V) and
+    once, here: v and k integers with 2 <= k <= v, block points in [0, V) and
     resolution indices in [0, B), where an integer is a Python or numpy
     integer, not a bool; else DesignFormatError.  Points and indices are
     stored as tuples of Python ints, which JSON writes.
@@ -50,6 +50,8 @@ class SteinerSystem:
         object.__setattr__(self, "k", int(self.k))
         if self.k < 2:
             raise DesignFormatError(f"k must be at least 2, got {self.k}")
+        if self.v < self.k:  # no block of K points fits, and V = 0 would pass every check of validate
+            raise DesignFormatError(f"v must be at least k = {self.k}, got {self.v}")
         bound = self.v
         for name, what in (("blocks", "block point"), ("resolution", "resolution index")):
             if name == "resolution" and self.resolution is None:

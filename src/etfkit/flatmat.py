@@ -40,8 +40,8 @@ class UnimodularMatrix:
 
     Orthogonal kinds (dft, hadamard, character-table) have pairwise-orthogonal
     columns of squared norm rows; the simplex kind is (n-1) x n with distinct
-    columns at inner-product modulus exactly 1.  Equality and hashing are
-    over kind, shape, dtype and entry bytes.
+    columns at inner-product modulus exactly 1.  Equality is over kind, shape,
+    dtype and entry bytes (read off exponents of one L), hashing over kind and shape.
 
     One form is stored, _exponents = (phases, L) with entries zeta_L^phases
     (+-1 signs: L = 2), handed in as _phases by a builder that proved them.
@@ -60,8 +60,8 @@ class UnimodularMatrix:
             vars(self)["entries"] = gf._read_only(np.array(entries))  # a copy: the caller's cannot change it
             if not _checked:
                 self.check()
-            if np.all((self.entries == 1) | (self.entries == -1)):  # 2-d, checked: a +-1 matrix
-                vars(self)["_exponents"] = ((self.entries.real < 0).view(np.uint8), 2)
+            if (signs := _sign_exponents(self.entries)) is not None:  # 2-d, checked: a +-1 matrix
+                vars(self)["_exponents"] = (signs, 2)
                 del vars(self)["entries"]  # derived again from the exponents
         if self._exponents is not None:
             self._exponents[0].flags.writeable = False
@@ -79,16 +79,17 @@ class UnimodularMatrix:
             return None
         return gf._read_only(_root_values(*self._exponents))
 
-    def _key(self) -> tuple:
-        return (self.kind, self.entries.shape, self.entries.dtype.str, self.entries.tobytes())
-
     def __eq__(self, other):
         if not isinstance(other, UnimodularMatrix):
             return NotImplemented
-        return self._key() == other._key()
+        if (self.kind, self._stored.shape) != (other.kind, other._stored.shape):
+            return False
+        if self._exponents and other._exponents and self._exponents[1] == other._exponents[1]:  # one table
+            return np.array_equal(self._exponents[0], other._exponents[0])
+        return (self.entries.dtype.str, self.entries.tobytes()) == (other.entries.dtype.str, other.entries.tobytes())
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.kind, self._stored.shape))
 
     @property
     def rows(self) -> int:
@@ -162,58 +163,59 @@ def dft(n: int) -> UnimodularMatrix:
     return _character_matrix(AbelianGroup((n,)), np.arange(n), "dft")
 
 
-def _paley_signs(n: int) -> np.ndarray:
-    """Paley-I Hadamard matrix of order n = q + 1, q a prime power = 3 mod 4."""
+def _sign_exponents(values: np.ndarray) -> np.ndarray | None:
+    """Read-only uint8 exponents mod 2 of +-1 entries, else None: how outside data is read as signs."""
+    return gf._read_only((values < 0).view(np.uint8)) if np.all((values == 1) | (values == -1)) else None
+
+
+def _paley_exponents(n: int) -> np.ndarray:
+    """Paley-I Hadamard matrix of order n = q + 1, q a prime power = 3 mod 4, as
+    exponents mod 2: 1 in column 0 below row 0, and where a - b is a non-square."""
     q = n - 1
-    p, d = gf.prime_power(q)
-    fld = gf.make_field(p, d)
-    # the quadratic character chi in canonical element order: +1 on nonzero
-    # squares, -1 on non-squares, 0 at zero
+    fld = gf.make_field(*gf.prime_power(q))
+    nonsquare = np.ones(q, dtype=np.uint8)  # in canonical element order, 0 at zero
     nonzero = np.arange(1, q)
-    chi = np.full(q, -1, dtype=np.int64)
-    chi[0] = 0
-    chi[fld.mul_indices(nonzero, nonzero)] = 1
+    nonsquare[0] = nonsquare[fld.mul_indices(nonzero, nonzero)] = 0
     elts = np.arange(q)
-    jac = chi[fld.sub_indices(elts[:, None], elts[None, :])]
-    h = np.empty((n, n), dtype=np.int64)
-    h[0, :] = 1
-    h[1:, 0] = -1
-    h[1:, 1:] = jac + np.eye(q, dtype=np.int64)
-    return h
+    exponents = np.zeros((n, n), dtype=np.uint8)
+    exponents[1:, 0] = 1
+    exponents[1:, 1:] = nonsquare[fld.sub_indices(elts[:, None], elts[None, :])]
+    return exponents
 
 
 @lru_cache(maxsize=None)
 def _hadamard_signs(n: int) -> np.ndarray | None:
-    """Read-only int64 sign matrix of order n, or None if unreachable."""
+    """Read-only uint8 exponents mod 2 of the sign matrix of order n, or None if unreachable."""
     if n == 1:
-        signs = np.ones((1, 1), dtype=np.int64)
+        exponents = np.zeros((1, 1), dtype=np.uint8)
     elif n % 4 and n != 2:
         return None
-    elif _hadamard_signs(n // 2) is not None:
-        signs = np.kron(np.array([[1, 1], [1, -1]]), _hadamard_signs(n // 2))
+    elif (half := _hadamard_signs(n // 2)) is not None:
+        exponents = np.block([[half, half], [half, half ^ 1]])  # [[H, H], [H, -H]]
     elif gf.prime_power(n - 1) is not None and (n - 1) % 4 == 3:
-        signs = _paley_signs(n)
+        exponents = _paley_exponents(n)
     else:
         for d in range(4, n // 3):
             if n % d == 0 and _hadamard_signs(d) is not None and _hadamard_signs(n // d) is not None:
-                signs = np.kron(_hadamard_signs(d), _hadamard_signs(n // d))
+                outer = np.bitwise_xor.outer(_hadamard_signs(d), _hadamard_signs(n // d))  # Kronecker: XOR
+                exponents = outer.swapaxes(1, 2).reshape(n, n)
                 break
         else:
             return None
-    return gf._read_only(signs)
+    return gf._read_only(exponents)
 
 
 def hadamard_order_reachable(n: int) -> bool:
     return n >= 1 and _hadamard_signs(n) is not None
 
 
-def _has_hadamard_identity(signs: np.ndarray) -> bool:
-    """True when every entry is +-1 and H^T H = n I, exactly: with +-1
-    entries every partial sum of H^T H is an integer of magnitude at most
-    n < 2^53, so the float64 BLAS product is exact."""
-    if not np.all(np.abs(signs) == 1):
+def _has_hadamard_identity(exponents: np.ndarray) -> bool:
+    """True when every exponent is 0 or 1 and H = (-1)^exponents has H^T H =
+    n I, exactly: every partial sum of H^T H is an integer of magnitude at
+    most n < 2^53, so the float64 BLAS product is exact."""
+    if not np.all((exponents == 0) | (exponents == 1)):
         return False
-    f = signs.astype(np.float64)
+    f = 1.0 - 2.0 * exponents
     gram = f.T @ f
     gram[np.diag_indices(len(f))] -= len(f)  # H^T H - n I, without an n x n identity
     return not gram.any()
@@ -221,16 +223,16 @@ def _has_hadamard_identity(signs: np.ndarray) -> bool:
 
 def hadamard(n: int) -> UnimodularMatrix:
     """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
-    composed with Kronecker products; both are checked exactly on the signs,
-    which it stores as their exponents mod 2."""
+    composed with Kronecker products as exponents mod 2, checked exactly on
+    them, and stored as those cached read-only exponents."""
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
-    signs = _hadamard_signs(n)
-    if signs is None:
+    exponents = _hadamard_signs(n)
+    if exponents is None:
         raise UnsupportedHadamardOrder(f"no Hadamard matrix of order {n} in the implemented closure")
-    if not _has_hadamard_identity(signs):
+    if not _has_hadamard_identity(exponents):
         raise InvariantViolation(f"constructed matrix of order {n} fails the exact Hadamard identity")
-    return UnimodularMatrix(None, "hadamard", _phases=((signs < 0).view(np.uint8), 2))
+    return UnimodularMatrix(None, "hadamard", _phases=(exponents, 2))
 
 
 def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:

@@ -2,11 +2,11 @@
 constant-amplitude counterparts, difference-set (harmonic) ETFs, Naimark
 complements, and the parameter calculator for real constant-amplitude builds.
 
-A frame whose entries are integer multiples of a common 1/sqrt(d) stores
-only that integer matrix and d, so Gram computations downstream are exact and
-the +-1/sqrt(M) case is what the binary-code bridge consumes.  A flat frame
-of L-th roots of unity, L > 2, stores only their exponents mod L and d.
-Either way the complex entries are derived when first read.  _assemble is
+A flat frame of L-th roots of unity stores only their exponents mod L and d,
+a +-1/sqrt(M) frame, which the binary-code bridge consumes, among them at
+L = 2; any other frame of integer multiples of a common 1/sqrt(d) stores that
+integer matrix and d.  So Gram computations downstream are exact, and the
+complex entries are derived when first read.  _assemble is
 the one place a construction picks its form, from what it gathered, and
 exact_gram the one place that decides how an integer product, always the
 Gram a a^T of one matrix, is computed exactly.  Exponents are the one exact
@@ -47,6 +47,7 @@ from .flatmat import (
     _phase_dtype,
     _root_table,
     _root_values,
+    _sign_exponents,
     hadamard_order_reachable,
     simplex_from_characters,
 )
@@ -88,17 +89,18 @@ def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
 class Frame:
     """M x N synthesis matrix; columns are the frame vectors.
 
-    A frame stores one form.  A float frame stores its complex entries.  An
-    integer frame stores exact_ints and scale_sq, the frame being
-    exact_ints / sqrt(scale_sq).  A phase frame stores phases, its exponents
-    mod order (an unsigned integer array), and scale_sq, the frame being
-    zeta_order^phases / sqrt(scale_sq); a builder hands them in as the
-    private _phases = (phases, order).  An exact form's entries are derived
-    on first read, by _numeric, and kept read-only, and every exact check
-    reads the integers alone.  Entries passed alongside an exact form must
-    equal the derived ones.  The stored form is checked once, here: finite
-    2-D entries, 2-D integer exact_ints, and an integer scale_sq (not a
-    bool), positive on a nonempty form; else FrameFormatError.
+    A frame stores one form.  A float frame stores its complex entries.  A
+    phase frame stores phases, its exponents mod order (unsigned integers),
+    and scale_sq, the frame being zeta_order^phases / sqrt(scale_sq); a
+    builder hands them in as the private _phases = (phases, order).  A +-1
+    frame at scale M is the phase form at order 2, however it is handed in
+    (exact_ints of +-1 are converted here); any other integer frame stores
+    exact_ints and scale_sq, the frame being exact_ints / sqrt(scale_sq).
+    A sign frame's exact_ints and an exact form's entries are derived on
+    first read and kept read-only; any passed in must equal them.  The
+    stored form is checked once, here: finite 2-D entries, 2-D integer
+    exact_ints, and an integer scale_sq (not a bool), positive on a nonempty
+    form; else FrameFormatError.
     """
 
     entries: np.ndarray
@@ -115,8 +117,8 @@ class Frame:
         if exact is not None:
             exact = np.asarray(exact).view()
             exact.flags.writeable = False
-        if (exact is None) != (scale_sq is None) or (exact_ints is not None and phases is not None):
-            raise FrameFormatError("an exact form is exact_ints or phases, one of them, with scale_sq")
+        if (exact is None) != (scale_sq is None):
+            raise FrameFormatError("an exact form is exact_ints or phases, with scale_sq")
         if exact is None and entries is None:
             raise FrameFormatError("a frame needs entries or an exact form")
         if phases is not None and (exact.ndim != 2 or exact.dtype.kind != "u" or exact.max(initial=0) >= order):
@@ -135,7 +137,10 @@ class Frame:
                 raise FrameFormatError("entries must be a matrix of numbers")
             if not np.isfinite(entries).all():
                 raise FrameFormatError("entries must be finite numbers")
-        self.exact_ints = exact if phases is None else None
+        signs = _sign_exponents(exact) if phases is None and exact is not None and scale_sq == len(exact) else None
+        if signs is not None:  # +-1 / sqrt(M): a sign frame
+            exact, phases, order = signs, signs, 2
+        self._ints = exact if phases is None else None
         self._phases = None if phases is None else (exact, order)
         self.scale_sq = scale_sq
         self.provenance = {} if provenance is None else provenance
@@ -143,6 +148,8 @@ class Frame:
         self._steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form and verdict here
         if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
             raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
+        if _phases is not None and exact_ints is not None and not np.array_equal(exact_ints, self.exact_ints):
+            raise FrameFormatError("exact_ints differ from the signs of the phases")
 
     @property
     def entries(self) -> np.ndarray:
@@ -162,6 +169,14 @@ class Frame:
         return self._entries
 
     @property
+    def exact_ints(self) -> np.ndarray | None:
+        """The stored integers, or a sign frame's int8 +-1, derived on first read and kept read-only."""
+        if self._ints is None and self._phases is not None and self.order <= 2:
+            self._ints = _signs(self.phases)
+            self._ints.flags.writeable = False
+        return self._ints
+
+    @property
     def phases(self) -> np.ndarray | None:
         return None if self._phases is None else self._phases[0]
 
@@ -171,7 +186,7 @@ class Frame:
 
     @property
     def _stored(self) -> np.ndarray:
-        return next(a for a in (self.exact_ints, self.phases, self._entries) if a is not None)
+        return next(a for a in (self.phases, self._ints, self._entries) if a is not None)
 
     @property
     def m(self) -> int:
@@ -183,13 +198,8 @@ class Frame:
 
     @property
     def is_sign_matrix(self) -> bool:
-        """True when entries are exactly +-1/sqrt(M): the code-bridge form."""
-        return (
-            self.exact_ints is not None
-            and self.scale_sq == self.m
-            and _abs_max(self.exact_ints) <= 1
-            and bool(self.exact_ints.all())
-        )
+        """True when the stored form is +-1/sqrt(M), phases of order <= 2 at scale M."""
+        return self._phases is not None and self.order <= 2 and self.scale_sq == self.m
 
     def gram(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
@@ -218,11 +228,8 @@ class Frame:
                 norms = np.linalg.norm(self.entries, axis=0)
         else:
             top = _abs_max(self.exact_ints)
-            if top <= 1:
-                sums = np.count_nonzero(self.exact_ints, axis=0)
-            else:
-                ints = _exact_ints(self.exact_ints, top ** 2 * self.m)
-                sums = np.sum(ints * ints, axis=0)
+            sums = (np.count_nonzero(self.exact_ints, axis=0) if top <= 1
+                    else np.sum(_exact_ints(self.exact_ints, top ** 2 * self.m) ** 2, axis=0))
             norms = np.sqrt(sums.astype(np.float64) / self.scale_sq)
         worst = float(np.abs(norms - 1.0).max())
         if not worst <= tol:
@@ -232,8 +239,8 @@ class Frame:
 def _numeric(values: np.ndarray, scale_sq: int) -> np.ndarray:
     """The complex entries values / sqrt(scale_sq) of an exact form, values
     its integers or the table of roots its phases gather from: Frame.entries
-    derives them here."""
-    return np.true_divide(values, np.sqrt(scale_sq), dtype=np.complex128)
+    derives them here (an empty form, the one with scale_sq 0, divides by 1)."""
+    return np.true_divide(values, np.sqrt(max(scale_sq, 1)), dtype=np.complex128)
 
 
 # -- serialization ------------------------------------------------------------
@@ -243,18 +250,18 @@ _SIGN_CELLS = np.frombuffer(b"1, \0-1, 1\0\0\0-1\0\0", dtype=np.uint32).reshape(
 _ROW_BREAK = np.frombuffer(b"], [", dtype=np.uint32)[0]
 
 
-def _sign_rows(ints: np.ndarray) -> str:
-    """json.dumps(ints.tolist()) of a +-1 matrix, written from the array: the
-    one writer of sign text.  Each entry is one NUL-padded 4-byte cell,
-    "1, " or "-1, ", or "1" or "-1" at the end of its row, chosen by one
-    np.where; a cell "], [" follows each row, and bytes.translate drops the
-    NULs."""
-    if not ints.size:
-        return json.dumps(ints.tolist())
-    m, n = ints.shape
+def _sign_rows(exponents: np.ndarray) -> str:
+    """json.dumps of the +-1 matrix (-1)^exponents as nested lists, written
+    from the exponents: the one writer of sign text.  Each entry is one
+    NUL-padded 4-byte cell, "1, " or "-1, ", or "1" or "-1" at the end of
+    its row, chosen by one np.where; a cell "], [" follows each row, and
+    bytes.translate drops the NULs."""
+    if not exponents.size:
+        return json.dumps(exponents.tolist())
+    m, n = exponents.shape
     cells = np.repeat(_SIGN_CELLS, (n - 1, 1), axis=0)  # n x 2: column j's cells of +1 and -1
     text = np.empty((m, n + 1), dtype=np.uint32)
-    text[:, :n] = np.where(ints < 0, cells[:, 1], cells[:, 0])
+    text[:, :n] = np.where(exponents, cells[:, 1], cells[:, 0])
     text[:, n] = _ROW_BREAK
     return "[[" + text.tobytes().translate(None, b"\0")[:-4].decode() + "]]"
 
@@ -266,7 +273,7 @@ def frame_to_json(frame: Frame) -> str:
     if frame.is_sign_matrix:
         head = json.dumps({"m": frame.m, "n": frame.n, "scale_sq_inv": frame.scale_sq,
                            "provenance": frame.provenance}, sort_keys=True)
-        return f'{head[:-1]}, "signs": {_sign_rows(frame.exact_ints)}}}'
+        return f'{head[:-1]}, "signs": {_sign_rows(frame.phases)}}}'
     entries = np.ascontiguousarray(frame.entries, dtype=np.complex128).view(np.float64)
     return json.dumps({"m": frame.m, "n": frame.n, "scale": None, "provenance": frame.provenance,
                        "entries": entries.reshape(frame.m, frame.n, 2).tolist()}, sort_keys=True)
@@ -343,39 +350,33 @@ def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
     return pos, block
 
 
+def _signs(exponents: np.ndarray) -> np.ndarray:
+    """(-1)^exponents below 2 as int8 +-1, by arithmetic: a gather from the root table takes 10x as long."""
+    return 1 - 2 * exponents.astype(np.int8)
+
+
 def _form(m: UnimodularMatrix) -> np.ndarray:
-    """m's +-1 signs, as int8, gathered straight from its exponents, when it
-    has them, else its entries: the array a builder gathers, so that the
-    dtype of the product decides the form."""
-    if m._exponents is None or m._exponents[1] > 2:
-        return m.entries
-    return _root_values(*m._exponents, _root_table(m._exponents[1]).astype(np.int8))
+    """m's +-1 signs (_signs) when its exponents have order <= 2, else its
+    entries: the array a builder gathers, so that the dtype of the product
+    decides the form."""
+    return m.entries if m._exponents is None or m._exponents[1] > 2 else _signs(m._exponents[0])
 
 
 def _assemble(values: np.ndarray, scale_sq: int, provenance: dict, order: int | None = None) -> Frame:
-    """The unit-norm frame values / sqrt(scale_sq): the one place a
-    construction picks its form.  With order, values are the exponents mod
-    order of the roots zeta_order: order <= 2 gives the integer form of the
-    signs they gather (flatmat._root_values), in int8, one byte per sign as
-    code_to_frame holds them (every product of an integer form goes through
-    exact_gram, which widens it), any larger order the phase form,
-    stored in _phase_dtype(order); either way every entry has modulus
-    1/sqrt(scale_sq), so it is unit-norm when M = scale_sq, checked first.
-    Without it, integer values become the integer form, and any others
-    complex entries divided by sqrt(scale_sq), checked by check_unit_norm."""
+    """The unit-norm frame values / sqrt(scale_sq), checked by
+    check_unit_norm: the one place a construction picks its form.  With
+    order, values are the exponents mod order of the roots zeta_order, kept
+    as the phase form in _phase_dtype(order), a sign frame's at order 2 when
+    order <= 2.  Without it, integer values become the integer form, and any
+    others complex entries divided by sqrt(scale_sq)."""
     if order is not None:
-        if values.size and len(values) != scale_sq:  # check_unit_norm's phase test, before any gather
-            raise NotUnitNorm(f"column norms are sqrt({len(values)}/{scale_sq}), not 1")
-        if order > 2:
-            return Frame(scale_sq=scale_sq, provenance=provenance,
-                         _phases=(values.astype(_phase_dtype(order), copy=False), order))
-        values = _root_values(values, order, _root_table(order).astype(np.int8))
-    if np.issubdtype(values.dtype, np.integer):
+        frame = Frame(scale_sq=scale_sq, provenance=provenance,
+                      _phases=(values.astype(_phase_dtype(order), copy=False), max(order, 2)))
+    elif np.issubdtype(values.dtype, np.integer):
         frame = Frame(exact_ints=values, scale_sq=scale_sq, provenance=provenance)
     else:
         frame = Frame(entries=np.asarray(values, dtype=np.complex128) / np.sqrt(scale_sq), provenance=provenance)
-    if order is None:
-        frame.check_unit_norm()
+    frame.check_unit_norm()
     return frame
 
 
@@ -599,9 +600,8 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     and of column (u, v) with the character pair.  Both frames are exact
     forms built by _assemble: the harmonic one from the character phases at
     the difference set, the design-based one from the sums of simplex and
-    basis exponents (kirkman_etf), both mod the exponent L of G x V.  So with
-    an exponent-two G and p = 2 both are +-1 integer forms, and otherwise
-    phase forms.
+    basis exponents (kirkman_etf), both mod the exponent L of G x V: phase
+    forms, sign frames (L = 2) when G has exponent two and p = 2.
 
     The theorem is checked as one integer identity, the only test: both are
     unit-norm flat frames at scale M, and their exponents (_unit_exponents)
@@ -667,13 +667,9 @@ def _group_hint(frame: Frame) -> AbelianGroup | None:
 
 def _unit_exponents(frame: Frame) -> tuple[np.ndarray, int] | None:
     """(exponents, L) with the frame exactly zeta_L^exponents / sqrt(M): a
-    phase frame's phases when its scale is M, the exponents mod 2 of the
-    signs of a +-1/sqrt(M) integer frame; None for any other frame."""
-    if frame.is_sign_matrix:
-        return (frame.exact_ints < 0).view(np.uint8), 2
-    if frame.phases is not None and frame.scale_sq == frame.m:
-        return frame.phases, frame.order
-    return None
+    phase frame's stored phases, a sign frame's among them, when its scale
+    is M; None for any other frame."""
+    return frame._phases if frame.phases is not None and frame.scale_sq == frame.m else None
 
 
 def _character_rows(frame: Frame) -> tuple[AbelianGroup, np.ndarray] | None:
@@ -704,11 +700,14 @@ def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     characters are.  So the frame and its complement are exactly tight, and
     neither a frame operator nor an SVD is formed; when D is a difference
     set, the complement has the exact form of harmonic_etf of the
-    complementary set.  An exponent-two group gives a +-1 integer frame.
+    complementary set.  An exponent-two group gives a sign frame.
 
     Every other frame, a float frame, one with no group hint and one whose
     check fails, is checked tight on its float frame operator
-    (_tightness_deviation), and its complement is read off the SVD."""
+    (_tightness_deviation), and its complement is read off the SVD.  The
+    SVD's last bits depend on the BLAS kernel and its thread count, so the
+    bytes of such a complement are fixed only under one BLAS and thread
+    count (OPENBLAS_NUM_THREADS, for OpenBLAS)."""
     m, n = frame.m, frame.n
     if m == 0:
         raise NotTight("a frame with no rows has no frame operator (N/M) I")

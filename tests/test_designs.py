@@ -193,6 +193,29 @@ def test_a_design_checks_v_and_k_when_it_is_built(v, k, message, use):
         use(SteinerSystem(v=v, k=k, blocks=rr4.blocks, resolution=rr4.resolution))
 
 
+@pytest.mark.parametrize("v,k", [(0, 2), (1, 2), (2, 3), (3, 4)])
+def test_a_design_with_fewer_points_than_a_block_is_refused(v, k, capsys, monkeypatch):
+    """V < K is no design: no block of K points fits.  V = 0 used to pass
+    every check of validate, and steiner_etf built a 0 x 0 frame from it
+    with "r": 1; the API, parse_design and `design validate -` (exit 2, one
+    stderr line) now refuse it where the design is built."""
+    import io
+    import sys
+
+    from etfkit.cli import main
+
+    message = f"v must be at least k = {k}, got {v}"
+    with pytest.raises(DesignFormatError, match=message):
+        SteinerSystem(v=v, k=k, blocks=(), resolution=((),))
+    text = json.dumps({"v": v, "k": k, "blocks": [], "resolution": [[]]})
+    with pytest.raises(DesignFormatError, match=message):
+        parse_design(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["design", "validate", "-"]) == 2
+    assert capsys.readouterr().err == f"etfkit: {message}\n"
+    assert SteinerSystem(v=k, k=k, blocks=(tuple(range(k)),), resolution=((0,),)).b == 1  # V = K: one block
+
+
 def test_serialization_round_trip():
     for d in (round_robin_design(6), affine_design(3, 1), kirkman15(), FANO):
         assert parse_design(d.to_json()) == d

@@ -395,7 +395,7 @@ def test_entries_are_a_read_only_copy_and_signs_are_derived():
 def test_the_attributes_are_frozen_so_the_hash_holds():
     outside = UnimodularMatrix(entries=dft(3).entries, kind="dft")
     for m in (hadamard(4), dft(3), outside, drop_row_simplex(outside, 1)):
-        key = hash(m)  # the entries are derived here, and kept
+        key = hash(m)
         for name in ("kind", "_exponents", "entries", "signs"):
             with pytest.raises(FrozenInstanceError):
                 setattr(m, name, None)
@@ -520,10 +520,10 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     or sign array until one is read.  So its build peaks under twice the
     bytes of its exponents and under 5 MB (building the complex entries
     took 34.2 MB for the largest character table, 19.4 MB for dft(1024)).
-    hadamard is measured cold, its sign cache cleared, and may hold beside
-    them what is live at its exact identity test: the int64 signs it caches
-    for each order of the doubling chain, 8 bytes an entry for under 4/3 of
-    the entries of order n, and the test's float64 copy and product."""
+    hadamard is measured cold, its cache cleared, and may hold beside them
+    what is live at its exact identity test: the uint8 exponents it caches
+    for each order of the doubling chain, one byte an entry for under 4/3 of
+    the entries of order n, and the test's float64 signs and product."""
     args = args()
     if builder is hadamard:
         flatmat._hadamard_signs.cache_clear()
@@ -540,7 +540,7 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     phases = m._exponents[0]
     if builder is hadamard:  # built from order 1 up: 1, 2, 4, ..., 256
         assert flatmat._hadamard_signs.cache_info().currsize == 9
-    chain_and_identity = (8 * 4 / 3 + 16) * phases.size if builder is hadamard else 0
+    chain_and_identity = (4 / 3 + 16) * phases.size if builder is hadamard else 0
     assert peak < min(2 * phases.nbytes + chain_and_identity, 5_000_000)
 
 

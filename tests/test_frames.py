@@ -403,9 +403,10 @@ def test_sign_form_is_json_dumps_of_the_document(shape):
 @given(st.tuples(st.integers(0, 7), st.integers(0, 9)).flatmap(
     lambda shape: hnp.arrays(st.sampled_from([np.int8, np.int64]), shape, elements=st.sampled_from([-1, 1]))))
 def test_sign_rows_is_json_dumps_of_the_signs(ints):
-    """Both sides of the empty-form test: 1 x 1, 1 x N, M x 1, the empty
-    shapes, and the rest."""
-    assert _sign_rows(ints) == json.dumps(ints.tolist())
+    """_sign_rows writes the signs of their exponents mod 2.  Both sides of
+    the empty-form test: 1 x 1, 1 x N, M x 1, the empty shapes, and the
+    rest."""
+    assert _sign_rows((ints < 0).view(np.uint8)) == json.dumps(ints.tolist())
 
 
 def test_sign_form_of_a_constructed_frame_is_json_dumps_of_the_document():
@@ -768,15 +769,15 @@ def test_a_frame_needs_one_whole_form(kwargs):
 @pytest.mark.parametrize("order", [1, 2, 5])
 def test_an_exponent_build_is_unit_norm_by_its_form(monkeypatch, order):
     """Every entry of an exponent build has modulus 1/sqrt(scale_sq), so
-    _assemble refuses M != scale_sq before it gathers a sign, with the
-    message check_unit_norm gives a phase frame, and takes no pass over
-    the entries."""
+    _assemble refuses M != scale_sq, with the message check_unit_norm gives
+    a phase frame, and gathers no sign and takes no pass over the entries
+    or integers."""
     from etfkit import frames
 
     def refuse(*args, **kwargs):
         raise AssertionError("an exponent build took the pass over its values")
-    monkeypatch.setattr(Frame, "check_unit_norm", refuse)
-    monkeypatch.setattr(frames, "_root_values", refuse)
+    for module, name in ((frames, "_root_values"), (frames, "_abs_max"), (np.linalg, "norm")):
+        monkeypatch.setattr(module, name, refuse)
     with pytest.raises(NotUnitNorm) as built:
         frames._assemble(np.zeros((3, 4), dtype=np.uint8), 2, {}, order)
     monkeypatch.undo()
@@ -786,12 +787,15 @@ def test_an_exponent_build_is_unit_norm_by_its_form(monkeypatch, order):
 
 
 def test_only_a_value_build_takes_the_unit_norm_pass(monkeypatch):
-    """steiner_etf hands _assemble values, whose norms check_unit_norm sums;
-    a sign or character kirkman_etf, harmonic_etf and the character
-    complement hand it exponents, unit-norm by their form."""
+    """steiner_etf hands _assemble values, whose norms check_unit_norm sums
+    from the integers; a sign or character kirkman_etf, harmonic_etf and the
+    character complement hand it exponents, unit-norm by their form, so
+    check_unit_norm reads no integers of theirs."""
+    from etfkit import frames
+
     checked = []
-    check = Frame.check_unit_norm
-    monkeypatch.setattr(Frame, "check_unit_norm", lambda self, *a, **kw: checked.append(self.m) or check(self, *a, **kw))
+    top = frames._abs_max
+    monkeypatch.setattr(frames, "_abs_max", lambda a: checked.append(len(a)) or top(a))
     dset = mcfarland_set(2, 1, AbelianGroup((4,)))
     harmonic = harmonic_etf(dset.group, dset)
     built = [fig2_frame(), kirkman_etf(affine_design(3, 1), drop_row_simplex(dft(5), 0), dft(3)),
@@ -1012,8 +1016,9 @@ def test_the_mcfarland_match_is_an_exponent_identity(case, monkeypatch):
     harm, kirk, report = mcfarland_as_kirkman(q, j, AbelianGroup(factors))
     assert (report.max_entry_dev, report.max_gram_dev) == (0.0, 0.0) and report.as_dict()["passed"]
     assert harm._entries is None and kirk._entries is None
-    # exponent-two cases are sign frames on both sides, the others phase frames
-    assert (harm.phases is None) == (kirk.phases is None) == (case in EXACT_LADDER)
+    # both are phase frames, and the exponent-two cases sign frames (order 2) on both sides
+    assert harm.phases is not None and kirk.phases is not None
+    assert harm.is_sign_matrix == kirk.is_sign_matrix == (case in EXACT_LADDER)
 
 
 def _intp_kirkman_phases(design: SteinerSystem, simplex: UnimodularMatrix,

@@ -157,17 +157,59 @@ def _calls(name: str):
     return matches
 
 
-def _builds_an_integer_frame(node: ast.AST) -> bool:
-    return _calls("Frame")(node) and any(k.arg == "exact_ints" for k in node.keywords)
+def _builds_a_frame_with(keyword: str):
+    def matches(node: ast.AST) -> bool:
+        return _calls("Frame")(node) and any(k.arg == keyword for k in node.keywords)
+    return matches
 
 
 def test_frames_builds_an_integer_form_in_one_place():
     """A construction hands its values to _assemble, which picks the form;
-    only it and parse_frame, which reads a sign form, build a Frame with
-    exact_ints."""
+    only it and parse_frame, which reads a sign form that Frame turns into
+    exponents, build a Frame with exact_ints.  Exponents are handed in only
+    by _assemble and by codes.code_to_frame, whose bits are a sign frame's
+    exponents mod 2."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    for keyword, builders in (("exact_ints", {"frames.py": ["_assemble", "parse_frame"]}),
+                              ("_phases", {"frames.py": ["_assemble"], "codes.py": ["code_to_frame"]})):
+        sites = {name: sorted(scope for scope, _ in _sites(tree, _builds_a_frame_with(keyword)))
+                 for name, tree in trees.items()}
+        assert {name: scopes for name, scopes in sites.items() if scopes} == builders, keyword
+
+
+def _derives_int8_signs(node: ast.AST) -> bool:
+    return _calls("astype")(node) and "int8" in ast.unparse(node.args)
+
+
+def test_a_frame_derives_its_sign_integers_in_one_place():
+    """A sign frame stores only its exponents mod 2: Frame.exact_ints is
+    the one place its +-1 integers are derived, through frames._signs, the
+    one derivation of int8 signs, which otherwise serves only _form (a
+    unimodular matrix's exponents) and codes.distance (a code's bits).  The
+    code bridge and the exponent reading (frame_to_json, frame_to_code,
+    code_to_frame, _unit_exponents) read no integers."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    derived = {name: [scope for scope, _ in _sites(tree, _derives_int8_signs)] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in derived.items() if scopes} == {"frames.py": ["_signs"]}, derived
+    calls = {name: [scope for scope, _ in _sites(tree, _calls("_signs"))] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in calls.items() if scopes} == {
+        "frames.py": ["Frame.exact_ints", "_form"], "codes.py": ["distance"]}, calls
+    for module, name in (("frames.py", "frame_to_json"), ("frames.py", "_unit_exponents"),
+                         ("codes.py", "frame_to_code"), ("codes.py", "code_to_frame")):
+        assert not _attributes(_function(trees[module], name), "exact_ints"), name
+    assert _sites(ast.parse("1 - 2 * bits.astype(np.int8)"), _derives_int8_signs) == [("", 1)]
+
+
+def test_is_sign_matrix_reads_no_array():
+    """Whether a frame is +-1/sqrt(M) is a test of its stored form, with no
+    call and no array read: phases of order at most 2 at scale M."""
     path = next(p for p in SOURCES if p.name == "frames.py")
-    sites = _sites(ast.parse(path.read_text(), filename=str(path)), _builds_an_integer_frame)
-    assert sorted(scope for scope, _ in sites) == ["_assemble", "parse_frame"], sites
+    frame = next(node for node in ast.parse(path.read_text(), filename=str(path)).body
+                 if isinstance(node, ast.ClassDef) and node.name == "Frame")
+    test = next(node for node in frame.body if isinstance(node, ast.FunctionDef) and node.name == "is_sign_matrix")
+    assert not [node for node in ast.walk(test) if isinstance(node, (ast.Call, ast.Subscript))]
+    assert {node.attr for node in ast.walk(test) if isinstance(node, ast.Attribute)} == {
+        "_phases", "order", "scale_sq", "m"}
 
 
 def test_no_package_function_builds_a_character_table():
@@ -334,10 +376,11 @@ def _writes_a_signs_field(node: ast.AST) -> bool:
 
 
 def test_sign_text_has_one_writer():
-    """frames._sign_rows writes the text of every sign matrix: only
-    frame_to_json calls it and writes a "signs" field, and it reads the
-    integer form only to hand it to _sign_rows.  Its one tolist writes the
-    entries form, from the float64 view of the complex128 entries."""
+    """frames._sign_rows writes the text of every sign matrix from its
+    exponents: only frame_to_json calls it and writes a "signs" field, and
+    it reads no integer form, only the phases it hands to _sign_rows.  Its
+    one tolist writes the entries form, from the float64 view of the
+    complex128 entries."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     for matches in (_calls("_sign_rows"), _writes_a_signs_field):
         sites = {name: [scope for scope, _ in _sites(tree, matches)] for name, tree in trees.items()}
@@ -346,7 +389,8 @@ def test_sign_text_has_one_writer():
     lists = [ast.unparse(node.func.value) for node in ast.walk(writer) if _calls("tolist")(node)]
     assert lists == ["entries.reshape(frame.m, frame.n, 2)"], lists
     handed = {id(arg) for node in ast.walk(writer) if _calls("_sign_rows")(node) for arg in node.args}
-    assert all(id(node) in handed for node in _attributes(writer, "exact_ints"))
+    assert not _attributes(writer, "exact_ints")
+    assert [id(node) for node in _attributes(writer, "phases")] == list(handed)
 
 
 def test_codes_enumerates_no_pairs_in_python():
