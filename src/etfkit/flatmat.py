@@ -7,9 +7,10 @@ orders outside that closure raise UnsupportedHadamardOrder.  A
 UnimodularMatrix stores one form and is checked once, when it is built:
 every builder hands in the exact exponents it proved the matrix on, Hadamard
 signs as exponents mod 2, and entries from outside the package are copied
-and get the dense test of their Gram.  Its entries and signs are derived
-from the exponents on first read, gathered from one table of roots of
-unity, _unit_roots, the one place the package evaluates them.  Character
+and get the dense test of their Gram.  Its entries are derived from the
+exponents on first read, gathered from one table of roots of unity,
+_unit_roots, the one place the package evaluates them, and its signs as
+1 - 2e (_signs).  Character
 phase exponents, the DFT's among them, are computed by one helper,
 _character_phases, reduced mod the group exponent L and checked in O(N t)
 integers for a group of t cyclic factors.
@@ -48,9 +49,9 @@ class UnimodularMatrix:
     Entries from outside the package are copied and, unless _checked by the
     caller, get the dense O(N^3) test of their Gram; all real +-1, they are
     kept as exponents mod 2, else as the read-only copy, with _exponents
-    None.  entries (complex128 when derived) and signs (the exact int64
-    view, present exactly when L <= 2) are derived on first read
-    (_root_values) and kept read-only, and the attributes are frozen.
+    None.  entries (complex128 when derived, by _root_values) and signs
+    (the exact int64 view, present exactly when L <= 2, by _signs) are
+    derived on first read and kept read-only, and the attributes are frozen.
     """
 
     def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple[np.ndarray, int] | None = None,
@@ -70,14 +71,14 @@ class UnimodularMatrix:
     def entries(self) -> np.ndarray:
         """zeta_L^phases, gathered from _unit_roots(L)."""
         phases, big_l = self._exponents
-        return gf._read_only(_root_values(phases, big_l, _unit_roots(big_l)))
+        return gf._read_only(_root_values(phases, _unit_roots(big_l)))
 
     @cached_property
     def signs(self) -> np.ndarray | None:
-        """The exact int64 view, +-1 gathered from _root_table(L), when L <= 2."""
+        """The exact int64 view, +-1 derived by _signs, when L <= 2."""
         if self._exponents is None or self._exponents[1] > 2:
             return None
-        return gf._read_only(_root_values(*self._exponents))
+        return gf._read_only(_signs(self._exponents[0], np.int64))
 
     def __eq__(self, other):
         if not isinstance(other, UnimodularMatrix):
@@ -168,6 +169,16 @@ def _sign_exponents(values: np.ndarray) -> np.ndarray | None:
     return gf._read_only((values < 0).view(np.uint8)) if np.all((values == 1) | (values == -1)) else None
 
 
+def _signs(exponents: np.ndarray, dtype=np.int8) -> np.ndarray:
+    """(-1)^exponents for exponents below 2, as 1 - 2 e in dtype: the one
+    derivation of +-1 from exponents mod 2, by arithmetic, since a gather
+    from the root table takes 10x as long."""
+    signs = exponents.astype(dtype)
+    signs *= -2
+    signs += 1
+    return signs
+
+
 def _paley_exponents(n: int) -> np.ndarray:
     """Paley-I Hadamard matrix of order n = q + 1, q a prime power = 3 mod 4, as
     exponents mod 2: 1 in column 0 below row 0, and where a - b is a non-square."""
@@ -212,10 +223,11 @@ def hadamard_order_reachable(n: int) -> bool:
 def _has_hadamard_identity(exponents: np.ndarray) -> bool:
     """True when every exponent is 0 or 1 and H = (-1)^exponents has H^T H =
     n I, exactly: every partial sum of H^T H is an integer of magnitude at
-    most n < 2^53, so the float64 BLAS product is exact."""
+    most n, so the float32 BLAS product is exact for n < 2^24, far beyond
+    any n x n matrix that fits in memory."""
     if not np.all((exponents == 0) | (exponents == 1)):
         return False
-    f = 1.0 - 2.0 * exponents
+    f = _signs(exponents, np.float32)
     gram = f.T @ f
     gram[np.diag_indices(len(f))] -= len(f)  # H^T H - n I, without an n x n identity
     return not gram.any()
@@ -383,15 +395,13 @@ def _character_phases(g: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     return phases, big_l
 
 
-def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None) -> np.ndarray:
-    """table[phases] for an M x N array of exponents already reduced mod L:
-    by default table is _root_table(L), so the values are zeta_L^phases,
-    int64 when L <= 2, where they are exactly +-1, else complex.  The one
-    gather of roots at phases, a block of rows at a time: numpy's take
-    casts its indices to intp, so only a block of them is cast at once.
-    Every index is below L, so mode "clip" changes none, and it writes into
-    out directly, where the default mode would buffer it."""
-    table = _root_table(big_l) if table is None else table
+def _root_values(phases: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table[phases] for an M x N array of exponents already reduced mod L,
+    table a table of L values, the L-th roots of unity or their quotients
+    by a scale.  The one gather of roots at phases, a block of rows at a
+    time: numpy's take casts its indices to intp, so only a block of them is
+    cast at once.  Every index is below L, so mode "clip" changes none, and
+    it writes into out directly, where the default mode would buffer it."""
     values = np.empty(phases.shape, dtype=table.dtype)
     step = max(1, _TABLE_BLOCK // max(phases.shape[1], 1))
     for lo in range(0, len(phases), step):

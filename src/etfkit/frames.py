@@ -24,7 +24,8 @@ from math import lcm
 
 import numpy as np
 
-from .designs import AffineStructure, SteinerSystem, _affine_field, _class_partition, affine_structure
+from . import gf
+from .designs import AffineStructure, SteinerSystem, _affine_field, _field_dimensions, affine_structure
 from .errors import (
     BadDimensions,
     BasisShapeMismatch,
@@ -48,6 +49,7 @@ from .flatmat import (
     _root_table,
     _root_values,
     _sign_exponents,
+    _signs,
     hadamard_order_reachable,
     simplex_from_characters,
 )
@@ -163,7 +165,7 @@ class Frame:
             values = self.exact_ints if self.phases is None else _root_table(self.order)
             entries = _numeric(values, self.scale_sq)
             if self.phases is not None:
-                entries = _root_values(self.phases, self.order, entries)
+                entries = _root_values(self.phases, entries)
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
@@ -340,19 +342,15 @@ def parse_frame(text: str) -> Frame:
 # -- Steiner and flat (Kirkman-transformed) ETFs ------------------------------
 
 def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
-    """R x V tables (designs._class_partition): pos[r, v] is the index within
+    """R x V tables (designs._class_partition, kept on the design as
+    SteinerSystem._partition): pos[r, v] is the index within
     class r of the block containing v, and block[r, v] that block's id."""
     if not design.resolution:
         raise NotResolvable("design carries no resolution")
-    bad, pos, block = _class_partition(design)
+    bad, pos, block = design._partition
     if bad is not None:
         raise NotResolvable(f"parallel class {bad} does not partition the {design.v} points")
     return pos, block
-
-
-def _signs(exponents: np.ndarray) -> np.ndarray:
-    """(-1)^exponents below 2 as int8 +-1, by arithmetic: a gather from the root table takes 10x as long."""
-    return 1 - 2 * exponents.astype(np.int8)
 
 
 def _form(m: UnimodularMatrix) -> np.ndarray:
@@ -421,8 +419,9 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     _assemble gets those exponents mod L: a sign frame for L <= 2, else a
     phase frame.  The exponents are summed into one R x S x V x (R+1) array
     of the narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype),
-    and reduced mod L by subtracting L where the sum is at least L, so no
-    wider integer is formed.  Only when a matrix from outside the package has
+    and reduced mod L as the least of the sum and the sum minus L: that
+    type wraps modulo more than L, so below L the unsigned difference wraps
+    above the sum, and no wider integer or mask is formed.  Only when a matrix from outside the package has
     no exponent form are the values multiplied, from float64 parts as
     re = fr hr - fi hi, im = fr hi + fi hr: the bits of a Python complex
     product, where numpy's complex multiply rounds by the loop it picks.
@@ -455,7 +454,7 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     f, h = f.astype(work) * (order // f_order), h.astype(work) * (order // h_order)
     phases = np.empty((big_r, s_count, v_count, big_r + 1), dtype=work)
     np.add(f[:, None, None, :], h[:, pos].transpose(1, 0, 2)[..., None], out=phases)
-    np.subtract(phases, order, out=phases, where=phases >= order)  # each term is below order: the sum mod order
+    np.minimum(phases, phases - order, out=phases)  # the sum mod order: below order, the difference wraps above it
     return _assemble(phases.reshape(shape), big_b, prov, order)
 
 
@@ -509,17 +508,22 @@ def _mcfarland_elements(structure: AffineStructure) -> np.ndarray:
     return r * fld.order + fld.mul_indices(fld.antilog[r], structure.hyperplane)
 
 
-@lru_cache(maxsize=2)
 def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     """Hyperplane-translate difference set in G x V, where V is the additive
     group of GF(q^(j+1)): D = {(g_r, v) : v in g^r * S, r = 0..R-1} for the
     canonical primitive element g and trace-zero hyperplane S.
 
-    G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1.  The
-    set reads only the field data (designs._affine_field), so no design is
-    built.  The two most recently requested sets, which are frozen, are kept
-    and handed out again.
+    G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1, and
+    q and j must be integers (designs._field_dimensions).  The set reads
+    only the field data (designs._affine_field), so no design is built.
+    Each set is built once per (q, j, G), and the frozen set, O(M) ints, is
+    handed out again (_mcfarland_set).
     """
+    return _mcfarland_set(*_field_dimensions(q, j), group_g)
+
+
+@lru_cache(maxsize=None)
+def _mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     structure = _affine_field(q, j)
     fld = structure.field
     big_r = (q ** (j + 1) - 1) // (q - 1)
@@ -589,6 +593,27 @@ class McFarlandMatchReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _mcfarland_twin(q: int, j: int) -> tuple[SteinerSystem, UnimodularMatrix, np.ndarray, np.ndarray]:
+    """What mcfarland_as_kirkman reads that depends on (q, j) alone, built
+    once per (q, j): the affine design in (r, s) order, the trace-character
+    basis and the read-only identification (rows, cols) of the Kirkman twin
+    with the harmonic frame of any G.  Row (r, s) is the difference-set
+    element (g_r, g^r s), at rows[r S + s] among the sorted elements of
+    D, whatever G is, since an element's index is r |V| + v.  Column (u, v) is
+    the character (u, w) with w(l) = tr(v * x^l) over the power basis x^l
+    of V, at the place of V's coefficient l: the index
+    cols[v (R+1) + u] = u |V| + sum_l w(l) p^l.  All O(M + N) ints."""
+    structure, design = affine_structure(q, j)
+    fld = structure.field
+    elements = _mcfarland_elements(structure).ravel()
+    rows = np.searchsorted(np.sort(elements), elements)
+    place = fld.p ** np.arange(fld.k)
+    w = (fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] * place).sum(axis=1)
+    cols = (np.arange(design.r + 1) * fld.order + w[:, None]).ravel()
+    return design, trace_character_basis(structure), gf._read_only(rows), gf._read_only(cols)
+
+
 def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
                          tol: float = 1e-9) -> tuple[Frame, Frame, McFarlandMatchReport]:
     """Build the same ETF twice: as restricted characters over the
@@ -601,7 +626,15 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     forms built by _assemble: the harmonic one from the character phases at
     the difference set, the design-based one from the sums of simplex and
     basis exponents (kirkman_etf), both mod the exponent L of G x V: phase
-    forms, sign frames (L = 2) when G has exponent two and p = 2.
+    forms, sign frames (L = 2) when G has exponent two and p = 2.  q and j
+    must be integers (designs._field_dimensions).
+
+    What depends on (q, j) alone, the design, the basis and the
+    identification (_mcfarland_twin), and the difference set
+    (mcfarland_set), is built once per process and read-only; each call
+    builds only what it returns, the two frames and the report, from the
+    simplex of G.  The harmonic frame is built again even when the caller
+    has just built it, since it is a returned value.
 
     The theorem is checked as one integer identity, the only test: both are
     unit-norm flat frames at scale M, and their exponents (_unit_exponents)
@@ -611,32 +644,18 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     InvariantViolation names q, j, G and the first entry (row, column) of
     the design-based frame, in row-major order, where it fails.
     """
-    structure, design = affine_structure(q, j)
-    fld = structure.field
-    big_r = (q ** (j + 1) - 1) // (q - 1)
+    q, j = _field_dimensions(q, j)
     dset = mcfarland_set(q, j, group_g)
+    design, basis, rows, cols = _mcfarland_twin(q, j)
     harm = harmonic_etf(dset.group, dset)
-
-    simplex = simplex_from_characters(group_g, group_g.order - 1)
-    basis = trace_character_basis(structure)
-    kirk = kirkman_etf(design, simplex, basis)
+    kirk = kirkman_etf(design, simplex_from_characters(group_g, group_g.order - 1), basis)
     kirk.provenance["construction"] = "mcfarland-kirkman"
-
-    # row (r, s) of the design-based frame <-> difference-set element (g_r, g^r s)
-    row_perm = np.searchsorted(dset.elements, _mcfarland_elements(structure).ravel())
-
-    # column (u, v) <-> character (u, w) with w(l) = tr(v * x^l) over the
-    # power basis x^l of V, at the place of V's coefficient l: index
-    # u * |V| + sum_l w(l) p^l, laid out v-major
-    place = fld.p ** np.arange(fld.k)
-    w = (fld.trace_table[fld.mul_indices(np.arange(fld.order)[:, None], place)] * place).sum(axis=1)
-    col_perm = (np.arange(big_r + 1) * fld.order + w[:, None]).ravel()
 
     where = f"McFarland frame for q={q}, j={j}, G={group_g.factors}"
     a, k = _unit_exponents(harm), _unit_exponents(kirk)
     if a is None or k is None or a[1] != k[1]:
         raise InvariantViolation(f"{where}: its two builds are not flat frames of one root order")
-    mapped = a[0][row_perm][:, col_perm]
+    mapped = a[0][rows][:, cols]
     if not np.array_equal(mapped, k[0]):
         row, col = np.argwhere(mapped != k[0])[0].tolist()
         raise InvariantViolation(f"{where} fails the exponent identity at Kirkman entry ({row}, {col})")

@@ -277,9 +277,13 @@ def test_mcfarland_z5():
 
 
 def test_mcfarland_set_is_memoised():
+    """Every set built is kept: the 14 rungs of the ladder all stay cached."""
+    from etfkit import frames
+
     ds = mcfarland_set(2, 1, AbelianGroup((2, 2)))
     assert mcfarland_set(2, 1, AbelianGroup([2, 2])) is ds
-    assert mcfarland_set.cache_info().maxsize == 2
+    assert mcfarland_set(np.int64(2), np.uint8(1), AbelianGroup((2, 2))) is ds
+    assert frames._mcfarland_set.cache_info().maxsize is None
 
 
 def test_mcfarland_group_order_checked():
@@ -1065,7 +1069,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
     want, order = _intp_kirkman_phases(design, simplex, basis)
     frame = kirkman_etf(design, simplex, basis)
     if frame.phases is None:
-        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, 2))
+        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, _root_table(2)))
     else:
         assert frame.order == order and frame.phases.dtype == want.dtype
         assert frame.phases.tobytes() == want.tobytes()
@@ -1074,7 +1078,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
 
 
 def _gathered_then_divided(frame: Frame) -> np.ndarray:
-    return _numeric(_root_values(frame.phases, frame.order), frame.scale_sq)
+    return _numeric(_root_values(frame.phases, _root_table(frame.order)), frame.scale_sq)
 
 
 @pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)
@@ -1111,7 +1115,7 @@ def test_mcfarland_set_builds_no_design(monkeypatch):
 
     monkeypatch.setattr(frames, "affine_structure", no_design)
     for (q, j, factors), dset in want.items():
-        assert mcfarland_set.__wrapped__(q, j, AbelianGroup(factors)) == dset
+        assert frames._mcfarland_set.__wrapped__(q, j, AbelianGroup(factors)) == dset
 
 
 def test_harmonic_frame_builds_no_character_table(monkeypatch):

@@ -180,6 +180,30 @@ def test_hadamard_stores_the_cached_exponents_and_nothing_else():
     assert held <= 700_000, held
 
 
+def test_hadamard_784_built_cold_peaks_under_6_mb():
+    """The exact check forms the +-1 copy and H^T H in float32 (2.5 MB each
+    at n = 784), beside the 0.6 MB of exponents; in float64 the peak was
+    10.5 MB."""
+    flatmat._hadamard_signs.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hadamard(784)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+def test_signs_of_exponents_are_the_gathered_roots(dtype):
+    """flatmat._signs, 1 - 2 e, is the gather of the +-1 roots at e, in the dtype asked for."""
+    exponents = np.random.default_rng(5).integers(0, 2, size=(37, 61)).astype(np.uint8)
+    signs = flatmat._signs(exponents, dtype)
+    assert signs.dtype == dtype and np.array_equal(signs, flatmat._root_values(exponents, flatmat._root_table(2)))
+
+
 # -- equality and hashing of unimodular matrices ---------------------------------
 
 def _catalogue() -> list[UnimodularMatrix]:
