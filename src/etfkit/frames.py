@@ -421,8 +421,9 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
     of the narrowest unsigned type that holds 2L - 2 (flatmat._phase_dtype),
     and reduced mod L as the least of the sum and the sum minus L: that
     type wraps modulo more than L, so below L the unsigned difference wraps
-    above the sum, and no wider integer or mask is formed.  Only when a matrix from outside the package has
-    no exponent form are the values multiplied, from float64 parts as
+    above the sum, and no wider integer or mask is formed.  Only when a
+    matrix from outside the package has no exponent form are the values
+    multiplied, from float64 parts as
     re = fr hr - fi hi, im = fr hi + fi hr: the bits of a Python complex
     product, where numpy's complex multiply rounds by the loop it picks.
     """
@@ -599,8 +600,8 @@ def _mcfarland_twin(q: int, j: int) -> tuple[SteinerSystem, UnimodularMatrix, np
     once per (q, j): the affine design in (r, s) order, the trace-character
     basis and the read-only identification (rows, cols) of the Kirkman twin
     with the harmonic frame of any G.  Row (r, s) is the difference-set
-    element (g_r, g^r s), at rows[r S + s] among the sorted elements of
-    D, whatever G is, since an element's index is r |V| + v.  Column (u, v) is
+    element (g_r, g^r s), at rows[r S + s] among the sorted elements of D,
+    whatever G is, since an element's index is r |V| + v.  Column (u, v) is
     the character (u, w) with w(l) = tr(v * x^l) over the power basis x^l
     of V, at the place of V's coefficient l: the index
     cols[v (R+1) + u] = u |V| + sum_l w(l) p^l.  All O(M + N) ints."""
@@ -645,7 +646,7 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     the design-based frame, in row-major order, where it fails.
     """
     q, j = _field_dimensions(q, j)
-    dset = mcfarland_set(q, j, group_g)
+    dset = _mcfarland_set(q, j, group_g)
     design, basis, rows, cols = _mcfarland_twin(q, j)
     harm = harmonic_etf(dset.group, dset)
     kirk = kirkman_etf(design, simplex_from_characters(group_g, group_g.order - 1), basis)
