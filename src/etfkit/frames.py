@@ -630,9 +630,9 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     forms, sign frames (L = 2) when G has exponent two and p = 2.  q and j
     must be integers (designs._field_dimensions).
 
-    What depends on (q, j) alone, the design, the basis and the
-    identification (_mcfarland_twin), and the difference set
-    (mcfarland_set), is built once per process and read-only; each call
+    The design, the basis and the identification, which depend on (q, j)
+    alone (_mcfarland_twin), and the difference set of (q, j, G)
+    (mcfarland_set) are built once per process and read-only; each call
     builds only what it returns, the two frames and the report, from the
     simplex of G.  The harmonic frame is built again even when the caller
     has just built it, since it is a returned value.
