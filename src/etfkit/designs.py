@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, combinations
 
 import numpy as np
@@ -76,13 +76,6 @@ class SteinerSystem:
     @property
     def b(self) -> int:
         return len(self.blocks)
-
-    @cached_property
-    def _partition(self) -> tuple[int | None, np.ndarray, np.ndarray]:
-        """_class_partition of the resolution, built on first read and kept
-        read-only, so validate and both frame builders tabulate a design once."""
-        bad, pos, block = _class_partition(self)
-        return bad, gf._read_only(pos), gf._read_only(block)
 
     @property
     def r(self) -> int:
@@ -214,19 +207,17 @@ def _affine_field(q: int, j: int) -> AffineStructure:
     return AffineStructure(q=q, j=j, field=fld, hyperplane=hyper, delta=gf.trace_one_element(fld, q))
 
 
-@lru_cache(maxsize=None)
 def _affine_lines(q: int, j: int) -> tuple[AffineStructure, np.ndarray]:
     """The field data of the affine design over GF(q^(j+1)) and its R x S x q
     lines, each sorted, with no design built: class r, offset s holds the
-    line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}.  Built once per
-    (q, j) and kept read-only."""
+    line {s * g^-r * delta^-1 + t * g^-r : t in GF(q)}."""
     structure = _affine_field(q, j)
     fld, hyper, delta = structure.field, structure.hyperplane, structure.delta
     n1 = fld.order - 1
     g_neg = fld.antilog[-np.arange((q ** (j + 1) - 1) // (q - 1)) % n1][:, None]  # g^-r, an R x 1 column
     start = fld.mul_indices(fld.mul_indices(hyper, g_neg), fld.pow_indices(delta, n1 - 1))
     steps = fld.mul_indices(fld.subfield_indices(fld.k // (j + 1)), g_neg)  # GF(q) = GF(p^(k/(j+1)))
-    return structure, gf._read_only(np.sort(fld.add_indices(start[:, :, None], steps[:, None, :]), axis=-1))
+    return structure, np.sort(fld.add_indices(start[:, :, None], steps[:, None, :]), axis=-1)
 
 
 def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
@@ -360,7 +351,7 @@ def validate(design: SteinerSystem) -> ValidationReport:
         part = flat == list(range(b))
         checks.append(("resolution_partitions_blocks", part,
                        "" if part else "classes do not partition the block list"))
-        bad_cls = design._partition[0]
+        bad_cls = _class_partition(design)[0]
         checks.append(("classes_partition_points", bad_cls is None,
                        "" if bad_cls is None else f"class {bad_cls} does not partition the point set"))
         bose = r is not None and b >= v + r - 1

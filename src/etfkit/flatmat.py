@@ -71,7 +71,7 @@ class UnimodularMatrix:
     def entries(self) -> np.ndarray:
         """zeta_L^phases, gathered from _unit_roots(L)."""
         phases, big_l = self._exponents
-        return gf._read_only(_root_values(phases, _unit_roots(big_l)))
+        return gf._read_only(_root_values(phases, big_l, _unit_roots(big_l)))
 
     @cached_property
     def signs(self) -> np.ndarray | None:
@@ -395,13 +395,15 @@ def _character_phases(g: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     return phases, big_l
 
 
-def _root_values(phases: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """table[phases] for an M x N array of exponents already reduced mod L,
-    table a table of L values, the L-th roots of unity or their quotients
-    by a scale.  The one gather of roots at phases, a block of rows at a
-    time: numpy's take casts its indices to intp, so only a block of them is
-    cast at once.  Every index is below L, so mode "clip" changes none, and
-    it writes into out directly, where the default mode would buffer it."""
+def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None) -> np.ndarray:
+    """table[phases] for an M x N array of exponents already reduced mod L:
+    by default table is _root_table(L), so the values are zeta_L^phases,
+    int64 when L <= 2, where they are exactly +-1, else complex.  The one
+    gather of roots at phases, a block of rows at a time: numpy's take
+    casts its indices to intp, so only a block of them is cast at once.
+    Every index is below L, so mode "clip" changes none, and it writes into
+    out directly, where the default mode would buffer it."""
+    table = _root_table(big_l) if table is None else table
     values = np.empty(phases.shape, dtype=table.dtype)
     step = max(1, _TABLE_BLOCK // max(phases.shape[1], 1))
     for lo in range(0, len(phases), step):

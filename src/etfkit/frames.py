@@ -25,7 +25,14 @@ from math import lcm
 import numpy as np
 
 from . import gf
-from .designs import AffineStructure, SteinerSystem, _affine_field, _field_dimensions, affine_structure
+from .designs import (
+    AffineStructure,
+    SteinerSystem,
+    _affine_field,
+    _class_partition,
+    _field_dimensions,
+    affine_structure,
+)
 from .errors import (
     BadDimensions,
     BasisShapeMismatch,
@@ -165,7 +172,7 @@ class Frame:
             values = self.exact_ints if self.phases is None else _root_table(self.order)
             entries = _numeric(values, self.scale_sq)
             if self.phases is not None:
-                entries = _root_values(self.phases, entries)
+                entries = _root_values(self.phases, self.order, entries)
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
@@ -342,12 +349,11 @@ def parse_frame(text: str) -> Frame:
 # -- Steiner and flat (Kirkman-transformed) ETFs ------------------------------
 
 def _resolution_lookup(design: SteinerSystem) -> tuple[np.ndarray, np.ndarray]:
-    """R x V tables (designs._class_partition, kept on the design as
-    SteinerSystem._partition): pos[r, v] is the index within
+    """R x V tables (designs._class_partition): pos[r, v] is the index within
     class r of the block containing v, and block[r, v] that block's id."""
     if not design.resolution:
         raise NotResolvable("design carries no resolution")
-    bad, pos, block = design._partition
+    bad, pos, block = _class_partition(design)
     if bad is not None:
         raise NotResolvable(f"parallel class {bad} does not partition the {design.v} points")
     return pos, block
@@ -604,7 +610,10 @@ def _mcfarland_twin(q: int, j: int) -> tuple[SteinerSystem, UnimodularMatrix, np
     whatever G is, since an element's index is r |V| + v.  Column (u, v) is
     the character (u, w) with w(l) = tr(v * x^l) over the power basis x^l
     of V, at the place of V's coefficient l: the index
-    cols[v (R+1) + u] = u |V| + sum_l w(l) p^l.  All O(M + N) ints."""
+    cols[v (R+1) + u] = u |V| + sum_l w(l) p^l.  It holds the design's M
+    blocks of q points, O(q M) ints; the S x S basis, its exponents and
+    complex entries, with S^2 <= M; and the identification, O(M + N) ints:
+    no M x N array."""
     structure, design = affine_structure(q, j)
     fld = structure.field
     elements = _mcfarland_elements(structure).ravel()

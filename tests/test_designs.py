@@ -336,18 +336,3 @@ def test_the_feasibility_report_meets_its_schema():
         jsonschema.validate(doc, schema)
         assert doc["report"] == "harmonic-feasibility" and doc["passed"] is True
 
-
-def test_a_design_tabulates_its_class_partition_once(monkeypatch):
-    """validate, steiner_etf and kirkman_etf on one design share its
-    read-only class partition, built on first read."""
-    calls = []
-    partition = designs._class_partition
-    monkeypatch.setattr(designs, "_class_partition", lambda design: calls.append(design) or partition(design))
-    design = round_robin_design(8)
-    assert validate(design).ok
-    steiner_etf(design, drop_row_simplex(hadamard(8), 0))
-    kirkman_etf(design, drop_row_simplex(hadamard(8), 0), hadamard(4))
-    assert calls == [design]
-    bad, pos, block = design._partition
-    assert bad is None and not pos.flags.writeable and not block.flags.writeable
-    assert replace(design)._partition is not design._partition  # a new design tabulates its own

@@ -1069,7 +1069,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
     want, order = _intp_kirkman_phases(design, simplex, basis)
     frame = kirkman_etf(design, simplex, basis)
     if frame.phases is None:
-        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, _root_table(2)))
+        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, 2))
     else:
         assert frame.order == order and frame.phases.dtype == want.dtype
         assert frame.phases.tobytes() == want.tobytes()
@@ -1078,7 +1078,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
 
 
 def _gathered_then_divided(frame: Frame) -> np.ndarray:
-    return _numeric(_root_values(frame.phases, _root_table(frame.order)), frame.scale_sq)
+    return _numeric(_root_values(frame.phases, frame.order), frame.scale_sq)
 
 
 @pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)

@@ -1,6 +1,6 @@
 """The McFarland/Kirkman path builds each piece of (q, j) data once per
-process: the affine field data and lines (designs), the difference set and
-the twin's design, trace-character basis and identification (frames).
+process: the affine field data (designs), the difference set and the
+twin's design, trace-character basis and identification (frames).
 Cached objects are frozen or read-only, so no caller can change what the
 next call reads, and q and j are checked as integers before any cache is
 asked.  kirkman_etf reduces its exponent sums mod L with no mask.
@@ -53,9 +53,8 @@ def test_every_cached_array_is_read_only(case):
     q, j, factors = case
     mcfarland_as_kirkman(q, j, AbelianGroup(factors))
     structure = designs._affine_field(q, j)
-    lines_structure, lines = designs._affine_lines(q, j)
     design, basis, rows, cols = frames._mcfarland_twin(q, j)
-    for array in (structure.hyperplane, lines_structure.hyperplane, lines, basis._exponents[0], rows, cols):
+    for array in (structure.hyperplane, basis._exponents[0], basis.entries, rows, cols):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
@@ -64,9 +63,11 @@ def test_every_cached_array_is_read_only(case):
     for frozen, name in ((structure, "delta"), (design, "v"), (basis, "kind"), (dset, "lam")):
         with pytest.raises(AttributeError):
             setattr(frozen, name, 0)
-    # no cache holds an M x N array: the identification is O(M + N) ints
+    # no cache holds an M x N array: the twin holds the design's M blocks of
+    # q points, the S x S basis (S^2 <= M) and the identification, O(M + N)
     m, n = len(rows), len(cols)
-    assert rows.shape == (m,) and cols.shape == (n,) and basis.rows == q ** j
+    assert design.b == m and design.k == q and all(len(block) == q for block in design.blocks)
+    assert rows.shape == (m,) and cols.shape == (n,) and basis.rows == basis.cols == q ** j <= m
 
 
 def test_a_second_call_builds_no_qj_data(monkeypatch):
@@ -81,7 +82,7 @@ def test_a_second_call_builds_no_qj_data(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    caches = (designs._affine_field, designs._affine_lines, frames._mcfarland_set, frames._mcfarland_twin)
+    caches = (designs._affine_field, frames._mcfarland_set, frames._mcfarland_twin)
     monkeypatch.setattr(designs, "_affine_lines", spy("_affine_lines", designs._affine_lines))
     monkeypatch.setattr(frames, "trace_character_basis", spy("trace_character_basis", frames.trace_character_basis))
     monkeypatch.setattr(DifferenceSet, "__post_init__", spy("DifferenceSet.__post_init__", DifferenceSet.__post_init__))
@@ -131,7 +132,7 @@ CALLS = {
     "mcfarland_set": lambda q, j: mcfarland_set(q, j, AbelianGroup((4,))),
     "mcfarland_as_kirkman": lambda q, j: mcfarland_as_kirkman(q, j, AbelianGroup((4,))),
 }
-CACHES = (designs._affine_field, designs._affine_lines, frames._mcfarland_set, frames._mcfarland_twin)
+CACHES = (designs._affine_field, frames._mcfarland_set, frames._mcfarland_twin)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -177,6 +177,10 @@ def test_frames_builds_an_integer_form_in_one_place():
         assert {name: scopes for name, scopes in sites.items() if scopes} == builders, keyword
 
 
+def _derives_int8_signs(node: ast.AST) -> bool:
+    return _calls("astype")(node) and "int8" in ast.unparse(node.args)
+
+
 def test_a_frame_derives_its_sign_integers_in_one_place():
     """A sign frame stores only its exponents mod 2: Frame.exact_ints is
     the one place its +-1 integers are derived, through flatmat._signs, the
@@ -187,6 +191,8 @@ def test_a_frame_derives_its_sign_integers_in_one_place():
     (frame_to_json, frame_to_code, code_to_frame, _unit_exponents) read no
     integers."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    derived = {name: [scope for scope, _ in _sites(tree, _derives_int8_signs)] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in derived.items() if scopes} == {}, derived
     defined = [name for name, tree in trees.items()
                if any(isinstance(node, ast.FunctionDef) and node.name == "_signs" for node in ast.walk(tree))]
     assert defined == ["flatmat.py"], defined
@@ -199,6 +205,7 @@ def test_a_frame_derives_its_sign_integers_in_one_place():
         assert not _attributes(_function(trees[module], name), "exact_ints"), name
     gathers = [scope for scope, _ in _sites(trees["flatmat.py"], _calls("_root_values"))]
     assert "UnimodularMatrix.signs" not in gathers and "UnimodularMatrix.entries" in gathers
+    assert _sites(ast.parse("1 - 2 * bits.astype(np.int8)"), _derives_int8_signs) == [("", 1)]
 
 
 def test_is_sign_matrix_reads_no_array():
@@ -419,8 +426,7 @@ def test_designs_and_difference_sets_are_checked_where_they_are_built():
     only text that is no JSON object with the fields); only
     DifferenceSet.__post_init__ takes differences in frames, and
     DifferenceSet has no other way to be built; and designs._class_partition
-    decides the class partition, kept on the design as
-    SteinerSystem._partition, read only by validate and by
+    decides the class partition, called only by validate and by
     frames._resolution_lookup, which only the two frame builders call."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     designs, frames = trees["designs.py"], trees["frames.py"]
@@ -434,11 +440,7 @@ def test_designs_and_difference_sets_are_checked_where_they_are_built():
     calls = {name: [scope for scope, _ in _sites(tree, _calls("sub_array"))] for name, tree in trees.items()}
     assert {name: scopes for name, scopes in calls.items() if scopes} == {"frames.py": ["DifferenceSet.__post_init__"]}
     assert not [node for node in ast.walk(frames) if isinstance(node, ast.FunctionDef) and node.name == "verified"]
-    for callee, callers in (("_class_partition", {"designs.py": ["SteinerSystem._partition"]}),
+    for callee, callers in (("_class_partition", {"designs.py": ["validate"], "frames.py": ["_resolution_lookup"]}),
                             ("_resolution_lookup", {"frames.py": ["steiner_etf", "kirkman_etf"]})):
         calls = {name: [scope for scope, _ in _sites(tree, _calls(callee))] for name, tree in trees.items()}
         assert {name: scopes for name, scopes in calls.items() if scopes} == callers, callee
-    readers = {name: [scope for scope, _ in _sites(tree, lambda node: isinstance(node, ast.Attribute)
-                                                   and node.attr == "_partition")] for name, tree in trees.items()}
-    assert {name: scopes for name, scopes in readers.items() if scopes} == {
-        "designs.py": ["validate"], "frames.py": ["_resolution_lookup"]}, readers
