@@ -12,8 +12,11 @@ exponents on first read, gathered from one table of roots of unity,
 _unit_roots, the one place the package evaluates them, and its signs as
 1 - 2e (_signs).  Character
 phase exponents, the DFT's among them, are computed by one helper,
-_character_phases, reduced mod the group exponent L and checked in O(N t)
-integers for a group of t cyclic factors.
+_character_phases, each row the sum of two halves, n_hi and n_lo wide, for
+G split at one factor boundary with n_hi n_lo = N, reduced mod the group
+exponent L.  The halves' generator exponents are checked once per factors
+tuple, in O(t (n_hi + n_lo)) integers for a group of t cyclic factors, and
+kept read-only (_character_halves).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -157,8 +161,11 @@ def dft(n: int) -> UnimodularMatrix:
     """n x n matrix with entry (a,b) = exp(2*pi*i*a*b/n): the character table
     of Z_n, stored as the exponents a*b mod n and gathered from
     _unit_roots(n), so its +-1, +-i entries are exact and dft(2) has the
-    signs of hadamard(2);
-    it is checked on those exponents, in O(n) integers (see character_table)."""
+    signs of hadamard(2).
+    Z_n has no factor boundary to split at, so its leading half is trivial
+    (n_hi = 1) and its trailing half holds the n exponents b at the
+    generator; they are checked once per n, in O(n) integers, and kept (see
+    character_table)."""
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
     return _character_matrix(AbelianGroup((n,)), np.arange(n), "dft")
@@ -333,11 +340,20 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     exponent two, L is at most 2 and the values are the exact integers 1 and
     -1, so the table has a sign view.
 
-    The check is on the exact form, in O(N t) integers
-    (_check_character_exponents): every generator exponent u_k L / f_k lies
-    in [0, L) and is a multiple of L / f_k, so each row is a homomorphism
-    G -> <zeta_L>, a character; and the N rows are distinct, so each of the
-    N characters of G appears once.  Then the exact table T* has
+    Each phase row is the sum of two halves (_character_phases): G splits
+    after its first s factors into a leading part of order n_hi and a
+    trailing part of order n_lo, n_hi n_lo = N, and column u = u_hi n_lo +
+    u_lo is the character u_hi n_lo plus the character u_lo.  The check is
+    on the exact generator exponents of the two halves, once per factors
+    tuple, in O(t (n_hi + n_lo)) integers (_check_half_exponents, from
+    _character_halves, which keeps them): every exponent lies in [0, L) and
+    is a multiple of L / f_k, so each half row is a homomorphism
+    G -> <zeta_L>, a character; the leading half is zero at the trailing
+    generators and the trailing half at the leading ones, so a sum of a
+    leading and a trailing row has each generator exponent from one of
+    them, and is the character with those exponents; and each half's rows
+    are distinct, so the n_hi n_lo = N sums are N distinct characters, each
+    of the N characters of G once.  Then the exact table T* has
     T*^H T* = N I, since sum_r chi_u(g_r) conj(chi_v(g_r)) sums a character
     that is trivial only when u = v.  No float Gram is formed: each computed
     entry is a tabulated root within 24 u of the exact one (u the unit
@@ -346,7 +362,8 @@ def character_table(g: AbelianGroup) -> UnimodularMatrix:
     is at most N (48 u + (24 u)^2), below ORTHO_TOL for every N under 10^5,
     far beyond any table that fits in memory.
 
-    Each call builds a new table, read-only like every UnimodularMatrix."""
+    Each call builds a new table, read-only like every UnimodularMatrix;
+    only the checked halves are memoised."""
     return _character_matrix(g, np.arange(g.order), "character-table")
 
 
@@ -375,24 +392,59 @@ def _character_phases(g: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     _phase_dtype(L), computed a block of rows at a time: the one place the
     package computes character phases.  The phase is symmetric in e and u,
     so row i is also the character chi_{elements[i]} at every element u.
-    The N x t generator exponents are checked (_check_character_exponents)
-    before anything is computed."""
+
+    Column u = u_hi n_lo + u_lo splits at the factor boundary of
+    _character_halves: the digits of u_hi n_lo and of u_lo sit on disjoint
+    factors, so the phase at u is the phase at u_hi n_lo plus the phase at
+    u_lo, mod L.  Each block of B rows forms only the two narrow halves,
+    B x n_hi and B x n_lo: one float64 product of the element digits with
+    the checked generator exponents, exact since each entry is an integer of
+    at most sum_k (f_k - 1)^2 L / f_k, far under 2^53, then reduced mod L in
+    int32 when that bound is below 2^31, else in int64.  Each row is then
+    the broadcast sum of its halves, reduced as min(s, s - L) in the
+    narrowest unsigned type that holds 2L - 2, since below L the difference
+    wraps above the sum; that type is _phase_dtype(L), and the sum is
+    written straight into the phases, unless L is in (128, 256] or
+    (32768, 65536].  No product or division spans the N columns, except
+    when one half is trivial, as for a single cyclic factor."""
     n, big_l = g.order, lcm(*g.factors)
-    exponents = g.digit_array(np.arange(n)) * (big_l // g._radix)  # row u: the exponent of chi_u at each e_k
-    _check_character_exponents(g, exponents)
-    # each phase is an integer of at most sum_k (f_k - 1)^2 L / f_k, far
-    # under 2^53, so the product runs exactly on float64 BLAS; it is then
-    # reduced mod L once, in int32 when that holds it (the faster division)
-    bound = sum((f - 1) ** 2 * (big_l // f) for f in g.factors)
-    work = np.int32 if bound < 2 ** 31 else np.int64
-    rows, chars = g.digit_array(elements).astype(np.float64), exponents.T.astype(np.float64)
+    n_hi, halves = _character_halves(g.factors)
+    rows = g.digit_array(elements).astype(np.float64)
     phases = np.empty((len(rows), n), dtype=_phase_dtype(big_l))
+    work = _phase_dtype(2 * big_l - 1)  # holds every sum of two exponents below L, up to 2L - 2
+    exact = np.int32 if sum((f - 1) ** 2 * (big_l // f) for f in g.factors) < 2 ** 31 else np.int64
     step = max(1, _TABLE_BLOCK // n)
     for lo in range(0, len(rows), step):
-        block = (rows[lo:lo + step] @ chars).astype(work)
-        block -= block // big_l * big_l
-        phases[lo:lo + step] = block
+        part = np.dot(rows[lo:lo + step], halves.T).astype(exact)
+        part -= part // big_l * big_l
+        part = part.astype(work)
+        block = phases[lo:lo + step]
+        out = block.reshape(len(block), n_hi, -1) if work == phases.dtype else None
+        sums = np.add(part[:, :n_hi, None], part[:, None, n_hi:], out=out)
+        np.minimum(sums, sums - big_l, out=sums)
+        if out is None:
+            block[...] = sums.reshape(len(block), n)
     return phases, big_l
+
+
+@lru_cache(maxsize=None)
+def _character_halves(factors: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """(n_hi, halves) for G = Z_f1 x ... x Z_ft split after its first s
+    factors, of order n_hi, and before the other t - s, of order n_lo, with
+    the s that makes max(n_hi, n_lo) least.  halves is the read-only float64
+    (n_hi + n_lo) x t array of the exponents at each generator e_k of the
+    characters a n_lo, a < n_hi, then b, b < n_lo, checked
+    (_check_half_exponents) once per factors tuple and kept: O(t (n_hi +
+    n_lo)) numbers, never an N x N array, and N-long only for t = 1."""
+    g = AbelianGroup(factors)
+    heads = list(accumulate(factors, operator.mul, initial=1))  # heads[s]: the order of the first s factors
+    split = min(range(len(factors) + 1), key=lambda s: max(heads[s], g.order // heads[s]))
+    n_hi = heads[split]
+    step = lcm(*factors) // g._radix
+    hi = g.digit_array(np.arange(n_hi) * (g.order // n_hi)) * step
+    lo = g.digit_array(np.arange(g.order // n_hi)) * step
+    _check_half_exponents(g, split, hi, lo)
+    return n_hi, gf._read_only(np.concatenate((hi, lo)).astype(np.float64))
 
 
 def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None) -> np.ndarray:
@@ -411,15 +463,25 @@ def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None
     return values
 
 
-def _check_character_exponents(g: AbelianGroup, exponents: np.ndarray) -> None:
-    """Raise NotUnimodular unless the N x t generator exponents name every
-    character of G once: each exponent of e_k in [0, L) and a multiple of
-    L / f_k, and no two rows equal (see character_table)."""
+def _check_half_exponents(g: AbelianGroup, split: int, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Raise NotUnimodular unless the n_hi x t and n_lo x t generator
+    exponents hi and lo of G split after its first split factors sum to
+    every character of G once: each exponent of e_k in [0, L) and a multiple
+    of L / f_k, so every row is a character; hi zero at the trailing
+    generators and lo at the leading ones, so each sum of a row of hi and a
+    row of lo takes each exponent from one of them and is the character
+    with those exponents; the rows of each half distinct, so distinct pairs
+    give distinct sums; and n_hi n_lo = N, so the sums are all N characters
+    of G (see character_table)."""
     big_l = lcm(*g.factors)
     step = big_l // g._radix
-    if not (np.all((exponents >= 0) & (exponents < big_l)) and np.all(exponents % step == 0)):
-        raise NotUnimodular("character-table generator exponents are not characters of the group")
-    if np.bincount(g.index_array(exponents // step), minlength=g.order).max() != 1:
+    for half in (hi, lo):
+        if not (np.all((half >= 0) & (half < big_l)) and np.all(half % step == 0)):
+            raise NotUnimodular("character-table generator exponents are not characters of the group")
+    if hi[:, split:].any() or lo[:, :split].any():
+        raise NotUnimodular("character-table halves share a generator")
+    labels = [np.sort(g.index_array(half // step)) for half in (hi, lo)]  # not np.unique: its first call maps 1.7 MB
+    if len(hi) * len(lo) != g.order or any((keys[1:] == keys[:-1]).any() for keys in labels):
         raise NotUnimodular("character-table rows repeat a character of the group")
 
 

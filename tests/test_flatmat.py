@@ -1,10 +1,12 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import reduce
+from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etfkit import flatmat
 from etfkit.designs import round_robin_design
@@ -325,14 +327,88 @@ def test_character_table_is_read_only_and_memoised():
         real.entries[0, 0] = -1
 
 
-def test_character_table_checks_every_build(monkeypatch):
-    checked, real = [], flatmat._check_character_exponents
-    monkeypatch.setattr(flatmat, "_check_character_exponents",
-                        lambda g, exponents: checked.append(g.factors) or real(g, exponents))
-    for factors in ((5,), (7,), (5,), (3, 3)):
+def test_character_table_checks_every_group_once(monkeypatch):
+    """The checked halves of _character_phases are memoised per factors
+    tuple: after cache_clear, each new tuple runs the check once, whichever
+    builder asks first, and a repeat runs none."""
+    checked, real = [], flatmat._check_half_exponents
+    monkeypatch.setattr(flatmat, "_check_half_exponents",
+                        lambda g, split, hi, lo: checked.append(g.factors) or real(g, split, hi, lo))
+    flatmat._character_halves.cache_clear()
+    for factors in ((5,), (7,), (5,), (3, 3), (7,)):
         character_table(AbelianGroup(factors))
-    # nothing is memoised: every build, (5,) twice, ran the check
-    assert checked == [(5,), (7,), (5,), (3, 3)]
+    assert checked == [(5,), (7,), (3, 3)]
+    dft(5)
+    simplex_from_characters(AbelianGroup((3, 3)), 4)
+    assert checked == [(5,), (7,), (3, 3)]
+    character_table(AbelianGroup((3, 1, 3)))  # the group of (3, 3), but a new tuple
+    dft(9)
+    assert checked[3:] == [(3, 1, 3), (9,)]
+    assert len(checked) == flatmat._character_halves.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize("factors,n_hi", [
+    ((1,), 1), ((1, 4), 1), ((4, 1), 1), ((1024,), 1), ((3, 4, 2), 3), ((4, 3, 5, 7), 12),
+    ((2, 3, 5, 7, 11), 30), ((22,) + (2,) * 6, 44), ((2, 11) + (2,) * 6, 44)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"hi{v}")
+def test_memoised_halves_are_read_only_and_narrow(factors, n_hi):
+    """The halves split at the factor boundary that makes max(n_hi, n_lo)
+    least, and the cache keeps t (n_hi + n_lo) read-only float64 exponents."""
+    g = AbelianGroup(factors)
+    got, halves = flatmat._character_halves(g.factors)
+    n_lo = g.order // n_hi
+    heads = [int(np.prod(factors[:s])) for s in range(len(factors) + 1)]
+    assert got == n_hi and max(n_hi, n_lo) == min(max(h, g.order // h) for h in heads)
+    assert halves.dtype == np.float64 and halves.shape == (n_hi + n_lo, len(factors))
+    assert halves.size <= len(factors) * (n_hi + n_lo) and not halves.flags.writeable
+    with pytest.raises(ValueError):
+        halves[0, 0] = 1.0
+
+
+def _reference_phases(factors: tuple[int, ...], elements) -> list[list[int]]:
+    """sum_k e_k u_k L / f_k mod L in Python integers, for each element e
+    reduced mod |G| and every u in itertools.product order."""
+    big_l = lcm(*factors)
+    digits = list(product(*map(range, factors)))
+    weights = [big_l // f for f in factors]
+    rows = {e: [sum(a * b * w for a, b, w in zip(digits[e], u, weights)) % big_l for u in digits]
+            for e in {int(e) % len(digits) for e in elements}}
+    return [rows[int(e) % len(digits)] for e in elements]
+
+
+# groups whose half sums overflow a uint8 (L in (128, 256], both halves
+# reaching past 127) or a uint16 (L in (32768, 65536]), or whose phases
+# need uint16 (L > 256), beside single cyclic factors at those edges
+LARGE_EXPONENT_GROUPS = [(128,), (2, 128), (11, 13), (15, 17), (2, 3, 5, 7), (256,), (257,), (16, 17),
+                         (32768,), (32769,), (181, 191), (3, 11, 1000)]
+
+
+@st.composite
+def _phase_cases(draw):
+    factors = tuple(draw(st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+                                   st.integers(1, 1100).map(lambda n: [n]),
+                                   st.sampled_from(LARGE_EXPONENT_GROUPS))))
+    n = int(np.prod(factors))
+    if draw(st.booleans()):  # empty, repeated, unsorted or out of range
+        return factors, draw(st.lists(st.integers(-3 * n, 3 * n), max_size=6))
+    step = max(1, flatmat._TABLE_BLOCK // n)  # the rows of one block
+    count = draw(st.sampled_from([step - 1, step + 1]))
+    return factors, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(-2 * n, 2 * n, size=count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_phase_cases())
+@example(((15, 17), list(range(-3, 600, 7))))
+@example(((181, 191), [0, 1, 193, 34570, -1, 70000]))
+@example(((32769,), [5, 5, 2, 40000, -7]))
+@example(((3, 11, 1000), []))
+def test_character_phases_match_python_integers(case):
+    factors, elements = case
+    phases, big_l = flatmat._character_phases(AbelianGroup(factors), elements)
+    assert big_l == lcm(*factors)
+    assert phases.dtype == (np.uint8 if big_l <= 256 else np.uint16 if big_l <= 65536 else np.uint32)
+    assert phases.shape == (len(elements), int(np.prod(factors)))
+    assert phases.tolist() == _reference_phases(factors, elements)
 
 
 # -- one stored form, checked at construction -----------------------------------
@@ -473,7 +549,7 @@ def test_ladder_tables_keep_their_bytes_and_both_checks_agree(factors):
     g = AbelianGroup(factors)
     table = character_table(g)
     exponents = _exponents(g)
-    flatmat._check_character_exponents(g, exponents)  # the exact-form check accepts
+    flatmat._character_halves.__wrapped__(g.factors)  # the exact-form check accepts the halves
     big_l = int(np.lcm.reduce(g.factors))
     phases = (exponents @ g.digit_array(np.arange(g.order)).T) % big_l  # exact int64 product
     assert table.entries.tobytes() == flatmat._unit_roots(big_l)[phases].tobytes()
@@ -512,7 +588,10 @@ LADDER_TOP = AbelianGroup((22,) + (2,) * 6)
     (drop_row_simplex, lambda: (hadamard(256), 5)),
     (simplex_from_characters, lambda: (LADDER_TOP, 0)),
     (character_table, lambda: (LADDER_TOP,)),
-], ids=["dft", "hadamard", "drop_row_simplex", "simplex_from_characters", "character_table"])
+    (character_table, lambda: (AbelianGroup((2, 11) + (2,) * 6),)),
+    (character_table, lambda: (AbelianGroup((4, 3, 5, 7)),)),  # L = 420: uint16 phases
+], ids=["dft", "hadamard", "drop_row_simplex", "simplex_from_characters", "character_table",
+        "character_table_2x11", "character_table_uint16"])
 def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     """Each builder has proved its matrix on the exact form it built it from
     (phase exponents, the integer Hadamard identity, a checked basis): no
@@ -549,21 +628,31 @@ def _exponents(g: AbelianGroup) -> np.ndarray:
     return g.digit_array(np.arange(g.order)) * step
 
 
-@pytest.mark.parametrize("mutation", ["not-a-multiple", "negative", "out-of-range", "repeat"])
+@pytest.mark.parametrize("mutation", ["not-a-multiple", "negative", "out-of-range", "repeat",
+                                      "leading-at-trailing", "trailing-at-leading", "repeat-leading"])
 def test_exponent_check_rejects_a_mutated_form(mutation):
+    """Forged half exponents are refused: the halves of (3, 4, 2), split
+    after its first factor, are 3 characters on Z_3 and 8 on Z_4 x Z_2."""
     g = AbelianGroup((3, 4, 2))  # L = 12: generator exponents are multiples of 4, 3 and 6
-    exponents = _exponents(g)
-    flatmat._check_character_exponents(g, exponents)
+    n_hi, halves = flatmat._character_halves(g.factors)
+    hi, lo = halves[:n_hi].astype(np.int64), halves[n_hi:].astype(np.int64)
+    flatmat._check_half_exponents(g, 1, hi, lo)
     if mutation == "not-a-multiple":
-        exponents[5, 1] += 1
+        lo[5, 1] += 1
     elif mutation == "negative":
-        exponents[5, 1] -= 12
+        lo[5, 1] -= 12
     elif mutation == "out-of-range":
-        exponents[5, 1] += 12
+        lo[5, 1] += 12
+    elif mutation == "repeat":
+        lo[5] = lo[7]
+    elif mutation == "leading-at-trailing":
+        hi[1, 2] = 6  # a character, but not zero at the trailing generator e_3
+    elif mutation == "trailing-at-leading":
+        lo[2, 0] = 4
     else:
-        exponents[5] = exponents[7]
+        hi[2] = hi[1]
     with pytest.raises(NotUnimodular):
-        flatmat._check_character_exponents(g, exponents)
+        flatmat._check_half_exponents(g, 1, hi, lo)
 
 
 @pytest.mark.parametrize("kind", ["dft", "hadamard", "character-table"])
