@@ -20,7 +20,6 @@ from .codes import (
 from .designs import (
     SteinerSystem,
     affine_design,
-    harmonic_feasibility,
     kirkman15,
     parse_design,
     round_robin_design,
@@ -46,10 +45,11 @@ from .frames import (
     mcfarland_set,
     naimark_complement,
     parse_frame,
-    real_kirkman_params,
     steiner_etf,
 )
-from .gf import FiniteField, hyperplane_kernel, make_field, trace_one_element
+# gf internals, exported because the harmonic benchmark workload calls them as
+# E.make_field and E.hyperplane_kernel, steps of its own
+from .gf import hyperplane_kernel, make_field
 from .metrics import (
     certify_etf,
     coherence,
@@ -63,16 +63,15 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "BinaryCode", "DifferenceSet", "FiniteField",
-    "Frame", "SteinerSystem", "UnimodularMatrix",
+    "AbelianGroup", "BinaryCode", "DifferenceSet", "Frame", "SteinerSystem", "UnimodularMatrix",
     "affine_design", "certify_etf", "certify_grbe", "character_table",
     "code_to_frame", "coherence", "dft", "distance", "drop_row_simplex",
     "frame_to_code", "frame_to_json", "gram_equal", "grey_rankin_bound",
-    "hadamard", "harmonic_etf", "harmonic_feasibility", "hyperplane_kernel",
+    "hadamard", "harmonic_etf", "hyperplane_kernel",
     "is_linear", "kirkman15", "kirkman_etf", "make_field",
     "mcfarland_as_kirkman", "mcfarland_set", "naimark_complement",
-    "parse_code", "parse_design", "parse_frame", "real_kirkman_params",
+    "parse_code", "parse_design", "parse_frame",
     "rip_delta", "round_robin_design", "simplex_from_characters", "spark",
     "steiner_etf", "steiner_params", "steiner_rip_verdict",
-    "trace_one_element", "validate", "welch_bound",
+    "validate", "welch_bound",
 ]

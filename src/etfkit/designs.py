@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 
 import numpy as np
 
 from . import gf
-from .errors import (
-    BadDimensions,
-    DesignFormatError,
-    FieldConstructionError,
-    InvariantViolation,
-    NotResolvableParameters,
-    OddPointCount,
-)
+from .errors import BadDimensions, DesignFormatError, FieldConstructionError, InvariantViolation, OddPointCount
+from .flatmat import hadamard_order_reachable
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,15 @@ class SteinerSystem:
 
 @dataclass(frozen=True)
 class DesignParams:
-    """Arithmetic consequences of (K, V) plus feasibility flags."""
+    """Arithmetic consequences of (K, V) with feasibility flags; r, b, s and w
+    are None where they are not integers.  The fields after flags are None
+    unless w is an integer; then they give the M x N Kirkman ETF, M = B and
+    N = V(R+1), a difference set of its size (Lambda = M(M-1)/(N-1) and
+    degree M - Lambda), and a real flat build's needs: Hadamard orders R+1
+    and S = V/K, both 0 mod 4 when K = 2 mod 4 and W = 3 mod 4 (reported,
+    not required), and a design that a generator here builds (Fickus, Mixon
+    and Tremain, "Steiner equiangular tight frames", 2012).
+    """
 
     v: int
     k: int
@@ -100,7 +102,28 @@ class DesignParams:
     b: int | None
     s: int | None
     w: int | None
-    flags: dict = field(default_factory=dict)
+    flags: dict
+    m: int | None = None
+    n: int | None = None
+    lam: int | None = None
+    degree: int | None = None
+    hadamard_order_simplex: int | None = None
+    hadamard_order_basis: int | None = None
+    simplex_constructible: bool | None = None
+    basis_constructible: bool | None = None
+    k_2_mod_4: bool | None = None
+    w_3_mod_4: bool | None = None
+    design_available: bool | None = None
+
+    @property
+    def constructible(self) -> bool:
+        """Whether the package builds a real constant-amplitude Kirkman ETF on (K, V)."""
+        return bool(self.design_available and self.simplex_constructible and self.basis_constructible)
+
+    def as_dict(self) -> dict:
+        doc = {"report": "design-params", "passed": self.constructible, **asdict(self)}
+        doc["lambda"] = doc.pop("lam")
+        return doc
 
 
 def parse_design(text: str) -> SteinerSystem:
@@ -126,10 +149,12 @@ def _canonicalize(classes: list[list[tuple[int, ...]]]) -> tuple[tuple, tuple]:
 def steiner_params(k: int, v: int) -> DesignParams:
     """Parameter arithmetic for a putative (2,k,v)-Steiner system.
 
-    Infeasibility is reported in flags rather than raised: r and b integrality,
-    Fisher's count bound, and the resolvability congruence v = k mod k(k-1)
-    (equivalently integral w with v = w*k*(k-1) + k).
+    k and v must be integers (_integers).  Infeasibility is reported in flags
+    rather than raised: r and b integrality, Fisher's count bound, and the
+    resolvability congruence v = k mod k(k-1) (equivalently integral w with
+    v = w*k*(k-1) + k), which decides whether the resolvable fields are set.
     """
+    k, v = _integers(k=k, v=v)
     if not (v > k >= 2):
         raise BadDimensions(f"need v > k >= 2, got k={k}, v={v}")
     r_num, r_den = v - 1, k - 1
@@ -146,7 +171,28 @@ def steiner_params(k: int, v: int) -> DesignParams:
         "resolvable_congruence": v % (k * (k - 1)) == k % (k * (k - 1)),
         "bose": b is not None and r is not None and b >= v + r - 1,
     }
-    return DesignParams(v=v, k=k, r=r, b=b, s=s, w=w, flags=flags)
+    resolvable = {} if w is None else _resolvable_params(k, v, w, r, b)
+    return DesignParams(v=v, k=k, r=r, b=b, s=s, w=w, flags=flags, **resolvable)
+
+
+def _resolvable_params(k: int, v: int, w: int, r: int, b: int) -> dict:
+    """The resolvable fields of DesignParams.  Lambda must divide out of
+    M(M-1)/(N-1), equal its closed form W[W(K-1)+1] and leave degree
+    [W(K-1)+1]^2, else InvariantViolation (a raise, so it survives python -O).
+    A generator builds the design when K = 2 (round_robin_design: V is even
+    and at least 4), for (3, 15) (kirkman15), and for V = K^(j+1) <=
+    gf.SIZE_LIMIT with K a prime power (affine_design)."""
+    m, n = b, v * (r + 1)
+    lam, rest = divmod(m * (m - 1), n - 1)
+    root = w * (k - 1) + 1
+    if rest or lam != w * root or m - lam != root * root:
+        raise InvariantViolation(f"Lambda = {m * (m - 1)}/{n - 1} disagrees with W[W(K-1)+1] = {w * root}")
+    pk, pv = gf.prime_power(k), v <= gf.SIZE_LIMIT and gf.prime_power(v)
+    affine = bool(pk and pv) and pk[0] == pv[0] and pv[1] % pk[1] == 0  # V = K^(j+1)
+    return dict(m=m, n=n, lam=lam, degree=m - lam, hadamard_order_simplex=r + 1, hadamard_order_basis=v // k,
+                simplex_constructible=hadamard_order_reachable(r + 1),
+                basis_constructible=hadamard_order_reachable(v // k), k_2_mod_4=k % 4 == 2, w_3_mod_4=w % 4 == 3,
+                design_available=k == 2 or (k, v) == (3, 15) or affine)
 
 
 def affine_design(q: int, j: int) -> SteinerSystem:
@@ -159,7 +205,7 @@ def affine_design(q: int, j: int) -> SteinerSystem:
     g and trace-one element d; class r collects the lines of direction g^-r.
     Output is re-sorted into canonical form like every other constructor.
     """
-    structure, lines = _affine_lines(*_field_dimensions(q, j))
+    structure, lines = _affine_lines(*_integers(q=q, j=j))
     blocks, resolution = _canonicalize(lines.tolist())
     return SteinerSystem(v=structure.field.order, k=q, blocks=blocks, resolution=resolution)
 
@@ -181,13 +227,14 @@ class AffineStructure:
     delta: int
 
 
-def _field_dimensions(q, j) -> tuple[int, int]:
-    """(q, j) as Python ints, checked before any cache is asked: each must be
-    a Python or numpy integer, not a bool, else BadDimensions (2.0 would
-    find the cached entry of 2)."""
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (q, j)):
-        raise BadDimensions(f"q and j must be integers, got q={q!r}, j={j!r}")
-    return int(q), int(j)
+def _integers(**values) -> tuple[int, ...]:
+    """The named values as Python ints, checked before any arithmetic or cache
+    is asked: each must be a Python or numpy integer, not a bool, else
+    BadDimensions (2.0 would find the cached entry of 2)."""
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values.values()):
+        got = ", ".join(f"{name}={x!r}" for name, x in values.items())
+        raise BadDimensions(f"{' and '.join(values)} must be integers, got {got}")
+    return tuple(map(int, values.values()))
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +269,7 @@ def _affine_lines(q: int, j: int) -> tuple[AffineStructure, np.ndarray]:
 
 def affine_structure(q: int, j: int) -> tuple[AffineStructure, SteinerSystem]:
     """Affine design in natural (r, s) block order plus its field data."""
-    structure, lines = _affine_lines(*_field_dimensions(q, j))
+    structure, lines = _affine_lines(*_integers(q=q, j=j))
     resolution = np.arange(lines[..., 0].size).reshape(lines.shape[:2]).tolist()  # class r lists its S lines
     return structure, SteinerSystem(v=structure.field.order, k=q, blocks=lines.reshape(-1, q).tolist(),
                                     resolution=resolution)
@@ -358,52 +405,3 @@ def validate(design: SteinerSystem) -> ValidationReport:
         checks.append(("bose", bose, "" if bose else f"B = {b} < V + R - 1"))
 
     return ValidationReport(checks=tuple(checks))
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Difference-set arithmetic for resolvable parameters (informational)."""
-
-    v: int
-    k: int
-    w: int
-    m: int
-    n: int
-    lam: int
-    degree: int
-    lam_integral: bool
-    degree_square: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "report": "harmonic-feasibility",
-            "passed": self.lam_integral and self.degree_square,
-            "v": self.v, "k": self.k, "w": self.w, "m": self.m, "n": self.n,
-            "lambda": self.lam, "degree": self.degree,
-            "lambda_integral": self.lam_integral, "degree_square": self.degree_square,
-        }
-
-
-def harmonic_feasibility(k: int, v: int) -> FeasibilityReport:
-    """Replication count and degree a difference set with these frame
-    dimensions would need: Lambda = M(M-1)/(N-1) = W[W(K-1)+1], degree
-    M - Lambda = [W(K-1)+1]^2.  Informational only; says nothing about
-    whether such a set exists.
-    """
-    params = steiner_params(k, v)
-    if params.w is None or params.r is None or params.b is None:
-        raise NotResolvableParameters(f"(k={k}, v={v}) fails the resolvability congruence")
-    w, r, b = params.w, params.r, params.b
-    m = b
-    n = v * (r + 1)
-    lam_times = m * (m - 1)
-    lam_integral = lam_times % (n - 1) == 0
-    lam = lam_times // (n - 1)
-    degree = m - lam
-    root = w * (k - 1) + 1
-    if lam != w * root:
-        raise InvariantViolation(f"Lambda = {lam} disagrees with its closed form W[W(K-1)+1] = {w * root}")
-    return FeasibilityReport(
-        v=v, k=k, w=w, m=m, n=n, lam=lam, degree=degree,
-        lam_integral=lam_integral, degree_square=degree == root * root,
-    )

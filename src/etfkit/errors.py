@@ -41,10 +41,6 @@ class OddPointCount(EtfkitError):
     pass
 
 
-class NotResolvableParameters(EtfkitError):
-    pass
-
-
 class DesignFormatError(EtfkitError):
     pass
 

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -202,29 +202,49 @@ def _paley_exponents(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _hadamard_signs(n: int) -> np.ndarray | None:
-    """Read-only uint8 exponents mod 2 of the sign matrix of order n, or None if unreachable."""
-    if n == 1:
-        exponents = np.zeros((1, 1), dtype=np.uint8)
-    elif n % 4 and n != 2:
+def _hadamard_plan(n: int) -> int | None:
+    """How the implemented closure reaches order n, with no matrix formed:
+    None when it does not, n for a leaf (orders 1 and 2, or Paley I with
+    q = n - 1 a prime power = 3 mod 4), else the d < n of the Kronecker
+    product H_d (x) H_(n/d), d = 2 being Sylvester doubling, else the least
+    divisor d in [4, n/3) with both factors reachable.  Each order's plan is
+    kept, a few ints where its matrix is n x n, and the divisors are found
+    by trial division up to sqrt(n)."""
+    if n in (1, 2):
+        return n
+    if n < 1 or n % 4:
         return None
-    elif (half := _hadamard_signs(n // 2)) is not None:
-        exponents = np.block([[half, half], [half, half ^ 1]])  # [[H, H], [H, -H]]
-    elif gf.prime_power(n - 1) is not None and (n - 1) % 4 == 3:
+    if _hadamard_plan(n // 2) is not None:
+        return 2
+    if gf.prime_power(n - 1) is not None and (n - 1) % 4 == 3:
+        return n
+    low = [d for d in range(4, isqrt(n) + 1) if n % d == 0]
+    return next((d for d in low + [n // d for d in reversed(low) if d * d < n]
+                 if _hadamard_plan(d) is not None and _hadamard_plan(n // d) is not None), None)
+
+
+@lru_cache(maxsize=None)
+def _hadamard_signs(n: int) -> np.ndarray | None:
+    """Read-only uint8 exponents mod 2 of the sign matrix of order n, built as
+    _hadamard_plan says, or None if unreachable."""
+    d = _hadamard_plan(n)
+    if d is None:
+        return None
+    if d < n:  # Kronecker: XOR, written once into the n x n result
+        m = n // d
+        exponents = np.empty((d, m, d, m), dtype=np.uint8)
+        np.bitwise_xor(_hadamard_signs(d)[:, None, :, None], _hadamard_signs(m)[None, :, None, :], out=exponents)
+        exponents = exponents.reshape(n, n)
+    elif n > 2:
         exponents = _paley_exponents(n)
-    else:
-        for d in range(4, n // 3):
-            if n % d == 0 and _hadamard_signs(d) is not None and _hadamard_signs(n // d) is not None:
-                outer = np.bitwise_xor.outer(_hadamard_signs(d), _hadamard_signs(n // d))  # Kronecker: XOR
-                exponents = outer.swapaxes(1, 2).reshape(n, n)
-                break
-        else:
-            return None
+    else:  # H_1 = (1) and H_2 = [[1, 1], [1, -1]]
+        exponents = np.array([[0, 0], [0, 1]] if n == 2 else [[0]], dtype=np.uint8)
     return gf._read_only(exponents)
 
 
 def hadamard_order_reachable(n: int) -> bool:
-    return n >= 1 and _hadamard_signs(n) is not None
+    """Whether hadamard(n) builds, read off the plan alone."""
+    return _hadamard_plan(n) is not None
 
 
 def _has_hadamard_identity(exponents: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Frame synthesis: sparse ETFs from resolvable Steiner systems, their
-constant-amplitude counterparts, difference-set (harmonic) ETFs, Naimark
-complements, and the parameter calculator for real constant-amplitude builds.
+constant-amplitude counterparts, difference-set (harmonic) ETFs and Naimark
+complements.  The parameters a real constant-amplitude build needs are
+reported by designs.steiner_params.
 
 A flat frame of L-th roots of unity stores only their exponents mod L and d,
 a +-1/sqrt(M) frame, which the binary-code bridge consumes, among them at
@@ -30,11 +31,10 @@ from .designs import (
     SteinerSystem,
     _affine_field,
     _class_partition,
-    _field_dimensions,
+    _integers,
     affine_structure,
 )
 from .errors import (
-    BadDimensions,
     BasisShapeMismatch,
     FrameFormatError,
     GroupMismatch,
@@ -57,7 +57,6 @@ from .flatmat import (
     _root_values,
     _sign_exponents,
     _signs,
-    hadamard_order_reachable,
     simplex_from_characters,
 )
 
@@ -521,12 +520,12 @@ def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     canonical primitive element g and trace-zero hyperplane S.
 
     G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1, and
-    q and j must be integers (designs._field_dimensions).  The set reads
+    q and j must be integers (designs._integers).  The set reads
     only the field data (designs._affine_field), so no design is built.
     Each set is built once per (q, j, G), and the frozen set, O(M) ints, is
     handed out again (_mcfarland_set).
     """
-    return _mcfarland_set(*_field_dimensions(q, j), group_g)
+    return _mcfarland_set(*_integers(q=q, j=j), group_g)
 
 
 @lru_cache(maxsize=None)
@@ -637,7 +636,7 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     the difference set, the design-based one from the sums of simplex and
     basis exponents (kirkman_etf), both mod the exponent L of G x V: phase
     forms, sign frames (L = 2) when G has exponent two and p = 2.  q and j
-    must be integers (designs._field_dimensions).
+    must be integers (designs._integers).
 
     The design, the basis and the identification, which depend on (q, j)
     alone (_mcfarland_twin), and the difference set of (q, j, G)
@@ -654,7 +653,7 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     InvariantViolation names q, j, G and the first entry (row, column) of
     the design-based frame, in row-major order, where it fails.
     """
-    q, j = _field_dimensions(q, j)
+    q, j = _integers(q=q, j=j)
     dset = _mcfarland_set(q, j, group_g)
     design, basis, rows, cols = _mcfarland_twin(q, j)
     harm = harmonic_etf(dset.group, dset)
@@ -758,65 +757,3 @@ def naimark_complement(frame: Frame, tol: float = 1e-9) -> Frame:
     out = Frame(entries=(vh[m:, :] * np.sqrt(n / (n - m))).astype(np.complex128), provenance=prov)
     out.check_unit_norm()
     return out
-
-
-# -- real constant-amplitude parameter calculator ------------------------------
-
-@dataclass(frozen=True)
-class RealKirkmanReport:
-    """Dimensions and Hadamard requirements for a real flat ETF with block
-    size k and v = k[w(k-1)+1]."""
-
-    k: int
-    w: int
-    v: int
-    m: int
-    n: int
-    hadamard_order_simplex: int
-    hadamard_order_basis: int
-    k_congruent: bool
-    w_congruent: bool
-    simplex_constructible: bool
-    basis_constructible: bool
-    design_available: bool
-
-    @property
-    def constructible(self) -> bool:
-        return self.simplex_constructible and self.basis_constructible and self.design_available
-
-    def as_dict(self) -> dict:
-        return {
-            "report": "real-kirkman-params",
-            "passed": self.constructible,
-            "k": self.k, "w": self.w, "v": self.v, "m": self.m, "n": self.n,
-            "hadamard_order_simplex": self.hadamard_order_simplex,
-            "hadamard_order_basis": self.hadamard_order_basis,
-            "k_congruent_2_mod_4": self.k_congruent,
-            "w_congruent_3_mod_4": self.w_congruent,
-            "simplex_constructible": self.simplex_constructible,
-            "basis_constructible": self.basis_constructible,
-            "design_available": self.design_available,
-        }
-
-
-def real_kirkman_params(k: int, w: int) -> RealKirkmanReport:
-    """Report V, M, N and the two Hadamard orders (R+1 = WK+2 and V/K) a real
-    constant-amplitude build needs; congruence violations are reported, not
-    raised."""
-    if k < 2 or w < 1:
-        raise BadDimensions("need k >= 2 and w >= 1")
-    v = k * (w * (k - 1) + 1)
-    m = (w * k + 1) * (w * (k - 1) + 1)
-    n = k * (w * k + 2) * (w * (k - 1) + 1)
-    order_simplex = w * k + 2          # R + 1
-    order_basis = w * (k - 1) + 1      # V / K
-    return RealKirkmanReport(
-        k=k, w=w, v=v, m=m, n=n,
-        hadamard_order_simplex=order_simplex,
-        hadamard_order_basis=order_basis,
-        k_congruent=k % 4 == 2,
-        w_congruent=w % 4 == 3,
-        simplex_constructible=hadamard_order_reachable(order_simplex),
-        basis_constructible=hadamard_order_reachable(order_basis),
-        design_available=k == 2,  # round-robin; other block sizes have no generator here
-    )

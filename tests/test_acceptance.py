@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import FIG3_GRID, grid_to_ints, FIG1_GRID, FIG2_GRID
 from etfkit.codes import certify_grbe, distance, frame_to_code, grey_rankin_bound
-from etfkit.designs import affine_design, harmonic_feasibility, kirkman15, round_robin_design
+from etfkit.designs import affine_design, kirkman15, round_robin_design, steiner_params
 from etfkit.flatmat import AbelianGroup, dft, drop_row_simplex, hadamard
 from etfkit.frames import (
     harmonic_etf,
@@ -203,9 +203,8 @@ def test_criterion_10_integrality_ledger():
     for k in range(2, 7):
         for w in range(1, 21):
             v = w * k * (k - 1) + k
-            rep = harmonic_feasibility(k, v)
+            rep = steiner_params(k, v)
             m, n = rep.m, rep.n
-            ok = ok and rep.lam_integral
             ok = ok and rep.lam == w * (w * (k - 1) + 1)
             ok = ok and rep.lam * (n - 1) == m * (m - 1)
             ok = ok and isqrt(rep.degree) ** 2 == rep.degree

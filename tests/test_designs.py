@@ -1,7 +1,7 @@
 import json
-from dataclasses import replace
 from importlib import resources
 from itertools import chain
+from math import isqrt
 
 import jsonschema
 import numpy as np
@@ -11,7 +11,6 @@ from conftest import FIG1_GRID
 from etfkit.designs import (
     SteinerSystem,
     affine_design,
-    harmonic_feasibility,
     kirkman15,
     parse_design,
     round_robin_design,
@@ -19,8 +18,8 @@ from etfkit.designs import (
     validate,
 )
 from etfkit import designs
-from etfkit.errors import DesignFormatError, InvariantViolation, NotResolvableParameters, OddPointCount
-from etfkit.flatmat import dft, drop_row_simplex, hadamard
+from etfkit.errors import DesignFormatError, InvariantViolation, OddPointCount
+from etfkit.flatmat import dft, drop_row_simplex, hadamard, hadamard_order_reachable
 from etfkit.frames import frame_to_json, kirkman_etf, steiner_etf
 
 
@@ -221,41 +220,114 @@ def test_serialization_round_trip():
         assert parse_design(d.to_json()) == d
 
 
+def _real_kirkman(k: int, w: int):
+    """The report for block size k and v = k[w(k-1)+1], the parameters of a
+    real constant-amplitude Kirkman ETF."""
+    return steiner_params(k, k * (w * (k - 1) + 1))
+
+
 def test_feasibility_2_4():
-    f = harmonic_feasibility(2, 4)
+    f = steiner_params(2, 4)
     assert f.lam == 2 and f.degree == 4
-    assert f.lam_integral and f.degree_square
+    assert f.lam * (f.n - 1) == f.m * (f.m - 1) and isqrt(f.degree) ** 2 == f.degree
     # cross-check: M(M-1)/(N-1) with M=6, N=16
     assert 6 * 5 // 15 == f.lam
 
 
 def test_feasibility_2_20():
-    f = harmonic_feasibility(2, 20)
+    f = steiner_params(2, 20)
     assert (f.w, f.lam, f.degree, f.m, f.n) == (9, 90, 100, 190, 400)
 
 
 def test_feasibility_rejects_non_resolvable():
-    with pytest.raises(NotResolvableParameters):
-        harmonic_feasibility(3, 7)
+    """(3, 7), the Fano plane, is not resolvable: its report has null
+    resolvable fields and does not pass (it raised before the
+    parameter reports were one)."""
+    f = steiner_params(3, 7)
+    assert f.w is None and not f.flags["resolvable_congruence"] and not f.constructible
+    resolvable = ("m", "n", "lambda", "degree", "hadamard_order_simplex", "hadamard_order_basis",
+                  "simplex_constructible", "basis_constructible", "k_2_mod_4", "w_3_mod_4", "design_available")
+    doc = f.as_dict()
+    assert all(doc[key] is None for key in resolvable) and doc["passed"] is False
 
 
-def test_feasibility_closed_form_mismatch_raises_an_etfkit_error(monkeypatch):
+def test_feasibility_closed_form_mismatch_raises_an_etfkit_error():
     # a raise, not an assert, so the guard survives python -O
-    params = steiner_params(2, 4)
-    monkeypatch.setattr(designs, "steiner_params", lambda k, v: replace(params, w=params.w + 1))
+    p = steiner_params(2, 4)
     with pytest.raises(InvariantViolation):
-        harmonic_feasibility(2, 4)
+        designs._resolvable_params(2, 4, p.w + 1, p.r, p.b)
 
 
 def test_feasibility_degree_always_square():
-    from math import isqrt
     for k in range(2, 7):
         for w in range(1, 21):
             v = w * k * (k - 1) + k
-            f = harmonic_feasibility(k, v)
-            assert f.lam_integral
+            f = steiner_params(k, v)
+            assert f.lam * (f.n - 1) == f.m * (f.m - 1)
             assert f.lam == w * (w * (k - 1) + 1)
             assert isqrt(f.degree) ** 2 == f.degree
+
+
+def test_real_kirkman_params_k2_w1():
+    rep = _real_kirkman(2, 1)
+    assert (rep.v, rep.m, rep.n) == (4, 6, 16)
+    assert not rep.w_3_mod_4  # reported, not raised
+    assert rep.constructible
+
+
+def test_real_kirkman_params_k2_w3():
+    rep = _real_kirkman(2, 3)
+    assert (rep.v, rep.m, rep.n) == (8, 28, 64)
+    assert rep.k_2_mod_4 and rep.w_3_mod_4
+    assert rep.constructible
+
+
+def test_real_kirkman_params_k2_w11():
+    rep = _real_kirkman(2, 11)
+    assert (rep.v, rep.m, rep.n) == (24, 276, 576)
+    assert rep.hadamard_order_simplex == 24
+    assert rep.hadamard_order_basis == 12
+    assert rep.simplex_constructible and rep.basis_constructible
+
+
+def test_real_kirkman_params_k6_no_generator():
+    rep = _real_kirkman(6, 3)
+    assert rep.k_2_mod_4 and rep.w_3_mod_4
+    assert not rep.design_available
+
+
+def test_real_kirkman_params_closed_forms():
+    """V = K[W(K-1)+1], M = (WK+1)[W(K-1)+1], N = K(WK+2)[W(K-1)+1], and
+    the Hadamard orders R+1 = WK+2 and V/K = W(K-1)+1, over the ledger of
+    acceptance criterion 10; reachability is the closure's, read off
+    hadamard_order_reachable."""
+    for k in range(2, 7):
+        for w in range(1, 21):
+            rep, root = _real_kirkman(k, w), w * (k - 1) + 1
+            assert (rep.v, rep.m, rep.n) == (k * root, (w * k + 1) * root, k * (w * k + 2) * root)
+            assert (rep.hadamard_order_simplex, rep.hadamard_order_basis) == (w * k + 2, root)
+            assert rep.simplex_constructible == hadamard_order_reachable(w * k + 2)
+            assert rep.basis_constructible == hadamard_order_reachable(root)
+            assert (rep.k_2_mod_4, rep.w_3_mod_4) == (k % 4 == 2, w % 4 == 3)
+
+
+@pytest.mark.parametrize("k,v,build", [
+    (2, 8, lambda: round_robin_design(8)), (3, 9, lambda: affine_design(3, 1)), (3, 15, kirkman15),
+    (4, 16, lambda: affine_design(4, 1)), (3, 27, lambda: affine_design(3, 2)), (6, 96, None),
+], ids=["rr8", "aff31", "kirkman15", "aff41", "aff32", "k6-v96"])
+def test_design_available_is_true_exactly_when_a_generator_builds_the_design(k, v, build):
+    """It was hard-coded to k == 2, so (3, 9), (3, 15) and (4, 16) read
+    false though affine_design and kirkman15 build them; no generator here
+    builds a resolvable (2, 6, 96) system, whose existence is open."""
+    assert steiner_params(k, v).design_available is (build is not None)
+    if build is not None:
+        design = build()
+        assert (design.k, design.v) == (k, v) and validate(design).ok
+
+
+def test_design_available_stops_at_the_field_size_limit():
+    """affine_design(2, 19) is GF(2^20), the largest field built; 2^21 is refused."""
+    assert steiner_params(4, 4 ** 10).design_available and not steiner_params(4, 4 ** 11).design_available
 
 
 def _with_numpy_ints(design: SteinerSystem) -> SteinerSystem:
@@ -329,10 +401,14 @@ def test_a_design_stores_python_ints():
     assert {type(x) for x in chain(*design.blocks, *design.resolution)} == {int}
 
 
-def test_the_feasibility_report_meets_its_schema():
+def test_the_design_params_report_meets_its_schema():
     schema = json.loads(resources.files("etfkit").joinpath("schemas/report.schema.json").read_text())
-    for k, v in ((2, 4), (2, 20), (3, 9)):
-        doc = harmonic_feasibility(k, v).as_dict()
+    for k, v in ((2, 4), (2, 20), (3, 9), (2, 8), (2, 24), (6, 96), (3, 7)):
+        rep = steiner_params(k, v)
+        doc = rep.as_dict()
         jsonschema.validate(doc, schema)
-        assert doc["report"] == "harmonic-feasibility" and doc["passed"] is True
-
+        assert doc["report"] == "design-params" and doc["passed"] is rep.constructible
+        assert (doc["v"], doc["m"], doc["n"], doc["lambda"]) == (rep.v, rep.m, rep.n, rep.lam)
+        if rep.w is not None:  # Lambda integral and the degree a square
+            assert doc["lambda"] * (doc["n"] - 1) == doc["m"] * (doc["m"] - 1)
+            assert isqrt(doc["degree"]) ** 2 == doc["degree"]

@@ -29,6 +29,7 @@ from etfkit.flatmat import (
     simplex_from_characters,
 )
 from etfkit.frames import kirkman_etf
+from etfkit.gf import prime_power
 
 
 def test_dft_1():
@@ -112,6 +113,35 @@ def test_hadamard_unsupported_orders():
         hadamard(36)  # admissible mod 4 but outside the implemented closure
     assert not hadamard_order_reachable(36)
     assert hadamard_order_reachable(12)
+
+
+def test_hadamard_order_reachable_forms_no_matrix():
+    """Reachability is read off the closure's plan, a few ints per order:
+    deciding orders 8192 and 4096 built both matrices (64 MB and 16 MB in
+    uint8, kept by the _hadamard_signs cache)."""
+    flatmat._hadamard_plan.cache_clear()
+    entries = flatmat._hadamard_signs.cache_info().currsize
+    tracemalloc.start()
+    try:
+        assert hadamard_order_reachable(8192) and hadamard_order_reachable(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert flatmat._hadamard_signs.cache_info().currsize == entries
+
+
+def test_hadamard_plan_splits_only_at_reachable_orders():
+    """The one plan both readers share: a leaf is 1, 2 or a Paley I order,
+    and a split d of n has d and n/d reachable, d = 2 where n/2 is."""
+    for n in range(1, 1025):
+        d = flatmat._hadamard_plan(n)
+        if d == n:
+            assert n <= 2 or (n % 4 == 0 and (n - 1) % 4 == 3 and prime_power(n - 1) is not None)
+        elif d is not None:
+            assert n % d == 0 and hadamard_order_reachable(d) and hadamard_order_reachable(n // d)
+            assert (d == 2) is hadamard_order_reachable(n // 2)
+        assert hadamard_order_reachable(n) is (d is not None)
 
 
 def test_drop_row_simplex_hadamard4(fig1_ints):
@@ -617,8 +647,8 @@ def test_builders_form_no_dense_gram(builder, args, monkeypatch):
     assert dense == []
     assert not {"entries", "signs"} & set(vars(m))
     phases = m._exponents[0]
-    if builder is hadamard:  # built from order 1 up: 1, 2, 4, ..., 256
-        assert flatmat._hadamard_signs.cache_info().currsize == 9
+    if builder is hadamard:  # built from order 2 up, H_2 (x) H_(n/2): 2, 4, ..., 256
+        assert flatmat._hadamard_signs.cache_info().currsize == 8
     chain_and_identity = (4 / 3 + 16) * phases.size if builder is hadamard else 0
     assert peak < min(2 * phases.nbytes + chain_and_identity, 5_000_000)
 

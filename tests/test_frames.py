@@ -46,7 +46,6 @@ from etfkit.frames import (
     mcfarland_set,
     naimark_complement,
     parse_frame,
-    real_kirkman_params,
     steiner_etf,
     trace_character_basis,
     _numeric,
@@ -525,43 +524,6 @@ def test_a_scale_is_stored_as_a_python_int_and_may_be_0_on_an_empty_form():
     frame = Frame(exact_ints=np.array([[3, 4]], dtype=np.uint8), scale_sq=np.int64(25))
     assert frame.scale_sq == 25 and type(frame.scale_sq) is int
     assert Frame(exact_ints=np.zeros((0, 3), dtype=np.int8), scale_sq=0).entries.shape == (0, 3)
-
-
-def test_real_kirkman_params_k2_w1():
-    rep = real_kirkman_params(2, 1)
-    assert (rep.v, rep.m, rep.n) == (4, 6, 16)
-    assert not rep.w_congruent  # reported, not raised
-    assert rep.constructible
-
-
-def test_real_kirkman_params_k2_w3():
-    rep = real_kirkman_params(2, 3)
-    assert (rep.v, rep.m, rep.n) == (8, 28, 64)
-    assert rep.k_congruent and rep.w_congruent
-    assert rep.constructible
-
-
-def test_real_kirkman_params_k2_w11():
-    rep = real_kirkman_params(2, 11)
-    assert (rep.v, rep.m, rep.n) == (24, 276, 576)
-    assert rep.hadamard_order_simplex == 24
-    assert rep.hadamard_order_basis == 12
-    assert rep.simplex_constructible and rep.basis_constructible
-
-
-def test_the_real_kirkman_report_meets_its_schema():
-    schema = json.loads(resources.files("etfkit").joinpath("schemas/report.schema.json").read_text())
-    for k, w in ((2, 1), (2, 3), (2, 11), (6, 3)):
-        rep = real_kirkman_params(k, w)
-        doc = rep.as_dict()
-        jsonschema.validate(doc, schema)
-        assert (doc["v"], doc["m"], doc["n"]) == (rep.v, rep.m, rep.n)
-
-
-def test_real_kirkman_params_k6_no_generator():
-    rep = real_kirkman_params(6, 3)
-    assert rep.k_congruent and rep.w_congruent
-    assert not rep.design_available
 
 
 # -- the bincount difference-set check against the pairwise count ---------------

@@ -30,7 +30,7 @@ from etfkit.designs import (SteinerSystem, affine_design, affine_structure, kirk
 from etfkit.errors import DesignFormatError, EtfkitError, FrameFormatError
 from etfkit.flatmat import AbelianGroup, UnimodularMatrix, dft, drop_row_simplex, hadamard
 from etfkit.frames import (DifferenceSet, Frame, frame_to_json, harmonic_etf, kirkman_etf, mcfarland_set,
-                           parse_frame, real_kirkman_params, steiner_etf)
+                           parse_frame, steiner_etf)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _MCF21 = mcfarland_set(2, 1, AbelianGroup((4,)))
@@ -361,10 +361,16 @@ def test_values_past_float64_or_an_array_size_are_refused(parse, text):
     lambda: AbelianGroup.parse("2xa"),
     lambda: affine_structure(2, 0),
     lambda: steiner_params(3, 3),
-    lambda: real_kirkman_params(1, 1),
+    lambda: steiner_params(1, 1),
+    lambda: steiner_params(2, 4.0),
+    lambda: steiner_params(2.5, 6.25),
+    lambda: steiner_params(2.0, 4),
+    lambda: steiner_params(True, 4),
+    lambda: steiner_params(np.int64(2), np.float64(4)),
     lambda: Frame(entries=np.eye(2, dtype=np.complex128)).gram_exact(),
 ], ids=["dft-0", "hadamard-0", "simplex-of-non-square", "group-factor-0", "group-empty", "group-spec",
-        "affine-j-0", "steiner-params", "real-kirkman-params", "gram-exact-of-float"])
+        "affine-j-0", "steiner-params", "steiner-params-k-1", "steiner-params-float-v", "steiner-params-float-k",
+        "steiner-params-float-both", "steiner-params-bool-k", "steiner-params-numpy-float-v", "gram-exact-of-float"])
 def test_api_misuse_raises_an_etfkit_error_that_is_a_value_error(call):
     with pytest.raises(EtfkitError) as raised:
         call()

@@ -6,6 +6,7 @@ escapes that net, so neither may appear in src/etfkit.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,17 @@ def _raises_assertion_error(node: ast.Raise) -> bool:
 
 def test_every_module_is_found():
     assert {"flatmat.py", "frames.py", "gf.py", "metrics.py"} <= {p.name for p in SOURCES}
+
+
+def test_all_names_exactly_what_etfkit_binds():
+    """etfkit.__all__ lists every public name the package binds, and no other:
+    every name that is no dunder and no submodule (gf.FiniteField and
+    gf.trace_one_element stay in gf, unexported)."""
+    import etfkit
+
+    bound = {name for name, value in vars(etfkit).items()
+             if not name.startswith("__") and not isinstance(value, types.ModuleType)}
+    assert sorted(etfkit.__all__) == sorted(bound) and len(set(etfkit.__all__)) == len(etfkit.__all__)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -420,8 +432,8 @@ def _tests_a_type(node: ast.AST) -> bool:
 def test_designs_and_difference_sets_are_checked_where_they_are_built():
     """SteinerSystem.__post_init__ is the one place in designs that tests a
     value's type or raises DesignFormatError for a field, beside
-    _field_dimensions, which checks the q and j of the affine builders
-    before their caches are asked, so parse_design
+    _integers, which checks the q and j of the affine builders before their
+    caches are asked and the k and v of steiner_params, so parse_design
     and to_json hold no field checks of their own (parse_design refuses
     only text that is no JSON object with the fields); only
     DifferenceSet.__post_init__ takes differences in frames, and
@@ -431,7 +443,7 @@ def test_designs_and_difference_sets_are_checked_where_they_are_built():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     designs, frames = trees["designs.py"], trees["frames.py"]
     assert {scope for scope, _ in _sites(designs, _tests_a_type)} == {"SteinerSystem.__post_init__",
-                                                                      "_field_dimensions"}
+                                                                      "_integers"}
     raises = [scope for scope, _ in _sites(designs, _calls("DesignFormatError"))]
     assert set(raises) == {"SteinerSystem.__post_init__", "parse_design"} and raises.count("parse_design") == 2
     for name in ("parse_design", "SteinerSystem.to_json"):
