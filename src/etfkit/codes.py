@@ -33,6 +33,8 @@ from .errors import (
     NotRealConstantAmplitude,
     NotSelfComplementary,
     TooFewWords,
+    _integers,
+    _is_integer,
 )
 from .frames import Frame, _signs, exact_gram
 from .metrics import DEFAULT_TOL, _certify, _gram_profile
@@ -80,7 +82,7 @@ class BinaryCode:
     __slots__ = ("m", "bits", "self_complementary")
 
     def __init__(self, m: int, words, self_complementary: bool):
-        if not isinstance(m, (int, np.integer)) or m < 0:
+        if not _is_integer(m) or m < 0:
             raise CodeFormatError(f"code length must be a non-negative integer, got {m!r}")
         m = int(m)
         bits = _bit_array(m, words)
@@ -299,7 +301,9 @@ class BoundReport:
 
 def grey_rankin_bound(m: int, delta: int) -> BoundReport:
     """Bound on 2N for a self-complementary (m, 2N) code of distance delta;
-    NotApplicable (value None) when 2*delta <= m - sqrt(m)."""
+    NotApplicable (value None) when 2*delta <= m - sqrt(m).  m and delta
+    must be integers (errors._integers)."""
+    m, delta = _integers(m=m, delta=delta)
     denom = m - (m - 2 * delta) ** 2
     if denom <= 0:
         return BoundReport(m=m, delta=delta, applicable=False, value=None)

@@ -17,7 +17,8 @@ from itertools import accumulate, chain, combinations
 import numpy as np
 
 from . import gf
-from .errors import BadDimensions, DesignFormatError, FieldConstructionError, InvariantViolation, OddPointCount
+from .errors import (BadDimensions, DesignFormatError, FieldConstructionError, InvariantViolation, OddPointCount,
+                     _integers, _is_integer)
 from .flatmat import hadamard_order_reachable
 
 
@@ -28,9 +29,9 @@ class SteinerSystem:
     resolution, when present, lists R parallel classes, each a list of block
     indices whose blocks partition the point set.  The fields are checked
     once, here: v and k integers with 2 <= k <= v, block points in [0, V) and
-    resolution indices in [0, B), where an integer is a Python or numpy
-    integer, not a bool; else DesignFormatError.  Points and indices are
-    stored as tuples of Python ints, which JSON writes.
+    resolution indices in [0, B), each an integer by errors._is_integer;
+    else DesignFormatError.  Points and indices are stored as tuples of
+    Python ints, which JSON writes.
     """
 
     v: int
@@ -39,7 +40,7 @@ class SteinerSystem:
     resolution: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):  # K >= 2: blocks hold two points or more, and V/K and (V-1)/(K-1) need it
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.v, self.k)):
+        if not (_is_integer(self.v) and _is_integer(self.k)):
             raise DesignFormatError(f"v and k must be integers, got v={self.v!r}, k={self.k!r}")
         object.__setattr__(self, "v", int(self.v))
         object.__setattr__(self, "k", int(self.k))
@@ -56,13 +57,13 @@ class SteinerSystem:
             except TypeError as e:
                 raise DesignFormatError(f"{name} must be a list of lists of integers: {e}") from e
             values = list(chain.from_iterable(rows))
-            types = set(map(type, values))
-            if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+            kinds = dict(zip(map(type, values), values))  # one value of each type
+            if not all(map(_is_integer, kinds.values())):
                 raise DesignFormatError(f"every {what} must be an integer")
             if values and not (0 <= min(values) and max(values) < bound):
                 bad = next(x for x in values if not 0 <= x < bound)
                 raise DesignFormatError(f"{what} {bad} is out of range [0, {bound})")
-            if types != {int}:
+            if kinds.keys() != {int}:
                 rows = tuple(tuple(map(int, row)) for row in rows)
             object.__setattr__(self, name, rows)
             bound = len(rows)
@@ -149,10 +150,11 @@ def _canonicalize(classes: list[list[tuple[int, ...]]]) -> tuple[tuple, tuple]:
 def steiner_params(k: int, v: int) -> DesignParams:
     """Parameter arithmetic for a putative (2,k,v)-Steiner system.
 
-    k and v must be integers (_integers).  Infeasibility is reported in flags
-    rather than raised: r and b integrality, Fisher's count bound, and the
-    resolvability congruence v = k mod k(k-1) (equivalently integral w with
-    v = w*k*(k-1) + k), which decides whether the resolvable fields are set.
+    k and v must be integers (errors._integers).  Infeasibility is reported
+    in flags rather than raised: r and b integrality, Fisher's count bound,
+    and the resolvability congruence v = k mod k(k-1) (equivalently integral
+    w with v = w*k*(k-1) + k), which decides whether the resolvable fields
+    are set.
     """
     k, v = _integers(k=k, v=v)
     if not (v > k >= 2):
@@ -227,16 +229,6 @@ class AffineStructure:
     delta: int
 
 
-def _integers(**values) -> tuple[int, ...]:
-    """The named values as Python ints, checked before any arithmetic or cache
-    is asked: each must be a Python or numpy integer, not a bool, else
-    BadDimensions (2.0 would find the cached entry of 2)."""
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values.values()):
-        got = ", ".join(f"{name}={x!r}" for name, x in values.items())
-        raise BadDimensions(f"{' and '.join(values)} must be integers, got {got}")
-    return tuple(map(int, values.values()))
-
-
 @lru_cache(maxsize=None)
 def _affine_field(q: int, j: int) -> AffineStructure:
     """The field data of the affine design over GF(q^(j+1)), with no design
@@ -279,8 +271,10 @@ def round_robin_design(v: int) -> SteinerSystem:
     """The complete (2,2,v) design resolved by the circle-method schedule.
 
     Round r pairs {v-1, r} and {(r+i) mod (v-1), (r-i) mod (v-1)} for
-    i = 1 .. v/2 - 1, then the rounds are put in canonical form.
+    i = 1 .. v/2 - 1, then the rounds are put in canonical form.  v must be
+    an integer (errors._integers).
     """
+    v, = _integers(v=v)
     if v < 4 or v % 2:
         raise OddPointCount(f"round-robin resolution needs an even v >= 4, got {v}")
     n = v - 1

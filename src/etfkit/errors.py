@@ -1,4 +1,11 @@
-"""Exception hierarchy. Every error raised by the library derives from EtfkitError."""
+"""Exception hierarchy. Every error raised by the library derives from EtfkitError.
+
+It also holds the one integer rule, _is_integer, by which every module
+checks its integer fields and arguments, each check raising its own error
+class.
+"""
+
+import numpy as np
 
 
 class EtfkitError(Exception):
@@ -11,6 +18,22 @@ class InvariantViolation(EtfkitError):
 
 class BadDimensions(EtfkitError, ValueError):
     """A size or parameter outside the range a construction or bound is defined on."""
+
+
+def _is_integer(x) -> bool:
+    """The one integer rule: x is a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _integers(**values) -> tuple[int, ...]:
+    """The named values as Python ints, checked before any arithmetic or cache
+    is asked: each must meet _is_integer, else BadDimensions (2.0 would find
+    the cached entry of 2)."""
+    if not all(map(_is_integer, values.values())):
+        got = ", ".join(f"{name}={x!r}" for name, x in values.items())
+        need = "integers" if len(values) > 1 else "an integer"
+        raise BadDimensions(f"{' and '.join(values)} must be {need}, got {got}")
+    return tuple(map(int, values.values()))
 
 
 # -- finite fields ----------------------------------------------------------

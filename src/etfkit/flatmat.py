@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gf
 from .errors import (BadDimensions, BasisShapeMismatch, IndexOutOfRange, InvariantViolation, NotUnimodular,
-                     RowOutOfRange, UnsupportedHadamardOrder)
+                     RowOutOfRange, UnsupportedHadamardOrder, _integers, _is_integer)
 
 ENTRY_TOL = 1e-12
 ORTHO_TOL = 1e-9
@@ -49,17 +49,20 @@ class UnimodularMatrix:
     dtype and entry bytes (read off exponents of one L), hashing over kind and shape.
 
     One form is stored, _exponents = (phases, L) with entries zeta_L^phases
-    (+-1 signs: L = 2), handed in as _phases by a builder that proved them.
-    Entries from outside the package are copied and, unless _checked by the
-    caller, get the dense O(N^3) test of their Gram; all real +-1, they are
-    kept as exponents mod 2, else as the read-only copy, with _exponents
-    None.  entries (complex128 when derived, by _root_values) and signs
-    (the exact int64 view, present exactly when L <= 2, by _signs) are
-    derived on first read and kept read-only, and the attributes are frozen.
+    (+-1 signs: L = 2), handed in as _phases by a builder that proved them,
+    with no entries beside them (NotUnimodular).  Entries from outside the
+    package are copied and, unless _checked by the caller, get the dense
+    O(N^3) test of their Gram; all real +-1, they are kept as exponents
+    mod 2, else as the read-only copy, with _exponents None.  entries
+    (complex128 when derived, by _root_values) and signs (the exact int64
+    view, present exactly when L <= 2, by _signs) are derived on first read
+    and kept read-only, and the attributes are frozen.
     """
 
     def __init__(self, entries: np.ndarray | None, kind: str, _phases: tuple[np.ndarray, int] | None = None,
                  _checked: bool = False):
+        if _phases is not None and entries is not None:
+            raise NotUnimodular(f"a {kind} matrix is built from its entries or its _phases, not both")
         vars(self).update(kind=kind, _exponents=_phases)  # frozen: set only here, through vars, or by a cached_property
         if _phases is None:
             vars(self)["entries"] = gf._read_only(np.array(entries))  # a copy: the caller's cannot change it
@@ -75,7 +78,7 @@ class UnimodularMatrix:
     def entries(self) -> np.ndarray:
         """zeta_L^phases, gathered from _unit_roots(L)."""
         phases, big_l = self._exponents
-        return gf._read_only(_root_values(phases, big_l, _unit_roots(big_l)))
+        return gf._read_only(_root_values(phases, _unit_roots(big_l)))
 
     @cached_property
     def signs(self) -> np.ndarray | None:
@@ -143,13 +146,14 @@ def _deviation(a: np.ndarray) -> float:
 def _unit_roots(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2 pi i k / n), k = 0..n-1: the one table
     of roots the package evaluates, from which the DFT, every character
-    table and every frame stored as phases are gathered.  The quarter roots
-    1, i, -1, -i that n admits are exact, so for n <= 2 the table holds
-    exactly 1 and -1; every other root is within 24 u of exact, u the unit
-    roundoff.  The phase 2 pi k / n, below 2 pi, takes three roundings (pi,
-    the product by k, the quotient by n), so it is within 3 u 2 pi (1 + 3 u)
-    of exact, and so is its exponential; cos and sin, each within an ulp of
-    a value below 1, add at most sqrt(2) u: 19 u + 1.5 u < 24 u."""
+    table and every frame stored as phases are gathered (_root_values).
+    The quarter roots 1, i, -1, -i that n admits are exact, so for n <= 2
+    the table holds exactly 1 and -1; every other root is within 24 u of
+    exact, u the unit roundoff.  The phase 2 pi k / n, below 2 pi, takes
+    three roundings (pi, the product by k, the quotient by n), so it is
+    within 3 u 2 pi (1 + 3 u) of exact, and so is its exponential; cos and
+    sin, each within an ulp of a value below 1, add at most sqrt(2) u:
+    19 u + 1.5 u < 24 u."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     for k, root in enumerate((1, 1j, -1, 0 - 1j)):  # the literal -1j has real part -0.0
         if k * n % 4 == 0:
@@ -165,7 +169,8 @@ def dft(n: int) -> UnimodularMatrix:
     Z_n has no factor boundary to split at, so its leading half is trivial
     (n_hi = 1) and its trailing half holds the n exponents b at the
     generator; they are checked once per n, in O(n) integers, and kept (see
-    character_table)."""
+    character_table).  n must be an integer (errors._integers)."""
+    n, = _integers(n=n)
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
     return _character_matrix(AbelianGroup((n,)), np.arange(n), "dft")
@@ -263,7 +268,9 @@ def _has_hadamard_identity(exponents: np.ndarray) -> bool:
 def hadamard(n: int) -> UnimodularMatrix:
     """+-1 matrix with H^T H = n I, built by Sylvester doubling and Paley I
     composed with Kronecker products as exponents mod 2, checked exactly on
-    them, and stored as those cached read-only exponents."""
+    them, and stored as those cached read-only exponents.  n must be an
+    integer (errors._integers)."""
+    n, = _integers(n=n)
     if n < 1:
         raise BadDimensions(f"need n >= 1, got {n}")
     exponents = _hadamard_signs(n)
@@ -279,7 +286,9 @@ def drop_row_simplex(basis: UnimodularMatrix, row: int = 0) -> UnimodularMatrix:
     unimodular regular simplex, with no test: off the diagonal, columns a, b
     meet at G[a, b] - conj(B[r, a]) B[r, b], with |G[a, b]| <= ORTHO_TOL as
     checked when B was built (0 for exponents), so at modulus 1 within
-    ORTHO_TOL + 2 ENTRY_TOL.  The kept rows of B's one stored form are handed in."""
+    ORTHO_TOL + 2 ENTRY_TOL.  The kept rows of B's one stored form are handed in.
+    row must be an integer (errors._integers)."""
+    row, = _integers(row=row)
     if basis.rows != basis.cols:
         raise BasisShapeMismatch("simplex construction needs a square orthogonal basis")
     if not 0 <= row < basis.rows:
@@ -305,12 +314,12 @@ class AbelianGroup:
 
     def __post_init__(self):
         try:
-            factors = tuple(operator.index(f) for f in self.factors)
+            factors = tuple(self.factors)
         except TypeError:
             factors = ()
-        if not factors or any(f < 1 for f in factors):
+        if not factors or not all(_is_integer(f) and f >= 1 for f in factors):
             raise BadDimensions("factors must be a nonempty list of positive cyclic orders")
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", tuple(map(int, factors)))
 
     @property
     def order(self) -> int:
@@ -398,13 +407,6 @@ def _phase_dtype(big_l: int) -> np.dtype:
     return np.min_scalar_type(big_l - 1)
 
 
-def _root_table(big_l: int) -> np.ndarray:
-    """_unit_roots(L), as the int64 values 1 and -1 when L <= 2, where they
-    are exact: the table every character value is gathered from."""
-    roots = _unit_roots(big_l)
-    return roots.real.astype(np.int64) if big_l <= 2 else roots
-
-
 def _character_phases(g: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     """(phases, L): the len(elements) x |G| exponents
     sum_k e_k u_k L / f_k mod L of every character u of G at each listed
@@ -467,15 +469,14 @@ def _character_halves(factors: tuple[int, ...]) -> tuple[int, np.ndarray]:
     return n_hi, gf._read_only(np.concatenate((hi, lo)).astype(np.float64))
 
 
-def _root_values(phases: np.ndarray, big_l: int, table: np.ndarray | None = None) -> np.ndarray:
-    """table[phases] for an M x N array of exponents already reduced mod L:
-    by default table is _root_table(L), so the values are zeta_L^phases,
-    int64 when L <= 2, where they are exactly +-1, else complex.  The one
-    gather of roots at phases, a block of rows at a time: numpy's take
+def _root_values(phases: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table[phases] for an M x N array of exponents already reduced mod L
+    and a table of L values: _unit_roots(L), so the values are
+    zeta_L^phases, or that table divided by a frame's sqrt(scale_sq).  The
+    one gather of roots at phases, a block of rows at a time: numpy's take
     casts its indices to intp, so only a block of them is cast at once.
     Every index is below L, so mode "clip" changes none, and it writes into
     out directly, where the default mode would buffer it."""
-    table = _root_table(big_l) if table is None else table
     values = np.empty(phases.shape, dtype=table.dtype)
     step = max(1, _TABLE_BLOCK // max(phases.shape[1], 1))
     for lo in range(0, len(phases), step):
@@ -531,7 +532,8 @@ def simplex_from_characters(g: AbelianGroup, dropped: int) -> UnimodularMatrix:
     """The character table with one group-element column deleted, transposed:
     f_u(r) = chi_u(g_r) over the remaining R elements is an R x (R+1)
     unimodular regular simplex, checked and stored as its phases
-    (_character_phases)."""
+    (_character_phases).  dropped must be an integer (errors._integers)."""
+    dropped, = _integers(dropped=dropped)
     n = g.order
     if not 0 <= dropped < n:
         raise IndexOutOfRange(f"element index {dropped} out of range for a group of order {n}")

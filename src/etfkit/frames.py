@@ -7,12 +7,13 @@ A flat frame of L-th roots of unity stores only their exponents mod L and d,
 a +-1/sqrt(M) frame, which the binary-code bridge consumes, among them at
 L = 2; any other frame of integer multiples of a common 1/sqrt(d) stores that
 integer matrix and d.  So Gram computations downstream are exact, and the
-complex entries are derived when first read.  _assemble is
-the one place a construction picks its form, from what it gathered, and
-exact_gram the one place that decides how an integer product, always the
-Gram a a^T of one matrix, is computed exactly.  Exponents are the one exact
-route through the Kirkman layer: kirkman_etf sums them, signs included, and
-mcfarland_as_kirkman proves the twins equal as one identity on them.
+complex entries are derived when first read, never handed in beside the
+form a frame is built from.  _assemble is the one place a construction
+picks its form, from what it gathered, and exact_gram the one place that
+decides how an integer product, always the Gram a a^T of one matrix, is
+computed exactly.  Exponents are the one exact route through the Kirkman
+layer: kirkman_etf sums them, signs included, and mcfarland_as_kirkman
+proves the twins equal as one identity on them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .designs import (
     SteinerSystem,
     _affine_field,
     _class_partition,
-    _integers,
     affine_structure,
 )
 from .errors import (
@@ -46,6 +46,8 @@ from .errors import (
     NotTight,
     NotUnitNorm,
     SimplexShapeMismatch,
+    _integers,
+    _is_integer,
 )
 from .flatmat import (
     AbelianGroup,
@@ -53,10 +55,10 @@ from .flatmat import (
     _character_labels,
     _character_phases,
     _phase_dtype,
-    _root_table,
     _root_values,
     _sign_exponents,
     _signs,
+    _unit_roots,
     simplex_from_characters,
 )
 
@@ -93,85 +95,77 @@ def _exact_ints(arr: np.ndarray, bound: int) -> np.ndarray:
     return arr.astype(np.int64) if bound < _INT64_EXACT else arr.astype(object)
 
 
-@dataclass(eq=False, init=False)
 class Frame:
     """M x N synthesis matrix; columns are the frame vectors.
 
-    A frame stores one form.  A float frame stores its complex entries.  A
-    phase frame stores phases, its exponents mod order (unsigned integers),
-    and scale_sq, the frame being zeta_order^phases / sqrt(scale_sq); a
-    builder hands them in as the private _phases = (phases, order).  A +-1
-    frame at scale M is the phase form at order 2, however it is handed in
-    (exact_ints of +-1 are converted here); any other integer frame stores
-    exact_ints and scale_sq, the frame being exact_ints / sqrt(scale_sq).
-    A sign frame's exact_ints and an exact form's entries are derived on
-    first read and kept read-only; any passed in must equal them.  The
-    stored form is checked once, here: finite 2-D entries, 2-D integer
-    exact_ints, and an integer scale_sq (not a bool), positive on a nonempty
-    form; else FrameFormatError.
+    A frame is built from exactly one stored form, handed in as exactly one
+    of entries, exact_ints and _phases; every other form is derived from it
+    when read and never handed back in.  A float frame stores its complex
+    entries.  A phase frame stores phases, its exponents mod order
+    (unsigned integers), and scale_sq, the frame being
+    zeta_order^phases / sqrt(scale_sq); a builder hands them in as the
+    private _phases = (phases, order).  A +-1 frame at scale M is the phase
+    form at order 2, however it is handed in (exact_ints of +-1 are
+    converted here); any other integer frame stores exact_ints and
+    scale_sq, the frame being exact_ints / sqrt(scale_sq).  A sign frame's
+    exact_ints and an exact form's entries are derived on first read and
+    kept read-only; repr derives neither.  The stored form is checked once,
+    here: finite 2-D entries, 2-D integer exact_ints, phases below their
+    order, and a scale_sq with exactly the exact forms, an integer
+    (errors._is_integer) positive on a nonempty form; else
+    FrameFormatError.
     """
 
-    entries: np.ndarray
-    exact_ints: np.ndarray | None
-    scale_sq: int | None
-    provenance: dict
-    _phases: tuple[np.ndarray, int] | None
+    _entries = _ints = _phases = scale_sq = None  # a frame sets the one form it stores, and an exact form's scale
+    _steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form and verdict here
 
     def __init__(self, entries: np.ndarray | None = None, exact_ints: np.ndarray | None = None,
                  scale_sq: int | None = None, provenance: dict | None = None,
                  _phases: tuple[np.ndarray, int] | None = None):
-        phases, order = (None, None) if _phases is None else _phases
-        exact = exact_ints if phases is None else phases
-        if exact is not None:
-            exact = np.asarray(exact).view()
-            exact.flags.writeable = False
-        if (exact is None) != (scale_sq is None):
-            raise FrameFormatError("an exact form is exact_ints or phases, with scale_sq")
-        if exact is None and entries is None:
-            raise FrameFormatError("a frame needs entries or an exact form")
-        if phases is not None and (exact.ndim != 2 or exact.dtype.kind != "u" or exact.max(initial=0) >= order):
-            raise FrameFormatError("a phase form is a matrix of unsigned exponents below its order")
-        if exact_ints is not None and (exact.ndim != 2 or exact.dtype.kind not in "iu"):
-            raise FrameFormatError("an integer form is a matrix of integers")
-        if scale_sq is not None:
-            if not isinstance(scale_sq, (int, np.integer)) or isinstance(scale_sq, bool):
-                raise FrameFormatError(f"scale_sq must be an integer, got {scale_sq!r}")
-            scale_sq = int(scale_sq)
-            if scale_sq < 1 and exact.size:  # else the derived entries divide by zero or take a NaN root
-                raise FrameFormatError(f"scale_sq must be positive, got {scale_sq}")
+        if sum(f is not None for f in (entries, exact_ints, _phases)) != 1 or (entries is None) == (scale_sq is None):
+            raise FrameFormatError("a frame is built from exactly one of entries, exact_ints and _phases, "
+                                   "with scale_sq beside either of the last two")
+        self.provenance = {} if provenance is None else provenance
         if entries is not None:
             entries = np.asarray(entries)
             if entries.ndim != 2 or entries.dtype.kind not in "biufc":
                 raise FrameFormatError("entries must be a matrix of numbers")
             if not np.isfinite(entries).all():
                 raise FrameFormatError("entries must be finite numbers")
-        signs = _sign_exponents(exact) if phases is None and exact is not None and scale_sq == len(exact) else None
-        if signs is not None:  # +-1 / sqrt(M): a sign frame
-            exact, phases, order = signs, signs, 2
-        self._ints = exact if phases is None else None
-        self._phases = None if phases is None else (exact, order)
-        self.scale_sq = scale_sq
-        self.provenance = {} if provenance is None else provenance
-        self._entries = entries if exact is None else None
-        self._steiner = None  # metrics._steiner_reading keeps the exact form's Steiner form and verdict here
-        if exact is not None and entries is not None and not np.array_equal(entries, self.entries):
-            raise FrameFormatError("entries differ from the exact form / sqrt(scale_sq)")
-        if _phases is not None and exact_ints is not None and not np.array_equal(exact_ints, self.exact_ints):
-            raise FrameFormatError("exact_ints differ from the signs of the phases")
+            self._entries = entries
+            return
+        exact, order = (exact_ints, None) if _phases is None else _phases
+        exact = gf._read_only(np.asarray(exact).view())
+        if order is not None and (exact.ndim != 2 or exact.dtype.kind != "u" or exact.max(initial=0) >= order):
+            raise FrameFormatError("a phase form is a matrix of unsigned exponents below its order")
+        if order is None and (exact.ndim != 2 or exact.dtype.kind not in "iu"):
+            raise FrameFormatError("an integer form is a matrix of integers")
+        if not _is_integer(scale_sq):
+            raise FrameFormatError(f"scale_sq must be an integer, got {scale_sq!r}")
+        self.scale_sq = int(scale_sq)
+        if self.scale_sq < 1 and exact.size:  # else the derived entries divide by zero or take a NaN root
+            raise FrameFormatError(f"scale_sq must be positive, got {self.scale_sq}")
+        if order is None and self.scale_sq == len(exact) and (signs := _sign_exponents(exact)) is not None:
+            exact, order = signs, 2  # +-1 / sqrt(M): a sign frame
+        self._ints, self._phases = (exact, None) if order is None else (None, (exact, order))
+
+    def __repr__(self):
+        return f"Frame(m={self.m}, n={self.n}, scale_sq={self.scale_sq}, provenance={self.provenance!r})"
 
     @property
     def entries(self) -> np.ndarray:
-        """The complex entries, derived on first read by _numeric and kept
-        read-only.  A phase frame divides the table of the order-th roots
-        (flatmat._root_table) by sqrt(scale_sq) and gathers its entries from
-        that table at the phases (flatmat._root_values, a block of rows at a
-        time): each entry is the same division of the same root as dividing
-        the gathered roots would make, bit for bit."""
+        """The complex entries: a float frame's stored ones, else derived on
+        first read by _numeric and kept read-only.  A phase frame divides
+        the table of the order-th roots (flatmat._unit_roots) by
+        sqrt(scale_sq) and gathers its entries from that table at the phases
+        (flatmat._root_values, a block of rows at a time): each entry is the
+        same division of the same root as dividing the gathered roots would
+        make, bit for bit."""
         if self._entries is None:
-            values = self.exact_ints if self.phases is None else _root_table(self.order)
+            values = self.exact_ints if self.phases is None else _unit_roots(self.order)
             entries = _numeric(values, self.scale_sq)
             if self.phases is not None:
-                entries = _root_values(self.phases, self.order, entries)
+                entries = _root_values(self.phases, entries)
             entries.flags.writeable = False
             self._entries = entries
         return self._entries
@@ -211,12 +205,6 @@ class Frame:
 
     def gram(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
-
-    def gram_exact(self) -> tuple[np.ndarray, int]:
-        """Integer Gram matrix G with true Gram = G / scale_sq (real exact frames)."""
-        if self.exact_ints is None:
-            raise FrameFormatError("frame carries no exact integer form")
-        return exact_gram(self.exact_ints.T), self.scale_sq
 
     def check_unit_norm(self, tol: float = UNIT_NORM_TOL) -> None:
         """Raise NotUnitNorm unless every column norm is within tol of 1; a
@@ -470,10 +458,11 @@ def kirkman_etf(design: SteinerSystem, simplex: UnimodularMatrix,
 class DifferenceSet:
     """Subset D of an abelian group hitting every nonzero element as a
     difference exactly lam times, checked once, when built, and lam derived.
-    Each element must be an integer index (Python or numpy, not a bool) in
-    [0, |G|), which AbelianGroup.sub_array would read mod |G|; then all |D|^2
-    differences are counted by np.bincount, in batches of whole rows of at
-    most _DIFFERENCE_BATCH pairs.  elements are kept sorted, unique, as ints."""
+    Each element must be an integer index (errors._is_integer) in
+    [0, |G|), which AbelianGroup.sub_array would read mod |G|; then all
+    |D|^2 differences are counted by np.bincount, in batches of whole rows
+    of at most _DIFFERENCE_BATCH pairs.  elements are kept sorted, unique,
+    as ints."""
 
     group: AbelianGroup
     elements: tuple[int, ...]
@@ -481,7 +470,7 @@ class DifferenceSet:
 
     def __post_init__(self):
         elements = list(self.elements)
-        if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements):
+        if not all(map(_is_integer, elements)):
             raise IndexOutOfRange("difference set elements must be integer element indices")
         elements = tuple(sorted(set(map(int, elements))))
         order = self.group.order
@@ -520,7 +509,7 @@ def mcfarland_set(q: int, j: int, group_g: AbelianGroup) -> DifferenceSet:
     canonical primitive element g and trace-zero hyperplane S.
 
     G may be any abelian group of order R + 1 = (q^(j+1)-1)/(q-1) + 1, and
-    q and j must be integers (designs._integers).  The set reads
+    q and j must be integers (errors._integers).  The set reads
     only the field data (designs._affine_field), so no design is built.
     Each set is built once per (q, j, G), and the frozen set, O(M) ints, is
     handed out again (_mcfarland_set).
@@ -636,7 +625,7 @@ def mcfarland_as_kirkman(q: int, j: int, group_g: AbelianGroup,
     the difference set, the design-based one from the sums of simplex and
     basis exponents (kirkman_etf), both mod the exponent L of G x V: phase
     forms, sign frames (L = 2) when G has exponent two and p = 2.  q and j
-    must be integers (designs._integers).
+    must be integers (errors._integers).
 
     The design, the basis and the identification, which depend on (q, j)
     alone (_mcfarland_twin), and the difference set of (q, j, G)

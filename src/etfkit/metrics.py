@@ -45,6 +45,7 @@ from .errors import (
     NotUnitNorm,
     ShapeMismatch,
     TooFewColumns,
+    _integers,
 )
 from .flatmat import _UNIT_ROUNDOFF
 from .frames import Frame, _abs_max, _character_rows, _exact_ints, _tightness_deviation, exact_gram
@@ -72,16 +73,18 @@ def _check_columns(frame: Frame, tol: float = DEFAULT_TOL) -> None:
 
 def welch_bound(m: int, n: int) -> float:
     """sqrt((n - m) / (m (n - 1))): the coherence floor for n unit vectors in
-    dimension m."""
+    dimension m.  The one check of both Welch bounds' m and n: integers
+    (errors._integers) with 1 <= m <= n and n >= 2, else BadDimensions."""
+    m, n = _integers(m=m, n=n)
     if not (1 <= m <= n and n >= 2):
         raise BadDimensions(f"need 1 <= m <= n and n >= 2, got m={m}, n={n}")
     return ((n - m) / (m * (n - 1))) ** 0.5
 
 
 def welch_bound_exact(m: int, n: int) -> str | None:
-    """Exact 'a/b' form of the Welch bound when it is rational, else None."""
-    if not (1 <= m <= n and n >= 2):
-        raise BadDimensions(f"need 1 <= m <= n and n >= 2, got m={m}, n={n}")
+    """Exact 'a/b' form of the Welch bound when it is rational, else None;
+    m and n are checked by welch_bound."""
+    welch_bound(m, n)
     sq = Fraction(n - m, m * (n - 1))
     if sq == 0:
         return "0"
@@ -499,8 +502,8 @@ def gram_equal(a: Frame, b: Frame, tol: float = DEFAULT_TOL) -> MatchReport:
         rows_a = _signed_rows(a)
         if rows_a is not None and rows_a == _signed_rows(b):
             return MatchReport(n=a.n, max_dev=0.0, witness=None, exact=True, tol=tol)
-        ga, da = a.gram_exact()
-        gb, db = b.gram_exact()
+        ga, da = exact_gram(a.exact_ints.T), a.scale_sq
+        gb, db = exact_gram(b.exact_ints.T), b.scale_sq
         # max(., 1): the scale factors themselves must fit as well
         bound = max(_abs_max(ga), 1) * abs(db) + max(_abs_max(gb), 1) * abs(da)
         diff = np.abs(_exact_ints(ga, bound) * db - _exact_ints(gb, bound) * da)
@@ -787,9 +790,11 @@ def spark(frame: Frame, max_subset: int | None = None) -> SparkReport:
     subset depends by dimension count, so the witness is (0, ..., m), with
     no eigensolve.  exact: false means no subset up to the cap tested
     dependent, and lower_bound is only a bound.  A negative max_subset
-    raises BadDimensions; max_subset=0 searches nothing (lower_bound 1).
+    raises BadDimensions, as does one that is not an integer
+    (errors._integers); max_subset=0 searches nothing (lower_bound 1).
     """
     n = frame.n
+    max_subset = None if max_subset is None else _integers(max_subset=max_subset)[0]
     if max_subset is not None and max_subset < 0:
         raise BadDimensions(f"spark subset cap must be at least 0, got {max_subset}")
     limit = n if max_subset is None else min(max_subset, n)
@@ -875,7 +880,9 @@ def _rip_spectrum(gram: np.ndarray, size: int) -> tuple[float, float, float]:
 def rip_delta(frame: Frame, size: int) -> RipReport:
     """delta_L = max over L-subsets of the spectral deviation of the subset
     Gram from the identity, by exhaustive enumeration within SUBSET_BUDGET:
-    only subsets that could move an extreme are eigensolved (_rip_spectrum)."""
+    only subsets that could move an extreme are eigensolved (_rip_spectrum).
+    L must be an integer (errors._integers)."""
+    size, = _integers(size=size)
     n = frame.n
     if not 1 <= size <= n:
         raise BadDimensions(f"need 1 <= L <= {n}, got {size}")
@@ -924,9 +931,10 @@ def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRip
     sqrt((rho M - 1)/(rho - 1)) comes from its dimensions.  Each delta_L
     comes from rip_delta's search on one shared Gram, the same bits.  A
     verdict that checks no L would pass vacuously, so a max_size below 2
-    raises BadDimensions, and a frame whose C(N, 2) is over SUBSET_BUDGET
+    raises BadDimensions, as does one that is not an integer
+    (errors._integers), and a frame whose C(N, 2) is over SUBSET_BUDGET
     raises EnumerationBudgetExceeded."""
-    if max_size is not None and max_size < 2:
+    if max_size is not None and _integers(max_size=max_size)[0] < 2:
         raise BadDimensions(f"Steiner RIP checks L >= 2, so its cap must be at least 2, got {max_size}")
     big_r, _, rank = _design_structure(frame) or (None, None, None)
     if big_r is not None:

@@ -8,6 +8,8 @@ construction code.
 import numpy as np
 import pytest
 
+from etfkit.frames import Frame
+
 # 6x16 sparse ETF, entries * sqrt(3)
 FIG1_GRID = """\
 +-+-+-+-00000000
@@ -42,6 +44,16 @@ CHAR_VALUE = {"+": 1, "-": -1, "0": 0}
 def grid_to_ints(grid: str) -> np.ndarray:
     return np.array([[CHAR_VALUE[c] for c in line] for line in grid.splitlines()],
                     dtype=np.int64)
+
+
+def with_provenance(frame: Frame, provenance: dict) -> Frame:
+    """frame rebuilt from its one stored form, with provenance in place of its
+    own: the way a test forges what a frame claims about itself."""
+    if frame.phases is not None:
+        return Frame(scale_sq=frame.scale_sq, provenance=provenance, _phases=(frame.phases, frame.order))
+    if frame.exact_ints is not None:
+        return Frame(exact_ints=frame.exact_ints, scale_sq=frame.scale_sq, provenance=provenance)
+    return Frame(entries=frame.entries, provenance=provenance)
 
 
 def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:

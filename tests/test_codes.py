@@ -25,7 +25,7 @@ from etfkit.errors import (
     TooFewWords,
 )
 from etfkit.flatmat import drop_row_simplex, hadamard
-from etfkit.frames import Frame, kirkman_etf, steiner_etf
+from etfkit.frames import Frame, exact_gram, kirkman_etf, steiner_etf
 from etfkit.metrics import certify_etf
 
 
@@ -46,8 +46,7 @@ def test_fig3_words_match_reference():
 
 
 def test_one_column_frame_converts():
-    ints = np.array([[1]], dtype=np.int64)
-    f = Frame(entries=ints.astype(np.complex128), exact_ints=ints, scale_sq=1)
+    f = Frame(exact_ints=np.array([[1]], dtype=np.int64), scale_sq=1)
     code = frame_to_code(f)
     assert code.words == ((0,), (1,))
 
@@ -162,8 +161,9 @@ def test_inner_product_hamming_identity():
     for frame in (fig2_frame(), flat_28x64()):
         code = frame_to_code(frame)
         half = code.count // 2
-        g, d = code_to_frame(code).gram_exact()
-        assert d == code.m
+        frame = code_to_frame(code)
+        g = exact_gram(frame.exact_ints.T)
+        assert frame.scale_sq == code.m
         for a in range(half):
             for b in range(half):
                 assert g[a, b] == code.m - 2 * hamming(code.words[a], code.words[b])
@@ -242,7 +242,7 @@ def test_equality_and_hash_cover_every_field():
         BinaryCode(m=1, words=(), self_complementary=False)
 
 
-@pytest.mark.parametrize("m", [-1, 2.0, "2", None])
+@pytest.mark.parametrize("m", [-1, 2.0, "2", None, True, np.True_])
 def test_code_length_must_be_a_non_negative_integer(m):
     with pytest.raises(CodeFormatError, match="non-negative integer"):
         BinaryCode(m=m, words=(), self_complementary=False)

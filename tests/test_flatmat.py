@@ -498,6 +498,14 @@ def test_entries_are_a_read_only_copy_and_signs_are_derived():
         UnimodularMatrix(entries=arr, kind="hadamard", signs=arr.real)  # not an argument
 
 
+@pytest.mark.parametrize("entries", [np.full((3, 3), 7.0), hadamard(4).entries], ids=["other", "its-own"])
+def test_entries_beside_exponents_are_refused(entries):
+    """A unimodular matrix is built from one form: entries handed in beside
+    _phases, other ones or its own, are refused, not dropped."""
+    with pytest.raises(NotUnimodular, match="not both"):
+        UnimodularMatrix(entries, "hadamard", _phases=hadamard(4)._exponents)
+
+
 def test_the_attributes_are_frozen_so_the_hash_holds():
     outside = UnimodularMatrix(entries=dft(3).entries, kind="dft")
     for m in (hadamard(4), dft(3), outside, drop_row_simplex(outside, 1)):

@@ -28,8 +28,9 @@ from etfkit.flatmat import (
     AbelianGroup,
     UnimodularMatrix,
     _phase_dtype,
-    _root_table,
     _root_values,
+    _signs,
+    _unit_roots,
     character_table,
     dft,
     drop_row_simplex,
@@ -53,6 +54,7 @@ from etfkit.frames import (
 )
 from etfkit.metrics import certify_etf, coherence, gram_equal
 
+from conftest import with_provenance
 from test_gram_row import EXACT_LADDER, FLOAT_LADDER, TOP, _dense_deviations, _identification, _label
 
 
@@ -176,7 +178,7 @@ def _assert_stores(frame: Frame, values: np.ndarray, scale_sq: int, order: int |
     if order is not None:
         assert frame.order == order and frame.phases.dtype == _phase_dtype(order)
         assert np.array_equal(frame.phases, values)
-        values = _root_table(order)[values]
+        values = _unit_roots(order)[values]
     elif values.dtype.kind == "i":
         assert frame.exact_ints.dtype == np.int8 and frame.exact_ints.tobytes() == values.tobytes()
     else:
@@ -394,8 +396,7 @@ PROVENANCE = {"construction": "kirkman", "zeta": [1.5, -0.0, 1e-300, {"nested": 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (5, 9), (0, 3), (3, 0)])
 def test_sign_form_is_json_dumps_of_the_document(shape):
     ints = np.random.default_rng(sum(shape)).choice([-1, 1], shape)
-    frame = Frame(entries=ints / np.sqrt(max(shape[0], 1)), exact_ints=ints, scale_sq=shape[0],
-                  provenance=PROVENANCE)
+    frame = Frame(exact_ints=ints, scale_sq=shape[0], provenance=PROVENANCE)
     assert frame.is_sign_matrix
     doc = {"m": shape[0], "n": shape[1], "signs": ints.tolist(), "scale_sq_inv": shape[0],
            "provenance": PROVENANCE}
@@ -512,7 +513,9 @@ def test_check_unit_norm_raises_not_unit_norm():
     ({"entries": np.array([["1", "0"]])}, "entries must be a matrix of numbers"),
     ({"entries": np.array([[1.0, np.nan]])}, "entries must be finite numbers"),
     ({"entries": np.array([[1.0, 1j * np.inf]])}, "entries must be finite numbers"),
-    ({"entries": np.array([[np.nan]]), "exact_ints": np.array([[1]]), "scale_sq": 1}, "entries must be finite numbers"),
+    ({"entries": np.array([[np.nan]]), "exact_ints": np.array([[1]]), "scale_sq": 1},
+     "a frame is built from exactly one of entries, exact_ints and _phases, "
+     "with scale_sq beside either of the last two"),
 ], ids=["float-ints", "bool-ints", "1d-ints", "object-ints", "float-scale", "bool-scale", "str-scale",
         "zero-scale", "negative-scale", "1d-entries", "str-entries", "nan", "inf-imag", "nan-beside-ints"])
 def test_a_frame_checks_its_stored_form_when_built(kwargs, message):
@@ -678,8 +681,6 @@ def test_derived_entries_are_the_numeric_form_and_read_only(name):
 
 
 def test_a_phase_frame_derives_read_only_entries_once_and_is_unit_norm_exactly():
-    from dataclasses import replace
-
     from etfkit import flatmat
 
     dset = mcfarland_set(3, 1, AbelianGroup((5,)))
@@ -691,13 +692,22 @@ def test_a_phase_frame_derives_read_only_entries_once_and_is_unit_norm_exactly()
     for array in (frame.entries, frame.phases):
         with pytest.raises(ValueError):
             array[0, 0] = 1
-    copy = replace(frame, provenance={})
+    copy = with_provenance(frame, {})
     assert np.array_equal(copy.phases, frame.phases) and copy.entries.tobytes() == want.tobytes()
-    with pytest.raises(FrameFormatError):  # entries alongside an exact form must be the derived ones
-        replace(frame, entries=frame.entries[:, ::-1])
+    with pytest.raises(FrameFormatError):  # derived entries never go back in beside the form
+        Frame(entries=frame.entries, scale_sq=frame.scale_sq, _phases=frame._phases)
     # every entry has modulus 1/sqrt(scale_sq), so no tolerance admits another scale
     with pytest.raises(NotUnitNorm):
         Frame(scale_sq=13, _phases=(frame.phases, 15)).check_unit_norm(tol=1.0)
+
+
+def test_repr_derives_no_entries():
+    """repr of McF(4,2)'s harmonic frame, 336 x 1408, states its shape, scale
+    and provenance, and derives no entries."""
+    dset = mcfarland_set(4, 2, AbelianGroup((22,)))
+    frame = harmonic_etf(dset.group, dset)
+    assert repr(frame).startswith("Frame(m=336, n=1408, scale_sq=336, provenance={'construction': 'harmonic',")
+    assert frame._entries is None
 
 
 def test_a_float_frame_keeps_the_array_it_was_given():
@@ -706,17 +716,16 @@ def test_a_float_frame_keeps_the_array_it_was_given():
     assert frame.entries is a and frame.exact_ints is None and (frame.m, frame.n) == (3, 3)
 
 
-def test_entries_given_alongside_the_integer_form_must_equal_the_derived_ones():
-    ints = fig2_frame().exact_ints
-    same = Frame(entries=ints / np.sqrt(6), exact_ints=ints, scale_sq=6)
-    assert same.entries.tobytes() == _numeric(ints, 6).tobytes()
-    flipped = _numeric(ints, 6).copy()
-    flipped[0, 0] *= -1
-    nudged = _numeric(ints, 6).copy()
-    nudged[2, 3] = np.nextafter(nudged[2, 3].real, 2.0)
-    for entries, scale_sq in ((flipped, 6), (nudged, 6), (_numeric(ints, 6), 5), (_numeric(ints, 6)[:, :3], 6)):
-        with pytest.raises(FrameFormatError):
-            Frame(entries=entries, exact_ints=ints, scale_sq=scale_sq)
+@pytest.mark.parametrize("forms", [("entries", "exact_ints"), ("entries", "_phases"), ("exact_ints", "_phases"),
+                                   ("entries", "exact_ints", "_phases")], ids="+".join)
+def test_a_frame_refuses_every_pair_of_forms(forms):
+    """A frame is built from one form.  Handed a sign frame's own forms, its
+    exponents, their +-1 integers and its entries, two or three together,
+    it refuses them, equal as they are."""
+    frame = fig2_frame()
+    given = {"entries": frame.entries, "exact_ints": frame.exact_ints, "_phases": frame._phases}
+    with pytest.raises(FrameFormatError, match="exactly one of entries, exact_ints and _phases"):
+        Frame(scale_sq=frame.scale_sq, **{name: given[name] for name in forms})
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"exact_ints": np.ones((1, 2), dtype=np.int64)},
@@ -1031,7 +1040,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
     want, order = _intp_kirkman_phases(design, simplex, basis)
     frame = kirkman_etf(design, simplex, basis)
     if frame.phases is None:
-        assert order == 2 and np.array_equal(frame.exact_ints, _root_values(want, 2))
+        assert order == 2 and np.array_equal(frame.exact_ints, _signs(want))
     else:
         assert frame.order == order and frame.phases.dtype == want.dtype
         assert frame.phases.tobytes() == want.tobytes()
@@ -1040,7 +1049,7 @@ def test_kirkman_phases_equal_the_intp_sum(name):
 
 
 def _gathered_then_divided(frame: Frame) -> np.ndarray:
-    return _numeric(_root_values(frame.phases, frame.order), frame.scale_sq)
+    return _numeric(_root_values(frame.phases, _unit_roots(frame.order)), frame.scale_sq)
 
 
 @pytest.mark.parametrize("case", HARMONIC_LADDER, ids=_label)

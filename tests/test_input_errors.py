@@ -24,13 +24,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from etfkit import fixtures
 from etfkit.cli import main
-from etfkit.codes import parse_code
+from etfkit.codes import grey_rankin_bound, parse_code
 from etfkit.designs import (SteinerSystem, affine_design, affine_structure, kirkman15, parse_design,
                             round_robin_design, steiner_params, validate)
 from etfkit.errors import DesignFormatError, EtfkitError, FrameFormatError
-from etfkit.flatmat import AbelianGroup, UnimodularMatrix, dft, drop_row_simplex, hadamard
+from etfkit.flatmat import AbelianGroup, UnimodularMatrix, dft, drop_row_simplex, hadamard, simplex_from_characters
 from etfkit.frames import (DifferenceSet, Frame, frame_to_json, harmonic_etf, kirkman_etf, mcfarland_set,
                            parse_frame, steiner_etf)
+from etfkit.metrics import rip_delta, spark, steiner_rip_verdict, welch_bound, welch_bound_exact
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _MCF21 = mcfarland_set(2, 1, AbelianGroup((4,)))
@@ -367,10 +368,24 @@ def test_values_past_float64_or_an_array_size_are_refused(parse, text):
     lambda: steiner_params(2.0, 4),
     lambda: steiner_params(True, 4),
     lambda: steiner_params(np.int64(2), np.float64(4)),
-    lambda: Frame(entries=np.eye(2, dtype=np.complex128)).gram_exact(),
+    lambda: round_robin_design(4.0),
+    lambda: hadamard(4.0),
+    lambda: hadamard(True),
+    lambda: spark(fixtures.fig1(), 2.5),
+    lambda: rip_delta(fixtures.fig1(), 2.0),
+    lambda: steiner_rip_verdict(fixtures.fig1(), 2.5),
+    lambda: grey_rankin_bound(6.5, 2),
+    lambda: drop_row_simplex(hadamard(4), 1.0),
+    lambda: simplex_from_characters(AbelianGroup((5,)), 2.0),
+    lambda: welch_bound(6.0, 16),
+    lambda: welch_bound_exact(6.0, 16),
+    lambda: AbelianGroup((True, 2)),
 ], ids=["dft-0", "hadamard-0", "simplex-of-non-square", "group-factor-0", "group-empty", "group-spec",
         "affine-j-0", "steiner-params", "steiner-params-k-1", "steiner-params-float-v", "steiner-params-float-k",
-        "steiner-params-float-both", "steiner-params-bool-k", "steiner-params-numpy-float-v", "gram-exact-of-float"])
+        "steiner-params-float-both", "steiner-params-bool-k", "steiner-params-numpy-float-v",
+        "round-robin-float-v", "hadamard-float", "hadamard-bool", "spark-float-cap", "rip-float-l",
+        "steiner-rip-float-cap", "grey-rankin-float-m", "drop-row-float-row", "simplex-float-element",
+        "welch-float-m", "welch-exact-float-m", "group-bool-factor"])
 def test_api_misuse_raises_an_etfkit_error_that_is_a_value_error(call):
     with pytest.raises(EtfkitError) as raised:
         call()

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import json
 from fractions import Fraction
 from math import comb
 
@@ -27,6 +27,8 @@ from etfkit.metrics import (
     welch_bound,
     welch_bound_exact,
 )
+
+from conftest import with_provenance
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +180,7 @@ def test_frames_with_no_rows_form_no_gram(build, monkeypatch):
         raise AssertionError("a Gram was formed")
 
     monkeypatch.setattr(Frame, "gram", refuse)
-    monkeypatch.setattr(Frame, "gram_exact", refuse)
+    monkeypatch.setattr(metrics, "exact_gram", refuse)
     assert dense == (spark(frame).as_dict(), gram_equal(frame, build()).as_dict())
     assert dense[0]["witness"] == [0] and dense[1]["max_dev"] == 0.0
     assert dense[1]["exact_arithmetic"] == (frame.exact_ints is not None)
@@ -231,6 +233,12 @@ def test_spark_with_cap_zero_searches_nothing(fig1):
     assert report.spark is None and report.lower_bound == 1 and not report.exact
 
 
+def test_a_numpy_cap_gives_the_report_of_the_int_cap(fig1):
+    """A numpy integer cap is read as a Python int, so its report is the
+    same JSON as the int cap's."""
+    assert json.dumps(spark(fig1, max_subset=np.int64(3)).as_dict()) == json.dumps(spark(fig1, max_subset=3).as_dict())
+
+
 def test_spark_refuses_round_robin_8_before_enumerating(monkeypatch):
     # R = 7 caps the search at 8 columns, but sum C(64, k) for k <= 8 is ~5e9
     frame = steiner_etf(round_robin_design(8), drop_row_simplex(hadamard(8), 0))
@@ -259,7 +267,7 @@ def test_spark_budget_does_not_count_size_m_plus_1(monkeypatch):
 
 
 def test_spark_does_not_trust_a_forged_r(fig2):
-    forged = replace(fig2, provenance={**fig2.provenance, "r": 1})
+    forged = with_provenance(fig2, {**fig2.provenance, "r": 1})
     report = spark(forged)
     assert report.spark == 4 and report.witness == (0, 1, 2, 3)
     assert report.structural_witness == (0, 1)
@@ -299,7 +307,7 @@ def test_steiner_rip_rests_on_a_checked_structure_only():
 
 @pytest.mark.parametrize("forged_r", [16, 99, "3", 0])
 def test_an_impossible_provenance_r_is_ignored(fig2, forged_r):
-    forged = replace(fig2, provenance={**fig2.provenance, "r": forged_r})
+    forged = with_provenance(fig2, {**fig2.provenance, "r": forged_r})
     report = spark(forged)
     assert report.spark == 4 and report.structural_witness is None
     assert not steiner_rip_verdict(forged).applicable
@@ -447,7 +455,7 @@ def test_steiner_rip_refuses_a_forged_r_above_the_frames_r(fig1, forged_r):
     as spark reports unchanged, but so are columns 0..r-1 (rank 3, 4 and 6,
     each below r): no design structure r stands, so the verdict does not
     apply, where columns 0..r alone would make it apply and fail."""
-    forged = replace(fig1, provenance={**fig1.provenance, "r": forged_r})
+    forged = with_provenance(fig1, {**fig1.provenance, "r": forged_r})
     report = spark(forged)
     assert report.spark == 4 and report.witness == (0, 1, 2, 3)
     assert report.structural_witness == tuple(range(forged_r + 1)) and report.structural_rank <= forged_r

