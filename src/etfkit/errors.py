@@ -31,8 +31,7 @@ def _integers(**values) -> tuple[int, ...]:
     the cached entry of 2)."""
     if not all(map(_is_integer, values.values())):
         got = ", ".join(f"{name}={x!r}" for name, x in values.items())
-        need = "integers" if len(values) > 1 else "an integer"
-        raise BadDimensions(f"{' and '.join(values)} must be {need}, got {got}")
+        raise BadDimensions(f"{' and '.join(values)} must be integers, got {got}")
     return tuple(map(int, values.values()))
 
 

@@ -7,11 +7,11 @@ A flat frame of L-th roots of unity stores only their exponents mod L and d,
 a +-1/sqrt(M) frame, which the binary-code bridge consumes, among them at
 L = 2; any other frame of integer multiples of a common 1/sqrt(d) stores that
 integer matrix and d.  So Gram computations downstream are exact, and the
-complex entries are derived when first read, never handed in beside the
-form a frame is built from.  _assemble is the one place a construction
-picks its form, from what it gathered, and exact_gram the one place that
-decides how an integer product, always the Gram a a^T of one matrix, is
-computed exactly.  Exponents are the one exact route through the Kirkman
+complex entries are derived when first read; entries handed in beside the
+form a frame is built from are only checked against it.  _assemble is the
+one place a construction picks its form, from what it gathered, and
+exact_gram the one place that decides how an integer product, always the
+Gram a a^T of one matrix, is computed exactly.  Exponents are the one exact route through the Kirkman
 layer: kirkman_etf sums them, signs included, and mcfarland_as_kirkman
 proves the twins equal as one identity on them.
 """
@@ -100,7 +100,9 @@ class Frame:
 
     A frame is built from exactly one stored form, handed in as exactly one
     of entries, exact_ints and _phases; every other form is derived from it
-    when read and never handed back in.  A float frame stores its complex
+    when read and never handed back in.  One pair is taken: entries beside
+    exact_ints must equal the entries derived from them, bit for bit, else
+    FrameFormatError, and are not stored.  A float frame stores its complex
     entries.  A phase frame stores phases, its exponents mod order
     (unsigned integers), and scale_sq, the frame being
     zeta_order^phases / sqrt(scale_sq); a builder hands them in as the
@@ -122,6 +124,7 @@ class Frame:
     def __init__(self, entries: np.ndarray | None = None, exact_ints: np.ndarray | None = None,
                  scale_sq: int | None = None, provenance: dict | None = None,
                  _phases: tuple[np.ndarray, int] | None = None):
+        beside, entries = (entries, None) if exact_ints is not None else (None, entries)
         if sum(f is not None for f in (entries, exact_ints, _phases)) != 1 or (entries is None) == (scale_sq is None):
             raise FrameFormatError("a frame is built from exactly one of entries, exact_ints and _phases, "
                                    "with scale_sq beside either of the last two")
@@ -148,6 +151,8 @@ class Frame:
         if order is None and self.scale_sq == len(exact) and (signs := _sign_exponents(exact)) is not None:
             exact, order = signs, 2  # +-1 / sqrt(M): a sign frame
         self._ints, self._phases = (exact, None) if order is None else (None, (exact, order))
+        if beside is not None and not np.array_equal(beside, self.entries):
+            raise FrameFormatError("entries beside exact_ints must be exact_ints / sqrt(scale_sq)")
 
     def __repr__(self):
         return f"Frame(m={self.m}, n={self.n}, scale_sq={self.scale_sq}, provenance={self.provenance!r})"
@@ -166,16 +171,14 @@ class Frame:
             entries = _numeric(values, self.scale_sq)
             if self.phases is not None:
                 entries = _root_values(self.phases, entries)
-            entries.flags.writeable = False
-            self._entries = entries
+            self._entries = gf._read_only(entries)
         return self._entries
 
     @property
     def exact_ints(self) -> np.ndarray | None:
         """The stored integers, or a sign frame's int8 +-1, derived on first read and kept read-only."""
         if self._ints is None and self._phases is not None and self.order <= 2:
-            self._ints = _signs(self.phases)
-            self._ints.flags.writeable = False
+            self._ints = gf._read_only(_signs(self.phases))
         return self._ints
 
     @property

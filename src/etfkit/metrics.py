@@ -934,7 +934,8 @@ def steiner_rip_verdict(frame: Frame, max_size: int | None = None) -> SteinerRip
     raises BadDimensions, as does one that is not an integer
     (errors._integers), and a frame whose C(N, 2) is over SUBSET_BUDGET
     raises EnumerationBudgetExceeded."""
-    if max_size is not None and _integers(max_size=max_size)[0] < 2:
+    max_size = None if max_size is None else _integers(max_size=max_size)[0]
+    if max_size is not None and max_size < 2:
         raise BadDimensions(f"Steiner RIP checks L >= 2, so its cap must be at least 2, got {max_size}")
     big_r, _, rank = _design_structure(frame) or (None, None, None)
     if big_r is not None:

@@ -514,8 +514,7 @@ def test_check_unit_norm_raises_not_unit_norm():
     ({"entries": np.array([[1.0, np.nan]])}, "entries must be finite numbers"),
     ({"entries": np.array([[1.0, 1j * np.inf]])}, "entries must be finite numbers"),
     ({"entries": np.array([[np.nan]]), "exact_ints": np.array([[1]]), "scale_sq": 1},
-     "a frame is built from exactly one of entries, exact_ints and _phases, "
-     "with scale_sq beside either of the last two"),
+     "entries beside exact_ints must be exact_ints / sqrt(scale_sq)"),
 ], ids=["float-ints", "bool-ints", "1d-ints", "object-ints", "float-scale", "bool-scale", "str-scale",
         "zero-scale", "negative-scale", "1d-entries", "str-entries", "nan", "inf-imag", "nan-beside-ints"])
 def test_a_frame_checks_its_stored_form_when_built(kwargs, message):
@@ -716,12 +715,25 @@ def test_a_float_frame_keeps_the_array_it_was_given():
     assert frame.entries is a and frame.exact_ints is None and (frame.m, frame.n) == (3, 3)
 
 
-@pytest.mark.parametrize("forms", [("entries", "exact_ints"), ("entries", "_phases"), ("exact_ints", "_phases"),
+def test_entries_given_alongside_the_integer_form_must_equal_the_derived_ones():
+    ints = fig2_frame().exact_ints
+    same = Frame(entries=ints / np.sqrt(6), exact_ints=ints, scale_sq=6)
+    assert same.entries.tobytes() == _numeric(ints, 6).tobytes()
+    flipped = _numeric(ints, 6).copy()
+    flipped[0, 0] *= -1
+    nudged = _numeric(ints, 6).copy()
+    nudged[2, 3] = np.nextafter(nudged[2, 3].real, 2.0)
+    for entries, scale_sq in ((flipped, 6), (nudged, 6), (_numeric(ints, 6), 5), (_numeric(ints, 6)[:, :3], 6)):
+        with pytest.raises(FrameFormatError, match="entries beside exact_ints"):
+            Frame(entries=entries, exact_ints=ints, scale_sq=scale_sq)
+
+
+@pytest.mark.parametrize("forms", [("entries", "_phases"), ("exact_ints", "_phases"),
                                    ("entries", "exact_ints", "_phases")], ids="+".join)
-def test_a_frame_refuses_every_pair_of_forms(forms):
-    """A frame is built from one form.  Handed a sign frame's own forms, its
-    exponents, their +-1 integers and its entries, two or three together,
-    it refuses them, equal as they are."""
+def test_a_frame_refuses_phases_beside_another_form(forms):
+    """Phases are handed in alone.  Handed a sign frame's exponents beside
+    its +-1 integers or its entries, equal as they are, a frame refuses
+    them."""
     frame = fig2_frame()
     given = {"entries": frame.entries, "exact_ints": frame.exact_ints, "_phases": frame._phases}
     with pytest.raises(FrameFormatError, match="exactly one of entries, exact_ints and _phases"):
